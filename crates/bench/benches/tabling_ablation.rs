@@ -11,11 +11,6 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("tabling", layers + 1), &w, |b, w| {
             b.iter(|| w.check(&CheckOptions::default()))
         });
-        g.bench_with_input(
-            BenchmarkId::new("tabling_string_keys", layers + 1),
-            &w,
-            |b, w| b.iter(|| w.check(&CheckOptions::default().with_string_table_keys())),
-        );
         g.bench_with_input(BenchmarkId::new("no_tabling", layers + 1), &w, |b, w| {
             b.iter(|| w.check(&CheckOptions::default().without_tabling()))
         });

@@ -50,18 +50,6 @@ pub struct CheckOptions {
     pub operators: OperatorProperties,
     /// Whether to table (memoise) established sub-equivalences.
     pub tabling: bool,
-    /// Use the legacy string-rendered canonical keys for the tabling cache
-    /// instead of the structural hashes.  Strictly slower — every lookup
-    /// re-renders both relations — and kept only so the perf experiments can
-    /// measure the two keying schemes against each other in the same run.
-    pub string_table_keys: bool,
-    /// Key the tabling cache by per-graph *position ids* (node id / dense
-    /// array id) instead of the default rename-invariant content
-    /// fingerprints.  Position keys never unify structurally identical
-    /// sub-computations that live at different statements, so they hit less
-    /// within one run; kept as the measured baseline for the intra-run
-    /// hit-rate experiments (`--exp pr4`).
-    pub position_table_keys: bool,
     /// Optional focused checking.
     pub focus: Option<Focus>,
     /// Output arrays the caller has *proven* unchanged against a baseline
@@ -108,8 +96,6 @@ impl Default for CheckOptions {
             method: Method::Extended,
             operators: OperatorProperties::default(),
             tabling: true,
-            string_table_keys: false,
-            position_table_keys: false,
             focus: None,
             assume_clean: Vec::new(),
             check_def_use: true,
@@ -133,20 +119,6 @@ impl CheckOptions {
     /// Disables tabling (for the ablation experiment E9).
     pub fn without_tabling(mut self) -> Self {
         self.tabling = false;
-        self
-    }
-
-    /// Switches the tabling cache to the legacy string keys (baseline for
-    /// the keying-scheme perf comparison).
-    pub fn with_string_table_keys(mut self) -> Self {
-        self.string_table_keys = true;
-        self
-    }
-
-    /// Switches the tabling cache to per-graph position-id keys (baseline
-    /// for the rename-invariant-keying hit-rate comparison).
-    pub fn with_position_table_keys(mut self) -> Self {
-        self.position_table_keys = true;
         self
     }
 
@@ -186,11 +158,6 @@ impl CheckOptions {
                 .unwrap_or(1),
             n => n,
         }
-    }
-
-    /// Whether the default rename-invariant fingerprint keys are active.
-    pub(crate) fn fingerprint_table_keys(&self) -> bool {
-        !self.string_table_keys && !self.position_table_keys
     }
 }
 
@@ -313,9 +280,8 @@ pub fn verify_addgs_with(
     opts: &CheckOptions,
     ctx: &CheckContext<'_>,
 ) -> Result<Report> {
-    // Fingerprints key the default (rename-invariant) local tabling cache
-    // and every shared-table entry, so they are computed whenever tabling is
-    // on and either of those consumers is active.  Intermediate array names
+    // Fingerprints key every tabling level (local, shared and baseline), so
+    // they are computed whenever tabling is on.  Intermediate array names
     // are folded in only when the options make them verdict-relevant
     // (focused checking with declared intermediate correspondences);
     // otherwise repeated idioms behind renamed temporaries share entries.
@@ -328,9 +294,7 @@ pub fn verify_addgs_with(
     } else {
         fingerprints
     };
-    let fps = (opts.tabling
-        && (opts.fingerprint_table_keys() || ctx.shared_table.is_some() || ctx.baseline.is_some()))
-    .then(|| (fp(original), fp(transformed)));
+    let fps = opts.tabling.then(|| (fp(original), fp(transformed)));
     verify_addgs_with_fps(original, transformed, opts, ctx, fps)
 }
 
@@ -363,26 +327,6 @@ pub fn verify_addgs_with_fps(
     checker.run()
 }
 
-/// Key of the tabling cache: the two traversal positions plus the two
-/// output-current mappings.
-///
-/// The default `Fp` form is *rename-invariant*: positions are identified by
-/// their content fingerprints ([`arrayeq_addg::fingerprints`]) and mappings
-/// by their rename-canonical [`Relation::structural_hash`], so structurally
-/// identical sub-proofs — same computation at a different statement, same
-/// mapping written over differently-ordered iterators — share one entry.
-/// `Positional` identifies positions by per-graph ids instead (node id /
-/// dense array id; [`CheckOptions::position_table_keys`]), the pre-PR4
-/// baseline for the intra-run hit-rate comparison.  `Text` is the legacy
-/// string scheme ([`CheckOptions::string_table_keys`]), rebuilt on every
-/// lookup, kept as the measured keying-cost baseline.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum TableKey {
-    Fp(u64, u64, u64, u64),
-    Positional(usize, usize, u64, u64),
-    Text(usize, usize, String, String),
-}
-
 /// The traversal state.
 ///
 /// One `Checker` is either the whole sequential run (`jobs = 1`) or one
@@ -405,19 +349,15 @@ pub(crate) struct Checker<'x> {
     /// Hash-consed flattened terms plus the matched-pair memo (the
     /// normalization subsystem's state; see [`crate::normalize`]).
     pub(crate) arena: TermArena,
-    /// Tabling cache: established equivalences of sub-ADDG pairs.
-    table: HashMap<TableKey, bool>,
-    /// Dense integer ids for array positions of each graph, so array/array
-    /// and mixed pairs can be tabled without string keys (node positions use
-    /// their `NodeId` directly; see [`Checker::pos_id`]).
-    array_ids_a: HashMap<String, usize>,
-    array_ids_b: HashMap<String, usize>,
+    /// Tabling cache: established equivalences of sub-ADDG pairs, keyed by
+    /// [`Checker::table_key`].
+    table: HashMap<SharedTableKey, bool>,
     /// Hash-collision paranoia (debug builds only): the canonical renderings
-    /// of the relations behind every `Hashed` table entry.  A lookup whose
-    /// hashes match but whose canonical keys differ is a real 64-bit
-    /// collision and is counted in [`CheckStats::hash_collisions`].
+    /// of the relations behind every table entry.  A lookup whose hashes
+    /// match but whose canonical keys differ is a real 64-bit collision and
+    /// is counted in [`CheckStats::hash_collisions`].
     #[cfg(debug_assertions)]
-    table_shadow: HashMap<TableKey, (String, String)>,
+    table_shadow: HashMap<SharedTableKey, (String, String)>,
     /// Coinduction for recurrences: array pairs currently being proven, with
     /// the element-pair relation assumed equal.
     in_progress: BTreeMap<(String, String), Relation>,
@@ -534,8 +474,6 @@ impl<'x> Checker<'x> {
             diagnostics: Vec::new(),
             arena: TermArena::default(),
             table: HashMap::new(),
-            array_ids_a: HashMap::new(),
-            array_ids_b: HashMap::new(),
             #[cfg(debug_assertions)]
             table_shadow: HashMap::new(),
             in_progress: BTreeMap::new(),
@@ -1095,8 +1033,8 @@ impl Checker<'_> {
         // which the publish guard below feeds), so a hit returns exactly
         // what the traversal would re-derive and failures always re-derive
         // their diagnostics in full.
-        let shared_key = self.shared_key(&pos_a, &pos_b, &map_a, &map_b);
-        if let (Some(k), Some(baseline)) = (shared_key.as_ref(), self.ctx.baseline) {
+        let key = self.table_key(&pos_a, &pos_b, &map_a, &map_b);
+        if let (Some(k), Some(baseline)) = (key.as_ref(), self.ctx.baseline) {
             if baseline.contains(k) {
                 self.stats.baseline_hits += 1;
                 arrayeq_trace::discharge("baseline");
@@ -1105,17 +1043,14 @@ impl Checker<'_> {
         }
 
         // Tabling.
-        let table_key = self.table_key(&pos_a, &pos_b, &map_a, &map_b);
-        if self.opts.tabling {
-            if let Some(k) = table_key.as_ref() {
-                self.stats.table_lookups += 1;
-                if let Some(&cached) = self.table.get(k) {
-                    self.stats.table_hits += 1;
-                    arrayeq_trace::discharge("local_table");
-                    #[cfg(debug_assertions)]
-                    self.check_for_hash_collision(k, &map_a, &map_b);
-                    return Ok(cached);
-                }
+        if let Some(k) = key.as_ref() {
+            self.stats.table_lookups += 1;
+            if let Some(&cached) = self.table.get(k) {
+                self.stats.table_hits += 1;
+                arrayeq_trace::discharge("local_table");
+                #[cfg(debug_assertions)]
+                self.check_for_hash_collision(k, &map_a, &map_b);
+                return Ok(cached);
             }
         }
 
@@ -1124,7 +1059,7 @@ impl Checker<'_> {
         // any earlier query — same pair re-checked after an edit, or a
         // perturbed variant sharing this sub-computation — discharges the
         // whole sub-traversal here.
-        if let (Some(k), Some(shared)) = (shared_key.as_ref(), self.ctx.shared_table) {
+        if let (Some(k), Some(shared)) = (key.as_ref(), self.ctx.shared_table) {
             self.stats.shared_table_lookups += 1;
             if let Some((true, provenance)) = shared.get_with_provenance(k) {
                 self.stats.shared_table_hits += 1;
@@ -1139,45 +1074,43 @@ impl Checker<'_> {
         }
 
         #[cfg(debug_assertions)]
-        let shadow_val = match &table_key {
-            Some(TableKey::Fp(..)) | Some(TableKey::Positional(..)) => {
-                Some((map_a.canonical_key(), map_b.canonical_key()))
-            }
-            _ => None,
-        };
+        let shadow_val = key.map(|_| (map_a.canonical_key(), map_b.canonical_key()));
 
         let assumption_uses_before = self.assumption_uses;
         let result = self.check_uncached(&pos_a, map_a, &pos_b, map_b, trail_a, trail_b)?;
 
-        if self.opts.tabling {
-            if let Some(k) = table_key {
-                // Only successful sub-proofs are reused; failures keep their
-                // diagnostics specific to the path that found them.  A proof
-                // that leaned on a coinductive recurrence assumption is only
-                // valid under that assumption and must not be replayed
-                // outside it, so it is not inserted either.
-                if result && self.assumption_uses == assumption_uses_before {
-                    #[cfg(debug_assertions)]
-                    if let Some(v) = shadow_val {
-                        self.table_shadow.insert(k.clone(), v);
-                    }
-                    self.table.insert(k, true);
-                    self.stats.table_entries += 1;
-                    // Publish assumption-free sub-proofs for later queries.
-                    if let (Some(sk), Some(shared)) = (shared_key, self.ctx.shared_table) {
-                        shared.put(sk, true);
-                        self.stats.shared_table_inserts += 1;
-                    }
+        if let Some(k) = key {
+            // Only successful sub-proofs are reused; failures keep their
+            // diagnostics specific to the path that found them.  A proof
+            // that leaned on a coinductive recurrence assumption is only
+            // valid under that assumption and must not be replayed outside
+            // it, so it is not inserted either.
+            if result && self.assumption_uses == assumption_uses_before {
+                #[cfg(debug_assertions)]
+                if let Some(v) = shadow_val {
+                    self.table_shadow.insert(k, v);
+                }
+                self.table.insert(k, true);
+                self.stats.table_entries += 1;
+                // Publish assumption-free sub-proofs for later queries.
+                if let Some(shared) = self.ctx.shared_table {
+                    shared.put(k, true);
+                    self.stats.shared_table_inserts += 1;
                 }
             }
         }
         Ok(result)
     }
 
-    /// Builds the cross-query tabling key for a position pair: the content
-    /// fingerprints of both positions plus the structural hashes of both
-    /// mappings.  `None` outside an engine session or with tabling disabled.
-    fn shared_key(
+    /// Builds the tabling key for a position pair, shared by the baseline,
+    /// the local table and the cross-query shared table.  It is fully
+    /// *rename-invariant*: the content fingerprints of both positions
+    /// ([`arrayeq_addg::fingerprints`]) plus the rename-canonical
+    /// [`Relation::structural_hash`] of both mappings, so structurally
+    /// identical sub-proofs — same computation at a different statement,
+    /// same mapping written over differently-ordered iterators — share one
+    /// entry.  `None` with tabling disabled or without fingerprints.
+    fn table_key(
         &self,
         pos_a: &Pos,
         pos_b: &Pos,
@@ -1199,81 +1132,16 @@ impl Checker<'_> {
         Some((pa, pb, map_a.structural_hash(), map_b.structural_hash()))
     }
 
-    /// Dense integer id of a traversal position: node positions map to
-    /// `2·NodeId`, array positions to `2·id + 1` with ids handed out on
-    /// first sight, so the two kinds never collide and the tabling key
-    /// stays integer-only for every position pair.
-    fn pos_id(&mut self, original_side: bool, pos: &Pos) -> usize {
-        match pos {
-            Pos::Node(n) => n << 1,
-            Pos::Array(v) => {
-                let ids = if original_side {
-                    &mut self.array_ids_a
-                } else {
-                    &mut self.array_ids_b
-                };
-                // get-then-insert: the name is only cloned the first time an
-                // array is seen, keeping the per-lookup path allocation-free.
-                let id = match ids.get(v) {
-                    Some(&id) => id,
-                    None => {
-                        let next = ids.len();
-                        ids.insert(v.clone(), next);
-                        next
-                    }
-                };
-                (id << 1) | 1
-            }
-        }
-    }
-
-    /// Builds the tabling key for a position pair.
-    ///
-    /// On the default path the key is fully *rename-invariant* — two
-    /// content fingerprints plus the two rename-canonical structural hashes
-    /// (no string allocation, four `u64` loads) — so structurally identical
-    /// sub-proofs table-hit even when they live at different statements or
-    /// were written over differently-named iterators.  `position_table_keys`
-    /// switches positions back to per-graph ids (the pre-PR4 baseline for
-    /// the hit-rate comparison).  The legacy path (`string_table_keys`) uses
-    /// the seed's key *construction* — a deep `simplified(true)` pass and a
-    /// debug-format rendering of every conjunct, per map, per lookup — but
-    /// over this repo's wider tabling coverage (the seed only keyed
-    /// node/node pairs), so it isolates the keying cost, not the seed's
-    /// overall behaviour; the faithful end-to-end baseline is the
-    /// pre-refactor measurement recorded in `BENCH_PR1.json`.
-    fn table_key(
-        &mut self,
-        pos_a: &Pos,
-        pos_b: &Pos,
-        map_a: &Relation,
-        map_b: &Relation,
-    ) -> Option<TableKey> {
-        if !self.opts.tabling {
-            return None;
-        }
-        if self.opts.fingerprint_table_keys() {
-            return self
-                .shared_key(pos_a, pos_b, map_a, map_b)
-                .map(|(fa, fb, ha, hb)| TableKey::Fp(fa, fb, ha, hb));
-        }
-        let da = self.pos_id(true, pos_a);
-        let db = self.pos_id(false, pos_b);
-        Some(if self.opts.string_table_keys {
-            TableKey::Text(da, db, legacy_key(map_a), legacy_key(map_b))
-        } else {
-            TableKey::Positional(da, db, map_a.structural_hash(), map_b.structural_hash())
-        })
-    }
-
     /// Debug-build cross-check: a table hit whose canonical renderings differ
     /// from the stored ones means two distinct relations collided on the same
     /// 64-bit structural hash.
     #[cfg(debug_assertions)]
-    fn check_for_hash_collision(&mut self, key: &TableKey, map_a: &Relation, map_b: &Relation) {
-        if matches!(key, TableKey::Text(..)) {
-            return;
-        }
+    fn check_for_hash_collision(
+        &mut self,
+        key: &SharedTableKey,
+        map_a: &Relation,
+        map_b: &Relation,
+    ) {
         if let Some((ka, kb)) = self.table_shadow.get(key) {
             if *ka != map_a.canonical_key() || *kb != map_b.canonical_key() {
                 self.stats.hash_collisions += 1;
@@ -1790,23 +1658,6 @@ impl Checker<'_> {
     }
 }
 
-/// The seed's original tabling key *construction*: a full deep
-/// simplification (per-conjunct feasibility) followed by a sorted
-/// debug-format rendering — paid again on every single lookup.  Note the
-/// seed applied this to node/node pairs only; under
-/// [`CheckOptions::string_table_keys`] it runs over the current (wider)
-/// tabling coverage, so it measures the keying cost in isolation.
-fn legacy_key(map: &Relation) -> String {
-    let mut parts: Vec<String> = map
-        .simplified(true)
-        .conjuncts()
-        .iter()
-        .map(|c| format!("{c:?}"))
-        .collect();
-    parts.sort();
-    parts.join(" | ")
-}
-
 pub(crate) fn with_stmt(trail: &[String], stmt: &str) -> Vec<String> {
     let mut t = trail.to_vec();
     if t.last().map(|s| s.as_str()) != Some(stmt) {
@@ -1918,34 +1769,6 @@ mod tests {
         assert_eq!(without.stats.table_hits, 0);
         assert_eq!(without.stats.table_lookups, 0);
         assert_eq!(without.stats.table_entries, 0);
-    }
-
-    #[test]
-    fn hash_and_string_table_keys_agree() {
-        // Positional hashed keys and the legacy text keys identify exactly
-        // the same sub-problems, so verdicts and the traversal shape match;
-        // the default fingerprint keys are at least as sharing (they unify
-        // structurally identical positions) and never change the verdict.
-        for (a, b) in [(FIG1_A, FIG1_C), (FIG1_A, FIG1_D)] {
-            let hashed = check(a, b, &CheckOptions::default().with_position_table_keys());
-            let text = check(a, b, &CheckOptions::default().with_string_table_keys());
-            assert_eq!(hashed.verdict, text.verdict);
-            assert_eq!(hashed.stats.table_lookups, text.stats.table_lookups);
-            assert_eq!(hashed.stats.table_hits, text.stats.table_hits);
-            assert_eq!(hashed.stats.table_entries, text.stats.table_entries);
-            // The debug-build collision cross-check ran on every hit.
-            assert_eq!(hashed.stats.hash_collisions, 0);
-
-            let fp = check(a, b, &CheckOptions::default());
-            assert_eq!(fp.verdict, hashed.verdict);
-            assert!(
-                fp.stats.table_hits >= hashed.stats.table_hits,
-                "rename-invariant keys can only widen sharing: {} < {}",
-                fp.stats.table_hits,
-                hashed.stats.table_hits
-            );
-            assert_eq!(fp.stats.hash_collisions, 0);
-        }
     }
 
     #[test]

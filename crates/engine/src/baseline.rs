@@ -163,25 +163,21 @@ pub fn baseline_to_json(
 }
 
 /// Fingerprints the *verdict-relevant* subset of [`CheckOptions`]: method,
-/// operator algebra, tabling keying scheme and focus — everything under
-/// which a sub-proof entry is (in)valid.  Budgets (`max_work`), parallelism
+/// operator algebra, tabling and focus — everything under which a
+/// sub-proof entry is (in)valid.  Budgets (`max_work`), parallelism
 /// (`jobs`) and the cone focus itself (`assume_clean`) are deliberately
 /// excluded: they change how much work a run does, never which sub-proofs
 /// hold, so a baseline stays consumable across budget and jobs settings.
 pub fn options_fingerprint(opts: &CheckOptions) -> u64 {
+    // The two `*_table_keys` entries name tabling modes that no longer
+    // exist; they stay as fixed text so stores and baselines written while
+    // those modes existed keep their fingerprint and keep loading.
     let mut canonical = format!(
         concat!(
-            "method={:?};operators={:?};tabling={};string_table_keys={};",
-            "position_table_keys={};focus={:?};check_def_use={};check_class={}"
+            "method={:?};operators={:?};tabling={};string_table_keys=false;",
+            "position_table_keys=false;focus={:?};check_def_use={};check_class={}"
         ),
-        opts.method,
-        opts.operators,
-        opts.tabling,
-        opts.string_table_keys,
-        opts.position_table_keys,
-        opts.focus,
-        opts.check_def_use,
-        opts.check_class,
+        opts.method, opts.operators, opts.tabling, opts.focus, opts.check_def_use, opts.check_class,
     );
     // Parameter promotion changes what is being proven (a sub-proof at
     // `N = 1024` says nothing about symbolic `N`), so it invalidates
@@ -356,8 +352,8 @@ mod tests {
         );
         let different = CheckOptions::basic();
         assert_ne!(options_fingerprint(&base), options_fingerprint(&different));
-        let keyed = CheckOptions::default().with_string_table_keys();
-        assert_ne!(options_fingerprint(&base), options_fingerprint(&keyed));
+        let untabled = CheckOptions::default().without_tabling();
+        assert_ne!(options_fingerprint(&base), options_fingerprint(&untabled));
         // Parameter promotion changes what is proven, so it must re-key.
         let parametric = CheckOptions::default().with_params(vec![("N".into(), 1)]);
         assert_ne!(options_fingerprint(&base), options_fingerprint(&parametric));
@@ -365,6 +361,20 @@ mod tests {
         assert_ne!(
             options_fingerprint(&parametric),
             options_fingerprint(&wider)
+        );
+    }
+
+    #[test]
+    fn options_fingerprints_are_pinned() {
+        // Every persistent store and baseline on disk is stamped with these
+        // values; a change to the canonical text orphans all of them.
+        assert_eq!(
+            options_fingerprint(&CheckOptions::default()),
+            0xb4cb_8344_b73a_0e6f
+        );
+        assert_eq!(
+            options_fingerprint(&CheckOptions::basic()),
+            0xaea3_70ee_37e8_7aa1
         );
     }
 }

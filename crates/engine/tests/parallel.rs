@@ -130,6 +130,26 @@ fn merged_parallel_counters_respect_the_internal_identities() {
 }
 
 #[test]
+fn repeated_chains_hit_the_local_table_without_collisions() {
+    // The rename-invariant keys unify the repeated chains, so a sequential
+    // run gets local table hits; debug builds cross-check each hit against
+    // the canonical renderings of the stored mappings.
+    let original = generate_kernel(&GeneratorConfig {
+        n: 64,
+        layers: 3,
+        outputs: 6,
+        distinct_chains: 2,
+        seed: 11,
+        ..Default::default()
+    });
+    let (transformed, _) = random_pipeline(&original, 4, 211);
+    let r = verify_programs(&original, &transformed, &CheckOptions::default()).unwrap();
+    assert!(r.is_equivalent(), "{}", r.summary());
+    assert!(r.stats.table_hits > 0, "{:?}", r.stats);
+    assert_eq!(r.stats.hash_collisions, 0);
+}
+
+#[test]
 fn one_parallel_query_produces_cross_thread_feasibility_hits() {
     // Regression for the dead shared FeasibilityCache (BENCH_PR3.json:
     // feasibility_hits 0 vs 1931 entries): the workers of a single

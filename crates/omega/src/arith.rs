@@ -42,10 +42,6 @@ thread_local! {
 
     /// Total overflow events on this thread (monotonic; for stats/tests).
     static OVERFLOW_EVENTS: Cell<u64> = const { Cell::new(0) };
-
-    /// When set, the solver skips the checked paths (raw `i64` ops).  Bench
-    /// harness escape hatch only — see [`set_unchecked_solver_arithmetic`].
-    static UNCHECKED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Records an arithmetic overflow: sets the sticky per-thread flag.
@@ -83,23 +79,6 @@ pub fn take_arith_overflow() -> bool {
 /// Total overflow events recorded on this thread (never reset).
 pub fn arith_overflow_events() -> u64 {
     OVERFLOW_EVENTS.with(|e| e.get())
-}
-
-/// Disables (or re-enables) the checked arithmetic paths on this thread.
-///
-/// **Benchmark escape hatch only.**  With `true`, the solver runs the raw
-/// `i64` operations it used before overflow checking existed, so the
-/// per-release overhead of the checked paths can be measured A/B inside one
-/// binary.  Verdicts on overflow-afflicted inputs are *unsound* in this
-/// mode; never enable it outside a measurement harness.
-#[doc(hidden)]
-pub fn set_unchecked_solver_arithmetic(on: bool) {
-    UNCHECKED.with(|u| u.set(on));
-}
-
-/// Whether the bench-only unchecked mode is active on this thread.
-pub(crate) fn unchecked_arith() -> bool {
-    UNCHECKED.with(|u| u.get())
 }
 
 /// Narrows a widened intermediate back into `i64`.

@@ -16,15 +16,11 @@
 //! * **Subsumption** — a conjunct that provably contains another (decided
 //!   syntactically by [`Conjunct::subsumes`], no solver call) absorbs it.
 //!
-//! Coalescing is applied in two regimes.  The *canonicalising* uses —
-//! [`Relation::simplified`](crate::Relation::simplified) and the tail of
-//! [`Relation::subtract`](crate::Relation::subtract) — always coalesce, so
-//! a relation's simplified form does not depend on any mode switch.  The
-//! *eager* uses — at every `union` / `intersect` / `compose` construction
-//! site and between the rounds of `subtract` — are gated by the thread-local
-//! toggle below, which exists so the measurement harness can A/B the eager
-//! pass inside one binary.  Turning it off never changes a verdict, only how
-//! much intermediate-disjunct work the algebra performs.
+//! Coalescing runs wherever the union can grow — the outputs of `union` /
+//! `intersect` / `compose` and every round of
+//! [`Relation::subtract`](crate::Relation::subtract) — and inside
+//! [`Relation::simplified`](crate::Relation::simplified), where it is part of
+//! a relation's canonical simplified form.
 
 use crate::conjunct::Conjunct;
 use std::cell::Cell;
@@ -32,33 +28,12 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 thread_local! {
-    /// Whether the eager coalescing sites are active on this thread.
-    static EAGER: Cell<bool> = const { Cell::new(true) };
-
     /// Conjuncts dropped by coalescing on this thread (monotonic).
     static CONJUNCTS_SUBSUMED: Cell<u64> = const { Cell::new(0) };
 
     /// Overflow-degraded feasibility queries re-decided exactly by the
     /// big-integer reference solver on this thread (monotonic).
     static BIGINT_FALLBACKS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Enables or disables the *eager* coalescing sites on this thread and
-/// returns the previous setting.  Defaults to enabled.
-///
-/// **Measurement escape hatch.**  With `false`, `union` / `intersect` /
-/// `compose` and the intermediate rounds of `subtract` keep every disjunct
-/// they generate, as the algebra did before the DNF engine existed; the
-/// canonicalising coalesce inside [`Relation::simplified`](crate::Relation::simplified)
-/// still runs, so verdicts and simplified forms are identical in both
-/// modes — only the amount of intermediate work differs.
-pub fn set_eager_simplification(on: bool) -> bool {
-    EAGER.with(|e| e.replace(on))
-}
-
-/// Whether the eager coalescing sites are active on this thread.
-pub fn eager_simplification() -> bool {
-    EAGER.with(|e| e.get())
 }
 
 /// Total conjuncts dropped by coalescing (dedup + subsumption) on this

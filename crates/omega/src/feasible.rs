@@ -50,7 +50,7 @@
 //!   and columns introduced during the run (congruence witnesses, σ variables
 //!   of the mod-reduction) are truncated away at the end.
 
-use crate::arith::{narrow, note_arith_overflow, unchecked_arith, ArithOverflow};
+use crate::arith::{narrow, note_arith_overflow, ArithOverflow};
 use crate::constraint::{Constraint, ConstraintKind};
 use crate::linexpr::{floor_div, mod_hat, LinExpr};
 
@@ -171,10 +171,6 @@ struct Problem {
     /// checker's hot path (`is_feasible`), so the decision procedure pays
     /// nothing for the machinery.
     want_model: bool,
-    /// Whether coefficient arithmetic runs through the overflow-checked
-    /// (`i128`-widened) paths.  Always on except under the bench harness's
-    /// [`crate::set_unchecked_solver_arithmetic`] escape hatch.
-    checked: bool,
 }
 
 impl Problem {
@@ -184,42 +180,13 @@ impl Problem {
             eqs: Vec::new(),
             geqs: Vec::new(),
             want_model: false,
-            checked: !unchecked_arith(),
         }
     }
 
     fn sub(&self) -> Self {
         let mut p = Problem::new(self.n_vars);
         p.want_model = self.want_model;
-        p.checked = self.checked;
         p
-    }
-
-    /// `e *= k`, checked when this problem runs in checked mode.
-    #[inline]
-    fn scale_in_place(&self, e: &mut LinExpr, k: i64) -> Result<(), ArithOverflow> {
-        if self.checked {
-            e.try_scale_assign(k)
-        } else {
-            e.scale_assign(k);
-            Ok(())
-        }
-    }
-
-    /// `e += k·other`, checked when this problem runs in checked mode.
-    #[inline]
-    fn add_scaled_in_place(
-        &self,
-        e: &mut LinExpr,
-        other: &LinExpr,
-        k: i64,
-    ) -> Result<(), ArithOverflow> {
-        if self.checked {
-            e.try_add_scaled_assign(other, k)
-        } else {
-            e.add_scaled_assign(other, k);
-            Ok(())
-        }
     }
 
     /// Adds a constraint; returns `false` if it is trivially unsatisfiable.
@@ -295,13 +262,9 @@ impl Problem {
                     // cannot use them, so evaluating over its own prefix of
                     // the model is exact.
                     let prefix = &model[..value.n_vars()];
-                    model[*col] = if self.checked {
-                        match value.try_eval(prefix) {
-                            Ok(v) => v,
-                            Err(ArithOverflow) => return Outcome::Overflow,
-                        }
-                    } else {
-                        value.eval(prefix)
+                    model[*col] = match value.try_eval(prefix) {
+                        Ok(v) => v,
+                        Err(ArithOverflow) => return Outcome::Overflow,
                     };
                 }
             }
@@ -388,15 +351,9 @@ impl Problem {
             // a*x + rest = 0  =>  x = -rest / a  (a = ±1)
             let mut value = e.clone();
             value.set_coeff(col, 0);
-            self.scale_in_place(&mut value, -a)?; // since a*a = 1
-            if self.checked {
-                for f in self.eqs.iter_mut().chain(self.geqs.iter_mut()) {
-                    f.try_substitute_assign(col, &value)?;
-                }
-            } else {
-                for f in self.eqs.iter_mut().chain(self.geqs.iter_mut()) {
-                    f.substitute_assign(col, &value);
-                }
+            value.try_scale_assign(-a)?; // since a*a = 1
+            for f in self.eqs.iter_mut().chain(self.geqs.iter_mut()) {
+                f.try_substitute_assign(col, &value)?;
             }
             if self.want_model {
                 subs.push((col, value));
@@ -529,36 +486,26 @@ impl Problem {
             let a = lo.coeff(col);
             for up in &uppers {
                 // `up.coeff(col)` is negative; its negation only fails for
-                // i64::MIN, which the checked path reports as overflow.
-                let b = match up.coeff(col).checked_neg() {
-                    Some(b) => b,
-                    None if self.checked => return Outcome::Overflow,
-                    None => up.coeff(col).wrapping_neg(),
+                // i64::MIN, which is reported as overflow.
+                let Some(b) = up.coeff(col).checked_neg() else {
+                    return Outcome::Overflow;
                 };
                 // a·x + f ≥ 0  ∧  −b·x + g ≥ 0   ⇒ (reals)  a·g + b·f ≥ 0
                 let mut combined = up.clone();
-                if self.scale_in_place(&mut combined, a).is_err()
-                    || self.add_scaled_in_place(&mut combined, lo, b).is_err()
+                if combined.try_scale_assign(a).is_err()
+                    || combined.try_add_scaled_assign(lo, b).is_err()
                 {
                     return Outcome::Overflow;
                 }
                 debug_assert_eq!(combined.coeff(col), 0);
                 real.geqs.push(combined.clone());
                 let mut darkc = combined;
-                if self.checked {
-                    // The dark-shadow margin (a−1)(b−1) is widened to i128;
-                    // its subtraction from the constant must narrow to i64.
-                    let margin = (a as i128 - 1) * (b as i128 - 1);
-                    match narrow(darkc.constant() as i128 - margin) {
-                        Ok(c) => darkc.set_constant(c),
-                        Err(ArithOverflow) => return Outcome::Overflow,
-                    }
-                } else {
-                    darkc.set_constant(
-                        darkc
-                            .constant()
-                            .wrapping_sub((a.wrapping_sub(1)).wrapping_mul(b.wrapping_sub(1))),
-                    );
+                // The dark-shadow margin (a−1)(b−1) is widened to i128; its
+                // subtraction from the constant must narrow to i64.
+                let margin = (a as i128 - 1) * (b as i128 - 1);
+                match narrow(darkc.constant() as i128 - margin) {
+                    Ok(c) => darkc.set_constant(c),
+                    Err(ArithOverflow) => return Outcome::Overflow,
                 }
                 dark.geqs.push(darkc);
             }

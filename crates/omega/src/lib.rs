@@ -140,8 +140,7 @@ mod space;
 #[doc(hidden)]
 pub use arith::inject_arith_overflow;
 pub use arith::{
-    arith_overflow_events, arith_overflow_pending, set_unchecked_solver_arithmetic,
-    take_arith_overflow, ArithOverflow,
+    arith_overflow_events, arith_overflow_pending, take_arith_overflow, ArithOverflow,
 };
 pub use bigint::BigInt;
 pub use conjunct::{
@@ -149,10 +148,7 @@ pub use conjunct::{
     FeasibilityCache,
 };
 pub use constraint::{Constraint, ConstraintKind};
-pub use dnf::{
-    bigint_fallback_events, conjuncts_subsumed_events, eager_simplification,
-    set_eager_simplification,
-};
+pub use dnf::{bigint_fallback_events, conjuncts_subsumed_events};
 pub use hash::{structural_hash_of, StructuralHasher};
 pub use linexpr::LinExpr;
 pub use relation::{DomKind, MapBuilder, Relation, SamplePoint};

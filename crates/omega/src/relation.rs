@@ -161,10 +161,7 @@ impl Relation {
     /// semantically empty and coalesces the survivors (structural dedup plus
     /// conjunct subsumption — see [`Conjunct::subsumes`]).  `deep`
     /// additionally runs the exact emptiness test per conjunct (more
-    /// expensive, smaller result).  The coalescing here is unconditional —
-    /// part of the simplified form, independent of the eager-simplification
-    /// toggle — so a relation's simplified rendering never depends on the
-    /// measurement mode.
+    /// expensive, smaller result).
     pub fn simplified(&self, deep: bool) -> Relation {
         let mut out = Vec::with_capacity(self.conjuncts.len());
         for c in &self.conjuncts {
@@ -239,10 +236,10 @@ impl Relation {
                 .cloned()
                 .map(|c| c.with_space(self.space.clone())),
         );
-        if crate::dnf::eager_simplification() {
-            conjuncts = crate::dnf::coalesce(conjuncts);
-        }
-        Ok(Relation::raw(self.space.clone(), conjuncts))
+        Ok(Relation::raw(
+            self.space.clone(),
+            crate::dnf::coalesce(conjuncts),
+        ))
     }
 
     /// Intersection of two relations over compatible spaces.
@@ -261,10 +258,10 @@ impl Relation {
                 }
             }
         }
-        if crate::dnf::eager_simplification() {
-            conjuncts = crate::dnf::coalesce(conjuncts);
-        }
-        Ok(Relation::raw(self.space.clone(), conjuncts))
+        Ok(Relation::raw(
+            self.space.clone(),
+            crate::dnf::coalesce(conjuncts),
+        ))
     }
 
     /// The inverse relation (input and output tuples swapped).
@@ -368,10 +365,7 @@ impl Relation {
                 }
             }
         }
-        if crate::dnf::eager_simplification() {
-            conjuncts = crate::dnf::coalesce(conjuncts);
-        }
-        Ok(Relation::raw(result_space, conjuncts))
+        Ok(Relation::raw(result_space, crate::dnf::coalesce(conjuncts)))
     }
 
     /// Restricts the domain of the relation to a set.
@@ -438,8 +432,9 @@ impl Relation {
             }
             subtrahend.push(c.with_space(self.space.clone()));
         }
+        // Already coalesced by `simplified`, and every round below coalesces
+        // its output, so the result needs no final pass.
         let mut current = self.simplified(false).conjuncts;
-        let eager = crate::dnf::eager_simplification();
         for b in &subtrahend {
             let mut next = Vec::new();
             for a in &current {
@@ -458,19 +453,12 @@ impl Relation {
             // Every subtrahend round multiplies the disjunct count by the
             // negation fan-out; coalescing between rounds is what keeps the
             // sample-and-subtract enumeration loop polynomial in practice.
-            current = if eager {
-                crate::dnf::coalesce(next)
-            } else {
-                next
-            };
+            current = crate::dnf::coalesce(next);
             if current.is_empty() {
                 break;
             }
         }
-        Ok(Relation::raw(
-            self.space.clone(),
-            crate::dnf::coalesce(current),
-        ))
+        Ok(Relation::raw(self.space.clone(), current))
     }
 
     /// Whether `self ⊆ other`.

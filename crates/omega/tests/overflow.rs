@@ -9,7 +9,9 @@
 //! of the same decision procedure, where overflow cannot occur.
 
 use arrayeq_omega::reference::reference_is_feasible;
-use arrayeq_omega::{take_arith_overflow, Conjunct, Constraint, LinExpr, Space, VarKind};
+use arrayeq_omega::{
+    bigint_fallback_events, take_arith_overflow, Conjunct, Constraint, LinExpr, Space, VarKind,
+};
 use proptest::prelude::*;
 
 /// Builds the set-space conjunct of `constraints` over `n` variables.
@@ -184,6 +186,83 @@ fn corpus_never_panics_with_witness_extraction() {
         }
         let _ = take_arith_overflow();
     }
+}
+
+/// The big-int fallback contract: a conjunct whose checked `i64` solve
+/// overflows is re-decided exactly by the reference solver.  Every system
+/// gets the oracle's (and the annotated) verdict with no overflow flag left
+/// behind.  Not every system reaches the fallback — the `i128`-widened
+/// checked arithmetic absorbs some — but at least one must.
+#[test]
+fn bigint_fallback_decides_adversarial_systems_exactly() {
+    let systems: Vec<(&str, Vec<Constraint>, usize, bool)> = vec![
+        (
+            "two-bands-infeasible",
+            vec![
+                Constraint::geq(le(&[H, H], -H)),
+                Constraint::geq(le(&[-H, 0], 0)),
+                Constraint::geq(le(&[0, -H], 0)),
+            ],
+            2,
+            false,
+        ),
+        (
+            "equality-chain-h-squared",
+            vec![
+                Constraint::eq(le(&[1, -H], 0)),
+                Constraint::eq(le(&[0, 1], -H)),
+            ],
+            2,
+            true,
+        ),
+        (
+            "dark-shadow-margin",
+            vec![
+                Constraint::geq(le(&[7], -3)),
+                Constraint::geq(le(&[-H], H.saturating_mul(10))),
+            ],
+            1,
+            true,
+        ),
+        (
+            "bezout-huge",
+            vec![Constraint::eq(le(&[M, M - 1], -1))],
+            2,
+            true,
+        ),
+        (
+            "min-coeff-band",
+            vec![
+                Constraint::geq(le(&[i64::MIN], 0)),
+                Constraint::geq(le(&[1], -1)),
+            ],
+            1,
+            false,
+        ),
+    ];
+    let mut fired = 0;
+    for (name, constraints, n, expected) in &systems {
+        let _ = take_arith_overflow();
+        let before = bigint_fallback_events();
+        let feasible = conjunct(constraints, *n).is_feasible();
+        fired += usize::from(bigint_fallback_events() > before);
+        let residual = take_arith_overflow();
+        let oracle =
+            reference_is_feasible(constraints, *n).expect("the oracle decides every system");
+        assert_eq!(
+            feasible, oracle,
+            "{name}: verdict differs from the big-int oracle"
+        );
+        assert_eq!(feasible, *expected, "{name}: annotated verdict is wrong");
+        assert!(
+            !residual,
+            "{name}: the exact fallback must consume the overflow flag"
+        );
+    }
+    assert!(
+        fired >= 1,
+        "no adversarial system exercised the big-int fallback"
+    );
 }
 
 #[test]

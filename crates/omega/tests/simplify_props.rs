@@ -1,36 +1,16 @@
 //! Property tests of the DNF constraint-set engine.
 //!
 //! Contract under test: *simplification is invisible*.  Coalescing subsumed
-//! disjuncts, dropping redundant constraints (`minimized`), gisting against
-//! a context and the eager-simplification mode toggle may change how a set
-//! is represented, but never what it denotes.  Denotation is checked two
-//! ways: per-point membership over an exhaustive box, and feasibility
-//! cross-checked against the big-integer reference oracle
-//! ([`arrayeq_omega::reference`]), where neither overflow nor any of the
-//! production fast paths exist.
+//! disjuncts, dropping redundant constraints (`minimized`) and gisting
+//! against a context may change how a set is represented, but never what it
+//! denotes.  Denotation is checked two ways: per-point membership over an
+//! exhaustive box, and feasibility cross-checked against the big-integer
+//! reference oracle ([`arrayeq_omega::reference`]), where neither overflow
+//! nor any of the production fast paths exist.
 
 use arrayeq_omega::reference::reference_is_feasible;
-use arrayeq_omega::{
-    set_eager_simplification, take_arith_overflow, Conjunct, Constraint, LinExpr, Relation, Set,
-    Space,
-};
+use arrayeq_omega::{take_arith_overflow, Conjunct, Constraint, LinExpr, Relation, Set, Space};
 use proptest::prelude::*;
-
-/// Restores the eager-simplification mode on drop, so a failing property
-/// cannot leak a disabled mode into other tests on the same thread.
-struct EagerGuard(bool);
-
-impl EagerGuard {
-    fn set(on: bool) -> Self {
-        EagerGuard(set_eager_simplification(on))
-    }
-}
-
-impl Drop for EagerGuard {
-    fn drop(&mut self) {
-        set_eager_simplification(self.0);
-    }
-}
 
 /// One constraint: coefficients for (x, y), constant, and a kind selector
 /// (0 = `≥ 0`, 1 = `= 0`, 2 = `≡ 0 (mod 3)`).
@@ -148,49 +128,37 @@ proptest! {
 
     /// Membership at every point of a box must survive `simplified` and
     /// `minimized`, and union/subtract must compute the pointwise
-    /// disjunction/difference — identically with eager coalescing on and
-    /// off.  The eager and lazy results must also be equal as sets.
+    /// disjunction/difference.
     #[test]
     fn simplification_never_changes_membership(seed in 0u64..u64::MAX) {
         let mut gen = Gen(seed);
-        let a = gen.dnf();
-        let b = gen.dnf();
-        let mut by_mode: Vec<(Set, Set)> = Vec::new();
-        for eager in [false, true] {
-            let _guard = EagerGuard::set(eager);
-            let s = build_set(&a);
-            let t = build_set(&b);
-            let u = s.union(&t).unwrap();
-            let d = s.subtract(&t).unwrap();
-            for x in -4i64..=4 {
-                for y in -4i64..=4 {
-                    let p = [x, y];
-                    let in_s = s.contains(&p, &[]);
-                    let in_t = t.contains(&p, &[]);
-                    prop_assert!(
-                        s.simplified().contains(&p, &[]) == in_s,
-                        "simplified changed membership at {p:?} (eager={eager})"
-                    );
-                    prop_assert!(
-                        s.minimized().contains(&p, &[]) == in_s,
-                        "minimized changed membership at {p:?} (eager={eager})"
-                    );
-                    prop_assert!(
-                        u.contains(&p, &[]) == (in_s || in_t),
-                        "union wrong at {p:?} (eager={eager})"
-                    );
-                    prop_assert!(
-                        d.contains(&p, &[]) == (in_s && !in_t),
-                        "difference wrong at {p:?} (eager={eager})"
-                    );
-                }
+        let s = build_set(&gen.dnf());
+        let t = build_set(&gen.dnf());
+        let u = s.union(&t).unwrap();
+        let d = s.subtract(&t).unwrap();
+        for x in -4i64..=4 {
+            for y in -4i64..=4 {
+                let p = [x, y];
+                let in_s = s.contains(&p, &[]);
+                let in_t = t.contains(&p, &[]);
+                prop_assert!(
+                    s.simplified().contains(&p, &[]) == in_s,
+                    "simplified changed membership at {p:?}"
+                );
+                prop_assert!(
+                    s.minimized().contains(&p, &[]) == in_s,
+                    "minimized changed membership at {p:?}"
+                );
+                prop_assert!(
+                    u.contains(&p, &[]) == (in_s || in_t),
+                    "union wrong at {p:?}"
+                );
+                prop_assert!(
+                    d.contains(&p, &[]) == (in_s && !in_t),
+                    "difference wrong at {p:?}"
+                );
             }
-            by_mode.push((u, d));
         }
-        let (u_lazy, d_lazy) = &by_mode[0];
-        let (u_eager, d_eager) = &by_mode[1];
-        prop_assert!(u_lazy.is_equal(u_eager).unwrap(), "eager union differs as a set");
-        prop_assert!(d_lazy.is_equal(d_eager).unwrap(), "eager difference differs as a set");
     }
 
     /// Sampling commutes with simplification: a point sampled from the
@@ -250,7 +218,6 @@ fn construction_dedupes_structurally_identical_conjuncts() {
 
 #[test]
 fn union_coalesces_subsumed_disjuncts_and_counts_them() {
-    let _guard = EagerGuard::set(true);
     let big = Set::parse("{ [x] : 0 <= x <= 10 }").unwrap();
     let small = Set::parse("{ [x] : 2 <= x <= 5 }").unwrap();
     let before = arrayeq_omega::conjuncts_subsumed_events();

@@ -115,15 +115,25 @@ pub struct ProtocolError {
 pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
     let err = |id: Option<u64>, message: String| ProtocolError { id, message };
     let v = JsonValue::parse(line).map_err(|e| err(None, format!("malformed request: {e}")))?;
-    let id = v.get("id").and_then(JsonValue::as_i64).map(|n| n as u64);
-    let Some(id) = id else {
+    // A negative number is rejected, not cast: `-1 as u64` would turn a
+    // budget into a practically unlimited one.
+    let uint = |key: &str, id: Option<u64>| -> Result<Option<u64>, ProtocolError> {
+        v.get(key)
+            .and_then(JsonValue::as_i64)
+            .map(|n| {
+                u64::try_from(n)
+                    .map_err(|_| err(id, format!("`{key}` must be non-negative, got {n}")))
+            })
+            .transpose()
+    };
+    let Some(id) = uint("id", None)? else {
         return Err(err(None, "request without numeric `id`".into()));
     };
     let cmd = v
         .get("cmd")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| err(Some(id), "request without `cmd`".into()))?;
-    let opt_u64 = |key: &str| v.get(key).and_then(JsonValue::as_i64).map(|n| n as u64);
+    let opt_u64 = |key: &str| uint(key, Some(id));
     match cmd {
         "verify" => {
             let original = v
@@ -141,14 +151,14 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                 original,
                 transformed,
                 witnesses: v.get("witnesses").and_then(JsonValue::as_bool),
-                deadline_ms: opt_u64("deadline_ms"),
-                max_work: opt_u64("max_work"),
+                deadline_ms: opt_u64("deadline_ms")?,
+                max_work: opt_u64("max_work")?,
             })
         }
         "ping" => Ok(Request::Ping { id }),
         "stats" => Ok(Request::Stats { id }),
         "cancel" => {
-            let target = opt_u64("target")
+            let target = opt_u64("target")?
                 .ok_or_else(|| err(Some(id), "cancel without numeric `target`".into()))?;
             Ok(Request::Cancel { id, target })
         }
@@ -242,6 +252,29 @@ mod tests {
         assert!(e.message.contains("fly"));
         let e = parse_request("{\"id\":9,\"cmd\":\"verify\"}").unwrap_err();
         assert_eq!(e.id, Some(9));
+    }
+
+    #[test]
+    fn negative_numbers_are_rejected_naming_the_key() {
+        let verify = |extra: &str| {
+            format!(
+                "{{\"id\":3,\"cmd\":\"verify\",\"original\":\"a\",\"transformed\":\"b\",{extra}}}"
+            )
+        };
+        for (line, key, id) in [
+            ("{\"id\":-1,\"cmd\":\"ping\"}".to_owned(), "id", None),
+            (verify("\"deadline_ms\":-1"), "deadline_ms", Some(3)),
+            (verify("\"max_work\":-1"), "max_work", Some(3)),
+            (
+                "{\"id\":4,\"cmd\":\"cancel\",\"target\":-2}".to_owned(),
+                "target",
+                Some(4),
+            ),
+        ] {
+            let e = parse_request(&line).unwrap_err();
+            assert_eq!(e.id, id, "{line}");
+            assert!(e.message.contains(&format!("`{key}`")), "{}", e.message);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! client's limits never leak into another's verdict.
 
 use arrayeq_engine::{JsonValue, Verifier};
-use arrayeq_lang::corpus::{FIG1_A, FIG1_C};
+use arrayeq_lang::corpus::{FIG1_A, FIG1_B, FIG1_C};
 use arrayeq_lang::pretty::program_to_string;
 use arrayeq_serve::client::{
     cancel_request_line, control_request_line, response_verdict, verify_request_line, Client,
@@ -115,11 +115,13 @@ fn budgets_and_cancellation_stay_per_client() {
         });
 
         // Client B, concurrently: full budget -> equivalent, untouched by
-        // A's starvation.
+        // A's starvation.  It checks a different pair: a root proof of A's
+        // pair published by B would let A's one allowed visit discharge
+        // from the shared table.
         let socket_b = daemon.socket().to_path_buf();
         scope.spawn(move || {
             let mut b = Client::connect(&socket_b).unwrap();
-            let response = b.verify(2, FIG1_A, FIG1_C).unwrap();
+            let response = b.verify(2, FIG1_A, FIG1_B).unwrap();
             assert_eq!(
                 response_verdict(&response).unwrap(),
                 "equivalent",

@@ -29,7 +29,7 @@ pub struct GeneratorConfig {
     /// single-`OUT` chain; larger values produce a *wide* kernel — a shared
     /// base layer feeding one independent `layers`-deep chain per output
     /// `OUT0..OUTm` — the workload shape the intra-query parallel checker
-    /// shards across its worker pool (`--exp pr4`).
+    /// shards across its worker pool.
     pub outputs: usize,
     /// For wide kernels (`outputs > 1`): the number of structurally
     /// *distinct* chains.  `0` (the default) makes every chain unique;
