@@ -10,7 +10,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use arrayeq_core::{verify_programs, CheckOptions, Report};
+use arrayeq_core::{check, lower, CheckContext, CheckOptions, Report};
 use arrayeq_lang::ast::Program;
 use arrayeq_lang::corpus::{with_size, FIG1_A};
 use arrayeq_lang::interp::{Inputs, Interpreter};
@@ -30,26 +30,46 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Runs the checker on the pair with the given options.
+    /// A workload of two programs given as source text.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either source fails to parse.
+    pub fn from_source(name: &str, original: &str, transformed: &str) -> Workload {
+        Workload {
+            name: name.to_owned(),
+            original: parse_program(original).expect("original parses"),
+            transformed: parse_program(transformed).expect("transformed parses"),
+        }
+    }
+
+    /// Runs the checker on the pair with the given options: both programs
+    /// through [`lower`], then one [`check`].
     ///
     /// # Panics
     ///
     /// Panics if the verification pipeline itself fails (the pairs produced
     /// by this crate are all in the supported class).
     pub fn check(&self, opts: &CheckOptions) -> Report {
-        verify_programs(&self.original, &self.transformed, opts)
-            .unwrap_or_else(|e| panic!("workload {}: {e}", self.name))
+        let run = || {
+            let (a, b) = (
+                lower(&self.original, opts)?,
+                lower(&self.transformed, opts)?,
+            );
+            check(&a, &b, opts, &CheckContext::default())
+        };
+        run().unwrap_or_else(|e| panic!("workload {}: {e}", self.name))
     }
 }
 
 /// The Fig. 1 pairs of the paper at its native size (N = 1024).
-pub fn fig1_pairs() -> Vec<(String, String, String)> {
+pub fn fig1_pairs() -> Vec<Workload> {
     use arrayeq_lang::corpus::*;
     vec![
-        ("a-vs-b".into(), FIG1_A.into(), FIG1_B.into()),
-        ("a-vs-c".into(), FIG1_A.into(), FIG1_C.into()),
-        ("b-vs-c".into(), FIG1_B.into(), FIG1_C.into()),
-        ("a-vs-d".into(), FIG1_A.into(), FIG1_D.into()),
+        Workload::from_source("a-vs-b", FIG1_A, FIG1_B),
+        Workload::from_source("a-vs-c", FIG1_A, FIG1_C),
+        Workload::from_source("b-vs-c", FIG1_B, FIG1_C),
+        Workload::from_source("a-vs-d", FIG1_A, FIG1_D),
     ]
 }
 

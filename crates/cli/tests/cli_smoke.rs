@@ -399,6 +399,33 @@ fn param_flag_promotes_a_define_to_an_all_sizes_proof() {
 }
 
 #[test]
+fn param_flag_holds_under_a_baseline() {
+    // Fig. 1 (a) vs (c) holds only for even N, so promoting N fails the
+    // def-use check on `buf` — with or without a baseline from (a) vs (a).
+    let dir = temp_dir("param-baseline");
+    let a = write_corpus(&dir, "fig1a");
+    let c = write_corpus(&dir, "fig1c");
+    let baseline = dir.join("base.json");
+    let (a, c, base) = (
+        a.to_str().unwrap(),
+        c.to_str().unwrap(),
+        baseline.to_str().unwrap(),
+    );
+    let out = arrayeq(&["verify", a, a, "--param", "N", "--emit-baseline", base]);
+    assert_eq!(out.status.code(), Some(0));
+    let scratch = arrayeq(&["verify", a, c, "--param", "N"]);
+    assert_eq!(scratch.status.code(), Some(3));
+    let out = arrayeq(&["verify", a, c, "--param", "N", "--baseline", base]);
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "stdout: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert_eq!(out.stderr, scratch.stderr);
+}
+
+#[test]
 fn trace_flag_writes_parsable_jsonl_and_chrome_profiles() {
     let dir = temp_dir("trace");
     let a = write_corpus(&dir, "fig1a");

@@ -10,7 +10,6 @@ use arrayeq_addg::{describe_node, extract, fingerprints, Addg, Fingerprints, Nod
 use arrayeq_lang::ast::Program;
 use arrayeq_lang::classcheck::assert_in_class;
 use arrayeq_lang::defuse::assert_def_use_correct;
-use arrayeq_lang::parser::parse_program;
 use arrayeq_omega::{Relation, Set};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
@@ -52,22 +51,6 @@ pub struct CheckOptions {
     pub tabling: bool,
     /// Optional focused checking.
     pub focus: Option<Focus>,
-    /// Output arrays the caller has *proven* unchanged against a baseline
-    /// run (their root obligations are present in the
-    /// [`crate::BaselineProofs`] of the context): the traversal skips them
-    /// entirely — no domain check, no root obligation — while keeping them
-    /// in [`Report::outputs_checked`], so the rendered report is
-    /// byte-identical to a from-scratch run in which they silently
-    /// succeeded.  This is the dirty-cone focus of incremental
-    /// re-verification; unlike [`Focus::outputs`] it narrows *work*, not
-    /// the set of outputs the verdict speaks about.  Soundness is the
-    /// caller's obligation: list an output only when a baseline proves its
-    /// root obligation under these same options.
-    pub assume_clean: Vec<String>,
-    /// Whether to run the def-use checker before extracting ADDGs (Fig. 6).
-    pub check_def_use: bool,
-    /// Whether to verify the program-class properties before checking.
-    pub check_class: bool,
     /// Upper bound on traversal work (node-pair visits); exceeding it yields
     /// an inconclusive verdict instead of running forever.
     pub max_work: u64,
@@ -97,9 +80,6 @@ impl Default for CheckOptions {
             operators: OperatorProperties::default(),
             tabling: true,
             focus: None,
-            assume_clean: Vec::new(),
-            check_def_use: true,
-            check_class: true,
             max_work: 2_000_000,
             params: Vec::new(),
             jobs: 1,
@@ -142,11 +122,16 @@ impl CheckOptions {
         self
     }
 
-    /// Declares outputs proven clean against a baseline (see
-    /// [`CheckOptions::assume_clean`]).
-    pub fn with_assume_clean(mut self, outputs: Vec<String>) -> Self {
-        self.assume_clean = outputs;
-        self
+    /// The content fingerprints tabling keys on under these options.
+    /// Intermediate array names are folded in only when they are
+    /// verdict-relevant (a focus with declared intermediate
+    /// correspondences); otherwise repeated idioms behind renamed
+    /// temporaries share entries.
+    pub fn fingerprints(&self, graph: &Addg) -> Fingerprints {
+        match &self.focus {
+            Some(f) if !f.intermediate_pairs.is_empty() => arrayeq_addg::fingerprints_named(graph),
+            _ => fingerprints(graph),
+        }
     }
 
     /// The effective worker count: `jobs`, with `0` resolved to the
@@ -161,77 +146,26 @@ impl CheckOptions {
     }
 }
 
-/// Verifies two functions given as source text, running the full Fig. 6 flow:
-/// parse → class check → def-use check → ADDG extraction → equivalence check.
-///
-/// This is the *one-shot convenience path*: every call runs with fresh
-/// caches and only the [`CheckOptions::max_work`] budget.  Long-running
-/// services that issue many queries should construct a persistent
-/// `arrayeq::engine::Verifier` instead, which threads a [`CheckContext`]
-/// (deadline, cancellation, cross-query shared tabling) through
-/// [`verify_addgs_with`].
+/// The front end of the Fig. 6 flow for one program: promotes the
+/// [`CheckOptions::params`] to symbolic parameters, runs the program-class
+/// check and the def-use check, and extracts the ADDG.  Both checks always
+/// run: the traversal's soundness argument assumes programs that pass them.
 ///
 /// # Errors
 ///
-/// Returns an error when either program fails to parse, violates the program
-/// class, fails the def-use check, or when the functions' interfaces are not
-/// comparable.  Inequivalence is *not* an error: it is reported in the
-/// returned [`Report`].
-pub fn verify_source(original: &str, transformed: &str, opts: &CheckOptions) -> Result<Report> {
-    let p1 = parse_program(original)?;
-    let p2 = parse_program(transformed)?;
-    verify_programs(&p1, &p2, opts)
-}
-
-/// Verifies two parsed programs (see [`verify_source`]; one-shot convenience
-/// path).
-///
-/// # Errors
-///
-/// Same as [`verify_source`], minus parsing.
-pub fn verify_programs(
-    original: &Program,
-    transformed: &Program,
-    opts: &CheckOptions,
-) -> Result<Report> {
-    verify_programs_with(original, transformed, opts, &CheckContext::default())
-}
-
-/// Verifies two parsed programs under an explicit [`CheckContext`]
-/// (deadline, cancellation, cross-query shared tabling).
-///
-/// # Errors
-///
-/// Same as [`verify_programs`].
-pub fn verify_programs_with(
-    original: &Program,
-    transformed: &Program,
-    opts: &CheckOptions,
-    ctx: &CheckContext<'_>,
-) -> Result<Report> {
-    // Promote the declared parameter context into both programs first, so
-    // class/def-use checks and ADDG extraction all see the symbolic sizes.
-    let promoted = (!opts.params.is_empty()).then(|| {
-        (
-            promote_params(original, &opts.params),
-            promote_params(transformed, &opts.params),
-        )
-    });
-    let (original, transformed) = match &promoted {
-        Some((a, b)) => (a, b),
-        None => (original, transformed),
+/// Returns an error when the program violates the program class, fails the
+/// def-use check, or cannot be lowered to an ADDG.
+pub fn lower(program: &Program, opts: &CheckOptions) -> Result<Addg> {
+    let promoted;
+    let program = if opts.params.is_empty() {
+        program
+    } else {
+        promoted = promote_params(program, &opts.params);
+        &promoted
     };
-    if opts.check_class {
-        assert_in_class(original)?;
-        assert_in_class(transformed)?;
-    }
-    if opts.check_def_use {
-        assert_def_use_correct(original)?;
-        assert_def_use_correct(transformed)?;
-    }
-    let g1 = extract(original)?;
-    let g2 = extract(transformed)?;
-    verify_addgs_with(&g1, &g2, opts, ctx)
+    assert_in_class(program)?;
+    assert_def_use_correct(program)?;
+    Ok(extract(program)?)
 }
 
 /// Applies a [`CheckOptions::params`] context to one program: each named
@@ -248,83 +182,45 @@ fn promote_params(p: &Program, params: &[(String, i64)]) -> Program {
     out
 }
 
-/// Verifies two already-extracted ADDGs (one-shot convenience path; see
-/// [`verify_addgs_with`] for the engine entry point).
+/// Checks two ADDGs ([`lower`]ed under the same `opts`) for equivalence by
+/// the synchronized traversal — the one check entry of this crate.
+///
+/// The context carries everything per call that is not a verdict option:
+/// the deadline and [`crate::CancelToken`] bound the traversal (an exceeded
+/// budget surfaces as [`Verdict::Inconclusive`] with a typed
+/// [`BudgetExhausted`] reason in [`Report::budget_exhausted`] — never a
+/// hang), a [`crate::SharedEquivalenceTable`] lets this run consume and
+/// publish sub-proofs shared with other queries and threads, and a baseline
+/// with its clean outputs narrows the run to a dirty cone.  With tabling
+/// on, both graphs are keyed by [`CheckOptions::fingerprints`], taken from
+/// the context when the caller already computed them.
+/// `CheckContext::default()` is a plain one-shot run.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Incomparable`] when the two graphs do not expose the
-/// same output arrays (or the focused outputs are missing).
-pub fn verify_addgs(original: &Addg, transformed: &Addg, opts: &CheckOptions) -> Result<Report> {
-    verify_addgs_with(original, transformed, opts, &CheckContext::default())
-}
-
-/// Verifies two already-extracted ADDGs under an explicit [`CheckContext`].
-///
-/// This is the entry point the persistent engine uses: the context's
-/// deadline and [`crate::CancelToken`] bound the traversal (an exceeded
-/// budget surfaces as [`Verdict::Inconclusive`] with a typed
-/// [`BudgetExhausted`] reason in [`Report::budget_exhausted`] — never a
-/// hang), and its [`crate::SharedEquivalenceTable`] lets this run consume
-/// and publish sub-proofs shared with other queries and threads.  When a
-/// shared table is present, both graphs are content-fingerprinted
-/// ([`arrayeq_addg::fingerprints`]) so tabling keys mean the same thing in
-/// every query.
-///
-/// # Errors
-///
-/// Same as [`verify_addgs`].
-pub fn verify_addgs_with(
+/// same output arrays (or the focused outputs are missing).  Inequivalence
+/// is *not* an error: it is reported in the returned [`Report`].
+pub fn check(
     original: &Addg,
     transformed: &Addg,
     opts: &CheckOptions,
     ctx: &CheckContext<'_>,
 ) -> Result<Report> {
-    // Fingerprints key every tabling level (local, shared and baseline), so
-    // they are computed whenever tabling is on.  Intermediate array names
-    // are folded in only when the options make them verdict-relevant
-    // (focused checking with declared intermediate correspondences);
-    // otherwise repeated idioms behind renamed temporaries share entries.
-    let fp = if opts
-        .focus
-        .as_ref()
-        .is_some_and(|f| !f.intermediate_pairs.is_empty())
-    {
-        arrayeq_addg::fingerprints_named
+    // Fingerprints key every tabling level (local, shared and baseline).
+    let computed;
+    let fps = if !opts.tabling {
+        None
+    } else if ctx.fingerprints.is_some() {
+        ctx.fingerprints
     } else {
-        fingerprints
+        computed = (opts.fingerprints(original), opts.fingerprints(transformed));
+        Some(&computed)
     };
-    let fps = opts.tabling.then(|| (fp(original), fp(transformed)));
-    verify_addgs_with_fps(original, transformed, opts, ctx, fps)
-}
-
-/// [`verify_addgs_with`] with the content fingerprints supplied by the
-/// caller instead of recomputed.  The incremental path computes both graphs'
-/// fingerprints anyway to classify outputs clean/dirty against a baseline;
-/// the WL refinement over every node is a few milliseconds on wide kernels —
-/// a significant share of a dirty-cone run whose whole point is to be an
-/// order of magnitude under the from-scratch wall time — so it hands the
-/// same fingerprints straight to the traversal rather than paying twice.
-///
-/// `fps` must have been computed by the same fingerprint function the
-/// options select (`fingerprints_named` under a focus with intermediate
-/// pairs, `fingerprints` otherwise); pass `None` to run untabled.
-///
-/// # Errors
-///
-/// Same as [`verify_addgs`].
-pub fn verify_addgs_with_fps(
-    original: &Addg,
-    transformed: &Addg,
-    opts: &CheckOptions,
-    ctx: &CheckContext<'_>,
-    fps: Option<(Fingerprints, Fingerprints)>,
-) -> Result<Report> {
     if opts.effective_jobs() > 1 {
-        return crate::parallel::verify_addgs_parallel(original, transformed, opts, ctx, fps);
+        return crate::parallel::check_parallel(original, transformed, opts, ctx, fps);
     }
-    let mut checker = Checker::new(original, transformed, opts, ctx, fps, None);
-    checker.run()
+    Checker::new(original, transformed, opts, ctx, fps, None).run()
 }
 
 /// The traversal state.
@@ -343,7 +239,7 @@ pub(crate) struct Checker<'x> {
     /// Content fingerprints of both graphs; they key the default local
     /// tabling cache, the cross-query shared entries and the term arena's
     /// interning keys.
-    pub(crate) fps: Option<(Fingerprints, Fingerprints)>,
+    pub(crate) fps: Option<&'x (Fingerprints, Fingerprints)>,
     pub(crate) stats: CheckStats,
     pub(crate) diagnostics: Vec<Diagnostic>,
     /// Hash-consed flattened terms plus the matched-pair memo (the
@@ -461,7 +357,7 @@ impl<'x> Checker<'x> {
         b: &'x Addg,
         opts: &'x CheckOptions,
         ctx: &'x CheckContext<'x>,
-        fps: Option<(Fingerprints, Fingerprints)>,
+        fps: Option<&'x (Fingerprints, Fingerprints)>,
         shared_budget: Option<&'x SharedBudget>,
     ) -> Self {
         Checker {
@@ -672,27 +568,24 @@ pub(crate) fn output_fingerprints(
 
 /// The tabling key of one output's *root obligation*: the whole-output
 /// equivalence query `(Array(out), identity, Array(out), identity)` that
-/// [`verify_addgs_with`] poses per output.  Presence of this key in a
+/// [`check`] poses per output.  `domain_hash` is the structural hash of
+/// that identity relation, as recorded in [`Report::output_domain_hashes`],
+/// so the key is rebuilt without any Omega work.  Presence of this key in a
 /// [`crate::BaselineProofs`] store proves the entire output equivalent
 /// under the options the baseline was produced with — the basis on which
 /// incremental re-verification classifies an output as clean and skips it
-/// via [`CheckOptions::assume_clean`].
-///
-/// Returns `None` when the output's element domains mismatch between the
-/// graphs (such an output can never have a proven root entry) or the
-/// element-set computation fails.
+/// via [`CheckContext::clean_outputs`].
 pub fn output_root_key(
-    original: &Addg,
-    transformed: &Addg,
     fps: (&Fingerprints, &Fingerprints),
     output: &str,
-) -> Option<SharedTableKey> {
-    let ea = match check_output_domains(original, transformed, output) {
-        Ok(OutputDomains::Match(ea)) => ea,
-        _ => return None,
-    };
-    let h = Relation::identity_on(&ea).structural_hash();
-    Some((fps.0.array(output), fps.1.array(output), h, h))
+    domain_hash: u64,
+) -> SharedTableKey {
+    (
+        fps.0.array(output),
+        fps.1.array(output),
+        domain_hash,
+        domain_hash,
+    )
 }
 
 impl Checker<'_> {
@@ -716,7 +609,7 @@ impl Checker<'_> {
             // baseline are skipped outright.  They stay in
             // `outputs_checked` and produce no diagnostics — exactly what a
             // from-scratch run in which they succeed silently looks like.
-            if self.opts.assume_clean.iter().any(|o| o == output) {
+            if self.ctx.clean_outputs.contains(output) {
                 arrayeq_trace::event_with("output_clean", || {
                     vec![arrayeq_trace::s("output", output.clone())]
                 });
@@ -801,13 +694,13 @@ impl Checker<'_> {
         } else {
             Verdict::NotEquivalent
         };
-        if !self.opts.assume_clean.is_empty() {
+        if !self.ctx.clean_outputs.is_empty() {
             self.stats.cone_positions = cone;
         }
         self.stats.conjuncts_subsumed += arrayeq_omega::conjuncts_subsumed_events() - subsumed_base;
         self.stats.bigint_fallbacks += arrayeq_omega::bigint_fallback_events() - fallback_base;
         self.stats.check_time_us = self.started.elapsed().as_micros() as u64;
-        let output_fingerprints = output_fingerprints(&outputs, self.fps.as_ref());
+        let output_fingerprints = output_fingerprints(&outputs, self.fps);
         Ok(Report {
             verdict,
             diagnostics: std::mem::take(&mut self.diagnostics),
@@ -1120,7 +1013,7 @@ impl Checker<'_> {
         if !self.opts.tabling {
             return None;
         }
-        let (fa, fb) = self.fps.as_ref()?;
+        let (fa, fb) = self.fps?;
         let pa = match pos_a {
             Pos::Node(n) => fa.node(*n),
             Pos::Array(v) => fa.array(v),
@@ -1679,14 +1572,22 @@ mod tests {
     use crate::context::CancelToken;
     use arrayeq_lang::corpus::*;
 
-    fn check(a: &str, b: &str, opts: &CheckOptions) -> Report {
-        verify_source(a, b, opts).expect("verification pipeline runs")
+    use arrayeq_lang::parser::parse_program;
+
+    /// Parses both sources, lowers and checks them under `ctx`.
+    fn run(a: &str, b: &str, opts: &CheckOptions, ctx: &CheckContext<'_>) -> Result<Report> {
+        let (pa, pb) = (parse_program(a)?, parse_program(b)?);
+        check(&lower(&pa, opts)?, &lower(&pb, opts)?, opts, ctx)
+    }
+
+    fn verify(a: &str, b: &str, opts: &CheckOptions) -> Report {
+        run(a, b, opts, &CheckContext::default()).expect("verification pipeline runs")
     }
 
     #[test]
     fn every_program_is_equivalent_to_itself() {
         for (name, src) in FIG1_ALL.iter().chain(KERNELS.iter()) {
-            let r = check(src, src, &CheckOptions::default());
+            let r = verify(src, src, &CheckOptions::default());
             assert!(r.is_equivalent(), "{name} vs itself: {}", r.summary());
         }
     }
@@ -1695,34 +1596,34 @@ mod tests {
     fn fig1_a_equals_b_with_basic_method() {
         // (b) is obtained from (a) by expression propagation and loop
         // transformations only, which the basic method must handle.
-        let r = check(FIG1_A, FIG1_B, &CheckOptions::basic());
+        let r = verify(FIG1_A, FIG1_B, &CheckOptions::basic());
         assert!(r.is_equivalent(), "{}", r.summary());
         assert!(r.stats.paths_compared >= 4);
     }
 
     #[test]
     fn fig1_a_equals_c_needs_the_extended_method() {
-        let extended = check(FIG1_A, FIG1_C, &CheckOptions::default());
+        let extended = verify(FIG1_A, FIG1_C, &CheckOptions::default());
         assert!(extended.is_equivalent(), "{}", extended.summary());
         assert!(extended.stats.flattenings > 0);
         assert!(extended.stats.matchings > 0);
 
         // The basic method cannot pair the algebraically shuffled paths.
-        let basic = check(FIG1_A, FIG1_C, &CheckOptions::basic());
+        let basic = verify(FIG1_A, FIG1_C, &CheckOptions::basic());
         assert!(!basic.is_equivalent());
     }
 
     #[test]
     fn fig1_b_equals_c_and_order_does_not_matter() {
-        let r1 = check(FIG1_B, FIG1_C, &CheckOptions::default());
+        let r1 = verify(FIG1_B, FIG1_C, &CheckOptions::default());
         assert!(r1.is_equivalent(), "{}", r1.summary());
-        let r2 = check(FIG1_C, FIG1_B, &CheckOptions::default());
+        let r2 = verify(FIG1_C, FIG1_B, &CheckOptions::default());
         assert!(r2.is_equivalent(), "{}", r2.summary());
     }
 
     #[test]
     fn fig1_d_is_rejected_with_diagnostics_pointing_at_v3_and_v1() {
-        let r = check(FIG1_A, FIG1_D, &CheckOptions::default());
+        let r = verify(FIG1_A, FIG1_D, &CheckOptions::default());
         assert!(!r.is_equivalent());
         assert!(!r.diagnostics.is_empty());
         // Section 6.1: the failing paths involve statements v3 and v1 of the
@@ -1743,13 +1644,13 @@ mod tests {
 
     #[test]
     fn direction_is_symmetric_for_the_paper_pairs() {
-        assert!(check(FIG1_C, FIG1_A, &CheckOptions::default()).is_equivalent());
-        assert!(!check(FIG1_D, FIG1_A, &CheckOptions::default()).is_equivalent());
+        assert!(verify(FIG1_C, FIG1_A, &CheckOptions::default()).is_equivalent());
+        assert!(!verify(FIG1_D, FIG1_A, &CheckOptions::default()).is_equivalent());
     }
 
     #[test]
     fn recurrence_kernel_is_equivalent_to_itself_and_detects_a_broken_base_case() {
-        let r = check(
+        let r = verify(
             KERNEL_RECURRENCE,
             KERNEL_RECURRENCE,
             &CheckOptions::default(),
@@ -1757,14 +1658,14 @@ mod tests {
         assert!(r.is_equivalent(), "{}", r.summary());
 
         let broken = KERNEL_RECURRENCE.replace("Y[0] = X[0] + 0;", "Y[0] = X[0] + 1;");
-        let r = check(KERNEL_RECURRENCE, &broken, &CheckOptions::default());
+        let r = verify(KERNEL_RECURRENCE, &broken, &CheckOptions::default());
         assert!(!r.is_equivalent());
     }
 
     #[test]
     fn tabling_can_be_disabled() {
-        let with = check(FIG1_A, FIG1_C, &CheckOptions::default());
-        let without = check(FIG1_A, FIG1_C, &CheckOptions::default().without_tabling());
+        let with = verify(FIG1_A, FIG1_C, &CheckOptions::default());
+        let without = verify(FIG1_A, FIG1_C, &CheckOptions::default().without_tabling());
         assert!(with.is_equivalent() && without.is_equivalent());
         assert_eq!(without.stats.table_hits, 0);
         assert_eq!(without.stats.table_lookups, 0);
@@ -1782,9 +1683,9 @@ mod tests {
             (KERNEL_RECURRENCE, KERNEL_RECURRENCE),
         ];
         for (a, b) in pairs {
-            let seq = check(a, b, &CheckOptions::default());
+            let seq = verify(a, b, &CheckOptions::default());
             for jobs in [2usize, 8] {
-                let par = check(a, b, &CheckOptions::default().with_jobs(jobs));
+                let par = verify(a, b, &CheckOptions::default().with_jobs(jobs));
                 assert_eq!(seq.verdict, par.verdict, "jobs={jobs}");
                 assert_eq!(
                     seq.render_stable(),
@@ -1802,7 +1703,7 @@ mod tests {
             jobs: 4,
             ..Default::default()
         };
-        let r = check(FIG1_A, FIG1_C, &opts);
+        let r = verify(FIG1_A, FIG1_C, &opts);
         assert_eq!(r.verdict, Verdict::Inconclusive);
         assert_eq!(
             r.budget_exhausted,
@@ -1816,9 +1717,7 @@ mod tests {
             cancel: Some(&token),
             ..Default::default()
         };
-        let a = parse_program(FIG1_A).unwrap();
-        let c = parse_program(FIG1_C).unwrap();
-        let r = verify_programs_with(&a, &c, &CheckOptions::default().with_jobs(4), &ctx).unwrap();
+        let r = run(FIG1_A, FIG1_C, &CheckOptions::default().with_jobs(4), &ctx).unwrap();
         assert_eq!(r.verdict, Verdict::Inconclusive);
         assert_eq!(r.budget_exhausted, Some(BudgetExhausted::Cancelled));
     }
@@ -1829,12 +1728,12 @@ mod tests {
             outputs: vec!["C".into()],
             intermediate_pairs: vec![("tmp".into(), "tmp".into())],
         };
-        let seq = check(
+        let seq = verify(
             FIG1_A,
             FIG1_B,
             &CheckOptions::default().with_focus(focus.clone()),
         );
-        let par = check(
+        let par = verify(
             FIG1_A,
             FIG1_B,
             &CheckOptions::default().with_focus(focus).with_jobs(4),
@@ -1846,7 +1745,7 @@ mod tests {
 
     #[test]
     fn table_stats_are_reported() {
-        let r = check(FIG1_A, FIG1_C, &CheckOptions::default());
+        let r = verify(FIG1_A, FIG1_C, &CheckOptions::default());
         assert!(r.stats.table_lookups > 0, "tabling keys were constructed");
         assert!(r.stats.table_entries > 0, "sub-proofs were tabled");
         assert!(r.stats.table_hits <= r.stats.table_lookups);
@@ -1861,7 +1760,7 @@ mod tests {
             outputs: vec!["C".into()],
             intermediate_pairs: vec![("tmp".into(), "tmp".into())],
         };
-        let r = check(FIG1_A, FIG1_B, &CheckOptions::default().with_focus(focus));
+        let r = verify(FIG1_A, FIG1_B, &CheckOptions::default().with_focus(focus));
         assert!(r.is_equivalent(), "{}", r.summary());
         assert_eq!(r.outputs_checked, vec!["C".to_string()]);
     }
@@ -1872,7 +1771,7 @@ mod tests {
             max_work: 3,
             ..Default::default()
         };
-        let r = check(FIG1_A, FIG1_C, &opts);
+        let r = verify(FIG1_A, FIG1_C, &opts);
         assert_eq!(r.verdict, Verdict::Inconclusive);
         assert_eq!(
             r.budget_exhausted,
@@ -1889,9 +1788,7 @@ mod tests {
             cancel: Some(&token),
             ..Default::default()
         };
-        let a = parse_program(FIG1_A).unwrap();
-        let c = parse_program(FIG1_C).unwrap();
-        let r = verify_programs_with(&a, &c, &CheckOptions::default(), &ctx).unwrap();
+        let r = run(FIG1_A, FIG1_C, &CheckOptions::default(), &ctx).unwrap();
         assert_eq!(r.verdict, Verdict::Inconclusive);
         assert_eq!(r.budget_exhausted, Some(BudgetExhausted::Cancelled));
     }
@@ -1902,9 +1799,7 @@ mod tests {
             deadline: Some(std::time::Instant::now()),
             ..Default::default()
         };
-        let a = parse_program(FIG1_A).unwrap();
-        let c = parse_program(FIG1_C).unwrap();
-        let r = verify_programs_with(&a, &c, &CheckOptions::default(), &ctx).unwrap();
+        let r = run(FIG1_A, FIG1_C, &CheckOptions::default(), &ctx).unwrap();
         assert_eq!(r.verdict, Verdict::Inconclusive);
         assert!(matches!(
             r.budget_exhausted,
@@ -1931,13 +1826,11 @@ mod tests {
             shared_table: Some(&table),
             ..Default::default()
         };
-        let a = parse_program(FIG1_A).unwrap();
-        let c = parse_program(FIG1_C).unwrap();
-        let first = verify_programs_with(&a, &c, &CheckOptions::default(), &ctx).unwrap();
+        let first = run(FIG1_A, FIG1_C, &CheckOptions::default(), &ctx).unwrap();
         assert!(first.is_equivalent());
         assert!(first.stats.shared_table_inserts > 0, "sub-proofs published");
         assert_eq!(first.stats.shared_table_hits, 0, "nothing to reuse yet");
-        let second = verify_programs_with(&a, &c, &CheckOptions::default(), &ctx).unwrap();
+        let second = run(FIG1_A, FIG1_C, &CheckOptions::default(), &ctx).unwrap();
         assert!(second.is_equivalent());
         assert!(
             second.stats.shared_table_hits > 0,
@@ -1946,7 +1839,7 @@ mod tests {
         );
         assert!(second.stats.combined_hit_rate() > first.stats.combined_hit_rate());
         // The one-shot path never touches a shared table.
-        let lone = check(FIG1_A, FIG1_C, &CheckOptions::default());
+        let lone = verify(FIG1_A, FIG1_C, &CheckOptions::default());
         assert_eq!(lone.stats.shared_table_lookups, 0);
     }
 
@@ -1971,9 +1864,7 @@ mod tests {
             shared_table: Some(&table),
             ..Default::default()
         };
-        let a = parse_program(FIG1_A).unwrap();
-        let c = parse_program(FIG1_C).unwrap();
-        let scratch = verify_programs_with(&a, &c, &CheckOptions::default(), &ctx).unwrap();
+        let scratch = run(FIG1_A, FIG1_C, &CheckOptions::default(), &ctx).unwrap();
         assert!(scratch.is_equivalent());
         assert!(
             !scratch.output_fingerprints.is_empty(),
@@ -1990,7 +1881,7 @@ mod tests {
             baseline: Some(&baseline),
             ..Default::default()
         };
-        let incremental = verify_programs_with(&a, &c, &CheckOptions::default(), &ctx2).unwrap();
+        let incremental = run(FIG1_A, FIG1_C, &CheckOptions::default(), &ctx2).unwrap();
         assert!(
             incremental.stats.baseline_hits > 0,
             "{:?}",
@@ -2001,19 +1892,23 @@ mod tests {
         // Cone focus on top: the (only) output is proven clean by its root
         // key, so the traversal skips it outright — zero path comparisons —
         // while the report still speaks about it.
-        let g1 = extract(&a).unwrap();
-        let g2 = extract(&c).unwrap();
-        let fpa = fingerprints(&g1);
-        let fpb = fingerprints(&g2);
-        let root = output_root_key(&g1, &g2, (&fpa, &fpb), "C").unwrap();
+        let opts = CheckOptions::default();
+        let fpa = opts.fingerprints(&lower(&parse_program(FIG1_A).unwrap(), &opts).unwrap());
+        let fpb = opts.fingerprints(&lower(&parse_program(FIG1_C).unwrap(), &opts).unwrap());
+        let (output, domain_hash) = &scratch.output_domain_hashes[0];
+        let root = output_root_key((&fpa, &fpb), output, *domain_hash);
         assert!(baseline.contains(&root), "root obligation was published");
-        let opts = CheckOptions::default().with_assume_clean(vec!["C".into()]);
-        let skipped = verify_programs_with(&a, &c, &opts, &ctx2).unwrap();
+        let clean = ["C".to_owned()];
+        let ctx3 = CheckContext {
+            clean_outputs: &clean,
+            ..ctx2.clone()
+        };
+        let skipped = run(FIG1_A, FIG1_C, &opts, &ctx3).unwrap();
         assert_eq!(skipped.stats.paths_compared, 0);
         assert_eq!(skipped.stats.cone_positions, 0, "nothing left in the cone");
         assert_eq!(skipped.render_stable(), scratch.render_stable());
         // ...and identically on the parallel path.
-        let par = verify_programs_with(&a, &c, &opts.clone().with_jobs(2), &ctx2).unwrap();
+        let par = run(FIG1_A, FIG1_C, &opts.with_jobs(2), &ctx3).unwrap();
         assert_eq!(par.render_stable(), scratch.render_stable());
     }
 
@@ -2026,7 +1921,12 @@ void foo(int A[], int B[], int D[]) {
 s1:     D[k] = A[k] + B[k];
 }
 "#;
-        let err = verify_source(FIG1_A, other, &CheckOptions::default());
+        let err = run(
+            FIG1_A,
+            other,
+            &CheckOptions::default(),
+            &CheckContext::default(),
+        );
         assert!(matches!(err, Err(CoreError::Incomparable { .. })));
     }
 
@@ -2048,12 +1948,12 @@ void f(int A[], int B[], int C[]) {
 t1:     C[k] = B[2*k] * A[k];
 }
 "#;
-        assert!(check(p1, p2, &CheckOptions::default()).is_equivalent());
-        assert!(!check(p1, p2, &CheckOptions::basic()).is_equivalent());
+        assert!(verify(p1, p2, &CheckOptions::default()).is_equivalent());
+        assert!(!verify(p1, p2, &CheckOptions::basic()).is_equivalent());
         // Subtraction is not commutative: swapping its operands must fail.
         let m1 = p1.replace('*', "-");
         let m2 = p2.replace('*', "-");
-        assert!(!check(&m1, &m2, &CheckOptions::default()).is_equivalent());
+        assert!(!verify(&m1, &m2, &CheckOptions::default()).is_equivalent());
     }
 
     #[test]
@@ -2077,8 +1977,8 @@ void f(int X[], int Y[], int Z[], int C[]) {
 t1:     C[k] = X[k] + (Y[k] + Z[k]);
 }
 "#;
-        assert!(check(p1, p2, &CheckOptions::default()).is_equivalent());
-        assert!(!check(p1, p2, &CheckOptions::basic()).is_equivalent());
+        assert!(verify(p1, p2, &CheckOptions::default()).is_equivalent());
+        assert!(!verify(p1, p2, &CheckOptions::basic()).is_equivalent());
     }
 
     #[test]
@@ -2099,7 +1999,7 @@ void f(int A[], int C[]) {
 t1:     C[k] = A[2*k] + A[k+1];
 }
 "#;
-        let r = check(p1, p2, &CheckOptions::default());
+        let r = verify(p1, p2, &CheckOptions::default());
         assert!(!r.is_equivalent());
         let d = r
             .diagnostics
@@ -2112,7 +2012,7 @@ t1:     C[k] = A[2*k] + A[k+1];
 
     #[test]
     fn failing_domains_are_structured_and_stamped_with_their_output() {
-        let r = check(FIG1_A, FIG1_D, &CheckOptions::default());
+        let r = verify(FIG1_A, FIG1_D, &CheckOptions::default());
         assert!(!r.is_equivalent());
         let d = r
             .diagnostics

@@ -1,14 +1,16 @@
-//! Cross-query context for a verification run: budgets, cancellation and the
-//! shared equivalence-table handle.
+//! The per-call context of a verification run: everything [`crate::check`]
+//! takes that is not a verdict option.
 //!
-//! The free functions of this crate ([`crate::verify_source`] and friends)
-//! run one-shot: every call starts with empty caches and the only budget is
-//! [`crate::CheckOptions::max_work`].  A long-lived engine (the
-//! `arrayeq-engine` crate) instead threads a [`CheckContext`] through
-//! [`crate::verify_addgs_with`]: a wall-clock deadline, a cooperative
-//! [`CancelToken`], and a [`SharedEquivalenceTable`] whose entries outlive
-//! the call so later queries reuse established sub-proofs.
+//! With `CheckContext::default()` a check runs one-shot: empty caches, and
+//! [`crate::CheckOptions::max_work`] as the only budget.  A long-lived engine
+//! (the `arrayeq-engine` crate) fills the context in per request: a
+//! wall-clock deadline, a cooperative [`CancelToken`], a
+//! [`SharedEquivalenceTable`] whose entries outlive the call so later
+//! queries reuse established sub-proofs, and — on an incremental re-check —
+//! the [`BaselineProofs`] of an earlier run, the outputs they prove clean,
+//! and the fingerprints the classification already computed.
 
+use arrayeq_addg::Fingerprints;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -199,11 +201,10 @@ impl BaselineProofs {
     }
 }
 
-/// Per-call context threaded through [`crate::verify_addgs_with`].
+/// Per-call context threaded through [`crate::check`].
 ///
-/// The default context (`CheckContext::default()`) reproduces the one-shot
-/// behaviour of the plain free functions exactly: no deadline, no
-/// cancellation, no cross-query sharing, no baseline.
+/// The default context (`CheckContext::default()`) is a plain one-shot run:
+/// no deadline, no cancellation, no cross-query sharing, no baseline.
 #[derive(Default, Clone)]
 pub struct CheckContext<'a> {
     /// Cross-query equivalence table, shared between calls and threads.
@@ -215,6 +216,24 @@ pub struct CheckContext<'a> {
     /// Proven sub-proofs from an earlier run, consulted before both table
     /// levels (see [`BaselineProofs`]).
     pub baseline: Option<&'a BaselineProofs>,
+    /// Output arrays the caller has *proven* unchanged against `baseline`
+    /// (their root obligations, [`crate::output_root_key`], are among its
+    /// entries): the traversal skips them entirely — no domain check, no
+    /// root obligation — while keeping them in
+    /// [`crate::Report::outputs_checked`], so the rendered report is
+    /// byte-identical to a from-scratch run in which they silently
+    /// succeeded.  This is the dirty-cone focus of incremental
+    /// re-verification; unlike [`crate::Focus::outputs`] it narrows *work*,
+    /// not the set of outputs the verdict speaks about.  Soundness is the
+    /// caller's obligation: list an output only when the baseline proves its
+    /// root obligation under the same options.
+    pub clean_outputs: &'a [String],
+    /// Content fingerprints of `(original, transformed)`, when the caller
+    /// already computed them with [`crate::CheckOptions::fingerprints`] (the
+    /// incremental path does, to classify outputs clean) — the check then
+    /// does not pay for the WL refinement twice.  `None` lets the check
+    /// compute them.
+    pub fingerprints: Option<&'a (Fingerprints, Fingerprints)>,
 }
 
 impl fmt::Debug for CheckContext<'_> {
@@ -224,6 +243,8 @@ impl fmt::Debug for CheckContext<'_> {
             .field("deadline", &self.deadline)
             .field("cancel", &self.cancel.is_some())
             .field("baseline", &self.baseline.is_some())
+            .field("clean_outputs", &self.clean_outputs)
+            .field("fingerprints", &self.fingerprints.is_some())
             .finish()
     }
 }

@@ -25,17 +25,28 @@
 //! the differing mappings, and a heuristic blame assignment to the variable
 //! common to the failing paths.
 //!
+//! The pipeline has two stages: [`lower`] runs the front end on one program
+//! (parameter promotion, class check, def-use check, ADDG extraction) and
+//! [`check`] runs the traversal on two lowered graphs under a per-call
+//! [`CheckContext`].  Long-lived services use the `arrayeq-engine` crate's
+//! `Verifier`, which drives these two stages with shared caches.
+//!
 //! ```
-//! use arrayeq_core::{verify_source, CheckOptions};
+//! use arrayeq_core::{check, lower, CheckContext, CheckOptions};
 //! use arrayeq_lang::corpus::{FIG1_A, FIG1_C, FIG1_D};
+//! use arrayeq_lang::parser::parse_program;
 //!
 //! # fn main() -> Result<(), arrayeq_core::CoreError> {
+//! let opts = CheckOptions::default();
+//! let graph = |src| lower(&parse_program(src)?, &opts);
+//! let (a, c, d) = (graph(FIG1_A)?, graph(FIG1_C)?, graph(FIG1_D)?);
+//!
 //! // (a) vs (c): related by loop, propagation AND algebraic transformations.
-//! let report = verify_source(FIG1_A, FIG1_C, &CheckOptions::default())?;
+//! let report = check(&a, &c, &opts, &CheckContext::default())?;
 //! assert!(report.is_equivalent());
 //!
 //! // (a) vs (d): the erroneous transformation is caught and diagnosed.
-//! let report = verify_source(FIG1_A, FIG1_D, &CheckOptions::default())?;
+//! let report = check(&a, &d, &opts, &CheckContext::default())?;
 //! assert!(!report.is_equivalent());
 //! assert!(!report.diagnostics.is_empty());
 //! # Ok(()) }
@@ -52,10 +63,7 @@ mod operators;
 mod parallel;
 mod report;
 
-pub use checker::{
-    output_root_key, verify_addgs, verify_addgs_with, verify_addgs_with_fps, verify_programs,
-    verify_programs_with, verify_source, CheckOptions, Focus, Method,
-};
+pub use checker::{check, lower, output_root_key, CheckOptions, Focus, Method};
 pub use context::{
     BaselineProofs, BudgetExhausted, CancelToken, CheckContext, SharedEquivalenceTable,
     SharedTableKey, TableProvenance,

@@ -416,7 +416,7 @@ impl<'x> Checker<'x> {
     /// `None` when the run has no fingerprints (legacy keying baselines).
     fn intern_term(&mut self, original_side: bool, t: &FlatTerm) -> Option<TermId> {
         let keys: Vec<(u64, u64)> = {
-            let (fa, fb) = self.fps.as_ref()?;
+            let (fa, fb) = self.fps?;
             let fps = if original_side { fa } else { fb };
             t.factors
                 .iter()

@@ -182,13 +182,13 @@ impl CheckTask {
 }
 
 /// The parallel counterpart of the sequential `Checker::run`, dispatched by
-/// [`crate::verify_addgs_with`] when the effective job count exceeds one.
-pub(crate) fn verify_addgs_parallel(
+/// [`crate::check`] when the effective job count exceeds one.
+pub(crate) fn check_parallel(
     a: &Addg,
     b: &Addg,
     opts: &CheckOptions,
     ctx: &CheckContext<'_>,
-    fps: Option<(Fingerprints, Fingerprints)>,
+    fps: Option<&(Fingerprints, Fingerprints)>,
 ) -> Result<Report> {
     let started = Instant::now();
     // Clear any overflow residue an earlier run left on this thread, so the
@@ -219,7 +219,7 @@ pub(crate) fn verify_addgs_parallel(
         // Dirty-cone focus, mirroring the sequential path: baseline-clean
         // outputs keep their prologue slot (so the merge stays positional)
         // but contribute no domain check and no task.
-        if opts.assume_clean.iter().any(|o| o == output) {
+        if ctx.clean_outputs.contains(output) {
             arrayeq_trace::event_with("output_clean", || {
                 vec![arrayeq_trace::s("output", output.clone())]
             });
@@ -277,7 +277,7 @@ pub(crate) fn verify_addgs_parallel(
         &budget,
         &mut coordinator_stats,
     )?;
-    if !opts.assume_clean.is_empty() {
+    if !ctx.clean_outputs.is_empty() {
         coordinator_stats.cone_positions = cone;
     }
     coordinator_stats.parallel_tasks = tasks.len() as u64;
@@ -309,14 +309,13 @@ pub(crate) fn verify_addgs_parallel(
         for w in 0..workers {
             // Shadow the shared state as references so the closure can be
             // `move` (capturing the per-worker id) without moving the data.
-            let (tasks, slots, next, budget, merged_worker_stats, cache, fps, outputs) = (
+            let (tasks, slots, next, budget, merged_worker_stats, cache, outputs) = (
                 &tasks,
                 &slots,
                 &next,
                 &budget,
                 &merged_worker_stats,
                 &cache,
-                &fps,
                 &outputs,
             );
             scope.spawn(move || {
@@ -328,7 +327,7 @@ pub(crate) fn verify_addgs_parallel(
                     let subsumed_base = arrayeq_omega::conjuncts_subsumed_events();
                     let fallback_base = arrayeq_omega::bigint_fallback_events();
                     consume_injected_overflow();
-                    let mut worker = Checker::new(a, b, opts, ctx, fps.clone(), Some(budget));
+                    let mut worker = Checker::new(a, b, opts, ctx, fps, Some(budget));
                     let mut stats = CheckStats::default();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -392,7 +391,7 @@ pub(crate) fn verify_addgs_parallel(
                                 // volatile and excluded from stable output).
                                 let poisoned = std::mem::replace(
                                     &mut worker,
-                                    Checker::new(a, b, opts, ctx, fps.clone(), Some(budget)),
+                                    Checker::new(a, b, opts, ctx, fps, Some(budget)),
                                 );
                                 stats.merge(&poisoned.into_stats());
                                 TaskSlot::Panicked(panic_message(payload))
@@ -450,7 +449,7 @@ pub(crate) fn verify_addgs_parallel(
     let mut first_panic: Option<String> = None;
     let mut diagnostics = Vec::new();
     for (output_idx, output) in outputs.iter().enumerate() {
-        let skipped_clean = opts.assume_clean.iter().any(|o| o == output);
+        let skipped_clean = ctx.clean_outputs.contains(output);
         let mut output_ok = true;
         if let Some(diag) = prologue[output_idx].take() {
             diagnostics.push(diag);
@@ -534,7 +533,7 @@ pub(crate) fn verify_addgs_parallel(
         Verdict::NotEquivalent
     };
     stats.check_time_us = started.elapsed().as_micros() as u64;
-    let output_fingerprints = crate::checker::output_fingerprints(&outputs, fps.as_ref());
+    let output_fingerprints = crate::checker::output_fingerprints(&outputs, fps);
     let budget_exhausted = budget
         .take_reason()
         // Fragment before panic/overflow: the sequential path records the

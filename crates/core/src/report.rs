@@ -87,10 +87,10 @@ pub struct CheckStats {
     /// this process's own session are counted as plain shared-table hits.
     pub store_hits: u64,
     /// Output obligations inside the dirty cone of an incremental run — the
-    /// outputs actually traversed after baseline-clean outputs were skipped
-    /// via [`crate::CheckOptions::assume_clean`].  0 when no cone focus was
-    /// active (a from-scratch run traverses everything but is not counting
-    /// cone membership).
+    /// outputs actually traversed after the baseline-clean outputs of
+    /// [`crate::CheckContext::clean_outputs`] were skipped.  0 when no
+    /// output was clean (a from-scratch run traverses everything but is not
+    /// counting cone membership).
     pub cone_positions: u64,
     /// Sub-problems discharged by the baseline store of proven entries
     /// ([`crate::BaselineProofs`]) before either tabling level was consulted.
@@ -271,8 +271,8 @@ pub struct Report {
     /// `(output name, original-side fingerprint, transformed-side
     /// fingerprint)` in [`Report::outputs_checked`] order.  This is what
     /// lets a baseline consumer correlate proven entries with source
-    /// positions.  Empty when the run computed no fingerprints (tabling off
-    /// with positional keys and no cross-query table); never part of
+    /// positions.  Empty when the run computed no fingerprints (tabling
+    /// off); never part of
     /// [`Report::render_stable`] — fingerprints are stable per content but
     /// the *presence* of the member depends on caching options.
     pub output_fingerprints: Vec<(String, u64, u64)>,
@@ -280,7 +280,7 @@ pub struct Report {
     /// elements, as `(output name, hash)` for every re-checked output whose
     /// element domains matched.  Together with an output's entry in
     /// [`Report::output_fingerprints`] this reconstructs the output's root
-    /// tabling key (see `output_root_key`) without re-running the Omega
+    /// tabling key ([`crate::output_root_key`]) without re-running the Omega
     /// domain computation — which is what lets an exported baseline be
     /// consumed with no per-output Omega work.  Skipped-clean and
     /// domain-mismatched outputs have no entry; never part of

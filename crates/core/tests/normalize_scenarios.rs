@@ -5,15 +5,30 @@
 //! basic method where algebra is required, and the broken variants
 //! rejected outright.
 
-use arrayeq_core::{verify_source, CheckOptions};
+use arrayeq_core::{check, lower, CheckContext, CheckOptions, Report, Result};
+use arrayeq_lang::ast::Program;
+use arrayeq_lang::parser::parse_program;
+
+fn check_programs(a: &Program, b: &Program, opts: &CheckOptions) -> Result<Report> {
+    check(
+        &lower(a, opts)?,
+        &lower(b, opts)?,
+        opts,
+        &CheckContext::default(),
+    )
+}
+
+fn check_sources(a: &str, b: &str, opts: &CheckOptions) -> Result<Report> {
+    check_programs(&parse_program(a)?, &parse_program(b)?, opts)
+}
 
 fn eq(a: &str, b: &str) -> bool {
-    verify_source(a, b, &CheckOptions::default())
+    check_sources(a, b, &CheckOptions::default())
         .unwrap()
         .is_equivalent()
 }
 fn eq_basic(a: &str, b: &str) -> bool {
-    verify_source(a, b, &CheckOptions::basic())
+    check_sources(a, b, &CheckOptions::basic())
         .unwrap()
         .is_equivalent()
 }
@@ -83,8 +98,8 @@ fn parallel_decomposition_splits_algebraic_pieces() {
     use arrayeq_lang::corpus::{FIG1_A, FIG1_C};
     // Fig. 1(c)'s buf is defined piecewise, so the flatten/match obligation
     // splits into several region pieces — each a parallel task now.
-    let seq = verify_source(FIG1_A, FIG1_C, &CheckOptions::default()).unwrap();
-    let par = verify_source(FIG1_A, FIG1_C, &CheckOptions::default().with_jobs(8)).unwrap();
+    let seq = check_sources(FIG1_A, FIG1_C, &CheckOptions::default()).unwrap();
+    let par = check_sources(FIG1_A, FIG1_C, &CheckOptions::default().with_jobs(8)).unwrap();
     assert_eq!(seq.verdict, par.verdict);
     assert_eq!(seq.render_stable(), par.render_stable());
     assert_eq!(
@@ -102,7 +117,7 @@ fn parallel_decomposition_splits_algebraic_pieces() {
 #[test]
 fn arena_dedup_and_fast_matching_engage() {
     use arrayeq_lang::corpus::{FIG1_A, FIG1_C};
-    let r = verify_source(FIG1_A, FIG1_C, &CheckOptions::default()).unwrap();
+    let r = check_sources(FIG1_A, FIG1_C, &CheckOptions::default()).unwrap();
     assert!(r.is_equivalent());
     assert!(r.stats.arena_interns > 0, "terms were interned");
     assert!(
@@ -119,7 +134,6 @@ fn corpus_algebraic_pairs_verify_and_simulate() {
     use arrayeq_core::Verdict;
     use arrayeq_lang::corpus::ALGEBRAIC_PAIRS;
     use arrayeq_lang::interp::{standard_inputs, Interpreter};
-    use arrayeq_lang::parser::parse_program;
     for (name, a, b) in ALGEBRAIC_PAIRS {
         let pa = parse_program(a).unwrap();
         let pb = parse_program(b).unwrap();
@@ -133,15 +147,13 @@ fn corpus_algebraic_pairs_verify_and_simulate() {
             }
         }
         // The extended method proves it; the basic method cannot.
-        let ext = arrayeq_core::verify_programs(&pa, &pb, &CheckOptions::default()).unwrap();
+        let ext = check_programs(&pa, &pb, &CheckOptions::default()).unwrap();
         assert!(ext.is_equivalent(), "{name}: {}", ext.summary());
-        let basic = arrayeq_core::verify_programs(&pa, &pb, &CheckOptions::basic()).unwrap();
+        let basic = check_programs(&pa, &pb, &CheckOptions::basic()).unwrap();
         assert_eq!(basic.verdict, Verdict::NotEquivalent, "{name} under basic");
         // And byte-identical stable reports at every worker count.
         for jobs in [2usize, 8] {
-            let par =
-                arrayeq_core::verify_programs(&pa, &pb, &CheckOptions::default().with_jobs(jobs))
-                    .unwrap();
+            let par = check_programs(&pa, &pb, &CheckOptions::default().with_jobs(jobs)).unwrap();
             assert_eq!(
                 ext.render_stable(),
                 par.render_stable(),

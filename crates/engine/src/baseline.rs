@@ -19,7 +19,8 @@
 //! change a verdict.
 
 use crate::json::{hex64, parse_hex64, string, JsonValue};
-use arrayeq_core::{CheckOptions, SharedTableKey};
+use arrayeq_addg::{Addg, Fingerprints};
+use arrayeq_core::{output_root_key, BaselineProofs, CheckOptions, Report, SharedTableKey};
 use arrayeq_omega::structural_hash_of;
 use std::fmt;
 
@@ -119,6 +120,103 @@ impl Baseline {
             entries,
         })
     }
+
+    /// Applies this (options-vetted) baseline to one request's graphs:
+    /// rejects it when it was recorded for a different output interface,
+    /// and otherwise classifies every output clean or dirty.
+    ///
+    /// An output is clean iff its recorded fingerprints still match this
+    /// pair's (the content is untouched) AND the baseline carries its *root
+    /// obligation* ([`output_root_key`]) — the entry published only when the
+    /// producing run proved the whole output.  Fingerprint equality alone is
+    /// not enough: outputs that FAILED in the producing run have recorded
+    /// fingerprints too, and skipping those would suppress diagnostics.  The
+    /// root key is rebuilt from the recorded domain hash, so classification
+    /// costs no Omega work — the whole point of an incremental run is to
+    /// beat the from-scratch wall time, and per-output domain computations
+    /// are a large fixed cost on wide kernels.
+    pub(crate) fn apply(
+        &self,
+        original: &Addg,
+        transformed: &Addg,
+        opts: &CheckOptions,
+    ) -> Result<AppliedBaseline<'_>, BaselineRejection> {
+        // Program-identity gate: a baseline recorded for a different output
+        // interface proves nothing here and likely signals operator error
+        // (wrong file), so reject it loudly rather than silently scoring
+        // zero hits.
+        let mut current: Vec<String> = original.output_arrays().to_vec();
+        current.sort();
+        let mut recorded: Vec<String> = self.outputs.iter().map(|(n, ..)| n.clone()).collect();
+        recorded.sort();
+        if current != recorded {
+            return Err(BaselineRejection::ProgramMismatch {
+                expected: current,
+                found: recorded,
+            });
+        }
+        let (fa, fb) = (opts.fingerprints(original), opts.fingerprints(transformed));
+        let proofs = BaselineProofs::from_entries(self.entries.iter().copied());
+        let clean = original
+            .output_arrays()
+            .iter()
+            .filter(|output| {
+                self.recorded(output).is_some_and(|(_, ra, rb, dh)| {
+                    *ra == fa.array(output)
+                        && *rb == fb.array(output)
+                        && dh.is_some_and(|h| {
+                            proofs.contains(&output_root_key((&fa, &fb), output, h))
+                        })
+                })
+            })
+            .cloned()
+            .collect();
+        Ok(AppliedBaseline {
+            baseline: self,
+            proofs,
+            clean,
+            fingerprints: (fa, fb),
+        })
+    }
+
+    /// The recorded entry of `output`, if the producing run had one.
+    fn recorded(&self, output: &str) -> Option<&(String, u64, u64, Option<u64>)> {
+        self.outputs.iter().find(|(n, ..)| n == output)
+    }
+}
+
+/// A baseline applied to one request: what the check consults, and what
+/// the classification already computed.
+pub(crate) struct AppliedBaseline<'b> {
+    baseline: &'b Baseline,
+    /// The baseline's proven entries.
+    pub(crate) proofs: BaselineProofs,
+    /// Outputs whose root obligations the baseline proves; the check skips
+    /// them.
+    pub(crate) clean: Vec<String>,
+    /// Content fingerprints of `(original, transformed)`, handed to the
+    /// check so the WL refinement runs once per request.
+    pub(crate) fingerprints: (Fingerprints, Fingerprints),
+}
+
+impl AppliedBaseline<'_> {
+    /// Completes the report of a check run under this baseline and returns
+    /// the applied status.  Skipped-clean outputs were never traversed, so
+    /// the run recorded no domain hash for them; the baseline's recorded
+    /// hashes are carried forward so a baseline exported from this run
+    /// stays as complete as the producing run's (chained incremental
+    /// workflows).
+    pub(crate) fn finish(self, report: &mut Report) -> BaselineStatus {
+        for output in &self.clean {
+            if let Some((_, _, _, Some(h))) = self.baseline.recorded(output) {
+                report.output_domain_hashes.push((output.clone(), *h));
+            }
+        }
+        BaselineStatus::Applied {
+            entries: self.proofs.len(),
+            clean_outputs: self.clean,
+        }
+    }
 }
 
 /// Renders a baseline document: format marker, options fingerprint,
@@ -163,21 +261,23 @@ pub fn baseline_to_json(
 }
 
 /// Fingerprints the *verdict-relevant* subset of [`CheckOptions`]: method,
-/// operator algebra, tabling and focus — everything under which a
-/// sub-proof entry is (in)valid.  Budgets (`max_work`), parallelism
-/// (`jobs`) and the cone focus itself (`assume_clean`) are deliberately
-/// excluded: they change how much work a run does, never which sub-proofs
-/// hold, so a baseline stays consumable across budget and jobs settings.
+/// operator algebra, tabling, focus and parameters — everything under which
+/// a sub-proof entry is (in)valid.  Budgets (`max_work`) and parallelism
+/// (`jobs`) are deliberately excluded: they change how much work a run
+/// does, never which sub-proofs hold, so a baseline stays consumable across
+/// budget and jobs settings.
 pub fn options_fingerprint(opts: &CheckOptions) -> u64 {
-    // The two `*_table_keys` entries name tabling modes that no longer
-    // exist; they stay as fixed text so stores and baselines written while
-    // those modes existed keep their fingerprint and keep loading.
+    // The `*_table_keys`, `check_def_use` and `check_class` entries name
+    // switches that no longer exist (the two table-key modes are gone, and
+    // both front-end checks always run); they stay as fixed text so stores
+    // and baselines written while those switches existed keep their
+    // fingerprint and keep loading.
     let mut canonical = format!(
         concat!(
             "method={:?};operators={:?};tabling={};string_table_keys=false;",
-            "position_table_keys=false;focus={:?};check_def_use={};check_class={}"
+            "position_table_keys=false;focus={:?};check_def_use=true;check_class=true"
         ),
-        opts.method, opts.operators, opts.tabling, opts.focus, opts.check_def_use, opts.check_class,
+        opts.method, opts.operators, opts.tabling, opts.focus,
     );
     // Parameter promotion changes what is being proven (a sub-proof at
     // `N = 1024` says nothing about symbolic `N`), so it invalidates
@@ -343,7 +443,6 @@ mod tests {
         let same_proofs = CheckOptions {
             max_work: 42,
             jobs: 8,
-            assume_clean: vec!["C".into()],
             ..CheckOptions::default()
         };
         assert_eq!(

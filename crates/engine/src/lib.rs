@@ -1,8 +1,9 @@
 //! # arrayeq-engine
 //!
 //! The persistent verification engine: a long-lived [`Verifier`] that
-//! amortises work *across* equivalence queries, where the free functions of
-//! `arrayeq-core` run one-shot.
+//! amortises work *across* equivalence queries, where `arrayeq-core`'s
+//! [`arrayeq_core::lower`] and [`arrayeq_core::check`] run one call at a
+//! time.
 //!
 //! The DATE 2005 checker is presented as a single procedure, but a
 //! verification service re-checks: the same pair after every refactoring
@@ -82,14 +83,9 @@ pub use arrayeq_core::{
 /// Re-exported witness tuning knobs ([`VerifierBuilder::witness_options`]).
 pub use arrayeq_witness::WitnessOptions;
 
-use arrayeq_addg::{extract, Addg};
-use arrayeq_core::{
-    verify_addgs_with, verify_addgs_with_fps, verify_programs_with, BaselineProofs, CheckContext,
-    Result,
-};
+use arrayeq_addg::Addg;
+use arrayeq_core::{check, lower, CheckContext, Result};
 use arrayeq_lang::ast::Program;
-use arrayeq_lang::classcheck::assert_in_class;
-use arrayeq_lang::defuse::assert_def_use_correct;
 use arrayeq_lang::parser::parse_program;
 use arrayeq_omega::{with_feasibility_cache, FeasibilityCache};
 use arrayeq_witness::extract_witnesses;
@@ -573,9 +569,10 @@ impl Verifier {
     ///
     /// # Errors
     ///
-    /// Propagates the pipeline errors of [`arrayeq_core::verify_source`]
-    /// (parse/class/def-use failures, incomparable interfaces).
-    /// Inequivalence and exhausted budgets are *verdicts*, not errors.
+    /// Propagates the pipeline errors of [`arrayeq_core::lower`] and
+    /// [`arrayeq_core::check`] (parse/class/def-use failures, incomparable
+    /// interfaces).  Inequivalence and exhausted budgets are *verdicts*,
+    /// not errors.
     pub fn verify(&self, request: &VerifyRequest) -> Result<Outcome> {
         self.verify_with_limits(request, &RequestLimits::default())
     }
@@ -594,8 +591,23 @@ impl Verifier {
         request: &VerifyRequest,
         limits: &RequestLimits,
     ) -> Result<Outcome> {
+        self.run(request, limits, None).map(|(outcome, _)| outcome)
+    }
+
+    /// The one pipeline behind [`Verifier::verify_with_limits`] and
+    /// [`Verifier::verify_incremental`]: lower the request with
+    /// [`lower`], apply the vetted `baseline` if there is one, [`check`]
+    /// with the session caches wired in, attach witnesses, and book the
+    /// outcome.  The status is `Some` exactly when a baseline was passed.
+    fn run(
+        &self,
+        request: &VerifyRequest,
+        limits: &RequestLimits,
+        baseline: Option<&Baseline>,
+    ) -> Result<(Outcome, Option<BaselineStatus>)> {
         let started = Instant::now();
         let memo: Arc<dyn FeasibilityCache> = self.memo.clone();
+        let mut status = None;
         let result = with_feasibility_cache(memo, || {
             let opts_override;
             let opts = match limits.max_work {
@@ -608,26 +620,65 @@ impl Verifier {
                 }
                 None => &self.options,
             };
-            let deadline = limits
-                .deadline
-                .or(self.deadline)
-                .map(|d| Instant::now() + d);
-            let cancel = limits.cancel.as_ref().unwrap_or(&self.cancel);
-            let ctx = CheckContext {
+            let mut ctx = CheckContext {
                 shared_table: Some(self.table.as_ref()),
-                deadline,
-                cancel: Some(cancel),
-                baseline: None,
+                deadline: limits
+                    .deadline
+                    .or(self.deadline)
+                    .map(|d| Instant::now() + d),
+                cancel: Some(limits.cancel.as_ref().unwrap_or(&self.cancel)),
+                ..CheckContext::default()
             };
-            let witnesses = limits.witnesses.unwrap_or(self.witnesses);
-            self.run_request_with(request, opts, &ctx, witnesses)
+            // ADDG requests arrive lowered and carry no programs to replay
+            // witnesses on; everything else goes through the front end.
+            let (parsed, lowered);
+            let (programs, g1, g2) = match request {
+                VerifyRequest::Source {
+                    original,
+                    transformed,
+                } => {
+                    parsed = [parse_program(original)?, parse_program(transformed)?];
+                    lowered = [lower(&parsed[0], opts)?, lower(&parsed[1], opts)?];
+                    (Some((&parsed[0], &parsed[1])), &lowered[0], &lowered[1])
+                }
+                VerifyRequest::Programs {
+                    original,
+                    transformed,
+                } => {
+                    lowered = [lower(original, opts)?, lower(transformed, opts)?];
+                    (
+                        Some((&**original, &**transformed)),
+                        &lowered[0],
+                        &lowered[1],
+                    )
+                }
+                VerifyRequest::Addgs {
+                    original,
+                    transformed,
+                } => (None, &**original, &**transformed),
+            };
+            let applied = baseline.map(|b| b.apply(g1, g2, opts));
+            if let Some(Ok(applied)) = &applied {
+                ctx.baseline = Some(&applied.proofs);
+                ctx.clean_outputs = &applied.clean;
+                ctx.fingerprints = Some(&applied.fingerprints);
+            }
+            let mut report = check(g1, g2, opts, &ctx)?;
+            if let Some((p1, p2)) = programs {
+                let enabled = limits.witnesses.unwrap_or(self.witnesses);
+                self.attach_witnesses(p1, p2, &mut report, &ctx, enabled)?;
+            }
+            status = applied.map(|applied| match applied {
+                Ok(applied) => applied.finish(&mut report),
+                Err(rejection) => BaselineStatus::Rejected(rejection),
+            });
+            Ok(report)
         });
-        self.finish(result, started)
+        Ok((self.finish(result, started)?, status))
     }
 
     /// Books one finished request into the session counters and wraps the
-    /// report into an [`Outcome`] — the shared tail of [`Verifier::verify`]
-    /// and [`Verifier::verify_incremental`].
+    /// report into an [`Outcome`].
     fn finish(&self, result: Result<Report>, started: Instant) -> Result<Outcome> {
         let wall_time_us = started.elapsed().as_micros() as u64;
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
@@ -767,59 +818,6 @@ impl Verifier {
         }
     }
 
-    /// Runs the pipeline for one request with the shared caches wired in.
-    fn run_request_with(
-        &self,
-        request: &VerifyRequest,
-        opts: &CheckOptions,
-        ctx: &CheckContext<'_>,
-        witnesses: bool,
-    ) -> Result<Report> {
-        match request {
-            VerifyRequest::Source {
-                original,
-                transformed,
-            } => {
-                let p1 = parse_program(original)?;
-                let p2 = parse_program(transformed)?;
-                self.check_programs_with(&p1, &p2, opts, ctx, witnesses)
-            }
-            VerifyRequest::Programs {
-                original,
-                transformed,
-            } => self.check_programs_with(original, transformed, opts, ctx, witnesses),
-            VerifyRequest::Addgs {
-                original,
-                transformed,
-            } => verify_addgs_with(original, transformed, opts, ctx),
-        }
-    }
-
-    fn check_programs_with(
-        &self,
-        original: &Program,
-        transformed: &Program,
-        opts: &CheckOptions,
-        ctx: &CheckContext<'_>,
-        witnesses: bool,
-    ) -> Result<Report> {
-        let mut report = verify_programs_with(original, transformed, opts, ctx)?;
-        self.attach_witnesses_with(original, transformed, &mut report, ctx, witnesses)?;
-        Ok(report)
-    }
-
-    /// [`Verifier::attach_witnesses_with`] at the engine's own witness
-    /// setting — the incremental path's entry point.
-    fn attach_witnesses(
-        &self,
-        original: &Program,
-        transformed: &Program,
-        report: &mut Report,
-        ctx: &CheckContext<'_>,
-    ) -> Result<()> {
-        self.attach_witnesses_with(original, transformed, report, ctx, self.witnesses)
-    }
-
     /// Attaches replay-confirmed counterexamples to a `NotEquivalent`
     /// report when witnesses are enabled.
     ///
@@ -828,7 +826,7 @@ impl Verifier {
     /// whose wall-clock budget is already spent (or that was cancelled)
     /// must not start it: the NotEquivalent verdict stands, just without
     /// counterexamples attached.
-    fn attach_witnesses_with(
+    fn attach_witnesses(
         &self,
         original: &Program,
         transformed: &Program,
@@ -938,15 +936,18 @@ impl Verifier {
     /// Runs one verification query *incrementally* against a baseline
     /// exported by an earlier run ([`Verifier::export_baseline`]).
     ///
-    /// The baseline is vetted first: a parse failure, an options-fingerprint
-    /// mismatch or a different program interface rejects it with a typed
-    /// [`BaselineRejection`] and the request degrades to a plain
-    /// [`Verifier::verify`] — same verdict, just no reuse.  An accepted
-    /// baseline is applied at two levels: outputs whose root obligations it
-    /// already proves are classified **clean** and skipped entirely (the
-    /// dirty-cone focus, [`CheckOptions::assume_clean`]), and inside the
-    /// remaining dirty cone every sub-traversal consults the baseline's
-    /// entries before the local and shared tables
+    /// The request runs through the same pipeline as [`Verifier::verify`],
+    /// parameter promotion and front-end checks included, so it proves the
+    /// same claim.  The baseline is vetted first: a parse failure, an
+    /// options-fingerprint mismatch or a different program interface
+    /// rejects it with a typed [`BaselineRejection`] and the request runs
+    /// from scratch — same verdict, just no reuse.  An accepted baseline is
+    /// applied at two levels: outputs whose root obligations it already
+    /// proves are classified **clean** and skipped entirely (the dirty-cone
+    /// focus,
+    /// [`CheckContext::clean_outputs`](arrayeq_core::CheckContext::clean_outputs)),
+    /// and inside the remaining dirty cone every sub-traversal consults the
+    /// baseline's entries before the local and shared tables
     /// ([`arrayeq_core::BaselineProofs`]).
     ///
     /// Because baselines carry only positive assumption-free sub-proofs and
@@ -963,204 +964,22 @@ impl Verifier {
         request: &VerifyRequest,
         baseline_json: &str,
     ) -> Result<IncrementalOutcome> {
-        let parsed = match Baseline::parse(baseline_json) {
-            Ok(b) => b,
-            Err(message) => {
-                return self.fall_back(request, BaselineRejection::Malformed { message })
-            }
-        };
         let expected = self.options_fingerprint();
-        if parsed.options_fp != expected {
-            return self.fall_back(
-                request,
-                BaselineRejection::OptionsMismatch {
-                    expected,
-                    found: parsed.options_fp,
-                },
-            );
-        }
-        let started = Instant::now();
-        let memo: Arc<dyn FeasibilityCache> = self.memo.clone();
-        let mut status = None;
-        let result = with_feasibility_cache(memo, || {
-            self.run_incremental(request, &parsed).map(|(report, s)| {
-                status = Some(s);
-                report
-            })
-        });
-        let outcome = self.finish(result, started)?;
-        Ok(IncrementalOutcome {
-            outcome,
-            baseline: status.expect("status recorded alongside every Ok report"),
-        })
-    }
-
-    /// A rejected baseline degrades to a plain from-scratch request.
-    fn fall_back(
-        &self,
-        request: &VerifyRequest,
-        rejection: BaselineRejection,
-    ) -> Result<IncrementalOutcome> {
-        Ok(IncrementalOutcome {
-            outcome: self.verify(request)?,
-            baseline: BaselineStatus::Rejected(rejection),
-        })
-    }
-
-    /// The incremental check body: stage the pipeline far enough to own the
-    /// two graphs, classify outputs clean/dirty against the baseline, then
-    /// run the ordinary traversal with the cone focus and the baseline
-    /// proofs wired into the context.
-    fn run_incremental(
-        &self,
-        request: &VerifyRequest,
-        baseline: &Baseline,
-    ) -> Result<(Report, BaselineStatus)> {
-        // Mirror `run_request`'s stages so the incremental path surfaces the
-        // same frontend errors: parse, class check, def-use check, extract.
-        let parsed: Option<(Program, Program)> = match request {
-            VerifyRequest::Source {
-                original,
-                transformed,
-            } => Some((parse_program(original)?, parse_program(transformed)?)),
-            _ => None,
+        let vetted = match Baseline::parse(baseline_json) {
+            Err(message) => Err(BaselineRejection::Malformed { message }),
+            Ok(b) if b.options_fp != expected => Err(BaselineRejection::OptionsMismatch {
+                expected,
+                found: b.options_fp,
+            }),
+            Ok(b) => Ok(b),
         };
-        let programs: Option<(&Program, &Program)> = match request {
-            VerifyRequest::Source { .. } => parsed.as_ref().map(|(a, b)| (a, b)),
-            VerifyRequest::Programs {
-                original,
-                transformed,
-            } => Some((original.as_ref(), transformed.as_ref())),
-            VerifyRequest::Addgs { .. } => None,
+        let (outcome, status) =
+            self.run(request, &RequestLimits::default(), vetted.as_ref().ok())?;
+        let baseline = match vetted {
+            Ok(_) => status.expect("the run reports the status of every baseline it is given"),
+            Err(rejection) => BaselineStatus::Rejected(rejection),
         };
-        if let Some((p1, p2)) = programs {
-            if self.options.check_class {
-                assert_in_class(p1)?;
-                assert_in_class(p2)?;
-            }
-            if self.options.check_def_use {
-                assert_def_use_correct(p1)?;
-                assert_def_use_correct(p2)?;
-            }
-        }
-        let extracted: Option<(Addg, Addg)> = match programs {
-            Some((p1, p2)) => Some((extract(p1)?, extract(p2)?)),
-            None => None,
-        };
-        let (g1, g2): (&Addg, &Addg) = match (&extracted, request) {
-            (Some((a, b)), _) => (a, b),
-            (
-                None,
-                VerifyRequest::Addgs {
-                    original,
-                    transformed,
-                },
-            ) => (original, transformed),
-            _ => unreachable!("programs were staged for every non-Addgs request"),
-        };
-
-        // Program-identity gate: a baseline recorded for a different output
-        // interface proves nothing here and likely signals operator error
-        // (wrong file), so reject it loudly rather than silently scoring
-        // zero hits.
-        let current: Vec<String> = g1.output_arrays().to_vec();
-        let mut current_sorted = current.clone();
-        current_sorted.sort();
-        let mut recorded: Vec<String> = baseline.outputs.iter().map(|(n, ..)| n.clone()).collect();
-        recorded.sort();
-        if current_sorted != recorded {
-            let ctx = CheckContext {
-                shared_table: Some(self.table.as_ref()),
-                deadline: self.deadline.map(|d| Instant::now() + d),
-                cancel: Some(&self.cancel),
-                baseline: None,
-            };
-            let mut report = verify_addgs_with(g1, g2, &self.options, &ctx)?;
-            if let Some((p1, p2)) = programs {
-                self.attach_witnesses(p1, p2, &mut report, &ctx)?;
-            }
-            let rejection = BaselineRejection::ProgramMismatch {
-                expected: current_sorted,
-                found: recorded,
-            };
-            return Ok((report, BaselineStatus::Rejected(rejection)));
-        }
-
-        // Classify: an output is clean iff its recorded fingerprints still
-        // match this pair's (the content is untouched) AND the baseline
-        // carries its *root obligation* — the entry published only when the
-        // producing run proved the whole output.  Fingerprint equality alone
-        // is not enough: outputs that FAILED in the producing run have
-        // recorded fingerprints too, and skipping those would suppress
-        // diagnostics.  The root key is reconstructed from the recorded
-        // domain hash, so classification costs no Omega work — the whole
-        // point of an incremental run is to beat the from-scratch wall time,
-        // and per-output domain computations are a large fixed cost on wide
-        // kernels.
-        let fp = if self
-            .options
-            .focus
-            .as_ref()
-            .is_some_and(|f| !f.intermediate_pairs.is_empty())
-        {
-            arrayeq_addg::fingerprints_named
-        } else {
-            arrayeq_addg::fingerprints
-        };
-        let (fpa, fpb) = (fp(g1), fp(g2));
-        let proofs = BaselineProofs::from_entries(baseline.entries.iter().copied());
-        let clean: Vec<String> = current
-            .iter()
-            .filter(|output| {
-                baseline
-                    .outputs
-                    .iter()
-                    .find(|(n, ..)| n == *output)
-                    .is_some_and(|(_, fa, fb, dh)| {
-                        *fa == fpa.array(output)
-                            && *fb == fpb.array(output)
-                            && dh.is_some_and(|h| proofs.contains(&(*fa, *fb, h, h)))
-                    })
-            })
-            .cloned()
-            .collect();
-
-        let opts = CheckOptions {
-            assume_clean: clean.clone(),
-            ..self.options.clone()
-        };
-        let ctx = CheckContext {
-            shared_table: Some(self.table.as_ref()),
-            deadline: self.deadline.map(|d| Instant::now() + d),
-            cancel: Some(&self.cancel),
-            baseline: Some(&proofs),
-        };
-        // The classification fingerprints are exactly the ones the traversal
-        // would recompute (same per-options selection above) — hand them over
-        // instead of paying the WL refinement twice.
-        let mut report =
-            verify_addgs_with_fps(g1, g2, &opts, &ctx, opts.tabling.then_some((fpa, fpb)))?;
-        // Skipped-clean outputs were never traversed, so the run recorded no
-        // domain hash for them; carry the baseline's recorded hashes forward
-        // so a baseline exported from this run stays as complete as the
-        // producing run's (chained incremental workflows).
-        for output in &clean {
-            if !report.output_domain_hashes.iter().any(|(n, _)| n == output) {
-                if let Some((_, _, _, Some(h))) =
-                    baseline.outputs.iter().find(|(n, ..)| n == output)
-                {
-                    report.output_domain_hashes.push((output.clone(), *h));
-                }
-            }
-        }
-        if let Some((p1, p2)) = programs {
-            self.attach_witnesses(p1, p2, &mut report, &ctx)?;
-        }
-        let status = BaselineStatus::Applied {
-            entries: proofs.len(),
-            clean_outputs: clean,
-        };
-        Ok((report, status))
+        Ok(IncrementalOutcome { outcome, baseline })
     }
 }
 

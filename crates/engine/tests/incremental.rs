@@ -154,7 +154,13 @@ fn in_cone_sub_proofs_discharge_from_the_baseline() {
     let g1 = extract(&original).unwrap();
     let g2 = extract(&transformed).unwrap();
     let (fpa, fpb) = (fingerprints(&g1), fingerprints(&g2));
-    let root = output_root_key(&g1, &g2, (&fpa, &fpb), "OUT3").expect("OUT3 domains match");
+    let (_, domain_hash) = first
+        .report
+        .output_domain_hashes
+        .iter()
+        .find(|(n, _)| n == "OUT3")
+        .expect("OUT3 domains match");
+    let root = output_root_key((&fpa, &fpb), "OUT3", *domain_hash);
     let kept: Vec<_> = exported
         .entries
         .iter()

@@ -15,7 +15,7 @@
 //!   memo is scoped per installed cache and a single parallel query
 //!   produces cross-thread hits).
 
-use arrayeq_core::{verify_programs, CheckOptions};
+use arrayeq_core::{check, lower, CheckContext, CheckOptions, Report, Result};
 use arrayeq_engine::{Verifier, VerifyRequest};
 use arrayeq_lang::ast::Program;
 use arrayeq_lang::corpus::{FIG1_A, FIG1_B, FIG1_C, FIG1_D, KERNELS};
@@ -23,6 +23,15 @@ use arrayeq_lang::parser::parse_program;
 use arrayeq_transform::generator::{generate_kernel, GeneratorConfig};
 use arrayeq_transform::mutate::fault_corpus;
 use arrayeq_transform::random_pipeline;
+
+fn check_programs(a: &Program, b: &Program, opts: &CheckOptions) -> Result<Report> {
+    check(
+        &lower(a, opts)?,
+        &lower(b, opts)?,
+        opts,
+        &CheckContext::default(),
+    )
+}
 
 /// Every pair of the determinism corpus: the Fig. 1 pairs (equivalent and
 /// not), the curated fault-injection mutants (all inequivalent, diagnostics
@@ -64,11 +73,11 @@ fn determinism_corpus() -> Vec<(String, Program, Program)> {
 #[test]
 fn same_request_at_jobs_1_2_8_renders_byte_identically() {
     for (name, original, transformed) in determinism_corpus() {
-        let seq = verify_programs(&original, &transformed, &CheckOptions::default())
+        let seq = check_programs(&original, &transformed, &CheckOptions::default())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let baseline = seq.render_stable();
         for jobs in [1usize, 2, 8] {
-            let par = verify_programs(
+            let par = check_programs(
                 &original,
                 &transformed,
                 &CheckOptions::default().with_jobs(jobs),
@@ -91,8 +100,8 @@ fn jobs_1_reproduces_the_sequential_counters_exactly() {
     for (a, b) in [(FIG1_A, FIG1_C), (FIG1_A, FIG1_D)] {
         let pa = parse_program(a).unwrap();
         let pb = parse_program(b).unwrap();
-        let seq = verify_programs(&pa, &pb, &CheckOptions::default()).unwrap();
-        let one = verify_programs(&pa, &pb, &CheckOptions::default().with_jobs(1)).unwrap();
+        let seq = check_programs(&pa, &pb, &CheckOptions::default()).unwrap();
+        let one = check_programs(&pa, &pb, &CheckOptions::default().with_jobs(1)).unwrap();
         let mut seq_stats = seq.stats;
         let mut one_stats = one.stats;
         seq_stats.check_time_us = 0;
@@ -111,7 +120,7 @@ fn merged_parallel_counters_respect_the_internal_identities() {
         ..Default::default()
     });
     let (transformed, _) = random_pipeline(&original, 4, 211);
-    let par = verify_programs(
+    let par = check_programs(
         &original,
         &transformed,
         &CheckOptions::default().with_jobs(4),
@@ -143,7 +152,7 @@ fn repeated_chains_hit_the_local_table_without_collisions() {
         ..Default::default()
     });
     let (transformed, _) = random_pipeline(&original, 4, 211);
-    let r = verify_programs(&original, &transformed, &CheckOptions::default()).unwrap();
+    let r = check_programs(&original, &transformed, &CheckOptions::default()).unwrap();
     assert!(r.is_equivalent(), "{}", r.summary());
     assert!(r.stats.table_hits > 0, "{:?}", r.stats);
     assert_eq!(r.stats.hash_collisions, 0);
@@ -211,7 +220,7 @@ fn thread_local_memo_rescopes_when_a_session_store_appears() {
     // (entries > 0), so other threads of the session can hit them.
     let pa = parse_program(FIG1_A).unwrap();
     let pc = parse_program(FIG1_C).unwrap();
-    let warm = verify_programs(&pa, &pc, &CheckOptions::default()).unwrap();
+    let warm = check_programs(&pa, &pc, &CheckOptions::default()).unwrap();
     assert!(warm.is_equivalent());
 
     let verifier = Verifier::new();

@@ -12,14 +12,28 @@
 //!   withheld rather than silently wrong.
 
 use arrayeq_core::{
-    inject_worker_panic_on_task, verify_programs, verify_source, BudgetExhausted, CheckOptions,
-    DiagnosticKind, Verdict,
+    check, inject_worker_panic_on_task, lower, BudgetExhausted, CheckContext, CheckOptions,
+    DiagnosticKind, Report, Result, Verdict,
 };
 use arrayeq_engine::{Verifier, VerifyRequest};
 use arrayeq_lang::ast::Program;
+use arrayeq_lang::parser::parse_program;
 use arrayeq_transform::generator::{generate_kernel, GeneratorConfig};
 use arrayeq_transform::random_pipeline;
 use std::sync::Mutex;
+
+fn check_programs(a: &Program, b: &Program, opts: &CheckOptions) -> Result<Report> {
+    check(
+        &lower(a, opts)?,
+        &lower(b, opts)?,
+        opts,
+        &CheckContext::default(),
+    )
+}
+
+fn check_sources(a: &str, b: &str, opts: &CheckOptions) -> Result<Report> {
+    check_programs(&parse_program(a)?, &parse_program(b)?, opts)
+}
 
 /// The panic-injection hook is a process-global one-shot: serialize every
 /// test that arms it so concurrent test threads cannot steal each other's
@@ -48,11 +62,11 @@ fn injected_worker_panic_poisons_only_its_obligation() {
     let opts = CheckOptions::default().with_jobs(4);
 
     // Uninjected baseline: the pair is equivalent.
-    let clean = verify_programs(&original, &transformed, &opts).unwrap();
+    let clean = check_programs(&original, &transformed, &opts).unwrap();
     assert_eq!(clean.verdict, Verdict::Equivalent, "{}", clean.summary());
 
     inject_worker_panic_on_task(Some(0));
-    let poisoned = verify_programs(&original, &transformed, &opts).unwrap();
+    let poisoned = check_programs(&original, &transformed, &opts).unwrap();
     inject_worker_panic_on_task(None);
 
     assert_eq!(
@@ -88,7 +102,7 @@ fn injected_worker_panic_poisons_only_its_obligation() {
 
     // The injection is one-shot: the very next run is clean and
     // byte-identical to the baseline.
-    let healed = verify_programs(&original, &transformed, &opts).unwrap();
+    let healed = check_programs(&original, &transformed, &opts).unwrap();
     assert_eq!(clean.render_stable(), healed.render_stable());
 }
 
@@ -172,7 +186,7 @@ t2:       C[16*k + j] = A[k];
 fn huge_coefficient_sources_never_yield_a_wrong_verdict() {
     for jobs in [0usize, 4] {
         let opts = CheckOptions::default().with_jobs(jobs);
-        match verify_source(OVERFLOW_A, OVERFLOW_B, &opts) {
+        match check_sources(OVERFLOW_A, OVERFLOW_B, &opts) {
             // Conservative frontend rejection: overflow during the class
             // checks reports "feasible", which reads as a spurious DSA
             // overlap — a typed error, not a wrong verdict.
@@ -210,7 +224,7 @@ fn solver_overflow_withholds_the_verdict_as_typed_inconclusive() {
     let opts = CheckOptions::default();
 
     arrayeq_core::inject_arith_overflow_once();
-    let report = verify_programs(&original, &transformed, &opts).unwrap();
+    let report = check_programs(&original, &transformed, &opts).unwrap();
     assert_eq!(
         report.verdict,
         Verdict::Inconclusive,
@@ -225,7 +239,7 @@ fn solver_overflow_withholds_the_verdict_as_typed_inconclusive() {
     }
 
     // One-shot: the next run is clean again.
-    let healed = verify_programs(&original, &transformed, &opts).unwrap();
+    let healed = check_programs(&original, &transformed, &opts).unwrap();
     assert_eq!(healed.verdict, Verdict::Equivalent, "{}", healed.summary());
 }
 
@@ -235,7 +249,7 @@ fn solver_overflow_is_harvested_from_parallel_workers_too() {
     let (original, transformed) = wide_pair();
     for jobs in [2usize, 4] {
         arrayeq_core::inject_arith_overflow_once();
-        let report = verify_programs(
+        let report = check_programs(
             &original,
             &transformed,
             &CheckOptions::default().with_jobs(jobs),

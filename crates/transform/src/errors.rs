@@ -153,7 +153,8 @@ fn swap_reads(e: Expr, first: &ArrayRef, second: &ArrayRef, state: &mut usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arrayeq_core::{verify_programs, CheckOptions};
+    use crate::test_support::check_programs;
+    use arrayeq_core::CheckOptions;
     use arrayeq_lang::corpus::{with_size, FIG1_A, KERNEL_SAD_TREE};
     use arrayeq_lang::parser::parse_program;
 
@@ -161,7 +162,7 @@ mod tests {
     /// Fig. 6 rejects the transformed program (the read is no longer covered
     /// by a write) or the equivalence check itself reports inequivalence.
     fn not_equiv(a: &Program, b: &Program) -> Option<arrayeq_core::Report> {
-        match verify_programs(a, b, &CheckOptions::default()) {
+        match check_programs(a, b, &CheckOptions::default()) {
             Ok(r) => {
                 assert!(!r.is_equivalent(), "bug was not detected: {}", r.summary());
                 Some(r)

@@ -349,7 +349,8 @@ pub fn inputs_for(config: &GeneratorConfig) -> arrayeq_lang::interp::Inputs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arrayeq_core::{verify_programs, CheckOptions};
+    use crate::test_support::check_programs;
+    use arrayeq_core::CheckOptions;
     use arrayeq_lang::classcheck::check_class;
     use arrayeq_lang::defuse::check_def_use;
     use arrayeq_lang::interp::Interpreter;
@@ -398,7 +399,7 @@ mod tests {
             assert!(out.iter().all(|&v| v != Interpreter::UNINIT));
         }
         // Equivalent to itself, sequentially and in parallel.
-        let r = verify_programs(&p, &p, &CheckOptions::default().with_jobs(4)).unwrap();
+        let r = check_programs(&p, &p, &CheckOptions::default().with_jobs(4)).unwrap();
         assert!(r.is_equivalent(), "{}", r.summary());
     }
 
@@ -435,7 +436,7 @@ mod tests {
             layers: 3,
             ..Default::default()
         });
-        let r = verify_programs(&p, &p, &CheckOptions::default()).unwrap();
+        let r = check_programs(&p, &p, &CheckOptions::default()).unwrap();
         assert!(r.is_equivalent());
     }
 }

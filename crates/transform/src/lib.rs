@@ -67,3 +67,21 @@ impl std::error::Error for TransformError {}
 
 /// Convenience alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, TransformError>;
+
+/// Shared by the modules' unit tests, which check transformed programs
+/// against their originals.
+#[cfg(test)]
+mod test_support {
+    use arrayeq_core::{check, lower, CheckContext, CheckOptions, Report, Result};
+    use arrayeq_lang::ast::Program;
+
+    /// Lowers both programs and checks them one-shot.
+    pub(crate) fn check_programs(a: &Program, b: &Program, opts: &CheckOptions) -> Result<Report> {
+        check(
+            &lower(a, opts)?,
+            &lower(b, opts)?,
+            opts,
+            &CheckContext::default(),
+        )
+    }
+}

@@ -186,12 +186,13 @@ pub fn split_loop(p: &Program, index: usize, mid: i64) -> Result<Program> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arrayeq_core::{verify_programs, CheckOptions};
+    use crate::test_support::check_programs;
+    use arrayeq_core::CheckOptions;
     use arrayeq_lang::corpus::{with_size, FIG1_A, KERNEL_LIFTING};
     use arrayeq_lang::parser::parse_program;
 
     fn assert_equiv(a: &Program, b: &Program) {
-        let r = verify_programs(a, b, &CheckOptions::default()).expect("check runs");
+        let r = check_programs(a, b, &CheckOptions::default()).expect("check runs");
         assert!(r.is_equivalent(), "{}", r.summary());
     }
 

@@ -114,7 +114,8 @@ pub fn random_pipeline(
 mod tests {
     use super::*;
     use crate::generator::{generate_kernel, inputs_for, GeneratorConfig};
-    use arrayeq_core::{verify_programs, CheckOptions};
+    use crate::test_support::check_programs;
+    use arrayeq_core::CheckOptions;
     use arrayeq_lang::corpus::{with_size, FIG1_A};
     use arrayeq_lang::interp::Interpreter;
     use arrayeq_lang::parser::parse_program;
@@ -124,7 +125,7 @@ mod tests {
         let p = parse_program(&with_size(FIG1_A, 32)).unwrap();
         for seed in 0..4 {
             let (t, steps) = random_pipeline(&p, 6, seed);
-            let r = verify_programs(&p, &t, &CheckOptions::default()).unwrap();
+            let r = check_programs(&p, &t, &CheckOptions::default()).unwrap();
             assert!(
                 r.is_equivalent(),
                 "seed {seed}, steps {steps:?}:\n{}",
@@ -144,7 +145,7 @@ mod tests {
         let p = generate_kernel(&cfg);
         let (t, steps) = random_pipeline(&p, 8, 3);
         assert!(!steps.is_empty(), "at least one step should apply");
-        let r = verify_programs(&p, &t, &CheckOptions::default()).unwrap();
+        let r = check_programs(&p, &t, &CheckOptions::default()).unwrap();
         assert!(r.is_equivalent(), "steps {steps:?}:\n{}", r.summary());
         // Cross-validate with the simulation oracle.
         let inputs = inputs_for(&cfg);

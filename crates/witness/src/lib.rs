@@ -34,7 +34,7 @@
 #![warn(missing_docs)]
 
 use arrayeq_addg::{extract, slice_for_point, to_dot_highlighted, Addg};
-use arrayeq_core::{verify_programs, CheckOptions, Report, Result, Verdict, Witness};
+use arrayeq_core::{Report, Result, Witness};
 use arrayeq_lang::ast::Program;
 use arrayeq_lang::interp::{flat_offset, standard_inputs, Interpreter, Memory};
 use arrayeq_omega::Set;
@@ -59,28 +59,6 @@ impl Default for WitnessOptions {
             max_witnesses: 4,
         }
     }
-}
-
-/// Runs the full pipeline — equivalence check, then witness extraction on a
-/// `NotEquivalent` verdict — and returns the report with
-/// [`Report::witnesses`] filled in.
-///
-/// # Errors
-///
-/// Propagates the errors of [`verify_programs`] and of ADDG extraction.
-pub fn verify_with_witnesses(
-    original: &Program,
-    transformed: &Program,
-    opts: &CheckOptions,
-    wopts: &WitnessOptions,
-) -> Result<Report> {
-    let mut report = verify_programs(original, transformed, opts)?;
-    if report.verdict == Verdict::NotEquivalent {
-        let started = std::time::Instant::now();
-        report.witnesses = extract_witnesses(original, transformed, &report, wopts)?;
-        report.stats.witness_time_us = started.elapsed().as_micros() as u64;
-    }
-    Ok(report)
 }
 
 /// Extracts witnesses for an existing `NotEquivalent` report.
@@ -235,16 +213,28 @@ pub fn witness_dot(g: &Addg, w: &Witness) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arrayeq_core::{check, lower, CheckContext, CheckOptions, Verdict};
     use arrayeq_lang::corpus::{FIG1_A, FIG1_D};
     use arrayeq_lang::parser::parse_program;
+
+    /// Checks the pair one-shot and extracts witnesses for a
+    /// `NotEquivalent` verdict.
+    fn check_with_witnesses(original: &Program, transformed: &Program) -> Result<Report> {
+        let opts = CheckOptions::default();
+        let (g1, g2) = (lower(original, &opts)?, lower(transformed, &opts)?);
+        let mut report = check(&g1, &g2, &opts, &CheckContext::default())?;
+        if report.verdict == Verdict::NotEquivalent {
+            report.witnesses =
+                extract_witnesses(original, transformed, &report, &WitnessOptions::default())?;
+        }
+        Ok(report)
+    }
 
     #[test]
     fn fig1d_yields_a_confirmed_witness_despite_the_k0_coincidence() {
         let a = parse_program(FIG1_A).unwrap();
         let d = parse_program(FIG1_D).unwrap();
-        let report =
-            verify_with_witnesses(&a, &d, &CheckOptions::default(), &WitnessOptions::default())
-                .unwrap();
+        let report = check_with_witnesses(&a, &d).unwrap();
         assert_eq!(report.verdict, Verdict::NotEquivalent);
         let w = report
             .witnesses
@@ -268,9 +258,7 @@ mod tests {
     #[test]
     fn equivalent_pairs_get_no_witnesses() {
         let a = parse_program(FIG1_A).unwrap();
-        let report =
-            verify_with_witnesses(&a, &a, &CheckOptions::default(), &WitnessOptions::default())
-                .unwrap();
+        let report = check_with_witnesses(&a, &a).unwrap();
         assert!(report.is_equivalent());
         assert!(report.witnesses.is_empty());
     }
@@ -279,9 +267,7 @@ mod tests {
     fn witness_dot_highlights_the_failing_slice() {
         let a = parse_program(FIG1_A).unwrap();
         let d = parse_program(FIG1_D).unwrap();
-        let report =
-            verify_with_witnesses(&a, &d, &CheckOptions::default(), &WitnessOptions::default())
-                .unwrap();
+        let report = check_with_witnesses(&a, &d).unwrap();
         let w = report.witnesses.iter().find(|w| w.confirmed).unwrap();
         let g2 = extract(&d).unwrap();
         let dot = witness_dot(&g2, w).unwrap();

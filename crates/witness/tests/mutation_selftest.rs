@@ -11,9 +11,23 @@
 //!    concrete output element at which executing the two programs yields
 //!    different values, sampled from the checker's own failing domains.
 
-use arrayeq_core::{CheckOptions, Verdict};
+use arrayeq_core::{check, lower, CheckContext, CheckOptions, Report, Result, Verdict};
+use arrayeq_lang::ast::Program;
 use arrayeq_transform::mutate::fault_corpus;
-use arrayeq_witness::{verify_with_witnesses, WitnessOptions};
+use arrayeq_witness::{extract_witnesses, WitnessOptions};
+
+/// Checks the pair one-shot and extracts witnesses for a `NotEquivalent`
+/// verdict.
+fn check_with_witnesses(original: &Program, transformed: &Program) -> Result<Report> {
+    let opts = CheckOptions::default();
+    let (g1, g2) = (lower(original, &opts)?, lower(transformed, &opts)?);
+    let mut report = check(&g1, &g2, &opts, &CheckContext::default())?;
+    if report.verdict == Verdict::NotEquivalent {
+        report.witnesses =
+            extract_witnesses(original, transformed, &report, &WitnessOptions::default())?;
+    }
+    Ok(report)
+}
 
 #[test]
 fn every_mutant_is_rejected_with_a_replay_confirmed_witness() {
@@ -23,16 +37,10 @@ fn every_mutant_is_rejected_with_a_replay_confirmed_witness() {
         "fault corpus unexpectedly small: {}",
         corpus.len()
     );
-    let wopts = WitnessOptions::default();
     let mut failures = Vec::new();
     for case in &corpus {
-        let report = verify_with_witnesses(
-            &case.original,
-            &case.mutant,
-            &CheckOptions::default(),
-            &wopts,
-        )
-        .unwrap_or_else(|e| panic!("{}: pipeline error: {e}", case.name));
+        let report = check_with_witnesses(&case.original, &case.mutant)
+            .unwrap_or_else(|e| panic!("{}: pipeline error: {e}", case.name));
         if report.verdict != Verdict::NotEquivalent {
             failures.push(format!(
                 "{}: verdict {} (expected NOT EQUIVALENT)",
@@ -75,13 +83,7 @@ fn witnesses_point_into_the_failing_domain() {
     // some diagnostic's failing domain when one exists for its output.
     let corpus = fault_corpus();
     for case in corpus.iter().take(6) {
-        let report = verify_with_witnesses(
-            &case.original,
-            &case.mutant,
-            &CheckOptions::default(),
-            &WitnessOptions::default(),
-        )
-        .unwrap();
+        let report = check_with_witnesses(&case.original, &case.mutant).unwrap();
         for w in report.witnesses.iter().filter(|w| w.confirmed) {
             let domains: Vec<_> = report
                 .diagnostics

@@ -20,7 +20,8 @@
 //! * [`addg`] — array data dependence graphs (plus content fingerprints for
 //!   cross-query tabling),
 //! * [`core`] — the equivalence checker (basic and extended methods) with
-//!   error diagnostics; its free functions are the one-shot convenience path,
+//!   error diagnostics: [`core::lower`] is the front end for one program,
+//!   [`core::check`] the traversal over two lowered graphs,
 //! * [`transform`] — source-to-source transformations, error injection,
 //!   fault-injection mutation harness and workload generators,
 //! * [`witness`] — concrete counterexamples for `NotEquivalent` verdicts:
@@ -107,9 +108,13 @@
 //! # let _ = verifier;
 //! ```
 //!
-//! For one-off checks the original free functions remain as thin one-shot
-//! wrappers: [`core::verify_source`], [`core::verify_programs`],
-//! [`core::verify_addgs`] and [`witness::verify_with_witnesses`].
+//! The engine drives the checker's two stages, which `core` also exports
+//! for callers that want the pipeline without a session:
+//! [`core::lower`] (parameter promotion, class and def-use checks, ADDG
+//! extraction) and [`core::check`] (the synchronized traversal under a
+//! per-call [`core::CheckContext`]).  A one-off check with counterexamples
+//! is a [`Verifier`](engine::Verifier) built with
+//! [`witnesses(true)`](engine::VerifierBuilder::witnesses).
 //!
 //! ## The `arrayeq` CLI
 //!

@@ -6,7 +6,8 @@
 //! extended method proves `Equivalent`, sequentially and in parallel with a
 //! byte-identical stable report.
 
-use arrayeq::core::{verify_programs, CheckOptions, Verdict};
+use arrayeq::core::{Report, Verdict};
+use arrayeq::engine::{Method, Verifier, VerifyRequest};
 use arrayeq::lang::ast::Program;
 use arrayeq::lang::interp::{standard_inputs, Interpreter};
 use arrayeq::transform::algebraic::{
@@ -25,6 +26,12 @@ fn algebra_kernel(seed: u64) -> Program {
         seed,
         ..Default::default()
     })
+}
+
+/// Verifies the pair on a fresh engine.
+fn verify(verifier: &Verifier, a: &Program, b: &Program) -> arrayeq::core::Result<Report> {
+    let request = VerifyRequest::programs(a.clone(), b.clone());
+    verifier.verify(&request).map(|o| o.report)
 }
 
 /// Ground truth: both programs produce identical outputs on two
@@ -51,7 +58,7 @@ fn assert_rule_holds(name: &str, original: &Program, rewritten: &Program) {
         simulation_agrees(original, rewritten),
         "{name}: rewrite changed observable behaviour"
     );
-    let seq = verify_programs(original, rewritten, &CheckOptions::default())
+    let seq = verify(&Verifier::new(), original, rewritten)
         .unwrap_or_else(|e| panic!("{name}: pipeline error {e}"));
     assert_eq!(
         seq.verdict,
@@ -59,7 +66,7 @@ fn assert_rule_holds(name: &str, original: &Program, rewritten: &Program) {
         "{name}: {}",
         seq.summary()
     );
-    let par = verify_programs(original, rewritten, &CheckOptions::default().with_jobs(4))
+    let par = verify(&Verifier::builder().jobs(4).build(), original, rewritten)
         .unwrap_or_else(|e| panic!("{name}: parallel pipeline error {e}"));
     assert_eq!(seq.render_stable(), par.render_stable(), "{name} at jobs=4");
 }
@@ -130,7 +137,7 @@ proptest! {
         let p = algebra_kernel(seed);
         let (q, inserted) = insert_identity_noise(&p, seed);
         prop_assume!(inserted > 0);
-        let basic = verify_programs(&p, &q, &CheckOptions::basic()).unwrap();
+        let basic = verify(&Verifier::builder().method(Method::Basic).build(), &p, &q).unwrap();
         prop_assert_eq!(basic.verdict, Verdict::NotEquivalent);
     }
 }

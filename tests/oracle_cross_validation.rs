@@ -2,7 +2,7 @@
 //! simulation oracle on generated kernels and random transformation
 //! pipelines (the consistency the paper's designers rely on).
 
-use arrayeq::core::{verify_programs, CheckOptions};
+use arrayeq::engine::{Verifier, VerifyRequest};
 use arrayeq::lang::interp::Interpreter;
 use arrayeq::transform::errors::{inject, Bug};
 use arrayeq::transform::generator::{generate_kernel, inputs_for, GeneratorConfig};
@@ -19,7 +19,8 @@ fn equivalence_verdicts_imply_identical_simulation_outputs() {
         };
         let original = generate_kernel(&cfg);
         let (transformed, steps) = random_pipeline(&original, 6, seed + 100);
-        let report = verify_programs(&original, &transformed, &CheckOptions::default()).unwrap();
+        let request = VerifyRequest::programs(original.clone(), transformed.clone());
+        let report = Verifier::new().verify(&request).unwrap().report;
         assert!(
             report.is_equivalent(),
             "seed {seed} steps {steps:?}: {}",
@@ -56,7 +57,8 @@ fn injected_bugs_are_never_reported_equivalent() {
         let Ok(broken) = inject(&transformed, &label, bug) else {
             continue;
         };
-        match verify_programs(&original, &broken, &CheckOptions::default()) {
+        let request = VerifyRequest::programs(original.clone(), broken);
+        match Verifier::new().verify(&request).map(|o| o.report) {
             Ok(report) => assert!(
                 !report.is_equivalent(),
                 "bug {bug:?} must not check as equivalent"

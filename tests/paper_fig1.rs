@@ -1,15 +1,17 @@
 //! Integration test: the paper's running example end-to-end (E1, E3, E4).
 
-use arrayeq::core::{verify_source, CheckOptions, DiagnosticKind};
+use arrayeq::core::DiagnosticKind;
+use arrayeq::engine::Verifier;
 use arrayeq::lang::corpus::*;
 
 #[test]
 fn fig1_verdict_matrix_matches_the_paper() {
     let versions = [("a", FIG1_A), ("b", FIG1_B), ("c", FIG1_C), ("d", FIG1_D)];
+    let verifier = Verifier::new();
     for (n1, s1) in versions {
         for (n2, s2) in versions {
             let expect = n1 != "d" && n2 != "d" || n1 == n2;
-            let r = verify_source(s1, s2, &CheckOptions::default()).unwrap();
+            let r = verifier.verify_source(s1, s2).unwrap().report;
             assert_eq!(
                 r.is_equivalent(),
                 expect,
@@ -22,7 +24,10 @@ fn fig1_verdict_matrix_matches_the_paper() {
 
 #[test]
 fn erroneous_version_d_is_diagnosed_on_the_even_elements() {
-    let r = verify_source(FIG1_A, FIG1_D, &CheckOptions::default()).unwrap();
+    let r = Verifier::new()
+        .verify_source(FIG1_A, FIG1_D)
+        .unwrap()
+        .report;
     assert!(!r.is_equivalent());
     let mapping_mismatches: Vec<_> = r
         .diagnostics

@@ -258,14 +258,14 @@ proptest! {
     /// the checker proves equivalent to the original.
     #[test]
     fn generated_kernels_round_trip_through_the_printer(seed in 0u64..50, layers in 1usize..4) {
-        use arrayeq::core::{verify_programs, CheckOptions};
+        use arrayeq::engine::{Verifier, VerifyRequest};
         use arrayeq::lang::{parser::parse_program, pretty::program_to_string};
         use arrayeq::transform::generator::{generate_kernel, GeneratorConfig};
 
         let cfg = GeneratorConfig { n: 24, layers, seed, ..Default::default() };
         let p = generate_kernel(&cfg);
         let reparsed = parse_program(&program_to_string(&p)).unwrap();
-        let report = verify_programs(&p, &reparsed, &CheckOptions::default()).unwrap();
+        let report = Verifier::new().verify(&VerifyRequest::programs(p, reparsed)).unwrap().report;
         prop_assert!(report.is_equivalent());
     }
 
@@ -273,14 +273,14 @@ proptest! {
     /// rejects (soundness of the correct-by-construction transformations).
     #[test]
     fn random_pipelines_always_verify(seed in 0u64..30) {
-        use arrayeq::core::{verify_programs, CheckOptions};
+        use arrayeq::engine::{Verifier, VerifyRequest};
         use arrayeq::transform::generator::{generate_kernel, GeneratorConfig};
         use arrayeq::transform::random_pipeline;
 
         let cfg = GeneratorConfig { n: 24, layers: 2, seed, ..Default::default() };
         let p = generate_kernel(&cfg);
         let (t, _) = random_pipeline(&p, 4, seed * 31 + 7);
-        let report = verify_programs(&p, &t, &CheckOptions::default()).unwrap();
+        let report = Verifier::new().verify(&VerifyRequest::programs(p, t)).unwrap().report;
         prop_assert!(report.is_equivalent());
     }
 }

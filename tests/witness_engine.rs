@@ -3,20 +3,22 @@
 //! randomly generated kernels — is rejected by the checker with a
 //! replay-confirmed concrete counterexample.
 
-use arrayeq::core::{CheckOptions, Verdict};
+use arrayeq::core::{Report, Verdict};
+use arrayeq::engine::{Verifier, VerifyRequest};
 use arrayeq::transform::generator::{generate_kernel, GeneratorConfig};
 use arrayeq::transform::mutate::{curated_mutants, fault_corpus, FaultCase};
-use arrayeq::witness::{verify_with_witnesses, witness_dot, WitnessOptions};
+use arrayeq::witness::witness_dot;
 use proptest::prelude::*;
 
+/// Verifies a fault case with witness extraction on.
+fn check_with_witnesses(case: &FaultCase) -> arrayeq::core::Result<Report> {
+    let request = VerifyRequest::programs(case.original.clone(), case.mutant.clone());
+    let verifier = Verifier::builder().witnesses(true).build();
+    verifier.verify(&request).map(|o| o.report)
+}
+
 fn assert_confirmed_witness(case: &FaultCase) {
-    let report = verify_with_witnesses(
-        &case.original,
-        &case.mutant,
-        &CheckOptions::default(),
-        &WitnessOptions::default(),
-    )
-    .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+    let report = check_with_witnesses(case).unwrap_or_else(|e| panic!("{}: {e}", case.name));
     assert_eq!(
         report.verdict,
         Verdict::NotEquivalent,
@@ -46,13 +48,7 @@ fn corpus_mutants_yield_confirmed_witnesses_through_the_facade() {
 fn witness_dot_renders_for_a_corpus_case() {
     let corpus = fault_corpus();
     let case = &corpus[0];
-    let report = verify_with_witnesses(
-        &case.original,
-        &case.mutant,
-        &CheckOptions::default(),
-        &WitnessOptions::default(),
-    )
-    .unwrap();
+    let report = check_with_witnesses(case).unwrap();
     let w = &report.witnesses[0];
     let g = arrayeq::addg::extract(&case.mutant).unwrap();
     let dot = witness_dot(&g, w).unwrap();
@@ -74,12 +70,7 @@ proptest! {
         // strided input reads), so the curation never comes back empty.
         prop_assert!(!cases.is_empty(), "no curated mutants for seed {seed}");
         for case in &cases {
-            let report = verify_with_witnesses(
-                &case.original,
-                &case.mutant,
-                &CheckOptions::default(),
-                &WitnessOptions::default(),
-            ).unwrap();
+            let report = check_with_witnesses(case).unwrap();
             prop_assert!(report.verdict == Verdict::NotEquivalent, "{}", case.name);
             let confirmed = report.witnesses.iter().find(|w| w.confirmed);
             prop_assert!(
