@@ -62,6 +62,7 @@ use arrayeq_engine::{
 };
 use arrayeq_lang::corpus::{FIG1_A, FIG1_B, FIG1_C, FIG1_D, KERNELS};
 use arrayeq_lang::pretty::program_to_string;
+use std::io::Write;
 use std::time::Duration;
 
 const EXIT_EQUIVALENT: i32 = 0;
@@ -170,6 +171,34 @@ fn main() {
     std::process::exit(run(&args));
 }
 
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout without breaking the exit-code contract: once the
+/// reader has gone away (`arrayeq verify a.c b.c | head -1`), output is
+/// dropped and the exit code still reports the verdict.  Any other write
+/// failure is an error (exit 3).
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(EXIT_ERROR);
+        }
+    }
+}
+
 fn usage_error(message: &str) -> i32 {
     eprintln!("error: {message}\n\n{USAGE}");
     EXIT_USAGE
@@ -182,7 +211,7 @@ fn run(args: &[String]) -> i32 {
         Some("client") => run_client(&args[1..]),
         Some("corpus") => run_corpus(&args[1..]),
         Some("help") | Some("--help") | Some("-h") => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             EXIT_EQUIVALENT
         }
         Some(other) => usage_error(&format!("unknown command `{other}`")),
@@ -481,12 +510,12 @@ fn run_verify(args: &[String]) -> i32 {
 
     if parsed.json {
         match &incremental {
-            Some(inc) => println!("{}", incremental_outcome_to_json(inc)),
-            None => println!("{}", outcome_to_json(&outcome)),
+            Some(inc) => outln!("{}", incremental_outcome_to_json(inc)),
+            None => outln!("{}", outcome_to_json(&outcome)),
         }
     } else {
-        print!("{}", outcome.report.summary());
-        println!("wall time: {:.3} ms", outcome.wall_time_us as f64 / 1e3);
+        out!("{}", outcome.report.summary());
+        outln!("wall time: {:.3} ms", outcome.wall_time_us as f64 / 1e3);
     }
     if parsed.explain {
         if let Some(c) = &collector {
@@ -495,7 +524,7 @@ fn run_verify(args: &[String]) -> i32 {
                 // Keep stdout machine-readable: the tree goes to stderr.
                 eprint!("{tree}");
             } else {
-                print!("{tree}");
+                out!("{tree}");
             }
         }
     }
@@ -725,12 +754,12 @@ fn run_client(args: &[String]) -> i32 {
                 Err(code) => return code,
             };
             if json {
-                println!("{response}");
+                outln!("{response}");
             }
             match response_verdict(&response) {
                 Ok(verdict) => {
                     if !json {
-                        println!("verdict: {}", verdict.replace('_', " "));
+                        outln!("verdict: {}", verdict.replace('_', " "));
                     }
                     match verdict.as_str() {
                         "equivalent" => EXIT_EQUIVALENT,
@@ -747,7 +776,7 @@ fn run_client(args: &[String]) -> i32 {
         Some(cmd @ ("ping" | "stats" | "checkpoint" | "shutdown")) => {
             match request(&control_request_line(1, cmd)) {
                 Ok(response) => {
-                    println!("{response}");
+                    outln!("{response}");
                     if response.contains("\"ok\":true") {
                         EXIT_EQUIVALENT
                     } else {
@@ -794,11 +823,11 @@ fn run_corpus(args: &[String]) -> i32 {
     match args.first().map(String::as_str) {
         Some("--list") => {
             for (name, _) in corpus_entries() {
-                println!("{name}");
+                outln!("{name}");
             }
             let corpus = arrayeq_transform::mutate::fault_corpus();
             for (i, case) in corpus.iter().enumerate() {
-                println!("mutant:{i}  ({})", case.name);
+                outln!("mutant:{i}  ({})", case.name);
             }
             EXIT_EQUIVALENT
         }
@@ -811,7 +840,7 @@ fn run_corpus(args: &[String]) -> i32 {
             }
             match corpus_entries().into_iter().find(|(n, _)| n == name) {
                 Some((_, src)) => {
-                    print!("{}", src.trim_start_matches('\n'));
+                    out!("{}", src.trim_start_matches('\n'));
                     EXIT_EQUIVALENT
                 }
                 None => usage_error(&format!(
@@ -841,6 +870,6 @@ fn print_mutant(index: &str, original_side: bool) -> i32 {
     } else {
         &case.mutant
     };
-    print!("{}", program_to_string(program));
+    out!("{}", program_to_string(program));
     EXIT_EQUIVALENT
 }

@@ -135,6 +135,31 @@ fn usage_and_pipeline_errors_exit_above_two() {
 }
 
 #[test]
+fn exit_code_survives_a_stdout_reader_that_went_away() {
+    // `arrayeq verify a.c c.c | head -1` and `arrayeq corpus --list | head
+    // -1`, with the reader gone before the first write: the broken pipe
+    // must not turn the verdict's exit code into a panic.
+    let dir = temp_dir("pipe");
+    let a = write_corpus(&dir, "fig1a");
+    let c = write_corpus(&dir, "fig1c");
+    for args in [
+        vec!["verify", a.to_str().unwrap(), c.to_str().unwrap()],
+        vec!["corpus", "--list"],
+    ] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_arrayeq"))
+            .args(&args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn dot_export_writes_a_digraph_with_highlighted_slice() {
     let dir = temp_dir("dot");
     let a = write_corpus(&dir, "fig1a");

@@ -4,7 +4,7 @@ use crate::context::{BudgetExhausted, CheckContext, SharedTableKey, TableProvena
 use crate::diagnostics::{Diagnostic, DiagnosticKind};
 use crate::normalize::{self, TermArena};
 use crate::operators::OperatorProperties;
-use crate::report::{CheckStats, Report, Verdict};
+use crate::report::{CheckStats, Report};
 use crate::{CoreError, Result};
 use arrayeq_addg::{describe_node, extract, fingerprints, Addg, Fingerprints, Node, NodeId};
 use arrayeq_lang::ast::Program;
@@ -65,10 +65,11 @@ pub struct CheckOptions {
     pub params: Vec<(String, i64)>,
     /// Worker threads for *one* verification run: the root obligation is
     /// split into per-output and per-definition correspondence sub-proofs
-    /// executed by a scoped worker pool.  `1` (the default) keeps the
-    /// strictly sequential traversal; `0` means "use all available
-    /// parallelism".  Verdicts and diagnostics are identical at every
-    /// setting ([`crate::Report::render_stable`] is byte-stable); cache/work
+    /// executed by a scoped worker pool.  `1` (the default) runs each
+    /// output's root obligation whole on the calling thread and spawns no
+    /// thread; `0` means "use all available parallelism".  Verdicts and
+    /// diagnostics are identical at every setting
+    /// ([`crate::Report::render_stable`] is byte-stable); cache/work
     /// counters in [`CheckStats`] are scheduling-dependent at `jobs > 1`.
     pub jobs: usize,
 }
@@ -187,7 +188,7 @@ fn promote_params(p: &Program, params: &[(String, i64)]) -> Program {
 ///
 /// The context carries everything per call that is not a verdict option:
 /// the deadline and [`crate::CancelToken`] bound the traversal (an exceeded
-/// budget surfaces as [`Verdict::Inconclusive`] with a typed
+/// budget surfaces as [`crate::Verdict::Inconclusive`] with a typed
 /// [`BudgetExhausted`] reason in [`Report::budget_exhausted`] — never a
 /// hang), a [`crate::SharedEquivalenceTable`] lets this run consume and
 /// publish sub-proofs shared with other queries and threads, and a baseline
@@ -217,19 +218,13 @@ pub fn check(
         computed = (opts.fingerprints(original), opts.fingerprints(transformed));
         Some(&computed)
     };
-    if opts.effective_jobs() > 1 {
-        return crate::parallel::check_parallel(original, transformed, opts, ctx, fps);
-    }
-    Checker::new(original, transformed, opts, ctx, fps, None).run()
+    crate::parallel::check_parallel(original, transformed, opts, ctx, fps)
 }
 
-/// The traversal state.
-///
-/// One `Checker` is either the whole sequential run (`jobs = 1`) or one
-/// *worker* of a parallel run, in which case it executes a stream of
-/// [`crate::parallel`] tasks against its own local state (table, coinductive
-/// assumptions, stats, diagnostics buffer) while budgets are accounted
-/// through the run-wide [`SharedBudget`].
+/// The traversal state of one *worker* of a run: it executes a stream of
+/// [`crate::parallel`] tasks against its own local state (table,
+/// coinductive assumptions, stats, diagnostics buffer) while budgets are
+/// accounted through the run-wide [`SharedBudget`].
 pub(crate) struct Checker<'x> {
     pub(crate) a: &'x Addg,
     pub(crate) b: &'x Addg,
@@ -262,43 +257,34 @@ pub(crate) struct Checker<'x> {
     /// is only valid under that assumption and must not be tabled; everything
     /// else (the overwhelming majority) caches freely.
     pub(crate) assumption_uses: u64,
+    /// This worker's traversal visits.
     work: u64,
     pub(crate) exhausted: bool,
-    /// Which budget fired when `exhausted` was set.
-    budget_reason: Option<BudgetExhausted>,
-    /// Start of the traversal, for deadline bookkeeping.
+    /// Start of the worker, for deadline bookkeeping.
     started: Instant,
-    /// Run-wide budget shared by every worker of a parallel run (`None` in
-    /// the sequential path).  Workers batch their local visit counts into
-    /// `work` and flush them here every 64 visits, at which point they also
-    /// observe cancellations and limit trips from other workers.
-    shared_budget: Option<&'x SharedBudget>,
+    /// Run-wide budget shared by every worker of the run.
+    shared_budget: &'x SharedBudget,
     /// Visits already flushed to the shared budget.
     flushed_work: u64,
 }
 
-/// The budget of one parallel run, shared by all its workers.
+/// The budget of one run, shared by all its workers.
 ///
-/// Work accounting is approximate by design: each worker flushes its local
-/// visit count every 64 visits, so the run can overshoot `max_work` by at
-/// most `64 × workers` visits before every worker has wound down — the same
-/// promptness/overhead trade the sequential poll cadence makes for
-/// deadline checks.
+/// Work accounting across workers is approximate by design: each worker
+/// compares its own visit count with `max_work` on every visit but flushes
+/// it into the run-wide count only every 64 visits, so a run with several
+/// workers can overshoot `max_work` by at most `64 × workers` visits before
+/// every worker has wound down.  A one-worker run stops after exactly
+/// `max_work` visits.
 #[derive(Debug, Default)]
 pub(crate) struct SharedBudget {
     work: std::sync::atomic::AtomicU64,
     exhausted: std::sync::atomic::AtomicBool,
     reason: std::sync::Mutex<Option<BudgetExhausted>>,
-    /// Solver overflow events observed by any thread of the run.  Overflow
-    /// does not wind the pool down (unlike a budget trip, the remaining
-    /// obligations still produce their diagnostics); it only withholds the
-    /// final verdict as inconclusive.
-    overflow_events: std::sync::atomic::AtomicU64,
 }
 
 impl SharedBudget {
-    /// Marks the run exhausted; the first caller's reason wins (matching
-    /// the sequential checker, where only one budget can fire).  The lock is
+    /// Marks the run exhausted; the first caller's reason wins.  The lock is
     /// recovered from poisoning so a panicked worker cannot wedge budget
     /// reporting for the surviving workers.
     fn trip(&self, reason: BudgetExhausted) {
@@ -325,18 +311,6 @@ impl SharedBudget {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .take()
     }
-
-    /// Folds one thread's solver overflow events into the run-wide count.
-    pub(crate) fn note_overflow_events(&self, events: u64) {
-        self.overflow_events
-            .fetch_add(events, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Solver overflow events observed across every thread of the run.
-    pub(crate) fn overflow_events(&self) -> u64 {
-        self.overflow_events
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
 }
 
 /// A position in one ADDG during the synchronized traversal.
@@ -350,15 +324,14 @@ pub(crate) enum Pos {
 }
 
 impl<'x> Checker<'x> {
-    /// A fresh traversal state (the sequential run, or one worker of a
-    /// parallel run when `shared_budget` is present).
+    /// A fresh worker accounting against the run's `shared_budget`.
     pub(crate) fn new(
         a: &'x Addg,
         b: &'x Addg,
         opts: &'x CheckOptions,
         ctx: &'x CheckContext<'x>,
         fps: Option<&'x (Fingerprints, Fingerprints)>,
-        shared_budget: Option<&'x SharedBudget>,
+        shared_budget: &'x SharedBudget,
     ) -> Self {
         Checker {
             a,
@@ -376,19 +349,17 @@ impl<'x> Checker<'x> {
             assumption_uses: 0,
             work: 0,
             exhausted: false,
-            budget_reason: None,
             started: Instant::now(),
             shared_budget,
             flushed_work: 0,
         }
     }
 
-    /// Runs one decomposed sub-obligation as a parallel worker: the
-    /// coinductive assumptions accumulated along the task's decomposition
-    /// path are installed worker-locally (so the no-tabling-under-assumption
-    /// guard keeps working unchanged), the traversal runs, and the
-    /// diagnostics the task produced are drained out for deterministic
-    /// merging by the coordinator.
+    /// Runs one traversal task: the coinductive assumptions accumulated
+    /// along the task's decomposition path are installed worker-locally (so
+    /// the no-tabling-under-assumption guard keeps working unchanged), the
+    /// traversal runs, and the diagnostics the task produced are drained out
+    /// for deterministic merging by the coordinator.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_task(
         &mut self,
@@ -408,11 +379,11 @@ impl<'x> Checker<'x> {
         Ok((ok, std::mem::take(&mut self.diagnostics)))
     }
 
-    /// Runs one decomposed per-piece algebraic match as a parallel worker:
-    /// the coordinator already flattened both sides and restricted the term
-    /// lists to the piece ([`crate::parallel`]); this installs the task's
-    /// coinductive assumptions and runs the matcher, which is byte-for-byte
-    /// the loop body the sequential `check_algebraic` executes per piece.
+    /// Runs one decomposed per-piece algebraic match: the coordinator
+    /// already flattened both sides and restricted the term lists to the
+    /// piece ([`crate::parallel`]); this installs the task's coinductive
+    /// assumptions and runs the matcher, which is byte-for-byte the loop
+    /// body `check_algebraic` executes per piece.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_match_task(
         &mut self,
@@ -549,23 +520,6 @@ pub(crate) fn unsupported_fragment(e: &CoreError) -> Option<BudgetExhausted> {
     }
 }
 
-/// Per-output content fingerprints for the report: `(name, original-side,
-/// transformed-side)` in output order; empty when the run computed no
-/// fingerprints.  Shared by the sequential and the parallel path so the
-/// member is identical at every jobs setting.
-pub(crate) fn output_fingerprints(
-    outputs: &[String],
-    fps: Option<&(Fingerprints, Fingerprints)>,
-) -> Vec<(String, u64, u64)> {
-    match fps {
-        Some((fa, fb)) => outputs
-            .iter()
-            .map(|o| (o.clone(), fa.array(o), fb.array(o)))
-            .collect(),
-        None => Vec::new(),
-    }
-}
-
 /// The tabling key of one output's *root obligation*: the whole-output
 /// equivalence query `(Array(out), identity, Array(out), identity)` that
 /// [`check`] poses per output.  `domain_hash` is the structural hash of
@@ -589,241 +543,65 @@ pub fn output_root_key(
 }
 
 impl Checker<'_> {
-    fn run(&mut self) -> Result<Report> {
-        // Solver overflow is reported out-of-band through a sticky
-        // thread-local flag; clear any residue from an earlier run on this
-        // thread so the poll below attributes events to this run only.
-        let _ = arrayeq_omega::take_arith_overflow();
-        let overflow_base = arrayeq_omega::arith_overflow_events();
-        // The DNF engine's counters are thread-local and monotonic, like the
-        // overflow event counter: snapshot here, delta at the end.
-        let subsumed_base = arrayeq_omega::conjuncts_subsumed_events();
-        let fallback_base = arrayeq_omega::bigint_fallback_events();
-        crate::parallel::consume_injected_overflow();
-        let outputs = select_outputs(self.a, self.b, self.opts)?;
-        let mut all_ok = true;
-        let mut cone = 0u64;
-        let mut domain_hashes: Vec<(String, u64)> = Vec::new();
-        for output in &outputs {
-            // Dirty-cone focus: outputs the caller proved clean against a
-            // baseline are skipped outright.  They stay in
-            // `outputs_checked` and produce no diagnostics — exactly what a
-            // from-scratch run in which they succeed silently looks like.
-            if self.ctx.clean_outputs.contains(output) {
-                arrayeq_trace::event_with("output_clean", || {
-                    vec![arrayeq_trace::s("output", output.clone())]
-                });
-                continue;
-            }
-            cone += 1;
-            let span = arrayeq_trace::span_with("output", || {
-                vec![arrayeq_trace::s("output", output.clone())]
-            });
-            let diag_start = self.diagnostics.len();
-            let domains = match check_output_domains(self.a, self.b, output) {
-                Ok(d) => d,
-                Err(e) => {
-                    if let Some(reason) = unsupported_fragment(&e) {
-                        self.note_unsupported(reason, output);
-                        continue;
-                    }
-                    return Err(e);
-                }
-            };
-            let ea = match domains {
-                OutputDomains::Match(ea) => ea,
-                OutputDomains::Mismatch(diag) => {
-                    self.diagnostics.push(*diag);
-                    self.stamp_output(diag_start, output);
-                    all_ok = false;
-                    arrayeq_trace::event_with("output_verdict", || {
-                        vec![
-                            arrayeq_trace::s("output", output.clone()),
-                            arrayeq_trace::b("ok", false),
-                        ]
-                    });
-                    continue;
-                }
-            };
-            let id = Relation::identity_on(&ea);
-            domain_hashes.push((output.clone(), id.structural_hash()));
-            let ok = match self.check(
-                Pos::Array(output.clone()),
-                id.clone(),
-                Pos::Array(output.clone()),
-                id,
-                &[],
-                &[],
-            ) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    if let Some(reason) = unsupported_fragment(&e) {
-                        self.stamp_output(diag_start, output);
-                        self.note_unsupported(reason, output);
-                        continue;
-                    }
-                    return Err(e);
-                }
-            };
-            self.stamp_output(diag_start, output);
-            all_ok &= ok;
-            arrayeq_trace::event_with("output_verdict", || {
-                vec![
-                    arrayeq_trace::s("output", output.clone()),
-                    arrayeq_trace::b("ok", ok),
-                ]
-            });
-            drop(span);
-        }
-        // Any solver overflow degraded some feasibility answer to its
-        // conservative direction mid-run; the verdict would then rest on a
-        // weakened constraint system, so it is withheld as inconclusive
-        // rather than risked — never silently wrapped, never panicked.
-        if arrayeq_omega::take_arith_overflow() {
-            self.exhausted = true;
-            if self.budget_reason.is_none() {
-                self.budget_reason = Some(BudgetExhausted::ArithOverflow {
-                    events: arrayeq_omega::arith_overflow_events() - overflow_base,
-                });
-            }
-        }
-        let verdict = if self.exhausted {
-            Verdict::Inconclusive
-        } else if all_ok {
-            Verdict::Equivalent
-        } else {
-            Verdict::NotEquivalent
-        };
-        if !self.ctx.clean_outputs.is_empty() {
-            self.stats.cone_positions = cone;
-        }
-        self.stats.conjuncts_subsumed += arrayeq_omega::conjuncts_subsumed_events() - subsumed_base;
-        self.stats.bigint_fallbacks += arrayeq_omega::bigint_fallback_events() - fallback_base;
-        self.stats.check_time_us = self.started.elapsed().as_micros() as u64;
-        let output_fingerprints = output_fingerprints(&outputs, self.fps);
-        Ok(Report {
-            verdict,
-            diagnostics: std::mem::take(&mut self.diagnostics),
-            witnesses: Vec::new(),
-            stats: self.stats,
-            outputs_checked: outputs,
-            output_fingerprints,
-            output_domain_hashes: domain_hashes,
-            budget_exhausted: self.budget_reason.take(),
-        })
-    }
-
-    /// Records an out-of-fragment obligation: this output's verdict is
-    /// withheld (the run ends inconclusive with a typed reason) while every
-    /// other output's check still runs.
-    fn note_unsupported(&mut self, reason: BudgetExhausted, output: &str) {
-        self.exhausted = true;
-        if self.budget_reason.is_none() {
-            self.budget_reason = Some(reason);
-        }
-        arrayeq_trace::event_with("output_verdict", || {
-            vec![
-                arrayeq_trace::s("output", output.to_owned()),
-                arrayeq_trace::b("ok", false),
-            ]
-        });
-    }
-
-    /// Stamps every diagnostic produced since `start` with the output array
-    /// whose check produced it, so downstream consumers (witness engine,
-    /// reports) know which index space a failing domain lives in.
-    fn stamp_output(&mut self, start: usize, output: &str) {
-        for d in &mut self.diagnostics[start..] {
-            if d.output_array.is_none() {
-                d.output_array = Some(output.to_owned());
-            }
-        }
-    }
-
+    /// Counts one traversal visit against the run's budgets; `false` once a
+    /// budget of the run ran out (the traversal then unwinds without
+    /// concluding anything).
+    ///
+    /// The worker's own visit count is compared with `max_work` on every
+    /// visit, so a one-worker run stops at exactly the first visit beyond
+    /// the limit.  The count is flushed into the run-wide
+    /// [`SharedBudget`] on the first visit and every 64 after it — tightened
+    /// to the budget itself when the work limit is smaller than one batch,
+    /// so a tiny `max_work` still trips promptly across workers — and at
+    /// each flush the worker observes trips by other workers, checks the
+    /// combined work limit and polls cancellation and the deadline: prompt
+    /// enough to wind down in microseconds, cheap enough to vanish against
+    /// the relation algebra per visit.
     pub(crate) fn budget(&mut self) -> bool {
+        use std::sync::atomic::Ordering;
         if self.exhausted {
             return false;
         }
         self.work += 1;
-        if let Some(shared) = self.shared_budget {
-            return self.budget_shared(shared);
+        let max_work = self.opts.max_work;
+        if self.work > max_work {
+            return self.trip(BudgetExhausted::WorkLimit { max_work });
         }
-        if self.work > self.opts.max_work {
-            self.exhausted = true;
-            self.budget_reason = Some(BudgetExhausted::WorkLimit {
-                max_work: self.opts.max_work,
-            });
-            return false;
-        }
-        // Deadline and cancellation are polled on the first visit and every
-        // 64 visits after that: prompt enough to wind down in microseconds,
-        // cheap enough to vanish against the relation algebra per visit.
-        if (self.work == 1 || self.work & 0x3f == 0)
-            && (self.ctx.cancel.is_some() || self.ctx.deadline.is_some())
-        {
-            if self.ctx.cancel.is_some_and(|t| t.is_cancelled()) {
-                self.exhausted = true;
-                self.budget_reason = Some(BudgetExhausted::Cancelled);
-                return false;
-            }
-            if self.ctx.deadline.is_some_and(|d| Instant::now() >= d) {
-                self.exhausted = true;
-                self.budget_reason = Some(BudgetExhausted::DeadlineExceeded {
-                    elapsed_ms: self.started.elapsed().as_millis() as u64,
-                });
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Budget bookkeeping for a parallel worker: local visit counts are
-    /// flushed into the run-wide [`SharedBudget`] every 64 visits (and on
-    /// the very first), at which point the worker observes trips from other
-    /// workers, checks the combined work limit, and polls
-    /// cancellation/deadline exactly like the sequential path.
-    fn budget_shared(&mut self, shared: &SharedBudget) -> bool {
-        use std::sync::atomic::Ordering;
-        // Flush every 64 visits — tightened to the budget itself when the
-        // work limit is smaller than one batch, so a tiny `max_work` still
-        // trips promptly instead of hiding inside unflushed batches.
-        let due = if self.work == 1 {
-            true
-        } else if self.opts.max_work >= 64 {
-            self.work & 0x3f == 0
-        } else {
-            self.work.is_multiple_of(self.opts.max_work.max(1))
-        };
+        let due = self.work == 1
+            || if max_work >= 64 {
+                self.work & 0x3f == 0
+            } else {
+                self.work.is_multiple_of(max_work)
+            };
         if !due {
             return true;
         }
         let delta = self.work - self.flushed_work;
         self.flushed_work = self.work;
-        let total = shared.work.fetch_add(delta, Ordering::Relaxed) + delta;
-        if shared.exhausted.load(Ordering::Relaxed) {
+        let total = self.shared_budget.work.fetch_add(delta, Ordering::Relaxed) + delta;
+        if self.shared_budget.is_exhausted() {
             self.exhausted = true;
             return false;
         }
-        if total > self.opts.max_work {
-            self.exhausted = true;
-            shared.trip(BudgetExhausted::WorkLimit {
-                max_work: self.opts.max_work,
-            });
-            return false;
+        if total > max_work {
+            return self.trip(BudgetExhausted::WorkLimit { max_work });
         }
         if self.ctx.cancel.is_some_and(|t| t.is_cancelled()) {
-            self.exhausted = true;
-            shared.trip(BudgetExhausted::Cancelled);
-            return false;
+            return self.trip(BudgetExhausted::Cancelled);
         }
         if self.ctx.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.exhausted = true;
-            shared.trip(BudgetExhausted::DeadlineExceeded {
+            return self.trip(BudgetExhausted::DeadlineExceeded {
                 elapsed_ms: self.started.elapsed().as_millis() as u64,
             });
-            return false;
         }
         true
+    }
+
+    /// Exhausts this worker and the run with `reason`; always `false`.
+    fn trip(&mut self, reason: BudgetExhausted) -> bool {
+        self.exhausted = true;
+        self.shared_budget.trip(reason);
+        false
     }
 
     /// The core synchronized traversal: checks that the sub-computations at
@@ -1570,6 +1348,7 @@ fn node_brief(g: &Addg, id: NodeId, node: &Node) -> String {
 mod tests {
     use super::*;
     use crate::context::CancelToken;
+    use crate::report::Verdict;
     use arrayeq_lang::corpus::*;
 
     use arrayeq_lang::parser::parse_program;
@@ -1778,6 +1557,35 @@ mod tests {
             Some(BudgetExhausted::WorkLimit { max_work: 3 })
         );
         assert!(r.summary().contains("work limit"));
+    }
+
+    #[test]
+    fn one_worker_stops_exactly_at_the_work_limit() {
+        // The thresholds are the visit counts of the whole traversal: a
+        // one-worker run compares its own count with `max_work` on every
+        // visit, so one visit less than the traversal needs is inconclusive
+        // and the full count concludes.
+        for (b, needed, conclusive) in [
+            (FIG1_B, 66, Verdict::Equivalent),
+            (FIG1_D, 78, Verdict::NotEquivalent),
+        ] {
+            let at = |max_work| {
+                let opts = CheckOptions {
+                    max_work,
+                    ..Default::default()
+                };
+                verify(FIG1_A, b, &opts.with_jobs(1))
+            };
+            let short = at(needed - 1);
+            assert_eq!(short.verdict, Verdict::Inconclusive);
+            assert_eq!(
+                short.budget_exhausted,
+                Some(BudgetExhausted::WorkLimit {
+                    max_work: needed - 1
+                })
+            );
+            assert_eq!(at(needed).verdict, conclusive, "max_work = {needed}");
+        }
     }
 
     #[test]

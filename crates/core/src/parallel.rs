@@ -1,41 +1,46 @@
-//! Intra-query parallel checking: one verification run sharded across
-//! outputs and independent correspondence sub-proofs.
+//! The checking driver: one verification run, on the calling thread or
+//! sharded across outputs and independent correspondence sub-proofs.
 //!
 //! The synchronized traversal of Section 5 establishes correspondences
 //! output by output, and below each output it reduces arrays definition by
 //! definition and operators operand by operand.  Those sub-obligations are
-//! independent up to the tabling state, so a run with
-//! [`CheckOptions::jobs`]` > 1` is executed in three phases:
+//! independent up to the tabling state, so every [`crate::check`] runs in
+//! three phases:
 //!
-//! 1. **Decompose** (sequential, coordinator thread): the root obligation is
-//!    split into [`CheckTask`]s by replaying the traversal's *reduction*
-//!    steps without proving anything — per output, then per definition of
-//!    the output array (carrying the coinductive recurrence assumption the
-//!    sequential reduction would have installed), then through `Access`
-//!    compositions and per positional operand pair.  Splitting stops at
-//!    algebraic (flatten/match) positions, whose greedy matching is a single
-//!    sub-proof.  Tasks keep the depth-first order of the sequential
-//!    traversal, so diagnostics merge back in the exact sequential order.
-//! 2. **Execute** (scoped worker pool): workers pull tasks off a shared
-//!    queue (an atomic cursor — idle workers steal whatever obligation is
-//!    next, so one expensive output does not serialise the run).  Each
-//!    worker owns a full [`Checker`] — local tabling cache, coinductive
+//! 1. **Decompose** (coordinator, the calling thread): per output, the
+//!    defined-element sets of both programs are compared inside an `output`
+//!    trace span, which either settles the output (a mismatch diagnostic)
+//!    or yields its root [`CheckTask`].  With more than one
+//!    [`CheckOptions::jobs`], the root tasks are then split by replaying
+//!    the traversal's *reduction* steps without proving anything — per
+//!    definition of the output array (carrying the coinductive recurrence
+//!    assumption the reduction would have installed), then through `Access`
+//!    compositions and per positional operand pair, and into per-piece
+//!    matches at flatten/match positions while the pool is starved.  Tasks
+//!    keep the traversal's depth-first order, so diagnostics merge back in
+//!    the order one traversal emits them.
+//! 2. **Execute**: workers pull tasks off a shared queue (an atomic cursor —
+//!    idle workers steal whatever obligation is next, so one expensive
+//!    output does not serialise the run).  A single worker drains the queue
+//!    on the calling thread without spawning; more run in a scoped pool.
+//!    Each worker owns a full [`Checker`] — local tabling cache, coinductive
 //!    assumptions, stats, diagnostics buffer — and all workers share the
 //!    session state through the [`CheckContext`]: the engine's cross-query
 //!    equivalence table (rename-invariant keys mean one worker's sub-proof
 //!    discharges another worker's identical obligation mid-run) and the
-//!    session feasibility cache, re-installed in every worker via
+//!    session feasibility cache, re-installed in every spawned worker via
 //!    [`arrayeq_omega::with_feasibility_cache`].  Budgets and cancellation
 //!    propagate through one [`SharedBudget`]: any worker tripping the work
 //!    limit, deadline or cancel token winds the whole pool down promptly.
 //! 3. **Merge** (coordinator): per-task verdicts fold into one verdict,
 //!    per-task diagnostics concatenate in task order (deterministic —
 //!    [`crate::Report::render_stable`] is byte-identical at every `jobs`),
-//!    and per-worker [`CheckStats`] merge race-free at join.
+//!    and per-worker [`CheckStats`] and [`SolverEvents`] merge race-free at
+//!    join.
 
 use crate::checker::{
-    check_output_domains, select_outputs, with_stmt, CheckOptions, Checker, OutputDomains, Pos,
-    SharedBudget,
+    check_output_domains, select_outputs, unsupported_fragment, with_stmt, CheckOptions, Checker,
+    OutputDomains, Pos, SharedBudget,
 };
 use crate::context::{BudgetExhausted, CheckContext};
 use crate::diagnostics::{Diagnostic, DiagnosticKind};
@@ -43,7 +48,9 @@ use crate::normalize::{self, matching, FlatTerm};
 use crate::report::{CheckStats, Report, Verdict};
 use crate::Result;
 use arrayeq_addg::{Addg, Fingerprints, Node, OperatorKind};
-use arrayeq_omega::{current_feasibility_cache, with_feasibility_cache, Relation, Set};
+use arrayeq_omega::{
+    current_feasibility_cache, solver_events, with_feasibility_cache, Relation, Set, SolverEvents,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -68,13 +75,12 @@ pub fn inject_worker_panic_on_task(task_idx: Option<usize>) {
     PANIC_ON_TASK.store(task_idx.unwrap_or(usize::MAX), Ordering::SeqCst);
 }
 
-/// One-shot arming of synthetic solver-overflow injection: the next run
-/// (sequential) or worker drain (parallel) that observes the flag records
-/// one overflow event on its thread and disarms.
+/// One-shot arming of synthetic solver-overflow injection: the next worker
+/// drain that observes the flag records one overflow event and disarms.
 static INJECT_OVERFLOW: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Arms one synthetic solver-overflow event in the next verification.
-/// Test-only instrumentation for the degradation plumbing (flag harvest →
+/// Test-only instrumentation for the degradation plumbing (solver events →
 /// typed inconclusive verdict); genuine overflow behaviour is covered by
 /// the omega-level oracle corpus.
 #[doc(hidden)]
@@ -83,8 +89,8 @@ pub fn inject_arith_overflow_once() {
 }
 
 /// Consumes the overflow injection (if armed) by recording a synthetic
-/// event on the calling thread.
-pub(crate) fn consume_injected_overflow() {
+/// event in the calling thread's solver events.
+fn consume_injected_overflow() {
     if INJECT_OVERFLOW.swap(false, Ordering::SeqCst) {
         arrayeq_omega::inject_arith_overflow();
     }
@@ -112,11 +118,11 @@ enum TaskSlot {
 
 /// Reduction depth bound for the decomposition: expansion never recurses
 /// deeper than this many reduction steps below a root obligation, so the
-/// coordinator's sequential phase stays a small fraction of the run.
+/// coordinator's phase stays a small fraction of the run.
 const MAX_SPLIT_DEPTH: usize = 6;
 
 /// One decomposed sub-obligation, plus the coinductive assumptions the
-/// sequential traversal would have had installed when it reached this
+/// undecomposed traversal would have had installed when it reached this
 /// position.
 struct CheckTask {
     /// Index into the checked-outputs list (diagnostic stamping + ordering).
@@ -133,8 +139,8 @@ struct CheckTask {
 
 /// What one task proves.
 enum TaskKind {
-    /// A traversal obligation: exactly the argument tuple of the sequential
-    /// `check`.
+    /// A traversal obligation: exactly the argument tuple of
+    /// `Checker::check`.
     Traverse {
         pos_a: Pos,
         map_a: Relation,
@@ -181,8 +187,22 @@ impl CheckTask {
     }
 }
 
-/// The parallel counterpart of the sequential `Checker::run`, dispatched by
-/// [`crate::check`] when the effective job count exceeds one.
+/// What the coordinator settled for one output before any task runs.
+enum Prologue {
+    /// Skipped as baseline-clean ([`CheckContext::clean_outputs`]): no
+    /// domain check, no task, no verdict.
+    Clean,
+    /// The domains match; the output's tasks decide it.
+    Tasks,
+    /// The defined-element sets differ; this diagnostic refutes the output.
+    Mismatch(Diagnostic),
+    /// The domain check left the decidable fragment; the output's verdict
+    /// is withheld for this reason.
+    Unsupported(BudgetExhausted),
+}
+
+/// Runs one verification: the driver behind [`crate::check`] at every
+/// [`CheckOptions::jobs`] setting.
 pub(crate) fn check_parallel(
     a: &Addg,
     b: &Addg,
@@ -191,270 +211,171 @@ pub(crate) fn check_parallel(
     fps: Option<&(Fingerprints, Fingerprints)>,
 ) -> Result<Report> {
     let started = Instant::now();
-    // Clear any overflow residue an earlier run left on this thread, so the
-    // harvest after the merge attributes events to this run only.
-    let _ = arrayeq_omega::take_arith_overflow();
-    let overflow_base = arrayeq_omega::arith_overflow_events();
-    let subsumed_base = arrayeq_omega::conjuncts_subsumed_events();
-    let fallback_base = arrayeq_omega::bigint_fallback_events();
     let jobs = opts.effective_jobs();
     let outputs = select_outputs(a, b, opts)?;
 
-    // Phase 1: decompose.  Per output, either a domain-mismatch diagnostic
-    // (no traversal to run) or a root task, then split the root tasks until
-    // the pool has enough independent obligations.
-    // The run-wide budget exists from the very first phase: the algebraic
-    // expansion's flattening is real Omega work and flushes into the same
-    // counter the workers use, so `max_work` bounds the whole run.
+    // Phase 1: decompose.  The run-wide budget exists from the very first
+    // phase: the algebraic expansion's flattening is real Omega work and
+    // flushes into the same counter the workers use, so `max_work` bounds
+    // the whole run.  Every thread's share of the run is one solver-events
+    // scope, the coordinator's included.
     let budget = SharedBudget::default();
-    let mut prologue: Vec<Option<Diagnostic>> = Vec::with_capacity(outputs.len());
-    let mut tasks: Vec<CheckTask> = Vec::new();
-    let mut coordinator_stats = CheckStats::default();
-    let mut cone = 0u64;
-    let mut domain_hashes: Vec<(String, u64)> = Vec::new();
-    // First out-of-fragment obligation, if any: the affected output's verdict
-    // is withheld (typed inconclusive), mirroring the sequential path.
-    let mut fragment_reason: Option<BudgetExhausted> = None;
-    for (output_idx, output) in outputs.iter().enumerate() {
-        // Dirty-cone focus, mirroring the sequential path: baseline-clean
-        // outputs keep their prologue slot (so the merge stays positional)
-        // but contribute no domain check and no task.
-        if ctx.clean_outputs.contains(output) {
-            arrayeq_trace::event_with("output_clean", || {
-                vec![arrayeq_trace::s("output", output.clone())]
-            });
-            prologue.push(None);
-            continue;
-        }
-        cone += 1;
-        let domains = match check_output_domains(a, b, output) {
-            Ok(d) => d,
-            Err(e) => {
-                if let Some(reason) = crate::checker::unsupported_fragment(&e) {
-                    if fragment_reason.is_none() {
-                        fragment_reason = Some(reason);
-                    }
-                    prologue.push(None);
-                    continue;
-                }
-                return Err(e);
-            }
-        };
-        match domains {
-            OutputDomains::Mismatch(diag) => {
-                let mut diag = *diag;
-                diag.output_array = Some(output.clone());
-                prologue.push(Some(diag));
-            }
-            OutputDomains::Match(ea) => {
-                let id = Relation::identity_on(&ea);
-                domain_hashes.push((output.clone(), id.structural_hash()));
-                tasks.push(CheckTask {
-                    output_idx,
-                    trail_a: Vec::new(),
-                    trail_b: Vec::new(),
-                    assumptions: Vec::new(),
-                    depth: 0,
-                    kind: TaskKind::Traverse {
-                        pos_a: Pos::Array(output.clone()),
-                        map_a: id.clone(),
-                        pos_b: Pos::Array(output.clone()),
-                        map_b: id,
-                    },
-                });
-                prologue.push(None);
-            }
-        }
-    }
-    expand_tasks(
-        &mut tasks,
-        jobs,
-        jobs * TASKS_PER_WORKER,
-        a,
-        b,
-        opts,
-        ctx,
-        &budget,
-        &mut coordinator_stats,
-    )?;
-    if !ctx.clean_outputs.is_empty() {
-        coordinator_stats.cone_positions = cone;
-    }
-    coordinator_stats.parallel_tasks = tasks.len() as u64;
-    coordinator_stats.algebraic_piece_tasks = tasks
-        .iter()
-        .filter(|t| matches!(t.kind, TaskKind::MatchPiece { .. }))
-        .count() as u64;
+    let mut stats = CheckStats::default();
+    let (decomposed, mut events) =
+        solver_events(|| decompose(a, b, opts, ctx, &outputs, jobs, &budget, &mut stats));
+    let (prologue, tasks, domain_hashes) = decomposed?;
 
-    // Phase 2: the worker pool.  Workers steal tasks off the shared cursor;
-    // every worker re-installs the caller's session feasibility cache so
-    // verdicts computed on one worker are visible to all of them.
-    //
-    // Every task runs under `catch_unwind`: a panicking task poisons only
-    // its own obligation (its slot records the payload; the merge turns it
-    // into a typed [`DiagnosticKind::WorkerPanicked`] inconclusive), and the
-    // worker *quarantines* its local state by discarding the whole `Checker`
-    // — term arena, tabling cache, coinductive assumptions, buffered
+    // Phase 2: the workers.  Every task runs under `catch_unwind`: a
+    // panicking task poisons only its own obligation (its slot records the
+    // payload; the merge turns it into a typed
+    // [`DiagnosticKind::WorkerPanicked`] inconclusive), and the worker
+    // *quarantines* its local state by discarding the whole `Checker` —
+    // term arena, tabling cache, coinductive assumptions, buffered
     // diagnostics could all be mid-mutation — and continuing on a fresh one.
     // The *shared* tables need no rollback: the session feasibility cache
     // and the engine's equivalence table only ever receive completed
     // verdicts in a single `put`, so an unwound task has published either
     // nothing or a finished entry, never partial state.
-    let cache = current_feasibility_cache();
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<TaskSlot>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-    let merged_worker_stats: Mutex<CheckStats> = Mutex::new(CheckStats::default());
-    let workers = jobs.min(tasks.len()).max(1);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            // Shadow the shared state as references so the closure can be
-            // `move` (capturing the per-worker id) without moving the data.
-            let (tasks, slots, next, budget, merged_worker_stats, cache, outputs) = (
-                &tasks,
-                &slots,
-                &next,
-                &budget,
-                &merged_worker_stats,
-                &cache,
-                &outputs,
-            );
-            scope.spawn(move || {
-                // Worker lanes are 1-based; 0 is the coordinator thread.
-                arrayeq_trace::set_worker((w + 1) as u32);
-                let drain_queue = || {
-                    let overflow_base = arrayeq_omega::arith_overflow_events();
-                    let _ = arrayeq_omega::take_arith_overflow();
-                    let subsumed_base = arrayeq_omega::conjuncts_subsumed_events();
-                    let fallback_base = arrayeq_omega::bigint_fallback_events();
-                    consume_injected_overflow();
-                    let mut worker = Checker::new(a, b, opts, ctx, fps, Some(budget));
-                    let mut stats = CheckStats::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(i) else { break };
-                        if PANIC_ON_TASK
-                            .compare_exchange(i, usize::MAX, Ordering::SeqCst, Ordering::SeqCst)
-                            .is_ok()
-                        {
-                            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) =
-                                Some(TaskSlot::Panicked("injected worker panic".to_owned()));
-                            continue;
-                        }
-                        let _span = arrayeq_trace::span_with("task", || {
-                            vec![
-                                arrayeq_trace::s("output", outputs[task.output_idx].clone()),
-                                arrayeq_trace::s(
-                                    "kind",
-                                    match &task.kind {
-                                        TaskKind::Traverse { .. } => "traverse",
-                                        TaskKind::MatchPiece { .. } => "match_piece",
-                                    },
-                                ),
-                            ]
-                        });
-                        let outcome = catch_unwind(AssertUnwindSafe(|| match &task.kind {
-                            TaskKind::Traverse {
-                                pos_a,
-                                map_a,
-                                pos_b,
-                                map_b,
-                            } => worker.run_task(
-                                pos_a.clone(),
-                                map_a.clone(),
-                                pos_b.clone(),
-                                map_b.clone(),
-                                &task.trail_a,
-                                &task.trail_b,
-                                &task.assumptions,
-                            ),
-                            TaskKind::MatchPiece {
-                                family,
-                                live_a,
-                                live_b,
-                                piece,
-                            } => worker.run_match_task(
-                                family,
-                                live_a,
-                                live_b,
-                                piece,
-                                &task.trail_a,
-                                &task.trail_b,
-                                &task.assumptions,
-                            ),
-                        }));
-                        let slot = match outcome {
-                            Ok(done) => TaskSlot::Done(done),
-                            Err(payload) => {
-                                // Quarantine: the unwound checker's local
-                                // state is untrusted — replace it wholesale
-                                // (keeping only its counters, which are
-                                // volatile and excluded from stable output).
-                                let poisoned = std::mem::replace(
-                                    &mut worker,
-                                    Checker::new(a, b, opts, ctx, fps, Some(budget)),
-                                );
-                                stats.merge(&poisoned.into_stats());
-                                TaskSlot::Panicked(panic_message(payload))
-                            }
-                        };
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(slot);
-                    }
-                    stats.merge(&worker.into_stats());
-                    stats.conjuncts_subsumed +=
-                        arrayeq_omega::conjuncts_subsumed_events() - subsumed_base;
-                    stats.bigint_fallbacks +=
-                        arrayeq_omega::bigint_fallback_events() - fallback_base;
-                    if arrayeq_omega::take_arith_overflow() {
-                        budget.note_overflow_events(
-                            arrayeq_omega::arith_overflow_events() - overflow_base,
+    let drained = Mutex::new((CheckStats::default(), SolverEvents::default()));
+    let drain = || {
+        let (worker_stats, worker_events) = solver_events(|| {
+            consume_injected_overflow();
+            let mut worker = Checker::new(a, b, opts, ctx, fps, &budget);
+            let mut stats = CheckStats::default();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(task) = tasks.get(i) else { break };
+                if PANIC_ON_TASK
+                    .compare_exchange(i, usize::MAX, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+                {
+                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) =
+                        Some(TaskSlot::Panicked("injected worker panic".to_owned()));
+                    continue;
+                }
+                let _span = arrayeq_trace::span_with("task", || {
+                    vec![
+                        arrayeq_trace::s("output", outputs[task.output_idx].clone()),
+                        arrayeq_trace::s(
+                            "kind",
+                            match &task.kind {
+                                TaskKind::Traverse { .. } => "traverse",
+                                TaskKind::MatchPiece { .. } => "match_piece",
+                            },
+                        ),
+                    ]
+                });
+                let outcome = catch_unwind(AssertUnwindSafe(|| match &task.kind {
+                    TaskKind::Traverse {
+                        pos_a,
+                        map_a,
+                        pos_b,
+                        map_b,
+                    } => worker.run_task(
+                        pos_a.clone(),
+                        map_a.clone(),
+                        pos_b.clone(),
+                        map_b.clone(),
+                        &task.trail_a,
+                        &task.trail_b,
+                        &task.assumptions,
+                    ),
+                    TaskKind::MatchPiece {
+                        family,
+                        live_a,
+                        live_b,
+                        piece,
+                    } => worker.run_match_task(
+                        family,
+                        live_a,
+                        live_b,
+                        piece,
+                        &task.trail_a,
+                        &task.trail_b,
+                        &task.assumptions,
+                    ),
+                }));
+                let slot = match outcome {
+                    Ok(done) => TaskSlot::Done(done),
+                    Err(payload) => {
+                        // Quarantine: the unwound checker's local state is
+                        // untrusted — replace it wholesale (keeping only its
+                        // counters, which are volatile and excluded from
+                        // stable output).
+                        let poisoned = std::mem::replace(
+                            &mut worker,
+                            Checker::new(a, b, opts, ctx, fps, &budget),
                         );
+                        stats.merge(&poisoned.into_stats());
+                        TaskSlot::Panicked(panic_message(payload))
                     }
-                    stats
                 };
-                let stats = match &cache {
-                    Some(c) => with_feasibility_cache(c.clone(), drain_queue),
-                    None => drain_queue(),
-                };
-                merged_worker_stats
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .merge(&stats);
-            });
-        }
-    });
+                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(slot);
+            }
+            stats.merge(&worker.into_stats());
+            stats
+        });
+        let mut drained = drained.lock().unwrap_or_else(PoisonError::into_inner);
+        drained.0.merge(&worker_stats);
+        drained.1.merge(worker_events);
+    };
+    let workers = jobs.min(tasks.len()).max(1);
+    if workers == 1 {
+        drain();
+    } else {
+        // Spawned workers re-install the caller's session feasibility cache
+        // so verdicts computed on one worker are visible to all of them.
+        let cache = current_feasibility_cache();
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                let (drain, cache) = (&drain, &cache);
+                scope.spawn(move || {
+                    // Worker lanes are 1-based; 0 is the coordinator thread.
+                    arrayeq_trace::set_worker((w + 1) as u32);
+                    match cache {
+                        Some(c) => with_feasibility_cache(c.clone(), drain),
+                        None => drain(),
+                    }
+                });
+            }
+        });
+    }
 
     // Phase 3: deterministic merge.  Diagnostics concatenate in unit order
     // (per output: prologue first, then its tasks in decomposition order),
-    // which is exactly the sequential traversal's emission order; task
-    // verdicts conjoin; the first pipeline error in task order wins.
-    let mut stats = coordinator_stats;
-    stats.merge(
-        &merged_worker_stats
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner),
-    );
-    // Coordinator-side Omega work (flattening during decomposition) reports
-    // overflow through the same thread-local flag the workers harvest, and
-    // its DNF-engine events through the same monotonic counters.
-    stats.conjuncts_subsumed += arrayeq_omega::conjuncts_subsumed_events() - subsumed_base;
-    stats.bigint_fallbacks += arrayeq_omega::bigint_fallback_events() - fallback_base;
-    if arrayeq_omega::take_arith_overflow() {
-        budget.note_overflow_events(arrayeq_omega::arith_overflow_events() - overflow_base);
-    }
+    // which is exactly one traversal's emission order; task verdicts
+    // conjoin; the first pipeline error in task order wins.
+    let (worker_stats, worker_events) =
+        drained.into_inner().unwrap_or_else(PoisonError::into_inner);
+    stats.merge(&worker_stats);
+    events.merge(worker_events);
+    stats.conjuncts_subsumed += events.conjuncts_subsumed;
+    stats.bigint_fallbacks += events.bigint_fallbacks;
     let mut results: Vec<Option<TaskSlot>> = slots
         .into_iter()
         .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect();
     let mut all_ok = true;
+    // The first out-of-fragment obligation and the first panic, if any: the
+    // affected output's verdict is withheld (typed inconclusive).
+    let mut fragment_reason: Option<BudgetExhausted> = None;
     let mut first_panic: Option<String> = None;
     let mut diagnostics = Vec::new();
-    for (output_idx, output) in outputs.iter().enumerate() {
-        let skipped_clean = ctx.clean_outputs.contains(output);
+    for (output_idx, (output, settled)) in outputs.iter().zip(prologue).enumerate() {
         let mut output_ok = true;
-        if let Some(diag) = prologue[output_idx].take() {
-            diagnostics.push(diag);
-            all_ok = false;
-            output_ok = false;
+        match settled {
+            Prologue::Clean => continue,
+            Prologue::Tasks => {}
+            Prologue::Mismatch(diag) => {
+                diagnostics.push(diag);
+                output_ok = false;
+            }
+            Prologue::Unsupported(reason) => {
+                fragment_reason.get_or_insert(reason);
+                output_ok = false;
+            }
         }
         for (i, task) in tasks.iter().enumerate() {
             if task.output_idx != output_idx {
@@ -464,28 +385,16 @@ pub(crate) fn check_parallel(
                 .take()
                 .expect("every task slot is filled by a worker");
             match outcome {
-                TaskSlot::Done(done) => {
-                    let (ok, mut task_diags) = match done {
-                        Ok(v) => v,
-                        Err(e) => {
-                            if let Some(reason) = crate::checker::unsupported_fragment(&e) {
-                                if fragment_reason.is_none() {
-                                    fragment_reason = Some(reason);
-                                }
-                                output_ok = false;
-                                continue;
-                            }
-                            return Err(e);
-                        }
-                    };
-                    for d in &mut task_diags {
-                        if d.output_array.is_none() {
-                            d.output_array = Some(output.clone());
-                        }
-                    }
-                    diagnostics.extend(task_diags);
-                    all_ok &= ok;
+                TaskSlot::Done(Ok((ok, task_diags))) => {
+                    diagnostics.extend(task_diags.into_iter().map(|mut d| {
+                        d.output_array.get_or_insert_with(|| output.clone());
+                        d
+                    }));
                     output_ok &= ok;
+                }
+                TaskSlot::Done(Err(e)) => {
+                    fragment_reason.get_or_insert(unsupported_fragment(&e).ok_or(e)?);
+                    output_ok = false;
                 }
                 TaskSlot::Panicked(message) => {
                     // The obligation is poisoned, not refuted: it neither
@@ -505,25 +414,27 @@ pub(crate) fn check_parallel(
                         ),
                         failing_domain: None,
                     });
-                    if first_panic.is_none() {
-                        first_panic = Some(message);
-                    }
+                    first_panic.get_or_insert(message);
+                    output_ok = false;
                 }
             }
         }
-        if !skipped_clean {
-            arrayeq_trace::event_with("output_verdict", || {
-                vec![
-                    arrayeq_trace::s("output", output.clone()),
-                    arrayeq_trace::b("ok", output_ok),
-                ]
-            });
-        }
+        all_ok &= output_ok;
+        arrayeq_trace::event_with("output_verdict", || {
+            vec![
+                arrayeq_trace::s("output", output.clone()),
+                arrayeq_trace::b("ok", output_ok),
+            ]
+        });
     }
-    let overflow_events = budget.overflow_events();
+    // A degraded solver answer that still stands means the verdict would
+    // rest on a weakened constraint system, so it is withheld as
+    // inconclusive rather than risked — never silently wrapped, never
+    // panicked.  Overflow does not wind the pool down (unlike a budget trip,
+    // the remaining obligations still produce their diagnostics).
     let verdict = if budget.is_exhausted()
         || first_panic.is_some()
-        || overflow_events > 0
+        || events.degraded
         || fragment_reason.is_some()
     {
         Verdict::Inconclusive
@@ -533,20 +444,20 @@ pub(crate) fn check_parallel(
         Verdict::NotEquivalent
     };
     stats.check_time_us = started.elapsed().as_micros() as u64;
-    let output_fingerprints = crate::checker::output_fingerprints(&outputs, fps);
+    let output_fingerprints = match fps {
+        Some((fa, fb)) => outputs
+            .iter()
+            .map(|o| (o.clone(), fa.array(o), fb.array(o)))
+            .collect(),
+        None => Vec::new(),
+    };
     let budget_exhausted = budget
         .take_reason()
-        // Fragment before panic/overflow: the sequential path records the
-        // out-of-fragment reason at the moment it occurs, before the
-        // end-of-run overflow harvest, so this order keeps `render_stable`
-        // identical at every jobs count.
         .or(fragment_reason)
         .or(first_panic.map(|message| BudgetExhausted::WorkerPanicked { message }))
-        .or(
-            (overflow_events > 0).then_some(BudgetExhausted::ArithOverflow {
-                events: overflow_events,
-            }),
-        );
+        .or(events.degraded.then_some(BudgetExhausted::ArithOverflow {
+            events: events.overflow_events,
+        }));
     Ok(Report {
         verdict,
         diagnostics,
@@ -559,10 +470,96 @@ pub(crate) fn check_parallel(
     })
 }
 
+/// Phase 1 of a run: per output, the domain check inside the output's
+/// `output` trace span and, when the domains match, the output's root task.
+/// With more than one job the root tasks are then split until the pool has
+/// enough independent obligations.  Returns each output's [`Prologue`], the
+/// tasks and the domain hashes of the matched outputs.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+fn decompose(
+    a: &Addg,
+    b: &Addg,
+    opts: &CheckOptions,
+    ctx: &CheckContext<'_>,
+    outputs: &[String],
+    jobs: usize,
+    budget: &SharedBudget,
+    stats: &mut CheckStats,
+) -> Result<(Vec<Prologue>, Vec<CheckTask>, Vec<(String, u64)>)> {
+    let mut prologue = Vec::with_capacity(outputs.len());
+    let mut tasks = Vec::new();
+    let mut domain_hashes = Vec::new();
+    let mut cone = 0u64;
+    for (output_idx, output) in outputs.iter().enumerate() {
+        // Dirty-cone focus: outputs the caller proved clean against a
+        // baseline keep their prologue slot (so the merge stays positional)
+        // but get no domain check, no task and no diagnostics — exactly what
+        // a from-scratch run in which they succeed silently looks like.
+        if ctx.clean_outputs.contains(output) {
+            arrayeq_trace::event_with("output_clean", || {
+                vec![arrayeq_trace::s("output", output.clone())]
+            });
+            prologue.push(Prologue::Clean);
+            continue;
+        }
+        cone += 1;
+        let _span = arrayeq_trace::span_with("output", || {
+            vec![arrayeq_trace::s("output", output.clone())]
+        });
+        prologue.push(match check_output_domains(a, b, output) {
+            Ok(OutputDomains::Mismatch(diag)) => Prologue::Mismatch(Diagnostic {
+                output_array: Some(output.clone()),
+                ..*diag
+            }),
+            Ok(OutputDomains::Match(ea)) => {
+                let id = Relation::identity_on(&ea);
+                domain_hashes.push((output.clone(), id.structural_hash()));
+                tasks.push(CheckTask {
+                    output_idx,
+                    trail_a: Vec::new(),
+                    trail_b: Vec::new(),
+                    assumptions: Vec::new(),
+                    depth: 0,
+                    kind: TaskKind::Traverse {
+                        pos_a: Pos::Array(output.clone()),
+                        map_a: id.clone(),
+                        pos_b: Pos::Array(output.clone()),
+                        map_b: id,
+                    },
+                });
+                Prologue::Tasks
+            }
+            Err(e) => Prologue::Unsupported(unsupported_fragment(&e).ok_or(e)?),
+        });
+    }
+    if !ctx.clean_outputs.is_empty() {
+        stats.cone_positions = cone;
+    }
+    if jobs > 1 {
+        expand_tasks(
+            &mut tasks,
+            jobs,
+            jobs * TASKS_PER_WORKER,
+            a,
+            b,
+            opts,
+            ctx,
+            budget,
+            stats,
+        )?;
+        stats.parallel_tasks = tasks.len() as u64;
+        stats.algebraic_piece_tasks = tasks
+            .iter()
+            .filter(|t| matches!(t.kind, TaskKind::MatchPiece { .. }))
+            .count() as u64;
+    }
+    Ok((prologue, tasks, domain_hashes))
+}
+
 /// Splits tasks until at least `target` of them exist (or nothing safely
 /// expandable remains).  The shallowest expandable task is split first, so
 /// every output contributes obligations before any one chain is split deep;
-/// children are spliced in place of their parent, preserving the sequential
+/// children are spliced in place of their parent, preserving the
 /// traversal's depth-first diagnostic order.
 #[allow(clippy::too_many_arguments)]
 fn expand_tasks(
@@ -606,8 +603,8 @@ fn expand_tasks(
     Ok(())
 }
 
-/// Splits one task a single reduction step, mirroring exactly what the
-/// sequential `check` would do at that position — or `None` when the
+/// Splits one task a single reduction step, mirroring exactly what
+/// `Checker::check` would do at that position — or `None` when the
 /// position must be proven whole (leaf comparisons, positions under an
 /// already-installed matching assumption, operand-count mismatches that
 /// must produce their diagnostic inside a worker).  Algebraic flatten/match
@@ -710,7 +707,7 @@ fn expand_one(
                     return Ok(None);
                 }
             }
-            // Under an assumption for this very pair the sequential check
+            // Under an assumption for this very pair the traversal
             // consults the assumed element pairs before reducing; leave that
             // decision to a worker.
             if task
@@ -722,7 +719,7 @@ fn expand_one(
             }
             if !a.is_input(va) {
                 // Mirror of `reduce_side_a`, with the recurrence assumption
-                // the sequential reduction installs around its children.
+                // the reduction installs around its children.
                 let pairs = map_a.inverse().compose(map_b)?;
                 let mut assumptions = task.assumptions.clone();
                 assumptions.push(((va.clone(), vb.clone()), pairs));
@@ -822,7 +819,7 @@ fn expand_one(
 
 /// Splits one flatten/match obligation into per-region-piece tasks: the
 /// coordinator replays the *flattening* (compositions and restrictions, no
-/// proving — the same work the sequential traversal performs before its
+/// proving — the same work the traversal performs before its
 /// first match) and restricts the term lists per piece; each piece's match
 /// is an independent sub-obligation for the pool, and the coordinator's
 /// flatten is reused even for single-region chains.  `None` only when a
@@ -848,7 +845,7 @@ fn expand_algebraic(
     // The scratch checker accounts against the run-wide budget: its visit
     // counts flush into the same shared counter the workers use, so
     // coordinator-side flattening cannot exceed `max_work` unbounded.
-    let mut scratch = Checker::new(a, b, opts, ctx, None, Some(budget));
+    let mut scratch = Checker::new(a, b, opts, ctx, None, budget);
     scratch.stats.flattenings += 1;
     let full = map_a.domain();
     let mut terms_a = Vec::new();

@@ -67,8 +67,8 @@ pub struct CheckStats {
     pub fast_term_matches: u64,
     /// Term pairs answered by the matched-pair memo.
     pub term_memo_hits: u64,
-    /// Tasks a parallel run's coordinator decomposed the root obligation
-    /// into (0 on the sequential path).
+    /// Tasks a run's coordinator decomposed the root obligation into (0 at
+    /// one job: each output's root obligation then runs whole).
     pub parallel_tasks: u64,
     /// How many of those tasks were per-piece algebraic match obligations
     /// emitted from inside a flatten/match position (0 when every algebraic
@@ -97,12 +97,14 @@ pub struct CheckStats {
     pub baseline_hits: u64,
     /// Conjuncts dropped by the DNF constraint-set engine during this check —
     /// structural-hash duplicates plus conjuncts subsumed by a sibling
-    /// disjunct (see `arrayeq_omega::conjuncts_subsumed_events`).
+    /// disjunct (`arrayeq_omega::SolverEvents::conjuncts_subsumed`, summed
+    /// over every thread of the run).
     pub conjuncts_subsumed: u64,
-    /// Conjunct feasibility questions that tripped the checked-arithmetic
-    /// overflow flag and were re-decided *exactly* by the big-int reference
-    /// solver instead of surfacing a degraded verdict (see
-    /// `arrayeq_omega::bigint_fallback_events`).
+    /// Conjunct feasibility questions whose checked arithmetic overflowed
+    /// and that were re-decided *exactly* by the big-int reference solver
+    /// instead of surfacing a degraded verdict
+    /// (`arrayeq_omega::SolverEvents::bigint_fallbacks`, summed over every
+    /// thread of the run).
     pub bigint_fallbacks: u64,
     /// Wall-clock time of the equivalence check itself, in microseconds.
     pub check_time_us: u64,

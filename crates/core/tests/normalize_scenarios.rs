@@ -104,7 +104,7 @@ fn parallel_decomposition_splits_algebraic_pieces() {
     assert_eq!(seq.render_stable(), par.render_stable());
     assert_eq!(
         seq.stats.parallel_tasks, 0,
-        "sequential runs do not decompose"
+        "one-worker runs do not decompose"
     );
     assert!(
         par.stats.algebraic_piece_tasks > 1,

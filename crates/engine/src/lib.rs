@@ -343,7 +343,7 @@ impl VerifierBuilder {
     /// and executed by a scoped worker pool of this width (shorthand for
     /// [`CheckOptions::jobs`] via [`Self::options`]).
     ///
-    /// `1` (the default) keeps each request strictly sequential; `0` uses
+    /// `1` (the default) runs each request on the calling thread; `0` uses
     /// all available parallelism.  The workers of one request share this
     /// engine's cross-query equivalence table and feasibility cache, so
     /// sub-proofs established by one worker discharge identical obligations

@@ -1,21 +1,19 @@
-//! Guarantees of the intra-query parallel checker:
+//! Guarantees of the checking driver at every worker count:
 //!
 //! * **Determinism** — the same request at `jobs = 1, 2, 8` yields identical
 //!   verdicts and a byte-identical stable rendering
 //!   ([`Report::render_stable`]) across the Fig. 1 corpus, the
 //!   fault-injection corpus and generated (including wide multi-output)
 //!   kernels;
-//! * **Stats consistency** — `jobs = 1` takes the sequential path and
-//!   reproduces the plain sequential run's counters exactly; merged
-//!   parallel counters respect the same internal identities;
+//! * **Stats consistency** — one-worker runs are deterministic down to
+//!   their counters (two runs give identical [`CheckStats`] apart from
+//!   time); merged counters of a pool respect the same internal identities;
 //! * **Cache sharing** — the workers of one parallel engine query feed the
 //!   session's shared feasibility memo and equivalence table across
-//!   threads (the PR3 session snapshot showed `feasibility_hits: 0`: the
-//!   shared level was dead weight behind the thread-local memo — now the
-//!   memo is scoped per installed cache and a single parallel query
-//!   produces cross-thread hits).
+//!   threads (the thread-local memo is scoped per installed cache, so a
+//!   single parallel query produces cross-thread hits).
 
-use arrayeq_core::{check, lower, CheckContext, CheckOptions, Report, Result};
+use arrayeq_core::{check, lower, CheckContext, CheckOptions, CheckStats, Report, Result};
 use arrayeq_engine::{Verifier, VerifyRequest};
 use arrayeq_lang::ast::Program;
 use arrayeq_lang::corpus::{FIG1_A, FIG1_B, FIG1_C, FIG1_D, KERNELS};
@@ -94,19 +92,22 @@ fn same_request_at_jobs_1_2_8_renders_byte_identically() {
 }
 
 #[test]
-fn jobs_1_reproduces_the_sequential_counters_exactly() {
-    // jobs = 1 must take the sequential path: not just the same verdict but
-    // the identical CheckStats (the counters are deterministic there).
+fn one_worker_runs_repeat_their_counters_exactly() {
+    // With one worker nothing is scheduled: two runs of the same request
+    // give not just the same verdict but identical CheckStats, time aside.
+    let counters = |pa: &Program, pb: &Program| -> CheckStats {
+        let report = check_programs(pa, pb, &CheckOptions::default().with_jobs(1)).unwrap();
+        CheckStats {
+            check_time_us: 0,
+            ..report.stats
+        }
+    };
     for (a, b) in [(FIG1_A, FIG1_C), (FIG1_A, FIG1_D)] {
         let pa = parse_program(a).unwrap();
         let pb = parse_program(b).unwrap();
-        let seq = check_programs(&pa, &pb, &CheckOptions::default()).unwrap();
-        let one = check_programs(&pa, &pb, &CheckOptions::default().with_jobs(1)).unwrap();
-        let mut seq_stats = seq.stats;
-        let mut one_stats = one.stats;
-        seq_stats.check_time_us = 0;
-        one_stats.check_time_us = 0;
-        assert_eq!(seq_stats, one_stats);
+        let first = counters(&pa, &pb);
+        assert_eq!(first.parallel_tasks, 0, "one worker does not decompose");
+        assert_eq!(first, counters(&pa, &pb));
     }
 }
 
@@ -140,7 +141,7 @@ fn merged_parallel_counters_respect_the_internal_identities() {
 
 #[test]
 fn repeated_chains_hit_the_local_table_without_collisions() {
-    // The rename-invariant keys unify the repeated chains, so a sequential
+    // The rename-invariant keys unify the repeated chains, so a one-worker
     // run gets local table hits; debug builds cross-check each hit against
     // the canonical renderings of the stored mappings.
     let original = generate_kernel(&GeneratorConfig {

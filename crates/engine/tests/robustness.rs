@@ -2,14 +2,16 @@
 //! must degrade to *typed inconclusive* verdicts — never a wrong verdict,
 //! never a crash, never a poisoned session.
 //!
-//! * A panicking parallel worker poisons only its own obligation: the run
-//!   reports `Inconclusive` with a [`BudgetExhausted::WorkerPanicked`]
-//!   reason and a [`DiagnosticKind::WorkerPanicked`] diagnostic naming the
-//!   output, and the session's shared tables stay usable — the next verify
-//!   on the *same* engine is byte-identical to a fresh engine's.
-//! * Solver arithmetic that would exceed `i64` trips a sticky overflow flag
-//!   harvested into [`BudgetExhausted::ArithOverflow`]; the verdict is
-//!   withheld rather than silently wrong.
+//! * A panicking worker poisons only its own obligation, with one worker as
+//!   with many: the run reports `Inconclusive` with a
+//!   [`BudgetExhausted::WorkerPanicked`] reason and a
+//!   [`DiagnosticKind::WorkerPanicked`] diagnostic naming the output, and
+//!   the session's shared tables stay usable — the next verify on the
+//!   *same* engine is byte-identical to a fresh engine's.
+//! * Solver arithmetic that would exceed `i64` leaves a degraded answer in
+//!   the run's solver events, reported as
+//!   [`BudgetExhausted::ArithOverflow`]; the verdict is withheld rather than
+//!   silently wrong.
 
 use arrayeq_core::{
     check, inject_worker_panic_on_task, lower, BudgetExhausted, CheckContext, CheckOptions,
@@ -58,8 +60,14 @@ fn wide_pair() -> (Program, Program) {
 #[test]
 fn injected_worker_panic_poisons_only_its_obligation() {
     let _guard = INJECTION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for jobs in [1usize, 4] {
+        panic_poisons_only_its_obligation(jobs);
+    }
+}
+
+fn panic_poisons_only_its_obligation(jobs: usize) {
     let (original, transformed) = wide_pair();
-    let opts = CheckOptions::default().with_jobs(4);
+    let opts = CheckOptions::default().with_jobs(jobs);
 
     // Uninjected baseline: the pair is equivalent.
     let clean = check_programs(&original, &transformed, &opts).unwrap();
@@ -72,7 +80,7 @@ fn injected_worker_panic_poisons_only_its_obligation() {
     assert_eq!(
         poisoned.verdict,
         Verdict::Inconclusive,
-        "a panicked obligation neither proves nor refutes: {}",
+        "jobs={jobs}: a panicked obligation neither proves nor refutes: {}",
         poisoned.summary()
     );
     match &poisoned.budget_exhausted {
@@ -82,7 +90,7 @@ fn injected_worker_panic_poisons_only_its_obligation() {
                 "reason carries the panic payload: {message}"
             )
         }
-        other => panic!("expected WorkerPanicked reason, got {other:?}"),
+        other => panic!("jobs={jobs}: expected WorkerPanicked reason, got {other:?}"),
     }
     let panic_diags: Vec<_> = poisoned
         .diagnostics
@@ -92,7 +100,7 @@ fn injected_worker_panic_poisons_only_its_obligation() {
     assert_eq!(
         panic_diags.len(),
         1,
-        "exactly the injected task is poisoned: {:?}",
+        "jobs={jobs}: exactly the injected task is poisoned: {:?}",
         poisoned.diagnostics
     );
     assert!(
@@ -103,7 +111,7 @@ fn injected_worker_panic_poisons_only_its_obligation() {
     // The injection is one-shot: the very next run is clean and
     // byte-identical to the baseline.
     let healed = check_programs(&original, &transformed, &opts).unwrap();
-    assert_eq!(clean.render_stable(), healed.render_stable());
+    assert_eq!(clean.render_stable(), healed.render_stable(), "jobs={jobs}");
 }
 
 #[test]

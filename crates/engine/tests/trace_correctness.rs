@@ -12,16 +12,21 @@
 //! Trace state (collector, metrics registry, worker ids) is process-global,
 //! so every test here serializes on one mutex — and they all live in this
 //! one integration-test binary so no other test process observes an
-//! installed collector.
+//! installed collector.  The mutex is recovered from poisoning, so one
+//! failing test does not fail the others too.
 
 use arrayeq_engine::{JsonValue, Verifier, VerifyRequest};
 use arrayeq_lang::corpus::{FIG1_A, FIG1_B, FIG1_C, FIG1_D};
 use arrayeq_trace::{Collector, Event, Phase};
 use arrayeq_transform::mutate::fault_corpus;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 static LOCK: Mutex<()> = Mutex::new(());
+
+fn serialize() -> MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Runs one request on a fresh engine and returns `(render_stable,
 /// verdict)` plus the collector when `traced`.
@@ -71,7 +76,7 @@ fn corpus() -> Vec<(String, VerifyRequest)> {
 /// Both serializations of every recorded run must also be well-formed.
 #[test]
 fn tracing_never_changes_reports_at_any_job_count() {
-    let _g = LOCK.lock().unwrap();
+    let _g = serialize();
     for (name, request) in corpus() {
         for jobs in [1usize, 8] {
             let (stable_off, verdict_off, _) = run_once(&request, jobs, false);
@@ -110,56 +115,77 @@ fn tracing_never_changes_reports_at_any_job_count() {
 }
 
 /// Every JSONL line parses, carries the required keys, and span open/close
-/// events balance per worker lane — on a parallel run with real worker
-/// lanes in the stream.
+/// events balance per worker lane.  One worker runs on the calling thread,
+/// so its whole stream is on lane 0; at eight the stream has real worker
+/// lanes.
 #[test]
 fn jsonl_wellformed_and_spans_balance_per_worker() {
-    let _g = LOCK.lock().unwrap();
-    let collector = Arc::new(Collector::new());
-    let verifier = Verifier::builder()
-        .jobs(8)
-        .trace_sink(collector.clone())
-        .build();
-    verifier
-        .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
-        .unwrap();
-    arrayeq_trace::uninstall();
+    let _g = serialize();
+    for jobs in [1usize, 8] {
+        let collector = Arc::new(Collector::new());
+        let verifier = Verifier::builder()
+            .jobs(jobs)
+            .trace_sink(collector.clone())
+            .build();
+        verifier
+            .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
+            .unwrap();
+        arrayeq_trace::uninstall();
 
-    let jsonl = collector.to_jsonl();
-    assert!(!jsonl.is_empty());
-    let mut depth: HashMap<i64, i64> = HashMap::new();
-    for line in jsonl.lines() {
-        let v = JsonValue::parse(line).expect("line parses");
-        let worker = v.get("worker").and_then(|w| w.as_i64()).expect("worker");
-        let ph = v.get("ph").and_then(|p| p.as_str()).expect("ph");
-        assert!(v.get("ts").and_then(|t| t.as_i64()).is_some(), "ts");
-        assert!(v.get("name").and_then(|n| n.as_str()).is_some(), "name");
-        match ph {
-            "B" => *depth.entry(worker).or_insert(0) += 1,
-            "E" => {
-                let d = depth.entry(worker).or_insert(0);
-                *d -= 1;
-                assert!(*d >= 0, "close without open on worker {worker}");
-                assert!(v.get("dur").and_then(|t| t.as_i64()).is_some(), "dur");
+        let jsonl = collector.to_jsonl();
+        assert!(!jsonl.is_empty());
+        let mut depth: HashMap<i64, i64> = HashMap::new();
+        for line in jsonl.lines() {
+            let v = JsonValue::parse(line).expect("line parses");
+            let worker = v.get("worker").and_then(|w| w.as_i64()).expect("worker");
+            let ph = v.get("ph").and_then(|p| p.as_str()).expect("ph");
+            assert!(v.get("ts").and_then(|t| t.as_i64()).is_some(), "ts");
+            assert!(v.get("name").and_then(|n| n.as_str()).is_some(), "name");
+            let d = depth.entry(worker).or_insert(0);
+            match ph {
+                "B" => *d += 1,
+                "E" => {
+                    *d -= 1;
+                    assert!(*d >= 0, "close without open on worker {worker}");
+                    assert!(v.get("dur").and_then(|t| t.as_i64()).is_some(), "dur");
+                }
+                "i" => {}
+                other => panic!("unexpected phase {other}"),
             }
-            "i" => {}
-            other => panic!("unexpected phase {other}"),
         }
-    }
-    for (worker, d) in depth {
-        assert_eq!(d, 0, "worker {worker} ended with {d} unclosed spans");
+        let mut lanes: Vec<i64> = depth.keys().copied().collect();
+        lanes.sort_unstable();
+        if jobs == 1 {
+            assert_eq!(lanes, [0], "one worker spawns no thread");
+        } else {
+            assert!(lanes.len() > 1, "jobs={jobs}: worker lanes {lanes:?}");
+        }
+        for (worker, d) in depth {
+            assert_eq!(d, 0, "worker {worker} ended with {d} unclosed spans");
+        }
     }
 }
 
-/// A fault-injected mutant's trace names the failing output: the stream
-/// carries its `output_verdict` (ok=false) and at least one provenance /
-/// span event attributed to that output.
+/// A fault-injected mutant's trace names the failing output at every job
+/// count: the stream carries its `output_verdict` (ok=false) and at least
+/// one provenance / span event attributed to that output.  The first
+/// mutant fails on an output-domain mismatch, which no task ever sees, so
+/// the coordinator's `output` span is what names it.
 #[test]
 fn mutant_trace_contains_failing_output_provenance() {
-    let _g = LOCK.lock().unwrap();
+    let _g = serialize();
+    for jobs in [1usize, 8] {
+        mutant_trace_names_its_failing_output(jobs);
+    }
+}
+
+fn mutant_trace_names_its_failing_output(jobs: usize) {
     let case = fault_corpus().into_iter().next().expect("corpus non-empty");
     let collector = Arc::new(Collector::new());
-    let verifier = Verifier::builder().trace_sink(collector.clone()).build();
+    let verifier = Verifier::builder()
+        .jobs(jobs)
+        .trace_sink(collector.clone())
+        .build();
     let outcome = verifier
         .verify(&VerifyRequest::programs(case.original, case.mutant))
         .unwrap();
@@ -192,20 +218,26 @@ fn mutant_trace_contains_failing_output_provenance() {
                 .iter()
                 .any(|(k, v)| *k == "ok" && *v == arrayeq_trace::Value::Bool(false))
     });
-    assert!(verdict_event, "output_verdict(ok=false) for {output}");
+    assert!(
+        verdict_event,
+        "jobs={jobs}: output_verdict(ok=false) for {output}"
+    );
     let attributed_span = events.iter().any(|ev| {
         matches!(ev.phase, Phase::Open)
             && (ev.name == "output" || ev.name == "task")
             && field_str(ev, "output").as_deref() == Some(output)
     });
-    assert!(attributed_span, "an output/task span names {output}");
+    assert!(
+        attributed_span,
+        "jobs={jobs}: an output/task span names {output}"
+    );
 }
 
 /// The session metrics registry accumulates across queries and snapshots
 /// to well-formed JSON.
 #[test]
 fn metrics_registry_accumulates_and_serializes() {
-    let _g = LOCK.lock().unwrap();
+    let _g = serialize();
     let verifier = Verifier::builder().metrics(true).build();
     verifier
         .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
@@ -241,7 +273,7 @@ fn metrics_registry_accumulates_and_serializes() {
 /// names a discharge mechanism or a direct proof.
 #[test]
 fn explain_renders_incremental_provenance() {
-    let _g = LOCK.lock().unwrap();
+    let _g = serialize();
     let producer = Verifier::new();
     let first = producer.verify_source(FIG1_A, FIG1_C).unwrap();
     assert!(first.report.is_equivalent());

@@ -1,7 +1,7 @@
 //! Conjunctions of affine constraints with local existential variables.
 
-use crate::arith::note_arith_overflow;
 use crate::constraint::{Constraint, ConstraintKind};
+use crate::events::{note_arith_overflow, solver_events};
 use crate::feasible::{find_model, is_feasible, Feasibility, ModelOutcome};
 use crate::hash::{combine_unordered, structural_hash_of, StructuralHasher};
 use crate::linexpr::{gcd, LinExpr};
@@ -36,7 +36,8 @@ type MemoEntry = (Feasibility, Vec<Constraint>, usize);
 type MemoEntry = Feasibility;
 
 /// Running counters for the feasibility memo of this thread:
-/// `(hits, misses)`.  Exposed for benchmarks and the perf experiments.
+/// `(hits, misses)`, never reset.  Exposed for the benchmark harness, which
+/// records the memo's hits and lookups per traced request.
 pub fn feasibility_memo_stats() -> (u64, u64) {
     FEASIBILITY_MEMO_STATS.with(|s| *s.borrow())
 }
@@ -237,7 +238,6 @@ impl Conjunct {
         // into the constant.  The resulting system is tiny (existentials
         // only) and goes straight to the feasibility test.
         let mut cs: Vec<Constraint> = Vec::with_capacity(self.constraints.len());
-        let before_pending = crate::arith::arith_overflow_pending();
         for c in &self.constraints {
             let mut e = LinExpr::zero(self.n_exists);
             let global = self.space.n_global();
@@ -248,8 +248,8 @@ impl Conjunct {
                 Ok(v) => v,
                 Err(_) => {
                     // The folded constant does not fit i64: report "outside"
-                    // conservatively and note the sticky flag so the
-                    // enclosing verdict degrades to inconclusive.
+                    // conservatively and note the degraded answer so the
+                    // enclosing verdict becomes inconclusive.
                     note_arith_overflow();
                     return false;
                 }
@@ -261,7 +261,7 @@ impl Conjunct {
                 ConstraintKind::Mod => Constraint::congruent(e, c.modulus()),
             });
         }
-        decide_with_fallback(&cs, self.n_exists, before_pending).as_bool()
+        decide_with_fallback(&cs, self.n_exists).as_bool()
     }
 
     /// Whether the conjunct has at least one integer point (for some value of
@@ -340,20 +340,8 @@ impl Conjunct {
             ]
         });
         let t0 = arrayeq_trace::metrics_timer();
-        let before_pending = crate::arith::arith_overflow_pending();
-        let mut f = is_feasible(&self.constraints, self.n_vars());
+        let f = decide_with_fallback(&self.constraints, self.n_vars());
         arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Feasibility, t0);
-        // Overflow fallback: a conjunct whose checked-`i64` run tripped the
-        // PR 9 sticky flag is re-decided by the big-integer port of the same
-        // procedure, where overflow cannot occur.  On success the exact
-        // verdict replaces the conservative one, and the flag raised by this
-        // query is consumed (a flag that was already pending before the query
-        // belongs to someone else and is left alone) — so the enclosing
-        // checker run stays conclusive instead of degrading to
-        // `Inconclusive`.
-        if f == Feasibility::Overflow {
-            f = bigint_refine(&self.constraints, self.n_vars(), before_pending, f);
-        }
         // Overflow-degraded verdicts are *never* memoised (locally or in the
         // shared store): the conservative "feasible" stands for "unknown",
         // and caching it would let one overflow-afflicted query poison every
@@ -399,7 +387,10 @@ impl Conjunct {
             ModelOutcome::Model(m) => {
                 let point = m[..self.space.n_global()].to_vec();
                 debug_assert!(
-                    self.contains(&point) || crate::arith::arith_overflow_pending(),
+                    {
+                        let (member, events) = solver_events(|| self.contains(&point));
+                        member || events.degraded
+                    },
                     "sample_point produced a point outside the conjunct"
                 );
                 Some(point)
@@ -815,53 +806,26 @@ impl Conjunct {
     /// otherwise); congruences with large moduli are skipped (their negation
     /// fans out into `m − 1` pieces).
     ///
-    /// The redundancy probes run the solver; any overflow flag they raise is
-    /// consumed here (the probes are cosmetic — dropping a constraint never
-    /// changes the set — so they must not degrade the enclosing verdict).
+    /// The redundancy probes run the solver in their own scope, whose
+    /// degraded answers are withdrawn (the probes are cosmetic — dropping a
+    /// constraint never changes the set — so they must not degrade the
+    /// enclosing verdict).
     pub fn drop_redundant(&mut self) {
         if self.n_exists != 0 || self.constraints.len() < 2 {
             return;
         }
-        let before_pending = crate::arith::arith_overflow_pending();
-        let mut i = 0;
-        while i < self.constraints.len() && self.constraints.len() >= 2 {
-            let c = &self.constraints[i];
-            if c.kind() == ConstraintKind::Mod && c.modulus() > 16 {
-                i += 1;
-                continue;
-            }
-            let rest: Vec<Constraint> = self
-                .constraints
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, c)| c.clone())
-                .collect();
-            let implied = self.constraints[i].negated().into_iter().all(|neg| {
-                let mut probe = Conjunct::from_parts(
-                    self.space.clone(),
-                    0,
-                    rest.iter().cloned().chain(std::iter::once(neg)).collect(),
-                );
-                !(probe.simplify() && probe.is_feasible())
-            });
-            if implied {
-                self.constraints.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        if !before_pending && crate::arith::arith_overflow_pending() {
-            let _ = crate::arith::take_arith_overflow();
-        }
+        solver_events(|| {
+            self.drop_implied(&[], 2);
+            crate::events::withdraw_degraded();
+        });
     }
 
     /// Gist of this conjunct against a context conjunct: removes constraints
     /// implied by the *conjunction* of the remaining constraints and the
     /// context, so that `gist ∧ context == self ∧ context`.  Both conjuncts
     /// must be quantifier-free over compatible spaces (a no-op otherwise).
-    /// Like [`Conjunct::drop_redundant`], the probes' overflow flags are
-    /// consumed — an incomplete gist is cosmetic, never a soundness issue.
+    /// Like [`Conjunct::drop_redundant`], the probes' degraded answers are
+    /// withdrawn — an incomplete gist is cosmetic, never a soundness issue.
     pub(crate) fn gist_against(&mut self, context: &Conjunct) {
         if self.n_exists != 0
             || context.n_exists != 0
@@ -870,9 +834,20 @@ impl Conjunct {
         {
             return;
         }
-        let before_pending = crate::arith::arith_overflow_pending();
+        solver_events(|| {
+            self.drop_implied(&context.constraints, 1);
+            crate::events::withdraw_degraded();
+        });
+    }
+
+    /// Removes, one at a time and while at least `min_len` constraints
+    /// remain, every constraint implied by the remaining ones together with
+    /// `context` (it is implied iff every negation piece of it is infeasible
+    /// against them).  Congruences with large moduli are skipped: their
+    /// negation fans out into `m − 1` pieces.
+    fn drop_implied(&mut self, context: &[Constraint], min_len: usize) {
         let mut i = 0;
-        while i < self.constraints.len() {
+        while i < self.constraints.len() && self.constraints.len() >= min_len {
             let c = &self.constraints[i];
             if c.kind() == ConstraintKind::Mod && c.modulus() > 16 {
                 i += 1;
@@ -884,7 +859,7 @@ impl Conjunct {
                 .enumerate()
                 .filter(|&(j, _)| j != i)
                 .map(|(_, c)| c.clone())
-                .chain(context.constraints.iter().cloned())
+                .chain(context.iter().cloned())
                 .collect();
             let implied = self.constraints[i].negated().into_iter().all(|neg| {
                 let mut probe = Conjunct::from_parts(
@@ -899,9 +874,6 @@ impl Conjunct {
             } else {
                 i += 1;
             }
-        }
-        if !before_pending && crate::arith::arith_overflow_pending() {
-            let _ = crate::arith::take_arith_overflow();
         }
     }
 
@@ -1307,47 +1279,33 @@ fn constraint_implies(o: &Constraint, s: &Constraint) -> bool {
     }
 }
 
-/// Runs the production feasibility test and, when it degrades with the
-/// typed overflow, re-decides the system exactly with the big-integer
-/// reference solver (see [`bigint_refine`]).
-fn decide_with_fallback(
-    constraints: &[Constraint],
-    n_vars: usize,
-    before_pending: bool,
-) -> Feasibility {
-    let f = is_feasible(constraints, n_vars);
-    if f == Feasibility::Overflow {
-        return bigint_refine(constraints, n_vars, before_pending, f);
-    }
-    f
-}
-
-/// Re-decides an overflow-degraded system with the big-integer port of the
-/// decision procedure ([`crate::reference`]).  On success the exact verdict
-/// is returned and the overflow flag raised by the degraded run is consumed
-/// (unless a flag was already pending before the run — that one belongs to
-/// an earlier query and is preserved).  When the reference solver declines
-/// (work limit), the degraded verdict stands, flag and all.
-fn bigint_refine(
-    constraints: &[Constraint],
-    n_vars: usize,
-    before_pending: bool,
-    degraded: Feasibility,
-) -> Feasibility {
-    match crate::reference::reference_is_feasible(constraints, n_vars) {
-        Some(exact) => {
-            crate::dnf::note_bigint_fallback();
-            if !before_pending {
-                let _ = crate::arith::take_arith_overflow();
-            }
-            if exact {
-                Feasibility::Feasible
-            } else {
-                Feasibility::Infeasible
-            }
+/// Runs the production feasibility test in its own [`solver_events`] scope
+/// and, when it degrades with the typed overflow, re-decides the system with
+/// the big-integer port of the decision procedure ([`crate::reference`]),
+/// where overflow cannot occur.  On success the exact verdict replaces the
+/// conservative one and the query's degradation is withdrawn (one noted
+/// before the query, in an enclosing scope, still stands), so the enclosing
+/// checker run stays conclusive.  When the reference solver declines (work
+/// limit), the degraded verdict stands.
+fn decide_with_fallback(constraints: &[Constraint], n_vars: usize) -> Feasibility {
+    let (f, _) = solver_events(|| {
+        let f = is_feasible(constraints, n_vars);
+        if f != Feasibility::Overflow {
+            return f;
         }
-        None => degraded,
-    }
+        match crate::reference::reference_is_feasible(constraints, n_vars) {
+            Some(exact) => {
+                crate::events::note_bigint_fallback();
+                if exact {
+                    Feasibility::Feasible
+                } else {
+                    Feasibility::Infeasible
+                }
+            }
+            None => f,
+        }
+    });
+    f
 }
 
 #[cfg(test)]

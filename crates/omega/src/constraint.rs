@@ -1,6 +1,7 @@
 //! Individual affine constraints: equalities, inequalities and congruences.
 
-use crate::arith::{note_arith_overflow, ArithOverflow};
+use crate::arith::ArithOverflow;
+use crate::events::note_arith_overflow;
 use crate::linexpr::{gcd, LinExpr};
 
 /// The kind of a [`Constraint`].
@@ -96,8 +97,8 @@ impl Constraint {
     ///
     /// The evaluation is widened to `i128` (which any sum of `i64`·`i64`
     /// products over the inline width fits) and, should even that overflow,
-    /// the sticky overflow flag is noted and the constraint conservatively
-    /// reports `false`.
+    /// a degraded answer is noted and the constraint conservatively reports
+    /// `false`.
     pub fn holds(&self, values: &[i64]) -> bool {
         let v = match self.expr.try_eval_wide(values) {
             Ok(v) => v,
@@ -205,8 +206,8 @@ impl Constraint {
                 // saturated constant).  Fall back to the trivially-true
                 // constraint — the negation is *weakened*, which can only
                 // enlarge a difference (spurious inequivalence direction) —
-                // and note the sticky flag so the enclosing verdict degrades
-                // to inconclusive rather than asserting anything.
+                // and note the degraded answer so the enclosing verdict
+                // becomes inconclusive rather than asserting anything.
                 note_arith_overflow();
                 vec![Constraint::geq(LinExpr::constant_expr(
                     self.expr.n_vars(),

@@ -23,40 +23,9 @@
 //! a relation's canonical simplified form.
 
 use crate::conjunct::Conjunct;
-use std::cell::Cell;
+use crate::events::note_conjuncts_subsumed;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-
-thread_local! {
-    /// Conjuncts dropped by coalescing on this thread (monotonic).
-    static CONJUNCTS_SUBSUMED: Cell<u64> = const { Cell::new(0) };
-
-    /// Overflow-degraded feasibility queries re-decided exactly by the
-    /// big-integer reference solver on this thread (monotonic).
-    static BIGINT_FALLBACKS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Total conjuncts dropped by coalescing (dedup + subsumption) on this
-/// thread (never reset).
-pub fn conjuncts_subsumed_events() -> u64 {
-    CONJUNCTS_SUBSUMED.with(|c| c.get())
-}
-
-/// Total overflow-degraded feasibility queries re-decided exactly by the
-/// big-integer fallback on this thread (never reset).
-pub fn bigint_fallback_events() -> u64 {
-    BIGINT_FALLBACKS.with(|c| c.get())
-}
-
-pub(crate) fn note_conjuncts_subsumed(n: u64) {
-    if n > 0 {
-        CONJUNCTS_SUBSUMED.with(|c| c.set(c.get() + n));
-    }
-}
-
-pub(crate) fn note_bigint_fallback() {
-    BIGINT_FALLBACKS.with(|c| c.set(c.get() + 1));
-}
 
 /// Coalesces a disjunct list: drops structural duplicates, then drops every
 /// conjunct subsumed by another ([`Conjunct::subsumes`]).  Keeps the first

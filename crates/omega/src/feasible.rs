@@ -50,8 +50,9 @@
 //!   and columns introduced during the run (congruence witnesses, σ variables
 //!   of the mod-reduction) are truncated away at the end.
 
-use crate::arith::{narrow, note_arith_overflow, ArithOverflow};
+use crate::arith::{narrow, ArithOverflow};
 use crate::constraint::{Constraint, ConstraintKind};
+use crate::events::note_arith_overflow;
 use crate::linexpr::{floor_div, mod_hat, LinExpr};
 
 /// Maximum number of elimination steps before giving up and conservatively
@@ -68,9 +69,9 @@ pub(crate) enum Feasibility {
     /// The work limit was exceeded; treat as (possibly) feasible.
     Unknown,
     /// Coefficient arithmetic overflowed `i64` even after `i128` widening;
-    /// treat as (possibly) feasible.  The sticky per-thread flag
-    /// ([`crate::take_arith_overflow`]) is set whenever this is produced, so
-    /// the checker downgrades the enclosing verdict to inconclusive.
+    /// treat as (possibly) feasible.  A degraded answer is recorded in the
+    /// [`crate::SolverEvents`] whenever this is produced, so the checker
+    /// downgrades the enclosing verdict to inconclusive.
     Overflow,
 }
 

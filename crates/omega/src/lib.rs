@@ -128,6 +128,7 @@ mod conjunct;
 mod constraint;
 mod display;
 mod dnf;
+mod events;
 mod feasible;
 mod hash;
 mod linexpr;
@@ -137,18 +138,16 @@ mod relation;
 mod set;
 mod space;
 
-#[doc(hidden)]
-pub use arith::inject_arith_overflow;
-pub use arith::{
-    arith_overflow_events, arith_overflow_pending, take_arith_overflow, ArithOverflow,
-};
+pub use arith::ArithOverflow;
 pub use bigint::BigInt;
 pub use conjunct::{
     current_feasibility_cache, feasibility_memo_stats, with_feasibility_cache, Conjunct,
     FeasibilityCache,
 };
 pub use constraint::{Constraint, ConstraintKind};
-pub use dnf::{bigint_fallback_events, conjuncts_subsumed_events};
+#[doc(hidden)]
+pub use events::inject_arith_overflow;
+pub use events::{solver_events, SolverEvents};
 pub use hash::{structural_hash_of, StructuralHasher};
 pub use linexpr::LinExpr;
 pub use relation::{DomKind, MapBuilder, Relation, SamplePoint};

@@ -2,16 +2,14 @@
 //!
 //! The soundness contract under test: on large-coefficient systems the
 //! production solver either *decides correctly* (its `i128`-widened checked
-//! arithmetic absorbed the intermediates) or raises the typed sticky
-//! overflow flag and reports the conservative "feasible" — it never panics
+//! arithmetic absorbed the intermediates) or reports the conservative
+//! "feasible" as a degraded answer in its solver events — it never panics
 //! and never returns a silently-wrapped wrong verdict.  Correctness is
 //! established against [`arrayeq_omega::reference`], the big-integer port
 //! of the same decision procedure, where overflow cannot occur.
 
 use arrayeq_omega::reference::reference_is_feasible;
-use arrayeq_omega::{
-    bigint_fallback_events, take_arith_overflow, Conjunct, Constraint, LinExpr, Space, VarKind,
-};
+use arrayeq_omega::{solver_events, Conjunct, Constraint, LinExpr, Space, VarKind};
 use proptest::prelude::*;
 
 /// Builds the set-space conjunct of `constraints` over `n` variables.
@@ -28,12 +26,10 @@ fn le(coeffs: &[i64], k: i64) -> LinExpr {
     LinExpr::from_coeffs(coeffs.to_vec(), k)
 }
 
-/// Runs the production solver; returns `(verdict, overflow_degraded)` with
-/// the sticky flag cleared before and after.
+/// Runs the production solver; returns `(verdict, overflow_degraded)`.
 fn checked_verdict(constraints: &[Constraint], n: usize) -> (bool, bool) {
-    let _ = take_arith_overflow();
-    let feasible = conjunct(constraints, n).is_feasible();
-    (feasible, take_arith_overflow())
+    let (feasible, events) = solver_events(|| conjunct(constraints, n).is_feasible());
+    (feasible, events.degraded)
 }
 
 /// Asserts the soundness contract for one system: the production verdict
@@ -170,28 +166,24 @@ fn corpus_verdicts_match_big_int_oracle() {
 #[test]
 fn corpus_never_panics_with_witness_extraction() {
     for (i, (constraints, n, _)) in corpus().into_iter().enumerate() {
-        let _ = take_arith_overflow();
         let c = conjunct(&constraints, n);
         // Witness extraction exercises back-substitution and bound placement
         // on the same adversarial coefficients; a returned point must be a
         // real member unless the run degraded.
-        if let Some(point) = c.sample_point() {
-            let degraded = take_arith_overflow();
-            if !degraded {
-                assert!(
-                    c.contains(&point),
-                    "corpus entry {i}: sample_point returned a non-member"
-                );
-            }
+        let (point, events) = solver_events(|| c.sample_point());
+        if let (Some(point), false) = (point, events.degraded) {
+            assert!(
+                c.contains(&point),
+                "corpus entry {i}: sample_point returned a non-member"
+            );
         }
-        let _ = take_arith_overflow();
     }
 }
 
 /// The big-int fallback contract: a conjunct whose checked `i64` solve
 /// overflows is re-decided exactly by the reference solver.  Every system
-/// gets the oracle's (and the annotated) verdict with no overflow flag left
-/// behind.  Not every system reaches the fallback — the `i128`-widened
+/// gets the oracle's (and the annotated) verdict with no degraded answer
+/// left standing.  Not every system reaches the fallback — the `i128`-widened
 /// checked arithmetic absorbs some — but at least one must.
 #[test]
 fn bigint_fallback_decides_adversarial_systems_exactly() {
@@ -242,11 +234,8 @@ fn bigint_fallback_decides_adversarial_systems_exactly() {
     ];
     let mut fired = 0;
     for (name, constraints, n, expected) in &systems {
-        let _ = take_arith_overflow();
-        let before = bigint_fallback_events();
-        let feasible = conjunct(constraints, *n).is_feasible();
-        fired += usize::from(bigint_fallback_events() > before);
-        let residual = take_arith_overflow();
+        let (feasible, events) = solver_events(|| conjunct(constraints, *n).is_feasible());
+        fired += usize::from(events.bigint_fallbacks > 0);
         let oracle =
             reference_is_feasible(constraints, *n).expect("the oracle decides every system");
         assert_eq!(
@@ -255,8 +244,8 @@ fn bigint_fallback_decides_adversarial_systems_exactly() {
         );
         assert_eq!(feasible, *expected, "{name}: annotated verdict is wrong");
         assert!(
-            !residual,
-            "{name}: the exact fallback must consume the overflow flag"
+            !events.degraded,
+            "{name}: the exact fallback must withdraw the degradation"
         );
     }
     assert!(
@@ -268,7 +257,7 @@ fn bigint_fallback_decides_adversarial_systems_exactly() {
 #[test]
 fn infeasible_verdicts_are_never_overflow_degraded() {
     // A "false" from the production solver is always a proof; it must never
-    // be emitted with the overflow flag raised by its own run.
+    // be emitted by a run whose own answer degraded.
     for (i, (constraints, n, _)) in corpus().into_iter().enumerate() {
         let (feasible, degraded) = checked_verdict(&constraints, n);
         assert!(
@@ -320,12 +309,11 @@ proptest! {
 
     /// Existential simplification on saturated coefficients must keep
     /// membership answers consistent with the quantifier-free evaluation —
-    /// or degrade with the typed flag, never silently diverge.
+    /// or report a degraded answer, never silently diverge.
     #[test]
     fn simplify_on_saturated_coefficients_is_sound(
         a in -5i64..6, b in -5i64..6, k in -5i64..6, x in -4i64..5,
     ) {
-        let _ = take_arith_overflow();
         let sa = stretch(a.max(1));
         let names = ["x"];
         let mut c = Conjunct::universe(Space::set(&names, &[]));
@@ -343,19 +331,15 @@ proptest! {
         c.add(Constraint::geq(lo));
         let before = c.clone();
         let mut simplified = c;
-        let sat = simplified.simplify();
-        let degraded = take_arith_overflow();
-        if !degraded && sat {
+        let (sat, events) = solver_events(|| simplified.simplify());
+        if !events.degraded && sat {
             // Membership of a concrete point must survive simplification.
             let p = [x];
-            let m_before = before.contains(&p);
-            let degraded_before = take_arith_overflow();
-            let m_after = simplified.contains(&p);
-            let degraded_after = take_arith_overflow();
-            if !degraded_before && !degraded_after {
+            let (m_before, events_before) = solver_events(|| before.contains(&p));
+            let (m_after, events_after) = solver_events(|| simplified.contains(&p));
+            if !events_before.degraded && !events_after.degraded {
                 prop_assert_eq!(m_before, m_after);
             }
         }
-        let _ = take_arith_overflow();
     }
 }

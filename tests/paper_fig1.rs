@@ -4,19 +4,29 @@ use arrayeq::core::DiagnosticKind;
 use arrayeq::engine::Verifier;
 use arrayeq::lang::corpus::*;
 
+/// The matrix at one worker (run on the calling thread) and at two (a
+/// spawned pool), so the plain test command reaches both branches of the
+/// checking driver; the stable reports must be identical.
 #[test]
 fn fig1_verdict_matrix_matches_the_paper() {
     let versions = [("a", FIG1_A), ("b", FIG1_B), ("c", FIG1_C), ("d", FIG1_D)];
-    let verifier = Verifier::new();
+    let verifiers = [1, 2].map(|jobs| Verifier::builder().jobs(jobs).build());
     for (n1, s1) in versions {
         for (n2, s2) in versions {
             let expect = n1 != "d" && n2 != "d" || n1 == n2;
-            let r = verifier.verify_source(s1, s2).unwrap().report;
+            let [one, two] = verifiers
+                .each_ref()
+                .map(|v| v.verify_source(s1, s2).unwrap().report);
             assert_eq!(
-                r.is_equivalent(),
+                one.is_equivalent(),
                 expect,
                 "({n1}) vs ({n2}) expected equivalent={expect}\n{}",
-                r.summary()
+                one.summary()
+            );
+            assert_eq!(
+                one.render_stable(),
+                two.render_stable(),
+                "({n1}) vs ({n2}) differs between jobs 1 and 2"
             );
         }
     }
