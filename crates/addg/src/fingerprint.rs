@@ -37,8 +37,8 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 /// Stable content hashes for every position of one ADDG (see the module
-/// docs).  Produced by [`fingerprints`]; consumed by the engine's shared
-/// cross-query equivalence table.
+/// docs).  Produced by [`fingerprints`]; the checker's proof keys are
+/// built from them.
 #[derive(Debug, Clone)]
 pub struct Fingerprints {
     nodes: Vec<u64>,

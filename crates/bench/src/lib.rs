@@ -2,7 +2,9 @@
 //!
 //! Workload construction shared by the Criterion benches that time the
 //! paper's evaluation (experiments E1–E12): `cargo bench -p arrayeq-bench`
-//! runs one bench target per experiment.
+//! runs one bench target per experiment.  E9, the tabling ablation, went
+//! with the switch it measured (sub-proofs are always cached); its A/B
+//! result is kept in `BENCH_PR1.json`.
 //!
 //! The heavy lifting lives in the other crates; this one only assembles
 //! (original, transformed) program pairs of controlled size.
@@ -86,7 +88,7 @@ pub fn fig1a_pipeline_at_size(n: i64, steps: usize, seed: u64) -> Workload {
 }
 
 /// A generated kernel with `layers` statements, transformed by a random
-/// pipeline (experiments E5, E7, E9).
+/// pipeline (experiments E5, E7).
 pub fn generated_pair(layers: usize, n: i64, seed: u64) -> Workload {
     let cfg = GeneratorConfig {
         n,

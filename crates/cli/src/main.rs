@@ -31,8 +31,9 @@
 //! stdout; `--dot` writes a Graphviz rendering of the transformed program's
 //! ADDG, with the witness's failing slice highlighted when one exists.
 //!
-//! `--emit-baseline` writes the run's proven sub-proofs as a baseline
-//! document; a later `--baseline` run diffs the pair against it and
+//! `--emit-baseline` writes the run's proven sub-proofs, with those its
+//! `--baseline` and `--store` carried in, as a baseline document; a later
+//! `--baseline` run diffs the pair against it and
 //! re-checks only the dirty cone ([`Verifier::verify_incremental`]).  A
 //! stale or incompatible baseline is rejected with a warning on stderr and
 //! the run degrades to a from-scratch check — the verdict and exit code are
@@ -114,7 +115,8 @@ VERIFY OPTIONS:
                               baselines are rejected with a warning and the
                               run proceeds from scratch; the verdict is
                               identical either way
-    --emit-baseline <out.json> write this run's proven sub-proofs as a
+    --emit-baseline <out.json> write this run's proven sub-proofs, with
+                              those of --baseline and --store, as a
                               baseline for later --baseline runs (valid
                               only under the same method/operator options)
     --trace <out>             record a structured proof trace of the run
@@ -126,17 +128,17 @@ VERIFY OPTIONS:
                               ui.perfetto.dev)
     --explain                 render the proof tree per output: verdict,
                               time, and which mechanism (local/shared
-                              table, baseline, coinduction, arena)
+                              table, store, baseline, coinduction, arena)
                               discharged each sub-proof.  Written to
                               stderr when combined with --json
     --metrics                 print session latency histograms (feasibility,
                               composition, flatten, match) as JSON on
                               stderr after the outcome
     --store <dir>             attach a persistent proof store: load proven
-                              sub-proofs on startup, flush this run's on
-                              exit.  Corrupt/incompatible stores degrade to
-                              a cold start with a warning; verdicts never
-                              change
+                              sub-proofs on startup, flush this run's (and
+                              those of --baseline) on exit.  Corrupt or
+                              incompatible stores degrade to a cold start
+                              with a warning; verdicts never change
 
 SERVE OPTIONS:
     --socket <path>           listen on a Unix socket at <path>

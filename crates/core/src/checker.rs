@@ -1,9 +1,10 @@
 //! The synchronized ADDG traversal (Section 5 of the paper).
 
-use crate::context::{BudgetExhausted, CheckContext, SharedTableKey, TableProvenance};
+use crate::context::{BudgetExhausted, CheckContext};
 use crate::diagnostics::{Diagnostic, DiagnosticKind};
 use crate::normalize::{self, TermArena};
 use crate::operators::OperatorProperties;
+use crate::proofs::{ProofCache, ProofKey, Provenance, QueryProofs};
 use crate::report::{CheckStats, Report};
 use crate::{CoreError, Result};
 use arrayeq_addg::{describe_node, extract, fingerprints, Addg, Fingerprints, Node, NodeId};
@@ -11,7 +12,9 @@ use arrayeq_lang::ast::Program;
 use arrayeq_lang::classcheck::assert_in_class;
 use arrayeq_lang::defuse::assert_def_use_correct;
 use arrayeq_omega::{Relation, Set};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+#[cfg(debug_assertions)]
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Which variant of the method to run.
@@ -47,8 +50,6 @@ pub struct CheckOptions {
     pub method: Method,
     /// Operator property declarations.
     pub operators: OperatorProperties,
-    /// Whether to table (memoise) established sub-equivalences.
-    pub tabling: bool,
     /// Optional focused checking.
     pub focus: Option<Focus>,
     /// Upper bound on traversal work (node-pair visits); exceeding it yields
@@ -79,7 +80,6 @@ impl Default for CheckOptions {
         CheckOptions {
             method: Method::Extended,
             operators: OperatorProperties::default(),
-            tabling: true,
             focus: None,
             max_work: 2_000_000,
             params: Vec::new(),
@@ -95,12 +95,6 @@ impl CheckOptions {
             method: Method::Basic,
             ..Default::default()
         }
-    }
-
-    /// Disables tabling (for the ablation experiment E9).
-    pub fn without_tabling(mut self) -> Self {
-        self.tabling = false;
-        self
     }
 
     /// Sets the worker count for one verification run (see
@@ -123,8 +117,8 @@ impl CheckOptions {
         self
     }
 
-    /// The content fingerprints tabling keys on under these options.
-    /// Intermediate array names are folded in only when they are
+    /// The content fingerprints that proof keys are built from under these
+    /// options.  Intermediate array names are folded in only when they are
     /// verdict-relevant (a focus with declared intermediate
     /// correspondences); otherwise repeated idioms behind renamed
     /// temporaries share entries.
@@ -190,12 +184,12 @@ fn promote_params(p: &Program, params: &[(String, i64)]) -> Program {
 /// the deadline and [`crate::CancelToken`] bound the traversal (an exceeded
 /// budget surfaces as [`crate::Verdict::Inconclusive`] with a typed
 /// [`BudgetExhausted`] reason in [`Report::budget_exhausted`] — never a
-/// hang), a [`crate::SharedEquivalenceTable`] lets this run consume and
-/// publish sub-proofs shared with other queries and threads, and a baseline
-/// with its clean outputs narrows the run to a dirty cone.  With tabling
-/// on, both graphs are keyed by [`CheckOptions::fingerprints`], taken from
-/// the context when the caller already computed them.
-/// `CheckContext::default()` is a plain one-shot run.
+/// hang), a [`ProofCache`] lets this run consume and publish sub-proofs
+/// shared with other queries, and the outputs a baseline proves clean
+/// narrow the run to a dirty cone.  Proof keys are built from both graphs'
+/// [`CheckOptions::fingerprints`], taken from the context when the caller
+/// already computed them.  `CheckContext::default()` is a plain one-shot
+/// run with a proof cache of its own.
 ///
 /// # Errors
 ///
@@ -208,54 +202,62 @@ pub fn check(
     opts: &CheckOptions,
     ctx: &CheckContext<'_>,
 ) -> Result<Report> {
-    // Fingerprints key every tabling level (local, shared and baseline).
     let computed;
-    let fps = if !opts.tabling {
-        None
-    } else if ctx.fingerprints.is_some() {
-        ctx.fingerprints
-    } else {
-        computed = (opts.fingerprints(original), opts.fingerprints(transformed));
-        Some(&computed)
+    let fps = match ctx.fingerprints {
+        Some(fps) => fps,
+        None => {
+            computed = (opts.fingerprints(original), opts.fingerprints(transformed));
+            &computed
+        }
     };
-    crate::parallel::check_parallel(original, transformed, opts, ctx, fps)
+    let run_cache;
+    let proofs = match ctx.proofs {
+        Some(cache) => cache,
+        None => {
+            run_cache = ProofCache::new();
+            &run_cache
+        }
+    };
+    crate::parallel::check_parallel(original, transformed, opts, ctx, fps, proofs.begin_query())
 }
 
 /// The traversal state of one *worker* of a run: it executes a stream of
-/// [`crate::parallel`] tasks against its own local state (table,
-/// coinductive assumptions, stats, diagnostics buffer) while budgets are
-/// accounted through the run-wide [`SharedBudget`].
+/// [`crate::parallel`] tasks against its own local state (coinductive
+/// assumptions, term arena, stats, diagnostics buffer) while proofs go
+/// through the run's [`ProofCache`] and budgets through the run-wide
+/// [`SharedBudget`].
 pub(crate) struct Checker<'x> {
     pub(crate) a: &'x Addg,
     pub(crate) b: &'x Addg,
     pub(crate) opts: &'x CheckOptions,
-    /// Budgets and cross-query sharing (default context on the one-shot path).
+    /// Budgets and the caller's proof cache, if any (default context on
+    /// the one-shot path).
     ctx: &'x CheckContext<'x>,
-    /// Content fingerprints of both graphs; they key the default local
-    /// tabling cache, the cross-query shared entries and the term arena's
-    /// interning keys.
-    pub(crate) fps: Option<&'x (Fingerprints, Fingerprints)>,
+    /// Content fingerprints of both graphs; they key the proof cache and
+    /// the term arena's interning keys.
+    pub(crate) fps: &'x (Fingerprints, Fingerprints),
+    /// The run's view of its proof cache: the one place sub-proofs are
+    /// looked up and published.
+    proofs: QueryProofs<'x>,
     pub(crate) stats: CheckStats,
     pub(crate) diagnostics: Vec<Diagnostic>,
     /// Hash-consed flattened terms plus the matched-pair memo (the
     /// normalization subsystem's state; see [`crate::normalize`]).
     pub(crate) arena: TermArena,
-    /// Tabling cache: established equivalences of sub-ADDG pairs, keyed by
-    /// [`Checker::table_key`].
-    table: HashMap<SharedTableKey, bool>,
     /// Hash-collision paranoia (debug builds only): the canonical renderings
-    /// of the relations behind every table entry.  A lookup whose hashes
-    /// match but whose canonical keys differ is a real 64-bit collision and
-    /// is counted in [`CheckStats::hash_collisions`].
+    /// of the relations behind every key this worker published.  A hit on
+    /// such a key, whatever its provenance, whose canonical keys differ is
+    /// a real 64-bit collision and is counted in
+    /// [`CheckStats::hash_collisions`].
     #[cfg(debug_assertions)]
-    table_shadow: HashMap<SharedTableKey, (String, String)>,
+    table_shadow: HashMap<ProofKey, (String, String)>,
     /// Coinduction for recurrences: array pairs currently being proven, with
     /// the element-pair relation assumed equal.
     in_progress: BTreeMap<(String, String), Relation>,
     /// Bumped every time a sub-check is discharged by an `in_progress`
     /// coinductive assumption.  A sub-proof during which this counter moved
-    /// is only valid under that assumption and must not be tabled; everything
-    /// else (the overwhelming majority) caches freely.
+    /// is only valid under that assumption and must not be published;
+    /// everything else (the overwhelming majority) caches freely.
     pub(crate) assumption_uses: u64,
     /// This worker's traversal visits.
     work: u64,
@@ -324,13 +326,15 @@ pub(crate) enum Pos {
 }
 
 impl<'x> Checker<'x> {
-    /// A fresh worker accounting against the run's `shared_budget`.
+    /// A fresh worker of the run behind `proofs`, accounting against the
+    /// run's `shared_budget`.
     pub(crate) fn new(
         a: &'x Addg,
         b: &'x Addg,
         opts: &'x CheckOptions,
         ctx: &'x CheckContext<'x>,
-        fps: Option<&'x (Fingerprints, Fingerprints)>,
+        fps: &'x (Fingerprints, Fingerprints),
+        proofs: QueryProofs<'x>,
         shared_budget: &'x SharedBudget,
     ) -> Self {
         Checker {
@@ -339,10 +343,10 @@ impl<'x> Checker<'x> {
             opts,
             ctx,
             fps,
+            proofs,
             stats: CheckStats::default(),
             diagnostics: Vec::new(),
             arena: TermArena::default(),
-            table: HashMap::new(),
             #[cfg(debug_assertions)]
             table_shadow: HashMap::new(),
             in_progress: BTreeMap::new(),
@@ -357,7 +361,7 @@ impl<'x> Checker<'x> {
 
     /// Runs one traversal task: the coinductive assumptions accumulated
     /// along the task's decomposition path are installed worker-locally (so
-    /// the no-tabling-under-assumption guard keeps working unchanged), the
+    /// the no-publish-under-assumption guard keeps working unchanged), the
     /// traversal runs, and the diagnostics the task produced are drained out
     /// for deterministic merging by the coordinator.
     #[allow(clippy::too_many_arguments)]
@@ -520,20 +524,20 @@ pub(crate) fn unsupported_fragment(e: &CoreError) -> Option<BudgetExhausted> {
     }
 }
 
-/// The tabling key of one output's *root obligation*: the whole-output
+/// The proof key of one output's *root obligation*: the whole-output
 /// equivalence query `(Array(out), identity, Array(out), identity)` that
 /// [`check`] poses per output.  `domain_hash` is the structural hash of
 /// that identity relation, as recorded in [`Report::output_domain_hashes`],
 /// so the key is rebuilt without any Omega work.  Presence of this key in a
-/// [`crate::BaselineProofs`] store proves the entire output equivalent
-/// under the options the baseline was produced with — the basis on which
-/// incremental re-verification classifies an output as clean and skips it
-/// via [`CheckContext::clean_outputs`].
+/// baseline's entries proves the entire output equivalent under the
+/// options the baseline was produced with — the basis on which incremental
+/// re-verification classifies an output as clean and skips it via
+/// [`CheckContext::clean_outputs`].
 pub fn output_root_key(
     fps: (&Fingerprints, &Fingerprints),
     output: &str,
     domain_hash: u64,
-) -> SharedTableKey {
+) -> ProofKey {
     (
         fps.0.array(output),
         fps.1.array(output),
@@ -697,101 +701,79 @@ impl Checker<'_> {
             }
         }
 
-        // Baseline consult (incremental re-verification): proven entries
-        // carried over from an earlier run discharge the sub-traversal
-        // before either tabling level.  Baselines hold only positive,
-        // assumption-free sub-proofs (the exporter snapshots a shared table,
-        // which the publish guard below feeds), so a hit returns exactly
-        // what the traversal would re-derive and failures always re-derive
-        // their diagnostics in full.
-        let key = self.table_key(&pos_a, &pos_b, &map_a, &map_b);
-        if let (Some(k), Some(baseline)) = (key.as_ref(), self.ctx.baseline) {
-            if baseline.contains(k) {
-                self.stats.baseline_hits += 1;
-                arrayeq_trace::discharge("baseline");
-                return Ok(true);
-            }
-        }
-
-        // Tabling.
-        if let Some(k) = key.as_ref() {
-            self.stats.table_lookups += 1;
-            if let Some(&cached) = self.table.get(k) {
-                self.stats.table_hits += 1;
-                arrayeq_trace::discharge("local_table");
-                #[cfg(debug_assertions)]
-                self.check_for_hash_collision(k, &map_a, &map_b);
-                return Ok(cached);
-            }
-        }
-
-        // Cross-query shared table (engine sessions only): consulted after a
-        // local miss, keyed by content fingerprints so an entry published by
-        // any earlier query — same pair re-checked after an edit, or a
-        // perturbed variant sharing this sub-computation — discharges the
-        // whole sub-traversal here.
-        if let (Some(k), Some(shared)) = (key.as_ref(), self.ctx.shared_table) {
-            self.stats.shared_table_lookups += 1;
-            if let Some((true, provenance)) = shared.get_with_provenance(k) {
-                self.stats.shared_table_hits += 1;
-                if provenance == TableProvenance::Store {
-                    self.stats.store_hits += 1;
-                    arrayeq_trace::discharge("store");
-                } else {
-                    arrayeq_trace::discharge("shared_table");
-                }
-                return Ok(true);
-            }
+        // The proof cache: one lookup, whose provenance picks the counter
+        // and the trace mechanism.  Whatever the provenance, an entry is a
+        // positive, assumption-free sub-proof under these options, so a hit
+        // returns exactly what the traversal would re-derive.
+        let key = self.proof_key(&pos_a, &pos_b, &map_a, &map_b);
+        let found = self.proofs.get(&key);
+        self.count_lookup(found);
+        if let Some(provenance) = found {
+            arrayeq_trace::discharge(provenance.mechanism());
+            #[cfg(debug_assertions)]
+            self.check_for_hash_collision(&key, &map_a, &map_b);
+            return Ok(true);
         }
 
         #[cfg(debug_assertions)]
-        let shadow_val = key.map(|_| (map_a.canonical_key(), map_b.canonical_key()));
-
+        let shadow = (map_a.canonical_key(), map_b.canonical_key());
         let assumption_uses_before = self.assumption_uses;
         let result = self.check_uncached(&pos_a, map_a, &pos_b, map_b, trail_a, trail_b)?;
 
-        if let Some(k) = key {
-            // Only successful sub-proofs are reused; failures keep their
-            // diagnostics specific to the path that found them.  A proof
-            // that leaned on a coinductive recurrence assumption is only
-            // valid under that assumption and must not be replayed outside
-            // it, so it is not inserted either.
-            if result && self.assumption_uses == assumption_uses_before {
-                #[cfg(debug_assertions)]
-                if let Some(v) = shadow_val {
-                    self.table_shadow.insert(k, v);
-                }
-                self.table.insert(k, true);
-                self.stats.table_entries += 1;
-                // Publish assumption-free sub-proofs for later queries.
-                if let Some(shared) = self.ctx.shared_table {
-                    shared.put(k, true);
-                    self.stats.shared_table_inserts += 1;
-                }
+        // Only successful sub-proofs are published; failures keep their
+        // diagnostics specific to the path that found them.  A proof that
+        // leaned on a coinductive recurrence assumption is only valid under
+        // that assumption and must not be replayed outside it, so it is not
+        // published either.
+        if result && self.assumption_uses == assumption_uses_before {
+            #[cfg(debug_assertions)]
+            self.table_shadow.insert(key, shadow);
+            self.proofs.publish(key);
+            self.stats.table_entries += 1;
+            if self.ctx.proofs.is_some() {
+                self.stats.shared_table_inserts += 1;
             }
         }
         Ok(result)
     }
 
-    /// Builds the tabling key for a position pair, shared by the baseline,
-    /// the local table and the cross-query shared table.  It is fully
+    /// Books one proof-cache lookup under the counters its provenance
+    /// picks.  A baseline hit counts only as a baseline hit.  Any other
+    /// lookup is a table lookup, hit by this query's own proofs or, in a
+    /// run given a cache ([`CheckContext::proofs`]), passed on as a shared
+    /// lookup that another query's or the store's entry may answer.
+    fn count_lookup(&mut self, found: Option<Provenance>) {
+        let s = &mut self.stats;
+        match found {
+            Some(Provenance::Baseline) => s.baseline_hits += 1,
+            Some(Provenance::Query) => {
+                s.table_lookups += 1;
+                s.table_hits += 1;
+            }
+            other => {
+                s.table_lookups += 1;
+                if self.ctx.proofs.is_some() {
+                    s.shared_table_lookups += 1;
+                }
+                if other.is_some() {
+                    s.shared_table_hits += 1;
+                }
+                if other == Some(Provenance::Store) {
+                    s.store_hits += 1;
+                }
+            }
+        }
+    }
+
+    /// Builds the proof key for a position pair.  It is fully
     /// *rename-invariant*: the content fingerprints of both positions
     /// ([`arrayeq_addg::fingerprints`]) plus the rename-canonical
     /// [`Relation::structural_hash`] of both mappings, so structurally
     /// identical sub-proofs — same computation at a different statement,
     /// same mapping written over differently-ordered iterators — share one
-    /// entry.  `None` with tabling disabled or without fingerprints.
-    fn table_key(
-        &self,
-        pos_a: &Pos,
-        pos_b: &Pos,
-        map_a: &Relation,
-        map_b: &Relation,
-    ) -> Option<SharedTableKey> {
-        if !self.opts.tabling {
-            return None;
-        }
-        let (fa, fb) = self.fps?;
+    /// entry.
+    fn proof_key(&self, pos_a: &Pos, pos_b: &Pos, map_a: &Relation, map_b: &Relation) -> ProofKey {
+        let (fa, fb) = self.fps;
         let pa = match pos_a {
             Pos::Node(n) => fa.node(*n),
             Pos::Array(v) => fa.array(v),
@@ -800,25 +782,20 @@ impl Checker<'_> {
             Pos::Node(n) => fb.node(*n),
             Pos::Array(v) => fb.array(v),
         };
-        Some((pa, pb, map_a.structural_hash(), map_b.structural_hash()))
+        (pa, pb, map_a.structural_hash(), map_b.structural_hash())
     }
 
-    /// Debug-build cross-check: a table hit whose canonical renderings differ
-    /// from the stored ones means two distinct relations collided on the same
-    /// 64-bit structural hash.
+    /// Debug-build cross-check: a hit on a key this worker published whose
+    /// canonical renderings differ from the published ones means two
+    /// distinct relations collided on the same 64-bit structural hash.
     #[cfg(debug_assertions)]
-    fn check_for_hash_collision(
-        &mut self,
-        key: &SharedTableKey,
-        map_a: &Relation,
-        map_b: &Relation,
-    ) {
+    fn check_for_hash_collision(&mut self, key: &ProofKey, map_a: &Relation, map_b: &Relation) {
         if let Some((ka, kb)) = self.table_shadow.get(key) {
             if *ka != map_a.canonical_key() || *kb != map_b.canonical_key() {
                 self.stats.hash_collisions += 1;
                 debug_assert!(
                     false,
-                    "structural_hash collision in the tabling cache: {key:?}"
+                    "structural_hash collision in the proof cache: {key:?}"
                 );
             }
         }
@@ -1442,16 +1419,6 @@ mod tests {
     }
 
     #[test]
-    fn tabling_can_be_disabled() {
-        let with = verify(FIG1_A, FIG1_C, &CheckOptions::default());
-        let without = verify(FIG1_A, FIG1_C, &CheckOptions::default().without_tabling());
-        assert!(with.is_equivalent() && without.is_equivalent());
-        assert_eq!(without.stats.table_hits, 0);
-        assert_eq!(without.stats.table_lookups, 0);
-        assert_eq!(without.stats.table_entries, 0);
-    }
-
-    #[test]
     fn parallel_jobs_reproduce_sequential_verdicts_and_stable_reports() {
         // Equivalent, inequivalent and recurrence pairs at several worker
         // counts: verdicts identical, stable rendering byte-identical.
@@ -1525,8 +1492,8 @@ mod tests {
     #[test]
     fn table_stats_are_reported() {
         let r = verify(FIG1_A, FIG1_C, &CheckOptions::default());
-        assert!(r.stats.table_lookups > 0, "tabling keys were constructed");
-        assert!(r.stats.table_entries > 0, "sub-proofs were tabled");
+        assert!(r.stats.table_lookups > 0, "proof keys were looked up");
+        assert!(r.stats.table_entries > 0, "sub-proofs were published");
         assert!(r.stats.table_hits <= r.stats.table_lookups);
         let rate = r.stats.table_hit_rate();
         assert!((0.0..=1.0).contains(&rate));
@@ -1617,21 +1584,9 @@ mod tests {
 
     #[test]
     fn shared_table_discharges_repeat_queries() {
-        use std::collections::HashMap as Map;
-        use std::sync::Mutex;
-        #[derive(Default)]
-        struct MapTable(Mutex<Map<SharedTableKey, bool>>);
-        impl crate::SharedEquivalenceTable for MapTable {
-            fn get(&self, key: &SharedTableKey) -> Option<bool> {
-                self.0.lock().unwrap().get(key).copied()
-            }
-            fn put(&self, key: SharedTableKey, established: bool) {
-                self.0.lock().unwrap().insert(key, established);
-            }
-        }
-        let table = MapTable::default();
+        let cache = ProofCache::new();
         let ctx = CheckContext {
-            shared_table: Some(&table),
+            proofs: Some(&cache),
             ..Default::default()
         };
         let first = run(FIG1_A, FIG1_C, &CheckOptions::default(), &ctx).unwrap();
@@ -1646,30 +1601,18 @@ mod tests {
             second.stats
         );
         assert!(second.stats.combined_hit_rate() > first.stats.combined_hit_rate());
-        // The one-shot path never touches a shared table.
+        // A one-shot run's cache holds only its own proofs.
         let lone = verify(FIG1_A, FIG1_C, &CheckOptions::default());
         assert_eq!(lone.stats.shared_table_lookups, 0);
     }
 
     #[test]
     fn baseline_proofs_discharge_and_cone_skips_clean_outputs() {
-        use std::collections::HashMap as Map;
-        use std::sync::Mutex;
-        #[derive(Default)]
-        struct MapTable(Mutex<Map<SharedTableKey, bool>>);
-        impl crate::SharedEquivalenceTable for MapTable {
-            fn get(&self, key: &SharedTableKey) -> Option<bool> {
-                self.0.lock().unwrap().get(key).copied()
-            }
-            fn put(&self, key: SharedTableKey, established: bool) {
-                self.0.lock().unwrap().insert(key, established);
-            }
-        }
-        // Producing run: publish sub-proofs into a shared table, then turn
-        // its contents into a baseline for a fresh, table-free run.
-        let table = MapTable::default();
+        // Producing run: publish sub-proofs into a cache, then seed its
+        // entries as a baseline into a fresh cache.
+        let producer = ProofCache::new();
         let ctx = CheckContext {
-            shared_table: Some(&table),
+            proofs: Some(&producer),
             ..Default::default()
         };
         let scratch = run(FIG1_A, FIG1_C, &CheckOptions::default(), &ctx).unwrap();
@@ -1678,15 +1621,15 @@ mod tests {
             !scratch.output_fingerprints.is_empty(),
             "fingerprinted runs record per-output fingerprints"
         );
-        let baseline = crate::BaselineProofs::from_entries(
-            table.0.lock().unwrap().keys().copied().collect::<Vec<_>>(),
-        );
-        assert!(!baseline.is_empty());
+        let entries = producer.entries();
+        assert!(!entries.is_empty());
+        let baseline = ProofCache::new();
+        baseline.seed_baseline(entries.iter().copied());
 
-        // Baseline consult alone: every sub-proof replays, verdict and
+        // Baseline entries alone: every sub-proof replays, verdict and
         // stable rendering identical.
         let ctx2 = CheckContext {
-            baseline: Some(&baseline),
+            proofs: Some(&baseline),
             ..Default::default()
         };
         let incremental = run(FIG1_A, FIG1_C, &CheckOptions::default(), &ctx2).unwrap();
@@ -1705,7 +1648,7 @@ mod tests {
         let fpb = opts.fingerprints(&lower(&parse_program(FIG1_C).unwrap(), &opts).unwrap());
         let (output, domain_hash) = &scratch.output_domain_hashes[0];
         let root = output_root_key((&fpa, &fpb), output, *domain_hash);
-        assert!(baseline.contains(&root), "root obligation was published");
+        assert!(entries.contains(&root), "root obligation was published");
         let clean = ["C".to_owned()];
         let ctx3 = CheckContext {
             clean_outputs: &clean,

@@ -1,15 +1,16 @@
 //! The per-call context of a verification run: everything [`crate::check`]
 //! takes that is not a verdict option.
 //!
-//! With `CheckContext::default()` a check runs one-shot: empty caches, and
-//! [`crate::CheckOptions::max_work`] as the only budget.  A long-lived engine
-//! (the `arrayeq-engine` crate) fills the context in per request: a
-//! wall-clock deadline, a cooperative [`CancelToken`], a
-//! [`SharedEquivalenceTable`] whose entries outlive the call so later
-//! queries reuse established sub-proofs, and — on an incremental re-check —
-//! the [`BaselineProofs`] of an earlier run, the outputs they prove clean,
-//! and the fingerprints the classification already computed.
+//! With `CheckContext::default()` a check runs one-shot: a proof cache that
+//! lives for the run, and [`crate::CheckOptions::max_work`] as the only
+//! budget.  A long-lived engine (the `arrayeq-engine` crate) fills the
+//! context in per request: a wall-clock deadline, a cooperative
+//! [`CancelToken`], the session's [`ProofCache`], whose entries outlive the
+//! call so later queries reuse established sub-proofs, and — on an
+//! incremental re-check — the outputs an earlier run's baseline proves
+//! clean and the fingerprints the classification already computed.
 
+use crate::proofs::ProofCache;
 use arrayeq_addg::Fingerprints;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -117,106 +118,21 @@ impl fmt::Display for BudgetExhausted {
     }
 }
 
-/// Key of a cross-query tabling entry: the content fingerprints of the two
-/// traversal positions ([`arrayeq_addg::Fingerprints`]) and the structural
-/// hashes of the two output-current mappings.  Every component is a stable
-/// content hash, so the key means the same thing in every query.
-pub type SharedTableKey = (u64, u64, u64, u64);
-
-/// A cross-query store of established sub-equivalences.
-///
-/// Implementations are expected to be sharded/lock-striped maps shared by
-/// every query of one engine.  **Soundness contract:** an entry asserts that
-/// the synchronized traversal, run with *the same* [`crate::CheckOptions`],
-/// establishes the sub-equivalence behind the key.  Callers must therefore
-/// key or segregate stores per options set — the engine does this by fixing
-/// its options at construction time.  Only positive verdicts are stored
-/// (failures keep their diagnostics specific to the run that found them),
-/// and the checker never stores sub-proofs that leaned on a coinductive
-/// recurrence assumption.
-pub trait SharedEquivalenceTable: Send + Sync {
-    /// Looks up an established sub-equivalence.
-    fn get(&self, key: &SharedTableKey) -> Option<bool>;
-    /// Records an established sub-equivalence.
-    fn put(&self, key: SharedTableKey, established: bool);
-    /// Looks up an established sub-equivalence together with where it came
-    /// from, so the checker can report store-discharged proofs separately
-    /// from in-memory hits.  The default maps [`Self::get`] to
-    /// [`TableProvenance::Memory`], which is correct for any implementation
-    /// that never seeds entries from a persistent store.
-    fn get_with_provenance(&self, key: &SharedTableKey) -> Option<(bool, TableProvenance)> {
-        self.get(key).map(|e| (e, TableProvenance::Memory))
-    }
-}
-
-/// Where a [`SharedEquivalenceTable`] answer came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableProvenance {
-    /// Established by a query of this process's session.
-    Memory,
-    /// Seeded from a persistent on-disk proof store at engine startup.
-    Store,
-}
-
-/// A read-only store of sub-proofs carried over from an earlier run — the
-/// substrate of incremental re-verification.
-///
-/// Entries use the same key shape as the [`SharedEquivalenceTable`]
-/// (content fingerprints plus mapping hashes), and inherit the same
-/// soundness contract: every entry asserts a *positive*, *assumption-free*
-/// sub-equivalence established under the same [`crate::CheckOptions`].  The
-/// guard holds by construction — baselines are exported from a shared
-/// table, and the checker only ever publishes there when a sub-proof
-/// succeeded without leaning on any in-flight coinductive assumption
-/// (`assumption_uses` unchanged around the uncached check).  A consult hit
-/// therefore discharges the sub-traversal with exactly the verdict the
-/// traversal would re-derive; failures are never stored, so diagnostics and
-/// rendered reports are byte-identical to a from-scratch run.
-#[derive(Debug, Clone, Default)]
-pub struct BaselineProofs {
-    entries: std::collections::HashSet<SharedTableKey>,
-}
-
-impl BaselineProofs {
-    /// Builds a store from previously exported proven entries.
-    pub fn from_entries(entries: impl IntoIterator<Item = SharedTableKey>) -> Self {
-        Self {
-            entries: entries.into_iter().collect(),
-        }
-    }
-
-    /// Whether the baseline proves the sub-equivalence behind `key`.
-    pub fn contains(&self, key: &SharedTableKey) -> bool {
-        self.entries.contains(key)
-    }
-
-    /// Number of proven entries carried by the baseline.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the baseline carries no entries at all.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// Per-call context threaded through [`crate::check`].
 ///
 /// The default context (`CheckContext::default()`) is a plain one-shot run:
-/// no deadline, no cancellation, no cross-query sharing, no baseline.
+/// no deadline, no cancellation, no proofs from outside the run.
 #[derive(Default, Clone)]
 pub struct CheckContext<'a> {
-    /// Cross-query equivalence table, shared between calls and threads.
-    pub shared_table: Option<&'a dyn SharedEquivalenceTable>,
+    /// The proof cache the run looks up and publishes to, shared between
+    /// calls and threads.  `None` makes a cache for this run only, which
+    /// its workers share.
+    pub proofs: Option<&'a ProofCache>,
     /// Absolute wall-clock deadline for this call.
     pub deadline: Option<Instant>,
     /// Cooperative cancellation token polled during the traversal.
     pub cancel: Option<&'a CancelToken>,
-    /// Proven sub-proofs from an earlier run, consulted before both table
-    /// levels (see [`BaselineProofs`]).
-    pub baseline: Option<&'a BaselineProofs>,
-    /// Output arrays the caller has *proven* unchanged against `baseline`
+    /// Output arrays the caller has *proven* unchanged against a baseline
     /// (their root obligations, [`crate::output_root_key`], are among its
     /// entries): the traversal skips them entirely — no domain check, no
     /// root obligation — while keeping them in
@@ -239,10 +155,9 @@ pub struct CheckContext<'a> {
 impl fmt::Debug for CheckContext<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CheckContext")
-            .field("shared_table", &self.shared_table.is_some())
+            .field("proofs", &self.proofs.is_some())
             .field("deadline", &self.deadline)
             .field("cancel", &self.cancel.is_some())
-            .field("baseline", &self.baseline.is_some())
             .field("clean_outputs", &self.clean_outputs)
             .field("fingerprints", &self.fingerprints.is_some())
             .finish()

@@ -28,8 +28,9 @@
 //! The pipeline has two stages: [`lower`] runs the front end on one program
 //! (parameter promotion, class check, def-use check, ADDG extraction) and
 //! [`check`] runs the traversal on two lowered graphs under a per-call
-//! [`CheckContext`].  Long-lived services use the `arrayeq-engine` crate's
-//! `Verifier`, which drives these two stages with shared caches.
+//! [`CheckContext`].  Every sub-proof the traversal establishes goes into
+//! one [`ProofCache`]; long-lived services use the `arrayeq-engine` crate's
+//! `Verifier`, which drives these two stages with one cache per session.
 //!
 //! ```
 //! use arrayeq_core::{check, lower, CheckContext, CheckOptions};
@@ -61,17 +62,16 @@ mod diagnostics;
 mod normalize;
 mod operators;
 mod parallel;
+mod proofs;
 mod report;
 
 pub use checker::{check, lower, output_root_key, CheckOptions, Focus, Method};
-pub use context::{
-    BaselineProofs, BudgetExhausted, CancelToken, CheckContext, SharedEquivalenceTable,
-    SharedTableKey, TableProvenance,
-};
+pub use context::{BudgetExhausted, CancelToken, CheckContext};
 pub use diagnostics::{Diagnostic, DiagnosticKind};
 pub use operators::{OperatorClass, OperatorProperties};
 #[doc(hidden)]
 pub use parallel::{inject_arith_overflow_once, inject_worker_panic_on_task};
+pub use proofs::{ProofCache, ProofKey, StripeKey, StripedMap};
 pub use report::{CheckStats, Report, Verdict, Witness};
 
 use std::fmt;

@@ -268,10 +268,8 @@ impl<'x> Checker<'x> {
 
         // Hash-cons both sides' terms: id equality is the fast matching
         // path, and (id, id) pairs key the match memo.
-        let ids_a: Vec<Option<TermId>> =
-            terms_a.iter().map(|t| self.intern_term(true, t)).collect();
-        let ids_b: Vec<Option<TermId>> =
-            terms_b.iter().map(|t| self.intern_term(false, t)).collect();
+        let ids_a: Vec<TermId> = terms_a.iter().map(|t| self.intern_term(true, t)).collect();
+        let ids_b: Vec<TermId> = terms_b.iter().map(|t| self.intern_term(false, t)).collect();
 
         let factor_comm = self.opts.operators.class_of(&OperatorKind::Mul).commutative;
         let mut used = vec![false; terms_b.len()];
@@ -338,26 +336,22 @@ impl<'x> Checker<'x> {
         &mut self,
         commutative_factors: bool,
         ta: &FlatTerm,
-        ia: Option<TermId>,
+        ia: TermId,
         tb: &FlatTerm,
-        ib: Option<TermId>,
+        ib: TermId,
     ) -> Result<bool> {
-        if let (Some(a), Some(b)) = (ia, ib) {
-            if a == b {
-                self.stats.fast_term_matches += 1;
-                arrayeq_trace::discharge("arena_fast_match");
-                return Ok(true);
-            }
-            if let Some(cached) = self.arena.lookup_match(a, b) {
-                self.stats.term_memo_hits += 1;
-                arrayeq_trace::discharge("match_memo");
-                return Ok(cached);
-            }
+        if ia == ib {
+            self.stats.fast_term_matches += 1;
+            arrayeq_trace::discharge("arena_fast_match");
+            return Ok(true);
+        }
+        if let Some(cached) = self.arena.lookup_match(ia, ib) {
+            self.stats.term_memo_hits += 1;
+            arrayeq_trace::discharge("match_memo");
+            return Ok(cached);
         }
         if ta.coeff != tb.coeff || ta.factors.len() != tb.factors.len() {
-            if let (Some(a), Some(b)) = (ia, ib) {
-                self.arena.record_match(a, b, false);
-            }
+            self.arena.record_match(ia, ib, false);
             return Ok(false);
         }
         let assumption_uses_before = self.assumption_uses;
@@ -405,31 +399,30 @@ impl<'x> Checker<'x> {
         // while a budget was winding the traversal down proves nothing.
         // Everything else memoises.
         if !self.exhausted && self.assumption_uses == assumption_uses_before {
-            if let (Some(a), Some(b)) = (ia, ib) {
-                self.arena.record_match(a, b, all);
-            }
+            self.arena.record_match(ia, ib, all);
         }
         Ok(all)
     }
 
-    /// Interns one term into the arena by its rename-invariant content key;
-    /// `None` when the run has no fingerprints (legacy keying baselines).
-    fn intern_term(&mut self, original_side: bool, t: &FlatTerm) -> Option<TermId> {
-        let keys: Vec<(u64, u64)> = {
-            let (fa, fb) = self.fps?;
-            let fps = if original_side { fa } else { fb };
-            t.factors
-                .iter()
-                .map(|f| {
-                    let p = match &f.pos {
-                        Pos::Node(n) => fps.node(*n),
-                        Pos::Array(v) => fps.array(v),
-                    };
-                    (p, f.map.structural_hash())
-                })
-                .collect()
+    /// Interns one term into the arena by its rename-invariant content key.
+    fn intern_term(&mut self, original_side: bool, t: &FlatTerm) -> TermId {
+        let fps = if original_side {
+            &self.fps.0
+        } else {
+            &self.fps.1
         };
-        Some(self.arena.intern(t, keys, &mut self.stats))
+        let keys: Vec<(u64, u64)> = t
+            .factors
+            .iter()
+            .map(|f| {
+                let p = match &f.pos {
+                    Pos::Node(n) => fps.node(*n),
+                    Pos::Array(v) => fps.array(v),
+                };
+                (p, f.map.structural_hash())
+            })
+            .collect();
+        self.arena.intern(t, keys, &mut self.stats)
     }
 
     /// Renders a term for diagnostics: `(name, mapping)` in the style the

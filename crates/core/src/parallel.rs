@@ -4,8 +4,8 @@
 //! The synchronized traversal of Section 5 establishes correspondences
 //! output by output, and below each output it reduces arrays definition by
 //! definition and operators operand by operand.  Those sub-obligations are
-//! independent up to the tabling state, so every [`crate::check`] runs in
-//! three phases:
+//! independent up to the proofs they share, so every [`crate::check`] runs
+//! in three phases:
 //!
 //! 1. **Decompose** (coordinator, the calling thread): per output, the
 //!    defined-element sets of both programs are compared inside an `output`
@@ -23,12 +23,13 @@
 //!    idle workers steal whatever obligation is next, so one expensive
 //!    output does not serialise the run).  A single worker drains the queue
 //!    on the calling thread without spawning; more run in a scoped pool.
-//!    Each worker owns a full [`Checker`] — local tabling cache, coinductive
-//!    assumptions, stats, diagnostics buffer — and all workers share the
-//!    session state through the [`CheckContext`]: the engine's cross-query
-//!    equivalence table (rename-invariant keys mean one worker's sub-proof
-//!    discharges another worker's identical obligation mid-run) and the
-//!    session feasibility cache, re-installed in every spawned worker via
+//!    Each worker owns a full [`Checker`] — coinductive assumptions, term
+//!    arena, stats, diagnostics buffer — and all workers share the run's
+//!    one [`crate::ProofCache`] (the caller's through
+//!    [`CheckContext::proofs`], or one made for the run; rename-invariant
+//!    keys mean one worker's sub-proof discharges another worker's
+//!    identical obligation mid-run) and the session feasibility cache,
+//!    re-installed in every spawned worker via
 //!    [`arrayeq_omega::with_feasibility_cache`].  Budgets and cancellation
 //!    propagate through one [`SharedBudget`]: any worker tripping the work
 //!    limit, deadline or cancel token winds the whole pool down promptly.
@@ -45,6 +46,7 @@ use crate::checker::{
 use crate::context::{BudgetExhausted, CheckContext};
 use crate::diagnostics::{Diagnostic, DiagnosticKind};
 use crate::normalize::{self, matching, FlatTerm};
+use crate::proofs::QueryProofs;
 use crate::report::{CheckStats, Report, Verdict};
 use crate::Result;
 use arrayeq_addg::{Addg, Fingerprints, Node, OperatorKind};
@@ -202,13 +204,15 @@ enum Prologue {
 }
 
 /// Runs one verification: the driver behind [`crate::check`] at every
-/// [`CheckOptions::jobs`] setting.
+/// [`CheckOptions::jobs`] setting, keyed by `fps` and proving through
+/// `proofs`.
 pub(crate) fn check_parallel(
     a: &Addg,
     b: &Addg,
     opts: &CheckOptions,
     ctx: &CheckContext<'_>,
-    fps: Option<&(Fingerprints, Fingerprints)>,
+    fps: &(Fingerprints, Fingerprints),
+    proofs: QueryProofs<'_>,
 ) -> Result<Report> {
     let started = Instant::now();
     let jobs = opts.effective_jobs();
@@ -221,8 +225,11 @@ pub(crate) fn check_parallel(
     // scope, the coordinator's included.
     let budget = SharedBudget::default();
     let mut stats = CheckStats::default();
-    let (decomposed, mut events) =
-        solver_events(|| decompose(a, b, opts, ctx, &outputs, jobs, &budget, &mut stats));
+    let (decomposed, mut events) = solver_events(|| {
+        decompose(
+            a, b, opts, ctx, fps, proofs, &outputs, jobs, &budget, &mut stats,
+        )
+    });
     let (prologue, tasks, domain_hashes) = decomposed?;
 
     // Phase 2: the workers.  Every task runs under `catch_unwind`: a
@@ -230,19 +237,19 @@ pub(crate) fn check_parallel(
     // payload; the merge turns it into a typed
     // [`DiagnosticKind::WorkerPanicked`] inconclusive), and the worker
     // *quarantines* its local state by discarding the whole `Checker` —
-    // term arena, tabling cache, coinductive assumptions, buffered
-    // diagnostics could all be mid-mutation — and continuing on a fresh one.
-    // The *shared* tables need no rollback: the session feasibility cache
-    // and the engine's equivalence table only ever receive completed
-    // verdicts in a single `put`, so an unwound task has published either
-    // nothing or a finished entry, never partial state.
+    // term arena, coinductive assumptions, buffered diagnostics could all
+    // be mid-mutation — and continuing on a fresh one.  The *shared* caches
+    // need no rollback: the session feasibility cache and the proof cache
+    // only ever receive completed verdicts in a single insert, so an
+    // unwound task has published either nothing or a finished entry, never
+    // partial state.
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<TaskSlot>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
     let drained = Mutex::new((CheckStats::default(), SolverEvents::default()));
     let drain = || {
         let (worker_stats, worker_events) = solver_events(|| {
             consume_injected_overflow();
-            let mut worker = Checker::new(a, b, opts, ctx, fps, &budget);
+            let mut worker = Checker::new(a, b, opts, ctx, fps, proofs, &budget);
             let mut stats = CheckStats::default();
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
@@ -306,7 +313,7 @@ pub(crate) fn check_parallel(
                         // stable output).
                         let poisoned = std::mem::replace(
                             &mut worker,
-                            Checker::new(a, b, opts, ctx, fps, &budget),
+                            Checker::new(a, b, opts, ctx, fps, proofs, &budget),
                         );
                         stats.merge(&poisoned.into_stats());
                         TaskSlot::Panicked(panic_message(payload))
@@ -444,13 +451,11 @@ pub(crate) fn check_parallel(
         Verdict::NotEquivalent
     };
     stats.check_time_us = started.elapsed().as_micros() as u64;
-    let output_fingerprints = match fps {
-        Some((fa, fb)) => outputs
-            .iter()
-            .map(|o| (o.clone(), fa.array(o), fb.array(o)))
-            .collect(),
-        None => Vec::new(),
-    };
+    let (fa, fb) = fps;
+    let output_fingerprints = outputs
+        .iter()
+        .map(|o| (o.clone(), fa.array(o), fb.array(o)))
+        .collect();
     let budget_exhausted = budget
         .take_reason()
         .or(fragment_reason)
@@ -481,6 +486,8 @@ fn decompose(
     b: &Addg,
     opts: &CheckOptions,
     ctx: &CheckContext<'_>,
+    fps: &(Fingerprints, Fingerprints),
+    proofs: QueryProofs<'_>,
     outputs: &[String],
     jobs: usize,
     budget: &SharedBudget,
@@ -536,6 +543,11 @@ fn decompose(
         stats.cone_positions = cone;
     }
     if jobs > 1 {
+        // The coordinator's scratch checkers account against the run-wide
+        // budget: their visit counts flush into the same shared counter the
+        // workers use, so coordinator-side flattening cannot exceed
+        // `max_work` unbounded.
+        let scratch = || Checker::new(a, b, opts, ctx, fps, proofs, budget);
         expand_tasks(
             &mut tasks,
             jobs,
@@ -543,8 +555,7 @@ fn decompose(
             a,
             b,
             opts,
-            ctx,
-            budget,
+            &scratch,
             stats,
         )?;
         stats.parallel_tasks = tasks.len() as u64;
@@ -562,24 +573,23 @@ fn decompose(
 /// children are spliced in place of their parent, preserving the
 /// traversal's depth-first diagnostic order.
 #[allow(clippy::too_many_arguments)]
-fn expand_tasks(
+fn expand_tasks<'x>(
     tasks: &mut Vec<CheckTask>,
     jobs: usize,
     target: usize,
     a: &Addg,
     b: &Addg,
     opts: &CheckOptions,
-    ctx: &CheckContext<'_>,
-    budget: &SharedBudget,
+    scratch: &dyn Fn() -> Checker<'x>,
     stats: &mut CheckStats,
 ) -> Result<()> {
     'grow: while tasks.len() < target {
         // Algebraic piece-splitting only runs while the pool is *starved*
         // (fewer obligations than workers): it is what un-serialises a run
         // dominated by one flatten/match position, but a piece task starts
-        // below the obligation's tabling point, so once every worker has
-        // work the obligation stays whole and its sub-proof lands in the
-        // local and session tables as usual.
+        // below the obligation's proof key, so once every worker has work
+        // the obligation stays whole and its sub-proof is published as
+        // usual.
         let split_algebraic = tasks.len() < jobs;
         // Shallowest candidates first, so every output contributes
         // obligations before any single chain is split deep.
@@ -588,7 +598,7 @@ fn expand_tasks(
             .collect();
         order.sort_by_key(|&j| (tasks[j].depth, j));
         for j in order {
-            match expand_one(&tasks[j], a, b, opts, ctx, budget, split_algebraic, stats)? {
+            match expand_one(&tasks[j], a, b, opts, scratch, split_algebraic, stats)? {
                 Some(children) => {
                     tasks.splice(j..=j, children);
                     continue 'grow;
@@ -611,14 +621,12 @@ fn expand_tasks(
 /// positions are no longer opaque: [`expand_algebraic`] flattens them in
 /// the coordinator and splits the obligation into one task per region
 /// piece.
-#[allow(clippy::too_many_arguments)]
-fn expand_one(
+fn expand_one<'x>(
     task: &CheckTask,
     a: &Addg,
     b: &Addg,
     opts: &CheckOptions,
-    ctx: &CheckContext<'_>,
-    budget: &SharedBudget,
+    scratch: &dyn Fn() -> Checker<'x>,
     split_algebraic: bool,
     stats: &mut CheckStats,
 ) -> Result<Option<Vec<CheckTask>>> {
@@ -770,7 +778,7 @@ fn expand_one(
             if let Some(family) = normalize::chain_family(ka, kb, &opts.operators, opts.method) {
                 if !split_algebraic {
                     // Pool already saturated: the flatten/match obligation
-                    // stays whole so its proof is tabled and published.
+                    // stays whole so its proof is published.
                     return Ok(None);
                 }
                 return expand_algebraic(
@@ -782,11 +790,7 @@ fn expand_one(
                     map_b.clone(),
                     with_stmt(&task.trail_a, sa),
                     with_stmt(&task.trail_b, sb),
-                    a,
-                    b,
-                    opts,
-                    ctx,
-                    budget,
+                    scratch(),
                     stats,
                 );
             }
@@ -824,7 +828,8 @@ fn expand_one(
 /// is an independent sub-obligation for the pool, and the coordinator's
 /// flatten is reused even for single-region chains.  `None` only when a
 /// budget tripped mid-flatten (a worker then re-derives the whole
-/// obligation under the shared budget).
+/// obligation under the shared budget).  `scratch` is a fresh checker of
+/// the run that does the flattening.
 #[allow(clippy::too_many_arguments)]
 fn expand_algebraic(
     task: &CheckTask,
@@ -835,17 +840,9 @@ fn expand_algebraic(
     map_b: Relation,
     trail_a: Vec<String>,
     trail_b: Vec<String>,
-    a: &Addg,
-    b: &Addg,
-    opts: &CheckOptions,
-    ctx: &CheckContext<'_>,
-    budget: &SharedBudget,
+    mut scratch: Checker<'_>,
     stats: &mut CheckStats,
 ) -> Result<Option<Vec<CheckTask>>> {
-    // The scratch checker accounts against the run-wide budget: its visit
-    // counts flush into the same shared counter the workers use, so
-    // coordinator-side flattening cannot exceed `max_work` unbounded.
-    let mut scratch = Checker::new(a, b, opts, ctx, None, budget);
     scratch.stats.flattenings += 1;
     let full = map_a.domain();
     let mut terms_a = Vec::new();

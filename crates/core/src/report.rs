@@ -39,12 +39,15 @@ pub struct CheckStats {
     pub compositions: u64,
     /// Relation equality checks performed.
     pub mapping_equalities: u64,
-    /// Number of tabling-cache lookups performed (key constructions).
+    /// Proof-cache lookups ([`crate::ProofCache`]), except those a
+    /// baseline entry answered (see [`CheckStats::baseline_hits`]).
     pub table_lookups: u64,
-    /// Number of sub-problems answered from the tabling cache.
+    /// Lookups answered by a sub-proof this run established itself (trace
+    /// mechanism `local_table`).
     pub table_hits: u64,
-    /// Number of sub-problems inserted into the tabling cache.  Entries are
-    /// only ever inserted on a miss, so this is also the final table size.
+    /// Sub-proofs this run published to the proof cache.  A proof is only
+    /// published after a miss, but the cache also holds other runs',
+    /// stored and baseline entries, so this is not the cache's size.
     pub table_entries: u64,
     /// Structural-hash collisions detected by the debug-build cross-check
     /// (two relations with the same hash but different canonical keys).
@@ -74,17 +77,20 @@ pub struct CheckStats {
     /// emitted from inside a flatten/match position (0 when every algebraic
     /// obligation ran whole).
     pub algebraic_piece_tasks: u64,
-    /// Lookups into the cross-query shared equivalence table (0 outside an
-    /// engine session — the one-shot path has no shared table).
+    /// Lookups this run's own sub-proofs did not answer, in a run given a
+    /// proof cache ([`crate::CheckContext::proofs`]): those that another
+    /// query's or the store's entries could answer.  0 on the one-shot
+    /// path, whose cache holds only the run's own proofs.
     pub shared_table_lookups: u64,
-    /// Sub-problems answered by the cross-query shared equivalence table.
+    /// Lookups answered by a sub-proof another query of the session
+    /// established (trace mechanism `shared_table`) or the persistent proof
+    /// store loaded (`store`).
     pub shared_table_hits: u64,
-    /// Sub-proofs published to the cross-query shared equivalence table.
+    /// Sub-proofs published to a proof cache given by the caller, where
+    /// later queries see them (0 on the one-shot path).
     pub shared_table_inserts: u64,
-    /// Sub-problems discharged by entries the shared table was *seeded* with
-    /// from a persistent on-disk proof store (a subset of
-    /// [`CheckStats::shared_table_hits`]) — hits on entries established by
-    /// this process's own session are counted as plain shared-table hits.
+    /// Lookups answered by an entry loaded from a persistent on-disk proof
+    /// store (a subset of [`CheckStats::shared_table_hits`]).
     pub store_hits: u64,
     /// Output obligations inside the dirty cone of an incremental run — the
     /// outputs actually traversed after the baseline-clean outputs of
@@ -92,8 +98,9 @@ pub struct CheckStats {
     /// output was clean (a from-scratch run traverses everything but is not
     /// counting cone membership).
     pub cone_positions: u64,
-    /// Sub-problems discharged by the baseline store of proven entries
-    /// ([`crate::BaselineProofs`]) before either tabling level was consulted.
+    /// Lookups answered by an entry an incremental baseline carried into the
+    /// proof cache (trace mechanism `baseline`).  They are not counted in
+    /// [`CheckStats::table_lookups`].
     pub baseline_hits: u64,
     /// Conjuncts dropped by the DNF constraint-set engine during this check —
     /// structural-hash duplicates plus conjuncts subsumed by a sibling
@@ -153,8 +160,8 @@ impl CheckStats {
         debug_assert!(self.store_hits <= self.shared_table_hits);
     }
 
-    /// Fraction of tabling lookups answered from the cache (0.0 when the
-    /// table was never consulted).
+    /// Fraction of [`CheckStats::table_lookups`] answered by this run's own
+    /// sub-proofs (0.0 when the cache was never consulted).
     pub fn table_hit_rate(&self) -> f64 {
         if self.table_lookups == 0 {
             0.0
@@ -174,11 +181,11 @@ impl CheckStats {
         }
     }
 
-    /// Fraction of tabling lookups answered from *either* cache level — the
-    /// per-run table or the cross-query shared table (0.0 when neither was
-    /// consulted).  In an engine session this is the reuse measure: shared
-    /// hits short-circuit whole sub-traversals that a one-shot run would
-    /// re-derive.
+    /// Fraction of [`CheckStats::table_lookups`] answered by any sub-proof —
+    /// this run's own, another query's or the store's (0.0 when the cache
+    /// was never consulted).  In an engine session this is the reuse
+    /// measure: shared hits short-circuit whole sub-traversals that a
+    /// one-shot run would re-derive.
     pub fn combined_hit_rate(&self) -> f64 {
         let lookups = self.table_lookups;
         if lookups == 0 {
@@ -273,16 +280,13 @@ pub struct Report {
     /// `(output name, original-side fingerprint, transformed-side
     /// fingerprint)` in [`Report::outputs_checked`] order.  This is what
     /// lets a baseline consumer correlate proven entries with source
-    /// positions.  Empty when the run computed no fingerprints (tabling
-    /// off); never part of
-    /// [`Report::render_stable`] — fingerprints are stable per content but
-    /// the *presence* of the member depends on caching options.
+    /// positions.  Never part of [`Report::render_stable`].
     pub output_fingerprints: Vec<(String, u64, u64)>,
     /// Structural hash of the identity relation on each output's defined
     /// elements, as `(output name, hash)` for every re-checked output whose
     /// element domains matched.  Together with an output's entry in
     /// [`Report::output_fingerprints`] this reconstructs the output's root
-    /// tabling key ([`crate::output_root_key`]) without re-running the Omega
+    /// proof key ([`crate::output_root_key`]) without re-running the Omega
     /// domain computation — which is what lets an exported baseline be
     /// consumed with no per-output Omega work.  Skipped-clean and
     /// domain-mismatched outputs have no entry; never part of
@@ -315,8 +319,8 @@ impl Report {
     /// This rendering is byte-identical for one request regardless of
     /// [`crate::CheckOptions::jobs`]: the parallel checker merges per-task
     /// diagnostics in deterministic decomposition order, while its cache and
-    /// work counters legitimately vary with scheduling (worker-local tables
-    /// see different task interleavings).  [`Report::summary`] is the richer
+    /// work counters legitimately vary with scheduling (workers see the
+    /// run's proofs in different task interleavings).  [`Report::summary`] is the richer
     /// human rendering that includes those counters.
     pub fn render_stable(&self) -> String {
         let mut out = format!("{}\n", self.verdict);
@@ -416,7 +420,7 @@ impl Report {
         }
         if self.stats.hash_collisions > 0 {
             out.push_str(&format!(
-                "WARNING: {} structural-hash collisions detected in the tabling cache\n",
+                "WARNING: {} structural-hash collisions detected in the proof cache\n",
                 self.stats.hash_collisions,
             ));
         }

@@ -2,9 +2,9 @@
 //!
 //! A *baseline* is the persisted residue of an earlier verification run:
 //! the proven, assumption-free sub-equivalence entries of the engine's
-//! cross-query table (content-fingerprint keyed, so they mean the same
-//! thing in any later process) plus the per-output position fingerprints of
-//! the pair that produced them.  `arrayeq verify --emit-baseline out.json`
+//! proof cache (content-fingerprint keyed, so they mean the same thing in
+//! any later process) plus the per-output position fingerprints of the pair
+//! that produced them.  `arrayeq verify --emit-baseline out.json`
 //! writes one; `--baseline out.json` feeds it back into
 //! [`crate::Verifier::verify_incremental`], which classifies outputs
 //! clean/dirty against it and re-checks only the dirty cone.
@@ -20,8 +20,9 @@
 
 use crate::json::{hex64, parse_hex64, string, JsonValue};
 use arrayeq_addg::{Addg, Fingerprints};
-use arrayeq_core::{output_root_key, BaselineProofs, CheckOptions, Report, SharedTableKey};
+use arrayeq_core::{output_root_key, CheckOptions, ProofCache, ProofKey, Report};
 use arrayeq_omega::structural_hash_of;
+use std::collections::HashSet;
 use std::fmt;
 
 /// Magic string identifying the baseline format (bumped on layout changes).
@@ -45,8 +46,8 @@ pub struct Baseline {
     /// such an output can never be classified clean.
     pub outputs: Vec<(String, u64, u64, Option<u64>)>,
     /// The proven sub-proof entries (positive and assumption-free by the
-    /// shared-table publishing contract).
-    pub entries: Vec<SharedTableKey>,
+    /// proof cache's publishing contract).
+    pub entries: Vec<ProofKey>,
 }
 
 impl Baseline {
@@ -123,7 +124,8 @@ impl Baseline {
 
     /// Applies this (options-vetted) baseline to one request's graphs:
     /// rejects it when it was recorded for a different output interface,
-    /// and otherwise classifies every output clean or dirty.
+    /// and otherwise classifies every output clean or dirty and seeds the
+    /// baseline's entries into `proofs`, the session's proof cache.
     ///
     /// An output is clean iff its recorded fingerprints still match this
     /// pair's (the content is untouched) AND the baseline carries its *root
@@ -140,6 +142,7 @@ impl Baseline {
         original: &Addg,
         transformed: &Addg,
         opts: &CheckOptions,
+        proofs: &ProofCache,
     ) -> Result<AppliedBaseline<'_>, BaselineRejection> {
         // Program-identity gate: a baseline recorded for a different output
         // interface proves nothing here and likely signals operator error
@@ -156,7 +159,7 @@ impl Baseline {
             });
         }
         let (fa, fb) = (opts.fingerprints(original), opts.fingerprints(transformed));
-        let proofs = BaselineProofs::from_entries(self.entries.iter().copied());
+        let entries: HashSet<ProofKey> = self.entries.iter().copied().collect();
         let clean = original
             .output_arrays()
             .iter()
@@ -165,15 +168,16 @@ impl Baseline {
                     *ra == fa.array(output)
                         && *rb == fb.array(output)
                         && dh.is_some_and(|h| {
-                            proofs.contains(&output_root_key((&fa, &fb), output, h))
+                            entries.contains(&output_root_key((&fa, &fb), output, h))
                         })
                 })
             })
             .cloned()
             .collect();
+        proofs.seed_baseline(self.entries.iter().copied());
         Ok(AppliedBaseline {
             baseline: self,
-            proofs,
+            entries: entries.len(),
             clean,
             fingerprints: (fa, fb),
         })
@@ -185,12 +189,12 @@ impl Baseline {
     }
 }
 
-/// A baseline applied to one request: what the check consults, and what
-/// the classification already computed.
+/// A baseline applied to one request: what the classification computed
+/// for the check.
 pub(crate) struct AppliedBaseline<'b> {
     baseline: &'b Baseline,
-    /// The baseline's proven entries.
-    pub(crate) proofs: BaselineProofs,
+    /// Distinct proven entries the baseline carries.
+    entries: usize,
     /// Outputs whose root obligations the baseline proves; the check skips
     /// them.
     pub(crate) clean: Vec<String>,
@@ -203,9 +207,10 @@ impl AppliedBaseline<'_> {
     /// Completes the report of a check run under this baseline and returns
     /// the applied status.  Skipped-clean outputs were never traversed, so
     /// the run recorded no domain hash for them; the baseline's recorded
-    /// hashes are carried forward so a baseline exported from this run
-    /// stays as complete as the producing run's (chained incremental
-    /// workflows).
+    /// hashes are carried forward.  With the baseline's entries, which
+    /// [`Baseline::apply`] seeded into the session's proof cache, a
+    /// baseline exported after this run still proves those outputs' root
+    /// obligations, so chained incremental runs keep them clean.
     pub(crate) fn finish(self, report: &mut Report) -> BaselineStatus {
         for output in &self.clean {
             if let Some((_, _, _, Some(h))) = self.baseline.recorded(output) {
@@ -213,7 +218,7 @@ impl AppliedBaseline<'_> {
             }
         }
         BaselineStatus::Applied {
-            entries: self.proofs.len(),
+            entries: self.entries,
             clean_outputs: self.clean,
         }
     }
@@ -225,7 +230,7 @@ impl AppliedBaseline<'_> {
 pub fn baseline_to_json(
     options_fp: u64,
     outputs: &[(String, u64, u64, Option<u64>)],
-    entries: &[SharedTableKey],
+    entries: &[ProofKey],
 ) -> String {
     let outputs: Vec<String> = outputs
         .iter()
@@ -261,23 +266,23 @@ pub fn baseline_to_json(
 }
 
 /// Fingerprints the *verdict-relevant* subset of [`CheckOptions`]: method,
-/// operator algebra, tabling, focus and parameters — everything under which
-/// a sub-proof entry is (in)valid.  Budgets (`max_work`) and parallelism
+/// operator algebra, focus and parameters — everything under which a
+/// sub-proof entry is (in)valid.  Budgets (`max_work`) and parallelism
 /// (`jobs`) are deliberately excluded: they change how much work a run
 /// does, never which sub-proofs hold, so a baseline stays consumable across
 /// budget and jobs settings.
 pub fn options_fingerprint(opts: &CheckOptions) -> u64 {
-    // The `*_table_keys`, `check_def_use` and `check_class` entries name
-    // switches that no longer exist (the two table-key modes are gone, and
-    // both front-end checks always run); they stay as fixed text so stores
-    // and baselines written while those switches existed keep their
-    // fingerprint and keep loading.
+    // The `tabling`, `*_table_keys`, `check_def_use` and `check_class`
+    // entries name switches that no longer exist (sub-proofs are always
+    // cached, the two table-key modes are gone, and both front-end checks
+    // always run); they stay as fixed text so stores and baselines written
+    // while those switches existed keep their fingerprint and keep loading.
     let mut canonical = format!(
         concat!(
-            "method={:?};operators={:?};tabling={};string_table_keys=false;",
+            "method={:?};operators={:?};tabling=true;string_table_keys=false;",
             "position_table_keys=false;focus={:?};check_def_use=true;check_class=true"
         ),
-        opts.method, opts.operators, opts.tabling, opts.focus,
+        opts.method, opts.operators, opts.focus,
     );
     // Parameter promotion changes what is being proven (a sub-proof at
     // `N = 1024` says nothing about symbolic `N`), so it invalidates
@@ -451,8 +456,6 @@ mod tests {
         );
         let different = CheckOptions::basic();
         assert_ne!(options_fingerprint(&base), options_fingerprint(&different));
-        let untabled = CheckOptions::default().without_tabling();
-        assert_ne!(options_fingerprint(&base), options_fingerprint(&untabled));
         // Parameter promotion changes what is proven, so it must re-key.
         let parametric = CheckOptions::default().with_params(vec![("N".into(), 1)]);
         assert_ne!(options_fingerprint(&base), options_fingerprint(&parametric));

@@ -10,13 +10,17 @@
 //! step, perturbed variants of a corpus, many pairs under one policy.  Those
 //! queries overlap heavily — the same sub-ADDGs, the same composed
 //! dependency mappings, the same feasibility questions — so the engine owns
-//! two shared, sharded, lock-striped stores that outlive every call:
+//! two shared, lock-striped stores that outlive every call:
 //!
-//! * a **cross-query equivalence table** (keyed by content fingerprints of
-//!   the traversal positions, [`arrayeq_addg::fingerprints`], plus the
-//!   structural hashes of the output-current mappings) through which one
-//!   query's established sub-proofs discharge another query's
-//!   sub-traversals, across threads;
+//! * one **proof cache** ([`arrayeq_core::ProofCache`], keyed by content
+//!   fingerprints of the traversal positions, [`arrayeq_addg::fingerprints`],
+//!   plus the structural hashes of the output-current mappings) through
+//!   which every established sub-proof discharges later sub-traversals,
+//!   across queries and threads.  It holds the session's own proofs, the
+//!   entries of an attached [`ProofStore`] and those of every baseline
+//!   applied by [`Verifier::verify_incremental`], each with its provenance;
+//!   [`Verifier::export_baseline`] and [`Verifier::flush_store`] write from
+//!   it;
 //! * a **shared feasibility memo** promoting `arrayeq-omega`'s thread-local
 //!   Omega-test memo to session scope (installed around every query via
 //!   [`arrayeq_omega::with_feasibility_cache`]).
@@ -84,12 +88,12 @@ pub use arrayeq_core::{
 pub use arrayeq_witness::WitnessOptions;
 
 use arrayeq_addg::Addg;
-use arrayeq_core::{check, lower, CheckContext, Result};
+use arrayeq_core::{check, lower, CheckContext, ProofCache, Result};
 use arrayeq_lang::ast::Program;
 use arrayeq_lang::parser::parse_program;
 use arrayeq_omega::{with_feasibility_cache, FeasibilityCache};
 use arrayeq_witness::extract_witnesses;
-use shared::{ShardedEquivalenceTable, SharedFeasibilityMemo};
+use shared::SharedFeasibilityMemo;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -208,11 +212,13 @@ pub struct SessionStats {
     pub inconclusive: u64,
     /// Requests that failed with a pipeline error.
     pub errors: u64,
-    /// Entries currently held by the cross-query equivalence table.
+    /// Entries currently held by the session's proof cache, whatever their
+    /// provenance: the session's own sub-proofs and the entries seeded from
+    /// the proof store and from applied baselines.
     pub shared_table_entries: u64,
-    /// Lookups into the cross-query equivalence table.
+    /// [`CheckStats::shared_table_lookups`], summed over all requests.
     pub shared_table_lookups: u64,
-    /// Lookups answered by the cross-query equivalence table.
+    /// [`CheckStats::shared_table_hits`], summed over all requests.
     pub shared_table_hits: u64,
     /// Entries currently held by the shared feasibility memo.
     pub feasibility_entries: u64,
@@ -220,12 +226,11 @@ pub struct SessionStats {
     pub feasibility_hits: u64,
     /// Feasibility queries that had to run the Omega test.
     pub feasibility_misses: u64,
-    /// Per-run tabling lookups, summed over all requests.
+    /// [`CheckStats::table_lookups`], summed over all requests.
     pub table_lookups: u64,
-    /// Per-run tabling hits, summed over all requests.
+    /// [`CheckStats::table_hits`], summed over all requests.
     pub table_hits: u64,
-    /// Sub-problems discharged by entries loaded from the persistent proof
-    /// store, summed over all requests (a subset of
+    /// [`CheckStats::store_hits`], summed over all requests (a subset of
     /// [`SessionStats::shared_table_hits`]).
     pub store_hits: u64,
     /// Equivalence entries loaded from the persistent proof store when the
@@ -241,9 +246,8 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
-    /// Fraction of all tabling lookups answered from either cache level over
-    /// the whole session (the cross-query reuse measure of the PR3
-    /// experiment).
+    /// Fraction of all proof-cache lookups answered by any sub-proof over
+    /// the whole session (the cross-query reuse measure).
     pub fn combined_hit_rate(&self) -> f64 {
         if self.table_lookups == 0 {
             0.0
@@ -261,8 +265,6 @@ pub struct VerifierBuilder {
     witnesses: bool,
     deadline: Option<Duration>,
     workers: Option<usize>,
-    shards: usize,
-    table_capacity: usize,
     cancel: CancelToken,
     trace_sink: Option<Arc<arrayeq_trace::Collector>>,
     metrics: bool,
@@ -277,8 +279,6 @@ impl Default for VerifierBuilder {
             witnesses: false,
             deadline: None,
             workers: None,
-            shards: 64,
-            table_capacity: 1 << 20,
             cancel: CancelToken::new(),
             trace_sink: None,
             metrics: false,
@@ -290,9 +290,9 @@ impl Default for VerifierBuilder {
 impl VerifierBuilder {
     /// Replaces the checker options wholesale.
     ///
-    /// The options are fixed for the engine's lifetime: the cross-query
-    /// table's entries are only valid under the options that produced them,
-    /// so they cannot change per request.
+    /// The options are fixed for the engine's lifetime: the proof cache's
+    /// entries are only valid under the options that produced them, so
+    /// they cannot change per request.
     pub fn options(mut self, options: CheckOptions) -> Self {
         self.options = options;
         self
@@ -321,8 +321,8 @@ impl VerifierBuilder {
 
     /// Replaces the operator property declarations wholesale (shorthand
     /// over [`Self::options`]).  Like every option, fixed for the engine's
-    /// lifetime: the cross-query table's entries are only valid under the
-    /// algebra that produced them.
+    /// lifetime: the proof cache's entries are only valid under the algebra
+    /// that produced them.
     pub fn operators(mut self, operators: OperatorProperties) -> Self {
         self.options.operators = operators;
         self
@@ -345,9 +345,8 @@ impl VerifierBuilder {
     ///
     /// `1` (the default) runs each request on the calling thread; `0` uses
     /// all available parallelism.  The workers of one request share this
-    /// engine's cross-query equivalence table and feasibility cache, so
-    /// sub-proofs established by one worker discharge identical obligations
-    /// on the others mid-run.  Verdicts, diagnostics and witnesses are
+    /// engine's proof cache and feasibility cache, so sub-proofs established
+    /// by one worker discharge identical obligations on the others mid-run.  Verdicts, diagnostics and witnesses are
     /// identical at every setting ([`Report::render_stable`] is
     /// byte-stable); the cache/work counters in [`CheckStats`] are
     /// scheduling-dependent once `jobs > 1`.
@@ -399,19 +398,6 @@ impl VerifierBuilder {
         self
     }
 
-    /// Sets the stripe count of the shared stores (rounded up to a power of
-    /// two).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the entry capacity of each shared store.
-    pub fn table_capacity(mut self, capacity: usize) -> Self {
-        self.table_capacity = capacity.max(1);
-        self
-    }
-
     /// Installs `sink` as the *process-global* trace collector when the
     /// engine is built, enabling structured proof tracing (spans, discharge
     /// provenance) on every request.  Tracing is instrumentation-only: it
@@ -436,8 +422,8 @@ impl VerifierBuilder {
     }
 
     /// Attaches a persistent on-disk proof store (see [`ProofStore`]).  At
-    /// build time the store's entries seed the cross-query equivalence
-    /// table and feasibility memo; [`Verifier::flush_store`] and
+    /// build time the store's entries seed the proof cache and the
+    /// feasibility memo; [`Verifier::flush_store`] and
     /// [`Verifier::checkpoint_store`] persist the session's new sub-proofs
     /// back.  Problems inside the store files degrade to a cold start with
     /// typed warnings ([`Verifier::store_warnings`]) — they never change
@@ -457,11 +443,8 @@ impl VerifierBuilder {
             arrayeq_trace::install_metrics(m.clone());
             m
         });
-        let table = Arc::new(ShardedEquivalenceTable::new(
-            self.shards,
-            self.table_capacity,
-        ));
-        let memo = Arc::new(SharedFeasibilityMemo::new(self.shards, self.table_capacity));
+        let proofs = ProofCache::new();
+        let memo = Arc::new(SharedFeasibilityMemo::default());
         let mut store_warnings = Vec::new();
         let store = self.store_dir.as_ref().and_then(|dir| {
             match ProofStore::open(dir, baseline::options_fingerprint(&self.options)) {
@@ -479,16 +462,14 @@ impl VerifierBuilder {
         let (mut store_eq_loaded, mut store_fs_loaded) = (0, 0);
         if let Some(s) = &store {
             store_warnings.extend(s.warnings().iter().cloned());
-            for k in s.eq_entries() {
-                table.seed(k);
-            }
+            proofs.seed_store(s.eq_entries());
             for (k, f) in s.fs_entries() {
                 memo.seed(k, f);
             }
             (store_eq_loaded, store_fs_loaded) = s.loaded_counts();
         }
         Verifier {
-            table,
+            proofs,
             memo,
             options: self.options,
             witness_options: self.witness_options,
@@ -515,6 +496,8 @@ struct Counters {
     errors: AtomicU64,
     table_lookups: AtomicU64,
     table_hits: AtomicU64,
+    shared_table_lookups: AtomicU64,
+    shared_table_hits: AtomicU64,
     store_hits: AtomicU64,
     check_time_us: AtomicU64,
     witness_time_us: AtomicU64,
@@ -530,7 +513,7 @@ pub struct Verifier {
     deadline: Option<Duration>,
     workers: Option<usize>,
     cancel: CancelToken,
-    table: Arc<ShardedEquivalenceTable>,
+    proofs: ProofCache,
     memo: Arc<SharedFeasibilityMemo>,
     counters: Counters,
     metrics: Option<Arc<arrayeq_trace::Metrics>>,
@@ -596,9 +579,10 @@ impl Verifier {
 
     /// The one pipeline behind [`Verifier::verify_with_limits`] and
     /// [`Verifier::verify_incremental`]: lower the request with
-    /// [`lower`], apply the vetted `baseline` if there is one, [`check`]
-    /// with the session caches wired in, attach witnesses, and book the
-    /// outcome.  The status is `Some` exactly when a baseline was passed.
+    /// [`lower`], apply the vetted `baseline` if there is one (which seeds
+    /// its entries into the session's proof cache), [`check`] with the
+    /// session caches wired in, attach witnesses, and book the outcome.
+    /// The status is `Some` exactly when a baseline was passed.
     fn run(
         &self,
         request: &VerifyRequest,
@@ -621,7 +605,7 @@ impl Verifier {
                 None => &self.options,
             };
             let mut ctx = CheckContext {
-                shared_table: Some(self.table.as_ref()),
+                proofs: Some(&self.proofs),
                 deadline: limits
                     .deadline
                     .or(self.deadline)
@@ -657,9 +641,8 @@ impl Verifier {
                     transformed,
                 } => (None, &**original, &**transformed),
             };
-            let applied = baseline.map(|b| b.apply(g1, g2, opts));
+            let applied = baseline.map(|b| b.apply(g1, g2, opts, &self.proofs));
             if let Some(Ok(applied)) = &applied {
-                ctx.baseline = Some(&applied.proofs);
                 ctx.clean_outputs = &applied.clean;
                 ctx.fingerprints = Some(&applied.fingerprints);
             }
@@ -696,6 +679,12 @@ impl Verifier {
                 self.counters
                     .table_hits
                     .fetch_add(report.stats.table_hits, Ordering::Relaxed);
+                self.counters
+                    .shared_table_lookups
+                    .fetch_add(report.stats.shared_table_lookups, Ordering::Relaxed);
+                self.counters
+                    .shared_table_hits
+                    .fetch_add(report.stats.shared_table_hits, Ordering::Relaxed);
                 self.counters
                     .store_hits
                     .fetch_add(report.stats.store_hits, Ordering::Relaxed);
@@ -802,9 +791,9 @@ impl Verifier {
             not_equivalent: self.counters.not_equivalent.load(Ordering::Relaxed),
             inconclusive: self.counters.inconclusive.load(Ordering::Relaxed),
             errors: self.counters.errors.load(Ordering::Relaxed),
-            shared_table_entries: self.table.entries() as u64,
-            shared_table_lookups: self.table.lookups.load(Ordering::Relaxed),
-            shared_table_hits: self.table.hits.load(Ordering::Relaxed),
+            shared_table_entries: self.proofs.len() as u64,
+            shared_table_lookups: self.counters.shared_table_lookups.load(Ordering::Relaxed),
+            shared_table_hits: self.counters.shared_table_hits.load(Ordering::Relaxed),
             feasibility_entries: self.memo.entries() as u64,
             feasibility_hits: self.memo.hits.load(Ordering::Relaxed),
             feasibility_misses: self.memo.misses.load(Ordering::Relaxed),
@@ -870,9 +859,10 @@ impl Verifier {
         self.store.as_ref().map(|s| s.epoch())
     }
 
-    /// Persists the session's established sub-proofs (cross-query table and
-    /// feasibility memo) to the attached store's append-only log, skipping
-    /// entries already on disk.  `Ok(None)` without a store.
+    /// Persists the session's proof cache (its own sub-proofs and every
+    /// seeded baseline entry) and feasibility memo to the attached store's
+    /// append-only log, skipping entries already on disk.  `Ok(None)`
+    /// without a store.
     ///
     /// # Errors
     ///
@@ -881,7 +871,7 @@ impl Verifier {
         match &self.store {
             None => Ok(None),
             Some(s) => s
-                .flush(self.table.proven_entries(), self.memo.snapshot_entries())
+                .flush(self.proofs.entries(), self.memo.snapshot_entries())
                 .map(Some),
         }
     }
@@ -898,19 +888,21 @@ impl Verifier {
     pub fn checkpoint_store(&self) -> io::Result<Option<u64>> {
         match &self.store {
             None => Ok(None),
-            Some(s) => s.checkpoint(self.table.proven_entries(), self.memo.snapshot_entries()),
+            Some(s) => s.checkpoint(self.proofs.entries(), self.memo.snapshot_entries()),
         }
     }
 
     /// Exports a baseline for later incremental re-verification: this
     /// engine's options fingerprint, the per-output position fingerprints
-    /// recorded in `report`, and every established (positive,
-    /// assumption-free) sub-proof currently held by the session's
-    /// cross-query table.
+    /// recorded in `report`, and every entry of the session's proof cache
+    /// (each a positive, assumption-free sub-proof).
     ///
-    /// The table is session-cumulative, so a baseline exported after many
-    /// queries carries the union of their sub-proofs — sound, because every
-    /// entry is content-keyed and means the same thing in any process.
+    /// The cache is session-cumulative, so a baseline exported after many
+    /// queries carries the union of their sub-proofs, the store's entries
+    /// and those of every baseline applied in the session — sound, because
+    /// every entry is content-keyed and means the same thing in any
+    /// process.  A baseline exported from an incremental run therefore
+    /// still proves the outputs that run skipped as clean.
     /// Pass the report of the run whose pair the baseline should describe;
     /// its output fingerprints gate the program-identity check on import.
     pub fn export_baseline(&self, report: &Report) -> String {
@@ -926,11 +918,7 @@ impl Verifier {
                 (name.clone(), *fa, *fb, dh)
             })
             .collect();
-        baseline_to_json(
-            self.options_fingerprint(),
-            &outputs,
-            &self.table.proven_entries(),
-        )
+        baseline_to_json(self.options_fingerprint(), &outputs, &self.proofs.entries())
     }
 
     /// Runs one verification query *incrementally* against a baseline
@@ -946,9 +934,10 @@ impl Verifier {
     /// proves are classified **clean** and skipped entirely (the dirty-cone
     /// focus,
     /// [`CheckContext::clean_outputs`](arrayeq_core::CheckContext::clean_outputs)),
-    /// and inside the remaining dirty cone every sub-traversal consults the
-    /// baseline's entries before the local and shared tables
-    /// ([`arrayeq_core::BaselineProofs`]).
+    /// and its entries join the session's proof cache as baseline entries,
+    /// where they discharge sub-traversals inside the remaining dirty cone
+    /// and in every later query, and go into later baselines and store
+    /// flushes.
     ///
     /// Because baselines carry only positive assumption-free sub-proofs and
     /// failures always re-derive their full diagnostics, the resulting

@@ -1,198 +1,21 @@
-//! The engine's shared, sharded, lock-striped caches.
-//!
-//! Both stores follow the same design: a power-of-two number of shards, each
-//! a small mutex-guarded hash map, selected by mixing the (already
-//! hash-shaped) key.  Contention is bounded by the stripe count rather than
-//! a single global lock, and every shard enforces a capacity with the same
-//! epoch-eviction policy the thread-local feasibility memo uses: when a
-//! shard fills up it is cleared wholesale — cheap, and the working set of an
-//! active session refills quickly.
+//! The engine's shared feasibility memo, on the same lock-striped map
+//! ([`arrayeq_core::StripedMap`]) as the session's proof cache.
 
-use arrayeq_core::{SharedEquivalenceTable, SharedTableKey, TableProvenance};
+use arrayeq_core::StripedMap;
 use arrayeq_omega::FeasibilityCache;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
-
-/// Finalizing mix so consecutive or low-entropy keys spread over the shards.
-fn spread(x: u64) -> u64 {
-    let mut z = x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z ^= z >> 32;
-    z.wrapping_mul(0xd6e8_feb8_6659_fd93)
-}
-
-/// A lock-striped map from 64-bit-hash-shaped keys to values.
-struct Striped<K, V> {
-    shards: Vec<Mutex<HashMap<K, V>>>,
-    mask: usize,
-    cap_per_shard: usize,
-}
-
-impl<K: std::hash::Hash + Eq, V: Copy> Striped<K, V> {
-    fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.next_power_of_two().max(1);
-        Striped {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            mask: shards - 1,
-            cap_per_shard: (capacity / shards).max(16),
-        }
-    }
-
-    fn shard(&self, spread_key: u64) -> &Mutex<HashMap<K, V>> {
-        &self.shards[(spread_key as usize) & self.mask]
-    }
-
-    // Shard locks recover from poisoning: a worker thread unwinding while
-    // holding one (possible only between complete map operations — entries
-    // are single-`insert` facts, never partially published) must not wedge
-    // or crash the surviving workers and later requests of the session.
-    fn get(&self, spread_key: u64, key: &K) -> Option<V> {
-        self.shard(spread_key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .copied()
-    }
-
-    fn put(&self, spread_key: u64, key: K, value: V) {
-        let mut shard = self
-            .shard(spread_key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if shard.len() >= self.cap_per_shard {
-            shard.clear(); // epoch eviction, same policy as the omega memo
-        }
-        shard.insert(key, value);
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
-    }
-}
-
-impl<K: std::hash::Hash + Eq + Clone + Ord, V: Copy> Striped<K, V> {
-    /// A point-in-time copy of every entry, in key order (deterministic
-    /// regardless of shard layout or insertion interleaving).  Walks the
-    /// shards one lock at a time; concurrent writers are not blocked
-    /// globally, so the snapshot is per-shard consistent — exactly enough
-    /// for baseline export, where entries are facts that never mutate.
-    fn snapshot(&self) -> Vec<(K, V)> {
-        let mut all: Vec<(K, V)> = Vec::new();
-        for shard in &self.shards {
-            let guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            all.extend(guard.iter().map(|(k, v)| (k.clone(), *v)));
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        all
-    }
-}
-
-/// The cross-query equivalence table shared by every query (and worker
-/// thread) of one [`crate::Verifier`].
-///
-/// Each value carries a provenance bit: entries established by this
-/// process's own queries are [`TableProvenance::Memory`]; entries seeded at
-/// startup from a persistent [`crate::ProofStore`] are
-/// [`TableProvenance::Store`], so the checker can report store-discharged
-/// proofs separately from in-memory reuse.
-pub(crate) struct ShardedEquivalenceTable {
-    map: Striped<SharedTableKey, (bool, TableProvenance)>,
-    pub(crate) lookups: AtomicU64,
-    pub(crate) hits: AtomicU64,
-    pub(crate) inserts: AtomicU64,
-    pub(crate) seeded: AtomicU64,
-}
-
-impl ShardedEquivalenceTable {
-    pub(crate) fn new(shards: usize, capacity: usize) -> Self {
-        ShardedEquivalenceTable {
-            map: Striped::new(shards, capacity),
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            seeded: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn entries(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Seeds an entry loaded from a persistent proof store.  Stored entries
-    /// are always positive assumption-free sub-proofs (the flush path writes
-    /// only [`ShardedEquivalenceTable::proven_entries`]), so the value is
-    /// `true` by construction; seeding bypasses the insert counter so
-    /// session stats keep reporting only sub-proofs published by this
-    /// process's own queries.
-    pub(crate) fn seed(&self, key: SharedTableKey) {
-        self.seeded.fetch_add(1, Ordering::Relaxed);
-        self.map
-            .put(table_spread(&key), key, (true, TableProvenance::Store));
-    }
-
-    /// Every *established* sub-proof currently held, in key order.  The
-    /// checker only ever publishes positive, assumption-free sub-proofs
-    /// here (see the [`SharedEquivalenceTable`] contract), so this is
-    /// precisely the set of entries a baseline may carry; the filter is
-    /// belt-and-braces against future negative caching.
-    pub(crate) fn proven_entries(&self) -> Vec<SharedTableKey> {
-        self.map
-            .snapshot()
-            .into_iter()
-            .filter_map(|(k, (established, _))| established.then_some(k))
-            .collect()
-    }
-}
-
-fn table_spread(key: &SharedTableKey) -> u64 {
-    spread(key.0 ^ key.1.rotate_left(17) ^ key.2.rotate_left(31) ^ key.3.rotate_left(47))
-}
-
-impl SharedEquivalenceTable for ShardedEquivalenceTable {
-    fn get(&self, key: &SharedTableKey) -> Option<bool> {
-        self.get_with_provenance(key).map(|(e, _)| e)
-    }
-
-    fn put(&self, key: SharedTableKey, established: bool) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.map.put(
-            table_spread(&key),
-            key,
-            (established, TableProvenance::Memory),
-        );
-    }
-
-    fn get_with_provenance(&self, key: &SharedTableKey) -> Option<(bool, TableProvenance)> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let found = self.map.get(table_spread(key), key);
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-}
 
 /// The cross-thread feasibility memo installed (via
 /// [`arrayeq_omega::with_feasibility_cache`]) around every query, promoting
 /// the per-thread memo of `omega` to session scope.
+#[derive(Default)]
 pub(crate) struct SharedFeasibilityMemo {
-    map: Striped<u64, bool>,
+    map: StripedMap<u64, bool>,
     pub(crate) hits: AtomicU64,
     pub(crate) misses: AtomicU64,
 }
 
 impl SharedFeasibilityMemo {
-    pub(crate) fn new(shards: usize, capacity: usize) -> Self {
-        SharedFeasibilityMemo {
-            map: Striped::new(shards, capacity),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
     pub(crate) fn entries(&self) -> usize {
         self.map.len()
     }
@@ -202,7 +25,7 @@ impl SharedFeasibilityMemo {
     /// relation being tested, so persisted entries mean the same thing in
     /// every process.
     pub(crate) fn seed(&self, key: u64, feasible: bool) {
-        self.map.put(spread(key), key, feasible);
+        self.map.insert(key, feasible);
     }
 
     /// A point-in-time copy of the memo in key order, for persisting.
@@ -213,7 +36,7 @@ impl SharedFeasibilityMemo {
 
 impl FeasibilityCache for SharedFeasibilityMemo {
     fn get(&self, key: u64) -> Option<bool> {
-        let found = self.map.get(spread(key), &key);
+        let found = self.map.get(&key);
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -222,7 +45,7 @@ impl FeasibilityCache for SharedFeasibilityMemo {
     }
 
     fn put(&self, key: u64, feasible: bool) {
-        self.map.put(spread(key), key, feasible);
+        self.map.insert(key, feasible);
     }
 }
 
@@ -231,30 +54,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn striped_table_round_trips_and_counts() {
-        let t = ShardedEquivalenceTable::new(8, 1024);
-        let k = (1u64, 2u64, 3u64, 4u64);
-        assert_eq!(t.get(&k), None);
-        t.put(k, true);
-        assert_eq!(t.get(&k), Some(true));
-        assert_eq!(t.lookups.load(Ordering::Relaxed), 2);
-        assert_eq!(t.hits.load(Ordering::Relaxed), 1);
-        assert_eq!(t.inserts.load(Ordering::Relaxed), 1);
-        assert_eq!(t.entries(), 1);
-    }
-
-    #[test]
-    fn shard_capacity_evicts_by_epoch_instead_of_growing() {
-        let t = SharedFeasibilityMemo::new(1, 16);
-        for i in 0..200u64 {
-            t.put(i, true);
-        }
-        assert!(t.entries() <= 16, "bounded: {}", t.entries());
-    }
-
-    #[test]
     fn memo_counts_hits_and_misses() {
-        let m = SharedFeasibilityMemo::new(4, 256);
+        let m = SharedFeasibilityMemo::default();
         assert_eq!(m.get(9), None);
         m.put(9, false);
         assert_eq!(m.get(9), Some(false));

@@ -18,10 +18,10 @@
 //! flips and truncation are both detected.
 //!
 //! Entries are the engine's cross-query facts: proven sub-equivalences
-//! (`SharedTableKey`s — rename-invariant content fingerprints, so they mean
-//! the same thing in every process, program and machine) and feasibility
-//! memo entries (content hashes of the relation tested).  Only positive,
-//! assumption-free sub-proofs ever reach the shared table, so the store
+//! (`ProofKey`s — rename-invariant content fingerprints, so they mean the
+//! same thing in every process, program and machine) and feasibility memo
+//! entries (content hashes of the relation tested).  Only positive,
+//! assumption-free sub-proofs ever reach the proof cache, so the store
 //! inherits the same soundness contract as baselines: a loaded entry
 //! discharges a sub-traversal with exactly the verdict a from-scratch run
 //! would re-derive, failures always re-derive their diagnostics, and
@@ -36,7 +36,7 @@
 //! into somebody else's store.
 
 use crate::json::{hex64, parse_hex64, string, JsonValue};
-use arrayeq_core::SharedTableKey;
+use arrayeq_core::ProofKey;
 use arrayeq_omega::structural_hash_of;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -139,7 +139,7 @@ pub struct StoreFlush {
 /// Everything loaded from / persisted to one store directory.
 struct StoreState {
     /// Entries already durable on disk (snapshot ∪ valid log prefix).
-    eq: HashSet<SharedTableKey>,
+    eq: HashSet<ProofKey>,
     fs: HashMap<u64, bool>,
     /// Entry lines currently in the log file.
     log_lines: usize,
@@ -286,8 +286,8 @@ impl ProofStore {
         self.writes_enabled
     }
 
-    /// Equivalence entries loaded at open time, for seeding a shared table.
-    pub fn eq_entries(&self) -> Vec<SharedTableKey> {
+    /// Equivalence entries loaded at open time, for seeding a proof cache.
+    pub fn eq_entries(&self) -> Vec<ProofKey> {
         let mut v: Vec<_> = self.state.lock().unwrap().eq.iter().copied().collect();
         v.sort_unstable();
         v
@@ -322,7 +322,7 @@ impl ProofStore {
     /// the auto-compaction threshold or was damaged at open).
     pub fn flush(
         &self,
-        eq: impl IntoIterator<Item = SharedTableKey>,
+        eq: impl IntoIterator<Item = ProofKey>,
         fs_entries: impl IntoIterator<Item = (u64, bool)>,
     ) -> io::Result<StoreFlush> {
         if !self.writes_enabled {
@@ -332,8 +332,7 @@ impl ProofStore {
             });
         }
         let mut state = self.state.lock().unwrap();
-        let mut new_eq: Vec<SharedTableKey> =
-            eq.into_iter().filter(|k| !state.eq.contains(k)).collect();
+        let mut new_eq: Vec<ProofKey> = eq.into_iter().filter(|k| !state.eq.contains(k)).collect();
         let mut new_fs: Vec<(u64, bool)> = fs_entries
             .into_iter()
             .filter(|(k, _)| !state.fs.contains_key(k))
@@ -379,7 +378,7 @@ impl ProofStore {
     /// epoch, or `None` when writing is disabled.
     pub fn checkpoint(
         &self,
-        eq: impl IntoIterator<Item = SharedTableKey>,
+        eq: impl IntoIterator<Item = ProofKey>,
         fs_entries: impl IntoIterator<Item = (u64, bool)>,
     ) -> io::Result<Option<u64>> {
         if !self.writes_enabled {
@@ -453,7 +452,7 @@ impl ProofStore {
     fn append_log(
         &self,
         state: &mut StoreState,
-        new_eq: &[SharedTableKey],
+        new_eq: &[ProofKey],
         new_fs: &[(u64, bool)],
     ) -> io::Result<()> {
         let log_path = self.dir.join("log.jsonl");
@@ -509,7 +508,7 @@ fn header_line(kind: &str, epoch: u64, options_fp: u64) -> String {
     )
 }
 
-fn eq_line_sum(k: &SharedTableKey) -> u64 {
+fn eq_line_sum(k: &ProofKey) -> u64 {
     structural_hash_of(&("store-line-v1", "eq", k.0, k.1, k.2, k.3))
 }
 
@@ -521,7 +520,7 @@ fn end_line_sum(count: u64) -> u64 {
     structural_hash_of(&("store-line-v1", "end", count))
 }
 
-fn eq_line(k: &SharedTableKey) -> String {
+fn eq_line(k: &ProofKey) -> String {
     format!(
         "[\"eq\",{},{},{},{},{}]",
         hex64(k.0),
@@ -547,7 +546,7 @@ fn end_line(count: u64) -> String {
 
 /// What one entry line carried.
 enum Entry {
-    Eq(SharedTableKey),
+    Eq(ProofKey),
     Fs(u64, bool),
     End(u64),
 }
@@ -671,7 +670,7 @@ fn parse_header(
 
 struct LoadedSnapshot {
     epoch: u64,
-    eq: Vec<SharedTableKey>,
+    eq: Vec<ProofKey>,
     fs: Vec<(u64, bool)>,
 }
 
@@ -738,7 +737,7 @@ fn parse_snapshot(text: &str, options_fp: u64) -> Result<LoadedSnapshot, StoreWa
 
 struct LoadedLog {
     epoch: Option<u64>,
-    eq: Vec<SharedTableKey>,
+    eq: Vec<ProofKey>,
     fs: Vec<(u64, bool)>,
     warning: Option<StoreWarning>,
 }

@@ -9,9 +9,9 @@
 //!   their counters (two runs give identical [`CheckStats`] apart from
 //!   time); merged counters of a pool respect the same internal identities;
 //! * **Cache sharing** — the workers of one parallel engine query feed the
-//!   session's shared feasibility memo and equivalence table across
-//!   threads (the thread-local memo is scoped per installed cache, so a
-//!   single parallel query produces cross-thread hits).
+//!   session's shared feasibility memo and proof cache across threads (the
+//!   thread-local memo is scoped per installed cache, so a single parallel
+//!   query produces cross-thread hits).
 
 use arrayeq_core::{check, lower, CheckContext, CheckOptions, CheckStats, Report, Result};
 use arrayeq_engine::{Verifier, VerifyRequest};

@@ -11,7 +11,7 @@
 //!   and a worker thread; verifies run sequentially *per connection* and
 //!   concurrently *across* connections, all against the same
 //!   [`Verifier`] — so one client's established sub-proofs discharge
-//!   another client's sub-traversals through the shared equivalence table.
+//!   another client's sub-traversals through the engine's proof cache.
 //! * **Per-request budgets.**  `deadline_ms`, `max_work` and `witnesses`
 //!   map onto [`arrayeq_engine::RequestLimits`]; budgets are not
 //!   verdict-relevant, so mixed-budget clients share the caches soundly.

@@ -150,7 +150,7 @@ pub fn generate_kernel(config: &GeneratorConfig) -> Program {
 /// The chains are what an intra-query parallel checker shards across
 /// workers; the shared base layer gives the workers structurally identical
 /// sub-obligations whose proofs flow between them through the
-/// (rename-invariant) equivalence tables.
+/// (rename-invariant) proof cache.
 fn generate_wide_kernel(config: &GeneratorConfig) -> Program {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let n = config.n;
