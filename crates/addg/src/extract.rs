@@ -49,6 +49,7 @@ pub fn extract(program: &Program) -> Result<Addg> {
         };
         g.add_definition(&info.target, def);
     }
+    g.mark_recurrences();
     Ok(g)
 }
 

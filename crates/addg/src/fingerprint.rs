@@ -125,7 +125,6 @@ pub fn term_fingerprint(coeff: i64, factor_keys: &[(u64, u64)]) -> u64 {
 }
 
 fn fingerprints_impl(g: &Addg, name_all: bool) -> Fingerprints {
-    let recurrent = g.recurrence_arrays();
     // Collect every array name a position can mention: defined arrays plus
     // inputs (which have no definitions).
     let mut names: Vec<String> = g.input_arrays().to_vec();
@@ -146,8 +145,7 @@ fn fingerprints_impl(g: &Addg, name_all: bool) -> Fingerprints {
     // itself for inputs/outputs/recurrence arrays, nothing for plain
     // intermediates (unless the caller asked for all names).
     let label = |name: &str| -> String {
-        if name_all || g.is_input(name) || g.is_output(name) || recurrent.iter().any(|r| r == name)
-        {
+        if name_all || g.is_input(name) || g.is_output(name) || g.is_recurrent(name) {
             name.to_owned()
         } else {
             String::new()
@@ -163,7 +161,7 @@ fn fingerprints_impl(g: &Addg, name_all: bool) -> Fingerprints {
                 label(name),
                 g.is_input(name),
                 g.is_output(name),
-                recurrent.contains(name),
+                g.is_recurrent(name),
                 g.definitions(name).len(),
             ));
             (name.clone(), h)

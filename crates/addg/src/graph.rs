@@ -1,7 +1,7 @@
 //! The ADDG data structure.
 
 use arrayeq_omega::{Relation, Set};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Index of a node within an [`Addg`].
 pub type NodeId = usize;
@@ -102,6 +102,8 @@ pub struct Addg {
     inputs: Vec<String>,
     outputs: Vec<String>,
     intermediates: Vec<String>,
+    /// The arrays on a dependence cycle, fixed once the graph is complete.
+    recurrent: BTreeSet<String>,
 }
 
 impl Addg {
@@ -115,6 +117,7 @@ impl Addg {
             inputs: Vec::new(),
             outputs: Vec::new(),
             intermediates: Vec::new(),
+            recurrent: BTreeSet::new(),
         }
     }
 
@@ -266,45 +269,58 @@ impl Addg {
         out
     }
 
+    /// Records the recurrence arrays (called once by the extractor, after
+    /// the last definition).  An array is recurrent when the array-level
+    /// dependences lead from it back to itself.
+    pub(crate) fn mark_recurrences(&mut self) {
+        let reads: BTreeMap<&str, BTreeSet<String>> = self
+            .definitions
+            .iter()
+            .map(|(array, defs)| {
+                let read = defs.iter().flat_map(|d| self.arrays_read_from(d.root));
+                (array.as_str(), read.collect())
+            })
+            .collect();
+        let reaches_itself = |array: &str| {
+            let mut stack: Vec<&str> = reads[array].iter().map(String::as_str).collect();
+            let mut seen = BTreeSet::new();
+            while let Some(n) = stack.pop() {
+                if n == array {
+                    return true;
+                }
+                if seen.insert(n) {
+                    if let Some(next) = reads.get(n) {
+                        stack.extend(next.iter().map(String::as_str));
+                    }
+                }
+            }
+            false
+        };
+        let recurrent = reads
+            .keys()
+            .filter(|a| reaches_itself(a))
+            .map(|a| (*a).to_owned())
+            .collect();
+        self.recurrent = recurrent;
+    }
+
     /// The arrays involved in data-flow recurrences (cycles in the
     /// array-level dependence graph, including self-loops).  The paper
     /// handles these with the transitive closure of the cycle's total
-    /// dependence mapping.
-    pub fn recurrence_arrays(&self) -> Vec<String> {
-        let deps = self.array_dependences();
-        let arrays: Vec<String> = self.definitions.keys().cloned().collect();
-        let mut cyclic = Vec::new();
-        for a in &arrays {
-            // DFS from a over dependence edges; if we can come back to a, it
-            // is part of a cycle.
-            let mut stack: Vec<&String> = deps
-                .iter()
-                .filter(|(from, _)| from == a)
-                .map(|(_, to)| to)
-                .collect();
-            let mut seen: Vec<&String> = Vec::new();
-            let mut found = false;
-            while let Some(n) = stack.pop() {
-                if n == a {
-                    found = true;
-                    break;
-                }
-                if seen.contains(&n) {
-                    continue;
-                }
-                seen.push(n);
-                stack.extend(deps.iter().filter(|(from, _)| from == n).map(|(_, to)| to));
-            }
-            if found {
-                cyclic.push(a.clone());
-            }
-        }
-        cyclic
+    /// dependence mapping.  Computed once, when the graph is extracted.
+    pub fn recurrence_arrays(&self) -> &BTreeSet<String> {
+        &self.recurrent
     }
 
-    /// Whether the ADDG contains any recurrence.
+    /// Whether `array` is one of the [`recurrence_arrays`](Addg::recurrence_arrays).
+    pub fn is_recurrent(&self, array: &str) -> bool {
+        self.recurrent.contains(array)
+    }
+
+    /// Whether the ADDG contains any recurrence (computed once, when the
+    /// graph is extracted).
     pub fn has_recurrence(&self) -> bool {
-        !self.recurrence_arrays().is_empty()
+        !self.recurrent.is_empty()
     }
 
     /// Sum over all statements of the number of paths from the defined array
@@ -379,11 +395,56 @@ mod tests {
         }
     }
 
+    fn names(arrays: &[&str]) -> BTreeSet<String> {
+        arrays.iter().map(|a| (*a).to_owned()).collect()
+    }
+
     #[test]
     fn recurrence_is_detected() {
         let g = addg(KERNEL_RECURRENCE);
         assert!(g.has_recurrence());
-        assert_eq!(g.recurrence_arrays(), vec!["Y".to_string()]);
+        assert_eq!(g.recurrence_arrays(), &names(&["Y"]));
+        assert!(g.is_recurrent("Y"));
+        assert!(!g.is_recurrent("X"));
+    }
+
+    /// `T` and `Y` feed each other, so both are on the cycle; `Z` only reads
+    /// `Y` and is not.
+    const TWO_ARRAY_CYCLE: &str = r#"
+#define N 64
+pingpong(int X[], int Z[])
+{
+    int k, T[N], Y[N];
+r0: Y[0] = X[0] + 0;
+r1: T[0] = X[0] + 1;
+    for (k = 1; k < N; k++) {
+r2:     T[k] = Y[k-1] + X[k];
+r3:     Y[k] = T[k] + 1;
+    }
+    for (k = 0; k < N; k++)
+r4:     Z[k] = Y[k] + X[k];
+}
+"#;
+
+    #[test]
+    fn a_two_array_cycle_marks_both_arrays_and_not_their_readers() {
+        let g = addg(TWO_ARRAY_CYCLE);
+        assert_eq!(g.recurrence_arrays(), &names(&["T", "Y"]));
+        assert!(g.is_recurrent("T") && g.is_recurrent("Y"));
+        assert!(!g.is_recurrent("Z"), "Z only reads a recurrent array");
+        assert!(!g.is_recurrent("X"), "inputs are never recurrent");
+    }
+
+    #[test]
+    fn fig1a_has_no_recurrence_and_a_clone_keeps_the_set() {
+        let g = addg(FIG1_A);
+        assert!(g.recurrence_arrays().is_empty());
+        assert!(!g.has_recurrence());
+        let original = addg(TWO_ARRAY_CYCLE);
+        let copy = original.clone();
+        assert_eq!(copy.recurrence_arrays(), original.recurrence_arrays());
+        assert_eq!(copy.recurrence_arrays(), &names(&["T", "Y"]));
+        assert!(copy.has_recurrence());
     }
 
     #[test]

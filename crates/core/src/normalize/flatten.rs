@@ -11,7 +11,7 @@
 
 use crate::checker::{Checker, Pos};
 use crate::Result;
-use arrayeq_addg::{Node, NodeId, OperatorKind};
+use arrayeq_addg::{Definition, Node, NodeId, OperatorKind};
 use arrayeq_omega::{Relation, Set};
 
 /// One non-constant factor of a flattened term: a traversal position with
@@ -136,7 +136,7 @@ impl<'x> Checker<'x> {
         let mul = self.opts.operators.class_of(&OperatorKind::Mul);
         let additive = matches!(family, OperatorKind::Add);
         match pos {
-            Pos::Node(n) => match g.node(n).clone() {
+            Pos::Node(n) => match g.node(n) {
                 // The chain's own operator: expand the operand level.  The
                 // root always expands (that is what entering the algebraic
                 // path means); deeper same-operator nodes flatten through
@@ -145,14 +145,14 @@ impl<'x> Checker<'x> {
                     kind,
                     operands,
                     statement,
-                } if kind == *family && (class.associative || root) => {
-                    for child in operands {
+                } if kind == family && (class.associative || root) => {
+                    for &child in operands {
                         self.flatten_family(
                             original_side,
                             family,
                             Pos::Node(child),
                             map.clone(),
-                            with_stmt_owned(&trail, &statement),
+                            with_stmt_owned(&trail, statement),
                             sign,
                             false,
                             out,
@@ -166,7 +166,7 @@ impl<'x> Checker<'x> {
                     operands,
                     statement,
                 } if additive && add.is_ac() => {
-                    let t = with_stmt_owned(&trail, &statement);
+                    let t = with_stmt_owned(&trail, statement);
                     self.flatten_family(
                         original_side,
                         family,
@@ -198,7 +198,7 @@ impl<'x> Checker<'x> {
                     family,
                     Pos::Node(operands[0]),
                     map,
-                    with_stmt_owned(&trail, &statement),
+                    with_stmt_owned(&trail, statement),
                     sign.wrapping_neg(),
                     false,
                     out,
@@ -224,7 +224,7 @@ impl<'x> Checker<'x> {
                         family,
                         Pos::Node(operands[0]),
                         map,
-                        with_stmt_owned(&trail, &statement),
+                        with_stmt_owned(&trail, statement),
                         sign,
                         false,
                         out,
@@ -234,14 +234,14 @@ impl<'x> Checker<'x> {
                 // the neutral contribution and vanish; see the matcher's
                 // per-piece constant comparison).
                 Node::Const { value, .. } if additive && add.is_ac() => {
-                    let c = sign.wrapping_mul(value);
+                    let c = sign.wrapping_mul(*value);
                     if c != 0 {
                         out.push(FlatTerm::constant(c, map.domain(), trail));
                     }
                     Ok(true)
                 }
                 Node::Const { value, .. } if matches!(family, OperatorKind::Mul) && mul.is_ac() => {
-                    out.push(FlatTerm::constant(value, map.domain(), trail));
+                    out.push(FlatTerm::constant(*value, map.domain(), trail));
                     Ok(true)
                 }
                 // Access: compose through the dependency mapping and
@@ -256,16 +256,16 @@ impl<'x> Checker<'x> {
                     let new_map = {
                         let _span = arrayeq_trace::span("compose");
                         let t0 = arrayeq_trace::metrics_timer();
-                        let m = map.compose(&mapping)?.simplified(true);
+                        let m = map.compose(mapping)?.simplified(true);
                         arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
                         m
                     };
                     self.flatten_family(
                         original_side,
                         family,
-                        Pos::Array(array),
+                        Pos::Array(array.clone()),
                         new_map,
-                        with_stmt_owned(&trail, &statement),
+                        with_stmt_owned(&trail, statement),
                         sign,
                         false,
                         out,
@@ -290,9 +290,7 @@ impl<'x> Checker<'x> {
                 }
             },
             Pos::Array(v) => {
-                let is_input = g.is_input(&v);
-                let is_recurrent = g.recurrence_arrays().contains(&v);
-                if is_input || is_recurrent {
+                if g.is_input(&v) || g.is_recurrent(&v) {
                     let factor = Factor {
                         pos: Pos::Array(v),
                         map,
@@ -311,8 +309,7 @@ impl<'x> Checker<'x> {
                 // flattening into each definition whose elements the
                 // mapping reaches (non-chain definition roots land in the
                 // opaque-operand arm above).
-                let defs: Vec<_> = g.definitions(&v).to_vec();
-                for def in defs {
+                for def in g.definitions(&v) {
                     let sub = map.restrict_range(&def.elements)?.simplified(true);
                     if sub.is_empty() {
                         continue;
@@ -433,14 +430,14 @@ impl<'x> Checker<'x> {
             return Ok(false);
         }
         let g = if original_side { self.a } else { self.b };
-        match g.node(n).clone() {
+        match g.node(n) {
             Node::Operator {
                 kind: OperatorKind::Mul,
                 operands,
                 statement,
             } => {
-                let t = with_stmt_owned(trail, &statement);
-                for child in operands {
+                let t = with_stmt_owned(trail, statement);
+                for &child in operands {
                     if !self.flatten_product(
                         original_side,
                         child,
@@ -465,7 +462,7 @@ impl<'x> Checker<'x> {
                     original_side,
                     operands[0],
                     map,
-                    &with_stmt_owned(trail, &statement),
+                    &with_stmt_owned(trail, statement),
                     coeff,
                     factors,
                     distribute,
@@ -495,7 +492,7 @@ impl<'x> Checker<'x> {
                 Ok(true)
             }
             Node::Const { value, .. } => {
-                *coeff = coeff.wrapping_mul(value);
+                *coeff = coeff.wrapping_mul(*value);
                 Ok(true)
             }
             Node::Access {
@@ -508,7 +505,7 @@ impl<'x> Checker<'x> {
                 let m = {
                     let _span = arrayeq_trace::span("compose");
                     let t0 = arrayeq_trace::metrics_timer();
-                    let m = map.compose(&mapping)?.simplified(true);
+                    let m = map.compose(mapping)?.simplified(true);
                     arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
                     m
                 };
@@ -516,7 +513,7 @@ impl<'x> Checker<'x> {
                     original_side,
                     array,
                     m,
-                    with_stmt_owned(trail, &statement),
+                    with_stmt_owned(trail, statement),
                     coeff,
                     factors,
                     distribute,
@@ -545,7 +542,7 @@ impl<'x> Checker<'x> {
     fn product_enter_array(
         &mut self,
         original_side: bool,
-        array: String,
+        array: &str,
         map: Relation,
         trail: Vec<String>,
         coeff: &mut i64,
@@ -553,23 +550,22 @@ impl<'x> Checker<'x> {
         distribute: &mut Option<(NodeId, Relation, Vec<String>)>,
     ) -> Result<bool> {
         let g = if original_side { self.a } else { self.b };
-        if !g.is_input(&array) && !g.recurrence_arrays().contains(&array) {
-            let mut live: Option<(usize, Relation)> = None;
-            for (i, def) in g.definitions(&array).iter().enumerate() {
+        if !g.is_input(array) && !g.is_recurrent(array) {
+            let mut live: Option<(&Definition, Relation)> = None;
+            for def in g.definitions(array) {
                 let sub = map.restrict_range(&def.elements)?.simplified(true);
                 if sub.is_empty() {
                     continue;
                 }
                 match live {
-                    None => live = Some((i, sub)),
+                    None => live = Some((def, sub)),
                     Some(_) => {
                         live = None; // several live definitions: stay opaque
                         break;
                     }
                 }
             }
-            if let Some((i, sub)) = live {
-                let def = g.definitions(&array)[i].clone();
+            if let Some((def, sub)) = live {
                 return self.flatten_product(
                     original_side,
                     def.root,
@@ -582,7 +578,7 @@ impl<'x> Checker<'x> {
             }
         }
         factors.push(Factor {
-            pos: Pos::Array(array),
+            pos: Pos::Array(array.to_owned()),
             map,
             trail,
         });

@@ -23,17 +23,30 @@ use crate::diagnostics::{Diagnostic, DiagnosticKind};
 use crate::Result;
 use arrayeq_addg::{describe_node, OperatorKind};
 use arrayeq_omega::{Relation, Set};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
 /// Partitions `full` into pieces on which every term of either side is
 /// fully present or fully absent.
+///
+/// Each *distinct* term domain cuts once, in order of first appearance:
+/// cutting on a domain again would leave every piece inside or outside it
+/// where it already is.  Domains are told apart by `Set` equality, which
+/// is structural.
 pub(crate) fn split_pieces(
     full: &Set,
     terms_a: &[FlatTerm],
     terms_b: &[FlatTerm],
 ) -> Result<Vec<Set>> {
+    let _span = arrayeq_trace::span("split");
+    let mut domains: Vec<&Set> = Vec::new();
+    for t in terms_a.iter().chain(terms_b) {
+        if !domains.contains(&&t.domain) {
+            domains.push(&t.domain);
+        }
+    }
     let mut pieces = vec![full.clone()];
-    for t in terms_a.iter().chain(terms_b.iter()) {
-        let dom = &t.domain;
+    for dom in domains {
         let mut next = Vec::new();
         for p in pieces {
             let inside = p.intersect(dom)?.simplified();
@@ -51,8 +64,17 @@ pub(crate) fn split_pieces(
 }
 
 /// Restricts a term list to one piece: terms whose domain misses the piece
-/// drop out, surviving terms get their factor mappings restricted.
+/// drop out, surviving terms get their factor mappings restricted.  Each
+/// *distinct* factor mapping (by `Relation` equality; the hash only picks
+/// the bucket to compare within) is restricted once, and terms that share
+/// a mapping share its restriction.
 pub(crate) fn restrict_terms(terms: &[FlatTerm], piece: &Set) -> Result<Vec<FlatTerm>> {
+    let _span = arrayeq_trace::span("restrict");
+    // Each distinct mapping with its restriction (`None` when empty),
+    // bucketed by hash: a piece meets hundreds of factors over dozens of
+    // distinct mappings, too many to scan for each factor.
+    let hasher = RandomState::new();
+    let mut restricted: HashMap<u64, Vec<(&Relation, Option<Relation>)>> = HashMap::new();
     let mut out = Vec::new();
     'terms: for t in terms {
         if t.factors.is_empty() {
@@ -67,10 +89,19 @@ pub(crate) fn restrict_terms(terms: &[FlatTerm], piece: &Set) -> Result<Vec<Flat
         }
         let mut factors = Vec::with_capacity(t.factors.len());
         for f in &t.factors {
-            let map = f.map.restrict_domain(piece)?.simplified(true);
-            if map.is_empty() {
+            let bucket = restricted.entry(hasher.hash_one(&f.map)).or_default();
+            let map = match bucket.iter().find(|(m, _)| *m == &f.map) {
+                Some((_, map)) => map.clone(),
+                None => {
+                    let map = f.map.restrict_domain(piece)?.simplified(true);
+                    let map = (!map.is_empty()).then_some(map);
+                    bucket.push((&f.map, map.clone()));
+                    map
+                }
+            };
+            let Some(map) = map else {
                 continue 'terms;
-            }
+            };
             factors.push(super::flatten::Factor {
                 pos: f.pos.clone(),
                 map,
@@ -449,5 +480,112 @@ impl<'x> Checker<'x> {
             .collect::<Vec<_>>()
             .join(" ; ");
         (name, mapping)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::normalize::flatten::Factor;
+
+    fn set(text: &str) -> Set {
+        Set::parse(text).unwrap()
+    }
+
+    fn constant_on(domain: &str) -> FlatTerm {
+        FlatTerm {
+            coeff: 1,
+            factors: Vec::new(),
+            domain: set(domain),
+            trail: Vec::new(),
+        }
+    }
+
+    fn factor_term(array: &str, map: &Relation) -> FlatTerm {
+        FlatTerm {
+            coeff: 1,
+            factors: vec![Factor {
+                pos: Pos::Array(array.to_owned()),
+                map: map.clone(),
+                trail: Vec::new(),
+            }],
+            domain: map.domain(),
+            trail: Vec::new(),
+        }
+    }
+
+    fn overlapping_terms() -> (Vec<FlatTerm>, Vec<FlatTerm>) {
+        let a = vec![
+            constant_on("{ [k] : 0 <= k < 20 }"),
+            constant_on("{ [k] : 10 <= k < 32 }"),
+            constant_on("{ [k] : 0 <= k < 20 }"),
+        ];
+        let b = vec![
+            constant_on("{ [k] : exists j : k = 2j and 0 <= k < 32 }"),
+            constant_on("{ [k] : 10 <= k < 32 }"),
+        ];
+        (a, b)
+    }
+
+    #[test]
+    fn split_pieces_partitions_the_full_domain_along_every_term_domain() {
+        let full = set("{ [k] : 0 <= k < 32 }");
+        let (a, b) = overlapping_terms();
+        let pieces = split_pieces(&full, &a, &b).unwrap();
+        assert!(pieces.len() > 1);
+        let mut union = pieces[0].clone();
+        for (i, p) in pieces.iter().enumerate() {
+            assert!(!p.is_empty(), "piece {i} is empty");
+            for q in &pieces[i + 1..] {
+                assert!(p.intersect(q).unwrap().is_empty(), "pieces overlap");
+            }
+            union = union.union(p).unwrap();
+            for t in a.iter().chain(&b) {
+                let inside = p.is_subset(&t.domain).unwrap();
+                let disjoint = p.intersect(&t.domain).unwrap().is_empty();
+                assert!(inside || disjoint, "piece {p} straddles {}", t.domain);
+            }
+        }
+        assert!(union.is_equal(&full).unwrap(), "pieces cover {union}");
+    }
+
+    #[test]
+    fn duplicated_terms_split_into_the_same_pieces() {
+        let full = set("{ [k] : 0 <= k < 32 }");
+        let (a, b) = overlapping_terms();
+        let twice = |ts: &[FlatTerm]| -> Vec<FlatTerm> { ts.iter().chain(ts).cloned().collect() };
+        assert_eq!(
+            split_pieces(&full, &twice(&a), &twice(&b)).unwrap(),
+            split_pieces(&full, &a, &b).unwrap()
+        );
+    }
+
+    #[test]
+    fn terms_sharing_a_factor_map_get_equal_restrictions() {
+        let shared = Relation::parse("{ [k] -> [j] : j = k + 1 and 0 <= k < 32 }").unwrap();
+        let other = Relation::parse("{ [k] -> [j] : j = 2k and 0 <= k < 32 }").unwrap();
+        let missing = Relation::parse("{ [k] -> [j] : j = k and 20 <= k < 32 }").unwrap();
+        let terms = vec![
+            factor_term("X", &shared),
+            factor_term("Y", &other),
+            factor_term("Z", &missing),
+            factor_term("W", &shared),
+        ];
+        let piece = set("{ [k] : 0 <= k < 10 }");
+        let live = restrict_terms(&terms, &piece).unwrap();
+        assert_eq!(
+            live.len(),
+            3,
+            "the term whose map misses the piece drops out"
+        );
+        let expected = shared.restrict_domain(&piece).unwrap().simplified(true);
+        assert_eq!(live[0].factors[0].map, expected);
+        assert_eq!(live[2].factors[0].map, expected);
+        assert!(matches!(&live[2].factors[0].pos, Pos::Array(v) if v == "W"));
+        assert_eq!(
+            live[1].factors[0].map,
+            other.restrict_domain(&piece).unwrap().simplified(true)
+        );
+        assert!(live.iter().all(|t| t.domain == piece));
     }
 }

@@ -4,10 +4,11 @@
 //! collector is off, recording for JSONL or recording for a Chrome
 //! profile, the verdict and the byte content of `render_stable()` are
 //! identical at every `--jobs` count over the Fig. 1 and fault-injection
-//! corpora.  On top of that, the sinks themselves must be well-formed:
-//! every JSONL line parses with the engine's own `JsonValue` parser, span
-//! open/close events balance per worker, and a mutant's trace names the
-//! failing output's provenance.
+//! corpora and a generated pair with long sums.  On top of that, the
+//! sinks themselves must be well-formed: every JSONL line parses with the
+//! engine's own `JsonValue` parser, span open/close events balance per
+//! worker, the algebraic path records its `split` and `restrict` spans, and
+//! a mutant's trace names the failing output's provenance.
 //!
 //! Trace state (collector, metrics registry, worker ids) is process-global,
 //! so every test here serializes on one mutex — and they all live in this
@@ -18,7 +19,9 @@
 use arrayeq_engine::{JsonValue, Verifier, VerifyRequest};
 use arrayeq_lang::corpus::{FIG1_A, FIG1_B, FIG1_C, FIG1_D};
 use arrayeq_trace::{Collector, Event, Phase};
+use arrayeq_transform::generator::{generate_kernel, GeneratorConfig};
 use arrayeq_transform::mutate::fault_corpus;
+use arrayeq_transform::random_pipeline;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -54,12 +57,28 @@ fn run_once(
     )
 }
 
+/// A 9-layer generated kernel against its random transformation pipeline
+/// (the scaling suite's `generated_pair(9, 256, 11)`): its sums flatten to
+/// 59 terms, which split and match on the algebraic path.
+fn algebraic_pair() -> VerifyRequest {
+    let cfg = GeneratorConfig {
+        n: 256,
+        layers: 9,
+        seed: 11,
+        ..Default::default()
+    };
+    let original = generate_kernel(&cfg);
+    let (transformed, _) = random_pipeline(&original, 18, 12);
+    VerifyRequest::programs(original, transformed)
+}
+
 fn corpus() -> Vec<(String, VerifyRequest)> {
     let mut pairs = vec![
         ("fig1-a-b".to_owned(), VerifyRequest::source(FIG1_A, FIG1_B)),
         ("fig1-a-c".to_owned(), VerifyRequest::source(FIG1_A, FIG1_C)),
         ("fig1-a-d".to_owned(), VerifyRequest::source(FIG1_A, FIG1_D)),
         ("fig1-c-b".to_owned(), VerifyRequest::source(FIG1_C, FIG1_B)),
+        ("generated-L9".to_owned(), algebraic_pair()),
     ];
     for (i, case) in fault_corpus().into_iter().enumerate() {
         pairs.push((
@@ -117,7 +136,9 @@ fn tracing_never_changes_reports_at_any_job_count() {
 /// Every JSONL line parses, carries the required keys, and span open/close
 /// events balance per worker lane.  One worker runs on the calling thread,
 /// so its whole stream is on lane 0; at eight the stream has real worker
-/// lanes.
+/// lanes.  Fig. 1 (a) against (c) takes the algebraic path, so its
+/// `split` and `restrict` spans are present, and each opens as often as it
+/// closes.
 #[test]
 fn jsonl_wellformed_and_spans_balance_per_worker() {
     let _g = serialize();
@@ -131,6 +152,22 @@ fn jsonl_wellformed_and_spans_balance_per_worker() {
             .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
             .unwrap();
         arrayeq_trace::uninstall();
+        for span in ["split", "restrict"] {
+            let count = |phase: Phase| {
+                collector
+                    .events()
+                    .iter()
+                    .filter(|ev| ev.name == span && ev.phase == phase)
+                    .count()
+            };
+            let opened = count(Phase::Open);
+            assert!(opened > 0, "jobs={jobs}: no `{span}` span");
+            assert_eq!(
+                opened,
+                count(Phase::Close),
+                "jobs={jobs}: `{span}` opens and closes differ"
+            );
+        }
 
         let jsonl = collector.to_jsonl();
         assert!(!jsonl.is_empty());
