@@ -12,9 +12,16 @@
 //! 2. applies the declared annihilator — a chain whose constant part folds
 //!    to the annihilator (`x * 0`) *is* that constant, so both sides
 //!    annihilating matches regardless of their remaining factors;
-//! 3. greedily pairs the non-constant terms: by arena id first (one integer
-//!    comparison), then through the match memo, and only then by a
-//!    speculative recursive equivalence check per factor pair.
+//! 3. greedily pairs the non-constant terms.  In a commutative chain each
+//!    term of the original first tries its *twin*, the first unused term of
+//!    the transformed side with the same arena id, which pairs by one
+//!    integer comparison; then every other unused term in index order.  An
+//!    associative-only chain tries only the next unused term.  A candidate
+//!    pair is decided by arena id, then through the match memo, and only
+//!    then by a speculative recursive equivalence check per factor pair.
+//!    Speculation builds no diagnostics ([`Checker::diagnose`]): a failed
+//!    candidate only means the next candidate's turn, so whatever it found
+//!    is never reported.
 
 use super::arena::TermId;
 use super::flatten::FlatTerm;
@@ -237,18 +244,20 @@ impl<'x> Checker<'x> {
         let terms_a: Vec<&FlatTerm> = live_a.iter().filter(|t| !t.factors.is_empty()).collect();
         let terms_b: Vec<&FlatTerm> = live_b.iter().filter(|t| !t.factors.is_empty()).collect();
 
-        let fail = |this: &mut Self, message: String| {
-            this.diagnostics.push(Diagnostic {
-                kind: DiagnosticKind::MatchingFailure,
-                output_array: None,
-                original_statements: trail_a.to_vec(),
-                transformed_statements: trail_b.to_vec(),
-                expressions: vec![format!("operator `{family}`")],
-                original_mapping: None,
-                transformed_mapping: None,
-                message,
-                failing_domain: Some(piece.clone()),
-            });
+        let fail = |this: &mut Self, message: std::fmt::Arguments<'_>| {
+            this.diagnose(|_| {
+                Ok(Diagnostic {
+                    kind: DiagnosticKind::MatchingFailure,
+                    output_array: None,
+                    original_statements: trail_a.to_vec(),
+                    transformed_statements: trail_b.to_vec(),
+                    expressions: vec![format!("operator `{family}`")],
+                    original_mapping: None,
+                    transformed_mapping: None,
+                    message: message.to_string(),
+                    failing_domain: Some(piece.clone()),
+                })
+            })
         };
 
         // Annihilator: a chain whose constant part folds to the declared
@@ -263,11 +272,11 @@ impl<'x> Checker<'x> {
                 let side = if za { "original" } else { "transformed" };
                 fail(
                     self,
-                    format!(
+                    format_args!(
                         "the `{family}` chain is annihilated (constant {z}) in the {side} \
                          program only, on part of the output domain"
                     ),
-                );
+                )?;
                 return Ok(false);
             }
         }
@@ -275,25 +284,25 @@ impl<'x> Checker<'x> {
         if const_a != const_b {
             fail(
                 self,
-                format!(
+                format_args!(
                     "the folded constant part of the `{family}` chain differs: \
                      {const_a} in the original and {const_b} in the transformed \
                      program on part of the output domain"
                 ),
-            );
+            )?;
             return Ok(false);
         }
 
         if terms_a.len() != terms_b.len() {
             fail(
                 self,
-                format!(
+                format_args!(
                     "the `{family}` chain has {} operands in the original and {} in the \
                      transformed program on part of the output domain",
                     terms_a.len(),
                     terms_b.len()
                 ),
-            );
+            )?;
             return Ok(false);
         }
 
@@ -307,13 +316,19 @@ impl<'x> Checker<'x> {
         let mut all_ok = true;
         for (i, ta) in terms_a.iter().enumerate() {
             let mut matched = false;
-            let candidates: Vec<usize> = if class.commutative {
-                (0..terms_b.len()).filter(|&j| !used[j]).collect()
+            let mut candidates: Vec<usize> = (0..terms_b.len()).filter(|&j| !used[j]).collect();
+            if class.commutative {
+                // The twin first: the first unused term with the same arena
+                // id pairs by one integer comparison.  The other unused
+                // terms follow in index order.
+                if let Some(t) = candidates.iter().position(|&j| ids_b[j] == ids_a[i]) {
+                    candidates[..=t].rotate_right(1);
+                }
             } else {
                 // Associative-only: order is preserved, so the i-th unused
                 // operand is the only candidate.
-                (0..terms_b.len()).filter(|&j| !used[j]).take(1).collect()
-            };
+                candidates.truncate(1);
+            }
             for j in candidates {
                 if self.terms_match(factor_comm, ta, ids_a[i], terms_b[j], ids_b[j])? {
                     used[j] = true;
@@ -323,36 +338,38 @@ impl<'x> Checker<'x> {
             }
             if !matched {
                 all_ok = false;
-                let (name, mapping) = self.describe_term(true, ta);
-                // The closest unmatched candidate on the other side, for
-                // the diagnostic.
-                let other = terms_b
-                    .iter()
-                    .zip(&used)
-                    .find(|(_, &u)| !u)
-                    .map(|(t, _)| self.describe_term(false, t));
-                self.diagnostics.push(Diagnostic {
-                    kind: DiagnosticKind::MappingMismatch,
-                    output_array: None,
-                    original_statements: ta.trail.clone(),
-                    transformed_statements: other
-                        .as_ref()
-                        .map(|_| terms_b.iter().flat_map(|t| t.trail.clone()).collect())
-                        .unwrap_or_default(),
-                    expressions: {
-                        let mut e = vec![name];
-                        if let Some((n, _)) = &other {
-                            e.push(n.clone());
-                        }
-                        e
-                    },
-                    original_mapping: Some(mapping),
-                    transformed_mapping: other.map(|(_, m)| m),
-                    message: format!(
-                        "no operand of the transformed `{family}` chain matches this operand of the original"
-                    ),
-                    failing_domain: Some(piece.clone()),
-                });
+                self.diagnose(|this| {
+                    let (name, mapping) = this.describe_term(true, ta);
+                    // The closest unmatched candidate on the other side,
+                    // for the diagnostic.
+                    let other = terms_b
+                        .iter()
+                        .zip(&used)
+                        .find(|(_, &u)| !u)
+                        .map(|(t, _)| this.describe_term(false, t));
+                    Ok(Diagnostic {
+                        kind: DiagnosticKind::MappingMismatch,
+                        output_array: None,
+                        original_statements: ta.trail.clone(),
+                        transformed_statements: other
+                            .as_ref()
+                            .map(|_| terms_b.iter().flat_map(|t| t.trail.clone()).collect())
+                            .unwrap_or_default(),
+                        expressions: {
+                            let mut e = vec![name];
+                            if let Some((n, _)) = &other {
+                                e.push(n.clone());
+                            }
+                            e
+                        },
+                        original_mapping: Some(mapping),
+                        transformed_mapping: other.map(|(_, m)| m),
+                        message: format!(
+                            "no operand of the transformed `{family}` chain matches this operand of the original"
+                        ),
+                        failing_domain: Some(piece.clone()),
+                    })
+                })?;
             }
         }
         Ok(all_ok)
@@ -360,9 +377,10 @@ impl<'x> Checker<'x> {
 
     /// Whether two flattened terms are equivalent (the matching criterion):
     /// equal coefficients and a factor-for-factor equivalence of their
-    /// products.  Fast paths: identical arena ids, then the match memo;
-    /// the fallback runs speculative sub-checks whose diagnostics are
-    /// discarded when they fail.
+    /// products.  Fast paths: identical arena ids, then the match memo.
+    /// The fallback checks factor pairs *speculatively*: a failed candidate
+    /// is simply the next one's turn, so the checks run with
+    /// [`Checker::speculating`] raised and build no diagnostics.
     fn terms_match(
         &mut self,
         commutative_factors: bool,
@@ -387,44 +405,17 @@ impl<'x> Checker<'x> {
         }
         let assumption_uses_before = self.assumption_uses;
         let saved = self.diagnostics.len();
-        let mut used = vec![false; tb.factors.len()];
-        let mut all = true;
-        for fa in &ta.factors {
-            let mut matched = false;
-            let candidates: Vec<usize> = if commutative_factors {
-                (0..tb.factors.len()).filter(|&j| !used[j]).collect()
-            } else {
-                (0..tb.factors.len())
-                    .filter(|&j| !used[j])
-                    .take(1)
-                    .collect()
-            };
-            for j in candidates {
-                let fb = &tb.factors[j];
-                let mark = self.diagnostics.len();
-                let ok = self.check(
-                    fa.pos.clone(),
-                    fa.map.clone(),
-                    fb.pos.clone(),
-                    fb.map.clone(),
-                    &fa.trail,
-                    &fb.trail,
-                )?;
-                if ok {
-                    used[j] = true;
-                    matched = true;
-                    break;
-                }
-                self.diagnostics.truncate(mark);
-            }
-            if !matched {
-                all = false;
-                break;
-            }
-        }
-        if !all {
-            self.diagnostics.truncate(saved);
-        }
+        // Lowered again before `?` can leave: the depth is back where it
+        // was on every exit path.
+        self.speculating += 1;
+        let all = self.factors_match(commutative_factors, ta, tb);
+        self.speculating -= 1;
+        let all = all?;
+        debug_assert_eq!(
+            self.diagnostics.len(),
+            saved,
+            "a speculative check recorded a diagnostic"
+        );
         // A result derived under a coinductive recurrence assumption is
         // only valid inside that assumption's scope; a result produced
         // while a budget was winding the traversal down proves nothing.
@@ -433,6 +424,44 @@ impl<'x> Checker<'x> {
             self.arena.record_match(ia, ib, all);
         }
         Ok(all)
+    }
+
+    /// Pairs every factor of `ta` with an equivalent unused factor of `tb`
+    /// (in order when `*` is not commutative), greedily, by recursive
+    /// checks.
+    fn factors_match(
+        &mut self,
+        commutative_factors: bool,
+        ta: &FlatTerm,
+        tb: &FlatTerm,
+    ) -> Result<bool> {
+        let mut used = vec![false; tb.factors.len()];
+        for fa in &ta.factors {
+            let mut candidates: Vec<usize> = (0..tb.factors.len()).filter(|&j| !used[j]).collect();
+            if !commutative_factors {
+                candidates.truncate(1);
+            }
+            let mut matched = false;
+            for j in candidates {
+                let fb = &tb.factors[j];
+                if self.check(
+                    fa.pos.clone(),
+                    fa.map.clone(),
+                    fb.pos.clone(),
+                    fb.map.clone(),
+                    &fa.trail,
+                    &fb.trail,
+                )? {
+                    used[j] = true;
+                    matched = true;
+                    break;
+                }
+            }
+            if !matched {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Interns one term into the arena by its rename-invariant content key.

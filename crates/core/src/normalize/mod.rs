@@ -37,8 +37,11 @@
 //! * **[`matching`]** splits the output domain into pieces (unchanged from
 //!   the paper), folds and compares the constant part per piece, applies
 //!   the annihilator short-circuit, and greedily matches the remaining
-//!   terms — first by arena id (integer equality), then through the match
-//!   memo, and only then by a speculative recursive equivalence check.
+//!   terms.  Each term first tries its twin on the other side (same arena
+//!   id: one integer comparison), then the other unused terms in index
+//!   order; a candidate that is no twin goes through the match memo, and
+//!   only then through a speculative recursive equivalence check, which
+//!   builds no diagnostics.
 //!
 //! The entry point is [`crate::checker::Checker::check_algebraic`], whose
 //! body lives in [`matching`]; `checker.rs` itself only dispatches here.

@@ -621,7 +621,10 @@ impl Verifier {
                     original,
                     transformed,
                 } => {
-                    parsed = [parse_program(original)?, parse_program(transformed)?];
+                    parsed = {
+                        let _span = arrayeq_trace::span("parse");
+                        [parse_program(original)?, parse_program(transformed)?]
+                    };
                     lowered = [lower(&parsed[0], opts)?, lower(&parsed[1], opts)?];
                     (Some((&parsed[0], &parsed[1])), &lowered[0], &lowered[1])
                 }

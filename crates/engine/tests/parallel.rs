@@ -133,7 +133,11 @@ fn merged_parallel_counters_respect_the_internal_identities() {
     assert!(s.table_entries <= s.table_lookups);
     assert!(s.shared_table_hits <= s.shared_table_lookups);
     assert_eq!(s.hash_collisions, 0);
-    assert!(s.paths_compared > 0);
+    // Every term of this kernel pairs with its twin by arena id, so no leaf
+    // path is compared; the work is the compositions down to the chains
+    // and the pairings themselves.
+    assert!(s.fast_term_matches > 0, "{s:?}");
+    assert!(s.compositions > 0, "{s:?}");
     // The pool genuinely decomposed the obligation: a wide kernel yields
     // many independent root tasks, so work happened on several outputs.
     assert_eq!(par.outputs_checked.len(), 6);

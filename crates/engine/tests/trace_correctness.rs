@@ -136,9 +136,10 @@ fn tracing_never_changes_reports_at_any_job_count() {
 /// Every JSONL line parses, carries the required keys, and span open/close
 /// events balance per worker lane.  One worker runs on the calling thread,
 /// so its whole stream is on lane 0; at eight the stream has real worker
-/// lanes.  Fig. 1 (a) against (c) takes the algebraic path, so its
-/// `split` and `restrict` spans are present, and each opens as often as it
-/// closes.
+/// lanes.  The source request passes every front-end pass (`parse`,
+/// `classcheck`, `defuse`, `extract`, `fingerprint`), and Fig. 1 (a)
+/// against (c) takes the algebraic path (`split`, `restrict`): each of
+/// these spans is present and opens as often as it closes.
 #[test]
 fn jsonl_wellformed_and_spans_balance_per_worker() {
     let _g = serialize();
@@ -152,7 +153,16 @@ fn jsonl_wellformed_and_spans_balance_per_worker() {
             .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
             .unwrap();
         arrayeq_trace::uninstall();
-        for span in ["split", "restrict"] {
+        let spans = [
+            "parse",
+            "classcheck",
+            "defuse",
+            "extract",
+            "fingerprint",
+            "split",
+            "restrict",
+        ];
+        for span in spans {
             let count = |phase: Phase| {
                 collector
                     .events()

@@ -14,6 +14,7 @@ use arrayeq::transform::algebraic::{
     distribute_program, insert_identity_noise, shuffle_subtractions,
 };
 use arrayeq::transform::generator::{generate_kernel, GeneratorConfig};
+use arrayeq::transform::pipeline::random_pipeline;
 use proptest::prelude::*;
 
 fn algebra_kernel(seed: u64) -> Program {
@@ -140,4 +141,78 @@ proptest! {
         let basic = verify(&Verifier::builder().method(Method::Basic).build(), &p, &q).unwrap();
         prop_assert_eq!(basic.verdict, Verdict::NotEquivalent);
     }
+}
+
+/// The scaling suite's generated pairs (`generated_pair(layers, 256, 11)`:
+/// a generated kernel against its random pipeline of `2 * layers` steps)
+/// pair every term with its twin by arena id, so one job runs no
+/// speculative term check: no memo hit and no leaf path compared.
+#[test]
+fn generated_pairs_pair_every_term_with_its_twin() {
+    for layers in [9, 17] {
+        let original = generate_kernel(&GeneratorConfig {
+            n: 256,
+            layers,
+            seed: 11,
+            ..Default::default()
+        });
+        let (transformed, _) = random_pipeline(&original, 2 * layers, 12);
+        let r = verify(
+            &Verifier::builder().jobs(1).build(),
+            &original,
+            &transformed,
+        )
+        .expect("pipeline runs");
+        assert_eq!(r.verdict, Verdict::Equivalent, "L{layers}: {}", r.summary());
+        let s = &r.stats;
+        assert_eq!(s.term_memo_hits, 0, "L{layers}: {s:?}");
+        assert_eq!(s.paths_compared, 0, "L{layers}: {s:?}");
+        assert!(s.fast_term_matches > 0, "L{layers}: {s:?}");
+    }
+}
+
+/// A chain whose first term has no twin: `A[k] + B[k]` and `B[k] + A[k]`
+/// fingerprint differently, so the original's first `absd` term tries the
+/// transformed `absd(A[k], B[k])` first.  That speculative candidate fails
+/// (a two-term chain against one leaf) before the right one pairs, and
+/// leaves nothing in the report.
+#[test]
+fn a_failed_speculative_candidate_leaves_no_diagnostic() {
+    let original = arrayeq::lang::parser::parse_program(
+        r#"
+#define N 16
+void f(int A[], int B[], int C[]) {
+    int k;
+    for (k = 0; k < N; k++)
+s1:     C[k] = absd(A[k] + B[k], A[k]) + absd(A[k], B[k]);
+}
+"#,
+    )
+    .expect("parses");
+    let transformed = arrayeq::lang::parser::parse_program(
+        r#"
+#define N 16
+void f(int A[], int B[], int C[]) {
+    int k;
+    for (k = 0; k < N; k++)
+t1:     C[k] = absd(A[k], B[k]) + absd(B[k] + A[k], A[k]);
+}
+"#,
+    )
+    .expect("parses");
+    let one = verify(
+        &Verifier::builder().jobs(1).build(),
+        &original,
+        &transformed,
+    )
+    .expect("pipeline runs");
+    assert_eq!(one.verdict, Verdict::Equivalent, "{}", one.summary());
+    assert!(one.diagnostics.is_empty(), "{:?}", one.diagnostics);
+    let eight = verify(
+        &Verifier::builder().jobs(8).build(),
+        &original,
+        &transformed,
+    )
+    .expect("pipeline runs");
+    assert_eq!(one.render_stable(), eight.render_stable());
 }
