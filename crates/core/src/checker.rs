@@ -15,6 +15,7 @@ use arrayeq_omega::{Relation, Set};
 use std::collections::BTreeMap;
 #[cfg(debug_assertions)]
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which variant of the method to run.
@@ -337,6 +338,54 @@ pub(crate) enum Pos {
     Node(NodeId),
 }
 
+/// The statement trail of one traversal path: the labels of the statements
+/// the path passed through, which diagnostics report as the possible
+/// locations of an error (Section 6.1).
+///
+/// A persistent list, newest statement first: extending a trail allocates
+/// one link and shares the rest, and a clone is a reference-count bump, so
+/// every branch of the traversal, every flattened term and every region
+/// piece shares its prefix instead of copying it.  `Arc` because worker
+/// threads read the tasks and terms that hold trails.  A trail becomes a
+/// `Vec<String>` only where a diagnostic is built ([`Trail::to_vec`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Trail(Option<Arc<TrailLink>>);
+
+/// One statement of a [`Trail`] and the trail before it.
+#[derive(Debug)]
+struct TrailLink {
+    stmt: String,
+    prev: Trail,
+}
+
+impl Trail {
+    /// This trail extended by `stmt` — the one way a trail grows.  A
+    /// statement equal to the last one is not repeated: a path that stays
+    /// inside one statement (its root operator, then its array reads) names
+    /// that statement once.
+    pub(crate) fn with(&self, stmt: &str) -> Trail {
+        match &self.0 {
+            Some(link) if link.stmt == stmt => self.clone(),
+            _ => Trail(Some(Arc::new(TrailLink {
+                stmt: stmt.to_owned(),
+                prev: self.clone(),
+            }))),
+        }
+    }
+
+    /// The statements, oldest first, as a diagnostic lists them.
+    pub(crate) fn to_vec(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut link = self.0.as_deref();
+        while let Some(l) = link {
+            out.push(l.stmt.clone());
+            link = l.prev.0.as_deref();
+        }
+        out.reverse();
+        out
+    }
+}
+
 impl<'x> Checker<'x> {
     /// A fresh worker of the run behind `proofs`, accounting against the
     /// run's `shared_budget`.
@@ -384,8 +433,8 @@ impl<'x> Checker<'x> {
         map_a: Relation,
         pos_b: Pos,
         map_b: Relation,
-        trail_a: &[String],
-        trail_b: &[String],
+        trail_a: &Trail,
+        trail_b: &Trail,
         assumptions: &[((String, String), Relation)],
     ) -> Result<(bool, Vec<Diagnostic>)> {
         self.in_progress.clear();
@@ -408,8 +457,8 @@ impl<'x> Checker<'x> {
         live_a: &[crate::normalize::FlatTerm],
         live_b: &[crate::normalize::FlatTerm],
         piece: &Set,
-        trail_a: &[String],
-        trail_b: &[String],
+        trail_a: &Trail,
+        trail_b: &Trail,
         assumptions: &[((String, String), Relation)],
     ) -> Result<(bool, Vec<Diagnostic>)> {
         self.in_progress.clear();
@@ -630,8 +679,8 @@ impl Checker<'_> {
         map_a: Relation,
         pos_b: Pos,
         map_b: Relation,
-        trail_a: &[String],
-        trail_b: &[String],
+        trail_a: &Trail,
+        trail_b: &Trail,
     ) -> Result<bool> {
         if !self.budget() {
             return Ok(false);
@@ -659,14 +708,12 @@ impl Checker<'_> {
                     arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
                     m
                 };
-                let mut trail = trail_a.to_vec();
-                trail.push(statement.clone());
                 return self.check(
                     Pos::Array(array.clone()),
                     new_map,
                     pos_b,
                     map_b,
-                    &trail,
+                    &trail_a.with(statement),
                     trail_b,
                 );
             }
@@ -687,15 +734,13 @@ impl Checker<'_> {
                     arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
                     m
                 };
-                let mut trail = trail_b.to_vec();
-                trail.push(statement.clone());
                 return self.check(
                     pos_a,
                     map_a,
                     Pos::Array(array.clone()),
                     new_map,
                     trail_a,
-                    &trail,
+                    &trail_b.with(statement),
                 );
             }
         }
@@ -820,8 +865,8 @@ impl Checker<'_> {
         map_a: Relation,
         pos_b: &Pos,
         map_b: Relation,
-        trail_a: &[String],
-        trail_b: &[String],
+        trail_a: &Trail,
+        trail_b: &Trail,
     ) -> Result<bool> {
         match (pos_a, pos_b) {
             // Both sides are at an array variable.
@@ -878,7 +923,7 @@ impl Checker<'_> {
                                 pos_b.clone(),
                                 map_b,
                                 trail_a,
-                                &with_stmt(trail_b, statement),
+                                &trail_b.with(statement),
                             );
                         }
                     }
@@ -908,7 +953,7 @@ impl Checker<'_> {
                                 map_a,
                                 pos_b.clone(),
                                 map_b,
-                                &with_stmt(trail_a, statement),
+                                &trail_a.with(statement),
                                 trail_b,
                             );
                         }
@@ -936,8 +981,8 @@ impl Checker<'_> {
         map_a: Relation,
         pos_b: Pos,
         map_b: Relation,
-        trail_a: &[String],
-        trail_b: &[String],
+        trail_a: &Trail,
+        trail_b: &Trail,
     ) -> Result<bool> {
         let key = self.recurrence_key(va, &pos_b);
         if let Some(k) = &key {
@@ -953,8 +998,7 @@ impl Checker<'_> {
             }
             let sub_domain = sub_a.domain();
             let sub_b = map_b.restrict_domain(&sub_domain)?.simplified(true);
-            let mut trail = trail_a.to_vec();
-            trail.push(def.statement.clone());
+            let trail = trail_a.with(&def.statement);
             let _span = arrayeq_trace::span_with("definition", || {
                 vec![
                     arrayeq_trace::s("array", va.to_owned()),
@@ -983,8 +1027,8 @@ impl Checker<'_> {
         map_a: Relation,
         vb: &str,
         map_b: Relation,
-        trail_a: &[String],
-        trail_b: &[String],
+        trail_a: &Trail,
+        trail_b: &Trail,
     ) -> Result<bool> {
         let defs: Vec<_> = self.b.definitions(vb).to_vec();
         let mut ok = true;
@@ -995,8 +1039,7 @@ impl Checker<'_> {
             }
             let sub_domain = sub_b.domain();
             let sub_a = map_a.restrict_domain(&sub_domain)?.simplified(true);
-            let mut trail = trail_b.to_vec();
-            trail.push(def.statement.clone());
+            let trail = trail_b.with(&def.statement);
             let _span = arrayeq_trace::span_with("definition", || {
                 vec![
                     arrayeq_trace::s("array", vb.to_owned()),
@@ -1050,8 +1093,8 @@ impl Checker<'_> {
         vb: &str,
         map_a: &Relation,
         map_b: &Relation,
-        trail_a: &[String],
-        trail_b: &[String],
+        trail_a: &Trail,
+        trail_b: &Trail,
     ) -> Result<bool> {
         self.stats.paths_compared += 1;
         if va != vb {
@@ -1104,8 +1147,8 @@ impl Checker<'_> {
         nb: NodeId,
         map_a: &Relation,
         map_b: &Relation,
-        trail_a: &[String],
-        trail_b: &[String],
+        trail_a: &Trail,
+        trail_b: &Trail,
     ) -> Result<()> {
         self.diagnose(|this| {
             Ok(Diagnostic {
@@ -1129,8 +1172,8 @@ impl Checker<'_> {
         node_pos: &Pos,
         leaf_map: &Relation,
         node_map: &Relation,
-        leaf_trail: &[String],
-        node_trail: &[String],
+        leaf_trail: &Trail,
+        node_trail: &Trail,
         leaf_is_original: bool,
     ) -> Result<()> {
         self.diagnose(|this| {
@@ -1169,8 +1212,8 @@ impl Checker<'_> {
         map_a: Relation,
         nb: NodeId,
         map_b: Relation,
-        trail_a: &[String],
-        trail_b: &[String],
+        trail_a: &Trail,
+        trail_b: &Trail,
     ) -> Result<bool> {
         match (self.a.node(na).clone(), self.b.node(nb).clone()) {
             (Node::Const { value: va, .. }, Node::Const { value: vb, .. }) => {
@@ -1216,8 +1259,8 @@ impl Checker<'_> {
                         map_a,
                         Pos::Node(nb),
                         map_b,
-                        &with_stmt(trail_a, &sa),
-                        &with_stmt(trail_b, &sb),
+                        &trail_a.with(&sa),
+                        &trail_b.with(&sb),
                     );
                 }
                 if ka != kb {
@@ -1225,8 +1268,8 @@ impl Checker<'_> {
                         Ok(Diagnostic {
                             kind: DiagnosticKind::OperatorMismatch,
                             output_array: None,
-                            original_statements: with_stmt(trail_a, &sa),
-                            transformed_statements: with_stmt(trail_b, &sb),
+                            original_statements: trail_a.with(&sa).to_vec(),
+                            transformed_statements: trail_b.with(&sb).to_vec(),
                             expressions: vec![describe_node(this.a, na), describe_node(this.b, nb)],
                             original_mapping: Some(map_a.to_string()),
                             transformed_mapping: Some(map_b.to_string()),
@@ -1241,8 +1284,8 @@ impl Checker<'_> {
                         Ok(Diagnostic {
                             kind: DiagnosticKind::Structural,
                             output_array: None,
-                            original_statements: with_stmt(trail_a, &sa),
-                            transformed_statements: with_stmt(trail_b, &sb),
+                            original_statements: trail_a.with(&sa).to_vec(),
+                            transformed_statements: trail_b.with(&sb).to_vec(),
                             expressions: vec![describe_node(this.a, na), describe_node(this.b, nb)],
                             original_mapping: None,
                             transformed_mapping: None,
@@ -1256,6 +1299,7 @@ impl Checker<'_> {
                     })?;
                     return Ok(false);
                 }
+                let (trail_a, trail_b) = (trail_a.with(&sa), trail_b.with(&sb));
                 let mut ok = true;
                 for (x, y) in oa.iter().zip(ob.iter()) {
                     ok &= self.check(
@@ -1263,8 +1307,8 @@ impl Checker<'_> {
                         map_a.clone(),
                         Pos::Node(*y),
                         map_b.clone(),
-                        &with_stmt(trail_a, &sa),
-                        &with_stmt(trail_b, &sb),
+                        &trail_a,
+                        &trail_b,
                     )?;
                 }
                 Ok(ok)
@@ -1288,8 +1332,8 @@ impl Checker<'_> {
                         map_a,
                         Pos::Node(nb),
                         map_b,
-                        &with_stmt(trail_a, &statement),
-                        &with_stmt(trail_b, &sb),
+                        &trail_a.with(&statement),
+                        &trail_b.with(&sb),
                     );
                 }
                 self.report_computation_mismatch(na, nb, &map_a, &map_b, trail_a, trail_b)?;
@@ -1310,8 +1354,8 @@ impl Checker<'_> {
                         map_a,
                         Pos::Node(nb),
                         map_b,
-                        &with_stmt(trail_a, &sa),
-                        &with_stmt(trail_b, &statement),
+                        &trail_a.with(&sa),
+                        &trail_b.with(&statement),
                     );
                 }
                 self.report_computation_mismatch(na, nb, &map_a, &map_b, trail_a, trail_b)?;
@@ -1323,14 +1367,6 @@ impl Checker<'_> {
             }
         }
     }
-}
-
-pub(crate) fn with_stmt(trail: &[String], stmt: &str) -> Vec<String> {
-    let mut t = trail.to_vec();
-    if t.last().map(|s| s.as_str()) != Some(stmt) {
-        t.push(stmt.to_owned());
-    }
-    t
 }
 
 /// A node as the computation-mismatch diagnostic names it: a constant by
@@ -1359,6 +1395,31 @@ mod tests {
 
     fn verify(a: &str, b: &str, opts: &CheckOptions) -> Report {
         run(a, b, opts, &CheckContext::default()).expect("verification pipeline runs")
+    }
+
+    #[test]
+    fn a_trail_extension_skips_only_a_repeat_of_the_last_statement() {
+        let t = Trail::default().with("a").with("a").with("b").with("a");
+        assert_eq!(t.to_vec(), ["a", "b", "a"]);
+    }
+
+    #[test]
+    fn a_trail_lists_its_oldest_statement_first() {
+        assert!(Trail::default().to_vec().is_empty());
+        let t = Trail::default().with("s3").with("s1").with("s2");
+        assert_eq!(t.to_vec(), ["s3", "s1", "s2"]);
+    }
+
+    #[test]
+    fn extending_a_clone_leaves_the_original_unchanged() {
+        let base = Trail::default().with("s3");
+        let copy = base.clone();
+        let left = copy.with("s1");
+        let right = copy.with("s2").with("s4");
+        assert_eq!(base.to_vec(), ["s3"]);
+        assert_eq!(copy.to_vec(), ["s3"]);
+        assert_eq!(left.to_vec(), ["s3", "s1"]);
+        assert_eq!(right.to_vec(), ["s3", "s2", "s4"]);
     }
 
     #[test]

@@ -128,7 +128,7 @@ mod tests {
     /// distinct key keeps the shadow consistent with the key.
     fn term(coeff: i64, keys: &[(u64, u64)]) -> FlatTerm {
         use super::super::flatten::Factor;
-        use crate::checker::Pos;
+        use crate::checker::{Pos, Trail};
         let factors = keys
             .iter()
             .map(|&(fp, mh)| Factor {
@@ -140,14 +140,14 @@ mod tests {
                     (mh % 97) + 1
                 ))
                 .unwrap(),
-                trail: Vec::new(),
+                trail: Trail::default(),
             })
             .collect();
         FlatTerm {
             coeff,
             factors,
             domain: Set::parse("{ [i] : 0 <= i < 4 }").unwrap(),
-            trail: Vec::new(),
+            trail: Trail::default(),
         }
     }
 

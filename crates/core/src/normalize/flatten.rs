@@ -8,20 +8,25 @@
 //! position)`; the algebra adds signs (inverse folding of `-`/negation),
 //! folded constants, dropped identities, annihilated products and one-level
 //! distribution of `*` over `+` (see the [`crate::normalize`] module docs).
+//!
+//! Every term and factor carries the [`Trail`] of statements that led to it.
+//! Trails are shared, not copied: a look-through step extends its parent's
+//! trail by one link, and the terms of one chain share their common prefix.
 
-use crate::checker::{Checker, Pos};
+use crate::checker::{Checker, Pos, Trail};
 use crate::Result;
 use arrayeq_addg::{Definition, Node, NodeId, OperatorKind};
 use arrayeq_omega::{Relation, Set};
 
 /// One non-constant factor of a flattened term: a traversal position with
 /// its accumulated output-current mapping and the statement trail that led
-/// there (for diagnostics).
+/// there (for diagnostics; shared with the term's and its siblings' trails,
+/// so cloning a factor copies no statement).
 #[derive(Debug, Clone)]
 pub(crate) struct Factor {
     pub pos: Pos,
     pub map: Relation,
-    pub trail: Vec<String>,
+    pub trail: Trail,
 }
 
 /// One flattened term: `coeff · Π factors` over `domain`.
@@ -36,23 +41,41 @@ pub(crate) struct Factor {
 /// `domain` is the part of the output space on which the term is present —
 /// region splitting partitions the output domain so every term is fully
 /// present or fully absent on each piece.
+///
+/// Cloning a term, as restricting it to each region piece does, shares its
+/// trails instead of copying them.
 #[derive(Debug, Clone)]
 pub(crate) struct FlatTerm {
     pub coeff: i64,
     pub factors: Vec<Factor>,
     pub domain: Set,
     /// Statement trail at the term's emission point (diagnostics).
-    pub trail: Vec<String>,
+    pub trail: Trail,
 }
 
 impl FlatTerm {
     /// A pure-constant term.
-    fn constant(coeff: i64, domain: Set, trail: Vec<String>) -> FlatTerm {
+    fn constant(coeff: i64, domain: Set, trail: &Trail) -> FlatTerm {
         FlatTerm {
             coeff,
             factors: Vec::new(),
             domain,
-            trail,
+            trail: trail.clone(),
+        }
+    }
+
+    /// A term of one opaque factor with coefficient `coeff`.
+    fn single(coeff: i64, pos: Pos, map: Relation, trail: &Trail) -> FlatTerm {
+        let domain = map.domain();
+        FlatTerm {
+            coeff,
+            factors: vec![Factor {
+                pos,
+                map,
+                trail: trail.clone(),
+            }],
+            domain,
+            trail: trail.clone(),
         }
     }
 }
@@ -71,10 +94,6 @@ fn term_domain(base: Set, factors: &[Factor]) -> Result<Set> {
             Ok(dom)
         }
     }
-}
-
-fn with_stmt_owned(trail: &[String], stmt: &str) -> Vec<String> {
-    crate::checker::with_stmt(trail, stmt)
 }
 
 /// Evaluates a fully-constant operator subtree (`(2 + 1)`, `-(4)`, `2·3`)
@@ -112,6 +131,11 @@ impl<'x> Checker<'x> {
     ///
     /// Returns `false` when a budget tripped mid-flatten (the caller's
     /// verdict is already inconclusive then).
+    ///
+    /// Every `map` that reaches here is either a deep `simplified(true)`
+    /// result, whose conjuncts are all feasible, or one the traversal has
+    /// already tested for emptiness, so an empty conjunct list is the whole
+    /// emptiness test.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn flatten_family(
         &mut self,
@@ -119,7 +143,7 @@ impl<'x> Checker<'x> {
         family: &OperatorKind,
         pos: Pos,
         map: Relation,
-        trail: Vec<String>,
+        trail: &Trail,
         sign: i64,
         root: bool,
         out: &mut Vec<FlatTerm>,
@@ -127,7 +151,8 @@ impl<'x> Checker<'x> {
         if !self.budget() {
             return Ok(false);
         }
-        if map.is_empty() {
+        debug_assert_eq!(map.is_empty(), map.conjuncts().is_empty());
+        if map.conjuncts().is_empty() {
             return Ok(true);
         }
         let g = if original_side { self.a } else { self.b };
@@ -146,13 +171,14 @@ impl<'x> Checker<'x> {
                     operands,
                     statement,
                 } if kind == family && (class.associative || root) => {
+                    let trail = trail.with(statement);
                     for &child in operands {
                         self.flatten_family(
                             original_side,
                             family,
                             Pos::Node(child),
                             map.clone(),
-                            with_stmt_owned(&trail, statement),
+                            &trail,
                             sign,
                             false,
                             out,
@@ -166,13 +192,13 @@ impl<'x> Checker<'x> {
                     operands,
                     statement,
                 } if additive && add.is_ac() => {
-                    let t = with_stmt_owned(&trail, statement);
+                    let trail = trail.with(statement);
                     self.flatten_family(
                         original_side,
                         family,
                         Pos::Node(operands[0]),
                         map.clone(),
-                        t.clone(),
+                        &trail,
                         sign,
                         false,
                         out,
@@ -182,7 +208,7 @@ impl<'x> Checker<'x> {
                         family,
                         Pos::Node(operands[1]),
                         map,
-                        t,
+                        &trail,
                         sign.wrapping_neg(),
                         false,
                         out,
@@ -198,7 +224,7 @@ impl<'x> Checker<'x> {
                     family,
                     Pos::Node(operands[0]),
                     map,
-                    with_stmt_owned(&trail, statement),
+                    &trail.with(statement),
                     sign.wrapping_neg(),
                     false,
                     out,
@@ -218,13 +244,13 @@ impl<'x> Checker<'x> {
                     operands,
                     statement,
                 } if matches!(family, OperatorKind::Mul) && mul.is_ac() => {
-                    out.push(FlatTerm::constant(-1, map.domain(), trail.clone()));
+                    out.push(FlatTerm::constant(-1, map.domain(), trail));
                     self.flatten_family(
                         original_side,
                         family,
                         Pos::Node(operands[0]),
                         map,
-                        with_stmt_owned(&trail, statement),
+                        &trail.with(statement),
                         sign,
                         false,
                         out,
@@ -265,7 +291,7 @@ impl<'x> Checker<'x> {
                         family,
                         Pos::Array(array.clone()),
                         new_map,
-                        with_stmt_owned(&trail, statement),
+                        &trail.with(statement),
                         sign,
                         false,
                         out,
@@ -274,35 +300,13 @@ impl<'x> Checker<'x> {
                 }
                 // Any other node is an opaque operand of the chain.
                 _ => {
-                    let factor = Factor {
-                        pos: Pos::Node(n),
-                        map,
-                        trail: trail.clone(),
-                    };
-                    let domain = factor.map.domain();
-                    out.push(FlatTerm {
-                        coeff: sign,
-                        factors: vec![factor],
-                        domain,
-                        trail,
-                    });
+                    out.push(FlatTerm::single(sign, Pos::Node(n), map, trail));
                     Ok(true)
                 }
             },
             Pos::Array(v) => {
                 if g.is_input(&v) || g.is_recurrent(&v) {
-                    let factor = Factor {
-                        pos: Pos::Array(v),
-                        map,
-                        trail: trail.clone(),
-                    };
-                    let domain = factor.map.domain();
-                    out.push(FlatTerm {
-                        coeff: sign,
-                        factors: vec![factor],
-                        domain,
-                        trail,
-                    });
+                    out.push(FlatTerm::single(sign, Pos::Array(v), map, trail));
                     return Ok(true);
                 }
                 // Look through the intermediate variable: continue
@@ -319,7 +323,7 @@ impl<'x> Checker<'x> {
                         family,
                         Pos::Node(def.root),
                         sub,
-                        with_stmt_owned(&trail, &def.statement),
+                        &trail.with(&def.statement),
                         sign,
                         false,
                         out,
@@ -337,7 +341,7 @@ impl<'x> Checker<'x> {
         original_side: bool,
         n: NodeId,
         map: Relation,
-        trail: Vec<String>,
+        trail: &Trail,
         sign: i64,
         out: &mut Vec<FlatTerm>,
     ) -> Result<bool> {
@@ -348,7 +352,7 @@ impl<'x> Checker<'x> {
             original_side,
             n,
             &map,
-            &trail,
+            trail,
             &mut coeff,
             &mut factors,
             &mut distribute,
@@ -365,7 +369,7 @@ impl<'x> Checker<'x> {
                     &OperatorKind::Add,
                     Pos::Node(add_node),
                     add_map,
-                    add_trail,
+                    &add_trail,
                     1,
                     true,
                     &mut inner,
@@ -400,7 +404,7 @@ impl<'x> Checker<'x> {
                     coeff,
                     factors,
                     domain,
-                    trail,
+                    trail: trail.clone(),
                 });
                 Ok(true)
             }
@@ -421,10 +425,10 @@ impl<'x> Checker<'x> {
         original_side: bool,
         n: NodeId,
         map: &Relation,
-        trail: &[String],
+        trail: &Trail,
         coeff: &mut i64,
         factors: &mut Vec<Factor>,
-        distribute: &mut Option<(NodeId, Relation, Vec<String>)>,
+        distribute: &mut Option<(NodeId, Relation, Trail)>,
     ) -> Result<bool> {
         if !self.budget() {
             return Ok(false);
@@ -436,13 +440,13 @@ impl<'x> Checker<'x> {
                 operands,
                 statement,
             } => {
-                let t = with_stmt_owned(trail, statement);
+                let trail = trail.with(statement);
                 for &child in operands {
                     if !self.flatten_product(
                         original_side,
                         child,
                         map,
-                        &t,
+                        &trail,
                         coeff,
                         factors,
                         distribute,
@@ -462,7 +466,7 @@ impl<'x> Checker<'x> {
                     original_side,
                     operands[0],
                     map,
-                    &with_stmt_owned(trail, statement),
+                    &trail.with(statement),
                     coeff,
                     factors,
                     distribute,
@@ -481,13 +485,13 @@ impl<'x> Checker<'x> {
                     return Ok(true);
                 }
                 if distribute.is_none() {
-                    *distribute = Some((n, map.clone(), trail.to_vec()));
+                    *distribute = Some((n, map.clone(), trail.clone()));
                     return Ok(true);
                 }
                 factors.push(Factor {
                     pos: Pos::Node(n),
                     map: map.clone(),
-                    trail: trail.to_vec(),
+                    trail: trail.clone(),
                 });
                 Ok(true)
             }
@@ -513,7 +517,7 @@ impl<'x> Checker<'x> {
                     original_side,
                     array,
                     m,
-                    with_stmt_owned(trail, statement),
+                    trail.with(statement),
                     coeff,
                     factors,
                     distribute,
@@ -523,7 +527,7 @@ impl<'x> Checker<'x> {
                 factors.push(Factor {
                     pos: Pos::Node(n),
                     map: map.clone(),
-                    trail: trail.to_vec(),
+                    trail: trail.clone(),
                 });
                 Ok(true)
             }
@@ -544,10 +548,10 @@ impl<'x> Checker<'x> {
         original_side: bool,
         array: &str,
         map: Relation,
-        trail: Vec<String>,
+        trail: Trail,
         coeff: &mut i64,
         factors: &mut Vec<Factor>,
-        distribute: &mut Option<(NodeId, Relation, Vec<String>)>,
+        distribute: &mut Option<(NodeId, Relation, Trail)>,
     ) -> Result<bool> {
         let g = if original_side { self.a } else { self.b };
         if !g.is_input(array) && !g.is_recurrent(array) {
@@ -570,7 +574,7 @@ impl<'x> Checker<'x> {
                     original_side,
                     def.root,
                     &sub,
-                    &with_stmt_owned(&trail, &def.statement),
+                    &trail.with(&def.statement),
                     coeff,
                     factors,
                     distribute,

@@ -22,16 +22,19 @@
 //!    Speculation builds no diagnostics ([`Checker::diagnose`]): a failed
 //!    candidate only means the next candidate's turn, so whatever it found
 //!    is never reported.
+//!
+//! The terms restricted to each piece share their statement trails with
+//! the flattened terms ([`crate::checker::Trail`]); a trail is listed out
+//! only when a diagnostic is built.
 
 use super::arena::TermId;
 use super::flatten::FlatTerm;
-use crate::checker::{Checker, Pos};
+use crate::checker::{Checker, Pos, Trail};
 use crate::diagnostics::{Diagnostic, DiagnosticKind};
 use crate::Result;
 use arrayeq_addg::{describe_node, OperatorKind};
 use arrayeq_omega::{Relation, Set};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, RandomState};
 
 /// Partitions `full` into pieces on which every term of either side is
 /// fully present or fully absent.
@@ -71,16 +74,17 @@ pub(crate) fn split_pieces(
 }
 
 /// Restricts a term list to one piece: terms whose domain misses the piece
-/// drop out, surviving terms get their factor mappings restricted.  Each
-/// *distinct* factor mapping (by `Relation` equality; the hash only picks
-/// the bucket to compare within) is restricted once, and terms that share
-/// a mapping share its restriction.
+/// drop out, surviving terms get their factor mappings restricted and keep
+/// their trails, shared rather than copied.  Each *distinct* factor mapping
+/// is restricted once, and terms that share a mapping share its
+/// restriction: mappings are bucketed by their cached
+/// [`Relation::structural_hash`], computed once per mapping for all the
+/// pieces, and told apart within a bucket by `Relation` equality.
 pub(crate) fn restrict_terms(terms: &[FlatTerm], piece: &Set) -> Result<Vec<FlatTerm>> {
     let _span = arrayeq_trace::span("restrict");
     // Each distinct mapping with its restriction (`None` when empty),
     // bucketed by hash: a piece meets hundreds of factors over dozens of
     // distinct mappings, too many to scan for each factor.
-    let hasher = RandomState::new();
     let mut restricted: HashMap<u64, Vec<(&Relation, Option<Relation>)>> = HashMap::new();
     let mut out = Vec::new();
     'terms: for t in terms {
@@ -96,7 +100,7 @@ pub(crate) fn restrict_terms(terms: &[FlatTerm], piece: &Set) -> Result<Vec<Flat
         }
         let mut factors = Vec::with_capacity(t.factors.len());
         for f in &t.factors {
-            let bucket = restricted.entry(hasher.hash_one(&f.map)).or_default();
+            let bucket = restricted.entry(f.map.structural_hash()).or_default();
             let map = match bucket.iter().find(|(m, _)| *m == &f.map) {
                 Some((_, map)) => map.clone(),
                 None => {
@@ -139,8 +143,8 @@ impl<'x> Checker<'x> {
         map_a: Relation,
         pos_b: Pos,
         map_b: Relation,
-        trail_a: &[String],
-        trail_b: &[String],
+        trail_a: &Trail,
+        trail_b: &Trail,
     ) -> Result<bool> {
         self.stats.flattenings += 1;
         let full = map_a.domain();
@@ -149,26 +153,8 @@ impl<'x> Checker<'x> {
         {
             let _span = arrayeq_trace::span("flatten");
             let t0 = arrayeq_trace::metrics_timer();
-            self.flatten_family(
-                true,
-                family,
-                pos_a,
-                map_a,
-                trail_a.to_vec(),
-                1,
-                true,
-                &mut terms_a,
-            )?;
-            self.flatten_family(
-                false,
-                family,
-                pos_b,
-                map_b,
-                trail_b.to_vec(),
-                1,
-                true,
-                &mut terms_b,
-            )?;
+            self.flatten_family(true, family, pos_a, map_a, trail_a, 1, true, &mut terms_a)?;
+            self.flatten_family(false, family, pos_b, map_b, trail_b, 1, true, &mut terms_b)?;
             arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Flatten, t0);
         }
         self.stats.terms_flattened += (terms_a.len() + terms_b.len()) as u64;
@@ -197,8 +183,8 @@ impl<'x> Checker<'x> {
         terms_a: &[FlatTerm],
         terms_b: &[FlatTerm],
         piece: &Set,
-        trail_a: &[String],
-        trail_b: &[String],
+        trail_a: &Trail,
+        trail_b: &Trail,
     ) -> Result<bool> {
         let live_a = restrict_terms(terms_a, piece)?;
         let live_b = restrict_terms(terms_b, piece)?;
@@ -215,8 +201,8 @@ impl<'x> Checker<'x> {
         live_a: &[FlatTerm],
         live_b: &[FlatTerm],
         piece: &Set,
-        trail_a: &[String],
-        trail_b: &[String],
+        trail_a: &Trail,
+        trail_b: &Trail,
     ) -> Result<bool> {
         self.stats.matchings += 1;
         let _span = arrayeq_trace::span_with("match", || {
@@ -350,10 +336,10 @@ impl<'x> Checker<'x> {
                     Ok(Diagnostic {
                         kind: DiagnosticKind::MappingMismatch,
                         output_array: None,
-                        original_statements: ta.trail.clone(),
+                        original_statements: ta.trail.to_vec(),
                         transformed_statements: other
                             .as_ref()
-                            .map(|_| terms_b.iter().flat_map(|t| t.trail.clone()).collect())
+                            .map(|_| terms_b.iter().flat_map(|t| t.trail.to_vec()).collect())
                             .unwrap_or_default(),
                         expressions: {
                             let mut e = vec![name];
@@ -526,7 +512,7 @@ mod tests {
             coeff: 1,
             factors: Vec::new(),
             domain: set(domain),
-            trail: Vec::new(),
+            trail: Trail::default(),
         }
     }
 
@@ -536,10 +522,10 @@ mod tests {
             factors: vec![Factor {
                 pos: Pos::Array(array.to_owned()),
                 map: map.clone(),
-                trail: Vec::new(),
+                trail: Trail::default(),
             }],
             domain: map.domain(),
-            trail: Vec::new(),
+            trail: Trail::default(),
         }
     }
 

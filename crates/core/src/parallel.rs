@@ -40,8 +40,8 @@
 //!    join.
 
 use crate::checker::{
-    check_output_domains, select_outputs, unsupported_fragment, with_stmt, CheckOptions, Checker,
-    OutputDomains, Pos, SharedBudget,
+    check_output_domains, select_outputs, unsupported_fragment, CheckOptions, Checker,
+    OutputDomains, Pos, SharedBudget, Trail,
 };
 use crate::context::{BudgetExhausted, CheckContext};
 use crate::diagnostics::{Diagnostic, DiagnosticKind};
@@ -129,8 +129,9 @@ const MAX_SPLIT_DEPTH: usize = 6;
 struct CheckTask {
     /// Index into the checked-outputs list (diagnostic stamping + ordering).
     output_idx: usize,
-    trail_a: Vec<String>,
-    trail_b: Vec<String>,
+    /// Statement trails of both sides, shared with the parent task's.
+    trail_a: Trail,
+    trail_b: Trail,
     /// Recurrence assumptions accumulated along the decomposition path, in
     /// installation order: `((array_a, array_b), assumed element pairs)`.
     assumptions: Vec<((String, String), Relation)>,
@@ -169,8 +170,8 @@ impl CheckTask {
         map_a: Relation,
         pos_b: Pos,
         map_b: Relation,
-        trail_a: Vec<String>,
-        trail_b: Vec<String>,
+        trail_a: Trail,
+        trail_b: Trail,
         assumptions: Vec<((String, String), Relation)>,
     ) -> CheckTask {
         CheckTask {
@@ -410,8 +411,8 @@ pub(crate) fn check_parallel(
                     diagnostics.push(Diagnostic {
                         kind: DiagnosticKind::WorkerPanicked,
                         output_array: Some(output.clone()),
-                        original_statements: task.trail_a.clone(),
-                        transformed_statements: task.trail_b.clone(),
+                        original_statements: task.trail_a.to_vec(),
+                        transformed_statements: task.trail_b.to_vec(),
                         expressions: Vec::new(),
                         original_mapping: None,
                         transformed_mapping: None,
@@ -523,8 +524,8 @@ fn decompose(
                 domain_hashes.push((output.clone(), id.structural_hash()));
                 tasks.push(CheckTask {
                     output_idx,
-                    trail_a: Vec::new(),
-                    trail_b: Vec::new(),
+                    trail_a: Trail::default(),
+                    trail_b: Trail::default(),
                     assumptions: Vec::new(),
                     depth: 0,
                     kind: TaskKind::Traverse {
@@ -657,15 +658,13 @@ fn expand_one<'x>(
                 arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
                 m
             };
-            let mut trail = task.trail_a.clone();
-            trail.push(statement.clone());
             return Ok(Some(vec![CheckTask::traverse(
                 task,
                 Pos::Array(array.clone()),
                 new_map,
                 pos_b.clone(),
                 map_b.clone(),
-                trail,
+                task.trail_a.with(statement),
                 task.trail_b.clone(),
                 task.assumptions.clone(),
             )]));
@@ -687,8 +686,6 @@ fn expand_one<'x>(
                 arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
                 m
             };
-            let mut trail = task.trail_b.clone();
-            trail.push(statement.clone());
             return Ok(Some(vec![CheckTask::traverse(
                 task,
                 pos_a.clone(),
@@ -696,7 +693,7 @@ fn expand_one<'x>(
                 Pos::Array(array.clone()),
                 new_map,
                 task.trail_a.clone(),
-                trail,
+                task.trail_b.with(statement),
                 task.assumptions.clone(),
             )]));
         }
@@ -788,8 +785,8 @@ fn expand_one<'x>(
                     map_a.clone(),
                     Pos::Node(*nb),
                     map_b.clone(),
-                    with_stmt(&task.trail_a, sa),
-                    with_stmt(&task.trail_b, sb),
+                    task.trail_a.with(sa),
+                    task.trail_b.with(sb),
                     scratch(),
                     stats,
                 );
@@ -798,8 +795,8 @@ fn expand_one<'x>(
                 return Ok(None); // the worker produces the diagnostic
             }
             // Mirror of the positional operand pairing.
-            let trail_a = with_stmt(&task.trail_a, sa);
-            let trail_b = with_stmt(&task.trail_b, sb);
+            let trail_a = task.trail_a.with(sa);
+            let trail_b = task.trail_b.with(sb);
             let children = oa
                 .iter()
                 .zip(ob.iter())
@@ -838,31 +835,23 @@ fn expand_algebraic(
     map_a: Relation,
     pos_b: Pos,
     map_b: Relation,
-    trail_a: Vec<String>,
-    trail_b: Vec<String>,
+    trail_a: Trail,
+    trail_b: Trail,
     mut scratch: Checker<'_>,
     stats: &mut CheckStats,
 ) -> Result<Option<Vec<CheckTask>>> {
     scratch.stats.flattenings += 1;
     let full = map_a.domain();
     let mut terms_a = Vec::new();
-    let ok_a = scratch.flatten_family(
-        true,
-        &family,
-        pos_a,
-        map_a,
-        trail_a.clone(),
-        1,
-        true,
-        &mut terms_a,
-    )?;
+    let ok_a =
+        scratch.flatten_family(true, &family, pos_a, map_a, &trail_a, 1, true, &mut terms_a)?;
     let mut terms_b = Vec::new();
     let ok_b = scratch.flatten_family(
         false,
         &family,
         pos_b,
         map_b,
-        trail_b.clone(),
+        &trail_b,
         1,
         true,
         &mut terms_b,
@@ -925,15 +914,13 @@ fn split_side_a(
         }
         let sub_domain = sub_a.domain();
         let sub_b = map_b.restrict_domain(&sub_domain)?.simplified(true);
-        let mut trail = task.trail_a.clone();
-        trail.push(def.statement.clone());
         children.push(CheckTask::traverse(
             task,
             Pos::Node(def.root),
             sub_a,
             pos_b.clone(),
             sub_b,
-            trail,
+            task.trail_a.with(&def.statement),
             task.trail_b.clone(),
             assumptions.clone(),
         ));
@@ -960,8 +947,6 @@ fn split_side_b(task: &CheckTask, b: &Addg, vb: &str) -> Result<Vec<CheckTask>> 
         }
         let sub_domain = sub_b.domain();
         let sub_a = map_a.restrict_domain(&sub_domain)?.simplified(true);
-        let mut trail = task.trail_b.clone();
-        trail.push(def.statement.clone());
         children.push(CheckTask::traverse(
             task,
             pos_a.clone(),
@@ -969,7 +954,7 @@ fn split_side_b(task: &CheckTask, b: &Addg, vb: &str) -> Result<Vec<CheckTask>> 
             Pos::Node(def.root),
             sub_b,
             task.trail_a.clone(),
-            trail,
+            task.trail_b.with(&def.statement),
             task.assumptions.clone(),
         ));
     }

@@ -1,8 +1,9 @@
 //! Integration test: the paper's running example end-to-end (E1, E3, E4).
 
-use arrayeq::core::DiagnosticKind;
-use arrayeq::engine::Verifier;
+use arrayeq::core::{DiagnosticKind, Method};
+use arrayeq::engine::{Verifier, VerifyRequest};
 use arrayeq::lang::corpus::*;
+use arrayeq::transform::mutate::fault_corpus;
 
 /// The matrix at one worker (run on the calling thread) and at two (a
 /// spawned pool), so the plain test command reaches both branches of the
@@ -76,4 +77,93 @@ fn checker_verdicts_agree_with_simulation_on_fig1() {
     assert_eq!(outs[0], outs[1]);
     assert_eq!(outs[0], outs[2]);
     assert_ne!(outs[0], outs[3]);
+}
+
+/// Checks one pair under `method` at one job and at two, and asserts the
+/// exact statement trails `(original, transformed)` of every diagnostic, in
+/// report order, and the blame ranking.
+fn assert_trails(
+    method: Method,
+    request: &VerifyRequest,
+    trails: &[(&[&str], &[&str])],
+    blame: &[(&str, usize)],
+) {
+    let owned = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    let want: Vec<_> = trails.iter().map(|(o, t)| (owned(o), owned(t))).collect();
+    let want_blame: Vec<_> = blame.iter().map(|(s, n)| (s.to_string(), *n)).collect();
+    for jobs in [1, 2] {
+        let verifier = Verifier::builder().method(method).jobs(jobs).build();
+        let r = verifier.verify(request).unwrap().report;
+        let got: Vec<_> = r
+            .diagnostics
+            .iter()
+            .map(|d| {
+                (
+                    d.original_statements.clone(),
+                    d.transformed_statements.clone(),
+                )
+            })
+            .collect();
+        assert_eq!(got, want, "trails at jobs {jobs}\n{}", r.summary());
+        assert_eq!(r.blame(), want_blame, "blame at jobs {jobs}");
+    }
+}
+
+/// The fault-corpus case named `name`, as a request.
+fn fault_case(name: &str) -> VerifyRequest {
+    let case = fault_corpus()
+        .into_iter()
+        .find(|c| c.name == name)
+        .unwrap_or_else(|| panic!("no fault case {name}"));
+    VerifyRequest::programs(case.original, case.mutant)
+}
+
+#[test]
+fn fig1_d_trails_name_the_erroneous_statements() {
+    // Each failing piece reports the matcher's concatenation of the four
+    // transformed terms' trails.
+    let v31: &[&str] = &["v3", "v1", "v3", "v1", "v3", "v1", "v3", "v1"];
+    assert_trails(
+        Method::Extended,
+        &VerifyRequest::source(FIG1_A, FIG1_D),
+        &[(&["s3", "s1"], v31), (&["s3", "s2"], v31)],
+        &[("v1", 8), ("v3", 8)],
+    );
+}
+
+#[test]
+fn basic_method_trails_name_each_statement_once() {
+    // Fig. 1 (a)/(c) fails under the basic method on three leaf paths; a
+    // path reading inside one statement names that statement once.
+    assert_trails(
+        Method::Basic,
+        &VerifyRequest::source(FIG1_A, FIG1_C),
+        &[
+            (&["s3", "s1"], &["u3", "u1"]),
+            (&["s3", "s2"], &["u3", "u1"]),
+            (&["s3", "s2"], &["u3", "u2"]),
+        ],
+        &[("u3", 3), ("u1", 2), ("u2", 1)],
+    );
+}
+
+#[test]
+fn fault_corpus_trails_are_pinned() {
+    assert_trails(
+        Method::Extended,
+        &fault_case("fig1a-wrong-coefficient@s1"),
+        &[(
+            &["s3", "s1"],
+            &["s3", "s1", "s3", "s1", "s3", "s2", "s3", "s2"],
+        )],
+        &[("s3", 4), ("s1", 2), ("s2", 2)],
+    );
+    // A leaf reached through an array read of the statement just entered
+    // names that statement once.
+    assert_trails(
+        Method::Extended,
+        &fault_case("recurrence-drop-identity@r0"),
+        &[(&["r0"], &["r0"])],
+        &[("r0", 1)],
+    );
 }
