@@ -15,7 +15,7 @@ use arrayeq_omega::{Relation, Set};
 use std::collections::BTreeMap;
 #[cfg(debug_assertions)]
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// Which variant of the method to run.
@@ -65,14 +65,15 @@ pub struct CheckOptions {
     /// engine's options fingerprint.  Empty means "check the programs as
     /// written".
     pub params: Vec<(String, i64)>,
-    /// Worker threads for *one* verification run: the root obligation is
-    /// split into per-output and per-definition correspondence sub-proofs
-    /// executed by a scoped worker pool.  `1` (the default) runs each
-    /// output's root obligation whole on the calling thread and spawns no
-    /// thread; `0` means "use all available parallelism".  Verdicts and
-    /// diagnostics are identical at every setting
-    /// ([`crate::Report::render_stable`] is byte-stable); cache/work
-    /// counters in [`CheckStats`] are scheduling-dependent at `jobs > 1`.
+    /// Worker threads for *one* verification run: each output's root
+    /// obligation is one task, proven whole by one traversal, and a scoped
+    /// pool of at most one worker per task drains the tasks.  `1` (the
+    /// default) runs every task on the calling thread and spawns no thread,
+    /// as does a run with a single output to check; `0` means "use all
+    /// available parallelism".  Verdicts and diagnostics are identical at
+    /// every setting ([`crate::Report::render_stable`] is byte-stable);
+    /// cache/work counters in [`CheckStats`] are scheduling-dependent at
+    /// `jobs > 1`.
     pub jobs: usize,
 }
 
@@ -345,11 +346,12 @@ pub(crate) enum Pos {
 /// A persistent list, newest statement first: extending a trail allocates
 /// one link and shares the rest, and a clone is a reference-count bump, so
 /// every branch of the traversal, every flattened term and every region
-/// piece shares its prefix instead of copying it.  `Arc` because worker
-/// threads read the tasks and terms that hold trails.  A trail becomes a
-/// `Vec<String>` only where a diagnostic is built ([`Trail::to_vec`]).
+/// piece shares its prefix instead of copying it.  `Rc` because trails
+/// never leave the worker thread whose traversal built them.  A trail
+/// becomes a `Vec<String>` only where a diagnostic is built
+/// ([`Trail::to_vec`]).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Trail(Option<Arc<TrailLink>>);
+pub(crate) struct Trail(Option<Rc<TrailLink>>);
 
 /// One statement of a [`Trail`] and the trail before it.
 #[derive(Debug)]
@@ -366,7 +368,7 @@ impl Trail {
     pub(crate) fn with(&self, stmt: &str) -> Trail {
         match &self.0 {
             Some(link) if link.stmt == stmt => self.clone(),
-            _ => Trail(Some(Arc::new(TrailLink {
+            _ => Trail(Some(Rc::new(TrailLink {
                 stmt: stmt.to_owned(),
                 prev: self.clone(),
             }))),
@@ -421,51 +423,20 @@ impl<'x> Checker<'x> {
         }
     }
 
-    /// Runs one traversal task: the coinductive assumptions accumulated
-    /// along the task's decomposition path are installed worker-locally (so
-    /// the no-publish-under-assumption guard keeps working unchanged), the
-    /// traversal runs, and the diagnostics the task produced are drained out
-    /// for deterministic merging by the coordinator.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs one output's root obligation: `output` against itself under
+    /// `identity`, the identity on its defined elements, from empty trails.
+    /// The task starts from no coinductive assumption, whatever an earlier
+    /// task that ended in an error left installed, and the diagnostics it
+    /// produces are drained out for the coordinator's merge.
     pub(crate) fn run_task(
         &mut self,
-        pos_a: Pos,
-        map_a: Relation,
-        pos_b: Pos,
-        map_b: Relation,
-        trail_a: &Trail,
-        trail_b: &Trail,
-        assumptions: &[((String, String), Relation)],
+        output: &str,
+        identity: Relation,
     ) -> Result<(bool, Vec<Diagnostic>)> {
         self.in_progress.clear();
-        for (key, pairs) in assumptions {
-            self.in_progress.insert(key.clone(), pairs.clone());
-        }
-        let ok = self.check(pos_a, map_a, pos_b, map_b, trail_a, trail_b)?;
-        Ok((ok, std::mem::take(&mut self.diagnostics)))
-    }
-
-    /// Runs one decomposed per-piece algebraic match: the coordinator
-    /// already flattened both sides and restricted the term lists to the
-    /// piece ([`crate::parallel`]); this installs the task's coinductive
-    /// assumptions and runs the matcher, which is byte-for-byte the loop
-    /// body `check_algebraic` executes per piece.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_match_task(
-        &mut self,
-        family: &arrayeq_addg::OperatorKind,
-        live_a: &[crate::normalize::FlatTerm],
-        live_b: &[crate::normalize::FlatTerm],
-        piece: &Set,
-        trail_a: &Trail,
-        trail_b: &Trail,
-        assumptions: &[((String, String), Relation)],
-    ) -> Result<(bool, Vec<Diagnostic>)> {
-        self.in_progress.clear();
-        for (key, pairs) in assumptions {
-            self.in_progress.insert(key.clone(), pairs.clone());
-        }
-        let ok = self.match_restricted(family, live_a, live_b, piece, trail_a, trail_b)?;
+        let root = Trail::default();
+        let pos = || Pos::Array(output.to_owned());
+        let ok = self.check(pos(), identity.clone(), pos(), identity, &root, &root)?;
         Ok((ok, std::mem::take(&mut self.diagnostics)))
     }
 

@@ -43,11 +43,7 @@ use std::collections::HashMap;
 /// cutting on a domain again would leave every piece inside or outside it
 /// where it already is.  Domains are told apart by `Set` equality, which
 /// is structural.
-pub(crate) fn split_pieces(
-    full: &Set,
-    terms_a: &[FlatTerm],
-    terms_b: &[FlatTerm],
-) -> Result<Vec<Set>> {
+fn split_pieces(full: &Set, terms_a: &[FlatTerm], terms_b: &[FlatTerm]) -> Result<Vec<Set>> {
     let _span = arrayeq_trace::span("split");
     let mut domains: Vec<&Set> = Vec::new();
     for t in terms_a.iter().chain(terms_b) {
@@ -80,7 +76,7 @@ pub(crate) fn split_pieces(
 /// restriction: mappings are bucketed by their cached
 /// [`Relation::structural_hash`], computed once per mapping for all the
 /// pieces, and told apart within a bucket by `Relation` equality.
-pub(crate) fn restrict_terms(terms: &[FlatTerm], piece: &Set) -> Result<Vec<FlatTerm>> {
+fn restrict_terms(terms: &[FlatTerm], piece: &Set) -> Result<Vec<FlatTerm>> {
     let _span = arrayeq_trace::span("restrict");
     // Each distinct mapping with its restriction (`None` when empty),
     // bucketed by hash: a piece meets hundreds of factors over dozens of
@@ -176,34 +172,19 @@ impl<'x> Checker<'x> {
         Ok(ok)
     }
 
-    /// Restricts both term lists to one piece and matches them there.
-    pub(crate) fn match_piece(
+    /// Restricts both sides' flattened terms to one piece and matches them
+    /// there (see the module docs for the three stages).
+    fn match_piece(
         &mut self,
         family: &OperatorKind,
-        terms_a: &[FlatTerm],
-        terms_b: &[FlatTerm],
+        flat_a: &[FlatTerm],
+        flat_b: &[FlatTerm],
         piece: &Set,
         trail_a: &Trail,
         trail_b: &Trail,
     ) -> Result<bool> {
-        let live_a = restrict_terms(terms_a, piece)?;
-        let live_b = restrict_terms(terms_b, piece)?;
-        self.match_restricted(family, &live_a, &live_b, piece, trail_a, trail_b)
-    }
-
-    /// Matches two already-restricted term lists over one piece (see the
-    /// module docs for the three stages).  Also the body of a decomposed
-    /// per-piece task in a parallel run.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn match_restricted(
-        &mut self,
-        family: &OperatorKind,
-        live_a: &[FlatTerm],
-        live_b: &[FlatTerm],
-        piece: &Set,
-        trail_a: &Trail,
-        trail_b: &Trail,
-    ) -> Result<bool> {
+        let live_a = restrict_terms(flat_a, piece)?;
+        let live_b = restrict_terms(flat_b, piece)?;
         self.stats.matchings += 1;
         let _span = arrayeq_trace::span_with("match", || {
             vec![
@@ -225,8 +206,8 @@ impl<'x> Checker<'x> {
             }
             acc
         };
-        let const_a = fold(live_a);
-        let const_b = fold(live_b);
+        let const_a = fold(&live_a);
+        let const_b = fold(&live_b);
         let terms_a: Vec<&FlatTerm> = live_a.iter().filter(|t| !t.factors.is_empty()).collect();
         let terms_b: Vec<&FlatTerm> = live_b.iter().filter(|t| !t.factors.is_empty()).collect();
 

@@ -15,8 +15,9 @@
 //!
 //! This module keeps that skeleton and widens the algebra:
 //!
-//! * **[`flatten`]** produces [`FlatTerm`]s: an integer *coefficient* times
-//!   a product of *factors* (ADDG positions with accumulated mappings).
+//! * **[`flatten`]** produces [`FlatTerm`](flatten::FlatTerm)s: an integer
+//!   *coefficient* times a product of *factors* (ADDG positions with
+//!   accumulated mappings).
 //!   Beyond the paper's operand collection it performs, per the declared
 //!   [`OperatorProperties`]:
 //!   - *inverse folding* — `a - b` and unary negation fold into the `+`
@@ -45,9 +46,8 @@
 //!
 //! The entry point is [`crate::checker::Checker::check_algebraic`], whose
 //! body lives in [`matching`]; `checker.rs` itself only dispatches here.
-//! The parallel coordinator ([`crate::parallel`]) reuses the same flatten
-//! and piece-splitting code to decompose one flatten/match obligation into
-//! independent per-piece sub-obligations.
+//! One algebraic obligation is checked whole, on the worker whose
+//! traversal reached it.
 //!
 //! # Chain families
 //!
@@ -66,7 +66,6 @@ pub(crate) mod flatten;
 pub(crate) mod matching;
 
 pub(crate) use arena::TermArena;
-pub(crate) use flatten::FlatTerm;
 
 use crate::checker::Method;
 use crate::operators::OperatorProperties;

@@ -70,12 +70,14 @@ pub struct CheckStats {
     pub fast_term_matches: u64,
     /// Term pairs answered by the matched-pair memo.
     pub term_memo_hits: u64,
-    /// Tasks a run's coordinator decomposed the root obligation into (0 at
-    /// one job: each output's root obligation then runs whole).
+    /// Tasks of a run at more than one job: one per output whose defined
+    /// elements match, that output's root obligation, so never more than
+    /// the outputs checked (0 at one job, which runs the same tasks
+    /// without counting them).
     pub parallel_tasks: u64,
-    /// How many of those tasks were per-piece algebraic match obligations
-    /// emitted from inside a flatten/match position (0 when every algebraic
-    /// obligation ran whole).
+    /// Always 0: no task is smaller than an output's root obligation, so
+    /// no algebraic obligation is split into per-piece tasks.  Kept so the
+    /// `--json` stats and the benchmark's layer metrics keep their key.
     pub algebraic_piece_tasks: u64,
     /// Lookups this run's own sub-proofs did not answer, in a run given a
     /// proof cache ([`crate::CheckContext::proofs`]): those that another
@@ -317,11 +319,12 @@ impl Report {
     /// times, cache hit counters) left out.
     ///
     /// This rendering is byte-identical for one request regardless of
-    /// [`crate::CheckOptions::jobs`]: the parallel checker merges per-task
-    /// diagnostics in deterministic decomposition order, while its cache and
-    /// work counters legitimately vary with scheduling (workers see the
-    /// run's proofs in different task interleavings).  [`Report::summary`] is the richer
-    /// human rendering that includes those counters.
+    /// [`crate::CheckOptions::jobs`]: the checker merges each output's
+    /// diagnostics in output order, whichever worker ran the output's task,
+    /// while its cache and work counters legitimately vary with scheduling
+    /// (workers see the run's proofs in different task interleavings).
+    /// [`Report::summary`] is the richer human rendering that includes
+    /// those counters.
     pub fn render_stable(&self) -> String {
         let mut out = format!("{}\n", self.verdict);
         out.push_str(&format!("outputs: {}\n", self.outputs_checked.join(", ")));
@@ -375,8 +378,8 @@ impl Report {
         }
         if self.stats.parallel_tasks > 0 {
             out.push_str(&format!(
-                "parallel: {} tasks decomposed ({} algebraic piece tasks)\n",
-                self.stats.parallel_tasks, self.stats.algebraic_piece_tasks,
+                "parallel: {} output tasks\n",
+                self.stats.parallel_tasks,
             ));
         }
         if self.stats.shared_table_lookups > 0 {
@@ -536,8 +539,7 @@ mod tests {
                 flattenings: 3,
                 matchings: 5,
                 terms_flattened: 40,
-                parallel_tasks: 7,
-                algebraic_piece_tasks: 2,
+                parallel_tasks: 2,
                 baseline_hits: 4,
                 cone_positions: 1,
                 arena_interns: 9,
@@ -556,7 +558,7 @@ mod tests {
         assert!(s.contains(
             "traversal: 12 compositions, 3 flattenings, 5 matchings, 40 terms flattened"
         ));
-        assert!(s.contains("parallel: 7 tasks decomposed (2 algebraic piece tasks)"));
+        assert!(s.contains("parallel: 2 output tasks"));
         assert!(s.contains("incremental: 4 baseline hits, 1 of 2 outputs in the dirty cone"));
         assert!(s.contains("term arena: 9 interns, 3 dedup hits"));
         assert!(

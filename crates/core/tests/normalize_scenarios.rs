@@ -94,24 +94,28 @@ fn pr5_scenarios() {
 }
 
 #[test]
-fn parallel_decomposition_splits_algebraic_pieces() {
-    use arrayeq_lang::corpus::{FIG1_A, FIG1_C};
-    // Fig. 1(c)'s buf is defined piecewise, so the flatten/match obligation
-    // splits into several region pieces — each a parallel task now.
-    let seq = check_sources(FIG1_A, FIG1_C, &CheckOptions::default()).unwrap();
-    let par = check_sources(FIG1_A, FIG1_C, &CheckOptions::default().with_jobs(8)).unwrap();
-    assert_eq!(seq.verdict, par.verdict);
-    assert_eq!(seq.render_stable(), par.render_stable());
-    assert_eq!(
-        seq.stats.parallel_tasks, 0,
-        "one-worker runs do not decompose"
-    );
-    assert!(
-        par.stats.algebraic_piece_tasks > 1,
-        "flatten/match should contribute >1 task, got {} of {}",
-        par.stats.algebraic_piece_tasks,
-        par.stats.parallel_tasks
-    );
+fn parallel_runs_check_each_output_as_one_task() {
+    use arrayeq_lang::corpus::{FIG1_A, FIG1_C, KERNEL_PIECEWISE_A, KERNEL_PIECEWISE_B};
+    // Both pairs meet a flatten/match obligation over several region
+    // pieces (Fig. 1 (c)'s buf and the piecewise sum are defined in
+    // pieces); the pieces are matched inside their output's one task.
+    for (name, a, b) in [
+        ("fig1-a-c", FIG1_A, FIG1_C),
+        ("piecewise", KERNEL_PIECEWISE_A, KERNEL_PIECEWISE_B),
+    ] {
+        let seq = check_sources(a, b, &CheckOptions::default()).unwrap();
+        let par = check_sources(a, b, &CheckOptions::default().with_jobs(8)).unwrap();
+        assert!(seq.is_equivalent(), "{name}: {}", seq.summary());
+        assert_eq!(seq.render_stable(), par.render_stable(), "{name}");
+        assert_eq!(seq.stats.parallel_tasks, 0, "{name}: one job counts none");
+        assert!(
+            par.stats.parallel_tasks <= par.outputs_checked.len() as u64,
+            "{name}: {} tasks for {} outputs",
+            par.stats.parallel_tasks,
+            par.outputs_checked.len()
+        );
+        assert_eq!(par.stats.algebraic_piece_tasks, 0, "{name}");
+    }
 }
 
 #[test]

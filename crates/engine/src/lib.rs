@@ -338,18 +338,18 @@ impl VerifierBuilder {
         self
     }
 
-    /// Sets the *intra-query* worker count: every request's root obligation
-    /// is sharded across outputs and independent correspondence sub-proofs
-    /// and executed by a scoped worker pool of this width (shorthand for
-    /// [`CheckOptions::jobs`] via [`Self::options`]).
+    /// Sets the *intra-query* worker count: each output of a request is one
+    /// task, its root obligation, and a scoped worker pool of up to this
+    /// width (never wider than the request has outputs) drains the tasks
+    /// (shorthand for [`CheckOptions::jobs`] via [`Self::options`]).
     ///
     /// `1` (the default) runs each request on the calling thread; `0` uses
     /// all available parallelism.  The workers of one request share this
     /// engine's proof cache and feasibility cache, so sub-proofs established
-    /// by one worker discharge identical obligations on the others mid-run.  Verdicts, diagnostics and witnesses are
-    /// identical at every setting ([`Report::render_stable`] is
-    /// byte-stable); the cache/work counters in [`CheckStats`] are
-    /// scheduling-dependent once `jobs > 1`.
+    /// by one worker discharge identical obligations on the others mid-run.
+    /// Verdicts, diagnostics and witnesses are identical at every setting
+    /// ([`Report::render_stable`] is byte-stable); the cache/work counters
+    /// in [`CheckStats`] are scheduling-dependent once `jobs > 1`.
     ///
     /// Orthogonal to [`Self::workers`], which fans *across* the requests of
     /// one [`Verifier::verify_batch`] call: `workers` scales request

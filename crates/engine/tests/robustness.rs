@@ -42,9 +42,9 @@ fn check_sources(a: &str, b: &str, opts: &CheckOptions) -> Result<Report> {
 /// injection.
 static INJECTION_LOCK: Mutex<()> = Mutex::new(());
 
-/// A wide multi-output kernel pair: enough independent root obligations
-/// that the parallel pool genuinely decomposes, so poisoning one task
-/// leaves real work standing.
+/// A wide multi-output kernel pair: six outputs, so six root tasks that a
+/// pool of several workers shares, and poisoning one task leaves the other
+/// outputs' work standing.
 fn wide_pair() -> (Program, Program) {
     let original = generate_kernel(&GeneratorConfig {
         n: 64,

@@ -134,25 +134,20 @@ fn tracing_never_changes_reports_at_any_job_count() {
 }
 
 /// Every JSONL line parses, carries the required keys, and span open/close
-/// events balance per worker lane.  One worker runs on the calling thread,
-/// so its whole stream is on lane 0; at eight the stream has real worker
-/// lanes.  The source request passes every front-end pass (`parse`,
-/// `classcheck`, `defuse`, `extract`, `fingerprint`), and Fig. 1 (a)
-/// against (c) takes the algebraic path (`split`, `restrict`): each of
-/// these spans is present and opens as often as it closes.
+/// events balance per worker lane.  The source request passes every
+/// front-end pass (`parse`, `classcheck`, `defuse`, `extract`,
+/// `fingerprint`), and Fig. 1 (a) against (c) takes the algebraic path
+/// (`split`, `restrict`): each of these spans is present and opens as
+/// often as it closes.  Its one output is one task, which runs on the
+/// calling thread, lane 0, at one worker and at eight alike; the fault
+/// corpus's `lifting-swap-operands@l1` has two outputs, so at eight its
+/// tasks run on spawned worker lanes.
 #[test]
 fn jsonl_wellformed_and_spans_balance_per_worker() {
     let _g = serialize();
     for jobs in [1usize, 8] {
-        let collector = Arc::new(Collector::new());
-        let verifier = Verifier::builder()
-            .jobs(jobs)
-            .trace_sink(collector.clone())
-            .build();
-        verifier
-            .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
-            .unwrap();
-        arrayeq_trace::uninstall();
+        let (.., collector) = run_once(&VerifyRequest::source(FIG1_A, FIG1_C), jobs, true);
+        let collector = collector.expect("a traced run returns its collector");
         let spans = [
             "parse",
             "classcheck",
@@ -178,39 +173,65 @@ fn jsonl_wellformed_and_spans_balance_per_worker() {
                 "jobs={jobs}: `{span}` opens and closes differ"
             );
         }
+        let lanes = balanced_lanes(&collector, jobs);
+        assert_eq!(lanes, [0], "jobs={jobs}: one task spawns no thread");
+    }
 
-        let jsonl = collector.to_jsonl();
-        assert!(!jsonl.is_empty());
-        let mut depth: HashMap<i64, i64> = HashMap::new();
-        for line in jsonl.lines() {
-            let v = JsonValue::parse(line).expect("line parses");
-            let worker = v.get("worker").and_then(|w| w.as_i64()).expect("worker");
-            let ph = v.get("ph").and_then(|p| p.as_str()).expect("ph");
-            assert!(v.get("ts").and_then(|t| t.as_i64()).is_some(), "ts");
-            assert!(v.get("name").and_then(|n| n.as_str()).is_some(), "name");
-            let d = depth.entry(worker).or_insert(0);
-            match ph {
-                "B" => *d += 1,
-                "E" => {
-                    *d -= 1;
-                    assert!(*d >= 0, "close without open on worker {worker}");
-                    assert!(v.get("dur").and_then(|t| t.as_i64()).is_some(), "dur");
-                }
-                "i" => {}
-                other => panic!("unexpected phase {other}"),
+    let case = fault_corpus()
+        .into_iter()
+        .nth(15)
+        .expect("fault corpus has mutant 15");
+    assert_eq!(case.name, "lifting-swap-operands@l1");
+    let (.., collector) = run_once(
+        &VerifyRequest::programs(case.original, case.mutant),
+        8,
+        true,
+    );
+    let collector = collector.expect("a traced run returns its collector");
+    let lanes = balanced_lanes(&collector, 8);
+    assert!(
+        lanes.len() > 1,
+        "two outputs at jobs=8: worker lanes {lanes:?}"
+    );
+}
+
+/// Checks that every JSONL line of the recording parses and carries the
+/// required keys and that spans open and close in balance on every worker
+/// lane; returns the lanes that carried events, sorted.
+fn balanced_lanes(collector: &Collector, jobs: usize) -> Vec<i64> {
+    let jsonl = collector.to_jsonl();
+    assert!(!jsonl.is_empty());
+    let mut depth: HashMap<i64, i64> = HashMap::new();
+    for line in jsonl.lines() {
+        let v = JsonValue::parse(line).expect("line parses");
+        let worker = v.get("worker").and_then(|w| w.as_i64()).expect("worker");
+        let ph = v.get("ph").and_then(|p| p.as_str()).expect("ph");
+        assert!(v.get("ts").and_then(|t| t.as_i64()).is_some(), "ts");
+        assert!(v.get("name").and_then(|n| n.as_str()).is_some(), "name");
+        let d = depth.entry(worker).or_insert(0);
+        match ph {
+            "B" => *d += 1,
+            "E" => {
+                *d -= 1;
+                assert!(
+                    *d >= 0,
+                    "jobs={jobs}: close without open on worker {worker}"
+                );
+                assert!(v.get("dur").and_then(|t| t.as_i64()).is_some(), "dur");
             }
-        }
-        let mut lanes: Vec<i64> = depth.keys().copied().collect();
-        lanes.sort_unstable();
-        if jobs == 1 {
-            assert_eq!(lanes, [0], "one worker spawns no thread");
-        } else {
-            assert!(lanes.len() > 1, "jobs={jobs}: worker lanes {lanes:?}");
-        }
-        for (worker, d) in depth {
-            assert_eq!(d, 0, "worker {worker} ended with {d} unclosed spans");
+            "i" => {}
+            other => panic!("unexpected phase {other}"),
         }
     }
+    for (worker, d) in &depth {
+        assert_eq!(
+            *d, 0,
+            "jobs={jobs}: worker {worker} ended with {d} unclosed spans"
+        );
+    }
+    let mut lanes: Vec<i64> = depth.into_keys().collect();
+    lanes.sort_unstable();
+    lanes
 }
 
 /// A fault-injected mutant's trace names the failing output at every job

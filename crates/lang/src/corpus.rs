@@ -299,8 +299,7 @@ j1:     C[k] = 5 + Y[2*k] + X[k];
 /// [`KERNEL_PIECEWISE_B`], which assembles the *same* values split at a
 /// different point `Q` — so one flatten/match obligation spans three
 /// regions (`0..Q`, `Q..H`, `H..N`) with different term structures, the
-/// workload that exercises region splitting (and the parallel checker's
-/// per-piece task decomposition) inside a single chain.
+/// workload that exercises region splitting inside a single chain.
 pub const KERNEL_PIECEWISE_A: &str = r#"
 /* piecewise-assembled sum, split at H, upper half shuffled */
 #define N 64

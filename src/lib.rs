@@ -75,14 +75,14 @@
 //! assert!(outcomes.iter().all(|o| o.as_ref().unwrap().report.is_equivalent()));
 //! ```
 //!
-//! One *large* request (many outputs, wide kernels) can itself be sharded
-//! across a worker pool with
+//! One *large* request (many outputs, wide kernels) can itself be spread
+//! over a worker pool with
 //! [`VerifierBuilder::jobs`](engine::VerifierBuilder::jobs) (or
-//! [`CheckOptions::jobs`](core::CheckOptions) on the one-shot path): the
-//! root obligation splits into per-output and per-definition sub-proofs,
-//! workers share the session caches, and the verdict, diagnostics and the
-//! stable rendering ([`Report::render_stable`](core::Report::render_stable))
-//! are byte-identical at every worker count:
+//! [`CheckOptions::jobs`](core::CheckOptions) on the one-shot path): each
+//! output's root obligation is one task, workers share the session caches,
+//! and the verdict, diagnostics and the stable rendering
+//! ([`Report::render_stable`](core::Report::render_stable)) are
+//! byte-identical at every worker count:
 //!
 //! ```
 //! use arrayeq::engine::Verifier;

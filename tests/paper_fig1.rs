@@ -5,9 +5,10 @@ use arrayeq::engine::{Verifier, VerifyRequest};
 use arrayeq::lang::corpus::*;
 use arrayeq::transform::mutate::fault_corpus;
 
-/// The matrix at one worker (run on the calling thread) and at two (a
-/// spawned pool), so the plain test command reaches both branches of the
-/// checking driver; the stable reports must be identical.
+/// The matrix at one worker and at two; the stable reports must be
+/// identical.  Fig. 1 has one output, so both run its one task on the
+/// calling thread; `fault_corpus_trails_are_pinned` reaches the spawned
+/// pool with a two-output pair.
 #[test]
 fn fig1_verdict_matrix_matches_the_paper() {
     let versions = [("a", FIG1_A), ("b", FIG1_B), ("c", FIG1_C), ("d", FIG1_D)];
@@ -81,7 +82,8 @@ fn checker_verdicts_agree_with_simulation_on_fig1() {
 
 /// Checks one pair under `method` at one job and at two, and asserts the
 /// exact statement trails `(original, transformed)` of every diagnostic, in
-/// report order, and the blame ranking.
+/// report order, and the blame ranking.  At two jobs each output is at most
+/// one task.
 fn assert_trails(
     method: Method,
     request: &VerifyRequest,
@@ -106,6 +108,14 @@ fn assert_trails(
             .collect();
         assert_eq!(got, want, "trails at jobs {jobs}\n{}", r.summary());
         assert_eq!(r.blame(), want_blame, "blame at jobs {jobs}");
+        if jobs > 1 {
+            assert!(
+                r.stats.parallel_tasks <= r.outputs_checked.len() as u64,
+                "{} tasks for outputs {:?}",
+                r.stats.parallel_tasks,
+                r.outputs_checked
+            );
+        }
     }
 }
 
@@ -165,5 +175,20 @@ fn fault_corpus_trails_are_pinned() {
         &fault_case("recurrence-drop-identity@r0"),
         &[(&["r0"], &["r0"])],
         &[("r0", 1)],
+    );
+    // Two outputs, D and S, so at two jobs their tasks run on spawned
+    // workers.  In each output's chain two operands of the original find no
+    // partner; the transformed trails list every operand's trail.
+    let s21: &[&str] = &["l2", "l2", "l1", "l2", "l1"];
+    assert_trails(
+        Method::Extended,
+        &fault_case("lifting-swap-operands@l1"),
+        &[
+            (&["l1"], &["l1", "l1"]),
+            (&["l1"], &["l1", "l1"]),
+            (&["l2", "l1"], s21),
+            (&["l2", "l1"], s21),
+        ],
+        &[("l1", 8), ("l2", 6)],
     );
 }
