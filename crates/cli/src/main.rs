@@ -33,11 +33,12 @@
 //!
 //! `--emit-baseline` writes the run's proven sub-proofs, with those its
 //! `--baseline` and `--store` carried in, as a baseline document; a later
-//! `--baseline` run diffs the pair against it and
-//! re-checks only the dirty cone ([`Verifier::verify_incremental`]).  A
-//! stale or incompatible baseline is rejected with a warning on stderr and
-//! the run degrades to a from-scratch check — the verdict and exit code are
-//! always identical to a run without `--baseline`.
+//! `--baseline` run attaches it to the request
+//! ([`VerifyRequest::with_baseline`]), diffs the pair against it and
+//! re-checks only the dirty cone.  A stale or incompatible baseline is
+//! rejected with a warning on stderr and the run degrades to a
+//! from-scratch check — the verdict and exit code are always identical to
+//! a run without `--baseline`.
 //!
 //! `--store` attaches a persistent on-disk proof store: proven sub-proofs
 //! are loaded on startup and flushed after the run, so repeated one-shot
@@ -58,9 +59,7 @@
 //! exercise the checker without authoring C files.
 
 use arrayeq_core::Verdict;
-use arrayeq_engine::{
-    incremental_outcome_to_json, outcome_to_json, BaselineStatus, Verifier, VerifyRequest,
-};
+use arrayeq_engine::{outcome_to_json, BaselineStatus, Verifier, VerifyRequest};
 use arrayeq_lang::corpus::{FIG1_A, FIG1_B, FIG1_C, FIG1_D, KERNELS};
 use arrayeq_lang::pretty::program_to_string;
 use std::io::Write;
@@ -207,7 +206,17 @@ fn usage_error(message: &str) -> i32 {
 }
 
 fn run(args: &[String]) -> i32 {
-    match args.first().map(String::as_str) {
+    // `arrayeq verify --help` asks for the usage, not for a file or flag
+    // named `--help`.
+    let command = match args.first().map(String::as_str) {
+        Some("verify" | "serve" | "client" | "corpus")
+            if args[1..].iter().any(|arg| arg == "--help" || arg == "-h") =>
+        {
+            Some("help")
+        }
+        command => command,
+    };
+    match command {
         Some("verify") => run_verify(&args[1..]),
         Some("serve") => run_serve(&args[1..]),
         Some("client") => run_client(&args[1..]),
@@ -432,34 +441,21 @@ fn run_verify(args: &[String]) -> i32 {
         None => None,
     };
 
-    let request = VerifyRequest::source(original, transformed.clone());
-    let incremental = match &baseline_text {
-        Some(text) => match verifier.verify_incremental(&request, text) {
-            Ok(inc) => {
-                if let BaselineStatus::Rejected(rejection) = &inc.baseline {
-                    eprintln!("warning: {rejection}");
-                }
-                Some(inc)
-            }
-            Err(e) => {
-                arrayeq_trace::uninstall();
-                eprintln!("error: {e}");
-                return EXIT_ERROR;
-            }
-        },
-        None => None,
+    let mut request = VerifyRequest::source(original, transformed.clone());
+    if let Some(text) = baseline_text {
+        request = request.with_baseline(text);
+    }
+    let outcome = match verifier.verify(&request) {
+        Ok(o) => o,
+        Err(e) => {
+            arrayeq_trace::uninstall();
+            eprintln!("error: {e}");
+            return EXIT_ERROR;
+        }
     };
-    let outcome = match &incremental {
-        Some(inc) => inc.outcome.clone(),
-        None => match verifier.verify(&request) {
-            Ok(o) => o,
-            Err(e) => {
-                arrayeq_trace::uninstall();
-                eprintln!("error: {e}");
-                return EXIT_ERROR;
-            }
-        },
-    };
+    if let Some(BaselineStatus::Rejected(rejection)) = &outcome.baseline {
+        eprintln!("warning: {rejection}");
+    }
 
     // The run is over: stop collecting before serializing, so the trace
     // file is a complete, balanced record of exactly this request.
@@ -511,10 +507,7 @@ fn run_verify(args: &[String]) -> i32 {
     }
 
     if parsed.json {
-        match &incremental {
-            Some(inc) => outln!("{}", incremental_outcome_to_json(inc)),
-            None => outln!("{}", outcome_to_json(&outcome)),
-        }
+        outln!("{}", outcome_to_json(&outcome));
     } else {
         out!("{}", outcome.report.summary());
         outln!("wall time: {:.3} ms", outcome.wall_time_us as f64 / 1e3);

@@ -135,6 +135,30 @@ fn usage_and_pipeline_errors_exit_above_two() {
 }
 
 #[test]
+fn help_after_any_command_prints_the_usage_and_exits_zero() {
+    let usage = arrayeq(&["help"]).stdout;
+    for args in [
+        &["--help"][..],
+        &["-h"],
+        &["verify", "--help"],
+        &["verify", "a.c", "b.c", "-h"],
+        &["serve", "--help"],
+        &["client", "--socket", "/nonexistent.sock", "--help"],
+        &["corpus", "-h"],
+    ] {
+        let out = arrayeq(args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: stderr {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(out.stdout, usage, "{args:?} prints the usage on stdout");
+        assert!(out.stderr.is_empty(), "{args:?} writes nothing to stderr");
+    }
+}
+
+#[test]
 fn exit_code_survives_a_stdout_reader_that_went_away() {
     // `arrayeq verify a.c c.c | head -1` and `arrayeq corpus --list | head
     // -1`, with the reader gone before the first write: the broken pipe

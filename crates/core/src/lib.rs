@@ -90,11 +90,6 @@ pub enum CoreError {
         /// Description of the interface mismatch.
         message: String,
     },
-    /// The checker gave up (resource limit); the result is inconclusive.
-    ResourceLimit {
-        /// Description of the limit that was hit.
-        message: String,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -104,7 +99,6 @@ impl fmt::Display for CoreError {
             CoreError::Addg(e) => write!(f, "ADDG error: {e}"),
             CoreError::Omega(e) => write!(f, "integer-set error: {e}"),
             CoreError::Incomparable { message } => write!(f, "functions not comparable: {message}"),
-            CoreError::ResourceLimit { message } => write!(f, "resource limit: {message}"),
         }
     }
 }

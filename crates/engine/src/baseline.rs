@@ -5,9 +5,10 @@
 //! proof cache (content-fingerprint keyed, so they mean the same thing in
 //! any later process) plus the per-output position fingerprints of the pair
 //! that produced them.  `arrayeq verify --emit-baseline out.json`
-//! writes one; `--baseline out.json` feeds it back into
-//! [`crate::Verifier::verify_incremental`], which classifies outputs
-//! clean/dirty against it and re-checks only the dirty cone.
+//! writes one; `--baseline out.json` attaches it to the request
+//! ([`crate::VerifyRequest::with_baseline`]), and [`crate::Verifier::verify`]
+//! classifies outputs clean/dirty against it and re-checks only the dirty
+//! cone.
 //!
 //! Baselines are *proof carriers*, not caches of verdicts: every entry is a
 //! positive sub-proof valid only under the [`CheckOptions`] that produced
@@ -51,6 +52,20 @@ pub struct Baseline {
 }
 
 impl Baseline {
+    /// Parses `text` and checks that it was proven under the options with
+    /// fingerprint `expected`: the vetting every baseline passes before a
+    /// request consults it.
+    pub(crate) fn vet(text: &str, expected: u64) -> Result<Baseline, BaselineRejection> {
+        match Baseline::parse(text) {
+            Err(message) => Err(BaselineRejection::Malformed { message }),
+            Ok(b) if b.options_fp != expected => Err(BaselineRejection::OptionsMismatch {
+                expected,
+                found: b.options_fp,
+            }),
+            Ok(b) => Ok(b),
+        }
+    }
+
     /// Parses a baseline document produced by [`baseline_to_json`].
     ///
     /// # Errors
@@ -353,7 +368,8 @@ impl fmt::Display for BaselineRejection {
     }
 }
 
-/// How the baseline fared on one incremental request.
+/// How the baseline fared on one request that carried one
+/// ([`crate::Outcome::baseline`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BaselineStatus {
     /// The baseline was consulted; the listed outputs were classified clean
@@ -366,48 +382,6 @@ pub enum BaselineStatus {
     },
     /// The baseline was rejected; the run was a plain from-scratch check.
     Rejected(BaselineRejection),
-}
-
-/// The result of [`crate::Verifier::verify_incremental`]: the ordinary
-/// [`crate::Outcome`] plus what happened to the supplied baseline.
-#[derive(Debug, Clone)]
-pub struct IncrementalOutcome {
-    /// Verdict, report and session snapshot — same contract as
-    /// [`crate::Verifier::verify`]; byte-identical stable rendering to a
-    /// from-scratch run on the same pair.
-    pub outcome: crate::Outcome,
-    /// Whether the baseline was applied or rejected (and why).
-    pub baseline: BaselineStatus,
-}
-
-/// Renders an [`IncrementalOutcome`]: the ordinary outcome document plus a
-/// `baseline` member carrying the applied/rejected status.
-pub fn incremental_outcome_to_json(o: &IncrementalOutcome) -> String {
-    let status = match &o.baseline {
-        BaselineStatus::Applied {
-            entries,
-            clean_outputs,
-        } => {
-            let outputs: Vec<String> = clean_outputs.iter().map(|s| string(s)).collect();
-            format!(
-                "{{\"status\":\"applied\",\"entries\":{},\"clean_outputs\":[{}]}}",
-                entries,
-                outputs.join(","),
-            )
-        }
-        BaselineStatus::Rejected(rejection) => format!(
-            "{{\"status\":\"rejected\",\"reason\":{},\"message\":{}}}",
-            string(rejection.slug()),
-            string(&rejection.to_string()),
-        ),
-    };
-    format!(
-        "{{\"report\":{},\"wall_time_us\":{},\"session\":{},\"baseline\":{}}}",
-        crate::report_to_json(&o.outcome.report),
-        o.outcome.wall_time_us,
-        crate::session_to_json(&o.outcome.session),
-        status,
-    )
 }
 
 #[cfg(test)]

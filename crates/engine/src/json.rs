@@ -6,7 +6,7 @@
 //! parser ([`JsonValue::parse`]) so the CLI's output can be consumed — and
 //! round-trip-tested — without external dependencies.
 
-use crate::{Outcome, SessionStats};
+use crate::{BaselineStatus, Outcome, SessionStats};
 use arrayeq_core::{BudgetExhausted, CheckStats, Diagnostic, Report, Verdict, Witness};
 use std::fmt::Write as _;
 
@@ -313,13 +313,32 @@ pub fn session_to_json(s: &SessionStats) -> String {
     )
 }
 
-/// Renders an [`Outcome`] (report + request timing + session snapshot).
+/// Renders an [`Outcome`] (report + request timing + session snapshot),
+/// with a trailing `baseline` member carrying the applied/rejected status
+/// when the request carried a baseline.
 pub fn outcome_to_json(o: &Outcome) -> String {
+    let baseline = match &o.baseline {
+        None => String::new(),
+        Some(BaselineStatus::Applied {
+            entries,
+            clean_outputs,
+        }) => format!(
+            ",\"baseline\":{{\"status\":\"applied\",\"entries\":{},\"clean_outputs\":{}}}",
+            entries,
+            string_array(clean_outputs),
+        ),
+        Some(BaselineStatus::Rejected(rejection)) => format!(
+            ",\"baseline\":{{\"status\":\"rejected\",\"reason\":{},\"message\":{}}}",
+            string(rejection.slug()),
+            string(&rejection.to_string()),
+        ),
+    };
     format!(
-        "{{\"report\":{},\"wall_time_us\":{},\"session\":{}}}",
+        "{{\"report\":{},\"wall_time_us\":{},\"session\":{}{}}}",
         report_to_json(&o.report),
         o.wall_time_us,
         session_to_json(&o.session),
+        baseline,
     )
 }
 

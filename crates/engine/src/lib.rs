@@ -17,24 +17,29 @@
 //!   plus the structural hashes of the output-current mappings) through
 //!   which every established sub-proof discharges later sub-traversals,
 //!   across queries and threads.  It holds the session's own proofs, the
-//!   entries of an attached [`ProofStore`] and those of every baseline
-//!   applied by [`Verifier::verify_incremental`], each with its provenance;
-//!   [`Verifier::export_baseline`] and [`Verifier::flush_store`] write from
-//!   it;
+//!   entries of an attached [`ProofStore`] and those of every baseline a
+//!   request carried ([`VerifyRequest::with_baseline`]), each with its
+//!   provenance; [`Verifier::export_baseline`] and [`Verifier::flush_store`]
+//!   write from it;
 //! * a **shared feasibility memo** promoting `arrayeq-omega`'s thread-local
 //!   Omega-test memo to session scope (installed around every query via
 //!   [`arrayeq_omega::with_feasibility_cache`]).
 //!
-//! On top of the caches the engine enforces **budgets** — the work limit of
+//! Every query goes through one pipeline, [`Verifier::verify`].  A
+//! [`VerifyRequest`] carries the pair (source, programs or ADDGs), its
+//! [`RequestLimits`] and, for an incremental re-check, a baseline.  The
+//! engine enforces **budgets**: the work limit of
 //! [`CheckOptions::max_work`], a wall-clock [`VerifierBuilder::deadline`]
-//! and a cooperative [`CancelToken`] — every one of which surfaces as
-//! [`Verdict::Inconclusive`] with a typed [`BudgetExhausted`] reason instead
-//! of a hang, and offers [`Verifier::verify_batch`]: a worker pool fanning a
-//! slice of requests across threads with deterministic result ordering.
+//! (both overridable per request) and a per-request cooperative
+//! [`CancelToken`].  Each surfaces as [`Verdict::Inconclusive`] with a
+//! typed [`BudgetExhausted`] reason instead of a hang.  The engine is
+//! `Sync`, so a batch is a `std::thread::scope` whose threads call
+//! [`Verifier::verify`] on one engine and share its caches.
 //!
-//! Witness extraction is an engine *option* ([`VerifierBuilder::witnesses`])
-//! rather than a separate entry point: a `NotEquivalent` verdict comes back
-//! with concrete, replay-confirmed counterexamples already attached.
+//! Witness extraction is an engine *option* ([`VerifierBuilder::witnesses`],
+//! overridable per request) rather than a separate entry point: a
+//! `NotEquivalent` verdict comes back with concrete, replay-confirmed
+//! counterexamples already attached.
 //!
 //! ```
 //! use arrayeq_engine::{Verifier, VerifyRequest};
@@ -69,8 +74,8 @@ mod shared;
 mod store;
 
 pub use baseline::{
-    baseline_to_json, incremental_outcome_to_json, options_fingerprint, Baseline,
-    BaselineRejection, BaselineStatus, IncrementalOutcome, BASELINE_FORMAT,
+    baseline_to_json, options_fingerprint, Baseline, BaselineRejection, BaselineStatus,
+    BASELINE_FORMAT,
 };
 pub use json::{
     hex64, outcome_to_json, parse_hex64, report_to_json, session_to_json, stats_from_json,
@@ -96,38 +101,38 @@ use arrayeq_witness::extract_witnesses;
 use shared::SharedFeasibilityMemo;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One verification query: a pair at any pipeline stage.
+/// One verification query: a pair at any pipeline stage, with its budgets
+/// and, for an incremental re-check, a baseline.
 ///
-/// `Source` runs the full Fig. 6 flow (parse → class check → def-use check →
-/// extraction → check); `Programs` skips parsing; `Addgs` goes straight to
-/// the synchronized traversal.  Witness extraction needs programs to replay,
-/// so `Addgs` requests never carry witnesses even when the engine has them
-/// enabled.
+/// [`VerifyRequest::source`] runs the full Fig. 6 flow (parse → class check
+/// → def-use check → extraction → check); [`VerifyRequest::programs`] skips
+/// parsing; [`VerifyRequest::addgs`] goes straight to the synchronized
+/// traversal.  Witness extraction needs programs to replay, so ADDG requests
+/// never carry witnesses even when the engine has them enabled.
 #[derive(Debug, Clone)]
-pub enum VerifyRequest {
-    /// Two functions as source text.
+pub struct VerifyRequest {
+    input: Input,
+    limits: RequestLimits,
+    baseline: Option<String>,
+}
+
+/// The pair of a [`VerifyRequest`], at the stage the caller has it.
+#[derive(Debug, Clone)]
+enum Input {
     Source {
-        /// The original program text.
         original: String,
-        /// The transformed program text.
         transformed: String,
     },
-    /// Two parsed programs.
     Programs {
-        /// The original program.
         original: Box<Program>,
-        /// The transformed program.
         transformed: Box<Program>,
     },
-    /// Two extracted ADDGs.
     Addgs {
-        /// The original program's graph.
         original: Box<Addg>,
-        /// The transformed program's graph.
         transformed: Box<Addg>,
     },
 }
@@ -135,31 +140,76 @@ pub enum VerifyRequest {
 impl VerifyRequest {
     /// A source-text request.
     pub fn source(original: impl Into<String>, transformed: impl Into<String>) -> Self {
-        VerifyRequest::Source {
+        Self::new(Input::Source {
             original: original.into(),
             transformed: transformed.into(),
-        }
+        })
     }
 
     /// A parsed-program request.
     pub fn programs(original: Program, transformed: Program) -> Self {
-        VerifyRequest::Programs {
+        Self::new(Input::Programs {
             original: Box::new(original),
             transformed: Box::new(transformed),
-        }
+        })
     }
 
     /// An extracted-ADDG request.
     pub fn addgs(original: Addg, transformed: Addg) -> Self {
-        VerifyRequest::Addgs {
+        Self::new(Input::Addgs {
             original: Box::new(original),
             transformed: Box::new(transformed),
+        })
+    }
+
+    fn new(input: Input) -> Self {
+        VerifyRequest {
+            input,
+            limits: RequestLimits::default(),
+            baseline: None,
         }
+    }
+
+    /// Attaches per-request overrides of the engine's budgets.  Budgets
+    /// are not verdict-relevant (they are excluded from
+    /// [`options_fingerprint`]), so overriding them is sound against the
+    /// shared caches and the proof store.
+    pub fn with_limits(mut self, limits: RequestLimits) -> Self {
+        self.limits = limits;
+        self
+    }
+
+    /// Attaches `baseline`, a document exported by an earlier run
+    /// ([`Verifier::export_baseline`]), so the request is re-checked
+    /// *incrementally* against it.
+    ///
+    /// The request runs through the same pipeline as any other, parameter
+    /// promotion and front-end checks included, so it proves the same
+    /// claim.  The baseline is vetted first: a parse failure, an
+    /// options-fingerprint mismatch or a different program interface
+    /// rejects it with a typed [`BaselineRejection`] and the request runs
+    /// from scratch — same verdict, just no reuse.  An accepted baseline is
+    /// applied at two levels: outputs whose root obligations it already
+    /// proves are classified **clean** and skipped entirely (the dirty-cone
+    /// focus,
+    /// [`CheckContext::clean_outputs`](arrayeq_core::CheckContext::clean_outputs)),
+    /// and its entries join the session's proof cache as baseline entries,
+    /// where they discharge sub-traversals inside the remaining dirty cone
+    /// and in every later query, and go into later baselines and store
+    /// flushes.  [`Outcome::baseline`] reports which happened.
+    ///
+    /// Because baselines carry only positive assumption-free sub-proofs and
+    /// failures always re-derive their full diagnostics, the resulting
+    /// report's [`Report::render_stable`] is byte-identical to a
+    /// from-scratch run on the same pair.
+    pub fn with_baseline(mut self, baseline: impl Into<String>) -> Self {
+        self.baseline = Some(baseline.into());
+        self
     }
 }
 
-/// Per-request overrides of the engine's budgets, consumed by
-/// [`Verifier::verify_with_limits`] — what lets a daemon schedule requests
+/// Per-request overrides of the engine's budgets, attached with
+/// [`VerifyRequest::with_limits`] — what lets a daemon schedule requests
 /// with different deadlines, work budgets and cancellation scopes on one
 /// shared engine.
 ///
@@ -178,9 +228,10 @@ pub struct RequestLimits {
     /// Witness extraction for this request (overrides
     /// [`VerifierBuilder::witnesses`]).
     pub witnesses: Option<bool>,
-    /// Cancellation scope for this request.  When set, the engine-wide
-    /// token is *not* polled — the caller owns this request's cancellation
-    /// (the daemon registers one token per in-flight request so one
+    /// Cancellation scope for this request: the caller keeps a clone and
+    /// [`CancelToken::cancel`] winds the request down.  One token may be
+    /// shared by many requests; a request without one cannot be cancelled
+    /// (the daemon registers one token per in-flight request, so one
     /// client's cancel never touches another's).
     pub cancel: Option<CancelToken>,
 }
@@ -197,6 +248,9 @@ pub struct Outcome {
     pub wall_time_us: u64,
     /// Cumulative session statistics, sampled when this request finished.
     pub session: SessionStats,
+    /// What happened to the request's baseline: `Some` exactly when the
+    /// request carried one ([`VerifyRequest::with_baseline`]).
+    pub baseline: Option<BaselineStatus>,
 }
 
 /// Cumulative counters of one [`Verifier`] session.
@@ -258,33 +312,15 @@ impl SessionStats {
 }
 
 /// Configures and constructs a [`Verifier`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct VerifierBuilder {
     options: CheckOptions,
     witness_options: WitnessOptions,
     witnesses: bool,
     deadline: Option<Duration>,
-    workers: Option<usize>,
-    cancel: CancelToken,
     trace_sink: Option<Arc<arrayeq_trace::Collector>>,
     metrics: bool,
     store_dir: Option<PathBuf>,
-}
-
-impl Default for VerifierBuilder {
-    fn default() -> Self {
-        VerifierBuilder {
-            options: CheckOptions::default(),
-            witness_options: WitnessOptions::default(),
-            witnesses: false,
-            deadline: None,
-            workers: None,
-            cancel: CancelToken::new(),
-            trace_sink: None,
-            metrics: false,
-            store_dir: None,
-        }
-    }
 }
 
 impl VerifierBuilder {
@@ -351,16 +387,16 @@ impl VerifierBuilder {
     /// ([`Report::render_stable`] is byte-stable); the cache/work counters
     /// in [`CheckStats`] are scheduling-dependent once `jobs > 1`.
     ///
-    /// Orthogonal to [`Self::workers`], which fans *across* the requests of
-    /// one [`Verifier::verify_batch`] call: `workers` scales request
-    /// throughput, `jobs` scales the latency of one large request.  The two
-    /// multiply, so a batch of wide requests usually wants one of them at 1.
+    /// `jobs` scales the latency of one large request; callers that run
+    /// many requests at once on their own threads multiply it by their
+    /// thread count, so a batch of wide requests usually wants it at 1.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.options.jobs = jobs;
         self
     }
 
-    /// Enables or disables witness extraction for `NotEquivalent` verdicts.
+    /// Enables or disables witness extraction for `NotEquivalent` verdicts
+    /// (the default of [`RequestLimits::witnesses`]).
     pub fn witnesses(mut self, enabled: bool) -> Self {
         self.witnesses = enabled;
         self
@@ -378,23 +414,10 @@ impl VerifierBuilder {
     /// *starts* past the deadline (the `NotEquivalent` verdict is returned
     /// without counterexamples); once started it runs to its own
     /// point/fill budgets ([`WitnessOptions`]), which bound it
-    /// independently of the clock.
+    /// independently of the clock.  [`RequestLimits::deadline`] overrides
+    /// it per request.
     pub fn deadline(mut self, per_request: Duration) -> Self {
         self.deadline = Some(per_request);
-        self
-    }
-
-    /// Sets the worker-pool width for [`Verifier::verify_batch`] (defaults
-    /// to the machine's available parallelism).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Sets the cancellation token polled by every request (defaults to a
-    /// fresh token, retrievable via [`Verifier::cancel_token`]).
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
         self
     }
 
@@ -475,8 +498,6 @@ impl VerifierBuilder {
             witness_options: self.witness_options,
             witnesses: self.witnesses,
             deadline: self.deadline,
-            workers: self.workers,
-            cancel: self.cancel,
             counters: Counters::default(),
             metrics,
             store,
@@ -511,8 +532,6 @@ pub struct Verifier {
     witness_options: WitnessOptions,
     witnesses: bool,
     deadline: Option<Duration>,
-    workers: Option<usize>,
-    cancel: CancelToken,
     proofs: ProofCache,
     memo: Arc<SharedFeasibilityMemo>,
     counters: Counters,
@@ -540,58 +559,27 @@ impl Verifier {
         &self.options
     }
 
-    /// The cancellation token observed by every request of this engine.
-    /// Clone it, hand it to a supervisor, and [`CancelToken::cancel`] winds
-    /// down every in-flight and future request with a typed
-    /// [`BudgetExhausted::Cancelled`] outcome.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Runs one verification query.
+    /// Runs one verification query: lower the request's pair with
+    /// [`lower`], vet and apply its baseline if it carries one (which seeds
+    /// the baseline's entries into the session's proof cache), [`check`]
+    /// with the session caches and the request's budgets wired in, attach
+    /// witnesses, and book the outcome.
     ///
     /// # Errors
     ///
     /// Propagates the pipeline errors of [`arrayeq_core::lower`] and
     /// [`arrayeq_core::check`] (parse/class/def-use failures, incomparable
     /// interfaces).  Inequivalence and exhausted budgets are *verdicts*,
-    /// not errors.
+    /// and baseline problems are *statuses* ([`Outcome::baseline`]), not
+    /// errors.
     pub fn verify(&self, request: &VerifyRequest) -> Result<Outcome> {
-        self.verify_with_limits(request, &RequestLimits::default())
-    }
-
-    /// Runs one verification query under per-request overrides of the
-    /// engine's budgets ([`RequestLimits`]) — the daemon's scheduling
-    /// primitive.  Budgets are *not* verdict-relevant (they are excluded
-    /// from [`options_fingerprint`]), so per-request overrides are sound
-    /// against the shared caches and the proof store.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Verifier::verify`].
-    pub fn verify_with_limits(
-        &self,
-        request: &VerifyRequest,
-        limits: &RequestLimits,
-    ) -> Result<Outcome> {
-        self.run(request, limits, None).map(|(outcome, _)| outcome)
-    }
-
-    /// The one pipeline behind [`Verifier::verify_with_limits`] and
-    /// [`Verifier::verify_incremental`]: lower the request with
-    /// [`lower`], apply the vetted `baseline` if there is one (which seeds
-    /// its entries into the session's proof cache), [`check`] with the
-    /// session caches wired in, attach witnesses, and book the outcome.
-    /// The status is `Some` exactly when a baseline was passed.
-    fn run(
-        &self,
-        request: &VerifyRequest,
-        limits: &RequestLimits,
-        baseline: Option<&Baseline>,
-    ) -> Result<(Outcome, Option<BaselineStatus>)> {
         let started = Instant::now();
+        let limits = &request.limits;
+        let vetted = request
+            .baseline
+            .as_deref()
+            .map(|text| Baseline::vet(text, self.options_fingerprint()));
         let memo: Arc<dyn FeasibilityCache> = self.memo.clone();
-        let mut status = None;
         let result = with_feasibility_cache(memo, || {
             let opts_override;
             let opts = match limits.max_work {
@@ -610,14 +598,14 @@ impl Verifier {
                     .deadline
                     .or(self.deadline)
                     .map(|d| Instant::now() + d),
-                cancel: Some(limits.cancel.as_ref().unwrap_or(&self.cancel)),
+                cancel: limits.cancel.as_ref(),
                 ..CheckContext::default()
             };
             // ADDG requests arrive lowered and carry no programs to replay
             // witnesses on; everything else goes through the front end.
             let (parsed, lowered);
-            let (programs, g1, g2) = match request {
-                VerifyRequest::Source {
+            let (programs, g1, g2) = match &request.input {
+                Input::Source {
                     original,
                     transformed,
                 } => {
@@ -628,7 +616,7 @@ impl Verifier {
                     lowered = [lower(&parsed[0], opts)?, lower(&parsed[1], opts)?];
                     (Some((&parsed[0], &parsed[1])), &lowered[0], &lowered[1])
                 }
-                VerifyRequest::Programs {
+                Input::Programs {
                     original,
                     transformed,
                 } => {
@@ -639,12 +627,17 @@ impl Verifier {
                         &lowered[1],
                     )
                 }
-                VerifyRequest::Addgs {
+                Input::Addgs {
                     original,
                     transformed,
                 } => (None, &**original, &**transformed),
             };
-            let applied = baseline.map(|b| b.apply(g1, g2, opts, &self.proofs));
+            let applied = vetted.as_ref().map(|vetted| {
+                vetted
+                    .as_ref()
+                    .map_err(BaselineRejection::clone)
+                    .and_then(|b| b.apply(g1, g2, opts, &self.proofs))
+            });
             if let Some(Ok(applied)) = &applied {
                 ctx.clean_outputs = &applied.clean;
                 ctx.fingerprints = Some(&applied.fingerprints);
@@ -654,22 +647,26 @@ impl Verifier {
                 let enabled = limits.witnesses.unwrap_or(self.witnesses);
                 self.attach_witnesses(p1, p2, &mut report, &ctx, enabled)?;
             }
-            status = applied.map(|applied| match applied {
+            let status = applied.map(|applied| match applied {
                 Ok(applied) => applied.finish(&mut report),
                 Err(rejection) => BaselineStatus::Rejected(rejection),
             });
-            Ok(report)
+            Ok((report, status))
         });
-        Ok((self.finish(result, started)?, status))
+        self.finish(result, started)
     }
 
     /// Books one finished request into the session counters and wraps the
     /// report into an [`Outcome`].
-    fn finish(&self, result: Result<Report>, started: Instant) -> Result<Outcome> {
+    fn finish(
+        &self,
+        result: Result<(Report, Option<BaselineStatus>)>,
+        started: Instant,
+    ) -> Result<Outcome> {
         let wall_time_us = started.elapsed().as_micros() as u64;
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
         match result {
-            Ok(report) => {
+            Ok((report, baseline)) => {
                 let bucket = match report.verdict {
                     Verdict::Equivalent => &self.counters.equivalent,
                     Verdict::NotEquivalent => &self.counters.not_equivalent,
@@ -701,6 +698,7 @@ impl Verifier {
                     report,
                     wall_time_us,
                     session: self.session_stats(),
+                    baseline,
                 })
             }
             Err(e) => {
@@ -708,76 +706,6 @@ impl Verifier {
                 Err(e)
             }
         }
-    }
-
-    /// Verifies a pair given as source text (shorthand for
-    /// [`Verifier::verify`] with a [`VerifyRequest::Source`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Verifier::verify`].
-    pub fn verify_source(&self, original: &str, transformed: &str) -> Result<Outcome> {
-        self.verify(&VerifyRequest::source(original, transformed))
-    }
-
-    /// Fans a slice of requests across a worker pool and returns one result
-    /// per request, **in request order** regardless of which worker finished
-    /// first.  All workers share this engine's caches, so concurrent
-    /// requests feed each other sub-proofs.
-    pub fn verify_batch(&self, requests: &[VerifyRequest]) -> Vec<Result<Outcome>> {
-        let workers = self
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .min(requests.len().max(1));
-        if workers <= 1 || requests.len() <= 1 {
-            return requests.iter().map(|r| self.verify(r)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<Outcome>>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= requests.len() {
-                        break;
-                    }
-                    // Panic isolation: a query that unwinds poisons only its
-                    // own slot (as a typed pipeline error); the worker keeps
-                    // draining and every other request answers normally.
-                    // Session caches stay trustworthy — entries are complete
-                    // single-`put` facts, never partially published.
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.verify(&requests[i])
-                    }))
-                    .unwrap_or_else(|payload| {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "<non-string panic payload>".into());
-                        Err(arrayeq_core::CoreError::ResourceLimit {
-                            message: format!("verification worker panicked: {msg}"),
-                        })
-                    });
-                    *slots[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .expect("every batch slot is filled by a worker")
-            })
-            .collect()
     }
 
     /// A snapshot of the session latency histograms, or `None` when the
@@ -924,54 +852,18 @@ impl Verifier {
         baseline_to_json(self.options_fingerprint(), &outputs, &self.proofs.entries())
     }
 
-    /// Runs one verification query *incrementally* against a baseline
-    /// exported by an earlier run ([`Verifier::export_baseline`]).
-    ///
-    /// The request runs through the same pipeline as [`Verifier::verify`],
-    /// parameter promotion and front-end checks included, so it proves the
-    /// same claim.  The baseline is vetted first: a parse failure, an
-    /// options-fingerprint mismatch or a different program interface
-    /// rejects it with a typed [`BaselineRejection`] and the request runs
-    /// from scratch — same verdict, just no reuse.  An accepted baseline is
-    /// applied at two levels: outputs whose root obligations it already
-    /// proves are classified **clean** and skipped entirely (the dirty-cone
-    /// focus,
-    /// [`CheckContext::clean_outputs`](arrayeq_core::CheckContext::clean_outputs)),
-    /// and its entries join the session's proof cache as baseline entries,
-    /// where they discharge sub-traversals inside the remaining dirty cone
-    /// and in every later query, and go into later baselines and store
-    /// flushes.
-    ///
-    /// Because baselines carry only positive assumption-free sub-proofs and
-    /// failures always re-derive their full diagnostics, the resulting
-    /// report's [`Report::render_stable`] is byte-identical to a
-    /// from-scratch run on the same pair.
+    /// [`Verifier::verify`] of `request` with `baseline_json` attached
+    /// ([`VerifyRequest::with_baseline`]).
     ///
     /// # Errors
     ///
-    /// Same as [`Verifier::verify`] — baseline problems are *statuses*, not
-    /// errors.
+    /// Same as [`Verifier::verify`].
     pub fn verify_incremental(
         &self,
         request: &VerifyRequest,
         baseline_json: &str,
-    ) -> Result<IncrementalOutcome> {
-        let expected = self.options_fingerprint();
-        let vetted = match Baseline::parse(baseline_json) {
-            Err(message) => Err(BaselineRejection::Malformed { message }),
-            Ok(b) if b.options_fp != expected => Err(BaselineRejection::OptionsMismatch {
-                expected,
-                found: b.options_fp,
-            }),
-            Ok(b) => Ok(b),
-        };
-        let (outcome, status) =
-            self.run(request, &RequestLimits::default(), vetted.as_ref().ok())?;
-        let baseline = match vetted {
-            Ok(_) => status.expect("the run reports the status of every baseline it is given"),
-            Err(rejection) => BaselineStatus::Rejected(rejection),
-        };
-        Ok(IncrementalOutcome { outcome, baseline })
+    ) -> Result<Outcome> {
+        self.verify(&request.clone().with_baseline(baseline_json))
     }
 }
 
@@ -989,11 +881,11 @@ mod tests {
     #[test]
     fn one_shot_equivalence_and_witnesses() {
         let v = Verifier::builder().witnesses(true).build();
-        let eq = v.verify_source(FIG1_A, FIG1_C).unwrap();
+        let eq = v.verify(&VerifyRequest::source(FIG1_A, FIG1_C)).unwrap();
         assert!(eq.report.is_equivalent());
         assert!(eq.report.witnesses.is_empty());
 
-        let neq = v.verify_source(FIG1_A, FIG1_D).unwrap();
+        let neq = v.verify(&VerifyRequest::source(FIG1_A, FIG1_D)).unwrap();
         assert_eq!(neq.report.verdict, Verdict::NotEquivalent);
         assert!(neq.report.witnesses.iter().any(|w| w.confirmed));
         assert!(neq.report.stats.witness_time_us > 0);
@@ -1007,10 +899,10 @@ mod tests {
     #[test]
     fn repeat_queries_hit_the_shared_caches() {
         let v = Verifier::new();
-        let first = v.verify_source(FIG1_A, FIG1_C).unwrap();
+        let first = v.verify(&VerifyRequest::source(FIG1_A, FIG1_C)).unwrap();
         assert_eq!(first.report.stats.shared_table_hits, 0);
         assert!(first.report.stats.shared_table_inserts > 0);
-        let second = v.verify_source(FIG1_A, FIG1_C).unwrap();
+        let second = v.verify(&VerifyRequest::source(FIG1_A, FIG1_C)).unwrap();
         assert!(second.report.stats.shared_table_hits > 0);
         let s = v.session_stats();
         assert!(s.shared_table_entries > 0);
@@ -1029,7 +921,11 @@ mod tests {
         let src_b = "#define N 8\nvoid f(int X[], int Y[], int C[]) { int k; for (k=0;k<N;k++) t1: C[k] = qmax(Y[k], X[k]); }";
         let plain = Verifier::new();
         assert_eq!(
-            plain.verify_source(src_a, src_b).unwrap().report.verdict,
+            plain
+                .verify(&VerifyRequest::source(src_a, src_b))
+                .unwrap()
+                .report
+                .verdict,
             Verdict::NotEquivalent,
             "undeclared calls are uninterpreted"
         );
@@ -1037,7 +933,7 @@ mod tests {
             .declare_call("qmax", OperatorClass::AC)
             .build();
         assert!(declared
-            .verify_source(src_a, src_b)
+            .verify(&VerifyRequest::source(src_a, src_b))
             .unwrap()
             .report
             .is_equivalent());
@@ -1049,34 +945,28 @@ mod tests {
             )
             .build();
         assert!(via_spec
-            .verify_source(src_a, src_b)
+            .verify(&VerifyRequest::source(src_a, src_b))
             .unwrap()
             .report
             .is_equivalent());
     }
 
     #[test]
-    fn batch_results_keep_request_order() {
-        let v = Verifier::builder().workers(4).build();
-        let reqs = vec![
-            VerifyRequest::source(FIG1_A, FIG1_B),
-            VerifyRequest::source(FIG1_A, FIG1_D),
-            VerifyRequest::source(FIG1_B, FIG1_C),
-            VerifyRequest::source(FIG1_A, "not a program"),
-            VerifyRequest::source(FIG1_C, FIG1_A),
-        ];
-        let outcomes = v.verify_batch(&reqs);
-        assert_eq!(outcomes.len(), 5);
-        assert!(outcomes[0].as_ref().unwrap().report.is_equivalent());
-        assert_eq!(
-            outcomes[1].as_ref().unwrap().report.verdict,
-            Verdict::NotEquivalent
+    fn pipeline_errors_count_as_queries_and_errors() {
+        let v = Verifier::new();
+        assert!(v
+            .verify(&VerifyRequest::source(FIG1_A, FIG1_B))
+            .unwrap()
+            .report
+            .is_equivalent());
+        assert!(
+            v.verify(&VerifyRequest::source(FIG1_A, "not a program"))
+                .is_err(),
+            "a parse failure is an error, not a verdict"
         );
-        assert!(outcomes[2].as_ref().unwrap().report.is_equivalent());
-        assert!(outcomes[3].is_err(), "parse failure stays at its index");
-        assert!(outcomes[4].as_ref().unwrap().report.is_equivalent());
         let s = v.session_stats();
-        assert_eq!(s.queries, 5);
+        assert_eq!(s.queries, 2);
+        assert_eq!(s.equivalent, 1);
         assert_eq!(s.errors, 1);
     }
 

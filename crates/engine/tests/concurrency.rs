@@ -6,7 +6,9 @@
 //!   [`Verdict::Inconclusive`] with the typed reason, in bounded time —
 //!   never a hang.
 
-use arrayeq_engine::{BudgetExhausted, Verdict, Verifier, VerifyRequest};
+use arrayeq_engine::{
+    BudgetExhausted, CancelToken, RequestLimits, Verdict, Verifier, VerifyRequest,
+};
 use arrayeq_lang::corpus::{FIG1_A, FIG1_B, FIG1_C};
 use arrayeq_transform::generator::{generate_kernel, GeneratorConfig};
 use arrayeq_transform::random_pipeline;
@@ -73,15 +75,20 @@ fn two_threads_sharing_one_verifier_observe_cross_thread_hits() {
 }
 
 #[test]
-fn batch_workers_share_the_session_caches() {
-    let verifier = Verifier::builder().workers(4).build();
-    // The same pair four times: whichever worker wins the race publishes,
-    // the others (and a final sequential query) reuse.
-    let requests: Vec<VerifyRequest> = (0..4).map(|_| big_pair(11)).collect();
-    let outcomes = verifier.verify_batch(&requests);
-    assert!(outcomes
-        .iter()
-        .all(|o| o.as_ref().unwrap().report.is_equivalent()));
+fn concurrent_requests_share_the_session_caches() {
+    let verifier = Verifier::new();
+    // The same pair on four threads: whichever thread wins the race
+    // publishes, the others (and a final sequential query) reuse.
+    let request = big_pair(11);
+    std::thread::scope(|s| {
+        let threads: Vec<_> = (0..4)
+            .map(|_| s.spawn(|| verifier.verify(&request).unwrap()))
+            .collect();
+        for thread in threads {
+            assert!(thread.join().unwrap().report.is_equivalent());
+        }
+    });
+    assert_eq!(verifier.session_stats().queries, 4);
     let follow_up = verifier.verify(&big_pair(11)).unwrap();
     assert!(
         follow_up.report.stats.shared_table_hits > 0,
@@ -118,10 +125,18 @@ fn tiny_deadline_yields_typed_inconclusive_in_bounded_time() {
 #[test]
 fn cancelled_token_stops_current_and_future_requests() {
     let verifier = Verifier::new();
-    let token = verifier.cancel_token();
+    // One caller-owned token, cloned into the limits of every request it
+    // scopes.
+    let token = CancelToken::new();
+    let scoped = |request: VerifyRequest| {
+        request.with_limits(RequestLimits {
+            cancel: Some(token.clone()),
+            ..RequestLimits::default()
+        })
+    };
     token.cancel();
     let started = Instant::now();
-    let outcome = verifier.verify(&big_pair(31)).unwrap();
+    let outcome = verifier.verify(&scoped(big_pair(31))).unwrap();
     assert_eq!(outcome.report.verdict, Verdict::Inconclusive);
     assert_eq!(
         outcome.report.budget_exhausted,
@@ -129,20 +144,34 @@ fn cancelled_token_stops_current_and_future_requests() {
     );
     assert!(started.elapsed() < Duration::from_secs(10));
 
-    // Batches observe the same token, at every index.
-    let outcomes = verifier.verify_batch(&[
-        VerifyRequest::source(FIG1_A, FIG1_B),
-        VerifyRequest::source(FIG1_A, FIG1_C),
-    ]);
-    for o in &outcomes {
-        assert_eq!(o.as_ref().unwrap().report.verdict, Verdict::Inconclusive);
-    }
+    // Every request carrying the token observes it, on any thread...
+    std::thread::scope(|s| {
+        let threads = [(FIG1_A, FIG1_B), (FIG1_A, FIG1_C)].map(|(a, b)| {
+            let request = scoped(VerifyRequest::source(a, b));
+            let verifier = &verifier;
+            s.spawn(move || verifier.verify(&request).unwrap())
+        });
+        for thread in threads {
+            assert_eq!(
+                thread.join().unwrap().report.budget_exhausted,
+                Some(BudgetExhausted::Cancelled)
+            );
+        }
+    });
+    // ...and a request without it still answers on the same engine.
+    assert!(verifier
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
+        .unwrap()
+        .report
+        .is_equivalent());
 }
 
 #[test]
 fn work_limit_is_typed_through_the_engine() {
     let verifier = Verifier::builder().max_work(5).build();
-    let outcome = verifier.verify_source(FIG1_A, FIG1_C).unwrap();
+    let outcome = verifier
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
+        .unwrap();
     assert_eq!(outcome.report.verdict, Verdict::Inconclusive);
     assert_eq!(
         outcome.report.budget_exhausted,

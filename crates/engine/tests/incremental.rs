@@ -6,7 +6,7 @@
 //! to a clean from-scratch check with a typed warning.
 
 use arrayeq_engine::{
-    incremental_outcome_to_json, BaselineRejection, BaselineStatus, Method, Verifier, VerifyRequest,
+    outcome_to_json, BaselineRejection, BaselineStatus, Method, Verifier, VerifyRequest,
 };
 use arrayeq_lang::corpus::{FIG1_A, FIG1_C};
 use arrayeq_transform::algebraic::commute_statement;
@@ -33,39 +33,46 @@ fn wide_config(seed: u64) -> GeneratorConfig {
 #[test]
 fn unchanged_pair_is_fully_clean() {
     let producer = Verifier::new();
-    let first = producer.verify_source(FIG1_A, FIG1_C).unwrap();
+    let first = producer
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
+        .unwrap();
     assert!(first.report.is_equivalent());
     let baseline = producer.export_baseline(&first.report);
 
-    let scratch = Verifier::new().verify_source(FIG1_A, FIG1_C).unwrap();
+    let request = VerifyRequest::source(FIG1_A, FIG1_C);
+    let scratch = Verifier::new().verify(&request).unwrap();
     let consumer = Verifier::new();
     let inc = consumer
-        .verify_incremental(&VerifyRequest::source(FIG1_A, FIG1_C), &baseline)
+        .verify(&request.clone().with_baseline(baseline.as_str()))
         .unwrap();
     match &inc.baseline {
-        BaselineStatus::Applied {
+        Some(BaselineStatus::Applied {
             entries,
             clean_outputs,
-        } => {
+        }) => {
             assert!(*entries > 0, "baseline carries sub-proofs");
             assert_eq!(
-                clean_outputs, &inc.outcome.report.outputs_checked,
+                clean_outputs, &inc.report.outputs_checked,
                 "every output of the unchanged pair is clean"
             );
         }
-        rejected => panic!("baseline must apply: {rejected:?}"),
+        other => panic!("baseline must apply: {other:?}"),
     }
     assert_eq!(
-        inc.outcome.report.stats.paths_compared, 0,
+        inc.report.stats.paths_compared, 0,
         "nothing left to traverse"
     );
-    assert_eq!(inc.outcome.report.stats.cone_positions, 0);
-    assert_eq!(
-        inc.outcome.report.render_stable(),
-        scratch.report.render_stable()
-    );
-    let json = incremental_outcome_to_json(&inc);
+    assert_eq!(inc.report.stats.cone_positions, 0);
+    assert_eq!(inc.report.render_stable(), scratch.report.render_stable());
+    let json = outcome_to_json(&inc);
     assert!(json.contains("\"status\":\"applied\""));
+
+    // `verify_incremental` is the same request with the baseline attached.
+    let delegated = Verifier::new()
+        .verify(&request.clone().with_baseline(baseline.as_str()))
+        .unwrap();
+    assert_eq!(delegated.baseline, inc.baseline);
+    assert_eq!(delegated.report.render_stable(), inc.report.render_stable());
 }
 
 #[test]
@@ -101,11 +108,11 @@ fn targeted_edit_re_checks_only_its_cone() {
     let scratch = Verifier::new().verify(&request).unwrap();
     assert!(scratch.report.is_equivalent());
     let inc = Verifier::new()
-        .verify_incremental(&request, &baseline)
+        .verify(&request.clone().with_baseline(baseline.as_str()))
         .unwrap();
-    let outputs = inc.outcome.report.outputs_checked.len() as u64;
+    let outputs = inc.report.outputs_checked.len() as u64;
     match &inc.baseline {
-        BaselineStatus::Applied { clean_outputs, .. } => {
+        Some(BaselineStatus::Applied { clean_outputs, .. }) => {
             assert!(
                 !clean_outputs.is_empty(),
                 "untouched chains stay clean: {clean_outputs:?}"
@@ -115,18 +122,15 @@ fn targeted_edit_re_checks_only_its_cone() {
                 "the edited chain is dirty"
             );
         }
-        rejected => panic!("baseline must apply: {rejected:?}"),
+        other => panic!("baseline must apply: {other:?}"),
     }
-    let stats = &inc.outcome.report.stats;
+    let stats = &inc.report.stats;
     assert!(
         stats.cone_positions < outputs,
         "dirty cone is a strict subset: {} of {outputs}",
         stats.cone_positions
     );
-    assert_eq!(
-        inc.outcome.report.render_stable(),
-        scratch.report.render_stable()
-    );
+    assert_eq!(inc.report.render_stable(), scratch.report.render_stable());
 }
 
 #[test]
@@ -173,25 +177,22 @@ fn in_cone_sub_proofs_discharge_from_the_baseline() {
     let request = VerifyRequest::programs(original, transformed);
     let scratch = Verifier::new().verify(&request).unwrap();
     let inc = Verifier::new()
-        .verify_incremental(&request, &doctored)
+        .verify(&request.clone().with_baseline(doctored))
         .unwrap();
     match &inc.baseline {
-        BaselineStatus::Applied { clean_outputs, .. } => {
+        Some(BaselineStatus::Applied { clean_outputs, .. }) => {
             assert!(!clean_outputs.contains(&"OUT3".to_owned()));
             assert_eq!(clean_outputs.len() as u64, 3);
         }
-        rejected => panic!("baseline must apply: {rejected:?}"),
+        other => panic!("baseline must apply: {other:?}"),
     }
-    let stats = &inc.outcome.report.stats;
+    let stats = &inc.report.stats;
     assert_eq!(stats.cone_positions, 1, "only OUT3 is re-entered");
     assert!(
         stats.baseline_hits > 0,
         "interior sub-proofs discharge from the baseline: {stats:?}"
     );
-    assert_eq!(
-        inc.outcome.report.render_stable(),
-        scratch.report.render_stable()
-    );
+    assert_eq!(inc.report.render_stable(), scratch.report.render_stable());
 }
 
 proptest! {
@@ -211,13 +212,10 @@ proptest! {
         let (edited, _) = random_pipeline(&transformed, 1, seed.wrapping_add(7));
         let request = VerifyRequest::programs(original, edited);
         let scratch = Verifier::new().verify(&request).unwrap();
-        let inc = Verifier::new().verify_incremental(&request, &baseline).unwrap();
-        prop_assert!(matches!(inc.baseline, BaselineStatus::Applied { .. }));
-        prop_assert!(inc.outcome.report.is_equivalent());
-        prop_assert_eq!(
-            scratch.report.render_stable(),
-            inc.outcome.report.render_stable()
-        );
+        let inc = Verifier::new().verify(&request.with_baseline(baseline)).unwrap();
+        prop_assert!(matches!(inc.baseline, Some(BaselineStatus::Applied { .. })));
+        prop_assert!(inc.report.is_equivalent());
+        prop_assert_eq!(scratch.report.render_stable(), inc.report.render_stable());
     }
 }
 
@@ -245,26 +243,26 @@ fn fault_mutants_are_caught_in_the_dirty_cone() {
         let inc = Verifier::builder()
             .witnesses(true)
             .build()
-            .verify_incremental(&request, &baseline)
+            .verify(&request.with_baseline(baseline))
             .unwrap();
         assert!(
-            matches!(inc.baseline, BaselineStatus::Applied { .. }),
+            matches!(inc.baseline, Some(BaselineStatus::Applied { .. })),
             "{}: {:?}",
             case.name,
             inc.baseline
         );
         assert!(
-            !inc.outcome.report.is_equivalent(),
+            !inc.report.is_equivalent(),
             "mutant {} must be rejected inside the dirty cone",
             case.name
         );
         assert!(
-            inc.outcome.report.witnesses.iter().any(|w| w.confirmed),
+            inc.report.witnesses.iter().any(|w| w.confirmed),
             "{}: witness replay confirms the bug",
             case.name
         );
         assert_eq!(
-            inc.outcome.report.render_stable(),
+            inc.report.render_stable(),
             scratch.report.render_stable(),
             "{}",
             case.name
@@ -287,16 +285,18 @@ fn rejected_baselines_degrade_to_from_scratch() {
     let produced = basic.verify(&request).unwrap();
     let mismatched = basic.export_baseline(&produced.report);
     let consumer = Verifier::new();
-    let inc = consumer.verify_incremental(&request, &mismatched).unwrap();
+    let inc = consumer
+        .verify(&request.clone().with_baseline(mismatched))
+        .unwrap();
     match &inc.baseline {
-        BaselineStatus::Rejected(BaselineRejection::OptionsMismatch { expected, found }) => {
+        Some(BaselineStatus::Rejected(BaselineRejection::OptionsMismatch { expected, found })) => {
             assert_eq!(*expected, consumer.options_fingerprint());
             assert_ne!(expected, found);
         }
         other => panic!("expected options mismatch: {other:?}"),
     }
-    assert_eq!(inc.outcome.report.render_stable(), stable);
-    let json = incremental_outcome_to_json(&inc);
+    assert_eq!(inc.report.render_stable(), stable);
+    let json = outcome_to_json(&inc);
     assert!(json.contains("\"status\":\"rejected\""));
     assert!(json.contains("\"reason\":\"options_mismatch\""));
 
@@ -306,17 +306,21 @@ fn rejected_baselines_degrade_to_from_scratch() {
     let good = producer.export_baseline(&outcome.report);
     let truncated = &good[..good.len() / 2];
     for bad in [truncated, "{\"format\":\"nope\"}", "not json at all", ""] {
-        let inc = Verifier::new().verify_incremental(&request, bad).unwrap();
+        let inc = Verifier::new()
+            .verify(&request.clone().with_baseline(bad))
+            .unwrap();
         assert!(
             matches!(
                 inc.baseline,
-                BaselineStatus::Rejected(BaselineRejection::Malformed { .. })
+                Some(BaselineStatus::Rejected(
+                    BaselineRejection::Malformed { .. }
+                ))
             ),
             "doc {bad:?} gave {:?}",
             inc.baseline
         );
-        assert_eq!(inc.outcome.report.render_stable(), stable);
-        assert!(incremental_outcome_to_json(&inc).contains("\"reason\":\"malformed\""));
+        assert_eq!(inc.report.render_stable(), stable);
+        assert!(outcome_to_json(&inc).contains("\"reason\":\"malformed\""));
     }
 
     // Program mismatch: a baseline recorded for a different kernel under
@@ -330,15 +334,15 @@ fn rejected_baselines_degrade_to_from_scratch() {
     assert!(w.report.is_equivalent());
     let foreign = producer.export_baseline(&w.report);
     let inc = Verifier::new()
-        .verify_incremental(&request, &foreign)
+        .verify(&request.clone().with_baseline(foreign))
         .unwrap();
     match &inc.baseline {
-        BaselineStatus::Rejected(BaselineRejection::ProgramMismatch { expected, found }) => {
+        Some(BaselineStatus::Rejected(BaselineRejection::ProgramMismatch { expected, found })) => {
             assert!(!expected.is_empty() && !found.is_empty());
             assert_ne!(expected, found);
         }
         other => panic!("expected program mismatch: {other:?}"),
     }
-    assert_eq!(inc.outcome.report.render_stable(), stable);
-    assert!(incremental_outcome_to_json(&inc).contains("\"reason\":\"program_mismatch\""));
+    assert_eq!(inc.report.render_stable(), stable);
+    assert!(outcome_to_json(&inc).contains("\"reason\":\"program_mismatch\""));
 }

@@ -127,7 +127,7 @@ fn fig1_reports_roundtrip_including_witnesses() {
         (FIG1_A, FIG1_D),
         (FIG1_D, FIG1_A),
     ] {
-        let outcome = verifier.verify_source(a, b).unwrap();
+        let outcome = verifier.verify(&VerifyRequest::source(a, b)).unwrap();
         assert!(
             !outcome.report.output_fingerprints.is_empty(),
             "engine runs record per-output fingerprints"

@@ -21,7 +21,7 @@ fn primed_store(tag: &str) -> PathBuf {
     let dir = tmp_store(tag);
     let v = Verifier::builder().store(&dir).build();
     assert!(v.store_warnings().is_empty());
-    let out = v.verify_source(FIG1_A, FIG1_C).unwrap();
+    let out = v.verify(&VerifyRequest::source(FIG1_A, FIG1_C)).unwrap();
     assert!(out.report.is_equivalent());
     let flush = v.flush_store().unwrap().expect("store attached");
     assert!(flush.appended_eq > 0, "sub-proofs persisted: {flush:?}");
@@ -31,14 +31,16 @@ fn primed_store(tag: &str) -> PathBuf {
 #[test]
 fn warm_engine_discharges_from_store_with_identical_report() {
     let dir = primed_store("warm");
-    let scratch = Verifier::new().verify_source(FIG1_A, FIG1_C).unwrap();
+    let scratch = Verifier::new()
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
+        .unwrap();
 
     let warm = Verifier::builder().store(&dir).build();
     assert!(warm.store_warnings().is_empty());
     let s = warm.session_stats();
     assert!(s.store_eq_loaded > 0, "entries seeded: {s:?}");
 
-    let out = warm.verify_source(FIG1_A, FIG1_C).unwrap();
+    let out = warm.verify(&VerifyRequest::source(FIG1_A, FIG1_C)).unwrap();
     assert!(out.report.is_equivalent());
     assert!(
         out.report.stats.store_hits > 0,
@@ -65,11 +67,11 @@ fn store_never_changes_a_negative_verdict() {
     let scratch = Verifier::builder()
         .witnesses(true)
         .build()
-        .verify_source(FIG1_A, FIG1_D)
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_D))
         .unwrap();
 
     let warm = Verifier::builder().store(&dir).witnesses(true).build();
-    let out = warm.verify_source(FIG1_A, FIG1_D).unwrap();
+    let out = warm.verify(&VerifyRequest::source(FIG1_A, FIG1_D)).unwrap();
     assert!(!out.report.is_equivalent());
     assert_eq!(
         out.report.render_stable(),
@@ -89,10 +91,12 @@ fn bit_flipped_store_degrades_cold_with_identical_verdicts() {
         let v = Verifier::builder().store(&dir).build();
         v.checkpoint_store().unwrap();
         let v2 = Verifier::builder().store(&dir).build();
-        v2.verify_source(FIG1_A, FIG1_D).unwrap();
+        v2.verify(&VerifyRequest::source(FIG1_A, FIG1_D)).unwrap();
         v2.flush_store().unwrap();
     }
-    let scratch = Verifier::new().verify_source(FIG1_A, FIG1_C).unwrap();
+    let scratch = Verifier::new()
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
+        .unwrap();
 
     for file in ["snapshot.jsonl", "log.jsonl"] {
         let path = dir.join(file);
@@ -110,7 +114,7 @@ fn bit_flipped_store_degrades_cold_with_identical_verdicts() {
             !v.store_warnings().is_empty(),
             "{file}: corruption must warn"
         );
-        let out = v.verify_source(FIG1_A, FIG1_C).unwrap();
+        let out = v.verify(&VerifyRequest::source(FIG1_A, FIG1_C)).unwrap();
         assert_eq!(
             out.report.render_stable(),
             scratch.report.render_stable(),
@@ -124,7 +128,9 @@ fn bit_flipped_store_degrades_cold_with_identical_verdicts() {
 #[test]
 fn truncated_store_degrades_cold_with_identical_verdicts() {
     let dir = primed_store("truncate");
-    let scratch = Verifier::new().verify_source(FIG1_A, FIG1_C).unwrap();
+    let scratch = Verifier::new()
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
+        .unwrap();
 
     let log = dir.join("log.jsonl");
     let text = fs::read_to_string(&log).unwrap();
@@ -135,7 +141,7 @@ fn truncated_store_degrades_cold_with_identical_verdicts() {
         w.kind,
         StoreWarningKind::Truncated | StoreWarningKind::Corrupt
     )));
-    let out = v.verify_source(FIG1_A, FIG1_C).unwrap();
+    let out = v.verify(&VerifyRequest::source(FIG1_A, FIG1_C)).unwrap();
     assert!(out.report.is_equivalent());
     assert_eq!(
         out.report.render_stable(),
@@ -161,7 +167,7 @@ fn options_mismatched_store_is_ignored_and_protected() {
         .iter()
         .any(|w| w.kind == StoreWarningKind::OptionsMismatch));
     assert_eq!(v.session_stats().store_eq_loaded, 0, "cold start");
-    let out = v.verify_source(FIG1_A, FIG1_C).unwrap();
+    let out = v.verify(&VerifyRequest::source(FIG1_A, FIG1_C)).unwrap();
     assert_eq!(out.report.stats.store_hits, 0);
     let flush = v.flush_store().unwrap().unwrap();
     assert!(flush.disabled, "writes disabled on options mismatch");
@@ -248,7 +254,9 @@ fn stale_epoch_log_degrades_cold_and_heals_on_next_flush() {
     // Resurrect the pre-compaction log, as a crash between the snapshot
     // rename and the log unlink would.
     fs::write(dir.join("log.jsonl"), &stale_log).unwrap();
-    let scratch = Verifier::new().verify_source(FIG1_A, FIG1_C).unwrap();
+    let scratch = Verifier::new()
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
+        .unwrap();
 
     let v = Verifier::builder().store(&dir).build();
     assert!(
@@ -262,7 +270,7 @@ fn stale_epoch_log_degrades_cold_and_heals_on_next_flush() {
         v.session_stats().store_eq_loaded > 0,
         "the snapshot itself still seeds the session"
     );
-    let out = v.verify_source(FIG1_A, FIG1_C).unwrap();
+    let out = v.verify(&VerifyRequest::source(FIG1_A, FIG1_C)).unwrap();
     assert_eq!(
         out.report.render_stable(),
         scratch.report.render_stable(),
@@ -294,7 +302,9 @@ fn crash_during_checkpoint_leaves_a_loadable_store() {
         "{\"half\":\"written snapshot, no footer",
     )
     .unwrap();
-    let scratch = Verifier::new().verify_source(FIG1_A, FIG1_C).unwrap();
+    let scratch = Verifier::new()
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
+        .unwrap();
 
     let v = Verifier::builder().store(&dir).build();
     assert!(
@@ -303,7 +313,7 @@ fn crash_during_checkpoint_leaves_a_loadable_store() {
         v.store_warnings()
     );
     assert!(v.session_stats().store_eq_loaded > 0);
-    let out = v.verify_source(FIG1_A, FIG1_C).unwrap();
+    let out = v.verify(&VerifyRequest::source(FIG1_A, FIG1_C)).unwrap();
     assert!(out.report.stats.store_hits > 0);
     assert_eq!(out.report.render_stable(), scratch.report.render_stable());
 
@@ -325,40 +335,37 @@ fn per_request_limits_override_budgets_without_cross_talk() {
     let v = Verifier::new();
     // A starved request comes back inconclusive...
     let starved = v
-        .verify_with_limits(
-            &VerifyRequest::source(FIG1_A, FIG1_C),
-            &RequestLimits {
+        .verify(
+            &VerifyRequest::source(FIG1_A, FIG1_C).with_limits(RequestLimits {
                 max_work: Some(1),
                 ..RequestLimits::default()
-            },
+            }),
         )
         .unwrap();
     assert!(!starved.report.is_equivalent());
     assert!(starved.report.budget_exhausted.is_some());
     // ...and the next ordinary request on the same engine is unaffected.
-    let ok = v.verify_source(FIG1_A, FIG1_C).unwrap();
+    let ok = v.verify(&VerifyRequest::source(FIG1_A, FIG1_C)).unwrap();
     assert!(ok.report.is_equivalent());
 
     // A pre-cancelled per-request token starves only its own request.
     let token = arrayeq_engine::CancelToken::new();
     token.cancel();
     let cancelled = v
-        .verify_with_limits(
-            &VerifyRequest::source(FIG1_A, FIG1_C),
-            &RequestLimits {
+        .verify(
+            &VerifyRequest::source(FIG1_A, FIG1_C).with_limits(RequestLimits {
                 cancel: Some(token),
                 ..RequestLimits::default()
-            },
+            }),
         )
         .unwrap();
     assert!(!cancelled.report.is_equivalent());
     let ok2 = v
-        .verify_with_limits(
-            &VerifyRequest::source(FIG1_A, FIG1_C),
-            &RequestLimits {
+        .verify(
+            &VerifyRequest::source(FIG1_A, FIG1_C).with_limits(RequestLimits {
                 deadline: Some(Duration::from_secs(60)),
                 ..RequestLimits::default()
-            },
+            }),
         )
         .unwrap();
     assert!(ok2.report.is_equivalent());

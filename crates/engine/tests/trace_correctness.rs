@@ -343,17 +343,19 @@ fn metrics_registry_accumulates_and_serializes() {
 fn explain_renders_incremental_provenance() {
     let _g = serialize();
     let producer = Verifier::new();
-    let first = producer.verify_source(FIG1_A, FIG1_C).unwrap();
+    let first = producer
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
+        .unwrap();
     assert!(first.report.is_equivalent());
     let baseline = producer.export_baseline(&first.report);
 
     let collector = Arc::new(Collector::new());
     let consumer = Verifier::builder().trace_sink(collector.clone()).build();
     let inc = consumer
-        .verify_incremental(&VerifyRequest::source(FIG1_A, FIG1_C), &baseline)
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_C).with_baseline(baseline))
         .unwrap();
     arrayeq_trace::uninstall();
-    assert!(inc.outcome.report.is_equivalent());
+    assert!(inc.report.is_equivalent());
 
     let text = arrayeq_trace::explain::render(&collector);
     assert!(

@@ -13,13 +13,15 @@
 //!   [`Verifier`] — so one client's established sub-proofs discharge
 //!   another client's sub-traversals through the engine's proof cache.
 //! * **Per-request budgets.**  `deadline_ms`, `max_work` and `witnesses`
-//!   map onto [`arrayeq_engine::RequestLimits`]; budgets are not
+//!   map onto the [`arrayeq_engine::RequestLimits`] that each verify's
+//!   [`VerifyRequest`] carries into [`Verifier::verify`]; budgets are not
 //!   verdict-relevant, so mixed-budget clients share the caches soundly.
+//!   A budget key of the wrong type is a protocol error naming the key.
 //! * **Cooperative cancellation.**  Each verify gets its own
-//!   [`CancelToken`], registered while queued or in flight; `cancel`
-//!   control messages are handled on the reader thread, so they overtake
-//!   the queue.  One client's cancellation can never touch another
-//!   client's request.
+//!   [`CancelToken`] in its limits, registered while queued or in flight;
+//!   `cancel` control messages are handled on the reader thread, so they
+//!   overtake the queue.  One client's cancellation can never touch
+//!   another client's request.
 //! * **Graceful shutdown.**  `shutdown` (or EOF on stdio) stops intake,
 //!   drains every in-flight and queued check, flushes the persistent store
 //!   and only then returns.
@@ -79,18 +81,8 @@ pub struct Server {
 
 /// Work queued from a session's reader thread to its worker thread.
 enum Job {
-    Verify {
-        id: u64,
-        original: String,
-        transformed: String,
-        witnesses: Option<bool>,
-        deadline_ms: Option<u64>,
-        max_work: Option<u64>,
-        token: CancelToken,
-    },
-    Checkpoint {
-        id: u64,
-    },
+    Verify { id: u64, request: VerifyRequest },
+    Checkpoint { id: u64 },
 }
 
 impl Server {
@@ -291,14 +283,16 @@ impl Server {
                     }) => {
                         let token = CancelToken::new();
                         active.lock().unwrap().insert(id, token.clone());
+                        let limits = RequestLimits {
+                            deadline: deadline_ms.map(Duration::from_millis),
+                            max_work,
+                            witnesses,
+                            cancel: Some(token),
+                        };
                         let job = Job::Verify {
                             id,
-                            original,
-                            transformed,
-                            witnesses,
-                            deadline_ms,
-                            max_work,
-                            token,
+                            request: VerifyRequest::source(original, transformed)
+                                .with_limits(limits),
                         };
                         if tx.send(job).is_err() {
                             break; // worker died; session is over
@@ -322,22 +316,7 @@ impl Server {
     /// Runs one queued job on the shared engine and renders its response.
     fn run_job(&self, job: Job, active: &Mutex<HashMap<u64, CancelToken>>) -> String {
         match job {
-            Job::Verify {
-                id,
-                original,
-                transformed,
-                witnesses,
-                deadline_ms,
-                max_work,
-                token,
-            } => {
-                let limits = RequestLimits {
-                    deadline: deadline_ms.map(Duration::from_millis),
-                    max_work,
-                    witnesses,
-                    cancel: Some(token),
-                };
-                let request = VerifyRequest::source(original, transformed);
+            Job::Verify { id, request } => {
                 // Per-request panic isolation: a panicking check answers
                 // *this* request `ok:false` while the session worker, every
                 // other connection and the engine keep going.  The shared
@@ -345,7 +324,7 @@ impl Server {
                 // single-put facts, never partially published mid-check.
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     injected_panic(id);
-                    self.verifier.verify_with_limits(&request, &limits)
+                    self.verifier.verify(&request)
                 }));
                 let response = match outcome {
                     Ok(Ok(outcome)) => ok_response(id, &outcome_to_json(&outcome)),

@@ -111,20 +111,22 @@ pub struct ProtocolError {
 /// # Errors
 ///
 /// Returns a [`ProtocolError`] (carrying the id when present) on malformed
-/// JSON, a missing/unknown `cmd`, or missing command arguments.
+/// JSON, a missing/unknown `cmd`, missing command arguments, or a number or
+/// flag of the wrong type or sign.
 pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
     let err = |id: Option<u64>, message: String| ProtocolError { id, message };
     let v = JsonValue::parse(line).map_err(|e| err(None, format!("malformed request: {e}")))?;
-    // A negative number is rejected, not cast: `-1 as u64` would turn a
-    // budget into a practically unlimited one.
+    // A present key of the wrong type or sign is rejected, never ignored or
+    // cast: read as absent, `"max_work":"1"` would run unbudgeted, and
+    // `-1 as u64` would turn a budget into a practically unlimited one.
     let uint = |key: &str, id: Option<u64>| -> Result<Option<u64>, ProtocolError> {
-        v.get(key)
-            .and_then(JsonValue::as_i64)
-            .map(|n| {
-                u64::try_from(n)
-                    .map_err(|_| err(id, format!("`{key}` must be non-negative, got {n}")))
-            })
-            .transpose()
+        match v.get(key) {
+            None => Ok(None),
+            Some(JsonValue::Int(n)) => u64::try_from(*n)
+                .map(Some)
+                .map_err(|_| err(id, format!("`{key}` must be non-negative, got {n}"))),
+            Some(_) => Err(err(id, format!("`{key}` must be a non-negative integer"))),
+        }
     };
     let Some(id) = uint("id", None)? else {
         return Err(err(None, "request without numeric `id`".into()));
@@ -146,11 +148,16 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                 .and_then(JsonValue::as_str)
                 .ok_or_else(|| err(Some(id), "verify without `transformed`".into()))?
                 .to_owned();
+            let witnesses = match v.get("witnesses") {
+                None => None,
+                Some(JsonValue::Bool(b)) => Some(*b),
+                Some(_) => return Err(err(Some(id), "`witnesses` must be a boolean".into())),
+            };
             Ok(Request::Verify {
                 id,
                 original,
                 transformed,
-                witnesses: v.get("witnesses").and_then(JsonValue::as_bool),
+                witnesses,
                 deadline_ms: opt_u64("deadline_ms")?,
                 max_work: opt_u64("max_work")?,
             })
@@ -255,7 +262,7 @@ mod tests {
     }
 
     #[test]
-    fn negative_numbers_are_rejected_naming_the_key() {
+    fn mistyped_or_negative_values_are_rejected_naming_the_key() {
         let verify = |extra: &str| {
             format!(
                 "{{\"id\":3,\"cmd\":\"verify\",\"original\":\"a\",\"transformed\":\"b\",{extra}}}"
@@ -267,6 +274,18 @@ mod tests {
             (verify("\"max_work\":-1"), "max_work", Some(3)),
             (
                 "{\"id\":4,\"cmd\":\"cancel\",\"target\":-2}".to_owned(),
+                "target",
+                Some(4),
+            ),
+            ("{\"id\":\"1\",\"cmd\":\"ping\"}".to_owned(), "id", None),
+            (verify("\"deadline_ms\":\"0\""), "deadline_ms", Some(3)),
+            (verify("\"deadline_ms\":null"), "deadline_ms", Some(3)),
+            (verify("\"max_work\":\"1\""), "max_work", Some(3)),
+            (verify("\"max_work\":1.0"), "max_work", Some(3)),
+            (verify("\"witnesses\":\"true\""), "witnesses", Some(3)),
+            (verify("\"witnesses\":1"), "witnesses", Some(3)),
+            (
+                "{\"id\":4,\"cmd\":\"cancel\",\"target\":\"1\"}".to_owned(),
                 "target",
                 Some(4),
             ),

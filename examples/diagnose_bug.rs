@@ -9,7 +9,7 @@
 //! Run with `cargo run --release --example diagnose_bug`.
 
 use arrayeq::addg::extract;
-use arrayeq::engine::{report_to_json, Verifier};
+use arrayeq::engine::{report_to_json, Verifier, VerifyRequest};
 use arrayeq::lang::corpus::{FIG1_A, FIG1_D};
 use arrayeq::lang::parser::parse_program;
 use arrayeq::witness::witness_dot;
@@ -17,7 +17,7 @@ use arrayeq::witness::witness_dot;
 fn main() {
     let verifier = Verifier::builder().witnesses(true).build();
     let outcome = verifier
-        .verify_source(FIG1_A, FIG1_D)
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_D))
         .expect("pipeline runs");
     let report = &outcome.report;
     assert!(!report.is_equivalent());

@@ -1,6 +1,6 @@
 //! Reproduces the paper's running example: the four program versions of
 //! Fig. 1 and the verdicts of Sections 5 and 6 (E1/E3 of EXPERIMENTS.md),
-//! issued as one parallel batch through the persistent engine.
+//! issued from one thread per pair against one persistent engine.
 //!
 //! Run with `cargo run --release --example fig1_paper`.
 
@@ -16,14 +16,20 @@ fn main() {
         ("(a) vs (d)", FIG1_A, FIG1_D, false),
     ];
 
-    // One engine, one batch: the requests fan across a worker pool, the
-    // results come back in request order, and all workers share one cache.
+    // One engine, one thread per pair: every thread calls `verify` on the
+    // same engine, so all of them share one cache, and joining the handles
+    // in order keeps the results in pair order.
     let verifier = Verifier::builder().build();
-    let requests: Vec<VerifyRequest> = pairs
-        .iter()
-        .map(|(_, a, b, _)| VerifyRequest::source(*a, *b))
-        .collect();
-    let outcomes = verifier.verify_batch(&requests);
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = pairs
+            .iter()
+            .map(|(_, a, b, _)| scope.spawn(|| verifier.verify(&VerifyRequest::source(*a, *b))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a verification thread does not panic"))
+            .collect()
+    });
 
     for ((name, _, _, expect_equivalent), outcome) in pairs.iter().zip(outcomes) {
         let outcome = outcome.expect("pipeline runs");
@@ -47,7 +53,9 @@ fn main() {
     // policy (cache entries are only valid under one options set), so a
     // basic-method check is a second engine.
     let basic = Verifier::builder().method(Method::Basic).build();
-    let outcome = basic.verify_source(FIG1_A, FIG1_C).unwrap();
+    let outcome = basic
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
+        .unwrap();
     println!(
         "(a) vs (c) with the basic method: {}",
         outcome.report.verdict

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use arrayeq::engine::Verifier;
+use arrayeq::engine::{Verifier, VerifyRequest};
 
 fn main() {
     let original = r#"
@@ -33,7 +33,7 @@ t1:     C[k] = B[2*k] + (B[k] + A[2*k]);
     let verifier = Verifier::builder().build();
 
     let outcome = verifier
-        .verify_source(original, transformed)
+        .verify(&VerifyRequest::source(original, transformed))
         .expect("both programs are in the supported class");
     println!("verdict: {}", outcome.report.verdict);
     println!(
@@ -47,7 +47,7 @@ t1:     C[k] = B[2*k] + (B[k] + A[2*k]);
     // Re-checking the same pair (the post-edit CI regime) rides the session
     // caches: sub-proofs established above discharge whole sub-traversals.
     let again = verifier
-        .verify_source(original, transformed)
+        .verify(&VerifyRequest::source(original, transformed))
         .expect("pipeline runs");
     println!(
         "re-check: {} shared-table hits, session hit rate {:.0}%",

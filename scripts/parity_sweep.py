@@ -9,11 +9,18 @@ Both binaries verify the same pairs at `--jobs 1` with `--json`:
     7 kernels against themselves and the 43 fault-corpus mutants against
     their originals), each with and without `--witnesses`;
   * sweep 2: `--max-work` 8, 20, 40, 64, 65, 66, 70, 100, 130 and 200 on
-    the 11 Fig. 1 and kernel pairs.
+    the 11 Fig. 1 and kernel pairs;
+  * sweep 3: `--baseline` on the same 11 pairs, with four baselines each:
+    one the parent emitted for the pair itself (its proven outputs are
+    clean), one from the original against itself (the edited outputs are
+    re-checked), one emitted under `--method basic` (rejected as
+    `options_mismatch`) and one malformed file (rejected as `malformed`).
+    The parent binary emits them once and both binaries read the same files.
 
-A run matches when the exit code, the stable report fields and every
-`stats` counter except the times (`*_us`) are equal; a run whose output is
-not JSON must print the same bytes.  The script prints how many runs were
+A run matches when the exit code, stderr, the list of top-level JSON keys,
+the stable report fields, every `stats` counter except the times (`*_us`)
+and the whole `baseline` member are equal; a run whose output is not JSON
+must print the same bytes.  The script prints how many runs were
 identical per sweep, then each field that differs: its run count per
 sweep, for numbers how many runs went higher and lower, and the first few
 examples.  It exits 0 only when every run is identical, so running it with
@@ -34,6 +41,8 @@ MAX_WORK = [8, 20, 40, 64, 65, 66, 70, 100, 130, 200]
 STABLE = ("verdict", "outputs_checked", "diagnostics", "witnesses", "blame",
           "output_fingerprints", "budget_exhausted")
 EXAMPLES = 3
+SWEEPS = (1, 2, 3)
+MALFORMED = '{"format":"arrayeq-baseline-v1","options_fp":'
 
 
 def pairs(binary, workdir):
@@ -52,15 +61,31 @@ def pairs(binary, workdir):
     return out
 
 
+def baselines(binary, workdir, label, a, b):
+    """The three sweep-3 baselines `binary` emits for one pair, as
+    (kind, path)."""
+    out = []
+    for kind, pair, flags in [("same", (a, b), []), ("self", (a, a), []),
+                              ("basic", (a, b), ["--method", "basic"])]:
+        path = os.path.join(workdir, f"{label.replace('/', '_')}.{kind}.json")
+        subprocess.run([binary, "verify", *pair, "--jobs", "1", "--emit-baseline", path, *flags],
+                       capture_output=True, timeout=120)
+        out.append((kind, path))
+    return out
+
+
 def run(binary, a, b, flags):
     done = subprocess.run([binary, "verify", a, b, "--jobs", "1", "--json", *flags],
                           capture_output=True, text=True, timeout=120)
-    fields = {"exit": done.returncode}
+    fields = {"exit": done.returncode, "stderr": done.stderr}
     try:
-        report = json.loads(done.stdout)["report"]
+        doc = json.loads(done.stdout)
+        report = doc["report"]
     except (ValueError, KeyError, TypeError):
-        fields["output"] = done.stdout + done.stderr
+        fields["output"] = done.stdout
         return fields
+    fields["keys"] = list(doc)
+    fields["baseline"] = doc.get("baseline")
     for key in STABLE:
         fields[key] = report.get(key)
     for key, value in report.get("stats", {}).items():
@@ -83,11 +108,19 @@ def main():
         runs = [(1, f"{label} {' '.join(flags) or '(plain)'}", a, b, flags)
                 for label, a, b in corpus_pairs
                 for flags in ([], ["--witnesses"])]
+        budgeted = corpus_pairs[: len(FIG1_PAIRS) + len(KERNELS)]
         runs += [(2, f"{label} --max-work {w}", a, b, ["--max-work", str(w)])
-                 for label, a, b in corpus_pairs[: len(FIG1_PAIRS) + len(KERNELS)]
+                 for label, a, b in budgeted
                  for w in MAX_WORK]
+        malformed = os.path.join(workdir, "malformed.json")
+        with open(malformed, "w") as f:
+            f.write(MALFORMED)
+        runs += [(3, f"{label} --baseline {kind}", a, b, ["--baseline", path])
+                 for label, a, b in budgeted
+                 for kind, path in [*baselines(parent, workdir, label, a, b),
+                                    ("malformed", malformed)]]
         diffs = {}
-        identical = {1: 0, 2: 0}
+        identical = dict.fromkeys(SWEEPS, 0)
         for sweep, label, a, b, flags in runs:
             before, after = run(parent, a, b, flags), run(change, a, b, flags)
             differing = [k for k in dict.fromkeys([*before, *after])
@@ -95,12 +128,12 @@ def main():
             identical[sweep] += not differing
             for key in differing:
                 diffs.setdefault(key, []).append((sweep, label, before.get(key), after.get(key)))
-    total = {s: sum(1 for r in runs if r[0] == s) for s in (1, 2)}
+    total = {s: sum(1 for r in runs if r[0] == s) for s in SWEEPS}
     same = sum(identical.values())
-    print(f"identical: {same}/{len(runs)} runs "
-          f"(sweep 1: {identical[1]}/{total[1]}, sweep 2: {identical[2]}/{total[2]})")
+    per_sweep = ", ".join(f"sweep {s}: {identical[s]}/{total[s]}" for s in SWEEPS)
+    print(f"identical: {same}/{len(runs)} runs ({per_sweep})")
     for key, cases in diffs.items():
-        summary = ", ".join(f"sweep {s}: {sum(1 for c in cases if c[0] == s)}" for s in (1, 2))
+        summary = ", ".join(f"sweep {s}: {sum(1 for c in cases if c[0] == s)}" for s in SWEEPS)
         if all(isinstance(v, int) for c in cases for v in c[2:]):
             summary += (f"; {sum(c[3] > c[2] for c in cases)} higher,"
                         f" {sum(c[3] < c[2] for c in cases)} lower")

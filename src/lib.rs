@@ -10,9 +10,10 @@
 //! depend on a single crate:
 //!
 //! * [`engine`] — **the recommended entry point**: a long-lived
-//!   [`Verifier`](engine::Verifier) with cross-query shared caches, budgets
-//!   (deadline / cancellation / work limit), parallel batch verification and
-//!   JSON rendering,
+//!   [`Verifier`](engine::Verifier) with cross-query shared caches, one
+//!   request path ([`Verifier::verify`](engine::Verifier::verify)) whose
+//!   requests carry their budgets (deadline / cancellation / work limit) and
+//!   an optional incremental baseline, and JSON rendering,
 //! * [`omega`] — integer sets and affine relations (the Omega-calculator
 //!   substrate),
 //! * [`lang`] — the restricted-C frontend, class checks, def-use analysis and
@@ -32,8 +33,8 @@
 //! ## Quick start
 //!
 //! Construct a [`Verifier`](engine::Verifier) once and issue queries against
-//! it; the session amortises sub-proofs and Omega-test verdicts across
-//! queries and threads:
+//! it, from as many threads as you like; the session amortises sub-proofs
+//! and Omega-test verdicts across queries and threads:
 //!
 //! ```
 //! use arrayeq::engine::{Verifier, VerifyRequest};
@@ -60,19 +61,26 @@
 //!     .deadline(std::time::Duration::from_secs(5))      // per-request budget
 //!     .build();
 //!
-//! let outcome = verifier.verify_source(original, transformed).unwrap();
+//! let request = VerifyRequest::source(original, transformed);
+//! let outcome = verifier.verify(&request).unwrap();
 //! assert!(outcome.report.is_equivalent());
 //!
 //! // Re-checks and perturbed variants reuse the session's caches...
-//! let again = verifier.verify_source(original, transformed).unwrap();
+//! let again = verifier.verify(&request).unwrap();
 //! assert!(again.report.stats.shared_table_hits > 0);
 //!
-//! // ...and batches fan out across a worker pool, results in request order.
-//! let outcomes = verifier.verify_batch(&[
+//! // ...also from other threads: a batch is one scoped thread per request,
+//! // joined in request order.
+//! let batch = [
 //!     VerifyRequest::source(original, transformed),
 //!     VerifyRequest::source(original, original),
-//! ]);
-//! assert!(outcomes.iter().all(|o| o.as_ref().unwrap().report.is_equivalent()));
+//! ];
+//! std::thread::scope(|s| {
+//!     let threads = batch.each_ref().map(|r| s.spawn(|| verifier.verify(r)));
+//!     for thread in threads {
+//!         assert!(thread.join().unwrap().unwrap().report.is_equivalent());
+//!     }
+//! });
 //! ```
 //!
 //! One *large* request (many outputs, wide kernels) can itself be spread

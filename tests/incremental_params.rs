@@ -1,7 +1,8 @@
 //! Integration test: an incremental re-check proves the same claim as the
-//! whole check.  Under parameter promotion, `verify_incremental` runs the
-//! same front end as `verify`, so a pair that holds only at special sizes is
-//! rejected either way, and a baseline exported under promotion is reused.
+//! whole check.  Under parameter promotion, a request carrying a baseline
+//! runs the same front end as one without, so a pair that holds only at
+//! special sizes is rejected either way, and a baseline exported under
+//! promotion is reused.
 
 use arrayeq::engine::{BaselineStatus, Verifier, VerifyRequest};
 use arrayeq::lang::corpus::{FIG1_A, FIG1_C};
@@ -15,7 +16,9 @@ fn promoted() -> Verifier {
 /// A baseline exported from Fig. 1 (a) verified against itself.
 fn self_baseline() -> String {
     let producer = promoted();
-    let outcome = producer.verify_source(FIG1_A, FIG1_A).unwrap();
+    let outcome = producer
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_A))
+        .unwrap();
     assert!(
         outcome.report.is_equivalent(),
         "{}",
@@ -31,22 +34,20 @@ fn incremental_check_rejects_what_the_whole_check_rejects() {
     let whole = promoted().verify(&request).unwrap_err();
     assert!(whole.to_string().contains("buf"), "{whole}");
     let localized = promoted()
-        .verify_incremental(&request, &self_baseline())
+        .verify(&request.with_baseline(self_baseline()))
         .unwrap_err();
     assert_eq!(localized, whole);
 }
 
 #[test]
 fn promoted_baseline_proves_its_own_pair_clean() {
-    let request = VerifyRequest::source(FIG1_A, FIG1_A);
-    let inc = promoted()
-        .verify_incremental(&request, &self_baseline())
-        .unwrap();
+    let request = VerifyRequest::source(FIG1_A, FIG1_A).with_baseline(self_baseline());
+    let inc = promoted().verify(&request).unwrap();
     match &inc.baseline {
-        BaselineStatus::Applied { clean_outputs, .. } => {
+        Some(BaselineStatus::Applied { clean_outputs, .. }) => {
             assert_eq!(clean_outputs, &["C".to_owned()]);
         }
-        rejected => panic!("baseline must apply: {rejected:?}"),
+        other => panic!("baseline must apply: {other:?}"),
     }
-    assert!(inc.outcome.report.is_equivalent());
+    assert!(inc.report.is_equivalent());
 }

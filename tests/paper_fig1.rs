@@ -18,7 +18,7 @@ fn fig1_verdict_matrix_matches_the_paper() {
             let expect = n1 != "d" && n2 != "d" || n1 == n2;
             let [one, two] = verifiers
                 .each_ref()
-                .map(|v| v.verify_source(s1, s2).unwrap().report);
+                .map(|v| v.verify(&VerifyRequest::source(s1, s2)).unwrap().report);
             assert_eq!(
                 one.is_equivalent(),
                 expect,
@@ -37,7 +37,7 @@ fn fig1_verdict_matrix_matches_the_paper() {
 #[test]
 fn erroneous_version_d_is_diagnosed_on_the_even_elements() {
     let r = Verifier::new()
-        .verify_source(FIG1_A, FIG1_D)
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_D))
         .unwrap()
         .report;
     assert!(!r.is_equivalent());
