@@ -71,7 +71,7 @@ pub use diagnostics::{Diagnostic, DiagnosticKind};
 pub use operators::{OperatorClass, OperatorProperties};
 #[doc(hidden)]
 pub use parallel::{inject_arith_overflow_once, inject_worker_panic_on_task};
-pub use proofs::{ProofCache, ProofKey, StripeKey, StripedMap};
+pub use proofs::{ProofCache, ProofKey};
 pub use report::{CheckStats, Report, Verdict, Witness};
 
 use std::fmt;

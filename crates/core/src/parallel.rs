@@ -20,10 +20,10 @@
 //!    diagnostics buffer — and all workers share the run's one
 //!    [`crate::ProofCache`] (the caller's through [`CheckContext::proofs`],
 //!    or one made for the run; rename-invariant keys mean one worker's
-//!    sub-proof discharges another worker's identical obligation mid-run)
-//!    and the session feasibility cache, re-installed in every spawned
-//!    worker via [`arrayeq_omega::with_feasibility_cache`].  Budgets and
-//!    cancellation propagate through one [`SharedBudget`]: any worker
+//!    sub-proof discharges another worker's identical obligation mid-run).
+//!    Feasibility verdicts are memoised per thread by `arrayeq-omega`, so
+//!    each worker decides on its own memo and shares nothing there.  Budgets
+//!    and cancellation propagate through one [`SharedBudget`]: any worker
 //!    tripping the work limit, deadline or cancel token winds the whole
 //!    pool down promptly.
 //! 3. **Merge** (coordinator): output by output, in output order, the
@@ -42,9 +42,7 @@ use crate::proofs::QueryProofs;
 use crate::report::{CheckStats, Report, Verdict};
 use crate::Result;
 use arrayeq_addg::{Addg, Fingerprints};
-use arrayeq_omega::{
-    current_feasibility_cache, solver_events, with_feasibility_cache, Relation, SolverEvents,
-};
+use arrayeq_omega::{solver_events, Relation, SolverEvents};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -158,11 +156,11 @@ pub(crate) fn check_parallel(
     // [`DiagnosticKind::WorkerPanicked`] inconclusive), and the worker
     // *quarantines* its local state by discarding the whole `Checker` —
     // term arena, coinductive assumptions, buffered diagnostics could all
-    // be mid-mutation — and continuing on a fresh one.  The *shared* caches
-    // need no rollback: the session feasibility cache and the proof cache
-    // only ever receive completed verdicts in a single insert, so an
-    // unwound task has published either nothing or a finished entry, never
-    // partial state.
+    // be mid-mutation — and continuing on a fresh one.  The *shared* proof
+    // cache needs no rollback: it only ever receives completed sub-proofs
+    // in a single insert, so an unwound task has published either nothing
+    // or a finished entry, never partial state.  The worker thread's
+    // feasibility memo likewise holds only finished verdicts.
     let budget = SharedBudget::default();
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<TaskSlot>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
@@ -218,19 +216,13 @@ pub(crate) fn check_parallel(
     if workers == 1 {
         drain();
     } else {
-        // Spawned workers re-install the caller's session feasibility cache
-        // so verdicts computed on one worker are visible to all of them.
-        let cache = current_feasibility_cache();
         std::thread::scope(|scope| {
             for w in 0..workers {
-                let (drain, cache) = (&drain, &cache);
+                let drain = &drain;
                 scope.spawn(move || {
                     // Worker lanes are 1-based; 0 is the coordinator thread.
                     arrayeq_trace::set_worker((w + 1) as u32);
-                    match cache {
-                        Some(c) => with_feasibility_cache(c.clone(), drain),
-                        None => drain(),
-                    }
+                    drain();
                 });
             }
         });

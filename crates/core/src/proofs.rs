@@ -21,7 +21,6 @@
 //! byte-identical whichever entries were present.
 
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -32,42 +31,23 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// and program.
 pub type ProofKey = (u64, u64, u64, u64);
 
-/// Stripes of every [`StripedMap`].  Contention is bounded by the stripe
+/// Stripes of the [`StripedMap`].  Contention is bounded by the stripe
 /// count rather than by one global lock.
 const STRIPES: usize = 64;
 
-/// Entry capacity of every [`StripedMap`], split evenly over its stripes.
+/// Entry capacity of the [`StripedMap`], split evenly over its stripes.
 const CAPACITY: usize = 1 << 20;
 
-/// A key that is already hash-shaped and so picks its own stripe.
-pub trait StripeKey: Copy + Eq + Hash {
-    /// A 64-bit hash of the key; it is mixed before it selects a stripe.
-    fn stripe_hash(&self) -> u64;
-}
-
-impl StripeKey for u64 {
-    fn stripe_hash(&self) -> u64 {
-        *self
-    }
-}
-
-impl StripeKey for ProofKey {
-    fn stripe_hash(&self) -> u64 {
-        self.0 ^ self.1.rotate_left(17) ^ self.2.rotate_left(31) ^ self.3.rotate_left(47)
-    }
-}
-
-/// A lock-striped map shared by threads: 64 small mutex-guarded hash maps,
-/// selected by the mixed [`StripeKey::stripe_hash`].  The proof cache and
-/// the engine's feasibility memo are built on it.
+/// The proof cache's lock-striped map, shared by threads: 64 small
+/// mutex-guarded hash maps, selected by a mix of the key's four words.
 ///
-/// An entry, once in, keeps its value: a second insert of the same key is
+/// An entry, once in, keeps its origin: a second insert of the same key is
 /// ignored.  Each stripe holds at most its share of 2^20 entries; when one
 /// fills up it is cleared wholesale (epoch eviction, the policy of the
 /// thread-local feasibility memo too), which is cheap, and an active
 /// session's working set refills quickly.
-pub struct StripedMap<K, V> {
-    stripes: Vec<Mutex<HashMap<K, V>>>,
+struct StripedMap {
+    stripes: Vec<Mutex<HashMap<ProofKey, Origin>>>,
     cap_per_stripe: usize,
 }
 
@@ -75,19 +55,20 @@ pub struct StripedMap<K, V> {
 // (possible only between complete map operations, since entries are
 // single-`insert` facts, never partially published) must not wedge or crash
 // the surviving threads and later requests of a session.
-fn lock<K, V>(stripe: &Mutex<HashMap<K, V>>) -> MutexGuard<'_, HashMap<K, V>> {
+fn lock(stripe: &Mutex<HashMap<ProofKey, Origin>>) -> MutexGuard<'_, HashMap<ProofKey, Origin>> {
     stripe.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Finalizing mix so consecutive or low-entropy keys spread over the
 /// stripes.
-fn spread(x: u64) -> u64 {
+fn spread(key: &ProofKey) -> u64 {
+    let x = key.0 ^ key.1.rotate_left(17) ^ key.2.rotate_left(31) ^ key.3.rotate_left(47);
     let mut z = x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z ^= z >> 32;
     z.wrapping_mul(0xd6e8_feb8_6659_fd93)
 }
 
-impl<K: StripeKey, V: Copy> StripedMap<K, V> {
+impl StripedMap {
     fn with_layout(stripes: usize, capacity: usize) -> Self {
         StripedMap {
             stripes: (0..stripes).map(|_| Mutex::new(HashMap::new())).collect(),
@@ -95,19 +76,19 @@ impl<K: StripeKey, V: Copy> StripedMap<K, V> {
         }
     }
 
-    fn stripe(&self, key: &K) -> MutexGuard<'_, HashMap<K, V>> {
-        let i = spread(key.stripe_hash()) as usize % self.stripes.len();
+    fn stripe(&self, key: &ProofKey) -> MutexGuard<'_, HashMap<ProofKey, Origin>> {
+        let i = spread(key) as usize % self.stripes.len();
         lock(&self.stripes[i])
     }
 
-    /// The value held for `key`.
-    pub fn get(&self, key: &K) -> Option<V> {
+    /// The origin held for `key`.
+    fn get(&self, key: &ProofKey) -> Option<Origin> {
         self.stripe(key).get(key).copied()
     }
 
     /// Inserts `key` unless it is already present, evicting its stripe
     /// first when the stripe is full.
-    pub fn insert(&self, key: K, value: V) {
+    fn insert(&self, key: ProofKey, origin: Origin) {
         let mut stripe = self.stripe(&key);
         if stripe.contains_key(&key) {
             return;
@@ -115,38 +96,30 @@ impl<K: StripeKey, V: Copy> StripedMap<K, V> {
         if stripe.len() >= self.cap_per_stripe {
             stripe.clear();
         }
-        stripe.insert(key, value);
+        stripe.insert(key, origin);
     }
 
     /// Entries currently held.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.stripes.iter().map(|s| lock(s).len()).sum()
     }
 
-    /// Whether the map holds no entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A point-in-time copy of every entry, in key order (deterministic
-    /// whatever the stripe layout or insertion interleaving).  The stripes
-    /// are walked one lock at a time, so concurrent writers are never
-    /// blocked globally and the copy is consistent per stripe.  That is
-    /// enough for entries that are facts and never change.
-    pub fn snapshot(&self) -> Vec<(K, V)>
-    where
-        K: Ord,
-    {
+    /// Every key held, in key order (deterministic whatever the stripe
+    /// layout or insertion interleaving).  The stripes are walked one lock
+    /// at a time, so concurrent writers are never blocked globally and the
+    /// copy is consistent per stripe.  That is enough for entries that are
+    /// facts and never change.
+    fn keys(&self) -> Vec<ProofKey> {
         let mut all = Vec::new();
         for stripe in &self.stripes {
-            all.extend(lock(stripe).iter().map(|(k, v)| (*k, *v)));
+            all.extend(lock(stripe).keys().copied());
         }
-        all.sort_by_key(|(k, _)| *k);
+        all.sort_unstable();
         all
     }
 }
 
-impl<K: StripeKey, V: Copy> Default for StripedMap<K, V> {
+impl Default for StripedMap {
     fn default() -> Self {
         Self::with_layout(STRIPES, CAPACITY)
     }
@@ -201,7 +174,7 @@ enum Origin {
 /// cache for the run, which its workers share.
 #[derive(Default)]
 pub struct ProofCache {
-    map: StripedMap<ProofKey, Origin>,
+    map: StripedMap,
     queries: AtomicU64,
 }
 
@@ -230,7 +203,7 @@ impl ProofCache {
     /// Every key held, whatever its provenance, in key order: what a
     /// baseline or a proof-store flush writes.
     pub fn entries(&self) -> Vec<ProofKey> {
-        self.map.snapshot().into_iter().map(|(k, _)| k).collect()
+        self.map.keys()
     }
 
     /// Entries currently held.
@@ -240,7 +213,7 @@ impl ProofCache {
 
     /// Whether the cache holds no entry.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Opens one query's view of the cache: its hits report their
@@ -340,9 +313,9 @@ mod tests {
 
     #[test]
     fn shard_capacity_evicts_by_epoch_instead_of_growing() {
-        let map = StripedMap::<u64, bool>::with_layout(1, 16);
+        let map = StripedMap::with_layout(1, 16);
         for i in 0..200u64 {
-            map.insert(i, true);
+            map.insert((i, 0, 0, 0), Origin::Store);
         }
         assert!(map.len() <= 16, "bounded: {}", map.len());
     }

@@ -287,9 +287,8 @@ pub fn session_to_json(s: &SessionStats) -> String {
             "{{\"queries\":{},\"equivalent\":{},\"not_equivalent\":{},",
             "\"inconclusive\":{},\"errors\":{},\"shared_table_entries\":{},",
             "\"shared_table_lookups\":{},\"shared_table_hits\":{},",
-            "\"feasibility_entries\":{},\"feasibility_hits\":{},",
-            "\"feasibility_misses\":{},\"table_lookups\":{},\"table_hits\":{},",
-            "\"store_hits\":{},\"store_eq_loaded\":{},\"store_fs_loaded\":{},",
+            "\"table_lookups\":{},\"table_hits\":{},",
+            "\"store_hits\":{},\"store_eq_loaded\":{},",
             "\"check_time_us\":{},\"witness_time_us\":{}}}"
         ),
         s.queries,
@@ -300,14 +299,10 @@ pub fn session_to_json(s: &SessionStats) -> String {
         s.shared_table_entries,
         s.shared_table_lookups,
         s.shared_table_hits,
-        s.feasibility_entries,
-        s.feasibility_hits,
-        s.feasibility_misses,
         s.table_lookups,
         s.table_hits,
         s.store_hits,
         s.store_eq_loaded,
-        s.store_fs_loaded,
         s.check_time_us,
         s.witness_time_us,
     )

@@ -10,20 +10,18 @@
 //! step, perturbed variants of a corpus, many pairs under one policy.  Those
 //! queries overlap heavily — the same sub-ADDGs, the same composed
 //! dependency mappings, the same feasibility questions — so the engine owns
-//! two shared, lock-striped stores that outlive every call:
-//!
-//! * one **proof cache** ([`arrayeq_core::ProofCache`], keyed by content
-//!   fingerprints of the traversal positions, [`arrayeq_addg::fingerprints`],
-//!   plus the structural hashes of the output-current mappings) through
-//!   which every established sub-proof discharges later sub-traversals,
-//!   across queries and threads.  It holds the session's own proofs, the
-//!   entries of an attached [`ProofStore`] and those of every baseline a
-//!   request carried ([`VerifyRequest::with_baseline`]), each with its
-//!   provenance; [`Verifier::export_baseline`] and [`Verifier::flush_store`]
-//!   write from it;
-//! * a **shared feasibility memo** promoting `arrayeq-omega`'s thread-local
-//!   Omega-test memo to session scope (installed around every query via
-//!   [`arrayeq_omega::with_feasibility_cache`]).
+//! one shared, lock-striped store that outlives every call: the **proof
+//! cache** ([`arrayeq_core::ProofCache`], keyed by content fingerprints of
+//! the traversal positions, [`arrayeq_addg::fingerprints`], plus the
+//! structural hashes of the output-current mappings) through which every
+//! established sub-proof discharges later sub-traversals, across queries
+//! and threads.  It holds the session's own proofs, the entries of an
+//! attached [`ProofStore`] and those of every baseline a request carried
+//! ([`VerifyRequest::with_baseline`]), each with its provenance;
+//! [`Verifier::export_baseline`] and [`Verifier::flush_store`] write from
+//! it.  Feasibility questions repeat too, and `arrayeq-omega` memoises
+//! their verdicts per thread ([`arrayeq_omega::Conjunct::is_feasible`]);
+//! that memo outlives each query on its thread, so it needs no engine state.
 //!
 //! Every query goes through one pipeline, [`Verifier::verify`].  A
 //! [`VerifyRequest`] carries the pair (source, programs or ADDGs), its
@@ -70,7 +68,6 @@
 
 mod baseline;
 mod json;
-mod shared;
 mod store;
 
 pub use baseline::{
@@ -96,9 +93,7 @@ use arrayeq_addg::Addg;
 use arrayeq_core::{check, lower, CheckContext, ProofCache, Result};
 use arrayeq_lang::ast::Program;
 use arrayeq_lang::parser::parse_program;
-use arrayeq_omega::{with_feasibility_cache, FeasibilityCache};
 use arrayeq_witness::extract_witnesses;
-use shared::SharedFeasibilityMemo;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -274,12 +269,11 @@ pub struct SessionStats {
     pub shared_table_lookups: u64,
     /// [`CheckStats::shared_table_hits`], summed over all requests.
     pub shared_table_hits: u64,
-    /// Entries currently held by the shared feasibility memo.
-    pub feasibility_entries: u64,
-    /// Feasibility queries answered by the shared memo.
+    /// Always 0: the engine holds no feasibility memo of its own (each
+    /// thread memoises its verdicts in `arrayeq-omega`, see
+    /// [`arrayeq_omega::feasibility_memo_stats`]).  Kept only because the
+    /// benchmark harness reads it; not part of [`session_to_json`].
     pub feasibility_hits: u64,
-    /// Feasibility queries that had to run the Omega test.
-    pub feasibility_misses: u64,
     /// [`CheckStats::table_lookups`], summed over all requests.
     pub table_lookups: u64,
     /// [`CheckStats::table_hits`], summed over all requests.
@@ -290,9 +284,6 @@ pub struct SessionStats {
     /// Equivalence entries loaded from the persistent proof store when the
     /// engine was built (0 without a store).
     pub store_eq_loaded: u64,
-    /// Feasibility entries loaded from the persistent proof store when the
-    /// engine was built (0 without a store).
-    pub store_fs_loaded: u64,
     /// Total check time over all requests, microseconds.
     pub check_time_us: u64,
     /// Total witness-extraction time over all requests, microseconds.
@@ -381,8 +372,8 @@ impl VerifierBuilder {
     ///
     /// `1` (the default) runs each request on the calling thread; `0` uses
     /// all available parallelism.  The workers of one request share this
-    /// engine's proof cache and feasibility cache, so sub-proofs established
-    /// by one worker discharge identical obligations on the others mid-run.
+    /// engine's proof cache, so sub-proofs established by one worker
+    /// discharge identical obligations on the others mid-run.
     /// Verdicts, diagnostics and witnesses are identical at every setting
     /// ([`Report::render_stable`] is byte-stable); the cache/work counters
     /// in [`CheckStats`] are scheduling-dependent once `jobs > 1`.
@@ -445,8 +436,8 @@ impl VerifierBuilder {
     }
 
     /// Attaches a persistent on-disk proof store (see [`ProofStore`]).  At
-    /// build time the store's entries seed the proof cache and the
-    /// feasibility memo; [`Verifier::flush_store`] and
+    /// build time the store's entries seed the proof cache;
+    /// [`Verifier::flush_store`] and
     /// [`Verifier::checkpoint_store`] persist the session's new sub-proofs
     /// back.  Problems inside the store files degrade to a cold start with
     /// typed warnings ([`Verifier::store_warnings`]) — they never change
@@ -467,7 +458,6 @@ impl VerifierBuilder {
             m
         });
         let proofs = ProofCache::new();
-        let memo = Arc::new(SharedFeasibilityMemo::default());
         let mut store_warnings = Vec::new();
         let store = self.store_dir.as_ref().and_then(|dir| {
             match ProofStore::open(dir, baseline::options_fingerprint(&self.options)) {
@@ -482,18 +472,14 @@ impl VerifierBuilder {
                 }
             }
         });
-        let (mut store_eq_loaded, mut store_fs_loaded) = (0, 0);
+        let mut store_eq_loaded = 0;
         if let Some(s) = &store {
             store_warnings.extend(s.warnings().iter().cloned());
             proofs.seed_store(s.eq_entries());
-            for (k, f) in s.fs_entries() {
-                memo.seed(k, f);
-            }
-            (store_eq_loaded, store_fs_loaded) = s.loaded_counts();
+            store_eq_loaded = s.loaded_count();
         }
         Verifier {
             proofs,
-            memo,
             options: self.options,
             witness_options: self.witness_options,
             witnesses: self.witnesses,
@@ -503,7 +489,6 @@ impl VerifierBuilder {
             store,
             store_warnings,
             store_eq_loaded,
-            store_fs_loaded,
         }
     }
 }
@@ -533,13 +518,11 @@ pub struct Verifier {
     witnesses: bool,
     deadline: Option<Duration>,
     proofs: ProofCache,
-    memo: Arc<SharedFeasibilityMemo>,
     counters: Counters,
     metrics: Option<Arc<arrayeq_trace::Metrics>>,
     store: Option<Arc<ProofStore>>,
     store_warnings: Vec<StoreWarning>,
     store_eq_loaded: usize,
-    store_fs_loaded: usize,
 }
 
 impl Verifier {
@@ -574,86 +557,89 @@ impl Verifier {
     /// errors.
     pub fn verify(&self, request: &VerifyRequest) -> Result<Outcome> {
         let started = Instant::now();
+        let result = self.run(request);
+        self.finish(result, started)
+    }
+
+    /// The pipeline of [`Verifier::verify`], up to the booking: the report
+    /// and, when the request carried a baseline, its status.
+    fn run(&self, request: &VerifyRequest) -> Result<(Report, Option<BaselineStatus>)> {
         let limits = &request.limits;
         let vetted = request
             .baseline
             .as_deref()
             .map(|text| Baseline::vet(text, self.options_fingerprint()));
-        let memo: Arc<dyn FeasibilityCache> = self.memo.clone();
-        let result = with_feasibility_cache(memo, || {
-            let opts_override;
-            let opts = match limits.max_work {
-                Some(w) => {
-                    opts_override = CheckOptions {
-                        max_work: w,
-                        ..self.options.clone()
-                    };
-                    &opts_override
-                }
-                None => &self.options,
-            };
-            let mut ctx = CheckContext {
-                proofs: Some(&self.proofs),
-                deadline: limits
-                    .deadline
-                    .or(self.deadline)
-                    .map(|d| Instant::now() + d),
-                cancel: limits.cancel.as_ref(),
-                ..CheckContext::default()
-            };
-            // ADDG requests arrive lowered and carry no programs to replay
-            // witnesses on; everything else goes through the front end.
-            let (parsed, lowered);
-            let (programs, g1, g2) = match &request.input {
-                Input::Source {
-                    original,
-                    transformed,
-                } => {
-                    parsed = {
-                        let _span = arrayeq_trace::span("parse");
-                        [parse_program(original)?, parse_program(transformed)?]
-                    };
-                    lowered = [lower(&parsed[0], opts)?, lower(&parsed[1], opts)?];
-                    (Some((&parsed[0], &parsed[1])), &lowered[0], &lowered[1])
-                }
-                Input::Programs {
-                    original,
-                    transformed,
-                } => {
-                    lowered = [lower(original, opts)?, lower(transformed, opts)?];
-                    (
-                        Some((&**original, &**transformed)),
-                        &lowered[0],
-                        &lowered[1],
-                    )
-                }
-                Input::Addgs {
-                    original,
-                    transformed,
-                } => (None, &**original, &**transformed),
-            };
-            let applied = vetted.as_ref().map(|vetted| {
-                vetted
-                    .as_ref()
-                    .map_err(BaselineRejection::clone)
-                    .and_then(|b| b.apply(g1, g2, opts, &self.proofs))
-            });
-            if let Some(Ok(applied)) = &applied {
-                ctx.clean_outputs = &applied.clean;
-                ctx.fingerprints = Some(&applied.fingerprints);
+        let opts_override;
+        let opts = match limits.max_work {
+            Some(w) => {
+                opts_override = CheckOptions {
+                    max_work: w,
+                    ..self.options.clone()
+                };
+                &opts_override
             }
-            let mut report = check(g1, g2, opts, &ctx)?;
-            if let Some((p1, p2)) = programs {
-                let enabled = limits.witnesses.unwrap_or(self.witnesses);
-                self.attach_witnesses(p1, p2, &mut report, &ctx, enabled)?;
+            None => &self.options,
+        };
+        let mut ctx = CheckContext {
+            proofs: Some(&self.proofs),
+            deadline: limits
+                .deadline
+                .or(self.deadline)
+                .map(|d| Instant::now() + d),
+            cancel: limits.cancel.as_ref(),
+            ..CheckContext::default()
+        };
+        // ADDG requests arrive lowered and carry no programs to replay
+        // witnesses on; everything else goes through the front end.
+        let (parsed, lowered);
+        let (programs, g1, g2) = match &request.input {
+            Input::Source {
+                original,
+                transformed,
+            } => {
+                parsed = {
+                    let _span = arrayeq_trace::span("parse");
+                    [parse_program(original)?, parse_program(transformed)?]
+                };
+                lowered = [lower(&parsed[0], opts)?, lower(&parsed[1], opts)?];
+                (Some((&parsed[0], &parsed[1])), &lowered[0], &lowered[1])
             }
-            let status = applied.map(|applied| match applied {
-                Ok(applied) => applied.finish(&mut report),
-                Err(rejection) => BaselineStatus::Rejected(rejection),
-            });
-            Ok((report, status))
+            Input::Programs {
+                original,
+                transformed,
+            } => {
+                lowered = [lower(original, opts)?, lower(transformed, opts)?];
+                (
+                    Some((&**original, &**transformed)),
+                    &lowered[0],
+                    &lowered[1],
+                )
+            }
+            Input::Addgs {
+                original,
+                transformed,
+            } => (None, &**original, &**transformed),
+        };
+        let applied = vetted.as_ref().map(|vetted| {
+            vetted
+                .as_ref()
+                .map_err(BaselineRejection::clone)
+                .and_then(|b| b.apply(g1, g2, opts, &self.proofs))
         });
-        self.finish(result, started)
+        if let Some(Ok(applied)) = &applied {
+            ctx.clean_outputs = &applied.clean;
+            ctx.fingerprints = Some(&applied.fingerprints);
+        }
+        let mut report = check(g1, g2, opts, &ctx)?;
+        if let Some((p1, p2)) = programs {
+            let enabled = limits.witnesses.unwrap_or(self.witnesses);
+            self.attach_witnesses(p1, p2, &mut report, &ctx, enabled)?;
+        }
+        let status = applied.map(|applied| match applied {
+            Ok(applied) => applied.finish(&mut report),
+            Err(rejection) => BaselineStatus::Rejected(rejection),
+        });
+        Ok((report, status))
     }
 
     /// Books one finished request into the session counters and wraps the
@@ -725,14 +711,11 @@ impl Verifier {
             shared_table_entries: self.proofs.len() as u64,
             shared_table_lookups: self.counters.shared_table_lookups.load(Ordering::Relaxed),
             shared_table_hits: self.counters.shared_table_hits.load(Ordering::Relaxed),
-            feasibility_entries: self.memo.entries() as u64,
-            feasibility_hits: self.memo.hits.load(Ordering::Relaxed),
-            feasibility_misses: self.memo.misses.load(Ordering::Relaxed),
+            feasibility_hits: 0,
             table_lookups: self.counters.table_lookups.load(Ordering::Relaxed),
             table_hits: self.counters.table_hits.load(Ordering::Relaxed),
             store_hits: self.counters.store_hits.load(Ordering::Relaxed),
             store_eq_loaded: self.store_eq_loaded as u64,
-            store_fs_loaded: self.store_fs_loaded as u64,
             check_time_us: self.counters.check_time_us.load(Ordering::Relaxed),
             witness_time_us: self.counters.witness_time_us.load(Ordering::Relaxed),
         }
@@ -791,9 +774,10 @@ impl Verifier {
     }
 
     /// Persists the session's proof cache (its own sub-proofs and every
-    /// seeded baseline entry) and feasibility memo to the attached store's
-    /// append-only log, skipping entries already on disk.  `Ok(None)`
-    /// without a store.
+    /// seeded baseline entry) to the attached store's append-only log,
+    /// skipping entries already on disk.  The store holds proof keys only;
+    /// feasibility verdicts stay in each thread's memo and are never
+    /// persisted.  `Ok(None)` without a store.
     ///
     /// # Errors
     ///
@@ -801,17 +785,17 @@ impl Verifier {
     pub fn flush_store(&self) -> io::Result<Option<StoreFlush>> {
         match &self.store {
             None => Ok(None),
-            Some(s) => s
-                .flush(self.proofs.entries(), self.memo.snapshot_entries())
-                .map(Some),
+            Some(s) => s.flush(self.proofs.entries()).map(Some),
         }
     }
 
-    /// Compacts the attached store into a fresh snapshot carrying
-    /// everything persisted so far plus the session's established
-    /// sub-proofs, bumping the epoch and truncating the log.  Returns the
-    /// new epoch; `Ok(None)` without a store or when the store's writes are
-    /// disabled (options mismatch on disk).
+    /// Compacts the attached store into a fresh snapshot carrying every
+    /// proof key persisted so far plus the session's proof cache, bumping
+    /// the epoch and truncating the log.  The snapshot holds proof keys
+    /// only, so a store that still carried legacy feasibility (`fs`) lines
+    /// is rewritten without them.  Returns the new epoch; `Ok(None)` without
+    /// a store or when the store's writes are disabled (options mismatch on
+    /// disk).
     ///
     /// # Errors
     ///
@@ -819,7 +803,7 @@ impl Verifier {
     pub fn checkpoint_store(&self) -> io::Result<Option<u64>> {
         match &self.store {
             None => Ok(None),
-            Some(s) => s.checkpoint(self.proofs.entries(), self.memo.snapshot_entries()),
+            Some(s) => s.checkpoint(self.proofs.entries()),
         }
     }
 
@@ -907,11 +891,6 @@ mod tests {
         let s = v.session_stats();
         assert!(s.shared_table_entries > 0);
         assert!(s.shared_table_hits > 0);
-        // Same thread: repeats are absorbed by the thread-local memo level,
-        // so the shared memo only records the first-sight misses here (the
-        // cross-thread hits are proven by the concurrency integration test).
-        assert!(s.feasibility_misses > 0, "shared memo engaged: {s:?}");
-        assert!(s.feasibility_entries > 0);
         assert!(s.combined_hit_rate() > 0.0);
     }
 

@@ -17,15 +17,21 @@
 //! and the snapshot closes with a footer recording the entry count, so bit
 //! flips and truncation are both detected.
 //!
-//! Entries are the engine's cross-query facts: proven sub-equivalences
-//! (`ProofKey`s — rename-invariant content fingerprints, so they mean the
-//! same thing in every process, program and machine) and feasibility memo
-//! entries (content hashes of the relation tested).  Only positive,
+//! Entries are proof keys: proven sub-equivalences (`ProofKey`s —
+//! rename-invariant content fingerprints, so they mean the same thing in
+//! every process, program and machine), one `eq` line each.  Only positive,
 //! assumption-free sub-proofs ever reach the proof cache, so the store
 //! inherits the same soundness contract as baselines: a loaded entry
 //! discharges a sub-traversal with exactly the verdict a from-scratch run
 //! would re-derive, failures always re-derive their diagnostics, and
 //! rendered reports stay byte-identical.
+//!
+//! Stores written by earlier versions also carry feasibility-verdict (`fs`)
+//! lines, under the same format marker.  The loader still checks each such
+//! line's integrity hash and counts it against the snapshot footer, so a
+//! damaged legacy line degrades exactly as a damaged `eq` line does; an
+//! intact one is dropped without a warning, and the next compaction
+//! rewrites the file without it.
 //!
 //! **Degradation policy:** a store that is corrupt, truncated, from another
 //! format version, epoch or options set degrades to a cold start (for the
@@ -38,7 +44,7 @@
 use crate::json::{hex64, parse_hex64, string, JsonValue};
 use arrayeq_core::ProofKey;
 use arrayeq_omega::structural_hash_of;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
@@ -127,8 +133,6 @@ impl fmt::Display for StoreWarning {
 pub struct StoreFlush {
     /// Equivalence entries newly persisted by this flush.
     pub appended_eq: usize,
-    /// Feasibility entries newly persisted by this flush.
-    pub appended_fs: usize,
     /// Whether the flush compacted into a fresh snapshot (epoch bump).
     pub compacted: bool,
     /// Whether the flush was skipped because writing is disabled (the store
@@ -140,7 +144,6 @@ pub struct StoreFlush {
 struct StoreState {
     /// Entries already durable on disk (snapshot ∪ valid log prefix).
     eq: HashSet<ProofKey>,
-    fs: HashMap<u64, bool>,
     /// Entry lines currently in the log file.
     log_lines: usize,
     /// Current compaction generation.
@@ -160,9 +163,8 @@ pub struct ProofStore {
     writes_enabled: bool,
     warnings: Vec<StoreWarning>,
     state: Mutex<StoreState>,
-    /// Entry counts as loaded at open time (before any flush).
+    /// Equivalence entries loaded at open time (before any flush).
     loaded_eq: usize,
-    loaded_fs: usize,
 }
 
 impl ProofStore {
@@ -181,7 +183,6 @@ impl ProofStore {
         let log_path = dir.join("log.jsonl");
 
         let mut eq = HashSet::new();
-        let mut fs_entries = HashMap::new();
         let mut epoch = 0u64;
         let mut needs_rewrite = false;
 
@@ -201,7 +202,6 @@ impl ProofStore {
                     snapshot_epoch = Some(loaded.epoch);
                     epoch = loaded.epoch;
                     eq.extend(loaded.eq);
-                    fs_entries.extend(loaded.fs);
                 }
                 Err(w) => {
                     if w.kind == StoreWarningKind::OptionsMismatch
@@ -242,16 +242,13 @@ impl ProofStore {
                     }
                 }
                 eq.extend(parsed.eq);
-                fs_entries.extend(parsed.fs);
             }
         }
 
         let loaded_eq = eq.len();
-        let loaded_fs = fs_entries.len();
         let log_lines = 0; // recounted below from what survived
         let mut state = StoreState {
             eq,
-            fs: fs_entries,
             log_lines,
             epoch,
             needs_rewrite,
@@ -260,7 +257,7 @@ impl ProofStore {
         // log file exists; the only consequence is a slightly earlier
         // auto-compaction.
         if log_path.exists() {
-            state.log_lines = loaded_eq + loaded_fs;
+            state.log_lines = loaded_eq;
         }
 
         Ok(ProofStore {
@@ -270,7 +267,6 @@ impl ProofStore {
             warnings,
             state: Mutex::new(state),
             loaded_eq,
-            loaded_fs,
         })
     }
 
@@ -293,23 +289,9 @@ impl ProofStore {
         v
     }
 
-    /// Feasibility entries loaded at open time, for seeding the memo.
-    pub fn fs_entries(&self) -> Vec<(u64, bool)> {
-        let mut v: Vec<_> = self
-            .state
-            .lock()
-            .unwrap()
-            .fs
-            .iter()
-            .map(|(k, f)| (*k, *f))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// `(equivalence, feasibility)` entry counts as loaded at open time.
-    pub fn loaded_counts(&self) -> (usize, usize) {
-        (self.loaded_eq, self.loaded_fs)
+    /// Equivalence entries loaded at open time.
+    pub fn loaded_count(&self) -> usize {
+        self.loaded_eq
     }
 
     /// Current compaction generation.
@@ -320,11 +302,7 @@ impl ProofStore {
     /// Persists any of the given entries not yet on disk, appending to the
     /// log (or compacting into a fresh snapshot when the log has grown past
     /// the auto-compaction threshold or was damaged at open).
-    pub fn flush(
-        &self,
-        eq: impl IntoIterator<Item = ProofKey>,
-        fs_entries: impl IntoIterator<Item = (u64, bool)>,
-    ) -> io::Result<StoreFlush> {
+    pub fn flush(&self, eq: impl IntoIterator<Item = ProofKey>) -> io::Result<StoreFlush> {
         if !self.writes_enabled {
             return Ok(StoreFlush {
                 disabled: true,
@@ -333,41 +311,23 @@ impl ProofStore {
         }
         let mut state = self.state.lock().unwrap();
         let mut new_eq: Vec<ProofKey> = eq.into_iter().filter(|k| !state.eq.contains(k)).collect();
-        let mut new_fs: Vec<(u64, bool)> = fs_entries
-            .into_iter()
-            .filter(|(k, _)| !state.fs.contains_key(k))
-            .collect();
         new_eq.sort_unstable();
         new_eq.dedup();
-        new_fs.sort_unstable();
-        new_fs.dedup_by_key(|(k, _)| *k);
 
-        if new_eq.is_empty() && new_fs.is_empty() && !state.needs_rewrite {
+        if new_eq.is_empty() && !state.needs_rewrite {
             return Ok(StoreFlush::default());
         }
 
-        let appended = new_eq.len() + new_fs.len();
-        let compact = state.needs_rewrite || state.log_lines + appended > COMPACT_LOG_LINES;
+        let compact = state.needs_rewrite || state.log_lines + new_eq.len() > COMPACT_LOG_LINES;
         if compact {
-            for k in &new_eq {
-                state.eq.insert(*k);
-            }
-            for (k, f) in &new_fs {
-                state.fs.insert(*k, *f);
-            }
+            state.eq.extend(&new_eq);
             self.write_snapshot(&mut state)?;
         } else {
-            self.append_log(&mut state, &new_eq, &new_fs)?;
-            for k in &new_eq {
-                state.eq.insert(*k);
-            }
-            for (k, f) in &new_fs {
-                state.fs.insert(*k, *f);
-            }
+            self.append_log(&mut state, &new_eq)?;
+            state.eq.extend(&new_eq);
         }
         Ok(StoreFlush {
             appended_eq: new_eq.len(),
-            appended_fs: new_fs.len(),
             compacted: compact,
             disabled: false,
         })
@@ -376,19 +336,12 @@ impl ProofStore {
     /// Compacts everything (persisted ∪ given entries) into a fresh
     /// snapshot, bumps the epoch and truncates the log.  Returns the new
     /// epoch, or `None` when writing is disabled.
-    pub fn checkpoint(
-        &self,
-        eq: impl IntoIterator<Item = ProofKey>,
-        fs_entries: impl IntoIterator<Item = (u64, bool)>,
-    ) -> io::Result<Option<u64>> {
+    pub fn checkpoint(&self, eq: impl IntoIterator<Item = ProofKey>) -> io::Result<Option<u64>> {
         if !self.writes_enabled {
             return Ok(None);
         }
         let mut state = self.state.lock().unwrap();
         state.eq.extend(eq);
-        for (k, f) in fs_entries {
-            state.fs.entry(k).or_insert(f);
-        }
         self.write_snapshot(&mut state)?;
         Ok(Some(state.epoch))
     }
@@ -399,8 +352,6 @@ impl ProofStore {
         let epoch = state.epoch + 1;
         let mut eq: Vec<_> = state.eq.iter().copied().collect();
         eq.sort_unstable();
-        let mut fs_entries: Vec<_> = state.fs.iter().map(|(k, f)| (*k, *f)).collect();
-        fs_entries.sort_unstable();
 
         let mut text = String::new();
         text.push_str(&header_line("snapshot", epoch, self.options_fp));
@@ -409,12 +360,7 @@ impl ProofStore {
             text.push_str(&eq_line(k));
             text.push('\n');
         }
-        for (k, f) in &fs_entries {
-            text.push_str(&fs_line(*k, *f));
-            text.push('\n');
-        }
-        let count = (eq.len() + fs_entries.len()) as u64;
-        text.push_str(&end_line(count));
+        text.push_str(&end_line(eq.len() as u64));
         text.push('\n');
 
         let tmp = self.dir.join("snapshot.jsonl.tmp");
@@ -449,12 +395,7 @@ impl ProofStore {
 
     /// Appends entry lines to the log, creating it (with a header at the
     /// current epoch) when absent.
-    fn append_log(
-        &self,
-        state: &mut StoreState,
-        new_eq: &[ProofKey],
-        new_fs: &[(u64, bool)],
-    ) -> io::Result<()> {
+    fn append_log(&self, state: &mut StoreState, new_eq: &[ProofKey]) -> io::Result<()> {
         let log_path = self.dir.join("log.jsonl");
         let mut text = String::new();
         if !log_path.exists() {
@@ -463,10 +404,6 @@ impl ProofStore {
         }
         for k in new_eq {
             text.push_str(&eq_line(k));
-            text.push('\n');
-        }
-        for (k, f) in new_fs {
-            text.push_str(&fs_line(*k, *f));
             text.push('\n');
         }
         let mut file = fs::OpenOptions::new()
@@ -480,7 +417,7 @@ impl ProofStore {
         // the damage a crash can do at exactly the entries of the flush in
         // flight — never a previously acknowledged one.
         file.sync_all()?;
-        state.log_lines += new_eq.len() + new_fs.len();
+        state.log_lines += new_eq.len();
         Ok(())
     }
 }
@@ -531,15 +468,6 @@ fn eq_line(k: &ProofKey) -> String {
     )
 }
 
-fn fs_line(key: u64, feasible: bool) -> String {
-    format!(
-        "[\"fs\",{},{},{}]",
-        hex64(key),
-        feasible,
-        hex64(fs_line_sum(key, feasible)),
-    )
-}
-
 fn end_line(count: u64) -> String {
     format!("[\"end\",{},{}]", count, hex64(end_line_sum(count)))
 }
@@ -547,7 +475,9 @@ fn end_line(count: u64) -> String {
 /// What one entry line carried.
 enum Entry {
     Eq(ProofKey),
-    Fs(u64, bool),
+    /// A feasibility verdict written by an earlier version: integrity-checked
+    /// and counted, then dropped.
+    LegacyFs,
     End(u64),
 }
 
@@ -585,7 +515,7 @@ fn parse_entry(line: &str) -> Result<Entry, String> {
             if sum != fs_line_sum(key, feasible) {
                 return Err("fs entry integrity hash mismatch".into());
             }
-            Ok(Entry::Fs(key, feasible))
+            Ok(Entry::LegacyFs)
         }
         "end" => {
             if parts.len() != 3 {
@@ -671,7 +601,6 @@ fn parse_header(
 struct LoadedSnapshot {
     epoch: u64,
     eq: Vec<ProofKey>,
-    fs: Vec<(u64, bool)>,
 }
 
 /// Parses a snapshot file.  All-or-nothing: any problem drops the whole
@@ -689,7 +618,7 @@ fn parse_snapshot(text: &str, options_fp: u64) -> Result<LoadedSnapshot, StoreWa
         .ok_or_else(|| warn(StoreWarningKind::Truncated, "empty file".into()))?;
     let epoch = parse_header(header, "snapshot", options_fp, file)?;
     let mut eq = Vec::new();
-    let mut fs_entries = Vec::new();
+    let mut legacy_fs = 0;
     let mut footer_count = None;
     for (i, line) in lines.enumerate() {
         if line.is_empty() {
@@ -703,7 +632,7 @@ fn parse_snapshot(text: &str, options_fp: u64) -> Result<LoadedSnapshot, StoreWa
         }
         match parse_entry(line) {
             Ok(Entry::Eq(k)) => eq.push(k),
-            Ok(Entry::Fs(k, f)) => fs_entries.push((k, f)),
+            Ok(Entry::LegacyFs) => legacy_fs += 1,
             Ok(Entry::End(count)) => footer_count = Some(count),
             Err(e) => {
                 return Err(warn(
@@ -719,26 +648,21 @@ fn parse_snapshot(text: &str, options_fp: u64) -> Result<LoadedSnapshot, StoreWa
             "missing footer (file truncated?); ignoring file".into(),
         )
     })?;
-    if count != (eq.len() + fs_entries.len()) as u64 {
+    if count != (eq.len() + legacy_fs) as u64 {
         return Err(warn(
             StoreWarningKind::Truncated,
             format!(
                 "footer records {count} entries but {} present; ignoring file",
-                eq.len() + fs_entries.len()
+                eq.len() + legacy_fs
             ),
         ));
     }
-    Ok(LoadedSnapshot {
-        epoch,
-        eq,
-        fs: fs_entries,
-    })
+    Ok(LoadedSnapshot { epoch, eq })
 }
 
 struct LoadedLog {
     epoch: Option<u64>,
     eq: Vec<ProofKey>,
-    fs: Vec<(u64, bool)>,
     warning: Option<StoreWarning>,
 }
 
@@ -749,7 +673,6 @@ fn parse_log(text: &str, options_fp: u64, snapshot_epoch: Option<u64>) -> Loaded
     let empty = |warning| LoadedLog {
         epoch: None,
         eq: Vec::new(),
-        fs: Vec::new(),
         warning,
     };
     let mut lines = text.lines();
@@ -777,7 +700,6 @@ fn parse_log(text: &str, options_fp: u64, snapshot_epoch: Option<u64>) -> Loaded
         }
     }
     let mut eq = Vec::new();
-    let mut fs_entries = Vec::new();
     let mut warning = None;
     for (i, line) in lines.enumerate() {
         if line.is_empty() {
@@ -785,7 +707,7 @@ fn parse_log(text: &str, options_fp: u64, snapshot_epoch: Option<u64>) -> Loaded
         }
         match parse_entry(line) {
             Ok(Entry::Eq(k)) => eq.push(k),
-            Ok(Entry::Fs(k, f)) => fs_entries.push((k, f)),
+            Ok(Entry::LegacyFs) => {}
             Ok(Entry::End(_)) => {
                 warning = Some(StoreWarning {
                     kind: StoreWarningKind::Corrupt,
@@ -798,11 +720,7 @@ fn parse_log(text: &str, options_fp: u64, snapshot_epoch: Option<u64>) -> Loaded
                 warning = Some(StoreWarning {
                     kind: StoreWarningKind::Truncated,
                     file: file.into(),
-                    message: format!(
-                        "line {}: {e}; keeping {} valid entries",
-                        i + 2,
-                        eq.len() + fs_entries.len()
-                    ),
+                    message: format!("line {}: {e}; keeping {} valid entries", i + 2, eq.len()),
                 });
                 break;
             }
@@ -811,7 +729,6 @@ fn parse_log(text: &str, options_fp: u64, snapshot_epoch: Option<u64>) -> Loaded
     LoadedLog {
         epoch: Some(epoch),
         eq,
-        fs: fs_entries,
         warning,
     }
 }
@@ -832,36 +749,33 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let store = ProofStore::open(&dir, 7).unwrap();
         assert!(store.warnings().is_empty());
-        assert_eq!(store.loaded_counts(), (0, 0));
+        assert_eq!(store.loaded_count(), 0);
         let flush = store
-            .flush(
-                vec![(1, 2, 3, 4), (5, 6, 7, 8)],
-                vec![(9, true), (10, false)],
-            )
+            .flush(vec![(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)])
             .unwrap();
-        assert_eq!((flush.appended_eq, flush.appended_fs), (2, 2));
+        assert_eq!(flush.appended_eq, 3);
         assert!(!flush.compacted);
 
         // Reopen: everything loads from the log.
         let store2 = ProofStore::open(&dir, 7).unwrap();
         assert!(store2.warnings().is_empty());
-        assert_eq!(store2.loaded_counts(), (2, 2));
-        assert_eq!(store2.eq_entries(), vec![(1, 2, 3, 4), (5, 6, 7, 8)]);
-        assert_eq!(store2.fs_entries(), vec![(9, true), (10, false)]);
+        assert_eq!(store2.loaded_count(), 3);
+        assert_eq!(
+            store2.eq_entries(),
+            vec![(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)]
+        );
 
         // A second flush of the same entries is a no-op.
-        let again = store2.flush(vec![(1, 2, 3, 4)], vec![(9, true)]).unwrap();
+        let again = store2.flush(vec![(1, 2, 3, 4), (9, 10, 11, 12)]).unwrap();
         assert_eq!(again, StoreFlush::default());
 
         // Checkpoint compacts and bumps the epoch; the log disappears.
-        let epoch = store2
-            .checkpoint(vec![(11, 12, 13, 14)], Vec::new())
-            .unwrap();
+        let epoch = store2.checkpoint(vec![(11, 12, 13, 14)]).unwrap();
         assert_eq!(epoch, Some(1));
         assert!(!dir.join("log.jsonl").exists());
         let store3 = ProofStore::open(&dir, 7).unwrap();
         assert!(store3.warnings().is_empty());
-        assert_eq!(store3.loaded_counts(), (3, 2));
+        assert_eq!(store3.loaded_count(), 4);
         assert_eq!(store3.epoch(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -870,17 +784,17 @@ mod tests {
     fn options_mismatch_degrades_cold_and_disables_writes() {
         let dir = tmp_dir("optmismatch");
         let store = ProofStore::open(&dir, 7).unwrap();
-        store.flush(vec![(1, 2, 3, 4)], Vec::new()).unwrap();
+        store.flush(vec![(1, 2, 3, 4)]).unwrap();
         let before = fs::read_to_string(dir.join("log.jsonl")).unwrap();
 
         let other = ProofStore::open(&dir, 8).unwrap();
-        assert_eq!(other.loaded_counts(), (0, 0));
+        assert_eq!(other.loaded_count(), 0);
         assert!(!other.writes_enabled());
         assert_eq!(other.warnings().len(), 1);
         assert_eq!(other.warnings()[0].kind, StoreWarningKind::OptionsMismatch);
-        let flush = other.flush(vec![(9, 9, 9, 9)], Vec::new()).unwrap();
+        let flush = other.flush(vec![(9, 9, 9, 9)]).unwrap();
         assert!(flush.disabled);
-        assert_eq!(other.checkpoint(Vec::new(), Vec::new()).unwrap(), None);
+        assert_eq!(other.checkpoint(Vec::new()).unwrap(), None);
         // The foreign store was left byte-identical.
         assert_eq!(fs::read_to_string(dir.join("log.jsonl")).unwrap(), before);
         let _ = fs::remove_dir_all(&dir);
@@ -891,7 +805,7 @@ mod tests {
         let dir = tmp_dir("tornlog");
         let store = ProofStore::open(&dir, 7).unwrap();
         store
-            .flush(vec![(1, 2, 3, 4), (5, 6, 7, 8)], vec![(9, true)])
+            .flush(vec![(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)])
             .unwrap();
         let log = dir.join("log.jsonl");
         let text = fs::read_to_string(&log).unwrap();
@@ -902,14 +816,17 @@ mod tests {
         let store2 = ProofStore::open(&dir, 7).unwrap();
         assert_eq!(store2.warnings().len(), 1);
         assert_eq!(store2.warnings()[0].kind, StoreWarningKind::Truncated);
-        let (eq, fs_count) = store2.loaded_counts();
-        assert_eq!(eq + fs_count, 2, "prefix of 2 of the 3 entries survives");
+        assert_eq!(
+            store2.loaded_count(),
+            2,
+            "prefix of 2 of the 3 entries survives"
+        );
         // The next flush heals the store by compacting.
-        let flush = store2.flush(vec![(21, 22, 23, 24)], Vec::new()).unwrap();
+        let flush = store2.flush(vec![(21, 22, 23, 24)]).unwrap();
         assert!(flush.compacted);
         let store3 = ProofStore::open(&dir, 7).unwrap();
         assert!(store3.warnings().is_empty());
-        assert_eq!(store3.loaded_counts().0, 3);
+        assert_eq!(store3.loaded_count(), 3);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -918,7 +835,7 @@ mod tests {
         let dir = tmp_dir("bitflip");
         let store = ProofStore::open(&dir, 7).unwrap();
         store
-            .checkpoint(vec![(1, 2, 3, 4), (5, 6, 7, 8)], vec![(9, false)])
+            .checkpoint(vec![(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)])
             .unwrap();
         let snap = dir.join("snapshot.jsonl");
         let mut bytes = fs::read(&snap).unwrap();
@@ -927,7 +844,7 @@ mod tests {
         fs::write(&snap, &bytes).unwrap();
 
         let store2 = ProofStore::open(&dir, 7).unwrap();
-        assert_eq!(store2.loaded_counts(), (0, 0), "cold start");
+        assert_eq!(store2.loaded_count(), 0, "cold start");
         assert_eq!(store2.warnings().len(), 1);
         assert!(matches!(
             store2.warnings()[0].kind,
@@ -956,7 +873,7 @@ mod tests {
     fn stale_log_epoch_is_ignored() {
         let dir = tmp_dir("epoch");
         let store = ProofStore::open(&dir, 7).unwrap();
-        store.checkpoint(vec![(1, 2, 3, 4)], Vec::new()).unwrap();
+        store.checkpoint(vec![(1, 2, 3, 4)]).unwrap();
         // Forge a log from a previous generation (epoch 0; snapshot is 1).
         let mut text = header_line("log", 0, 7);
         text.push('\n');
@@ -965,7 +882,7 @@ mod tests {
         fs::write(dir.join("log.jsonl"), text).unwrap();
 
         let store2 = ProofStore::open(&dir, 7).unwrap();
-        assert_eq!(store2.loaded_counts(), (1, 0), "stale log ignored");
+        assert_eq!(store2.loaded_count(), 1, "stale log ignored");
         assert_eq!(store2.warnings().len(), 1);
         assert_eq!(store2.warnings()[0].kind, StoreWarningKind::EpochMismatch);
         let _ = fs::remove_dir_all(&dir);

@@ -67,10 +67,6 @@ fn two_threads_sharing_one_verifier_observe_cross_thread_hits() {
     assert_eq!(stats.equivalent, 2);
     assert!(stats.shared_table_entries > 0);
     assert!(stats.shared_table_hits >= second.report.stats.shared_table_hits);
-    assert!(
-        stats.feasibility_hits > 0,
-        "the promoted feasibility memo is shared across threads too: {stats:?}"
-    );
     assert!(stats.combined_hit_rate() > 0.0);
 }
 

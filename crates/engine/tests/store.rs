@@ -2,6 +2,8 @@
 //! from disk with byte-identical stable reports, and every corruption mode
 //! (bit flip, truncation, format/options/epoch mismatch) degrades to a cold
 //! start with a typed warning — never a changed verdict, never a crash.
+//! Stores from earlier versions, which also carry feasibility (`fs`) lines
+//! beside their `eq` lines, still load.
 
 use arrayeq_engine::{RequestLimits, StoreWarningKind, Verifier, VerifyRequest};
 use arrayeq_lang::corpus::{FIG1_A, FIG1_C, FIG1_D};
@@ -14,6 +16,26 @@ fn tmp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("arrayeq-store-it-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
+}
+
+/// A store written by an earlier version, whose files also carry `fs`
+/// lines: its daemon verified Fig. 1 (a)/(c) and checkpointed (the
+/// snapshot), then verified (c)/(b) and flushed at shutdown (the log).
+const LEGACY_SNAPSHOT: &str = include_str!("fixtures/legacy_store/snapshot.jsonl");
+const LEGACY_LOG: &str = include_str!("fixtures/legacy_store/log.jsonl");
+
+fn legacy_store(tag: &str, snapshot: &str, log: &str) -> PathBuf {
+    let dir = tmp_store(tag);
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join("snapshot.jsonl"), snapshot).unwrap();
+    fs::write(dir.join("log.jsonl"), log).unwrap();
+    dir
+}
+
+/// Entry lines of `text` with the given tag.
+fn tagged<'t>(text: &'t str, tag: &str) -> Vec<&'t str> {
+    let prefix = format!("[\"{tag}\",");
+    text.lines().filter(|l| l.starts_with(&prefix)).collect()
 }
 
 /// Builds a store by verifying the Fig. 1 pair and flushing.
@@ -59,6 +81,106 @@ fn warm_engine_discharges_from_store_with_identical_report() {
     assert!(out.session.store_hits > 0);
     assert!(out.report.summary().contains("proof store"));
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn legacy_store_loads_its_proofs_and_sheds_its_feasibility_lines() {
+    for text in [LEGACY_SNAPSHOT, LEGACY_LOG] {
+        assert!(!tagged(text, "eq").is_empty() && !tagged(text, "fs").is_empty());
+    }
+    let eq_lines = tagged(LEGACY_SNAPSHOT, "eq").len() + tagged(LEGACY_LOG, "eq").len();
+    let dir = legacy_store("legacy", LEGACY_SNAPSHOT, LEGACY_LOG);
+    let cold = Verifier::new()
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
+        .unwrap();
+
+    let v = Verifier::builder().store(&dir).build();
+    assert!(
+        v.store_warnings().is_empty(),
+        "legacy lines load silently: {:?}",
+        v.store_warnings()
+    );
+    assert_eq!(v.session_stats().store_eq_loaded, eq_lines as u64);
+    let warm = v.verify(&VerifyRequest::source(FIG1_A, FIG1_C)).unwrap();
+    assert!(warm.report.stats.store_hits > 0, "{:?}", warm.report.stats);
+    assert_eq!(warm.report.render_stable(), cold.report.render_stable());
+
+    // The next checkpoint rewrites the store with proof keys only.
+    v.checkpoint_store().unwrap().expect("writes enabled");
+    assert!(!dir.join("log.jsonl").exists());
+    let snapshot = fs::read_to_string(dir.join("snapshot.jsonl")).unwrap();
+    assert!(tagged(&snapshot, "fs").is_empty(), "{snapshot}");
+    assert!(tagged(&snapshot, "eq").len() >= eq_lines);
+    let reopened = Verifier::builder().store(&dir).build();
+    assert!(reopened.store_warnings().is_empty());
+    assert_eq!(
+        reopened.session_stats().store_eq_loaded,
+        tagged(&snapshot, "eq").len() as u64
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_damaged_legacy_feasibility_line_degrades_as_a_damaged_proof_line() {
+    // Flips a digit of the checksum of the first line with `tag`; returns
+    // the damaged text and the `eq` lines before that line.
+    let damage = |text: &str, tag: &str| {
+        let first = tagged(text, tag)[0];
+        let at = text.find(first).unwrap();
+        let mut line = first.as_bytes().to_vec();
+        let digit = line.len() - 3;
+        line[digit] = if line[digit] == b'0' { b'1' } else { b'0' };
+        let damaged = format!(
+            "{}{}{}",
+            &text[..at],
+            String::from_utf8(line).unwrap(),
+            &text[at + first.len()..]
+        );
+        (damaged, tagged(&text[..at], "eq").len() as u64)
+    };
+    let (snapshot_eq, log_eq) = (
+        tagged(LEGACY_SNAPSHOT, "eq").len() as u64,
+        tagged(LEGACY_LOG, "eq").len() as u64,
+    );
+    let cold = Verifier::new()
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
+        .unwrap();
+    for file in ["snapshot.jsonl", "log.jsonl"] {
+        let [eq, fs_line] = ["eq", "fs"].map(|tag| {
+            let (snapshot, log, expected) = if file == "snapshot.jsonl" {
+                // A snapshot is all-or-nothing; the log still loads.
+                let (damaged, _) = damage(LEGACY_SNAPSHOT, tag);
+                (damaged, LEGACY_LOG.to_owned(), log_eq)
+            } else {
+                // A log keeps its valid prefix.
+                let (damaged, prefix) = damage(LEGACY_LOG, tag);
+                (LEGACY_SNAPSHOT.to_owned(), damaged, snapshot_eq + prefix)
+            };
+            let dir = legacy_store(&format!("damaged-{tag}"), &snapshot, &log);
+            let v = Verifier::builder().store(&dir).build();
+            let warnings: Vec<_> = v
+                .store_warnings()
+                .iter()
+                .map(|w| (w.kind.clone(), w.file.clone()))
+                .collect();
+            assert_eq!(
+                v.session_stats().store_eq_loaded,
+                expected,
+                "{file}, damaged {tag} line"
+            );
+            let out = v.verify(&VerifyRequest::source(FIG1_A, FIG1_C)).unwrap();
+            assert_eq!(out.report.render_stable(), cold.report.render_stable());
+            let _ = fs::remove_dir_all(&dir);
+            warnings
+        });
+        let expected_kind = if file == "snapshot.jsonl" {
+            StoreWarningKind::Corrupt
+        } else {
+            StoreWarningKind::Truncated
+        };
+        assert_eq!(eq, vec![(expected_kind, file.to_owned())]);
+        assert_eq!(fs_line, eq, "{file}: an `fs` line degrades as an `eq` line");
+    }
 }
 
 #[test]

@@ -6,10 +6,9 @@ use crate::feasible::{find_model, is_feasible, Feasibility, ModelOutcome};
 use crate::hash::{combine_unordered, structural_hash_of, StructuralHasher};
 use crate::linexpr::{gcd, LinExpr};
 use crate::space::{Space, VarKind};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// Upper bound on the conjunct-level feasibility memo; when reached the memo
 /// is cleared wholesale (an epoch eviction — cheap, and the working set of a
@@ -17,16 +16,19 @@ use std::sync::Arc;
 const FEASIBILITY_MEMO_CAP: usize = 1 << 15;
 
 thread_local! {
-    /// Memo of exact feasibility verdicts keyed by structural hash.
+    /// Memo of exact feasibility verdicts keyed by structural hash: the one
+    /// feasibility memo, per thread.
     ///
     /// The `simplified` / `subtract` / `is_subset` chains of the relation
     /// algebra re-derive structurally identical conjuncts over and over (the
     /// same bounds re-emerge after every compose/restrict), and each used to
     /// pay for a full Omega-test run.  The canonical structural hash makes
-    /// those repeats a single map probe.  In debug builds the canonical
-    /// constraint system is stored alongside the verdict and compared on
-    /// every hit, so a 64-bit collision would be caught by tests instead of
-    /// silently corrupting a verdict.
+    /// those repeats a single map probe.  Verdicts are facts about the
+    /// conjunct alone, so the memo lives as long as its thread, across
+    /// checker runs and engines, until [`FEASIBILITY_MEMO_CAP`] clears it.
+    /// In debug builds the canonical constraint system is stored alongside
+    /// the verdict and compared on every hit, so a 64-bit collision would be
+    /// caught by tests instead of silently corrupting a verdict.
     static FEASIBILITY_MEMO: RefCell<HashMap<u64, MemoEntry>> = RefCell::new(HashMap::new());
 }
 
@@ -44,86 +46,6 @@ pub fn feasibility_memo_stats() -> (u64, u64) {
 
 thread_local! {
     static FEASIBILITY_MEMO_STATS: RefCell<(u64, u64)> = const { RefCell::new((0, 0)) };
-}
-
-/// A shareable store of feasibility verdicts keyed by
-/// [`Conjunct::structural_hash`].
-///
-/// The default memo behind [`Conjunct::is_feasible`] is thread-local: verdicts
-/// die with the thread and are never seen by other threads or later queries.
-/// A long-lived verification engine can do better — the same canonical
-/// conjuncts (loop-bound boxes, strides, composed dependency mappings)
-/// recur across queries — so the memo is also available *behind a handle*:
-/// install an implementation of this trait with [`with_feasibility_cache`]
-/// and the memo becomes two-level.  The thread-local map stays in front (a
-/// hit never touches the handle, so the hot path stays lock-free); on a
-/// local miss the shared store is consulted, hits are copied down into the
-/// thread-local map, and freshly computed verdicts are published to both.
-///
-/// Implementations must collapse the Omega test's "work limit hit" outcome
-/// into `true` before storing (the conservative direction, exactly what the
-/// thread-local memo's `as_bool` does on every hit).
-pub trait FeasibilityCache: Send + Sync {
-    /// Looks up the verdict for a canonical-form hash.
-    fn get(&self, key: u64) -> Option<bool>;
-    /// Stores a verdict for a canonical-form hash.
-    fn put(&self, key: u64, feasible: bool);
-}
-
-thread_local! {
-    /// The per-thread override installed by [`with_feasibility_cache`]; when
-    /// present it becomes the second level behind the thread-local memo.
-    static FEASIBILITY_CACHE_OVERRIDE: RefCell<Option<Arc<dyn FeasibilityCache>>> =
-        const { RefCell::new(None) };
-
-    /// Identity (allocation address) of the cache the thread-local memo was
-    /// last used under; 0 when no cache was installed.  [`Conjunct::is_feasible`]
-    /// clears the memo whenever this changes, so entries computed under a
-    /// *different* (or no) shared store never mask the one currently
-    /// installed: without the scoping, a verdict computed before the store
-    /// existed would be served from the first level forever and never be
-    /// published, leaving other threads of the same session to recompute it.
-    static FEASIBILITY_MEMO_SCOPE: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Runs `f` with `cache` installed as this thread's second-level
-/// feasibility store (see [`FeasibilityCache`] for the two-level protocol).
-///
-/// While installed, verdicts computed by [`Conjunct::is_feasible`] on this
-/// thread are published to `cache` and thread-local misses consult it, so
-/// verdicts survive the call and are visible to every other thread sharing
-/// the same handle.  The previous handle (if any) is restored when `f`
-/// returns or panics, so installations nest.
-pub fn with_feasibility_cache<R>(cache: Arc<dyn FeasibilityCache>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Arc<dyn FeasibilityCache>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FEASIBILITY_CACHE_OVERRIDE.with(|c| *c.borrow_mut() = self.0.take());
-        }
-    }
-    let previous = FEASIBILITY_CACHE_OVERRIDE.with(|c| c.borrow_mut().replace(cache));
-    let _restore = Restore(previous);
-    f()
-}
-
-/// The feasibility store currently installed on this thread, if any.
-///
-/// Worker pools that fan one verification run across scoped threads use this
-/// to capture the caller's store and re-install it (via
-/// [`with_feasibility_cache`]) inside every worker, so all workers publish
-/// to and consult the same session-level memo.
-pub fn current_feasibility_cache() -> Option<Arc<dyn FeasibilityCache>> {
-    FEASIBILITY_CACHE_OVERRIDE.with(|c| c.borrow().clone())
-}
-
-/// Identity of the currently-installed cache (0 when none) — cheap to read
-/// on every [`Conjunct::is_feasible`] call, no `Arc` clone involved.
-fn installed_cache_identity() -> usize {
-    FEASIBILITY_CACHE_OVERRIDE.with(|c| {
-        c.borrow()
-            .as_ref()
-            .map_or(0, |a| Arc::as_ptr(a) as *const () as usize)
-    })
 }
 
 /// A conjunction of [`Constraint`]s over a [`Space`], possibly with local
@@ -271,27 +193,9 @@ impl Conjunct {
     /// [`structural_hash`](Conjunct::structural_hash): the relation algebra
     /// (`simplified(true)`, `subtract`, `is_subset`) issues the same
     /// emptiness queries for structurally identical conjuncts many times per
-    /// traversal, and only the first run pays for the Omega test.
+    /// traversal, and only the first run on a thread pays for the Omega test.
     pub fn is_feasible(&self) -> bool {
         let key = self.structural_hash();
-        // Scope the thread-local level to the installed shared store: when a
-        // different store (or none) was active the last time this thread
-        // memoised, the first level is cleared so every verdict the current
-        // session needs flows through the shared store at least once per
-        // thread — consulted on the miss, published on the compute.  Without
-        // this, entries memoised outside the session mask the shared level
-        // ("dead weight": lookups never reach it, verdicts never get
-        // published for the session's other threads).
-        let scope = installed_cache_identity();
-        FEASIBILITY_MEMO_SCOPE.with(|s| {
-            if s.get() != scope {
-                s.set(scope);
-                FEASIBILITY_MEMO.with(|m| m.borrow_mut().clear());
-            }
-        });
-        // Level 1: the thread-local memo, always — a hit stays lock-free
-        // even inside an engine session, keeping the hot path as cheap as
-        // before the shared store existed.
         let cached = FEASIBILITY_MEMO.with(|m| {
             #[cfg(debug_assertions)]
             {
@@ -313,23 +217,6 @@ impl Conjunct {
             FEASIBILITY_MEMO_STATS.with(|s| s.borrow_mut().0 += 1);
             return f.as_bool();
         }
-        // Level 2: the cross-thread store installed by
-        // `with_feasibility_cache`, consulted on a thread-local miss only.
-        // A hit is copied down into the thread-local memo so repeats on this
-        // thread never touch the shared store's locks again.
-        let shared = current_feasibility_cache();
-        if let Some(cache) = &shared {
-            if let Some(feasible) = cache.get(key) {
-                FEASIBILITY_MEMO_STATS.with(|s| s.borrow_mut().0 += 1);
-                let f = if feasible {
-                    Feasibility::Feasible
-                } else {
-                    Feasibility::Infeasible
-                };
-                self.memoize_locally(key, f);
-                return feasible;
-            }
-        }
         FEASIBILITY_MEMO_STATS.with(|s| s.borrow_mut().1 += 1);
         // Memo hits deliberately get no span: they are nanosecond-scale and
         // would flood the trace. Only the actual Omega-test compute is timed.
@@ -342,34 +229,25 @@ impl Conjunct {
         let t0 = arrayeq_trace::metrics_timer();
         let f = decide_with_fallback(&self.constraints, self.n_vars());
         arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Feasibility, t0);
-        // Overflow-degraded verdicts are *never* memoised (locally or in the
-        // shared store): the conservative "feasible" stands for "unknown",
-        // and caching it would let one overflow-afflicted query poison every
-        // structurally identical query for the lifetime of the memo — even
-        // ones issued by a checker run that would have reported the overflow
-        // as a typed inconclusive verdict.
+        // Overflow-degraded verdicts are *never* memoised: the conservative
+        // "feasible" stands for "unknown", and caching it would let one
+        // overflow-afflicted query poison every structurally identical query
+        // for the lifetime of the memo — even ones issued by a checker run
+        // that would have reported the overflow as a typed inconclusive
+        // verdict.
         if f != Feasibility::Overflow {
-            self.memoize_locally(key, f);
-            if let Some(cache) = shared {
-                cache.put(key, f.as_bool());
-            }
+            FEASIBILITY_MEMO.with(|m| {
+                let mut m = m.borrow_mut();
+                if m.len() >= FEASIBILITY_MEMO_CAP {
+                    m.clear();
+                }
+                #[cfg(debug_assertions)]
+                m.insert(key, (f, self.canonical_constraints(), self.n_vars()));
+                #[cfg(not(debug_assertions))]
+                m.insert(key, f);
+            });
         }
         f.as_bool()
-    }
-
-    /// Stores a verdict in this thread's memo (with the canonical form for
-    /// the debug-build collision cross-check).
-    fn memoize_locally(&self, key: u64, f: Feasibility) {
-        FEASIBILITY_MEMO.with(|m| {
-            let mut m = m.borrow_mut();
-            if m.len() >= FEASIBILITY_MEMO_CAP {
-                m.clear();
-            }
-            #[cfg(debug_assertions)]
-            m.insert(key, (f, self.canonical_constraints(), self.n_vars()));
-            #[cfg(not(debug_assertions))]
-            m.insert(key, f);
-        });
     }
 
     /// Returns a concrete integer point of this conjunct — values for every
@@ -1477,66 +1355,6 @@ mod tests {
         hi.set_coeff(0, -1);
         hi.set_constant(5); // x <= 5
         c.add(Constraint::geq(hi));
-        assert!(!c.is_feasible());
-    }
-
-    #[test]
-    fn installed_feasibility_cache_is_consulted_and_filled() {
-        use std::sync::Mutex;
-        #[derive(Default)]
-        struct Recording {
-            map: Mutex<HashMap<u64, bool>>,
-            gets: std::sync::atomic::AtomicU64,
-            puts: std::sync::atomic::AtomicU64,
-        }
-        impl FeasibilityCache for Recording {
-            fn get(&self, key: u64) -> Option<bool> {
-                self.gets.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.map.lock().unwrap().get(&key).copied()
-            }
-            fn put(&self, key: u64, feasible: bool) {
-                self.puts.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.map.lock().unwrap().insert(key, feasible);
-            }
-        }
-
-        let mut c = Conjunct::universe(space_1_1());
-        let mut lo = c.zero_expr();
-        lo.set_coeff(0, 1);
-        lo.set_constant(-10); // x >= 10
-        c.add(Constraint::geq(lo));
-        let mut hi = c.zero_expr();
-        hi.set_coeff(0, -1);
-        hi.set_constant(5); // x <= 5
-        c.add(Constraint::geq(hi));
-
-        let cache = Arc::new(Recording::default());
-        let (first, second) =
-            with_feasibility_cache(cache.clone(), || (c.is_feasible(), c.is_feasible()));
-        assert!(!first && !second);
-        let gets = cache.gets.load(std::sync::atomic::Ordering::Relaxed);
-        let puts = cache.puts.load(std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(
-            gets, 1,
-            "the repeat hit the thread-local level without touching the shared store"
-        );
-        assert_eq!(puts, 1, "only the miss computed and stored a verdict");
-        // The verdict is visible through the shared handle from another
-        // thread installing the same cache.
-        let c2 = c.clone();
-        let cache2 = cache.clone();
-        let handle = std::thread::spawn(move || {
-            with_feasibility_cache(cache2.clone(), || {
-                let before = cache2.puts.load(std::sync::atomic::Ordering::Relaxed);
-                let v = c2.is_feasible();
-                let after = cache2.puts.load(std::sync::atomic::Ordering::Relaxed);
-                (v, before == after)
-            })
-        });
-        let (verdict, no_recompute) = handle.join().unwrap();
-        assert!(!verdict);
-        assert!(no_recompute, "cross-thread lookup hit the shared store");
-        // Outside the scope the default thread-local memo is back.
         assert!(!c.is_feasible());
     }
 

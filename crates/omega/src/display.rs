@@ -1,5 +1,11 @@
 //! Textual rendering of sets and relations in the `{ [i] -> [j] : ... }`
 //! notation also accepted by the parser.
+//!
+//! Every column prints under its own name.  A name that repeats an earlier
+//! input, output, parameter or existential name is primed (`d0'`, then
+//! `d0''`), the same way in the tuple header and in the constraints, so a
+//! relation such as `{ [d0] -> [d0'] : d0' = 2d0 }` reads unambiguously and
+//! parses back to itself.
 
 use crate::conjunct::Conjunct;
 use crate::constraint::{Constraint, ConstraintKind};
@@ -73,18 +79,40 @@ fn constraint_string(c: &Constraint, names: &[String]) -> String {
     }
 }
 
-fn conjunct_body(c: &Conjunct, space: &Space) -> String {
-    let mut names: Vec<String> = Vec::with_capacity(c.n_vars());
-    names.extend(space.in_vars().iter().cloned());
-    names.extend(space.out_vars().iter().cloned());
-    names.extend(space.params().iter().cloned());
+/// Appends `name` to `names`, primed until it differs from every name
+/// already there.
+fn push_distinct(names: &mut Vec<String>, name: &str) {
+    let mut name = name.to_owned();
+    while names.contains(&name) {
+        name.push('\'');
+    }
+    names.push(name);
+}
+
+/// The printed names of the global columns of `space`: inputs, outputs,
+/// then parameters.
+fn global_names(space: &Space) -> Vec<String> {
+    let mut names = Vec::with_capacity(space.n_global());
+    for name in space
+        .in_vars()
+        .iter()
+        .chain(space.out_vars())
+        .chain(space.params())
+    {
+        push_distinct(&mut names, name);
+    }
+    names
+}
+
+/// Renders the formula of `c`, whose global columns print as `globals`.
+fn conjunct_body(c: &Conjunct, globals: &[String]) -> String {
+    let mut names = globals.to_vec();
     for e in 0..c.n_exists() {
-        names.push(format!("e{e}"));
+        push_distinct(&mut names, &format!("e{e}"));
     }
     let mut body = String::new();
     if c.n_exists() > 0 {
-        let evars: Vec<String> = (0..c.n_exists()).map(|e| format!("e{e}")).collect();
-        body.push_str(&format!("exists {} : ", evars.join(", ")));
+        body.push_str(&format!("exists {} : ", names[globals.len()..].join(", ")));
     }
     if c.constraints().is_empty() {
         body.push_str("true");
@@ -104,29 +132,26 @@ fn fmt_relation_like(
     conjuncts: &[Conjunct],
     f: &mut fmt::Formatter<'_>,
 ) -> fmt::Result {
-    if space.n_param() > 0 {
-        write!(f, "[{}] -> ", space.params().join(", "))?;
+    let names = global_names(space);
+    let (ins, rest) = names.split_at(space.n_in());
+    let (outs, params) = rest.split_at(space.n_out());
+    let tuples = if outs.is_empty() {
+        format!("[{}]", ins.join(", "))
+    } else {
+        format!("[{}] -> [{}]", ins.join(", "), outs.join(", "))
+    };
+    if !params.is_empty() {
+        write!(f, "[{}] -> ", params.join(", "))?;
     }
     write!(f, "{{ ")?;
     if conjuncts.is_empty() {
-        write!(f, "[{}]", space.in_vars().join(", "))?;
-        if space.n_out() > 0 {
-            write!(f, " -> [{}]", space.out_vars().join(", "))?;
-        }
-        write!(f, " : false }}")?;
-        return Ok(());
+        return write!(f, "{tuples} : false }}");
     }
-    let mut first = true;
-    for c in conjuncts {
-        if !first {
+    for (i, c) in conjuncts.iter().enumerate() {
+        if i > 0 {
             write!(f, " or ")?;
         }
-        first = false;
-        write!(f, "[{}]", space.in_vars().join(", "))?;
-        if space.n_out() > 0 {
-            write!(f, " -> [{}]", space.out_vars().join(", "))?;
-        }
-        write!(f, " : {}", conjunct_body(c, space))?;
+        write!(f, "{tuples} : {}", conjunct_body(c, &names))?;
     }
     write!(f, " }}")
 }
@@ -145,7 +170,24 @@ impl fmt::Display for Set {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Relation, Set};
+    use crate::{Relation, Set, Space};
+
+    /// Re-labels `r` over `space`, which must have the same arities.
+    fn renamed(r: &Relation, space: &Space) -> Relation {
+        let conjuncts = r
+            .conjuncts()
+            .iter()
+            .map(|c| {
+                let mut d = crate::Conjunct::universe(space.clone());
+                d.add_exists(c.n_exists());
+                for cons in c.constraints() {
+                    d.add(cons.clone());
+                }
+                d
+            })
+            .collect();
+        Relation::from_conjuncts(space.clone(), conjuncts)
+    }
 
     #[test]
     fn display_round_trips_through_parser() {
@@ -156,16 +198,42 @@ mod tests {
             "{ [i] -> [j] : 0 <= i < 4 and 0 <= j <= i }",
             "{ [x] -> [y] : exists k : x = 2k - 2 and y = k - 1 and 1 <= k <= 1024 }",
         ];
-        for t in texts {
-            let r = Relation::parse(t).expect("parse original");
+        let mut relations: Vec<Relation> = texts
+            .iter()
+            .map(|t| Relation::parse(t).expect("parse original"))
+            .collect();
+        // Column names that collide with each other, with a parameter, with
+        // an existential and with an already-primed name.
+        let collide = [
+            ("{ [x] -> [2x] }", Space::relation(&["d0"], &["d0"], &[])),
+            (
+                "[N] -> { [i, j] -> [j, i] : 0 <= i < N and 0 <= j <= i }",
+                Space::relation(&["d0", "d0"], &["d0", "d0'"], &["d0"]),
+            ),
+            (
+                "{ [x] -> [y] : exists k : x = 2k and y = k + 1 and 0 <= k < 8 }",
+                Space::relation(&["e0"], &["e0"], &[]),
+            ),
+        ];
+        for (text, space) in collide {
+            relations.push(renamed(&Relation::parse(text).unwrap(), &space));
+        }
+        for r in relations {
             let printed = format!("{r}");
             let back = Relation::parse(&printed)
                 .unwrap_or_else(|e| panic!("reparse of `{printed}` failed: {e}"));
             assert!(
-                r.is_equal(&back).unwrap(),
-                "round trip changed meaning: {t} -> {printed}"
+                renamed(&back, r.space()).is_equal(&r).unwrap(),
+                "round trip changed meaning: {printed}"
             );
         }
+    }
+
+    #[test]
+    fn colliding_names_are_primed_in_the_header_and_the_constraints() {
+        let r = Relation::parse("{ [x] -> [2x] }").unwrap();
+        let printed = renamed(&r, &Space::relation(&["d0"], &["d0"], &[])).to_string();
+        assert_eq!(printed, "{ [d0] -> [d0'] : 2d0 - d0' = 0 }");
     }
 
     #[test]

@@ -85,13 +85,16 @@
 //!   per conjunct on every lookup.
 //!
 //! * **Feasibility memo.**  [`Conjunct::is_feasible`] memoises Omega-test
-//!   verdicts per thread, keyed by structural hash and bounded in size, so
-//!   the emptiness queries that `Relation::simplified(true)`,
+//!   verdicts in one map per thread, keyed by structural hash, so the
+//!   emptiness queries that `Relation::simplified(true)`,
 //!   [`Relation::subtract`] and [`Relation::is_subset`] issue for
-//!   structurally identical conjuncts run the solver once.  Debug builds
-//!   store the canonical constraint system next to each verdict and verify
-//!   it on every hit, so a 64-bit hash collision fails loudly instead of
-//!   corrupting a verdict.
+//!   structurally identical conjuncts run the solver once per thread.  The
+//!   memo lives as long as its thread, across checker runs and engines; it
+//!   holds at most 2^15 verdicts and is cleared wholesale when full.  A
+//!   verdict degraded by arithmetic overflow is never memoised.  Debug
+//!   builds store the canonical constraint system next to each verdict and
+//!   verify it on every hit, so a 64-bit hash collision fails loudly instead
+//!   of corrupting a verdict.
 //!
 //! All allocation-heavy inner loops (Fourier–Motzkin shadows, equality
 //! elimination, existential elimination) operate on [`LinExpr`]s that store
@@ -140,10 +143,7 @@ mod space;
 
 pub use arith::ArithOverflow;
 pub use bigint::BigInt;
-pub use conjunct::{
-    current_feasibility_cache, feasibility_memo_stats, with_feasibility_cache, Conjunct,
-    FeasibilityCache,
-};
+pub use conjunct::{feasibility_memo_stats, Conjunct};
 pub use constraint::{Constraint, ConstraintKind};
 #[doc(hidden)]
 pub use events::inject_arith_overflow;

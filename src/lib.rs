@@ -34,7 +34,8 @@
 //!
 //! Construct a [`Verifier`](engine::Verifier) once and issue queries against
 //! it, from as many threads as you like; the session amortises sub-proofs
-//! and Omega-test verdicts across queries and threads:
+//! across queries and threads, and each thread keeps the Omega-test
+//! verdicts it has computed:
 //!
 //! ```
 //! use arrayeq::engine::{Verifier, VerifyRequest};
@@ -65,7 +66,7 @@
 //! let outcome = verifier.verify(&request).unwrap();
 //! assert!(outcome.report.is_equivalent());
 //!
-//! // Re-checks and perturbed variants reuse the session's caches...
+//! // Re-checks and perturbed variants reuse the session's proof cache...
 //! let again = verifier.verify(&request).unwrap();
 //! assert!(again.report.stats.shared_table_hits > 0);
 //!
@@ -87,8 +88,8 @@
 //! over a worker pool with
 //! [`VerifierBuilder::jobs`](engine::VerifierBuilder::jobs) (or
 //! [`CheckOptions::jobs`](core::CheckOptions) on the one-shot path): each
-//! output's root obligation is one task, workers share the session caches,
-//! and the verdict, diagnostics and the stable rendering
+//! output's root obligation is one task, workers share the session's proof
+//! cache, and the verdict, diagnostics and the stable rendering
 //! ([`Report::render_stable`](core::Report::render_stable)) are
 //! byte-identical at every worker count:
 //!
