@@ -2,8 +2,8 @@
 
 use crate::graph::{Addg, Definition, Node, NodeId, OperatorKind};
 use crate::Result;
-use arrayeq_lang::affine::{analyze, StatementInfo};
-use arrayeq_lang::ast::{ArrayRef, BinOp, Expr, Program};
+use arrayeq_lang::affine::Analysis;
+use arrayeq_lang::ast::{ArrayRole, BinOp, Expr, Program};
 use arrayeq_lang::pretty::array_ref_to_string;
 
 /// Extracts the ADDG of a program.
@@ -18,23 +18,38 @@ use arrayeq_lang::pretty::array_ref_to_string;
 /// Fails when the affine analysis of the frontend fails (non-affine indices
 /// or bounds) or a dependency mapping cannot be built.
 pub fn extract(program: &Program) -> Result<Addg> {
-    let infos = analyze(program)?;
+    extract_from(&mut Analysis::new(program)?)
+}
+
+/// [`extract`] on an existing analysis of the program: each distinct
+/// (write, read) relation pair's dependency mapping and each distinct write
+/// relation's element set come from the analysis, computed once.
+///
+/// # Errors
+///
+/// As [`extract`].
+pub fn extract_from(analysis: &mut Analysis) -> Result<Addg> {
+    let program = analysis.program();
     let mut g = Addg::new(program.name.clone());
 
     // Roles: inputs are parameters that are only read; outputs are written
     // parameters; intermediates are local arrays (plus written-and-read
     // parameters, which behave like intermediates for the traversal).
-    let inputs = program.input_arrays();
-    let outputs = program.output_arrays();
-    let intermediates = program.intermediate_arrays();
-    g.set_roles(inputs, outputs, intermediates);
+    let params = |pick: fn(ArrayRole) -> bool| {
+        let roles = analysis.roles().iter().filter(|(_, &r)| pick(r));
+        roles.map(|(name, _)| name.clone()).collect()
+    };
+    let inputs = params(|r| r == ArrayRole::Input);
+    let outputs = params(ArrayRole::is_output);
+    g.set_roles(inputs, outputs, program.intermediate_arrays());
 
-    for info in &infos {
-        let root = build_expr(&mut g, &info.rhs, info)?;
-        let elements = info.write_element_set()?;
+    for s in 0..analysis.statements().len() {
+        let rhs = analysis.statements()[s].rhs;
+        let root = build_expr(&mut g, analysis, s, rhs, &mut 0)?;
+        let info = &analysis.statements()[s];
         let def = Definition {
             statement: info.label.clone(),
-            elements,
+            elements: analysis.elements(analysis.write(s)).clone(),
             root,
             lhs_text: format!(
                 "{}[{}]",
@@ -71,42 +86,62 @@ fn render_affine(a: &arrayeq_lang::affine::Affine) -> String {
     parts.join(" + ")
 }
 
-/// Recursively builds the operator tree of a right-hand side.
-fn build_expr(g: &mut Addg, e: &Expr, info: &StatementInfo) -> Result<NodeId> {
+/// Recursively builds the operator tree of a right-hand side expression of
+/// statement `s`.  `next_read` counts the array reads met so far: the walk
+/// meets them left to right, in the order of the statement's `reads`.
+fn build_expr(
+    g: &mut Addg,
+    analysis: &mut Analysis,
+    s: usize,
+    e: &Expr,
+    next_read: &mut usize,
+) -> Result<NodeId> {
+    let statement = analysis.statements()[s].label.clone();
     match e {
         Expr::Const(v) => Ok(g.push_node(Node::Const {
             value: *v,
-            statement: info.label.clone(),
+            statement,
         })),
         Expr::Var(name) => {
             // A bare scalar in a right-hand side: only `#define` constants
             // are allowed by the class, and those fold to constants.
-            if let Some(v) = info.defines.get(name) {
+            if let Some(v) = analysis.statements()[s].defines.get(name) {
                 Ok(g.push_node(Node::Const {
                     value: *v,
-                    statement: info.label.clone(),
+                    statement,
                 }))
             } else {
                 Err(crate::AddgError::Unsupported {
-                    message: format!(
-                        "scalar `{name}` used as a value in statement {}",
-                        info.label
-                    ),
+                    message: format!("scalar `{name}` used as a value in statement {statement}"),
                 })
             }
         }
-        Expr::Access(access) => build_access(g, access, info),
+        Expr::Access(access) => {
+            let r = *next_read;
+            *next_read += 1;
+            debug_assert!(std::ptr::eq(analysis.statements()[s].reads[r], access));
+            let mapping = analysis.mapping(s, r)?.clone();
+            // Make sure the array variable node exists so the graph has one
+            // node per variable, as in the paper's figures.
+            g.array_node(&access.array);
+            Ok(g.push_node(Node::Access {
+                array: access.array.clone(),
+                statement,
+                mapping,
+                index_text: array_ref_to_string(access),
+            }))
+        }
         Expr::Neg(inner) => {
-            let child = build_expr(g, inner, info)?;
+            let child = build_expr(g, analysis, s, inner, next_read)?;
             Ok(g.push_node(Node::Operator {
                 kind: OperatorKind::Neg,
-                statement: info.label.clone(),
+                statement,
                 operands: vec![child],
             }))
         }
         Expr::Bin(op, l, r) => {
-            let lc = build_expr(g, l, info)?;
-            let rc = build_expr(g, r, info)?;
+            let lc = build_expr(g, analysis, s, l, next_read)?;
+            let rc = build_expr(g, analysis, s, r, next_read)?;
             let kind = match op {
                 BinOp::Add => OperatorKind::Add,
                 BinOp::Sub => OperatorKind::Sub,
@@ -115,35 +150,22 @@ fn build_expr(g: &mut Addg, e: &Expr, info: &StatementInfo) -> Result<NodeId> {
             };
             Ok(g.push_node(Node::Operator {
                 kind,
-                statement: info.label.clone(),
+                statement,
                 operands: vec![lc, rc],
             }))
         }
         Expr::Call(name, args) => {
             let mut operands = Vec::with_capacity(args.len());
             for a in args {
-                operands.push(build_expr(g, a, info)?);
+                operands.push(build_expr(g, analysis, s, a, next_read)?);
             }
             Ok(g.push_node(Node::Operator {
                 kind: OperatorKind::Call(name.clone()),
-                statement: info.label.clone(),
+                statement,
                 operands,
             }))
         }
     }
-}
-
-fn build_access(g: &mut Addg, access: &ArrayRef, info: &StatementInfo) -> Result<NodeId> {
-    let mapping = info.dependency_mapping(access)?;
-    // Make sure the array variable node exists so the graph has one node per
-    // variable, as in the paper's figures.
-    g.array_node(&access.array);
-    Ok(g.push_node(Node::Access {
-        array: access.array.clone(),
-        statement: info.label.clone(),
-        mapping,
-        index_text: array_ref_to_string(access),
-    }))
 }
 
 /// Renders the expression tree rooted at a node as readable text — used by

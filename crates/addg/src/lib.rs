@@ -42,7 +42,7 @@ mod slice;
 
 pub use diff::{diff_addgs, diff_fingerprints, AddgDiff};
 pub use dot::{to_dot, to_dot_highlighted};
-pub use extract::{describe_node, extract};
+pub use extract::{describe_node, extract, extract_from};
 pub use fingerprint::{fingerprints, fingerprints_named, term_fingerprint, Fingerprints};
 pub use graph::{Addg, Definition, Node, NodeId, OperatorKind};
 pub use slice::{slice_for_point, Slice};

@@ -7,7 +7,8 @@ use crate::operators::OperatorProperties;
 use crate::proofs::{ProofCache, ProofKey, Provenance, QueryProofs};
 use crate::report::{CheckStats, Report};
 use crate::{CoreError, Result};
-use arrayeq_addg::{describe_node, extract, fingerprints, Addg, Fingerprints, Node, NodeId};
+use arrayeq_addg::{describe_node, extract_from, fingerprints, Addg, Fingerprints, Node, NodeId};
+use arrayeq_lang::affine::Analysis;
 use arrayeq_lang::ast::Program;
 use arrayeq_lang::classcheck::assert_in_class;
 use arrayeq_lang::defuse::assert_def_use_correct;
@@ -145,9 +146,13 @@ impl CheckOptions {
 }
 
 /// The front end of the Fig. 6 flow for one program: promotes the
-/// [`CheckOptions::params`] to symbolic parameters, runs the program-class
-/// check and the def-use check, and extracts the ADDG.  Both checks always
-/// run: the traversal's soundness argument assumes programs that pass them.
+/// [`CheckOptions::params`] to symbolic parameters, analyses the program
+/// once ([`Analysis`]), runs the program-class check and the def-use check
+/// on that analysis, and extracts the ADDG from it.  Each access relation is
+/// built once and interned by content (a hash picks the bucket, `==`
+/// decides identity), and each fact derived from relations is computed once
+/// per distinct input, whichever pass asks first.  Both checks always run:
+/// the traversal's soundness argument assumes programs that pass them.
 ///
 /// # Errors
 ///
@@ -161,16 +166,20 @@ pub fn lower(program: &Program, opts: &CheckOptions) -> Result<Addg> {
         promoted = promote_params(program, &opts.params);
         &promoted
     };
+    let mut analysis = {
+        let _span = arrayeq_trace::span("analyze");
+        Analysis::new(program)?
+    };
     {
         let _span = arrayeq_trace::span("classcheck");
-        assert_in_class(program)?;
+        assert_in_class(&analysis)?;
     }
     {
         let _span = arrayeq_trace::span("defuse");
-        assert_def_use_correct(program)?;
+        assert_def_use_correct(&mut analysis)?;
     }
     let _span = arrayeq_trace::span("extract");
-    Ok(extract(program)?)
+    Ok(extract_from(&mut analysis)?)
 }
 
 /// Applies a [`CheckOptions::params`] context to one program: each named

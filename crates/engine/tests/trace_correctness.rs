@@ -135,7 +135,7 @@ fn tracing_never_changes_reports_at_any_job_count() {
 
 /// Every JSONL line parses, carries the required keys, and span open/close
 /// events balance per worker lane.  The source request passes every
-/// front-end pass (`parse`, `classcheck`, `defuse`, `extract`,
+/// front-end pass (`parse`, `analyze`, `classcheck`, `defuse`, `extract`,
 /// `fingerprint`), and Fig. 1 (a) against (c) takes the algebraic path
 /// (`split`, `restrict`): each of these spans is present and opens as
 /// often as it closes.  Its one output is one task, which runs on the
@@ -150,6 +150,7 @@ fn jsonl_wellformed_and_spans_balance_per_worker() {
         let collector = collector.expect("a traced run returns its collector");
         let spans = [
             "parse",
+            "analyze",
             "classcheck",
             "defuse",
             "extract",

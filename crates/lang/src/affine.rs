@@ -1,4 +1,5 @@
-//! Lowering of loop nests and index expressions to affine form.
+//! Lowering of loop nests and index expressions to affine form, and the one
+//! analysis of a program that the front-end passes share.
 //!
 //! This module turns the AST of a program in the restricted class into the
 //! per-statement geometric information everything else is built on:
@@ -13,11 +14,21 @@
 //! These are exactly the ingredients of the paper's *dependency mappings*
 //! (Section 3.2): the mapping from the elements defined by a statement to the
 //! elements of operand `v` is `write⁻¹ ∘ read_v`.
+//!
+//! [`Analysis`] is the one lowering pass per program that the class check,
+//! the def-use check and ADDG extraction share.  It builds each access
+//! relation once and interns it by content: the structural hash only picks
+//! a bucket and `==` decides identity, so relations whose 64-bit hashes
+//! collide stay apart.  The per-statement functions of [`StatementInfo`]
+//! compute the same relations directly, with no sharing; they are the
+//! reference the analysis is tested against.
 
 use crate::ast::*;
 use crate::{LangError, Result};
 use arrayeq_omega::{Conjunct, Constraint, LinExpr, Relation, Set, Space, VarKind};
-use std::collections::BTreeMap;
+use std::cell::OnceCell;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// An affine expression over loop-iterator names: `Σ aᵢ·iterᵢ + c`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -198,9 +209,11 @@ impl DomainConstraint {
     }
 }
 
-/// The geometric summary of one assignment statement.
+/// The geometric summary of one assignment statement.  It borrows the
+/// statement's right-hand side and the program's `#define`s and parameters
+/// from the analysed [`Program`].
 #[derive(Debug, Clone)]
-pub struct StatementInfo {
+pub struct StatementInfo<'p> {
     /// The statement label.
     pub label: String,
     /// Index of the statement in textual order (0-based).
@@ -210,7 +223,10 @@ pub struct StatementInfo {
     /// Affine write index expressions, one per array dimension.
     pub write_indices: Vec<Affine>,
     /// The right-hand side expression (operator tree).
-    pub rhs: Expr,
+    pub rhs: &'p Expr,
+    /// The array reads of `rhs`, left to right (as [`Expr::reads`] lists
+    /// them).
+    pub reads: Vec<&'p ArrayRef>,
     /// Enclosing loop iterators, outermost first.
     pub iters: Vec<String>,
     /// Iteration domain in disjunctive normal form: a union of conjunctions
@@ -220,41 +236,286 @@ pub struct StatementInfo {
     /// level plus one for the innermost statement position.
     pub schedule_consts: Vec<i64>,
     /// The `#define` environment of the program (needed to lower reads).
-    pub defines: BTreeMap<String, i64>,
+    pub defines: &'p BTreeMap<String, i64>,
     /// Symbolic size parameters of the program (`#param N >= min`): name and
     /// declared lower bound.  They become parameter columns of every space
     /// built from this statement, so domains and access relations stay
     /// parametric in them.
-    pub symbolic_params: Vec<(String, i64)>,
+    pub symbolic_params: &'p [(String, i64)],
 }
 
-/// Analyzes a program: returns one [`StatementInfo`] per assignment, in
-/// textual order.
+/// Index of a distinct relation of an [`Analysis`].
+pub type RelationId = usize;
+
+/// One distinct relation of an [`Analysis`] with the facts derived from it
+/// alone, each computed on first use.
+#[derive(Debug)]
+struct Interned {
+    relation: Relation,
+    elements: OnceCell<Set>,
+    injective: OnceCell<bool>,
+}
+
+/// The one analysis of a program that the class check
+/// ([`crate::classcheck`]), the def-use check ([`crate::defuse`]) and ADDG
+/// extraction run on.
 ///
-/// # Errors
+/// [`Analysis::new`] walks the program once: it lowers every statement,
+/// collects each array's writers and the array parameters' roles, and
+/// builds each statement's write relation.  A read's relation is built the
+/// first time a pass asks for it.  Relations are interned by content, and
+/// each fact is computed on first use, once per distinct input, and kept
+/// until the analysis is dropped:
 ///
-/// Returns [`LangError::NotAffine`] / [`LangError::Class`] when bounds,
-/// steps, guards or index expressions fall outside the affine class.
-pub fn analyze(program: &Program) -> Result<Vec<StatementInfo>> {
-    let mut out = Vec::new();
-    let mut walker = Walker {
-        defines: program.defines.clone(),
-        symbolic_params: program.symbolic_params.clone(),
-        param_names: program
-            .symbolic_params
+/// * the element set (range) of each distinct relation;
+/// * the injectivity of each distinct write relation;
+/// * the dependency mapping `write⁻¹ ∘ read` of each distinct (write, read)
+///   pair;
+/// * each array's written set, and the coverage of each distinct (read
+///   relation, array) by it.
+#[derive(Debug)]
+pub struct Analysis<'p> {
+    program: &'p Program,
+    statements: Vec<StatementInfo<'p>>,
+    roles: BTreeMap<String, ArrayRole>,
+    writers: BTreeMap<String, Vec<usize>>,
+    relations: Vec<Interned>,
+    /// Relation ids by structural hash: a bucket, never an identity.
+    buckets: HashMap<u64, Vec<RelationId>>,
+    writes: Vec<RelationId>,
+    reads: Vec<Vec<Option<RelationId>>>,
+    mappings: HashMap<(RelationId, RelationId), Relation>,
+    written: HashMap<&'p str, Option<Set>>,
+    covered: HashMap<(RelationId, &'p str), bool>,
+}
+
+impl<'p> Analysis<'p> {
+    /// Analyzes a program: lowers every assignment, in textual order, and
+    /// builds each one's write relation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LangError::NotAffine`] / [`LangError::Class`] when bounds,
+    /// steps, guards or write index expressions fall outside the affine
+    /// class.  Read indices are lowered when a pass first asks for their
+    /// relation ([`Analysis::read`]).
+    pub fn new(program: &'p Program) -> Result<Self> {
+        let mut statements = Vec::new();
+        let mut walker = Walker {
+            defines: &program.defines,
+            symbolic_params: &program.symbolic_params,
+            param_names: program
+                .symbolic_params
+                .iter()
+                .map(|(n, _)| n.clone())
+                .collect(),
+            out: &mut statements,
+        };
+        let mut ctx = Ctx {
+            iters: Vec::new(),
+            domains: vec![Vec::new()],
+            schedule_consts: vec![0],
+        };
+        walker.walk_block(&program.body, &mut ctx)?;
+
+        let mut writers: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        let mut read = BTreeSet::new();
+        for (s, info) in statements.iter().enumerate() {
+            writers.entry(info.target.clone()).or_default().push(s);
+            read.extend(info.reads.iter().map(|r| r.array.as_str()));
+        }
+        let roles = program
+            .params
             .iter()
-            .map(|(n, _)| n.clone())
-            .collect(),
-        out: &mut out,
-        position: 0,
-    };
-    let mut ctx = Ctx {
-        iters: Vec::new(),
-        domains: vec![Vec::new()],
-        schedule_consts: vec![0],
-    };
-    walker.walk_block(&program.body, &mut ctx)?;
-    Ok(out)
+            .map(|p| {
+                let role =
+                    ArrayRole::of(writers.contains_key(p.as_str()), read.contains(p.as_str()));
+                (p.clone(), role)
+            })
+            .collect();
+        let reads = statements
+            .iter()
+            .map(|s| vec![None; s.reads.len()])
+            .collect();
+        let mut analysis = Analysis {
+            program,
+            statements,
+            roles,
+            writers,
+            relations: Vec::new(),
+            buckets: HashMap::new(),
+            writes: Vec::new(),
+            reads,
+            mappings: HashMap::new(),
+            written: HashMap::new(),
+            covered: HashMap::new(),
+        };
+        for s in 0..analysis.statements.len() {
+            let write = analysis.statements[s].write_relation()?;
+            let id = analysis.intern(write);
+            analysis.writes.push(id);
+        }
+        Ok(analysis)
+    }
+
+    /// The analysed program.
+    pub fn program(&self) -> &'p Program {
+        self.program
+    }
+
+    /// One [`StatementInfo`] per assignment, in textual order; a statement's
+    /// index in this slice is how the other methods name it.
+    pub fn statements(&self) -> &[StatementInfo<'p>] {
+        &self.statements
+    }
+
+    /// The role of each array parameter (as [`Program::param_roles`]).
+    pub fn roles(&self) -> &BTreeMap<String, ArrayRole> {
+        &self.roles
+    }
+
+    /// Whether `array` is an input parameter: read and never written.
+    pub(crate) fn is_input(&self, array: &str) -> bool {
+        self.roles.get(array) == Some(&ArrayRole::Input)
+    }
+
+    /// The statements that write `array`, in textual order.
+    pub(crate) fn writers(&self, array: &str) -> &[usize] {
+        self.writers.get(array).map_or(&[], Vec::as_slice)
+    }
+
+    /// The relation with the given id.
+    pub fn relation(&self, id: RelationId) -> &Relation {
+        &self.relations[id].relation
+    }
+
+    /// The id of statement `s`'s write relation.
+    pub fn write(&self, s: usize) -> RelationId {
+        self.writes[s]
+    }
+
+    /// The id of the relation of the `r`-th read of statement `s`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LangError::NotAffine`] if the read's index expressions are
+    /// not affine in the statement's iterators.
+    pub fn read(&mut self, s: usize, r: usize) -> Result<RelationId> {
+        if let Some(id) = self.reads[s][r] {
+            return Ok(id);
+        }
+        let info = &self.statements[s];
+        let relation = info.read_relation(info.reads[r])?;
+        let id = self.intern(relation);
+        self.reads[s][r] = Some(id);
+        Ok(id)
+    }
+
+    /// The element set (range) of a relation: the array elements it writes
+    /// or reads.
+    pub fn elements(&self, id: RelationId) -> &Set {
+        let interned = &self.relations[id];
+        interned.elements.get_or_init(|| interned.relation.range())
+    }
+
+    /// Whether statement `s` writes a different element in every iteration
+    /// of its domain.
+    ///
+    /// # Errors
+    ///
+    /// Propagates integer-set errors.
+    pub(crate) fn is_injective(&self, s: usize) -> Result<bool> {
+        let interned = &self.relations[self.writes[s]];
+        if let Some(&injective) = interned.injective.get() {
+            return Ok(injective);
+        }
+        // Injective  ⇔  w ∘ w⁻¹ ⊆ Id  over the iteration space.
+        let w = &interned.relation;
+        let space = w.space();
+        let id = Relation::identity(Space::relation(
+            space.in_vars(),
+            space.in_vars(),
+            space.params(),
+        ));
+        let injective = w.compose(&w.inverse())?.is_subset(&id)?;
+        Ok(*interned.injective.get_or_init(|| injective))
+    }
+
+    /// The paper's dependency mapping of the `r`-th read of statement `s`
+    /// (see [`StatementInfo::dependency_mapping`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Analysis::read`], plus integer-set errors.
+    pub fn mapping(&mut self, s: usize, r: usize) -> Result<&Relation> {
+        let key = (self.writes[s], self.read(s, r)?);
+        Ok(match self.mappings.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(dependency_mapping(
+                &self.relations[key.0].relation,
+                &self.relations[key.1].relation,
+            )?),
+        })
+    }
+
+    /// Whether every element that the `r`-th read of statement `s` reads is
+    /// written by some statement of the program.
+    ///
+    /// # Errors
+    ///
+    /// As [`Analysis::read`], plus [`arrayeq_omega::OmegaError::SpaceMismatch`]
+    /// when the read's index count differs from the writes' (or the writes'
+    /// differ among themselves).
+    pub(crate) fn covers(&mut self, s: usize, r: usize) -> Result<bool> {
+        let array: &'p str = &self.statements[s].reads[r].array;
+        let read = self.read(s, r)?;
+        if let Some(&covered) = self.covered.get(&(read, array)) {
+            return Ok(covered);
+        }
+        if !self.written.contains_key(array) {
+            let mut written: Option<Set> = None;
+            for &w in self.writers(array) {
+                let ws = self.elements(self.writes[w]);
+                written = Some(match written {
+                    None => ws.clone(),
+                    Some(acc) => acc.union(ws)?,
+                });
+            }
+            self.written.insert(array, written);
+        }
+        let read_set = self.elements(read);
+        let covered = match &self.written[array] {
+            None => read_set.is_empty(),
+            Some(written) => read_set.is_subset(written)?,
+        };
+        self.covered.insert((read, array), covered);
+        Ok(covered)
+    }
+
+    /// Interns a relation: returns the id of an equal relation built
+    /// earlier, or gives it a new id.
+    fn intern(&mut self, relation: Relation) -> RelationId {
+        let bucket = self.buckets.entry(relation.structural_hash()).or_default();
+        if let Some(&id) = bucket
+            .iter()
+            .find(|&&id| self.relations[id].relation == relation)
+        {
+            return id;
+        }
+        let id = self.relations.len();
+        bucket.push(id);
+        self.relations.push(Interned {
+            relation,
+            elements: OnceCell::new(),
+            injective: OnceCell::new(),
+        });
+        id
+    }
+}
+
+/// The dependency mapping `write⁻¹ ∘ read` of a (write, read) relation pair.
+fn dependency_mapping(write: &Relation, read: &Relation) -> Result<Relation> {
+    Ok(write.inverse().compose(read)?.simplified(true))
 }
 
 /// Context accumulated while descending into loops and guards.
@@ -268,16 +529,15 @@ struct Ctx {
     schedule_consts: Vec<i64>,
 }
 
-struct Walker<'a> {
-    defines: BTreeMap<String, i64>,
-    symbolic_params: Vec<(String, i64)>,
+struct Walker<'p, 'a> {
+    defines: &'p BTreeMap<String, i64>,
+    symbolic_params: &'p [(String, i64)],
     param_names: Vec<String>,
-    out: &'a mut Vec<StatementInfo>,
-    position: usize,
+    out: &'a mut Vec<StatementInfo<'p>>,
 }
 
-impl Walker<'_> {
-    fn walk_block(&mut self, stmts: &[Stmt], ctx: &mut Ctx) -> Result<()> {
+impl<'p> Walker<'p, '_> {
+    fn walk_block(&mut self, stmts: &'p [Stmt], ctx: &mut Ctx) -> Result<()> {
         for s in stmts {
             match s {
                 Stmt::Assign(a) => {
@@ -298,7 +558,7 @@ impl Walker<'_> {
                         false,
                         &ctx.iters,
                         &self.param_names,
-                        &self.defines,
+                        self.defines,
                     )?;
                     // Keep the schedule position shared by both branches but
                     // distinct per statement inside, by continuing to count in
@@ -315,7 +575,7 @@ impl Walker<'_> {
                         true,
                         &ctx.iters,
                         &self.param_names,
-                        &self.defines,
+                        self.defines,
                     )?;
                     else_ctx.schedule_consts = ctx.schedule_consts.clone();
                     self.walk_block(&i.else_branch, &mut else_ctx)?;
@@ -352,7 +612,7 @@ impl Walker<'_> {
             &f.init,
             &outer_iters,
             &self.param_names,
-            &self.defines,
+            self.defines,
             &context,
         )?;
         let var = Affine::var(&f.var);
@@ -381,7 +641,7 @@ impl Walker<'_> {
             false,
             &iters,
             &self.param_names,
-            &self.defines,
+            self.defines,
             &context,
         )?);
 
@@ -392,27 +652,27 @@ impl Walker<'_> {
         Ok(())
     }
 
-    fn emit(&mut self, a: &Assign, ctx: &Ctx) -> Result<()> {
+    fn emit(&mut self, a: &'p Assign, ctx: &Ctx) -> Result<()> {
         let context = format!("statement {}", a.label);
         let write_indices = a
             .lhs
             .indices
             .iter()
-            .map(|e| affine_of_expr(e, &ctx.iters, &self.param_names, &self.defines, &context))
+            .map(|e| affine_of_expr(e, &ctx.iters, &self.param_names, self.defines, &context))
             .collect::<Result<Vec<_>>>()?;
         self.out.push(StatementInfo {
             label: a.label.clone(),
-            position: self.position,
+            position: self.out.len(),
             target: a.lhs.array.clone(),
             write_indices,
-            rhs: a.rhs.clone(),
+            rhs: &a.rhs,
+            reads: a.rhs.reads(),
             iters: ctx.iters.clone(),
             domains: ctx.domains.clone(),
             schedule_consts: ctx.schedule_consts.clone(),
-            defines: self.defines.clone(),
-            symbolic_params: self.symbolic_params.clone(),
+            defines: self.defines,
+            symbolic_params: self.symbolic_params,
         });
-        self.position += 1;
         Ok(())
     }
 }
@@ -508,7 +768,7 @@ fn condition_constraints(
     })
 }
 
-impl StatementInfo {
+impl StatementInfo<'_> {
     /// Names of the program's symbolic parameters, in declaration order.
     pub fn param_names(&self) -> Vec<String> {
         self.symbolic_params
@@ -562,7 +822,7 @@ impl StatementInfo {
         let idx = access
             .indices
             .iter()
-            .map(|e| affine_of_expr(e, &self.iters, &self.param_names(), &self.defines, &context))
+            .map(|e| affine_of_expr(e, &self.iters, &self.param_names(), self.defines, &context))
             .collect::<Result<Vec<_>>>()?;
         self.access_relation(&idx)
     }
@@ -573,18 +833,11 @@ impl StatementInfo {
         Ok(self.write_relation()?.range())
     }
 
-    /// The set of elements of `access`'s array read by the statement.
-    pub fn read_element_set(&self, access: &ArrayRef) -> Result<Set> {
-        Ok(self.read_relation(access)?.range())
-    }
-
     /// The *dependency mapping* of the paper for one operand: from elements
     /// of the defined array to the elements of the operand array they are
     /// computed from (`write⁻¹ ∘ read`).
     pub fn dependency_mapping(&self, access: &ArrayRef) -> Result<Relation> {
-        let w = self.write_relation()?;
-        let r = self.read_relation(access)?;
-        Ok(w.inverse().compose(&r)?.simplified(true))
+        dependency_mapping(&self.write_relation()?, &self.read_relation(access)?)
     }
 
     /// The lexicographic schedule components of this statement: alternating
@@ -599,34 +852,6 @@ impl StatementInfo {
             }
         }
         out
-    }
-
-    /// Number of dynamic instances of this statement, when the iteration
-    /// domain is bounded (used for operation-count statistics).  Returns
-    /// `None` for unbounded or huge domains.
-    pub fn instance_count(&self, limit: i64) -> Option<i64> {
-        // Count by sampling the bounding box implied by the constraints is
-        // expensive; instead walk the concrete loops via the interpreter-side
-        // helper when needed.  Here we only handle the 0- and 1-dimensional
-        // cases exactly, which is what the statistics need.  Parametric
-        // domains have no single count.
-        if !self.symbolic_params.is_empty() {
-            return None;
-        }
-        match self.iters.len() {
-            0 => Some(1),
-            1 => {
-                let dom = self.iteration_domain().ok()?;
-                let mut count = 0;
-                for v in -limit..=limit {
-                    if dom.contains(&[v], &[]) {
-                        count += 1;
-                    }
-                }
-                Some(count)
-            }
-            _ => None,
-        }
     }
 
     fn access_relation(&self, indices: &[Affine]) -> Result<Relation> {
@@ -686,8 +911,8 @@ mod tests {
     use crate::corpus::{FIG1_A, FIG1_B, FIG1_D};
     use crate::parser::parse_program;
 
-    fn infos(src: &str) -> Vec<StatementInfo> {
-        analyze(&parse_program(src).unwrap()).unwrap()
+    fn program(src: &str) -> Program {
+        parse_program(src).unwrap()
     }
 
     #[test]
@@ -695,12 +920,14 @@ mod tests {
         // The paper's Section 3.2 example: for statement s2 of (a),
         // M_{buf,A1} = {[x]->[y] : x = 2k-2, y = 2k-2, 1<=k<=1024}
         // M_{buf,A2} = {[x]->[y] : x = 2k-2, y = k-1,  1<=k<=1024}
-        let infos = infos(FIG1_A);
+        let p = program(FIG1_A);
+        let analysis = Analysis::new(&p).unwrap();
+        let infos = analysis.statements();
         let s2 = infos.iter().find(|i| i.label == "s2").unwrap();
-        let reads: Vec<_> = s2.rhs.reads().into_iter().cloned().collect();
+        let reads = &s2.reads;
         assert_eq!(reads.len(), 2);
-        let m1 = s2.dependency_mapping(&reads[0]).unwrap();
-        let m2 = s2.dependency_mapping(&reads[1]).unwrap();
+        let m1 = s2.dependency_mapping(reads[0]).unwrap();
+        let m2 = s2.dependency_mapping(reads[1]).unwrap();
         let expect1 = Relation::parse(
             "{ [x] -> [y] : exists k : x = 2k - 2 and y = 2k - 2 and 1 <= k <= 1024 }",
         )
@@ -716,7 +943,9 @@ mod tests {
 
     #[test]
     fn fig1a_iteration_domains() {
-        let infos = infos(FIG1_A);
+        let p = program(FIG1_A);
+        let analysis = Analysis::new(&p).unwrap();
+        let infos = analysis.statements();
         let s1 = &infos[0];
         assert_eq!(s1.label, "s1");
         let dom = s1.iteration_domain().unwrap();
@@ -734,7 +963,9 @@ mod tests {
 
     #[test]
     fn guarded_statements_get_guard_constraints() {
-        let infos = infos(FIG1_B);
+        let p = program(FIG1_B);
+        let analysis = Analysis::new(&p).unwrap();
+        let infos = analysis.statements();
         let t3 = infos.iter().find(|i| i.label == "t3").unwrap();
         let d3 = t3.iteration_domain().unwrap();
         assert!(d3.contains(&[0], &[]));
@@ -750,7 +981,9 @@ mod tests {
 
     #[test]
     fn strided_loops_produce_congruences() {
-        let infos = infos(FIG1_D);
+        let p = program(FIG1_D);
+        let analysis = Analysis::new(&p).unwrap();
+        let infos = analysis.statements();
         let v1 = infos.iter().find(|i| i.label == "v1").unwrap();
         let d = v1.iteration_domain().unwrap();
         assert!(d.contains(&[0], &[]));
@@ -765,7 +998,9 @@ mod tests {
 
     #[test]
     fn write_relations_and_element_sets() {
-        let infos = infos(FIG1_A);
+        let p = program(FIG1_A);
+        let analysis = Analysis::new(&p).unwrap();
+        let infos = analysis.statements();
         let s2 = &infos[1];
         let w = s2.write_relation().unwrap();
         // k = 1 writes buf[0]; k = 1024 writes buf[2046].
@@ -780,7 +1015,9 @@ mod tests {
 
     #[test]
     fn schedule_components_follow_textual_order() {
-        let infos = infos(FIG1_A);
+        let p = program(FIG1_A);
+        let analysis = Analysis::new(&p).unwrap();
+        let infos = analysis.statements();
         let s1 = &infos[0];
         let s3 = &infos[2];
         assert_eq!(s1.schedule_consts, vec![0, 0]);
@@ -803,7 +1040,10 @@ void f(int A[], int C[]) {
 }
 "#;
         let p = parse_program(src).unwrap();
-        assert!(matches!(analyze(&p), Err(LangError::NotAffine { .. })));
+        assert!(matches!(
+            Analysis::new(&p),
+            Err(LangError::NotAffine { .. })
+        ));
     }
 
     #[test]
@@ -825,8 +1065,8 @@ void f(int A[], int C[]) {
     #[test]
     fn parametric_domains_and_instantiation_agree() {
         let p = parse_program(crate::corpus::PARAM_SUM_A).unwrap();
-        let infos = analyze(&p).unwrap();
-        let a1 = &infos[0];
+        let analysis = Analysis::new(&p).unwrap();
+        let a1 = &analysis.statements()[0];
         assert_eq!(a1.param_names(), vec!["N".to_string()]);
         let dom = a1.iteration_domain().unwrap();
         // 0 <= k < N under the declared context N >= 1.
@@ -834,11 +1074,12 @@ void f(int A[], int C[]) {
         assert!(dom.contains(&[9], &[10]));
         assert!(!dom.contains(&[10], &[10]));
         assert!(!dom.contains(&[0], &[0])); // violates the #param bound
-        assert_eq!(a1.instance_count(1 << 20), None);
 
         // Instantiating N gives the same domain with the column gone.
         let inst = p.with_param_values(&[("N".into(), 16)]);
-        let dom16 = analyze(&inst).unwrap()[0].iteration_domain().unwrap();
+        let dom16 = Analysis::new(&inst).unwrap().statements()[0]
+            .iteration_domain()
+            .unwrap();
         for k in -2..20 {
             assert_eq!(
                 dom16.contains(&[k], &[]),
@@ -846,12 +1087,5 @@ void f(int A[], int C[]) {
                 "k = {k}"
             );
         }
-    }
-
-    #[test]
-    fn instance_count_for_one_dimensional_statements() {
-        let infos = infos(&crate::corpus::with_size(FIG1_A, 16));
-        let s1 = &infos[0];
-        assert_eq!(s1.instance_count(4096), Some(16));
     }
 }

@@ -276,6 +276,24 @@ pub enum ArrayRole {
     Intermediate,
 }
 
+impl ArrayRole {
+    /// The role of an array parameter that the function writes (`written`)
+    /// and reads (`read`).  A parameter that is never written is an input.
+    pub fn of(written: bool, read: bool) -> ArrayRole {
+        match (written, read) {
+            (true, false) => ArrayRole::Output,
+            (false, _) => ArrayRole::Input,
+            (true, true) => ArrayRole::Intermediate,
+        }
+    }
+
+    /// Whether the role makes the parameter an output of the function: it
+    /// is written, and perhaps read as well.
+    pub fn is_output(self) -> bool {
+        matches!(self, ArrayRole::Output | ArrayRole::Intermediate)
+    }
+}
+
 /// A local array (or scalar) declaration.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Decl {
@@ -359,18 +377,13 @@ impl Program {
     pub fn param_roles(&self) -> BTreeMap<String, ArrayRole> {
         let written = self.written_arrays();
         let read = self.read_arrays();
-        let mut roles = BTreeMap::new();
-        for p in &self.params {
-            let w = written.contains(p);
-            let r = read.contains(p);
-            let role = match (w, r) {
-                (true, false) => ArrayRole::Output,
-                (false, _) => ArrayRole::Input,
-                (true, true) => ArrayRole::Intermediate,
-            };
-            roles.insert(p.clone(), role);
-        }
-        roles
+        self.params
+            .iter()
+            .map(|p| {
+                let role = ArrayRole::of(written.contains(p), read.contains(p));
+                (p.clone(), role)
+            })
+            .collect()
     }
 
     /// The parameters that act as inputs (only read).
@@ -386,7 +399,7 @@ impl Program {
     pub fn output_arrays(&self) -> Vec<String> {
         self.param_roles()
             .into_iter()
-            .filter(|(_, r)| matches!(r, ArrayRole::Output | ArrayRole::Intermediate))
+            .filter(|(_, r)| r.is_output())
             .map(|(n, _)| n)
             .collect()
     }

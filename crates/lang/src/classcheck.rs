@@ -12,8 +12,12 @@
 //! The single-assignment check is exact: for every statement the write
 //! relation restricted to its domain must be injective, and the element sets
 //! written by different statements to the same array must be disjoint.
+//!
+//! The checks run on the program's one [`Analysis`], where each distinct
+//! write relation's injectivity and element set is derived once, however
+//! many statements share it.
 
-use crate::affine::{analyze, StatementInfo};
+use crate::affine::Analysis;
 use crate::ast::Program;
 use crate::{LangError, Result};
 
@@ -55,72 +59,18 @@ impl ClassReport {
 /// index aborts the affine lowering); violations that can be reported
 /// gracefully are collected in the returned [`ClassReport`].
 pub fn check_class(program: &Program) -> Result<ClassReport> {
-    let infos = analyze(program)?;
+    class_report(&Analysis::new(program)?)
+}
+
+fn class_report(analysis: &Analysis) -> Result<ClassReport> {
+    let infos = analysis.statements();
     let mut report = ClassReport::default();
 
     // ① dynamic single assignment.
-    check_single_assignment(&infos, &mut report)?;
-
-    // Inputs must not be written; that would silently alias the environment.
-    let roles = program.param_roles();
-    for info in &infos {
-        if let Some(role) = roles.get(&info.target) {
-            if *role == crate::ast::ArrayRole::Input {
-                report.violations.push(ClassViolation {
-                    statements: vec![info.label.clone()],
-                    message: format!("input array `{}` is written", info.target),
-                });
-            }
-        }
-    }
-
-    // Every written local / output element index must be non-negative for
-    // some instance (a cheap sanity check that catches reversed bounds).
-    for info in &infos {
-        let dom = info.iteration_domain()?;
-        if dom.is_empty() {
-            report.violations.push(ClassViolation {
-                statements: vec![info.label.clone()],
-                message: "statement has an empty iteration domain (dead code)".into(),
-            });
-        }
-    }
-
-    Ok(report)
-}
-
-/// Convenience wrapper: checks the class and turns any violation into an
-/// error, for callers that just need a yes/no gate.
-///
-/// # Errors
-///
-/// Returns [`LangError::Class`] listing the violations when the program is
-/// outside the class.
-pub fn assert_in_class(program: &Program) -> Result<()> {
-    let report = check_class(program)?;
-    if report.is_ok() {
-        Ok(())
-    } else {
-        let rendered: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
-        Err(LangError::Class {
-            message: rendered.join("; "),
-        })
-    }
-}
-
-fn check_single_assignment(infos: &[StatementInfo], report: &mut ClassReport) -> Result<()> {
     // (1) Within one statement: the write relation must be injective
     //     (different iterations write different elements).
-    for info in infos {
-        let w = info.write_relation()?;
-        // Injective  ⇔  w ∘ w⁻¹ ⊆ Id  over the iteration space.
-        let pairs = w.compose(&w.inverse())?;
-        let id = arrayeq_omega::Relation::identity(arrayeq_omega::Space::relation(
-            &info.iters,
-            &info.iters,
-            &info.param_names(),
-        ));
-        if !pairs.is_subset(&id)? {
+    for (s, info) in infos.iter().enumerate() {
+        if !analysis.is_injective(s)? {
             report.violations.push(ClassViolation {
                 statements: vec![info.label.clone()],
                 message: format!(
@@ -133,26 +83,58 @@ fn check_single_assignment(infos: &[StatementInfo], report: &mut ClassReport) ->
     }
     // (2) Across statements: element sets written to the same array by
     //     different statements must be disjoint.
-    for (i, a) in infos.iter().enumerate() {
-        for b in infos.iter().skip(i + 1) {
-            if a.target != b.target {
+    for (a, info) in infos.iter().enumerate() {
+        for &b in analysis.writers(&info.target) {
+            if b <= a {
                 continue;
             }
-            let ea = a.write_element_set()?;
-            let eb = b.write_element_set()?;
-            if !ea.intersect(&eb)?.is_empty() {
+            let ea = analysis.elements(analysis.write(a));
+            let eb = analysis.elements(analysis.write(b));
+            if !ea.intersect(eb)?.is_empty() {
                 report.violations.push(ClassViolation {
-                    statements: vec![a.label.clone(), b.label.clone()],
+                    statements: vec![info.label.clone(), infos[b].label.clone()],
                     message: format!(
                         "statements both write overlapping elements of `{}` \
                          (not in dynamic single-assignment form)",
-                        a.target
+                        info.target
                     ),
                 });
             }
         }
     }
-    Ok(())
+
+    // Every statement must execute at least once: an empty iteration
+    // domain (reversed loop bounds, a guard no iteration meets) is dead
+    // code.
+    for info in infos {
+        if info.iteration_domain()?.is_empty() {
+            report.violations.push(ClassViolation {
+                statements: vec![info.label.clone()],
+                message: "statement has an empty iteration domain (dead code)".into(),
+            });
+        }
+    }
+
+    Ok(report)
+}
+
+/// [`check_class`] on an existing analysis of the program, as a gate: turns
+/// any violation into an error, for callers that just need a yes/no answer.
+///
+/// # Errors
+///
+/// Returns [`LangError::Class`] listing the violations when the program is
+/// outside the class, and the errors of [`check_class`].
+pub fn assert_in_class(analysis: &Analysis) -> Result<()> {
+    let report = class_report(analysis)?;
+    if report.is_ok() {
+        Ok(())
+    } else {
+        let rendered: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
+        Err(LangError::Class {
+            message: rendered.join("; "),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -206,7 +188,7 @@ s2:     C[k] = A[k] + 2;
             v.statements == vec!["s1".to_string(), "s2".to_string()]
                 && v.message.contains("single-assignment")
         }));
-        assert!(assert_in_class(&p).is_err());
+        assert!(assert_in_class(&Analysis::new(&p).unwrap()).is_err());
     }
 
     #[test]
@@ -228,7 +210,7 @@ s1:     C[0] = A[k] + 1;
     }
 
     #[test]
-    fn writing_an_input_is_reported() {
+    fn a_written_parameter_is_never_an_input() {
         let src = r#"
 void f(int A[], int C[]) {
     int k;
@@ -239,14 +221,11 @@ s2:     A[k] = C[k - 4] + 1;
 }
 "#;
         let p = parse_program(src).unwrap();
-        let report = check_class(&p).unwrap();
-        // A is both read and written: role is Intermediate, not Input, so the
-        // input-write rule does not fire; but the program is still accepted
-        // only if single assignment holds, which it does here.
-        assert!(report.is_ok());
-        // A genuinely write-only parameter that is also read nowhere would be
-        // an output, so the "input written" rule fires only when a parameter
-        // is read before being (also) written — covered by def-use instead.
+        // A is both read and written, so its role is Intermediate: writing
+        // a parameter never writes an input.  A read of a parameter before
+        // its write is the def-use check's to reject.
+        assert_eq!(p.param_roles()["A"], crate::ast::ArrayRole::Intermediate);
+        assert!(check_class(&p).unwrap().is_ok());
     }
 
     #[test]

@@ -13,12 +13,17 @@
 //!   iterators).
 //!
 //! Both checks are exact integer-set computations on the access relations
-//! produced by [`crate::affine`].
+//! of the program's one [`Analysis`].  There each array's writers and
+//! written set are collected once, and each distinct (read relation, array)
+//! pair's coverage is decided once.  The ordering check builds the schedule
+//! order of a (writer, reader) pair first and composes the access relations
+//! only when that order is not already empty, which it is whenever the
+//! textual schedule runs every write before every read.
 
-use crate::affine::{analyze, ScheduleComponent, StatementInfo};
+use crate::affine::{Analysis, ScheduleComponent, StatementInfo};
 use crate::ast::Program;
 use crate::{LangError, Result};
-use arrayeq_omega::{Conjunct, Constraint, Relation, Set, Space, VarKind};
+use arrayeq_omega::{Conjunct, Constraint, Relation, Space, VarKind};
 
 /// One def-use problem found in a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,34 +69,22 @@ impl DefUseReport {
 /// Returns an error when the underlying affine analysis fails; order and
 /// coverage problems are reported in the [`DefUseReport`] instead.
 pub fn check_def_use(program: &Program) -> Result<DefUseReport> {
-    let infos = analyze(program)?;
-    let inputs = program.input_arrays();
-    let mut report = DefUseReport::default();
+    def_use_report(&mut Analysis::new(program)?)
+}
 
-    for reader in &infos {
-        for access in reader.rhs.reads() {
-            if inputs.contains(&access.array) {
+fn def_use_report(analysis: &mut Analysis) -> Result<DefUseReport> {
+    let mut report = DefUseReport::default();
+    for reader in 0..analysis.statements().len() {
+        let info = &analysis.statements()[reader];
+        let (label, reads) = (info.label.clone(), info.reads.clone());
+        for (r, access) in reads.into_iter().enumerate() {
+            if analysis.is_input(&access.array) {
                 continue; // inputs are defined by the environment
             }
-            let read_set = reader.read_element_set(access)?;
             // Coverage: the read elements must be covered by writes.
-            let writers: Vec<&StatementInfo> =
-                infos.iter().filter(|w| w.target == access.array).collect();
-            let mut written: Option<Set> = None;
-            for w in &writers {
-                let ws = w.write_element_set()?;
-                written = Some(match written {
-                    None => ws,
-                    Some(acc) => acc.union(&ws)?,
-                });
-            }
-            let covered = match &written {
-                None => read_set.is_empty(),
-                Some(w) => read_set.is_subset(w)?,
-            };
-            if !covered {
+            if !analysis.covers(reader, r)? {
                 report.violations.push(DefUseViolation {
-                    reader: reader.label.clone(),
+                    reader: label.clone(),
                     array: access.array.clone(),
                     writer: None,
                     message: format!(
@@ -102,17 +95,17 @@ pub fn check_def_use(program: &Program) -> Result<DefUseReport> {
             }
             // Ordering: no write of an element may execute at or after a read
             // of the same element.
-            for w in &writers {
-                let conflict = write_read_order_violation(w, reader, access)?;
-                if !conflict.is_empty() {
+            for w in analysis.writers(&access.array).to_vec() {
+                if reads_before_write(analysis, w, reader, r)? {
+                    let writer = analysis.statements()[w].label.clone();
                     report.violations.push(DefUseViolation {
-                        reader: reader.label.clone(),
+                        reader: label.clone(),
                         array: access.array.clone(),
-                        writer: Some(w.label.clone()),
                         message: format!(
-                            "some instances read an element of `{}` before statement {} writes it",
-                            access.array, w.label
+                            "some instances read an element of `{}` before statement {writer} writes it",
+                            access.array
                         ),
+                        writer: Some(writer),
                     });
                 }
             }
@@ -121,13 +114,15 @@ pub fn check_def_use(program: &Program) -> Result<DefUseReport> {
     Ok(report)
 }
 
-/// Convenience wrapper turning violations into an error.
+/// [`check_def_use`] on an existing analysis of the program, as a gate:
+/// turns any violation into an error.
 ///
 /// # Errors
 ///
-/// Returns [`LangError::DefUse`] when the def-use order is broken.
-pub fn assert_def_use_correct(program: &Program) -> Result<()> {
-    let report = check_def_use(program)?;
+/// Returns [`LangError::DefUse`] when the def-use order is broken, and the
+/// errors of [`check_def_use`].
+pub fn assert_def_use_correct(analysis: &mut Analysis) -> Result<()> {
+    let report = def_use_report(analysis)?;
     if report.is_ok() {
         Ok(())
     } else {
@@ -138,23 +133,28 @@ pub fn assert_def_use_correct(program: &Program) -> Result<()> {
     }
 }
 
-/// Builds the relation of (write instance, read instance) pairs that touch
-/// the same array element with the read scheduled **at or before** the write;
-/// a non-empty relation is a def-use violation.
-fn write_read_order_violation(
-    writer: &StatementInfo,
-    reader: &StatementInfo,
-    access: &crate::ast::ArrayRef,
-) -> Result<Relation> {
+/// Whether some instance of the `r`-th read of statement `reader` reads an
+/// element that statement `writer` writes at the same time or later.
+fn reads_before_write(
+    analysis: &mut Analysis,
+    writer: usize,
+    reader: usize,
+    r: usize,
+) -> Result<bool> {
+    // Schedule constraint: time(reader at ri) <= time(writer at wi), as
+    // wi -> ri.  With no such pair of instances there is nothing to test.
+    let infos = analysis.statements();
+    let order = lex_le(&infos[reader], &infos[writer])?.inverse();
+    if order.conjuncts().is_empty() {
+        return Ok(false);
+    }
     // Same-element pairs: write_rel : wi -> elem, read_rel : ri -> elem, so
     // pairs = write_rel ∘ read_rel⁻¹ : wi -> ri.
-    let pairs = writer
-        .write_relation()?
-        .compose(&reader.read_relation(access)?.inverse())?;
-
-    // Schedule constraint: time(reader at ri) <= time(writer at wi).
-    let order = lex_le(reader, writer)?.inverse(); // wi -> ri with read <= write
-    Ok(pairs.intersect(&order)?.simplified(true))
+    let read = analysis.read(reader, r)?;
+    let pairs = analysis
+        .relation(analysis.write(writer))
+        .compose(&analysis.relation(read).inverse())?;
+    Ok(!pairs.intersect(&order)?.simplified(true).is_empty())
 }
 
 /// The relation `{ [a iters] -> [b iters] : time_a <= time_b }` under the
@@ -172,7 +172,7 @@ fn lex_le(a: &StatementInfo, b: &StatementInfo) -> Result<Relation> {
         let mut conj = Conjunct::universe(space.clone());
         let mut feasible = true;
         for q in 0..p {
-            if !add_component_cmp(&mut conj, a, b, &comps_a[q], &comps_b[q], Cmp::Eq) {
+            if !add_component_cmp(&mut conj, &comps_a[q], &comps_b[q], Cmp::Eq) {
                 feasible = false;
                 break;
             }
@@ -180,10 +180,9 @@ fn lex_le(a: &StatementInfo, b: &StatementInfo) -> Result<Relation> {
         if !feasible {
             continue;
         }
-        if !add_component_cmp(&mut conj, a, b, &comps_a[p], &comps_b[p], Cmp::Lt) {
+        if !add_component_cmp(&mut conj, &comps_a[p], &comps_b[p], Cmp::Lt) {
             continue;
         }
-        add_domains(&mut conj, a, b, &space)?;
         result = result.union(&Relation::from_conjuncts(space.clone(), vec![conj]))?;
     }
 
@@ -192,16 +191,17 @@ fn lex_le(a: &StatementInfo, b: &StatementInfo) -> Result<Relation> {
     let mut conj = Conjunct::universe(space.clone());
     let mut feasible = true;
     for q in 0..min_len {
-        if !add_component_cmp(&mut conj, a, b, &comps_a[q], &comps_b[q], Cmp::Eq) {
+        if !add_component_cmp(&mut conj, &comps_a[q], &comps_b[q], Cmp::Eq) {
             feasible = false;
             break;
         }
     }
     if feasible {
-        add_domains(&mut conj, a, b, &space)?;
         result = result.union(&Relation::from_conjuncts(space.clone(), vec![conj]))?;
     }
 
+    // The access relations that the caller intersects this order with carry
+    // both statements' full iteration domains, so it needs none of its own.
     Ok(result)
 }
 
@@ -216,20 +216,15 @@ enum Cmp {
 /// the caller prune the disjunct early.
 fn add_component_cmp(
     conj: &mut Conjunct,
-    a: &StatementInfo,
-    b: &StatementInfo,
     ca: &ScheduleComponent,
     cb: &ScheduleComponent,
     cmp: Cmp,
 ) -> bool {
-    let expr_of = |conj: &Conjunct, stmt: &StatementInfo, c: &ScheduleComponent, kind: VarKind| {
+    let expr_of = |conj: &Conjunct, c: &ScheduleComponent, kind: VarKind| {
         let mut e = conj.zero_expr();
         match c {
             ScheduleComponent::Const(v) => e.set_constant(*v),
-            ScheduleComponent::Iter(level) => {
-                let _ = stmt;
-                e.set_coeff(conj.col(kind, *level), 1);
-            }
+            ScheduleComponent::Iter(level) => e.set_coeff(conj.col(kind, *level), 1),
         }
         e
     };
@@ -240,8 +235,8 @@ fn add_component_cmp(
             Cmp::Lt => x < y,
         };
     }
-    let ea = expr_of(conj, a, ca, VarKind::In);
-    let eb = expr_of(conj, b, cb, VarKind::Out);
+    let ea = expr_of(conj, ca, VarKind::In);
+    let eb = expr_of(conj, cb, VarKind::Out);
     match cmp {
         Cmp::Eq => {
             let mut diff = ea;
@@ -257,26 +252,6 @@ fn add_component_cmp(
         }
     }
     true
-}
-
-/// Adds the iteration-domain constraints of both statements to a conjunct
-/// over `[a iters] -> [b iters]`.
-fn add_domains(
-    conj: &mut Conjunct,
-    a: &StatementInfo,
-    b: &StatementInfo,
-    space: &Space,
-) -> Result<()> {
-    // Use the first disjunct union by intersecting later: embed domains as
-    // relation constraints via restrict_domain/range on a universe relation
-    // would lose the conjunct; simpler: conjoin each statement's *full*
-    // domain (all disjuncts united) by restricting afterwards.  To keep this
-    // function simple we add only box constraints here and rely on the caller
-    // intersecting with the access relations, which already carry the exact
-    // domains.  (The access relations in `write_read_order_violation` include
-    // every domain constraint, so correctness does not depend on this.)
-    let _ = (conj, a, b, space);
-    Ok(())
 }
 
 #[cfg(test)]
@@ -331,7 +306,7 @@ s2:     tmp[k] = A[k] + 1;
             .violations
             .iter()
             .any(|v| v.reader == "s1" && v.writer.as_deref() == Some("s2")));
-        assert!(assert_def_use_correct(&p).is_err());
+        assert!(assert_def_use_correct(&mut Analysis::new(&p).unwrap()).is_err());
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! * [`ast`] — the abstract syntax tree and a programmatic builder;
 //! * [`affine`] — lowering of loop nests and index expressions to
 //!   iteration-domain [`Set`](arrayeq_omega::Set)s and access
-//!   [`Relation`](arrayeq_omega::Relation)s;
+//!   [`Relation`](arrayeq_omega::Relation)s, and the one
+//!   [`Analysis`](affine::Analysis) per program that the checks below and
+//!   ADDG extraction share;
 //! * [`classcheck`] — verification that a parsed program actually lies in
 //!   the class (single assignment, affine indices, static control);
 //! * [`defuse`] — the def-use (schedule correctness) checker of Fig. 6;
@@ -62,6 +64,16 @@ pub mod parser;
 pub mod pretty;
 
 use std::fmt;
+
+/// Whether a program passes both front-end checks, the class check and the
+/// def-use check, run on one [`affine::Analysis`].  A program the analysis
+/// rejects fails too.
+pub fn passes_checks(program: &ast::Program) -> bool {
+    affine::Analysis::new(program).is_ok_and(|mut analysis| {
+        classcheck::assert_in_class(&analysis).is_ok()
+            && defuse::assert_def_use_correct(&mut analysis).is_ok()
+    })
+}
 
 /// Errors produced by the language frontend.
 #[derive(Debug, Clone, PartialEq, Eq)]

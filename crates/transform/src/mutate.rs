@@ -18,13 +18,12 @@
 use crate::Result as TransformResult;
 use crate::TransformError;
 use arrayeq_lang::ast::*;
-use arrayeq_lang::classcheck::check_class;
 use arrayeq_lang::corpus::{
     with_size, FIG1_A, FIG1_B, KERNELS, KERNEL_FACTORED_IDENT, KERNEL_IDENT_A, KERNEL_SUB_SHUFFLE_A,
 };
-use arrayeq_lang::defuse::check_def_use;
 use arrayeq_lang::interp::{standard_inputs, Interpreter};
 use arrayeq_lang::parser::parse_program;
+use arrayeq_lang::passes_checks;
 use std::fmt;
 
 /// One mutation the generator can apply.
@@ -282,7 +281,7 @@ pub fn fault_corpus() -> Vec<FaultCase> {
 pub fn curated_mutants(name: &str, original: &Program) -> Vec<FaultCase> {
     enumerate_mutations(original)
         .into_iter()
-        .filter(|(_, mutant)| passes_frontend(mutant))
+        .filter(|(_, mutant)| passes_checks(mutant))
         .filter(|(_, mutant)| observably_different(original, mutant))
         .map(|(mutation, mutant)| FaultCase {
             name: format!("{name}-{mutation}"),
@@ -299,11 +298,6 @@ fn kernel(name: &str) -> &'static str {
         .find(|(n, _)| *n == name)
         .map(|(_, s)| *s)
         .expect("known kernel")
-}
-
-fn passes_frontend(p: &Program) -> bool {
-    check_class(p).map(|r| r.is_ok()).unwrap_or(false)
-        && check_def_use(p).map(|r| r.is_ok()).unwrap_or(false)
 }
 
 /// Ground truth: do the two programs produce different outputs on at least
@@ -612,7 +606,7 @@ mod tests {
     #[test]
     fn corpus_members_pass_the_frontend_and_differ_observably() {
         for case in fault_corpus() {
-            assert!(passes_frontend(&case.mutant), "{}", case.name);
+            assert!(passes_checks(&case.mutant), "{}", case.name);
             assert!(
                 observably_different(&case.original, &case.mutant),
                 "{}",

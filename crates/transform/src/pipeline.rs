@@ -95,13 +95,7 @@ pub fn random_pipeline(
         if let Some((p, step)) = attempt {
             // Keep only transformations that preserve the class and def-use
             // validity (e.g. fusing a consumer before its producer would not).
-            if arrayeq_lang::classcheck::check_class(&p)
-                .map(|r| r.is_ok())
-                .unwrap_or(false)
-                && arrayeq_lang::defuse::check_def_use(&p)
-                    .map(|r| r.is_ok())
-                    .unwrap_or(false)
-            {
+            if arrayeq_lang::passes_checks(&p) {
                 current = p;
                 applied.push(step);
             }
