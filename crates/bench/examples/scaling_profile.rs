@@ -5,9 +5,9 @@
 //! `Workload::check(&CheckOptions::default())` (both programs lowered, then
 //! one check at one job) and prints the best of N runs.  `L` is the
 //! generator's `layers` argument, as in perfbench's `core.check_us.L<n>`.
-//! With `--trace` it adds one traced run per `L` and prints each span's
-//! exclusive self time and count, largest first, plus the report's work
-//! counters.
+//! With `--trace` it adds as many traced runs per `L` and prints each span's
+//! median exclusive self time and median count over them, largest first,
+//! plus the report's work counters.
 //!
 //! ```text
 //! cargo run --release -p arrayeq-bench --example scaling_profile -- \
@@ -18,7 +18,7 @@
 
 use arrayeq_bench::generated_pair;
 use arrayeq_core::{CheckOptions, Report};
-use arrayeq_trace::{Collector, Phase};
+use arrayeq_trace::{recording, Collector, Phase, Recorder};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -66,7 +66,7 @@ fn parse_args() -> Result<Args, String> {
 
 /// Exclusive self time (µs) and count per span name: each span's duration
 /// minus its direct children's, summed over the spans of that name.
-fn self_times(collector: &Collector) -> Vec<(&'static str, u64, u64)> {
+fn self_times(collector: &Collector) -> HashMap<&'static str, (u64, u64)> {
     let mut totals: HashMap<&'static str, (u64, u64)> = HashMap::new();
     // Per worker lane, the open spans with the time their children took.
     let mut stacks: HashMap<u32, Vec<(&'static str, u64)>> = HashMap::new();
@@ -87,9 +87,30 @@ fn self_times(collector: &Collector) -> Vec<(&'static str, u64, u64)> {
             Phase::Instant => {}
         }
     }
-    let mut out: Vec<_> = totals
+    totals
+}
+
+/// The middle value (the upper one of an even count).
+fn median(mut values: Vec<u64>) -> u64 {
+    values.sort_unstable();
+    values[values.len() / 2]
+}
+
+/// Per span name, the median self time (µs) and the median count over the
+/// traced runs' profiles (a span missing from a run counts 0 there),
+/// largest self time first.
+fn median_profile(runs: &[HashMap<&'static str, (u64, u64)>]) -> Vec<(&'static str, u64, u64)> {
+    let mut names: Vec<&'static str> = runs.iter().flat_map(|r| r.keys().copied()).collect();
+    names.sort_unstable();
+    names.dedup();
+    let mut out: Vec<_> = names
         .into_iter()
-        .map(|(name, (us, count))| (name, us, count))
+        .map(|name| {
+            let of = |pick: fn(&(u64, u64)) -> u64| {
+                median(runs.iter().map(|r| r.get(name).map_or(0, pick)).collect())
+            };
+            (name, of(|t| t.0), of(|t| t.1))
+        })
         .collect();
     out.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(y.0)));
     out
@@ -124,19 +145,36 @@ fn main() {
         }
         println!("{layers:>4} {best:>10.2} {runs:>5}");
         if args.trace {
-            let collector = Arc::new(Collector::new());
-            arrayeq_trace::install(collector.clone());
-            let t0 = Instant::now();
-            let report = w.check(&opts);
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            arrayeq_trace::uninstall();
-            assert_equivalent(layers, &report);
-            traced.push((layers, wall_ms, self_times(&collector), report));
+            let (mut walls_us, mut profiles, mut last) = (Vec::new(), Vec::new(), None);
+            for _ in 0..runs {
+                let collector = Arc::new(Collector::new());
+                let recorder = Recorder {
+                    collector: Some(collector.clone()),
+                    ..Recorder::default()
+                };
+                let t0 = Instant::now();
+                let report = recording(&recorder, || w.check(&opts));
+                walls_us.push(t0.elapsed().as_micros() as u64);
+                assert_equivalent(layers, &report);
+                profiles.push(self_times(&collector));
+                last = Some(report);
+            }
+            let report = last.expect("at least one run");
+            traced.push((
+                layers,
+                runs,
+                median(walls_us),
+                median_profile(&profiles),
+                report,
+            ));
         }
     }
-    for (layers, wall_ms, spans, report) in traced {
+    for (layers, runs, wall_us, spans, report) in traced {
         println!();
-        println!("traced run at L{layers}: {wall_ms:.2} ms");
+        println!(
+            "traced runs at L{layers}: median {:.2} ms over {runs}",
+            wall_us as f64 / 1e3
+        );
         println!("  {:<12} {:>10} {:>7}", "span", "self_ms", "count");
         for (name, us, count) in spans {
             println!("  {name:<12} {:>10.2} {count:>7}", us as f64 / 1e3);

@@ -59,7 +59,7 @@
 //! exercise the checker without authoring C files.
 
 use arrayeq_core::Verdict;
-use arrayeq_engine::{outcome_to_json, BaselineStatus, Verifier, VerifyRequest};
+use arrayeq_engine::{outcome_to_json, BaselineStatus, Verifier, VerifierBuilder, VerifyRequest};
 use arrayeq_lang::corpus::{FIG1_A, FIG1_B, FIG1_C, FIG1_D, KERNELS};
 use arrayeq_lang::pretty::program_to_string;
 use std::io::Write;
@@ -258,25 +258,92 @@ fn parse_param_spec(spec: &str) -> Result<(String, i64), String> {
     Ok((name.to_string(), min))
 }
 
-struct VerifyArgs {
-    original: String,
-    transformed: String,
+/// The engine flags `verify` and `serve` share.
+#[derive(Default)]
+struct EngineArgs {
     method: arrayeq_core::Method,
     declare_ops: Vec<String>,
     params: Vec<(String, i64)>,
     witnesses: bool,
-    json: bool,
-    dot: Option<String>,
+    jobs: Option<usize>,
     deadline_ms: Option<u64>,
     max_work: Option<u64>,
-    jobs: Option<usize>,
+    store: Option<String>,
+}
+
+impl EngineArgs {
+    /// Takes `flag`, reading its value through `value_of`, when it is an
+    /// engine flag; `Ok(false)` leaves it to the subcommand.
+    fn parse(
+        &mut self,
+        flag: &str,
+        value_of: &mut impl FnMut(&str) -> Result<String, String>,
+    ) -> Result<bool, String> {
+        let mut int = |flag: &str| -> Result<u64, String> {
+            value_of(flag)?
+                .parse()
+                .map_err(|_| format!("{flag} needs an integer"))
+        };
+        match flag {
+            "--method" => {
+                self.method = match value_of(flag)?.as_str() {
+                    "basic" => arrayeq_core::Method::Basic,
+                    "extended" => arrayeq_core::Method::Extended,
+                    other => return Err(format!("unknown method `{other}`")),
+                }
+            }
+            "--declare-op" => self.declare_ops.push(value_of(flag)?),
+            "--param" => self.params.push(parse_param_spec(&value_of(flag)?)?),
+            "--witnesses" => self.witnesses = true,
+            "--jobs" => self.jobs = Some(int(flag)? as usize),
+            "--deadline-ms" => self.deadline_ms = Some(int(flag)?),
+            "--max-work" => self.max_work = Some(int(flag)?),
+            "--store" => self.store = Some(value_of(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The engine these flags describe; an `Err` is a malformed
+    /// `--declare-op`, a usage error.
+    fn builder(&self) -> Result<VerifierBuilder, String> {
+        let mut operators = arrayeq_core::OperatorProperties::default();
+        for decl in &self.declare_ops {
+            operators = operators.declare_spec(decl)?;
+        }
+        let mut builder = Verifier::builder()
+            .method(self.method)
+            .operators(operators)
+            .params(self.params.clone())
+            .witnesses(self.witnesses);
+        if let Some(ms) = self.deadline_ms {
+            builder = builder.deadline(Duration::from_millis(ms));
+        }
+        if let Some(w) = self.max_work {
+            builder = builder.max_work(w);
+        }
+        if let Some(jobs) = self.jobs {
+            builder = builder.jobs(jobs);
+        }
+        if let Some(dir) = &self.store {
+            builder = builder.store(dir.clone());
+        }
+        Ok(builder)
+    }
+}
+
+struct VerifyArgs {
+    original: String,
+    transformed: String,
+    engine: EngineArgs,
+    json: bool,
+    dot: Option<String>,
     baseline: Option<String>,
     emit_baseline: Option<String>,
     trace: Option<String>,
     trace_chrome: bool,
     explain: bool,
     metrics: bool,
-    store: Option<String>,
 }
 
 fn parse_verify_args(args: &[String]) -> Result<VerifyArgs, String> {
@@ -284,22 +351,15 @@ fn parse_verify_args(args: &[String]) -> Result<VerifyArgs, String> {
     let mut parsed = VerifyArgs {
         original: String::new(),
         transformed: String::new(),
-        method: arrayeq_core::Method::Extended,
-        declare_ops: Vec::new(),
-        params: Vec::new(),
-        witnesses: false,
+        engine: EngineArgs::default(),
         json: false,
         dot: None,
-        deadline_ms: None,
-        max_work: None,
-        jobs: None,
         baseline: None,
         emit_baseline: None,
         trace: None,
         trace_chrome: false,
         explain: false,
         metrics: false,
-        store: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -308,40 +368,12 @@ fn parse_verify_args(args: &[String]) -> Result<VerifyArgs, String> {
                 .cloned()
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
+        if parsed.engine.parse(arg, &mut value_of)? {
+            continue;
+        }
         match arg.as_str() {
-            "--method" => {
-                parsed.method = match value_of("--method")?.as_str() {
-                    "basic" => arrayeq_core::Method::Basic,
-                    "extended" => arrayeq_core::Method::Extended,
-                    other => return Err(format!("unknown method `{other}`")),
-                }
-            }
-            "--declare-op" => parsed.declare_ops.push(value_of("--declare-op")?),
-            "--param" => parsed.params.push(parse_param_spec(&value_of("--param")?)?),
-            "--witnesses" => parsed.witnesses = true,
             "--json" => parsed.json = true,
             "--dot" => parsed.dot = Some(value_of("--dot")?),
-            "--deadline-ms" => {
-                parsed.deadline_ms = Some(
-                    value_of("--deadline-ms")?
-                        .parse()
-                        .map_err(|_| "--deadline-ms needs an integer".to_string())?,
-                )
-            }
-            "--max-work" => {
-                parsed.max_work = Some(
-                    value_of("--max-work")?
-                        .parse()
-                        .map_err(|_| "--max-work needs an integer".to_string())?,
-                )
-            }
-            "--jobs" => {
-                parsed.jobs = Some(
-                    value_of("--jobs")?
-                        .parse()
-                        .map_err(|_| "--jobs needs an integer".to_string())?,
-                )
-            }
             "--baseline" => parsed.baseline = Some(value_of("--baseline")?),
             "--emit-baseline" => parsed.emit_baseline = Some(value_of("--emit-baseline")?),
             "--trace" => parsed.trace = Some(value_of("--trace")?),
@@ -354,7 +386,6 @@ fn parse_verify_args(args: &[String]) -> Result<VerifyArgs, String> {
             }
             "--explain" => parsed.explain = true,
             "--metrics" => parsed.metrics = true,
-            "--store" => parsed.store = Some(value_of("--store")?),
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
             file => files.push(file.to_owned()),
         }
@@ -389,41 +420,16 @@ fn run_verify(args: &[String]) -> i32 {
         Err(code) => return code,
     };
 
-    let mut operators = arrayeq_core::OperatorProperties::default();
-    for decl in &parsed.declare_ops {
-        operators = match operators.declare_spec(decl) {
-            Ok(ops) => ops,
-            Err(message) => return usage_error(&message),
-        };
-    }
-    let mut builder = Verifier::builder()
-        .method(parsed.method)
-        .operators(operators)
-        .witnesses(parsed.witnesses);
-    if !parsed.params.is_empty() {
-        builder = builder.params(parsed.params.clone());
-    }
-    if let Some(ms) = parsed.deadline_ms {
-        builder = builder.deadline(Duration::from_millis(ms));
-    }
-    if let Some(w) = parsed.max_work {
-        builder = builder.max_work(w);
-    }
-    if let Some(jobs) = parsed.jobs {
-        builder = builder.jobs(jobs);
-    }
+    let mut builder = match parsed.engine.builder() {
+        Ok(builder) => builder.metrics(parsed.metrics),
+        Err(message) => return usage_error(&message),
+    };
     // --explain needs the event stream even when no --trace file was asked
-    // for, so either flag installs a collector.
+    // for, so either flag gives the engine a collector.
     let collector = (parsed.trace.is_some() || parsed.explain)
         .then(|| std::sync::Arc::new(arrayeq_trace::Collector::new()));
     if let Some(c) = &collector {
         builder = builder.trace_sink(c.clone());
-    }
-    if parsed.metrics {
-        builder = builder.metrics(true);
-    }
-    if let Some(dir) = &parsed.store {
-        builder = builder.store(dir.clone());
     }
     let verifier = builder.build();
     for warning in verifier.store_warnings() {
@@ -448,7 +454,6 @@ fn run_verify(args: &[String]) -> i32 {
     let outcome = match verifier.verify(&request) {
         Ok(o) => o,
         Err(e) => {
-            arrayeq_trace::uninstall();
             eprintln!("error: {e}");
             return EXIT_ERROR;
         }
@@ -457,11 +462,8 @@ fn run_verify(args: &[String]) -> i32 {
         eprintln!("warning: {rejection}");
     }
 
-    // The run is over: stop collecting before serializing, so the trace
-    // file is a complete, balanced record of exactly this request.
-    if collector.is_some() {
-        arrayeq_trace::uninstall();
-    }
+    // The engine records only while `verify` runs, so the collector now
+    // holds a complete, balanced record of exactly this request.
     if let (Some(path), Some(c)) = (&parsed.trace, &collector) {
         let payload = if parsed.trace_chrome {
             c.to_chrome()
@@ -484,7 +486,7 @@ fn run_verify(args: &[String]) -> i32 {
     // The operator asked for persistence, so failing to write it is a hard
     // error — mirroring --emit-baseline, and unlike the load path, which
     // degrades (a bad existing store must never block a verification).
-    if parsed.store.is_some() {
+    if parsed.engine.store.is_some() {
         if let Err(e) = verifier.flush_store() {
             eprintln!("error: cannot flush proof store: {e}");
             return EXIT_ERROR;
@@ -540,15 +542,8 @@ fn run_verify(args: &[String]) -> i32 {
 fn run_serve(args: &[String]) -> i32 {
     let mut socket: Option<String> = None;
     let mut stdio = false;
-    let mut store: Option<String> = None;
     let mut config = arrayeq_serve::ServeConfig::default();
-    let mut method = arrayeq_core::Method::Extended;
-    let mut declare_ops: Vec<String> = Vec::new();
-    let mut param_specs: Vec<(String, i64)> = Vec::new();
-    let mut witnesses = false;
-    let mut jobs: Option<usize> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut max_work: Option<u64> = None;
+    let mut engine = EngineArgs::default();
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -557,33 +552,18 @@ fn run_serve(args: &[String]) -> i32 {
                 .cloned()
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
-        let parse_int = |flag: &str, v: Result<String, String>| -> Result<u64, String> {
-            v?.parse().map_err(|_| format!("{flag} needs an integer"))
-        };
         let result: Result<(), String> = (|| {
+            if engine.parse(arg, &mut value_of)? {
+                return Ok(());
+            }
             match arg.as_str() {
                 "--socket" => socket = Some(value_of("--socket")?),
                 "--stdio" => stdio = true,
-                "--store" => store = Some(value_of("--store")?),
                 "--flush-every" => {
-                    config.flush_every =
-                        parse_int("--flush-every", value_of("--flush-every"))? as usize
+                    config.flush_every = value_of("--flush-every")?
+                        .parse()
+                        .map_err(|_| "--flush-every needs an integer".to_string())?
                 }
-                "--method" => {
-                    method = match value_of("--method")?.as_str() {
-                        "basic" => arrayeq_core::Method::Basic,
-                        "extended" => arrayeq_core::Method::Extended,
-                        other => return Err(format!("unknown method `{other}`")),
-                    }
-                }
-                "--declare-op" => declare_ops.push(value_of("--declare-op")?),
-                "--param" => param_specs.push(parse_param_spec(&value_of("--param")?)?),
-                "--witnesses" => witnesses = true,
-                "--jobs" => jobs = Some(parse_int("--jobs", value_of("--jobs"))? as usize),
-                "--deadline-ms" => {
-                    deadline_ms = Some(parse_int("--deadline-ms", value_of("--deadline-ms"))?)
-                }
-                "--max-work" => max_work = Some(parse_int("--max-work", value_of("--max-work"))?),
                 other => return Err(format!("unknown serve argument `{other}`")),
             }
             Ok(())
@@ -596,33 +576,10 @@ fn run_serve(args: &[String]) -> i32 {
         return usage_error("serve needs exactly one of --socket <path> or --stdio");
     }
 
-    let mut operators = arrayeq_core::OperatorProperties::default();
-    for decl in &declare_ops {
-        operators = match operators.declare_spec(decl) {
-            Ok(ops) => ops,
-            Err(message) => return usage_error(&message),
-        };
-    }
-    let mut builder = Verifier::builder()
-        .method(method)
-        .operators(operators)
-        .witnesses(witnesses);
-    if !param_specs.is_empty() {
-        builder = builder.params(param_specs);
-    }
-    if let Some(ms) = deadline_ms {
-        builder = builder.deadline(Duration::from_millis(ms));
-    }
-    if let Some(w) = max_work {
-        builder = builder.max_work(w);
-    }
-    if let Some(j) = jobs {
-        builder = builder.jobs(j);
-    }
-    if let Some(dir) = &store {
-        builder = builder.store(dir.clone());
-    }
-    let verifier = builder.build();
+    let verifier = match engine.builder() {
+        Ok(builder) => builder.build(),
+        Err(message) => return usage_error(&message),
+    };
     for warning in verifier.store_warnings() {
         eprintln!("warning: {warning}");
     }

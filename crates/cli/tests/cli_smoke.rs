@@ -134,6 +134,87 @@ fn usage_and_pipeline_errors_exit_above_two() {
     assert!(out.status.code().unwrap_or(0) > 2);
 }
 
+/// The usage errors of `verify` and `serve`, byte for byte: each exits 4
+/// and prints `error: <message>`, a blank line and the usage on stderr.
+/// The engine flags both subcommands take fail alike in each.
+#[test]
+fn verify_and_serve_usage_errors_are_pinned() {
+    let dir = temp_dir("usage");
+    let a = write_corpus(&dir, "fig1a");
+    let c = write_corpus(&dir, "fig1c");
+    let (a, c) = (a.to_str().unwrap(), c.to_str().unwrap());
+    let usage = String::from_utf8(arrayeq(&["help"]).stdout).unwrap();
+    let expect = |args: &[&str], message: &str| {
+        let out = arrayeq(args);
+        assert_eq!(out.status.code(), Some(4), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: {message}\n\n{usage}"),
+            "{args:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} prints nothing on stdout");
+    };
+    let engine_flags: [(&[&str], &str); 13] = [
+        (&["--jobs", "two"], "--jobs needs an integer"),
+        (&["--deadline-ms", "1.5"], "--deadline-ms needs an integer"),
+        (&["--max-work", "-3"], "--max-work needs an integer"),
+        (&["--method", "fast"], "unknown method `fast`"),
+        (
+            &["--param", "N=16"],
+            "--param `N=16`: expected `NAME` or `NAME>=MIN` with an identifier name",
+        ),
+        (
+            &["--param", "N>=one"],
+            "--param `N>=one`: lower bound must be an integer",
+        ),
+        (
+            &["--declare-op", "min"],
+            "malformed operator declaration `min` (expected name=ac)",
+        ),
+        (&["--declare-op", "=ac"], "missing operator name in `=ac`"),
+        (
+            &["--declare-op", "min=x"],
+            "unknown operator-class letter `x` in `x` (expected a combination of `a` and `c`)",
+        ),
+        (&["--jobs"], "--jobs needs a value"),
+        (&["--method"], "--method needs a value"),
+        (&["--param"], "--param needs a value"),
+        (&["--store"], "--store needs a value"),
+    ];
+    for (flags, message) in engine_flags {
+        expect(&[&["verify", a, c], flags].concat(), message);
+        expect(&[&["serve", "--stdio"], flags].concat(), message);
+    }
+    expect(
+        &["verify", a, c, "--frobnicate"],
+        "unknown flag `--frobnicate`",
+    );
+    expect(&["verify", a], "verify needs exactly 2 input files, got 1");
+    expect(
+        &["verify", a, c, "--trace-format", "xml"],
+        "unknown trace format `xml`",
+    );
+    expect(&["verify", a, c, "--trace"], "--trace needs a value");
+    expect(
+        &["serve", "--stdio", "--frobnicate"],
+        "unknown serve argument `--frobnicate`",
+    );
+    expect(
+        &["serve", "--stdio", "extra"],
+        "unknown serve argument `extra`",
+    );
+    expect(
+        &["serve", "--stdio", "--flush-every", "x"],
+        "--flush-every needs an integer",
+    );
+    let one_of = "serve needs exactly one of --socket <path> or --stdio";
+    expect(&["serve"], one_of);
+    expect(
+        &["serve", "--stdio", "--socket", "/nonexistent/s.sock"],
+        one_of,
+    );
+}
+
 #[test]
 fn help_after_any_command_prints_the_usage_and_exits_zero() {
     let usage = arrayeq(&["help"]).stdout;

@@ -650,6 +650,15 @@ impl Checker<'_> {
         false
     }
 
+    /// Looks through an access node: `map` composed with the node's
+    /// dependency `mapping`, simplified.  Counted as one composition and
+    /// timed by one `compose` span.
+    pub(crate) fn compose(&mut self, map: &Relation, mapping: &Relation) -> Result<Relation> {
+        self.stats.compositions += 1;
+        let _span = arrayeq_trace::span("compose");
+        Ok(map.compose(mapping)?.simplified(true))
+    }
+
     /// The core synchronized traversal: checks that the sub-computations at
     /// `pos_a` / `pos_b` agree for every output element in the (common)
     /// domain of `map_a` / `map_b`.
@@ -680,14 +689,7 @@ impl Checker<'_> {
                 ..
             } = self.a.node(*n)
             {
-                self.stats.compositions += 1;
-                let new_map = {
-                    let _span = arrayeq_trace::span("compose");
-                    let t0 = arrayeq_trace::metrics_timer();
-                    let m = map_a.compose(mapping)?.simplified(true);
-                    arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
-                    m
-                };
+                let new_map = self.compose(&map_a, mapping)?;
                 return self.check(
                     Pos::Array(array.clone()),
                     new_map,
@@ -706,14 +708,7 @@ impl Checker<'_> {
                 ..
             } = self.b.node(*n)
             {
-                self.stats.compositions += 1;
-                let new_map = {
-                    let _span = arrayeq_trace::span("compose");
-                    let t0 = arrayeq_trace::metrics_timer();
-                    let m = map_b.compose(mapping)?.simplified(true);
-                    arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
-                    m
-                };
+                let new_map = self.compose(&map_b, mapping)?;
                 return self.check(
                     pos_a,
                     map_a,

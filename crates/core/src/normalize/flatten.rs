@@ -278,14 +278,7 @@ impl<'x> Checker<'x> {
                     statement,
                     ..
                 } => {
-                    self.stats.compositions += 1;
-                    let new_map = {
-                        let _span = arrayeq_trace::span("compose");
-                        let t0 = arrayeq_trace::metrics_timer();
-                        let m = map.compose(mapping)?.simplified(true);
-                        arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
-                        m
-                    };
+                    let new_map = self.compose(&map, mapping)?;
                     self.flatten_family(
                         original_side,
                         family,
@@ -505,14 +498,7 @@ impl<'x> Checker<'x> {
                 statement,
                 ..
             } => {
-                self.stats.compositions += 1;
-                let m = {
-                    let _span = arrayeq_trace::span("compose");
-                    let t0 = arrayeq_trace::metrics_timer();
-                    let m = map.compose(mapping)?.simplified(true);
-                    arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
-                    m
-                };
+                let m = self.compose(map, mapping)?;
                 self.product_enter_array(
                     original_side,
                     array,

@@ -148,10 +148,8 @@ impl<'x> Checker<'x> {
         let mut terms_b = Vec::new();
         {
             let _span = arrayeq_trace::span("flatten");
-            let t0 = arrayeq_trace::metrics_timer();
             self.flatten_family(true, family, pos_a, map_a, trail_a, 1, true, &mut terms_a)?;
             self.flatten_family(false, family, pos_b, map_b, trail_b, 1, true, &mut terms_b)?;
-            arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Flatten, t0);
         }
         self.stats.terms_flattened += (terms_a.len() + terms_b.len()) as u64;
         arrayeq_trace::event_with("flattened", || {
@@ -192,7 +190,6 @@ impl<'x> Checker<'x> {
                 arrayeq_trace::u("terms_b", live_b.len() as u64),
             ]
         });
-        let _metric = arrayeq_trace::metric_guard(arrayeq_trace::Metric::Match);
         let class = self.opts.operators.class_of(family);
         let multiplicative = matches!(family, OperatorKind::Mul);
         let fold = |terms: &[FlatTerm]| -> i64 {

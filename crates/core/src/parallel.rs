@@ -216,14 +216,17 @@ pub(crate) fn check_parallel(
     if workers == 1 {
         drain();
     } else {
+        // Each worker records into the coordinator's recorder, on its own
+        // lane; lanes are 1-based, 0 is the coordinator thread.
+        let recorder = arrayeq_trace::Recorder::current();
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let drain = &drain;
-                scope.spawn(move || {
-                    // Worker lanes are 1-based; 0 is the coordinator thread.
-                    arrayeq_trace::set_worker((w + 1) as u32);
-                    drain();
-                });
+                let lane = arrayeq_trace::Recorder {
+                    worker: (w + 1) as u32,
+                    ..recorder.clone()
+                };
+                scope.spawn(move || arrayeq_trace::recording(&lane, drain));
             }
         });
     }

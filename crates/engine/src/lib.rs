@@ -93,6 +93,7 @@ use arrayeq_addg::Addg;
 use arrayeq_core::{check, lower, CheckContext, ProofCache, Result};
 use arrayeq_lang::ast::Program;
 use arrayeq_lang::parser::parse_program;
+use arrayeq_trace::{recording, Recorder};
 use arrayeq_witness::extract_witnesses;
 use std::io;
 use std::path::PathBuf;
@@ -412,23 +413,25 @@ impl VerifierBuilder {
         self
     }
 
-    /// Installs `sink` as the *process-global* trace collector when the
-    /// engine is built, enabling structured proof tracing (spans, discharge
-    /// provenance) on every request.  Tracing is instrumentation-only: it
-    /// never changes verdicts, diagnostics or [`Report::render_stable`].
+    /// Records a structured proof trace (spans, discharge provenance) of
+    /// every request of this engine into `sink`.  Tracing is
+    /// instrumentation-only: it never changes verdicts, diagnostics or
+    /// [`Report::render_stable`].
     ///
-    /// The sink is process state (trace emission sites live below the
-    /// engine, down to the Omega layer), so it stays installed until
-    /// [`arrayeq_trace::uninstall`] — typically called after the session to
-    /// serialize the events.
+    /// The sink belongs to the engine, not the process: each request runs
+    /// inside the engine's [`arrayeq_trace::recording`] scope, the worker
+    /// threads it spawns included, so `sink` receives exactly this engine's
+    /// events and can be serialized once a request returns.
     pub fn trace_sink(mut self, sink: Arc<arrayeq_trace::Collector>) -> Self {
         self.trace_sink = Some(sink);
         self
     }
 
-    /// Enables the session metrics registry: log2-bucket latency histograms
-    /// for the four hot operations (feasibility, composition, flatten,
-    /// match), aggregated across every query of this engine.  Snapshot via
+    /// Enables this engine's metrics registry: log2-bucket latency
+    /// histograms for the five metered operations (feasibility,
+    /// composition, flatten, match, simplify), aggregated across every
+    /// request of this engine and no other.  They are fed by the same span
+    /// closes as [`Self::trace_sink`].  Snapshot via
     /// [`Verifier::metrics_snapshot`].
     pub fn metrics(mut self, enabled: bool) -> Self {
         self.metrics = enabled;
@@ -449,14 +452,13 @@ impl VerifierBuilder {
 
     /// Constructs the engine.
     pub fn build(self) -> Verifier {
-        if let Some(sink) = &self.trace_sink {
-            arrayeq_trace::install(sink.clone());
-        }
-        let metrics = self.metrics.then(|| {
-            let m = Arc::new(arrayeq_trace::Metrics::new());
-            arrayeq_trace::install_metrics(m.clone());
-            m
-        });
+        let recorder = Recorder {
+            collector: self.trace_sink,
+            metrics: self
+                .metrics
+                .then(|| Arc::new(arrayeq_trace::Metrics::new())),
+            worker: 0,
+        };
         let proofs = ProofCache::new();
         let mut store_warnings = Vec::new();
         let store = self.store_dir.as_ref().and_then(|dir| {
@@ -485,7 +487,7 @@ impl VerifierBuilder {
             witnesses: self.witnesses,
             deadline: self.deadline,
             counters: Counters::default(),
-            metrics,
+            recorder,
             store,
             store_warnings,
             store_eq_loaded,
@@ -519,7 +521,8 @@ pub struct Verifier {
     deadline: Option<Duration>,
     proofs: ProofCache,
     counters: Counters,
-    metrics: Option<Arc<arrayeq_trace::Metrics>>,
+    /// The trace sink and metrics registry every request records into.
+    recorder: Recorder,
     store: Option<Arc<ProofStore>>,
     store_warnings: Vec<StoreWarning>,
     store_eq_loaded: usize,
@@ -556,9 +559,11 @@ impl Verifier {
     /// and baseline problems are *statuses* ([`Outcome::baseline`]), not
     /// errors.
     pub fn verify(&self, request: &VerifyRequest) -> Result<Outcome> {
-        let started = Instant::now();
-        let result = self.run(request);
-        self.finish(result, started)
+        recording(&self.recorder, || {
+            let started = Instant::now();
+            let result = self.run(request);
+            self.finish(result, started)
+        })
     }
 
     /// The pipeline of [`Verifier::verify`], up to the booking: the report
@@ -697,7 +702,7 @@ impl Verifier {
     /// A snapshot of the session latency histograms, or `None` when the
     /// engine was built without [`VerifierBuilder::metrics`].
     pub fn metrics_snapshot(&self) -> Option<arrayeq_trace::MetricsSnapshot> {
-        self.metrics.as_ref().map(|m| m.snapshot())
+        self.recorder.metrics.as_ref().map(|m| m.snapshot())
     }
 
     /// A snapshot of the cumulative session counters.

@@ -10,11 +10,9 @@
 //! worker, the algebraic path records its `split` and `restrict` spans, and
 //! a mutant's trace names the failing output's provenance.
 //!
-//! Trace state (collector, metrics registry, worker ids) is process-global,
-//! so every test here serializes on one mutex — and they all live in this
-//! one integration-test binary so no other test process observes an
-//! installed collector.  The mutex is recovered from poisoning, so one
-//! failing test does not fail the others too.
+//! Nothing here serializes: each engine records only its own requests,
+//! into its own collector and registry, so the tests run concurrently, and
+//! doing so checks that isolation too.
 
 use arrayeq_engine::{JsonValue, Verifier, VerifyRequest};
 use arrayeq_lang::corpus::{FIG1_A, FIG1_B, FIG1_C, FIG1_D};
@@ -23,13 +21,7 @@ use arrayeq_transform::generator::{generate_kernel, GeneratorConfig};
 use arrayeq_transform::mutate::fault_corpus;
 use arrayeq_transform::random_pipeline;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn serialize() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use std::sync::Arc;
 
 /// Runs one request on a fresh engine and returns `(render_stable,
 /// verdict)` plus the collector when `traced`.
@@ -45,11 +37,7 @@ fn run_once(
     }
     let verifier = builder.build();
     let outcome = verifier.verify(request).expect("pipeline ok");
-    if collector.is_some() {
-        arrayeq_trace::uninstall();
-    } else {
-        assert!(!arrayeq_trace::enabled(), "no collector leaked");
-    }
+    assert!(!arrayeq_trace::enabled(), "no collector leaked");
     (
         outcome.report.render_stable(),
         outcome.report.verdict.to_string(),
@@ -95,7 +83,6 @@ fn corpus() -> Vec<(String, VerifyRequest)> {
 /// Both serializations of every recorded run must also be well-formed.
 #[test]
 fn tracing_never_changes_reports_at_any_job_count() {
-    let _g = serialize();
     for (name, request) in corpus() {
         for jobs in [1usize, 8] {
             let (stable_off, verdict_off, _) = run_once(&request, jobs, false);
@@ -144,7 +131,6 @@ fn tracing_never_changes_reports_at_any_job_count() {
 /// tasks run on spawned worker lanes.
 #[test]
 fn jsonl_wellformed_and_spans_balance_per_worker() {
-    let _g = serialize();
     for jobs in [1usize, 8] {
         let (.., collector) = run_once(&VerifyRequest::source(FIG1_A, FIG1_C), jobs, true);
         let collector = collector.expect("a traced run returns its collector");
@@ -242,7 +228,6 @@ fn balanced_lanes(collector: &Collector, jobs: usize) -> Vec<i64> {
 /// the coordinator's `output` span is what names it.
 #[test]
 fn mutant_trace_contains_failing_output_provenance() {
-    let _g = serialize();
     for jobs in [1usize, 8] {
         mutant_trace_names_its_failing_output(jobs);
     }
@@ -258,7 +243,6 @@ fn mutant_trace_names_its_failing_output(jobs: usize) {
     let outcome = verifier
         .verify(&VerifyRequest::programs(case.original, case.mutant))
         .unwrap();
-    arrayeq_trace::uninstall();
     assert!(
         !outcome.report.is_equivalent(),
         "fault corpus case is inequivalent"
@@ -306,7 +290,6 @@ fn mutant_trace_names_its_failing_output(jobs: usize) {
 /// to well-formed JSON.
 #[test]
 fn metrics_registry_accumulates_and_serializes() {
-    let _g = serialize();
     let verifier = Verifier::builder().metrics(true).build();
     verifier
         .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
@@ -315,7 +298,6 @@ fn metrics_registry_accumulates_and_serializes() {
         .verify(&VerifyRequest::source(FIG1_A, FIG1_B))
         .unwrap();
     let snapshot = verifier.metrics_snapshot().expect("metrics enabled");
-    arrayeq_trace::uninstall_metrics();
 
     let total: u64 = snapshot.metrics.iter().map(|m| m.count).sum();
     assert!(total > 0, "some latency samples were recorded");
@@ -342,7 +324,6 @@ fn metrics_registry_accumulates_and_serializes() {
 /// names a discharge mechanism or a direct proof.
 #[test]
 fn explain_renders_incremental_provenance() {
-    let _g = serialize();
     let producer = Verifier::new();
     let first = producer
         .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
@@ -355,7 +336,6 @@ fn explain_renders_incremental_provenance() {
     let inc = consumer
         .verify(&VerifyRequest::source(FIG1_A, FIG1_C).with_baseline(baseline))
         .unwrap();
-    arrayeq_trace::uninstall();
     assert!(inc.report.is_equivalent());
 
     let text = arrayeq_trace::explain::render(&collector);

@@ -470,7 +470,6 @@ pub struct ProgramBuilder {
     symbolic_params: Vec<(String, i64)>,
     decls: Vec<Decl>,
     body: Vec<Stmt>,
-    label_counter: usize,
 }
 
 impl ProgramBuilder {
@@ -513,13 +512,6 @@ impl ProgramBuilder {
     pub fn stmt(mut self, s: Stmt) -> Self {
         self.body.push(s);
         self
-    }
-
-    /// Generates a fresh statement label (`g0`, `g1`, ...).
-    pub fn fresh_label(&mut self) -> String {
-        let l = format!("g{}", self.label_counter);
-        self.label_counter += 1;
-        l
     }
 
     /// Finishes building.

@@ -155,11 +155,6 @@ impl Memory {
     pub fn element(&self, name: &str, index: usize) -> Option<i64> {
         self.arrays.get(name).and_then(|v| v.get(index)).copied()
     }
-
-    /// Names of all arrays in the memory.
-    pub fn array_names(&self) -> impl Iterator<Item = &str> {
-        self.arrays.keys().map(|s| s.as_str())
-    }
 }
 
 /// Statistics collected during one execution.

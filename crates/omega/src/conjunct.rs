@@ -27,8 +27,9 @@ thread_local! {
     /// conjunct alone, so the memo lives as long as its thread, across
     /// checker runs and engines, until [`FEASIBILITY_MEMO_CAP`] clears it.
     /// In debug builds the canonical constraint system is stored alongside
-    /// the verdict and compared on every hit, so a 64-bit collision would be
-    /// caught by tests instead of silently corrupting a verdict.
+    /// the verdict and compared on every hit: a hit whose system differs is a
+    /// 64-bit collision and counts as a miss, so the verdict is recomputed
+    /// and overwrites the entry. Release builds trust the hash.
     static FEASIBILITY_MEMO: RefCell<HashMap<u64, MemoEntry>> = RefCell::new(HashMap::new());
 }
 
@@ -199,13 +200,10 @@ impl Conjunct {
         let cached = FEASIBILITY_MEMO.with(|m| {
             #[cfg(debug_assertions)]
             {
-                m.borrow().get(&key).map(|(f, canon, n)| {
-                    assert_eq!(
-                        (canon, *n),
-                        (&self.canonical_constraints(), self.n_vars()),
-                        "structural_hash collision in the feasibility memo"
-                    );
-                    *f
+                // A hit on another conjunct's system is a collision: a miss,
+                // whose verdict replaces the entry below.
+                m.borrow().get(&key).and_then(|(f, canon, n)| {
+                    (*canon == self.canonical_constraints() && *n == self.n_vars()).then_some(*f)
                 })
             }
             #[cfg(not(debug_assertions))]
@@ -226,9 +224,7 @@ impl Conjunct {
                 arrayeq_trace::u("vars", self.n_vars() as u64),
             ]
         });
-        let t0 = arrayeq_trace::metrics_timer();
         let f = decide_with_fallback(&self.constraints, self.n_vars());
-        arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Feasibility, t0);
         // Overflow-degraded verdicts are *never* memoised: the conservative
         // "feasible" stands for "unknown", and caching it would let one
         // overflow-afflicted query poison every structurally identical query

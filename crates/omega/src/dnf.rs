@@ -39,7 +39,6 @@ pub(crate) fn coalesce(conjuncts: Vec<Conjunct>) -> Vec<Conjunct> {
     let _span = arrayeq_trace::span_with("simplify", || {
         vec![arrayeq_trace::u("conjuncts", conjuncts.len() as u64)]
     });
-    let t0 = arrayeq_trace::metrics_timer();
     let before = conjuncts.len();
 
     // Pass 1: structural dedup.  The hash absorbs constraint permutation,
@@ -87,7 +86,6 @@ pub(crate) fn coalesce(conjuncts: Vec<Conjunct>) -> Vec<Conjunct> {
     kept.retain(|_| *alive_iter.next().expect("alive mask length"));
 
     note_conjuncts_subsumed((before - kept.len()) as u64);
-    arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Simplify, t0);
     kept
 }
 

@@ -93,8 +93,8 @@
 //!   holds at most 2^15 verdicts and is cleared wholesale when full.  A
 //!   verdict degraded by arithmetic overflow is never memoised.  Debug
 //!   builds store the canonical constraint system next to each verdict and
-//!   verify it on every hit, so a 64-bit hash collision fails loudly instead
-//!   of corrupting a verdict.
+//!   compare it on every hit: a 64-bit hash collision is a miss, whose
+//!   recomputed verdict replaces the entry.  Release builds trust the hash.
 //!
 //! All allocation-heavy inner loops (Fourier–Motzkin shadows, equality
 //! elimination, existential elimination) operate on [`LinExpr`]s that store

@@ -12,8 +12,10 @@
 //!
 //! This module trades every performance trick of the production path for
 //! obvious correctness: plain `Vec<BigInt>` rows, clones everywhere, no
-//! memoisation.  It is compiled into the library (so integration tests and
-//! the overflow corpus can call it) but is not used on any production path.
+//! memoisation.  It is also the production path's exact fallback: every
+//! feasibility query whose `i64` arithmetic overflows is re-decided here
+//! (`decide_with_fallback` in `conjunct.rs`), and the exact verdict replaces
+//! the degraded one whenever this solver stays within its work limit.
 
 use crate::bigint::BigInt;
 use crate::constraint::{Constraint, ConstraintKind};

@@ -198,51 +198,6 @@ impl Set {
         })
     }
 
-    /// Splits the set on a parameter threshold: returns
-    /// `(self ∧ param ≤ c, self ∧ param ≥ c + 1)` — the parameter-context
-    /// split used to branch a parametric verification into `N ≤ c` and
-    /// `N > c` regimes.  The two halves partition `self` exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not a valid parameter index of this set's space.
-    pub fn split_at_param(&self, p: usize, c: i64) -> (Set, Set) {
-        assert!(
-            p < self.space().n_param(),
-            "parameter index {p} out of range"
-        );
-        let mut le = Vec::with_capacity(self.conjuncts().len());
-        let mut gt = Vec::with_capacity(self.conjuncts().len());
-        for conj in self.conjuncts() {
-            let col = conj.col(VarKind::Param, p);
-            // param ≤ c  ⇔  −param + c ≥ 0
-            let mut a = conj.clone();
-            let mut e = a.zero_expr();
-            e.set_coeff(col, -1);
-            e.set_constant(c);
-            a.add(Constraint::geq(e));
-            le.push(a);
-            // param ≥ c + 1  ⇔  param − (c + 1) ≥ 0; at c = i64::MAX the
-            // upper branch is empty and is simply not generated.
-            if let Some(neg) = c.checked_add(1).and_then(i64::checked_neg) {
-                let mut b = conj.clone();
-                let mut e = b.zero_expr();
-                e.set_coeff(col, 1);
-                e.set_constant(neg);
-                b.add(Constraint::geq(e));
-                gt.push(b);
-            }
-        }
-        (
-            Set {
-                inner: Relation::from_conjuncts(self.space().clone(), le),
-            },
-            Set {
-                inner: Relation::from_conjuncts(self.space().clone(), gt),
-            },
-        )
-    }
-
     /// Returns a concrete member of the set as `(point, params)`, or `None`
     /// when the set is empty (see [`Relation::sample_point`]).
     pub fn sample_point(&self) -> Option<(Vec<i64>, Vec<i64>)> {

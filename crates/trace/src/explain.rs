@@ -79,7 +79,8 @@ fn build_forest(events: &[Event]) -> (Vec<Node>, Vec<Instant>) {
     workers.sort_unstable();
     for w in workers {
         let mut stack = stacks.remove(&w).unwrap();
-        // Fold any still-open spans (uninstalled mid-run) into their parent.
+        // Fold any still-open spans (the collector was read before its
+        // request ended) into their parent.
         while stack.len() > 1 {
             let node = stack.pop().unwrap();
             stack.last_mut().unwrap().children.push(node);

@@ -6,97 +6,130 @@
 //!
 //! # Design
 //!
-//! The API is built around a process-global sink guarded by an atomic
-//! enabled flag:
+//! Everything a thread records goes through one scope, [`recording`]. It
+//! sets a [`Recorder`] — an optional [`Collector`], an optional [`Metrics`]
+//! registry and the worker lane its events carry — on the calling thread
+//! while a closure runs, and restores the enclosing one when the closure
+//! returns or unwinds. Nothing is process-global: an engine runs each of its
+//! requests inside its own recorder, so two engines in one process never
+//! record into each other, not even when they verify at the same time.
 //!
-//! * **Zero overhead when disabled.** Every emission site first performs a
-//!   single `Relaxed` atomic load ([`enabled`]). When no collector is
-//!   installed that load is the *entire* cost: field vectors are built
-//!   lazily through closures ([`span_with`], [`event_with`]) so the
-//!   disabled path allocates nothing and formats nothing.
-//! * **Worker-aware.** The PR4 intra-query pool tags each worker thread
-//!   with an id via [`set_worker`]; events carry that id so sinks can
-//!   reconstruct per-worker lanes. Id `0` is the main/coordinator thread.
-//! * **Span balance.** [`Span`] is a drop guard: the `Close` event fires on
-//!   scope exit, including `?`-style early returns, so open/close events
-//!   balance per worker whenever install/uninstall bracket whole runs.
+//! * **Spans are the one timer.** A [`Span`] is a drop guard. It opens when
+//!   the thread's recorder has a collector, or has a registry and the span
+//!   is one of the five metered operations ([`Metric`]). On close it sends
+//!   its `Close` event, with its duration, to the collector, and a metered
+//!   span adds the same duration to the registry, so the trace and the
+//!   histograms count the same events. Closes fire on every scope exit,
+//!   `?`-style early returns included, so open and close events balance per
+//!   worker lane.
+//! * **Near-zero cost when off.** With no recorder set, an instrumentation
+//!   site costs one thread-local read. Field vectors are built lazily
+//!   through closures ([`span_with`], [`event_with`]), and only when there
+//!   is a collector, so the disabled path allocates nothing and formats
+//!   nothing.
+//! * **Worker lanes.** A scope does not follow work onto other threads: a
+//!   worker pool runs each worker inside a copy of [`Recorder::current`]
+//!   with that worker's lane. Lane `0` is the coordinating thread.
 //!
 //! Two machine-readable serializations are provided by [`Collector`]:
 //! a JSONL event stream ([`Collector::to_jsonl`]) and a Chrome trace-event
 //! profile ([`Collector::to_chrome`]) loadable in `chrome://tracing` or
 //! Perfetto. A human-facing proof-tree renderer lives in [`explain`].
-//!
-//! Latency metrics are a separate, even cheaper channel: a global
-//! [`Metrics`] registry of log2-bucket histograms for the four hot
-//! operations ([`Metric`]), designed to aggregate across queries for a
-//! long-lived daemon session.
+//! [`Metrics`] keeps log2-bucket latency histograms of the metered spans,
+//! aggregated over every request recorded into it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub mod explain;
 
 // ---------------------------------------------------------------------------
-// Global sink state
+// The recording scope
 // ---------------------------------------------------------------------------
 
-/// Fast-path flag: true iff a collector is installed.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// What a thread records into: a trace collector, a metrics registry, both
+/// or neither, and the worker lane its events carry. Set on a thread for
+/// the span of one call by [`recording`].
+#[derive(Clone, Default)]
+pub struct Recorder {
+    /// Receives every span and instant event.
+    pub collector: Option<Arc<Collector>>,
+    /// Receives the durations of the metered spans ([`Metric`]).
+    pub metrics: Option<Arc<Metrics>>,
+    /// Worker lane attached to the events (0 = the coordinating thread).
+    pub worker: u32,
+}
 
-/// The installed collector, if any. Written only by install/uninstall;
-/// read (briefly, under the read lock) by emission sites.
-static SINK: RwLock<Option<Arc<Collector>>> = RwLock::new(None);
+impl Recorder {
+    const OFF: Recorder = Recorder {
+        collector: None,
+        metrics: None,
+        worker: 0,
+    };
 
-/// Fast-path flag for the metrics channel.
-static METRICS_ON: AtomicBool = AtomicBool::new(false);
+    /// A copy of the current thread's recorder, for the worker threads
+    /// that take over part of its work.
+    pub fn current() -> Recorder {
+        RECORDER.with(|r| r.borrow().clone())
+    }
 
-/// The installed metrics registry, if any.
-static METRICS: RwLock<Option<Arc<Metrics>>> = RwLock::new(None);
+    /// Sends one event to the collector, if there is one.
+    fn emit(
+        &self,
+        phase: Phase,
+        name: &'static str,
+        dur_us: u64,
+        fields: impl FnOnce() -> Vec<Field>,
+    ) {
+        if let Some(c) = &self.collector {
+            c.push(Event {
+                ts_us: c.now_us(),
+                worker: self.worker,
+                phase,
+                name,
+                dur_us,
+                fields: fields(),
+            });
+        }
+    }
+}
 
 thread_local! {
-    /// Worker id attached to events emitted from this thread (0 = main).
-    static WORKER: Cell<u32> = const { Cell::new(0) };
-    /// Names of currently-open spans on this thread, for depth bookkeeping.
+    /// The recorder of the innermost [`recording`] scope on this thread.
+    static RECORDER: RefCell<Recorder> = const { RefCell::new(Recorder::OFF) };
+    /// Names of currently-open traced spans on this thread, for depth
+    /// bookkeeping.
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Returns true iff a trace collector is currently installed.
+/// Runs `f` with `recorder` set on the current thread: every span and event
+/// `f` emits on this thread goes to its collector and registry.
 ///
-/// This is a single `Relaxed` atomic load — the entire cost of an
-/// instrumentation site when tracing is off.
-#[inline(always)]
+/// The enclosing recorder is restored when `f` returns or unwinds, so scopes
+/// nest, and a scope whose recorder has neither a collector nor a registry
+/// records nothing, whatever encloses it.
+pub fn recording<R>(recorder: &Recorder, f: impl FnOnce() -> R) -> R {
+    /// Puts the enclosing scope's recorder back on drop.
+    struct Restore(Recorder);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let outer = std::mem::take(&mut self.0);
+            RECORDER.with(|r| *r.borrow_mut() = outer);
+        }
+    }
+    let _restore = Restore(RECORDER.with(|r| r.replace(recorder.clone())));
+    f()
+}
+
+/// Returns true iff the current thread's recorder has a trace collector.
+#[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Installs `collector` as the process-global trace sink and enables
-/// tracing. Replaces any previously installed collector.
-pub fn install(collector: Arc<Collector>) {
-    *SINK.write().unwrap() = Some(collector);
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Disables tracing and removes the installed collector, returning it so
-/// the caller can serialize the gathered events.
-pub fn uninstall() -> Option<Arc<Collector>> {
-    ENABLED.store(false, Ordering::SeqCst);
-    SINK.write().unwrap().take()
-}
-
-/// Tags the current thread with a worker id (0 = main/coordinator).
-/// Worker pools call this once per worker thread before draining tasks.
-pub fn set_worker(id: u32) {
-    WORKER.with(|w| w.set(id));
-}
-
-/// Returns the current thread's worker id.
-pub fn current_worker() -> u32 {
-    WORKER.with(|w| w.get())
+    RECORDER.with(|r| r.borrow().collector.is_some())
 }
 
 // ---------------------------------------------------------------------------
@@ -377,84 +410,79 @@ fn write_json_string(out: &mut String, s: &str) {
 // Emission API
 // ---------------------------------------------------------------------------
 
-fn emit(phase: Phase, name: &'static str, dur_us: u64, fields: Vec<Field>) {
-    let guard = SINK.read().unwrap();
-    if let Some(c) = guard.as_ref() {
-        let ev = Event {
-            ts_us: c.now_us(),
-            worker: current_worker(),
-            phase,
-            name,
-            dur_us,
-            fields,
-        };
-        c.push(ev);
-    }
-}
-
 /// An open span; emits the matching `Close` event (with duration) when
-/// dropped, including on early returns.
+/// dropped, including on early returns, and records a metered span's
+/// duration in the registry.
 ///
-/// A `Span` created while tracing was disabled is inert: dropping it emits
-/// nothing even if tracing was enabled in between (and vice versa the
-/// close is suppressed if the collector vanished), so spans never panic
-/// and imbalance can only arise from uninstalling mid-run.
+/// A `Span` opened while the thread's recorder had nothing to give it to is
+/// inert: dropping it records nothing.
 #[must_use = "a span closes when dropped; binding it to _ closes it immediately"]
 pub struct Span {
     name: &'static str,
+    /// When the span opened; `None` for an inert span.
     opened: Option<Instant>,
-}
-
-impl Span {
-    /// A span that was never opened (tracing disabled at creation).
-    fn inert(name: &'static str) -> Self {
-        Span { name, opened: None }
-    }
+    /// The histogram its duration goes to, if the registry meters it.
+    metric: Option<Metric>,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(t0) = self.opened {
-            SPAN_STACK.with(|st| {
-                let mut st = st.borrow_mut();
-                debug_assert_eq!(st.last().copied(), Some(self.name), "unbalanced span stack");
-                st.pop();
-            });
-            let dur_us = t0.elapsed().as_micros() as u64;
-            emit(Phase::Close, self.name, dur_us, Vec::new());
-        }
+        let Some(t0) = self.opened else { return };
+        let dur_us = t0.elapsed().as_micros() as u64;
+        RECORDER.with(|r| {
+            let r = r.borrow();
+            if let (Some(metric), Some(m)) = (self.metric, &r.metrics) {
+                m.record(metric, dur_us);
+            }
+            if r.collector.is_some() {
+                SPAN_STACK.with(|st| {
+                    let mut st = st.borrow_mut();
+                    debug_assert_eq!(st.last().copied(), Some(self.name), "unbalanced span stack");
+                    st.pop();
+                });
+                r.emit(Phase::Close, self.name, dur_us, Vec::new);
+            }
+        });
     }
 }
 
-/// Opens a span with no fields. Cost when disabled: one atomic load.
+/// Opens a span with no fields. Cost when off: one thread-local read.
 #[inline]
 pub fn span(name: &'static str) -> Span {
     span_with(name, Vec::new)
 }
 
-/// Opens a span whose fields are built lazily — `fields` only runs when
-/// tracing is enabled, so the disabled path allocates nothing.
+/// Opens a span whose fields are built lazily — `fields` only runs when the
+/// thread's recorder has a collector, so the disabled path allocates
+/// nothing.
 #[inline]
 pub fn span_with(name: &'static str, fields: impl FnOnce() -> Vec<Field>) -> Span {
-    if !enabled() {
-        return Span::inert(name);
-    }
-    SPAN_STACK.with(|st| st.borrow_mut().push(name));
-    emit(Phase::Open, name, 0, fields());
-    Span {
-        name,
-        opened: Some(Instant::now()),
-    }
+    RECORDER.with(|r| {
+        let r = r.borrow();
+        let metric = r.metrics.as_ref().and_then(|_| Metric::of_span(name));
+        if r.collector.is_some() {
+            SPAN_STACK.with(|st| st.borrow_mut().push(name));
+            r.emit(Phase::Open, name, 0, fields);
+        } else if metric.is_none() {
+            return Span {
+                name,
+                opened: None,
+                metric,
+            };
+        }
+        Span {
+            name,
+            opened: Some(Instant::now()),
+            metric,
+        }
+    })
 }
 
 /// Emits an instantaneous event; `fields` is built lazily as in
 /// [`span_with`].
 #[inline]
 pub fn event_with(name: &'static str, fields: impl FnOnce() -> Vec<Field>) {
-    if !enabled() {
-        return;
-    }
-    emit(Phase::Instant, name, 0, fields());
+    RECORDER.with(|r| r.borrow().emit(Phase::Instant, name, 0, fields));
 }
 
 /// Emits a discharge-provenance event: `mechanism` names which facility
@@ -474,7 +502,8 @@ pub fn discharge(mechanism: &'static str) {
 /// `[2^(i-1), 2^i)` µs (bucket 0 holds sub-microsecond samples).
 pub const N_BUCKETS: usize = 40;
 
-/// The five hot operations metered by the session registry.
+/// The five hot operations a [`Metrics`] registry meters: each is the
+/// duration of one span, recorded when the span closes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// `Conjunct::is_feasible` compute (memo misses only), µs.
@@ -508,6 +537,22 @@ impl Metric {
             Metric::Match => "match",
             Metric::Simplify => "simplify",
         }
+    }
+
+    /// The name of the span this metric times.
+    fn span(self) -> &'static str {
+        match self {
+            Metric::Feasibility => "feasibility",
+            Metric::Composition => "compose",
+            Metric::Flatten => "flatten",
+            Metric::Match => "match",
+            Metric::Simplify => "simplify",
+        }
+    }
+
+    /// The metric a span named `name` feeds, if any.
+    fn of_span(name: &str) -> Option<Metric> {
+        Metric::ALL.into_iter().find(|m| m.span() == name)
     }
 
     fn index(self) -> usize {
@@ -550,9 +595,10 @@ impl Histo {
     }
 }
 
-/// A process-wide registry of latency histograms, one per [`Metric`].
-/// Designed to stay installed across queries so a long-lived session
-/// accumulates aggregate behaviour.
+/// A registry of latency histograms, one per [`Metric`]. It belongs to one
+/// engine (or whoever records into it through a [`Recorder`]) and
+/// accumulates over every request recorded into it, so a long-lived session
+/// aggregates its own behaviour and no other engine's.
 #[derive(Default)]
 pub struct Metrics {
     histos: [Histo; 5],
@@ -677,80 +723,26 @@ impl MetricsSnapshot {
     }
 }
 
-/// Returns true iff a metrics registry is installed.
-#[inline(always)]
-pub fn metrics_enabled() -> bool {
-    METRICS_ON.load(Ordering::Relaxed)
-}
-
-/// Installs `metrics` as the process-global registry (replacing any
-/// previous one) and enables metering.
-pub fn install_metrics(metrics: Arc<Metrics>) {
-    *METRICS.write().unwrap() = Some(metrics);
-    METRICS_ON.store(true, Ordering::SeqCst);
-}
-
-/// Disables metering and removes the registry, returning it.
-pub fn uninstall_metrics() -> Option<Arc<Metrics>> {
-    METRICS_ON.store(false, Ordering::SeqCst);
-    METRICS.write().unwrap().take()
-}
-
-/// Starts a timing sample iff metering is on. Pair with
-/// [`record_elapsed`]; the disabled path is a single atomic load.
-#[inline]
-pub fn metrics_timer() -> Option<Instant> {
-    if metrics_enabled() {
-        Some(Instant::now())
-    } else {
-        None
-    }
-}
-
-/// Records the time elapsed since `t0` (from [`metrics_timer`]) under
-/// `metric`. No-op when `t0` is `None` or the registry was uninstalled.
-#[inline]
-pub fn record_elapsed(metric: Metric, t0: Option<Instant>) {
-    if let Some(t0) = t0 {
-        let dur_us = t0.elapsed().as_micros() as u64;
-        if let Some(m) = METRICS.read().unwrap().as_ref() {
-            m.record(metric, dur_us);
-        }
-    }
-}
-
-/// A drop guard that records its lifetime under `metric` — the convenient
-/// form of [`metrics_timer`]/[`record_elapsed`] for multi-return functions.
-pub struct MetricGuard {
-    metric: Metric,
-    t0: Option<Instant>,
-}
-
-impl Drop for MetricGuard {
-    fn drop(&mut self) {
-        record_elapsed(self.metric, self.t0);
-    }
-}
-
-/// Starts a [`MetricGuard`] for `metric`; a single atomic load when off.
-#[inline]
-pub fn metric_guard(metric: Metric) -> MetricGuard {
-    MetricGuard {
-        metric,
-        t0: metrics_timer(),
-    }
-}
+/// Does nothing. A registry belongs to the engine that records into it,
+/// through its [`Recorder`], and nothing is installed process-wide; kept for
+/// callers that still "uninstall" after reading an engine's snapshot.
+pub fn uninstall_metrics() {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Trace/metrics state is process-global; serialize the unit tests.
-    static LOCK: Mutex<()> = Mutex::new(());
+    fn traced() -> (Arc<Collector>, Recorder) {
+        let c = Arc::new(Collector::new());
+        let recorder = Recorder {
+            collector: Some(c.clone()),
+            ..Recorder::default()
+        };
+        (c, recorder)
+    }
 
     #[test]
     fn disabled_by_default_and_lazy_fields() {
-        let _g = LOCK.lock().unwrap();
         assert!(!enabled());
         let mut ran = false;
         let _span = span_with("x", || {
@@ -763,15 +755,13 @@ mod tests {
 
     #[test]
     fn spans_balance_and_serialize() {
-        let _g = LOCK.lock().unwrap();
-        let c = Arc::new(Collector::new());
-        install(c.clone());
-        {
+        let (c, recorder) = traced();
+        recording(&recorder, || {
             let _outer = span_with("outer", || vec![s("k", "v\"q"), u("n", 7)]);
             let _inner = span("inner");
             event_with("mark", || vec![b("ok", true)]);
-        }
-        uninstall();
+        });
+        assert!(!enabled(), "the scope is over");
         let evs = c.events();
         assert_eq!(evs.len(), 5);
         let opens = evs.iter().filter(|e| e.phase == Phase::Open).count();
@@ -789,8 +779,53 @@ mod tests {
     }
 
     #[test]
+    fn metered_spans_feed_the_registry_without_building_fields() {
+        let m = Arc::new(Metrics::new());
+        let recorder = Recorder {
+            metrics: Some(m.clone()),
+            ..Recorder::default()
+        };
+        let mut built = false;
+        recording(&recorder, || {
+            let _compose = span_with("compose", || {
+                built = true;
+                vec![]
+            });
+            let _unmetered = span("output");
+            let _simplify = span("simplify");
+        });
+        assert!(!built, "fields are built for a collector only");
+        let counts: Vec<u64> = m.snapshot().metrics.iter().map(|m| m.count).collect();
+        assert_eq!(counts, [0, 1, 0, 0, 1]);
+    }
+
+    #[test]
+    fn a_scope_restores_the_enclosing_recorder_even_when_it_unwinds() {
+        let (outer, recorder) = traced();
+        recording(&recorder, || {
+            let unwound = std::panic::catch_unwind(|| {
+                recording(&Recorder::default(), || {
+                    event_with("silenced", Vec::new);
+                    panic!("unwinds through the inner scope");
+                })
+            });
+            assert!(unwound.is_err());
+            let lane = Recorder {
+                worker: 3,
+                ..Recorder::current()
+            };
+            std::thread::scope(|scope| {
+                scope.spawn(|| recording(&lane, || event_with("worker", Vec::new)));
+            });
+            event_with("after", Vec::new);
+        });
+        let evs = outer.events();
+        let seen: Vec<(&str, u32)> = evs.iter().map(|e| (e.name, e.worker)).collect();
+        assert_eq!(seen, [("worker", 3), ("after", 0)]);
+    }
+
+    #[test]
     fn metrics_histogram_buckets() {
-        let _g = LOCK.lock().unwrap();
         let m = Metrics::new();
         m.record(Metric::Feasibility, 0);
         m.record(Metric::Feasibility, 1);

@@ -1,15 +1,20 @@
-//! Standing contracts of the persistent proof store and of the options
-//! fingerprint, in the Tier-1 suite: a store-backed run renders exactly as
-//! a storeless one, a warm store discharges sub-proofs, the store files
-//! hold proof keys (`eq` lines) only, and the fingerprints that stamp every
-//! store and baseline on disk do not move.
+//! Standing contracts of the persistent proof store, of the options
+//! fingerprint and of the recording scope, in the Tier-1 suite: a
+//! store-backed run renders exactly as a storeless one, a warm store
+//! discharges sub-proofs, the store files hold proof keys (`eq` lines)
+//! only, the fingerprints that stamp every store and baseline on disk do
+//! not move, each engine records exactly its own requests, and its metrics
+//! count the same events as its trace.
 
 use arrayeq::core::CheckOptions;
 use arrayeq::engine::{options_fingerprint, Verifier, VerifyRequest};
 use arrayeq::lang::corpus::{FIG1_A, FIG1_C};
 use arrayeq::transform::mutate::fault_corpus;
+use arrayeq_trace::{Collector, Phase, Value};
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Barrier};
 
 /// Fig. 1 (a)/(c), equivalent with one output, and fault-corpus mutant 15,
 /// inequivalent with two outputs, so at two jobs its tasks run on spawned
@@ -113,4 +118,152 @@ fn options_fingerprints_are_pinned() {
         options_fingerprint(&CheckOptions::basic()),
         0xaea3_70ee_37e8_7aa1
     );
+}
+
+/// An engine at two jobs with the given recorder parts.
+fn engine(collector: Option<&Arc<Collector>>, metrics: bool) -> Verifier {
+    let mut builder = Verifier::builder().jobs(2).metrics(metrics);
+    if let Some(c) = collector {
+        builder = builder.trace_sink(c.clone());
+    }
+    builder.build()
+}
+
+/// The outputs the `output` spans of `collector` name.
+fn traced_outputs(collector: &Collector) -> BTreeSet<String> {
+    collector
+        .events()
+        .into_iter()
+        .filter(|ev| ev.name == "output" && ev.phase == Phase::Open)
+        .flat_map(|ev| ev.fields)
+        .filter_map(|(key, value)| match value {
+            Value::Str(s) if key == "output" => Some(s),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Verifies `request` on `verifier` and returns the outputs of its pair.
+fn outputs_of(verifier: &Verifier, request: &VerifyRequest) -> BTreeSet<String> {
+    let report = verifier.verify(request).unwrap().report;
+    report
+        .output_fingerprints
+        .into_iter()
+        .map(|o| o.0)
+        .collect()
+}
+
+/// Total samples in an engine's registry (`None` without one).
+fn samples(verifier: &Verifier) -> Option<u64> {
+    verifier
+        .metrics_snapshot()
+        .map(|s| s.metrics.iter().map(|m| m.count).sum())
+}
+
+#[test]
+fn each_engine_records_only_its_own_requests() {
+    let cases = cases();
+    let (fig1, mutant) = (&cases[0].1, &cases[1].1);
+
+    // Built one after another: A with a collector and metrics, B with a
+    // collector, C with metrics only, D with neither.
+    let (trace_a, trace_b) = (Arc::new(Collector::new()), Arc::new(Collector::new()));
+    let a = engine(Some(&trace_a), true);
+    let b = engine(Some(&trace_b), false);
+    let c = engine(None, true);
+    let d = engine(None, false);
+
+    let fig1_outputs = outputs_of(&a, fig1);
+    assert_eq!(
+        traced_outputs(&trace_a),
+        fig1_outputs,
+        "A records its request"
+    );
+    assert!(trace_b.is_empty(), "B has not verified");
+    assert!(samples(&a) > Some(0), "A's registry has A's samples");
+    assert_eq!(samples(&c), Some(0), "C's registry waits for C");
+
+    let mutant_outputs = outputs_of(&b, mutant);
+    assert_ne!(fig1_outputs, mutant_outputs);
+    assert_eq!(
+        traced_outputs(&trace_b),
+        mutant_outputs,
+        "B records its request"
+    );
+    assert!(
+        trace_b.events().iter().any(|ev| ev.worker > 0),
+        "B's spawned workers record into B's collector"
+    );
+    assert_eq!(traced_outputs(&trace_a), fig1_outputs, "A holds only A's");
+
+    let others = || (trace_a.len(), trace_b.len(), samples(&a));
+    let before = others();
+    outputs_of(&c, fig1);
+    assert!(samples(&c) > Some(0), "C's registry has C's samples");
+    assert_eq!(others(), before, "C grows no other engine's recording");
+    let c_samples = samples(&c);
+    outputs_of(&d, fig1);
+    outputs_of(&d, mutant);
+    assert_eq!(samples(&d), None, "D has no registry");
+    assert_eq!(
+        (others(), samples(&c)),
+        (before, c_samples),
+        "D grows no collector and no registry"
+    );
+
+    // A and B verifying at the same time on two threads.
+    let (trace_a, trace_b) = (Arc::new(Collector::new()), Arc::new(Collector::new()));
+    let (a, b) = (engine(Some(&trace_a), true), engine(Some(&trace_b), false));
+    let start = Barrier::new(2);
+    let together = |verifier: &Verifier, request: &VerifyRequest| {
+        start.wait();
+        outputs_of(verifier, request)
+    };
+    let (outputs_a, outputs_b) = std::thread::scope(|scope| {
+        let on_a = scope.spawn(|| together(&a, fig1));
+        let on_b = scope.spawn(|| together(&b, mutant));
+        (on_a.join().unwrap(), on_b.join().unwrap())
+    });
+    assert_eq!(traced_outputs(&trace_a), outputs_a, "concurrent A");
+    assert_eq!(traced_outputs(&trace_b), outputs_b, "concurrent B");
+    assert!(trace_b.events().iter().any(|ev| ev.worker > 0));
+    assert!(samples(&a) > Some(0));
+}
+
+#[test]
+fn metrics_and_spans_count_the_same_events() {
+    let cases = cases();
+    for (jobs, (name, request)) in [1, 2].into_iter().zip(&cases) {
+        let trace = Arc::new(Collector::new());
+        let verifier = Verifier::builder()
+            .jobs(jobs)
+            .trace_sink(trace.clone())
+            .metrics(true)
+            .build();
+        verifier.verify(request).unwrap();
+        let events = trace.events();
+        let snapshot = verifier.metrics_snapshot().expect("metrics on");
+        let spans = ["feasibility", "compose", "flatten", "match", "simplify"];
+        for (metric, span) in snapshot.metrics.iter().zip(spans) {
+            let closes = events
+                .iter()
+                .filter(|ev| ev.name == span && ev.phase == Phase::Close)
+                .count() as u64;
+            assert_eq!(
+                metric.count, closes,
+                "{name} jobs {jobs}: `{}` samples against `{span}` closes",
+                metric.name
+            );
+        }
+        assert!(
+            snapshot.metrics[1].count > 0,
+            "{name}: compositions metered"
+        );
+        if jobs > 1 {
+            assert!(
+                events.iter().any(|ev| ev.worker > 0),
+                "{name} jobs {jobs}: spawned workers record into the engine's trace"
+            );
+        }
+    }
 }

@@ -76,14 +76,7 @@ fn reads_with_equal_hashes_are_interned_apart() {
     }
 }
 
-// Debug builds cross-check the thread-local feasibility memo against
-// content and panic on these pairs (ROADMAP item 1), so the mappings
-// themselves can only be computed in a release build.
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "the debug feasibility memo panics on a structural-hash collision"
-)]
 fn reads_with_equal_hashes_keep_their_own_mappings() {
     for second in COLLIDING {
         let program = colliding_reads(second);
