@@ -64,7 +64,7 @@ pub fn extract_from(analysis: &mut Analysis) -> Result<Addg> {
         };
         g.add_definition(&info.target, def);
     }
-    g.mark_recurrences();
+    g.mark_components();
     Ok(g)
 }
 

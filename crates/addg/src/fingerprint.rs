@@ -21,15 +21,58 @@
 //! * array names and input/output/recurrence roles (leaf comparison and
 //!   recurrence handling are name- and role-sensitive).
 //!
-//! Recurrences make the array-level graph cyclic, so the hashes are computed
-//! by Weisfeiler–Lehman-style iteration: array hashes start from local facts
-//! (name, roles, definition count) and are refined rounds-many times by
-//! hashing each definition's tree over the previous round's array hashes.
-//! After `#arrays + 1` rounds every acyclic chain has fully propagated and
-//! cyclic structure is folded in up to hash strength.  Two positions with
-//! equal fingerprints present identical sub-computations to the checker (up
-//! to 64-bit collisions — the same trust boundary as the structural hashes
-//! the tabling cache already rides on).
+//! Two positions with equal fingerprints present identical sub-computations
+//! to the checker (up to 64-bit collisions — the same trust boundary as the
+//! structural hashes the tabling cache already rides on).
+//!
+//! # One pass in dependency order
+//!
+//! An array's hash folds in the hashes of the arrays its definitions read,
+//! so the arrays are hashed in the dependency-first order of the strongly
+//! connected components of the array read graph, which one Tarjan pass
+//! finds and keeps on the [`Addg`] when the graph is extracted:
+//!
+//! * An array outside every recurrence reads only arrays whose hashes are
+//!   final, so it is hashed once: the trees of its definitions node by node,
+//!   then the array over its definitions.  Every node is hashed once.
+//! * The arrays of a recurrence (a component of several arrays, or one
+//!   array that reads itself) are refined Weisfeiler–Lehman style among
+//!   themselves.  They start from local facts (name, roles, definition
+//!   count), and each round re-hashes them over the previous round's hashes
+//!   of the component and the final hashes of everything else they read,
+//!   for |component| + 1 rounds or until a round changes nothing.
+//!
+//! On a graph without recurrences these are the values of the whole-graph
+//! refinement that this pass replaced.  That loop re-hashed every array over
+//! the previous round's hashes, for at most `#arrays + 1` rounds, and
+//! stopped only when a round changed nothing.  On an acyclic graph its round
+//! map has exactly one fixpoint: an input's hash is a constant and every
+//! other array's hash is a function of the hashes of arrays strictly below
+//! it, so by induction on height a fixpoint gives each array its bottom-up
+//! value.  The loop reached that value by round height + 1 and stopped one
+//! round later, within its bound because a height is below `#arrays`.  The
+//! single pass computes the bottom-up value directly, so stores and
+//! baselines of recurrence-free programs keep their fingerprints.
+//!
+//! Inside a recurrence, |component| + 1 rounds keep all the distinguishing
+//! power that more rounds would have.  Every array of a recurrence is
+//! recurrent, so its name is folded into each of its hashes, and an array's
+//! hash after round r fixes its own definitions and the hashes after round
+//! r - 1 of the arrays they read.  By induction, two arrays with equal hashes
+//! after round r have equal definitions, name by name, for themselves and
+//! every array within r - 1 steps of them.  A component of k arrays reaches
+//! all of its arrays within k - 1 steps, so after k rounds equal hashes
+//! already mean equal components over equal final inputs: the same
+//! computation, which no later round could tell apart.  Components of
+//! different sizes are different computations, and their different round
+//! counts keep their hashes apart.  The extra round is the margin that the
+//! whole-graph loop's `#arrays + 1` also kept.
+//!
+//! The hashes of a recurrence, and of everything that reads it, do not
+//! depend on how many arrays the rest of the program has, so an edit away
+//! from a recurrence leaves its fingerprint alone.  The whole-graph loop ran
+//! `#arrays + 1` rounds there, so stores and baselines that it wrote for
+//! graphs with a recurrence miss.
 
 use crate::graph::{Addg, Node, NodeId};
 use arrayeq_omega::{structural_hash_of, StructuralHasher};
@@ -125,132 +168,110 @@ pub fn term_fingerprint(coeff: i64, factor_keys: &[(u64, u64)]) -> u64 {
 }
 
 fn fingerprints_impl(g: &Addg, name_all: bool) -> Fingerprints {
-    // Collect every array name a position can mention: defined arrays plus
-    // inputs (which have no definitions).
-    let mut names: Vec<String> = g.input_arrays().to_vec();
-    for (_, node) in g.nodes() {
-        let mentioned = match node {
-            Node::Array { name } => Some(name),
-            Node::Access { array, .. } => Some(array),
-            _ => None,
-        };
-        if let Some(name) = mentioned {
-            if !names.contains(name) {
-                names.push(name.clone());
-            }
+    let mut arrays: BTreeMap<String, u64> = BTreeMap::new();
+    let mut nodes = vec![0u64; g.node_count()];
+    for component in g.components() {
+        if !g.is_recurrent(&component[0]) {
+            // Everything the array reads is final: hash it once.
+            let name = &component[0];
+            let h = hash_array(g, name, name_all, &arrays, &mut nodes);
+            arrays.insert(name.clone(), h);
+            continue;
         }
-    }
-
-    // The part of an array's name that the verdict can depend on: the name
-    // itself for inputs/outputs/recurrence arrays, nothing for plain
-    // intermediates (unless the caller asked for all names).
-    let label = |name: &str| -> String {
-        if name_all || g.is_input(name) || g.is_output(name) || g.is_recurrent(name) {
-            name.to_owned()
-        } else {
-            String::new()
-        }
-    };
-
-    // Round 0: local facts only.
-    let mut arrays: BTreeMap<String, u64> = names
-        .iter()
-        .map(|name| {
-            let h = structural_hash_of(&(
+        // A recurrence: WL refinement among its arrays, from local facts.
+        for name in component {
+            let seed = structural_hash_of(&(
                 "array-seed",
-                label(name),
+                label(g, name, name_all),
                 g.is_input(name),
                 g.is_output(name),
-                g.is_recurrent(name),
+                true,
                 g.definitions(name).len(),
             ));
-            (name.clone(), h)
-        })
-        .collect();
-
-    // The relation hashes folded into every round are round-invariant:
-    // an access mapping and a definition's element set never change while
-    // the array hashes refine.  Canonicalizing them is the expensive part
-    // of a round on wide kernels, so compute each exactly once up front.
-    let access_rel: Vec<u64> = g
-        .nodes()
-        .map(|(_, node)| match node {
-            Node::Access { mapping, .. } => mapping.structural_hash(),
-            _ => 0,
-        })
-        .collect();
-    let def_rel: BTreeMap<&str, Vec<u64>> = names
-        .iter()
-        .map(|name| {
-            let hashes = g
-                .definitions(name)
-                .iter()
-                .map(|def| def.elements.as_relation().structural_hash())
-                .collect();
-            (name.as_str(), hashes)
-        })
-        .collect();
-
-    // WL refinement: re-hash every array over the previous round's hashes of
-    // the arrays its definitions read.  `#arrays + 1` rounds bound the
-    // longest possible acyclic def-use chain, but refinement is a pure
-    // function of the previous round's hashes — once a round changes
-    // nothing, no later round can either, so stop at the fixpoint (typically
-    // reached after depth-of-the-deepest-chain rounds, far below the bound).
-    let rounds = arrays.len() + 1;
-    let mut nodes = vec![0u64; g.node_count()];
-    for _ in 0..rounds {
-        hash_nodes(g, &arrays, &access_rel, &mut nodes);
-        let mut next = BTreeMap::new();
-        for name in &names {
-            let mut h = StructuralHasher::default();
-            ("array", label(name), g.is_input(name.as_str())).hash(&mut h);
-            for (def, rel_hash) in g.definitions(name).iter().zip(&def_rel[name.as_str()]) {
-                (*rel_hash, def.element_dims, nodes[def.root]).hash(&mut h)
-            }
-            next.insert(name.clone(), h.finish());
+            arrays.insert(name.clone(), seed);
         }
-        let stable = next == arrays;
-        arrays = next;
-        if stable {
-            break;
+        for _ in 0..=component.len() {
+            let next: Vec<u64> = component
+                .iter()
+                .map(|name| hash_array(g, name, name_all, &arrays, &mut nodes))
+                .collect();
+            let mut stable = true;
+            for (name, h) in component.iter().zip(next) {
+                let slot = arrays.get_mut(name).expect("seeded above");
+                stable &= *slot == h;
+                *slot = h;
+            }
+            if stable {
+                break;
+            }
+        }
+        // The trees' nodes over the component's final hashes.
+        for name in component {
+            for def in g.definitions(name) {
+                hash_tree(g, def.root, &arrays, &mut nodes);
+            }
         }
     }
-    hash_nodes(g, &arrays, &access_rel, &mut nodes);
+    for (id, node) in g.nodes() {
+        if let Node::Array { name } = node {
+            nodes[id] = arrays[name];
+        }
+    }
     Fingerprints { nodes, arrays }
 }
 
-/// One bottom-up pass over the statement trees, hashing every node against
-/// the current array hashes.  `access_rel` carries the precomputed
-/// structural hash of each Access node's mapping (round-invariant, see
-/// [`fingerprints_impl`]).  Operator trees are acyclic (operands always
-/// point at later-created nodes within the statement), but iterate to a
-/// fixpoint over ids to stay independent of creation order.
-fn hash_nodes(g: &Addg, arrays: &BTreeMap<String, u64>, access_rel: &[u64], out: &mut [u64]) {
-    // Nodes reference only smaller-or-larger ids within their own tree; a
-    // reverse pass resolves operands created after their operator, a forward
-    // pass the (usual) opposite order.  Two passes always suffice because
-    // trees are shallow chains of Operator → operand ids created in one
-    // statement visit.
-    for _ in 0..2 {
-        for (id, node) in g.nodes() {
-            out[id] = match node {
-                Node::Array { name } => arrays[name],
-                Node::Const { value, .. } => structural_hash_of(&("const", value)),
-                Node::Access { array, .. } => {
-                    structural_hash_of(&("access", arrays[array], access_rel[id]))
-                }
-                Node::Operator { kind, operands, .. } => {
-                    let mut h = StructuralHasher::default();
-                    ("operator", kind).hash(&mut h);
-                    for &op in operands {
-                        out[op].hash(&mut h);
-                    }
-                    h.finish()
-                }
-            };
-        }
+/// The part of an array's name that the verdict can depend on: the name
+/// itself for inputs, outputs and recurrence arrays, nothing for plain
+/// intermediates (unless the caller asked for all names).
+fn label<'a>(g: &Addg, name: &'a str, name_all: bool) -> &'a str {
+    if name_all || g.is_input(name) || g.is_output(name) || g.is_recurrent(name) {
+        name
+    } else {
+        ""
     }
+}
+
+/// Hashes `name` over its definitions, each an element set and a tree
+/// hashed against `arrays`, the current hashes of the arrays it reads.
+/// The trees' node hashes land in `nodes`.
+fn hash_array(
+    g: &Addg,
+    name: &str,
+    name_all: bool,
+    arrays: &BTreeMap<String, u64>,
+    nodes: &mut [u64],
+) -> u64 {
+    let mut h = StructuralHasher::default();
+    ("array", label(g, name, name_all), g.is_input(name)).hash(&mut h);
+    for def in g.definitions(name) {
+        let root = hash_tree(g, def.root, arrays, nodes);
+        let elements = def.elements.as_relation().structural_hash();
+        (elements, def.element_dims, root).hash(&mut h);
+    }
+    h.finish()
+}
+
+/// Hashes the statement tree below `id` bottom-up against the array hashes
+/// in `arrays`, records every node's hash in `nodes`, and returns the
+/// hash of `id`.
+fn hash_tree(g: &Addg, id: NodeId, arrays: &BTreeMap<String, u64>, nodes: &mut [u64]) -> u64 {
+    let h = match g.node(id) {
+        Node::Array { name } => arrays[name],
+        Node::Const { value, .. } => structural_hash_of(&("const", value)),
+        Node::Access { array, mapping, .. } => {
+            structural_hash_of(&("access", arrays[array], mapping.structural_hash()))
+        }
+        Node::Operator { kind, operands, .. } => {
+            let mut h = StructuralHasher::default();
+            ("operator", kind).hash(&mut h);
+            for &op in operands {
+                hash_tree(g, op, arrays, nodes).hash(&mut h);
+            }
+            h.finish()
+        }
+    };
+    nodes[id] = h;
+    h
 }
 
 #[cfg(test)]

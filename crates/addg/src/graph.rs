@@ -104,6 +104,9 @@ pub struct Addg {
     intermediates: Vec<String>,
     /// The arrays on a dependence cycle, fixed once the graph is complete.
     recurrent: BTreeSet<String>,
+    /// The strongly connected components of the array read graph,
+    /// dependency-first, fixed once the graph is complete.
+    components: Vec<Vec<String>>,
 }
 
 impl Addg {
@@ -118,6 +121,7 @@ impl Addg {
             outputs: Vec::new(),
             intermediates: Vec::new(),
             recurrent: BTreeSet::new(),
+            components: Vec::new(),
         }
     }
 
@@ -269,45 +273,64 @@ impl Addg {
         out
     }
 
-    /// Records the recurrence arrays (called once by the extractor, after
-    /// the last definition).  An array is recurrent when the array-level
-    /// dependences lead from it back to itself.
-    pub(crate) fn mark_recurrences(&mut self) {
-        let reads: BTreeMap<&str, BTreeSet<String>> = self
-            .definitions
+    /// Records the [`components`](Addg::components) of the array read graph
+    /// and the recurrence arrays (called once by the extractor, after the
+    /// last definition), by one Tarjan pass over the graph.
+    pub(crate) fn mark_components(&mut self) {
+        let mut names: BTreeSet<&str> = self.array_ids.keys().map(String::as_str).collect();
+        names.extend(self.inputs.iter().map(String::as_str));
+        let names: Vec<&str> = names.into_iter().collect();
+        let reads: Vec<Vec<usize>> = names
             .iter()
-            .map(|(array, defs)| {
-                let read = defs.iter().flat_map(|d| self.arrays_read_from(d.root));
-                (array.as_str(), read.collect())
+            .map(|name| {
+                let mut read: Vec<usize> = self
+                    .definitions(name)
+                    .iter()
+                    .flat_map(|d| self.arrays_read_from(d.root))
+                    .map(|a| {
+                        names
+                            .binary_search(&a.as_str())
+                            .expect("a read array has a node")
+                    })
+                    .collect();
+                read.sort_unstable();
+                read.dedup();
+                read
             })
             .collect();
-        let reaches_itself = |array: &str| {
-            let mut stack: Vec<&str> = reads[array].iter().map(String::as_str).collect();
-            let mut seen = BTreeSet::new();
-            while let Some(n) = stack.pop() {
-                if n == array {
-                    return true;
-                }
-                if seen.insert(n) {
-                    if let Some(next) = reads.get(n) {
-                        stack.extend(next.iter().map(String::as_str));
-                    }
-                }
+        let mut recurrent = BTreeSet::new();
+        let mut components = Vec::new();
+        for mut component in strongly_connected(&reads) {
+            component.sort_unstable();
+            let cyclic = component.len() > 1 || reads[component[0]].contains(&component[0]);
+            let component: Vec<String> = component.iter().map(|&a| names[a].to_owned()).collect();
+            if cyclic {
+                recurrent.extend(component.iter().cloned());
             }
-            false
-        };
-        let recurrent = reads
-            .keys()
-            .filter(|a| reaches_itself(a))
-            .map(|a| (*a).to_owned())
-            .collect();
+            components.push(component);
+        }
         self.recurrent = recurrent;
+        self.components = components;
     }
 
-    /// The arrays involved in data-flow recurrences (cycles in the
-    /// array-level dependence graph, including self-loops).  The paper
-    /// handles these with the transitive closure of the cycle's total
-    /// dependence mapping.  Computed once, when the graph is extracted.
+    /// The strongly connected components of the array read graph, where an
+    /// edge leads from each defined array to each array its definitions
+    /// read, in dependency-first order: every array that a component's
+    /// definitions read lies in that component or an earlier one.  Every
+    /// array of the graph, inputs included, is in exactly one component,
+    /// and a component lists its arrays in name order.  Computed once, when
+    /// the graph is extracted.
+    pub(crate) fn components(&self) -> &[Vec<String>] {
+        &self.components
+    }
+
+    /// The arrays involved in data-flow recurrences: the arrays of every
+    /// strongly connected component of the array read graph with more than
+    /// one array, and every array that reads itself.  These are exactly the
+    /// arrays on a cycle of the array-level dependence graph, self-loops
+    /// included.  The paper handles them with the transitive closure of the
+    /// cycle's total dependence mapping.  Computed once, by the same Tarjan
+    /// pass as the components, when the graph is extracted.
     pub fn recurrence_arrays(&self) -> &BTreeSet<String> {
         &self.recurrent
     }
@@ -343,6 +366,66 @@ impl Addg {
             Node::Operator { operands, .. } => operands.iter().map(|&o| self.count_leaves(o)).sum(),
         }
     }
+}
+
+/// Tarjan's algorithm over the graph with successor lists `succ`, with an
+/// explicit stack so that long dependence chains cannot overflow the call
+/// stack.  A component is emitted once every component it reaches has
+/// been, so the result is dependency-first when an edge points at what its
+/// source reads.
+fn strongly_connected(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    const UNSEEN: usize = usize::MAX;
+    let mut index = vec![UNSEEN; succ.len()];
+    let mut low = vec![0; succ.len()];
+    let mut on_stack = vec![false; succ.len()];
+    let mut stack = Vec::new();
+    // The depth-first path: each vertex with the position of its next
+    // successor to visit.
+    let mut path: Vec<(usize, usize)> = Vec::new();
+    let mut components = Vec::new();
+    let mut next_index = 0;
+    for root in 0..succ.len() {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        path.push((root, 0));
+        while let Some(top) = path.last_mut() {
+            let v = top.0;
+            if index[v] == UNSEEN {
+                index[v] = next_index;
+                low[v] = next_index;
+                next_index += 1;
+                on_stack[v] = true;
+                stack.push(v);
+            }
+            if let Some(&w) = succ[v].get(top.1) {
+                top.1 += 1;
+                if index[w] == UNSEEN {
+                    path.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            path.pop();
+            if let Some(&(parent, _)) = path.last() {
+                low[parent] = low[parent].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let mut component = Vec::new();
+                loop {
+                    let w = stack.pop().expect("v is on the stack");
+                    on_stack[w] = false;
+                    component.push(w);
+                    if w == v {
+                        break;
+                    }
+                }
+                components.push(component);
+            }
+        }
+    }
+    components
 }
 
 #[cfg(test)]
@@ -433,6 +516,54 @@ r4:     Z[k] = Y[k] + X[k];
         assert!(g.is_recurrent("T") && g.is_recurrent("Y"));
         assert!(!g.is_recurrent("Z"), "Z only reads a recurrent array");
         assert!(!g.is_recurrent("X"), "inputs are never recurrent");
+    }
+
+    /// `P`, `Q` and `R` feed each other in a ring (`P` reads `R`, `Q` reads
+    /// `P`, `R` reads `Q`); `Z` reads `P` from outside the ring.
+    const THREE_ARRAY_CYCLE: &str = r#"
+#define N 64
+ring(int X[], int Z[])
+{
+    int k, P[N], Q[N], R[N];
+a0: P[0] = X[0] + 0;
+a1: Q[0] = X[0] + 1;
+a2: R[0] = X[0] + 2;
+    for (k = 1; k < N; k++) {
+a3:     P[k] = R[k-1] + X[k];
+a4:     Q[k] = P[k] + 1;
+a5:     R[k] = Q[k] + 2;
+    }
+    for (k = 0; k < N; k++)
+a6:     Z[k] = P[k] + X[k];
+}
+"#;
+
+    #[test]
+    fn a_three_array_cycle_is_one_component_before_its_reader() {
+        let g = addg(THREE_ARRAY_CYCLE);
+        assert_eq!(g.recurrence_arrays(), &names(&["P", "Q", "R"]));
+        assert!(!g.is_recurrent("Z"), "Z only reads the ring");
+        let components: Vec<Vec<&str>> = g
+            .components()
+            .iter()
+            .map(|c| c.iter().map(String::as_str).collect())
+            .collect();
+        assert_eq!(components, [vec!["X"], vec!["P", "Q", "R"], vec!["Z"]]);
+        // Dependency-first: each component reads only itself and earlier
+        // components.
+        let position = |array: &str| {
+            let found = g
+                .components()
+                .iter()
+                .position(|c| c.iter().any(|a| a == array));
+            found.unwrap_or_else(|| panic!("{array} is in no component"))
+        };
+        for (defined, read) in g.array_dependences() {
+            assert!(
+                position(&read) <= position(&defined),
+                "{defined} reads {read}"
+            );
+        }
     }
 
     #[test]

@@ -131,8 +131,8 @@ VERIFY OPTIONS:
                               discharged each sub-proof.  Written to
                               stderr when combined with --json
     --metrics                 print session latency histograms (feasibility,
-                              composition, flatten, match) as JSON on
-                              stderr after the outcome
+                              composition, flatten, match, simplify) as
+                              JSON on stderr after the outcome
     --store <dir>             attach a persistent proof store: load proven
                               sub-proofs on startup, flush this run's (and
                               those of --baseline) on exit.  Corrupt or

@@ -702,6 +702,26 @@ fn metrics_flag_prints_histogram_snapshot_on_stderr() {
     assert!(metrics
         .iter()
         .any(|m| m.get("count").and_then(JsonValue::as_i64).unwrap_or(0) > 0));
+    // The help names every histogram the flag prints.
+    let usage = String::from_utf8(arrayeq(&["help"]).stdout).unwrap();
+    let start = usage
+        .find("--metrics")
+        .expect("the help documents --metrics");
+    let end = start + usage[start..].find(" as").expect("the histogram list ends");
+    let named = usage[start..end]
+        .split_whitespace()
+        .collect::<Vec<_>>()
+        .join(" ");
+    for m in metrics {
+        let name = m
+            .get("name")
+            .and_then(JsonValue::as_str)
+            .expect("histogram name");
+        assert!(
+            named.contains(name),
+            "the --metrics help omits `{name}`: {named}"
+        );
+    }
 }
 
 #[test]

@@ -312,7 +312,7 @@ impl SharedBudget {
     /// Marks the run exhausted; the first caller's reason wins.  The lock is
     /// recovered from poisoning so a panicked worker cannot wedge budget
     /// reporting for the surviving workers.
-    fn trip(&self, reason: BudgetExhausted) {
+    pub(crate) fn trip(&self, reason: BudgetExhausted) {
         use std::sync::atomic::Ordering;
         let mut slot = self
             .reason
@@ -1640,6 +1640,32 @@ mod tests {
             r.budget_exhausted,
             Some(BudgetExhausted::DeadlineExceeded { .. })
         ));
+    }
+
+    #[test]
+    fn a_run_ending_past_its_deadline_is_inconclusive_without_a_poll() {
+        // Every output clean: the run visits nothing, so no poll sees the
+        // deadline, yet it ends past it.
+        let clean = ["C".to_owned()];
+        let ctx = CheckContext {
+            clean_outputs: &clean,
+            ..Default::default()
+        };
+        let opts = CheckOptions::default();
+        assert!(run(FIG1_A, FIG1_C, &opts, &ctx).unwrap().is_equivalent());
+        for jobs in [1, 2] {
+            let ctx = CheckContext {
+                deadline: Some(std::time::Instant::now()),
+                ..ctx.clone()
+            };
+            let r = run(FIG1_A, FIG1_C, &opts.clone().with_jobs(jobs), &ctx).unwrap();
+            assert_eq!(r.stats.paths_compared, 0);
+            assert_eq!(r.verdict, Verdict::Inconclusive, "jobs = {jobs}");
+            assert!(matches!(
+                r.budget_exhausted,
+                Some(BudgetExhausted::DeadlineExceeded { .. })
+            ));
+        }
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //!    to the annihilator (`x * 0`) *is* that constant, so both sides
 //!    annihilating matches regardless of their remaining factors;
 //! 3. greedily pairs the non-constant terms.  In a commutative chain each
-//!    term of the original first tries its *twin*, the first unused term of
-//!    the transformed side with the same arena id, which pairs by one
-//!    integer comparison; then every other unused term in index order.  An
-//!    associative-only chain tries only the next unused term.  A candidate
-//!    pair is decided by arena id, then through the match memo, and only
-//!    then by a speculative recursive equivalence check per factor pair.
+//!    term of the original pairs with its *twin* when one is left: the
+//!    first unused term of the transformed side with the same arena id,
+//!    found through one index per piece from arena id to term indices,
+//!    which pairs by one integer comparison.  A term without a twin tries
+//!    every unused term in index order.  An associative-only chain tries
+//!    only the next unused term.  A candidate pair is decided by arena id,
+//!    then through the match memo, and only then by a speculative
+//!    recursive equivalence check per factor pair.
 //!    Speculation builds no diagnostics ([`Checker::diagnose`]): a failed
 //!    candidate only means the next candidate's turn, so whatever it found
 //!    is never reported.
@@ -277,22 +279,37 @@ impl<'x> Checker<'x> {
 
         let factor_comm = self.opts.operators.class_of(&OperatorKind::Mul).commutative;
         let mut used = vec![false; terms_b.len()];
+        // A commutative chain's transformed terms by arena id, each id's
+        // indices in descending order, so the last unused one is its first
+        // unused twin.  Used entries are dropped when a lookup meets them.
+        let mut twins: HashMap<TermId, Vec<usize>> = HashMap::new();
+        if class.commutative {
+            for (j, &id) in ids_b.iter().enumerate().rev() {
+                twins.entry(id).or_default().push(j);
+            }
+        }
         let mut all_ok = true;
         for (i, ta) in terms_a.iter().enumerate() {
             let mut matched = false;
-            let mut candidates: Vec<usize> = (0..terms_b.len()).filter(|&j| !used[j]).collect();
-            if class.commutative {
-                // The twin first: the first unused term with the same arena
-                // id pairs by one integer comparison.  The other unused
-                // terms follow in index order.
-                if let Some(t) = candidates.iter().position(|&j| ids_b[j] == ids_a[i]) {
-                    candidates[..=t].rotate_right(1);
+            let candidates: Vec<usize> = if class.commutative {
+                // The twin, if one is left, pairs by one integer comparison
+                // and is the only candidate; otherwise every unused term,
+                // in index order.
+                let twin = twins.get_mut(&ids_a[i]).and_then(|js| {
+                    while js.last().is_some_and(|&j| used[j]) {
+                        js.pop();
+                    }
+                    js.last().copied()
+                });
+                match twin {
+                    Some(j) => vec![j],
+                    None => (0..terms_b.len()).filter(|&j| !used[j]).collect(),
                 }
             } else {
                 // Associative-only: order is preserved, so the i-th unused
                 // operand is the only candidate.
-                candidates.truncate(1);
-            }
+                used.iter().position(|&u| !u).into_iter().collect()
+            };
             for j in candidates {
                 if self.terms_match(factor_comm, ta, ids_a[i], terms_b[j], ids_b[j])? {
                     used[j] = true;

@@ -231,6 +231,15 @@ pub(crate) fn check_parallel(
         });
     }
 
+    // The workers poll the deadline only every 64 visits, so a run can end
+    // between two polls after its deadline; it answers as if a poll had
+    // seen the overrun, whatever it concluded.
+    if !budget.is_exhausted() && ctx.deadline.is_some_and(|d| Instant::now() >= d) {
+        budget.trip(BudgetExhausted::DeadlineExceeded {
+            elapsed_ms: started.elapsed().as_millis() as u64,
+        });
+    }
+
     // Phase 3: deterministic merge.  Output by output, in output order,
     // which is exactly one traversal's emission order: the prologue's
     // diagnostic, or the output's one task slot (the slots are in output

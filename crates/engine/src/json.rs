@@ -600,12 +600,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty by get() above");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash as one
+                // slice.  Both stop bytes are ASCII, so in the bytes of a
+                // `str` the run ends on a character boundary.
+                let start = *pos;
+                let run = bytes[start..].iter().position(|&b| b == b'"' || b == b'\\');
+                *pos = run.map_or(bytes.len(), |n| start + n);
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| err(start, "invalid UTF-8"))?;
+                out.push_str(run);
             }
         }
     }
@@ -695,6 +698,41 @@ mod tests {
         assert_eq!(v.as_str(), Some("A\u{e9}"));
         let v = JsonValue::parse("\"A\\u00e9\"").unwrap();
         assert_eq!(v.as_str(), Some("A\u{e9}"));
+    }
+
+    #[test]
+    fn runs_of_multibyte_scalars_between_escapes_parse() {
+        // 2-, 3- and 4-byte scalars with escapes on both sides of each,
+        // and escapes first and last.
+        let doc = "\"\\té\\n€\\\"😀\\\\x\\u00e9ü€😀\\/\"";
+        let v = JsonValue::parse(doc).unwrap();
+        assert_eq!(v.as_str(), Some("\té\n€\"😀\\xéü€😀/"));
+        assert_eq!(JsonValue::parse("\"\"").unwrap().as_str(), Some(""));
+        assert_eq!(
+            JsonValue::parse(r#"["é", "", "€😀"]"#).unwrap(),
+            JsonValue::Array(vec![
+                JsonValue::Str("é".into()),
+                JsonValue::Str(String::new()),
+                JsonValue::Str("€😀".into()),
+            ])
+        );
+    }
+
+    #[test]
+    fn a_long_string_round_trips_and_unterminated_strings_keep_their_offset() {
+        let line = "int x = 1; /* é € 😀 \"quoted\" \\ back */\n";
+        let long = line.repeat((1 << 20) / line.len() + 1);
+        assert!(long.len() >= 1 << 20);
+        let doc = format!("{{\"source\":{}}}", string(&long));
+        let v = JsonValue::parse(&doc).unwrap();
+        assert_eq!(v.get("source").and_then(JsonValue::as_str), Some(&*long));
+
+        for (doc, offset) in [("\"abc", 4), ("[\"é€", 7), ("{\"k\":\"x\\n", 9)] {
+            let e = JsonValue::parse(doc).unwrap_err();
+            assert_eq!(e.message, "unterminated string", "{doc}");
+            assert_eq!(e.offset, offset, "{doc}");
+            assert_eq!(offset, doc.len(), "{doc}");
+        }
     }
 
     #[test]

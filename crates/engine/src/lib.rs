@@ -400,11 +400,12 @@ impl VerifierBuilder {
         self
     }
 
-    /// Sets a wall-clock budget applied to every request.  An overrun during
-    /// the traversal yields [`Verdict::Inconclusive`] with
-    /// [`BudgetExhausted::DeadlineExceeded`].  Witness extraction never
-    /// *starts* past the deadline (the `NotEquivalent` verdict is returned
-    /// without counterexamples); once started it runs to its own
+    /// Sets a wall-clock budget applied to every request.  An overrun yields
+    /// [`Verdict::Inconclusive`] with [`BudgetExhausted::DeadlineExceeded`],
+    /// also when the check ends past the deadline between two of the
+    /// traversal's polls.  Witness extraction never *starts* past the
+    /// deadline (the `NotEquivalent` verdict is returned without
+    /// counterexamples); once started it runs to its own
     /// point/fill budgets ([`WitnessOptions`]), which bound it
     /// independently of the clock.  [`RequestLimits::deadline`] overrides
     /// it per request.
@@ -570,10 +571,10 @@ impl Verifier {
     /// and, when the request carried a baseline, its status.
     fn run(&self, request: &VerifyRequest) -> Result<(Report, Option<BaselineStatus>)> {
         let limits = &request.limits;
-        let vetted = request
-            .baseline
-            .as_deref()
-            .map(|text| Baseline::vet(text, self.options_fingerprint()));
+        let vetted = request.baseline.as_deref().map(|text| {
+            let _span = arrayeq_trace::span("baseline");
+            Baseline::vet(text, self.options_fingerprint())
+        });
         let opts_override;
         let opts = match limits.max_work {
             Some(w) => {

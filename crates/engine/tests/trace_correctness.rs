@@ -7,8 +7,9 @@
 //! corpora and a generated pair with long sums.  On top of that, the
 //! sinks themselves must be well-formed: every JSONL line parses with the
 //! engine's own `JsonValue` parser, span open/close events balance per
-//! worker, the algebraic path records its `split` and `restrict` spans, and
-//! a mutant's trace names the failing output's provenance.
+//! worker, the algebraic path records its `split` and `restrict` spans, a
+//! request's baseline is read in one `baseline` span, and a mutant's trace
+//! names the failing output's provenance.
 //!
 //! Nothing here serializes: each engine records only its own requests,
 //! into its own collector and registry, so the tests run concurrently, and
@@ -180,6 +181,30 @@ fn jsonl_wellformed_and_spans_balance_per_worker() {
         lanes.len() > 1,
         "two outputs at jobs=8: worker lanes {lanes:?}"
     );
+}
+
+/// A request that carries a baseline reads and vets it inside one
+/// `baseline` span; a request without one opens none.
+#[test]
+fn the_baseline_is_read_in_one_span() {
+    let producer = Verifier::new();
+    let from_self = producer
+        .verify(&VerifyRequest::source(FIG1_A, FIG1_A))
+        .unwrap();
+    let baseline = producer.export_baseline(&from_self.report);
+    let plain = VerifyRequest::source(FIG1_A, FIG1_C);
+    for (request, spans) in [(plain.clone(), 0), (plain.with_baseline(baseline), 1)] {
+        let (.., collector) = run_once(&request, 1, true);
+        let collector = collector.expect("a traced run returns its collector");
+        for phase in [Phase::Open, Phase::Close] {
+            let count = collector
+                .events()
+                .iter()
+                .filter(|ev| ev.name == "baseline" && ev.phase == phase)
+                .count();
+            assert_eq!(count, spans, "{phase:?}");
+        }
+    }
 }
 
 /// Checks that every JSONL line of the recording parses and carries the

@@ -1,18 +1,24 @@
 //! The front end of one program (`arrayeq::core::lower`) in the Tier-1
 //! suite: which programs it rejects and with which error text, that every
 //! dependency mapping and element set it puts into the ADDG is the one the
-//! direct per-statement computation gives, and that access relations whose
-//! 64-bit hashes collide keep their own mappings.
+//! direct per-statement computation gives, that access relations whose
+//! 64-bit hashes collide keep their own mappings, and that the one-pass
+//! fingerprints of a recurrence-free graph are those of whole-graph WL
+//! refinement.
 
-use arrayeq::addg::{Addg, Node, NodeId};
+use arrayeq::addg::{fingerprints, fingerprints_named, Addg, Fingerprints, Node, NodeId};
 use arrayeq::core::{lower, CheckOptions};
 use arrayeq::lang::affine::Analysis;
 use arrayeq::lang::ast::Program;
-use arrayeq::lang::corpus::{FIG1_ALL, KERNELS, KERNEL_PIECEWISE_A, PARAM_SPLIT_A, PARAM_SUM_A};
+use arrayeq::lang::corpus::{
+    FIG1_A, FIG1_ALL, KERNELS, KERNEL_PIECEWISE_A, PARAM_SPLIT_A, PARAM_SUM_A,
+};
 use arrayeq::lang::parser::parse_program;
-use arrayeq::omega::Relation;
+use arrayeq::omega::{structural_hash_of, Relation, StructuralHasher};
 use arrayeq::transform::generator::{generate_kernel, GeneratorConfig};
 use arrayeq::transform::random_pipeline;
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 /// The statement of the ROADMAP's hash-collision pair with both `B` reads
 /// in one statement.  Each offset the tests use gives the second read a
@@ -309,4 +315,131 @@ fn lowering_derives_what_each_statement_derives_directly() {
         }
         assert!(definitions > 0, "{name}");
     }
+}
+
+/// The whole-graph Weisfeiler–Lehman refinement that fingerprinted every
+/// graph before the one-pass fingerprints: every array is re-hashed over
+/// the previous round's hashes of the arrays it reads, for up to
+/// `#arrays + 1` rounds or until a round changes nothing.  Kept here as the
+/// reference that the one pass must equal on recurrence-free graphs.
+fn whole_graph_wl(g: &Addg, name_all: bool) -> (Vec<u64>, BTreeMap<String, u64>) {
+    let mut names: Vec<String> = g.input_arrays().to_vec();
+    for (_, node) in g.nodes() {
+        let mentioned = match node {
+            Node::Array { name } => Some(name),
+            Node::Access { array, .. } => Some(array),
+            _ => None,
+        };
+        if let Some(name) = mentioned {
+            if !names.contains(name) {
+                names.push(name.clone());
+            }
+        }
+    }
+    let label = |name: &str| -> String {
+        if name_all || g.is_input(name) || g.is_output(name) || g.is_recurrent(name) {
+            name.to_owned()
+        } else {
+            String::new()
+        }
+    };
+    let mut arrays: BTreeMap<String, u64> = names
+        .iter()
+        .map(|name| {
+            let h = structural_hash_of(&(
+                "array-seed",
+                label(name),
+                g.is_input(name),
+                g.is_output(name),
+                g.is_recurrent(name),
+                g.definitions(name).len(),
+            ));
+            (name.clone(), h)
+        })
+        .collect();
+    let hash_nodes = |arrays: &BTreeMap<String, u64>, out: &mut [u64]| {
+        for _ in 0..2 {
+            for (id, node) in g.nodes() {
+                out[id] = match node {
+                    Node::Array { name } => arrays[name],
+                    Node::Const { value, .. } => structural_hash_of(&("const", value)),
+                    Node::Access { array, mapping, .. } => {
+                        structural_hash_of(&("access", arrays[array], mapping.structural_hash()))
+                    }
+                    Node::Operator { kind, operands, .. } => {
+                        let mut h = StructuralHasher::default();
+                        ("operator", kind).hash(&mut h);
+                        for &op in operands {
+                            out[op].hash(&mut h);
+                        }
+                        h.finish()
+                    }
+                };
+            }
+        }
+    };
+    let mut nodes = vec![0u64; g.node_count()];
+    for _ in 0..arrays.len() + 1 {
+        hash_nodes(&arrays, &mut nodes);
+        let mut next = BTreeMap::new();
+        for name in &names {
+            let mut h = StructuralHasher::default();
+            ("array", label(name), g.is_input(name)).hash(&mut h);
+            for def in g.definitions(name) {
+                let elements = def.elements.as_relation().structural_hash();
+                (elements, def.element_dims, nodes[def.root]).hash(&mut h);
+            }
+            next.insert(name.clone(), h.finish());
+        }
+        let stable = next == arrays;
+        arrays = next;
+        if stable {
+            break;
+        }
+    }
+    hash_nodes(&arrays, &mut nodes);
+    (nodes, arrays)
+}
+
+/// Asserts that `fp` holds exactly the node and array hashes of `reference`.
+fn assert_same_fingerprints(
+    name: &str,
+    g: &Addg,
+    fp: &Fingerprints,
+    reference: &(Vec<u64>, BTreeMap<String, u64>),
+) {
+    for (id, _) in g.nodes() {
+        assert_eq!(fp.node(id), reference.0[id], "{name}: node {id}");
+    }
+    let arrays: BTreeMap<String, u64> = fp.arrays().map(|(a, h)| (a.to_owned(), h)).collect();
+    assert_eq!(arrays, reference.1, "{name}: array fingerprints");
+}
+
+#[test]
+fn one_pass_fingerprints_equal_whole_graph_refinement_without_recurrences() {
+    let mut compared = 0;
+    for (name, program) in reference_programs() {
+        let g = lower(&program, &CheckOptions::default()).unwrap();
+        if g.has_recurrence() {
+            continue;
+        }
+        assert_same_fingerprints(&name, &g, &fingerprints(&g), &whole_graph_wl(&g, false));
+        let named = format!("{name} (named)");
+        assert_same_fingerprints(
+            &named,
+            &g,
+            &fingerprints_named(&g),
+            &whole_graph_wl(&g, true),
+        );
+        compared += 1;
+    }
+    assert!(compared >= 20, "only {compared} recurrence-free programs");
+}
+
+#[test]
+fn fig1a_output_fingerprint_is_pinned() {
+    // The value every earlier release computed: stores and baselines of
+    // recurrence-free programs keep hitting.
+    let g = lower(&parse_program(FIG1_A).unwrap(), &CheckOptions::default()).unwrap();
+    assert_eq!(fingerprints(&g).array("C"), 0x9df4_ad5a_ff15_eef5);
 }
