@@ -14,8 +14,6 @@ use arrayeq_lang::classcheck::assert_in_class;
 use arrayeq_lang::defuse::assert_def_use_correct;
 use arrayeq_omega::{Relation, Set};
 use std::collections::BTreeMap;
-#[cfg(debug_assertions)]
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -237,7 +235,7 @@ pub fn check(
             &run_cache
         }
     };
-    crate::parallel::check_parallel(original, transformed, opts, ctx, fps, proofs.begin_query())
+    crate::parallel::check_parallel(original, transformed, opts, ctx, fps, &proofs.begin_query())
 }
 
 /// The traversal state of one *worker* of a run: it executes a stream of
@@ -256,8 +254,8 @@ pub(crate) struct Checker<'x> {
     /// the term arena's interning keys.
     pub(crate) fps: &'x (Fingerprints, Fingerprints),
     /// The run's view of its proof cache: the one place sub-proofs are
-    /// looked up and published.
-    proofs: QueryProofs<'x>,
+    /// looked up and published, shared by the run's workers.
+    proofs: &'x QueryProofs<'x>,
     pub(crate) stats: CheckStats,
     pub(crate) diagnostics: Vec<Diagnostic>,
     /// Depth of speculative checks in progress (the matcher's candidate
@@ -267,13 +265,6 @@ pub(crate) struct Checker<'x> {
     /// Hash-consed flattened terms plus the matched-pair memo (the
     /// normalization subsystem's state; see [`crate::normalize`]).
     pub(crate) arena: TermArena,
-    /// Hash-collision paranoia (debug builds only): the canonical renderings
-    /// of the relations behind every key this worker published.  A hit on
-    /// such a key, whatever its provenance, whose canonical keys differ is
-    /// a real 64-bit collision and is counted in
-    /// [`CheckStats::hash_collisions`].
-    #[cfg(debug_assertions)]
-    table_shadow: HashMap<ProofKey, (String, String)>,
     /// Coinduction for recurrences: array pairs currently being proven, with
     /// the element-pair relation assumed equal.
     in_progress: BTreeMap<(String, String), Relation>,
@@ -406,7 +397,7 @@ impl<'x> Checker<'x> {
         opts: &'x CheckOptions,
         ctx: &'x CheckContext<'x>,
         fps: &'x (Fingerprints, Fingerprints),
-        proofs: QueryProofs<'x>,
+        proofs: &'x QueryProofs<'x>,
         shared_budget: &'x SharedBudget,
     ) -> Self {
         Checker {
@@ -420,8 +411,6 @@ impl<'x> Checker<'x> {
             diagnostics: Vec::new(),
             speculating: 0,
             arena: TermArena::default(),
-            #[cfg(debug_assertions)]
-            table_shadow: HashMap::new(),
             in_progress: BTreeMap::new(),
             assumption_uses: 0,
             work: 0,
@@ -737,19 +726,22 @@ impl Checker<'_> {
         // The proof cache: one lookup, whose provenance picks the counter
         // and the trace mechanism.  Whatever the provenance, an entry is a
         // positive, assumption-free sub-proof under these options, so a hit
-        // returns exactly what the traversal would re-derive.
+        // returns exactly what the traversal would re-derive.  An entry of
+        // this query must also hold these mappings: one that holds others
+        // shares the key by a 64-bit collision and is a miss.
         let key = self.proof_key(&pos_a, &pos_b, &map_a, &map_b);
-        let found = self.proofs.get(&key);
+        let mut found = self.proofs.get(&key);
+        if found == Some(Provenance::Query) && !self.proofs.published(&key, (&map_a, &map_b)) {
+            self.stats.hash_collisions += 1;
+            found = None;
+        }
         self.count_lookup(found);
         if let Some(provenance) = found {
             arrayeq_trace::discharge(provenance.mechanism());
-            #[cfg(debug_assertions)]
-            self.check_for_hash_collision(&key, &map_a, &map_b);
             return Ok(true);
         }
 
-        #[cfg(debug_assertions)]
-        let shadow = (map_a.canonical_key(), map_b.canonical_key());
+        let maps = (map_a.clone(), map_b.clone());
         let assumption_uses_before = self.assumption_uses;
         let result = self.check_uncached(&pos_a, map_a, &pos_b, map_b, trail_a, trail_b)?;
 
@@ -759,9 +751,7 @@ impl Checker<'_> {
         // that assumption and must not be replayed outside it, so it is not
         // published either.
         if result && self.assumption_uses == assumption_uses_before {
-            #[cfg(debug_assertions)]
-            self.table_shadow.insert(key, shadow);
-            self.proofs.publish(key);
+            self.proofs.publish(key, maps);
             self.stats.table_entries += 1;
             if self.ctx.proofs.is_some() {
                 self.stats.shared_table_inserts += 1;
@@ -816,22 +806,6 @@ impl Checker<'_> {
             Pos::Array(v) => fb.array(v),
         };
         (pa, pb, map_a.structural_hash(), map_b.structural_hash())
-    }
-
-    /// Debug-build cross-check: a hit on a key this worker published whose
-    /// canonical renderings differ from the published ones means two
-    /// distinct relations collided on the same 64-bit structural hash.
-    #[cfg(debug_assertions)]
-    fn check_for_hash_collision(&mut self, key: &ProofKey, map_a: &Relation, map_b: &Relation) {
-        if let Some((ka, kb)) = self.table_shadow.get(key) {
-            if *ka != map_a.canonical_key() || *kb != map_b.canonical_key() {
-                self.stats.hash_collisions += 1;
-                debug_assert!(
-                    false,
-                    "structural_hash collision in the proof cache: {key:?}"
-                );
-            }
-        }
     }
 
     fn check_uncached(

@@ -20,66 +20,88 @@
 //! Entries are only recorded for assumption-free proofs (the checker's
 //! no-tabling-under-recurrence-assumption guard applies here unchanged).
 //!
-//! Debug builds shadow every id with the canonical renderings of the
-//! factor mappings and count 64-bit collisions, mirroring the tabling
-//! cache's paranoia check.
+//! The 64-bit key only picks the bucket.  Each key keeps the content of
+//! the term first interned under it — its coefficient and its factors'
+//! `(position fingerprint, mapping)` pairs — and a hit must match it, the
+//! mappings by [`Relation::same_canonical_form`].  A term whose
+//! content differs is a 64-bit collision: it gets a fresh id and counts in
+//! [`CheckStats::hash_collisions`].  Position fingerprints are compared as
+//! hashes.
 
 use super::flatten::FlatTerm;
 use crate::report::CheckStats;
 use arrayeq_addg::term_fingerprint;
+use arrayeq_omega::Relation;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// Dense handle of an interned term.  Equality of ids implies structural
-/// equality of the terms (up to 64-bit hash collisions — the same trust
-/// boundary as the tabling keys).
+/// Dense handle of an interned term.  Equal ids mean equal coefficients and
+/// factor mappings equal by content, at positions with equal fingerprints.
 pub(crate) type TermId = u32;
 
 /// Hash-consing arena for flattened terms plus the matched-pair memo.
 #[derive(Debug, Default)]
 pub(crate) struct TermArena {
-    /// Term fingerprint ([`arrayeq_addg::term_fingerprint`]) → dense id.
-    ids: HashMap<u64, TermId>,
+    /// Term fingerprint ([`arrayeq_addg::term_fingerprint`]) → the id and
+    /// content of the first term interned under it.
+    ids: HashMap<u64, (TermId, Interned)>,
+    /// Ids handed out so far.
+    next: TermId,
     /// Outcomes of assumption-free term-pair equivalence checks.
     match_memo: HashMap<(TermId, TermId), bool>,
-    /// Canonical factor renderings per id (debug builds): intern hits whose
-    /// canonical forms differ from the stored ones are genuine 64-bit
-    /// collisions and are counted in [`CheckStats::hash_collisions`].
-    #[cfg(debug_assertions)]
-    shadow: Vec<Vec<String>>,
 }
+
+/// The content of an interned term: its coefficient and its factors'
+/// `(position fingerprint, mapping)` pairs in factor-key order.
+#[derive(Debug)]
+struct Interned(i64, Vec<(u64, Relation)>);
 
 impl TermArena {
     /// Interns a term by its rename-invariant content key, returning the
     /// existing id when an identical term was interned before.
     ///
     /// `factor_keys` carries one `(position fingerprint, mapping structural
-    /// hash)` pair per factor (the caller resolves fingerprints per side,
-    /// since original and transformed positions index different fingerprint
-    /// tables — the *values* are cross-graph comparable).
-    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    /// hash)` pair per factor of `term`, in factor order (the caller
+    /// resolves fingerprints per side, since original and transformed
+    /// positions index different fingerprint tables — the *values* are
+    /// cross-graph comparable).
     pub(crate) fn intern(
         &mut self,
         term: &FlatTerm,
         factor_keys: Vec<(u64, u64)>,
         stats: &mut CheckStats,
     ) -> TermId {
-        let key = term_fingerprint(term.coeff, &factor_keys);
         stats.arena_interns += 1;
-        let next = self.ids.len() as TermId;
-        match self.ids.get(&key) {
-            Some(&id) => {
-                stats.arena_hits += 1;
-                #[cfg(debug_assertions)]
-                self.check_for_collision(id, term, stats);
-                id
+        let key = term_fingerprint(term.coeff, &factor_keys);
+        let mut factors: Vec<(u64, u64, &Relation)> = factor_keys
+            .into_iter()
+            .zip(&term.factors)
+            .map(|((fp, mh), f)| (fp, mh, &f.map))
+            .collect();
+        factors.sort_by_key(|&(fp, mh, _)| (fp, mh));
+        let id = self.next;
+        match self.ids.entry(key) {
+            Entry::Occupied(e) => {
+                let (first, Interned(coeff, known)) = e.get();
+                let same = *coeff == term.coeff
+                    && known.len() == factors.len()
+                    && known
+                        .iter()
+                        .zip(&factors)
+                        .all(|((fp, a), (fp2, _, b))| fp == fp2 && a.same_canonical_form(b));
+                if same {
+                    stats.arena_hits += 1;
+                    return *first;
+                }
+                stats.hash_collisions += 1;
             }
-            None => {
-                self.ids.insert(key, next);
-                #[cfg(debug_assertions)]
-                self.shadow.push(Self::canonical(term));
-                next
+            Entry::Vacant(v) => {
+                let known = factors.iter().map(|&(fp, _, m)| (fp, m.clone())).collect();
+                v.insert((id, Interned(term.coeff, known)));
             }
         }
+        self.next += 1;
+        id
     }
 
     /// The memoised outcome of matching this id pair, if recorded.
@@ -91,28 +113,6 @@ impl TermArena {
     pub(crate) fn record_match(&mut self, a: TermId, b: TermId, matched: bool) {
         self.match_memo.insert((a, b), matched);
     }
-
-    /// The canonical (rename-normal, fully rendered) factor forms backing
-    /// the debug collision check.
-    #[cfg(debug_assertions)]
-    fn canonical(term: &FlatTerm) -> Vec<String> {
-        let mut out: Vec<String> = term.factors.iter().map(|f| f.map.canonical_key()).collect();
-        out.sort_unstable();
-        out.insert(0, format!("coeff {}", term.coeff));
-        out
-    }
-
-    /// Debug cross-check: an intern hit whose canonical factor mappings
-    /// differ from the id's stored ones means two distinct terms collided
-    /// on the same 64-bit key.
-    #[cfg(debug_assertions)]
-    fn check_for_collision(&self, id: TermId, term: &FlatTerm, stats: &mut CheckStats) {
-        let fresh = Self::canonical(term);
-        if self.shadow[id as usize] != fresh {
-            stats.hash_collisions += 1;
-            debug_assert!(false, "term-arena hash collision at id {id}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,10 +122,10 @@ mod tests {
     use arrayeq_omega::Set;
     use proptest::prelude::*;
 
-    /// A term whose single factor is described by one `(fp, maphash)` key.
-    /// The arena only reads `coeff`, the precomputed keys and (in debug
-    /// builds) the factor mappings, so a canonical placeholder relation per
-    /// distinct key keeps the shadow consistent with the key.
+    /// A term whose factors are described by `(fp, maphash)` keys.  The
+    /// arena reads `coeff`, the precomputed keys and the factor mappings, so
+    /// a canonical placeholder relation per distinct key keeps the content
+    /// consistent with the key.
     fn term(coeff: i64, keys: &[(u64, u64)]) -> FlatTerm {
         use super::super::flatten::Factor;
         use crate::checker::{Pos, Trail};
@@ -210,23 +210,40 @@ mod tests {
         }
     }
 
-    /// Debug builds verify structural equality behind id equality: interning
-    /// a *different* canonical form under a forced identical key is exactly
-    /// a hash collision and must be counted.
+    /// The key only picks the bucket: a term whose forced-equal key hides a
+    /// different mapping is a collision and gets an id of its own, while
+    /// the first term keeps finding its id.
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "term-arena hash collision")]
-    fn debug_shadow_flags_forced_collisions() {
+    fn forced_collisions_intern_apart_and_are_counted() {
         let mut arena = TermArena::default();
         let mut stats = CheckStats::default();
         let t1 = term(1, &[(7, 7)]);
         let mut t2 = term(1, &[(7, 7)]);
-        // Same key, different canonical mapping behind it: a forced 64-bit
-        // collision (cannot arise from honest keys, which include the
-        // mapping's structural hash).
+        // Same key, different mapping behind it: a forced 64-bit collision.
         t2.factors[0].map =
             arrayeq_omega::Relation::parse("{ [i] -> [i + 1] : 0 <= i < 3 }").unwrap();
-        arena.intern(&t1, vec![(7, 7)], &mut stats);
-        arena.intern(&t2, vec![(7, 7)], &mut stats);
+        let id1 = arena.intern(&t1, vec![(7, 7)], &mut stats);
+        let id2 = arena.intern(&t2, vec![(7, 7)], &mut stats);
+        assert_ne!(id1, id2);
+        assert_eq!((stats.arena_hits, stats.hash_collisions), (0, 1));
+        assert_eq!(arena.intern(&t1, vec![(7, 7)], &mut stats), id1);
+        assert_eq!(stats.arena_hits, 1);
+    }
+
+    /// A mapping written differently (constraint order, names) has the
+    /// same canonical form, so it interns to the same id.
+    #[test]
+    fn presentation_variants_share_an_id() {
+        let mut arena = TermArena::default();
+        let mut stats = CheckStats::default();
+        let t1 = term(1, &[(7, 7)]);
+        let mut t2 = term(1, &[(7, 7)]);
+        t2.factors[0].map =
+            arrayeq_omega::Relation::parse("{ [j] -> [j] : j < 8 and j >= 0 }").unwrap();
+        assert_ne!(t1.factors[0].map, t2.factors[0].map);
+        let id1 = arena.intern(&t1, vec![(7, 7)], &mut stats);
+        let id2 = arena.intern(&t2, vec![(7, 7)], &mut stats);
+        assert_eq!(id1, id2);
+        assert_eq!((stats.arena_hits, stats.hash_collisions), (1, 0));
     }
 }

@@ -103,6 +103,9 @@ fn restrict_terms(terms: &[FlatTerm], piece: &Set) -> Result<Vec<FlatTerm>> {
                 Some((_, map)) => map.clone(),
                 None => {
                     let map = f.map.restrict_domain(piece)?.simplified(true);
+                    // Hashed before it is cloned, so every term that shares
+                    // it carries the hash into interning.
+                    map.structural_hash();
                     let map = (!map.is_empty()).then_some(map);
                     bucket.push((&f.map, map.clone()));
                     map

@@ -135,7 +135,7 @@ pub(crate) fn check_parallel(
     opts: &CheckOptions,
     ctx: &CheckContext<'_>,
     fps: &(Fingerprints, Fingerprints),
-    proofs: QueryProofs<'_>,
+    proofs: &QueryProofs<'_>,
 ) -> Result<Report> {
     let started = Instant::now();
     let jobs = opts.effective_jobs();

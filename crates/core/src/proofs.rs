@@ -19,7 +19,14 @@
 //! verdict the traversal would re-derive, and failures, which are never
 //! cached, always re-derive their diagnostics: rendered reports are
 //! byte-identical whichever entries were present.
+//!
+//! **Identity.** A key is four 64-bit hashes, so two obligations can share
+//! one.  A query keeps the mappings behind each key it publishes, and a hit
+//! on its own entry whose mappings differ by content is a collision, counted
+//! in [`crate::CheckStats::hash_collisions`] and answered as a miss.  Other
+//! queries', stores' and baselines' entries are trusted by key.
 
+use arrayeq_omega::Relation;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -51,12 +58,12 @@ struct StripedMap {
     cap_per_stripe: usize,
 }
 
-// Stripe locks recover from poisoning: a thread unwinding while holding one
+// Locks recover from poisoning: a thread unwinding while holding one
 // (possible only between complete map operations, since entries are
 // single-`insert` facts, never partially published) must not wedge or crash
 // the surviving threads and later requests of a session.
-fn lock(stripe: &Mutex<HashMap<ProofKey, Origin>>) -> MutexGuard<'_, HashMap<ProofKey, Origin>> {
-    stripe.lock().unwrap_or_else(PoisonError::into_inner)
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Finalizing mix so consecutive or low-entropy keys spread over the
@@ -222,15 +229,17 @@ impl ProofCache {
         QueryProofs {
             cache: self,
             query: self.queries.fetch_add(1, Ordering::Relaxed),
+            published: Mutex::default(),
         }
     }
 }
 
 /// One query's view of a [`ProofCache`], shared by all workers of the run.
-#[derive(Clone, Copy)]
 pub(crate) struct QueryProofs<'c> {
     cache: &'c ProofCache,
     query: u64,
+    /// The mapping pairs this query published under each key.
+    published: Mutex<HashMap<ProofKey, Vec<(Relation, Relation)>>>,
 }
 
 impl QueryProofs<'_> {
@@ -244,9 +253,23 @@ impl QueryProofs<'_> {
         })
     }
 
-    /// Publishes a proof this query established.  The caller guarantees
-    /// the soundness contract: positive and assumption-free.
-    pub(crate) fn publish(&self, key: ProofKey) {
+    /// Whether this query published `key` for the mappings `maps`, compared
+    /// by [`Relation::same_canonical_form`].  A [`Provenance::Query`] hit
+    /// for which this is false is a 64-bit collision.
+    pub(crate) fn published(&self, key: &ProofKey, (a, b): (&Relation, &Relation)) -> bool {
+        lock(&self.published).get(key).is_some_and(|pairs| {
+            pairs
+                .iter()
+                .any(|(pa, pb)| pa.same_canonical_form(a) && pb.same_canonical_form(b))
+        })
+    }
+
+    /// Publishes a proof this query established for the mappings `maps`.
+    /// The caller guarantees the soundness contract: positive and
+    /// assumption-free.  The mappings go in first, so every worker that
+    /// sees the entry finds them.
+    pub(crate) fn publish(&self, key: ProofKey, maps: (Relation, Relation)) {
+        lock(&self.published).entry(key).or_default().push(maps);
         self.cache.map.insert(key, Origin::Query(self.query));
     }
 }
@@ -254,6 +277,16 @@ impl QueryProofs<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rel(text: &str) -> Relation {
+        Relation::parse(text).unwrap()
+    }
+
+    /// A mapping pair to publish keys under where the test is about keys.
+    fn maps() -> (Relation, Relation) {
+        let m = rel("{ [i] -> [i] : 0 <= i < 4 }");
+        (m.clone(), m)
+    }
 
     #[test]
     fn each_provenance_is_reported_for_its_own_case() {
@@ -263,10 +296,10 @@ mod tests {
         cache.seed_store([stored]);
         cache.seed_baseline([carried]);
         let earlier = cache.begin_query();
-        earlier.publish(other);
+        earlier.publish(other, maps());
         let query = cache.begin_query();
         assert_eq!(query.get(&own), None);
-        query.publish(own);
+        query.publish(own, maps());
         assert_eq!(query.get(&own), Some(Provenance::Query));
         assert_eq!(query.get(&other), Some(Provenance::Session));
         assert_eq!(query.get(&stored), Some(Provenance::Store));
@@ -283,13 +316,38 @@ mod tests {
         cache.seed_store([stored]);
         cache.seed_baseline([stored]);
         let query = cache.begin_query();
-        query.publish(published);
+        query.publish(published, maps());
         cache.seed_baseline([published]);
         cache.seed_store([published]);
-        query.publish(stored);
+        query.publish(stored, maps());
         assert_eq!(query.get(&stored), Some(Provenance::Store));
         assert_eq!(query.get(&published), Some(Provenance::Query));
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_query_knows_its_own_entries_by_content() {
+        let cache = ProofCache::new();
+        let key = (1, 2, 3, 4);
+        let (ma, mb) = maps();
+        let other = rel("{ [i] -> [i + 1] : 0 <= i < 4 }");
+        let renamed = rel("{ [j] -> [j] : j < 4 and j >= 0 }");
+        let query = cache.begin_query();
+        assert!(!query.published(&key, (&ma, &mb)));
+        query.publish(key, maps());
+        assert!(query.published(&key, (&ma, &mb)));
+        assert!(
+            query.published(&key, (&renamed, &mb)),
+            "one mapping, written anew"
+        );
+        assert!(
+            !query.published(&key, (&ma, &other)),
+            "a collision is not a hit"
+        );
+        query.publish(key, (ma.clone(), other.clone()));
+        assert!(query.published(&key, (&ma, &other)));
+        assert!(query.published(&key, (&ma, &mb)));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -304,8 +362,8 @@ mod tests {
         cache.seed_store([keys[0]]);
         cache.seed_baseline([keys[1]]);
         let query = cache.begin_query();
-        query.publish(keys[2]);
-        query.publish(keys[3]);
+        query.publish(keys[2], maps());
+        query.publish(keys[3], maps());
         let mut sorted = keys.to_vec();
         sorted.sort();
         assert_eq!(cache.entries(), sorted);

@@ -49,9 +49,10 @@ pub struct CheckStats {
     /// published after a miss, but the cache also holds other runs',
     /// stored and baseline entries, so this is not the cache's size.
     pub table_entries: u64,
-    /// Structural-hash collisions detected by the debug-build cross-check
-    /// (two relations with the same hash but different canonical keys).
-    /// Always 0 in release builds, where the cross-check is compiled out.
+    /// 64-bit hash collisions met, in every build: a term-arena intern or
+    /// a hit on one of this run's own proof-cache entries whose key matched
+    /// but whose content (coefficient, mappings) differed.  Each was
+    /// answered as a miss.
     pub hash_collisions: u64,
     /// Flattening operations performed (extended method only).
     pub flattenings: u64,
@@ -423,7 +424,7 @@ impl Report {
         }
         if self.stats.hash_collisions > 0 {
             out.push_str(&format!(
-                "WARNING: {} structural-hash collisions detected in the proof cache\n",
+                "WARNING: {} structural-hash collisions detected in the proof cache or the term arena, each answered as a miss\n",
                 self.stats.hash_collisions,
             ));
         }

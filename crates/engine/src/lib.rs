@@ -86,8 +86,6 @@ pub use arrayeq_core::{
     BudgetExhausted, CancelToken, CheckOptions, CheckStats, Focus, Method, OperatorClass,
     OperatorProperties, Report, Verdict, Witness,
 };
-/// Re-exported witness tuning knobs ([`VerifierBuilder::witness_options`]).
-pub use arrayeq_witness::WitnessOptions;
 
 use arrayeq_addg::Addg;
 use arrayeq_core::{check, lower, CheckContext, ProofCache, Result};
@@ -307,7 +305,6 @@ impl SessionStats {
 #[derive(Debug, Clone, Default)]
 pub struct VerifierBuilder {
     options: CheckOptions,
-    witness_options: WitnessOptions,
     witnesses: bool,
     deadline: Option<Duration>,
     trace_sink: Option<Arc<arrayeq_trace::Collector>>,
@@ -394,21 +391,14 @@ impl VerifierBuilder {
         self
     }
 
-    /// Tunes witness extraction (implies nothing about [`Self::witnesses`]).
-    pub fn witness_options(mut self, wopts: WitnessOptions) -> Self {
-        self.witness_options = wopts;
-        self
-    }
-
     /// Sets a wall-clock budget applied to every request.  An overrun yields
     /// [`Verdict::Inconclusive`] with [`BudgetExhausted::DeadlineExceeded`],
     /// also when the check ends past the deadline between two of the
     /// traversal's polls.  Witness extraction never *starts* past the
     /// deadline (the `NotEquivalent` verdict is returned without
-    /// counterexamples); once started it runs to its own
-    /// point/fill budgets ([`WitnessOptions`]), which bound it
-    /// independently of the clock.  [`RequestLimits::deadline`] overrides
-    /// it per request.
+    /// counterexamples); once started it runs to its own point/fill
+    /// budgets, which bound it independently of the clock.
+    /// [`RequestLimits::deadline`] overrides it per request.
     pub fn deadline(mut self, per_request: Duration) -> Self {
         self.deadline = Some(per_request);
         self
@@ -484,7 +474,6 @@ impl VerifierBuilder {
         Verifier {
             proofs,
             options: self.options,
-            witness_options: self.witness_options,
             witnesses: self.witnesses,
             deadline: self.deadline,
             counters: Counters::default(),
@@ -517,7 +506,6 @@ struct Counters {
 /// methods take `&self`).
 pub struct Verifier {
     options: CheckOptions,
-    witness_options: WitnessOptions,
     witnesses: bool,
     deadline: Option<Duration>,
     proofs: ProofCache,
@@ -731,7 +719,7 @@ impl Verifier {
     /// report when witnesses are enabled.
     ///
     /// Witness extraction is bounded by its own point/fill budgets (see
-    /// `WitnessOptions`), not by the traversal deadline — but a request
+    /// [`extract_witnesses`]), not by the traversal deadline — but a request
     /// whose wall-clock budget is already spent (or that was cancelled)
     /// must not start it: the NotEquivalent verdict stands, just without
     /// counterexamples attached.
@@ -749,8 +737,7 @@ impl Verifier {
                 .is_none_or(|deadline| Instant::now() < deadline);
         if enabled && budget_left && report.verdict == Verdict::NotEquivalent {
             let started = Instant::now();
-            report.witnesses =
-                extract_witnesses(original, transformed, report, &self.witness_options)?;
+            report.witnesses = extract_witnesses(original, transformed, report)?;
             report.stats.witness_time_us = started.elapsed().as_micros() as u64;
         }
         Ok(())

@@ -95,9 +95,10 @@ fn concurrent_requests_share_the_session_caches() {
 
 #[test]
 fn tiny_deadline_yields_typed_inconclusive_in_bounded_time() {
-    let verifier = Verifier::builder()
-        .deadline(Duration::from_millis(1))
-        .build();
+    // A budget that is already spent when the check starts: a positive one,
+    // however small, can be met by a fast host, and `Equivalent` is then the
+    // right answer.
+    let verifier = Verifier::builder().deadline(Duration::ZERO).build();
     let started = Instant::now();
     let outcome = verifier.verify(&big_pair(23)).unwrap();
     let elapsed = started.elapsed();
@@ -110,7 +111,7 @@ fn tiny_deadline_yields_typed_inconclusive_in_bounded_time() {
         "typed reason: {:?}",
         outcome.report.budget_exhausted
     );
-    // Winding down is prompt: far under a second for a 1 ms budget.
+    // Winding down is prompt: far under a second for a spent budget.
     assert!(
         elapsed < Duration::from_secs(10),
         "deadline overrun must not hang (took {elapsed:?})"

@@ -408,8 +408,9 @@ impl Conjunct {
     /// sensitive to the space arities, the number of existentials and every
     /// surviving canonical constraint.  Equal conjuncts — and conjuncts that
     /// differ only by those cosmetic presentation choices — hash
-    /// identically; the converse holds up to 64-bit collisions, which the
-    /// debug-build memo checks guard against.
+    /// identically; the converse holds up to 64-bit collisions, which DNF
+    /// dedup and the debug-build feasibility memo confirm by
+    /// [`canonical_constraints`](Conjunct::canonical_constraints).
     pub fn structural_hash(&self) -> u64 {
         // With zero or one existential there is nothing to rename, so the
         // cheap per-constraint path (no remapping clone) is exact.

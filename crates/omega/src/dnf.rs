@@ -11,8 +11,10 @@
 //!
 //! This module provides the *coalescing* pass that keeps the union small:
 //!
-//! * **Dedup** — structurally identical conjuncts (same canonical form, as
-//!   keyed by [`Conjunct::structural_hash`]) are collapsed to one.
+//! * **Dedup** — structurally identical conjuncts (same canonical form) are
+//!   collapsed to one.  [`Conjunct::structural_hash`] only picks the
+//!   bucket: a conjunct is dropped as a duplicate when its content equals
+//!   the kept one's, so two conjuncts whose 64-bit hashes collide both stay.
 //! * **Subsumption** — a conjunct that provably contains another (decided
 //!   syntactically by [`Conjunct::subsumes`], no solver call) absorbs it.
 //!
@@ -27,11 +29,12 @@ use crate::events::note_conjuncts_subsumed;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// Coalesces a disjunct list: drops structural duplicates, then drops every
-/// conjunct subsumed by another ([`Conjunct::subsumes`]).  Keeps the first
-/// occurrence and the given order of the survivors, so the pass is
-/// deterministic and idempotent.  Purely syntactic — no solver calls — and
-/// set-preserving: the union of the result equals the union of the input.
+/// Coalesces a disjunct list: drops structural duplicates ([`dedup`]), then
+/// drops every conjunct subsumed by another ([`Conjunct::subsumes`]).  Keeps
+/// the first occurrence and the given order of the survivors, so the pass
+/// is deterministic and idempotent.  Purely syntactic — no solver calls —
+/// and set-preserving: the union of the result equals the union of the
+/// input.
 pub(crate) fn coalesce(conjuncts: Vec<Conjunct>) -> Vec<Conjunct> {
     if conjuncts.len() <= 1 {
         return conjuncts;
@@ -39,38 +42,12 @@ pub(crate) fn coalesce(conjuncts: Vec<Conjunct>) -> Vec<Conjunct> {
     let _span = arrayeq_trace::span_with("simplify", || {
         vec![arrayeq_trace::u("conjuncts", conjuncts.len() as u64)]
     });
-    let before = conjuncts.len();
+    let mut kept = dedup(conjuncts);
+    let deduped = kept.len();
 
-    // Pass 1: structural dedup.  The hash absorbs constraint permutation,
-    // duplication, gcd scaling and existential renaming, so presentation
-    // variants of one disjunct collapse; debug builds cross-check the
-    // canonical forms so a 64-bit collision fails loudly (the same guard the
-    // feasibility memo uses).
-    let mut seen: HashMap<u64, usize> = HashMap::with_capacity(conjuncts.len());
-    let mut kept: Vec<Conjunct> = Vec::with_capacity(conjuncts.len());
-    for c in conjuncts {
-        match seen.entry(c.structural_hash()) {
-            Entry::Occupied(_e) => {
-                #[cfg(debug_assertions)]
-                {
-                    let twin = &kept[*_e.get()];
-                    debug_assert_eq!(
-                        (twin.canonical_constraints(), twin.n_exists()),
-                        (c.canonical_constraints(), c.n_exists()),
-                        "structural_hash collision while coalescing conjuncts"
-                    );
-                }
-            }
-            Entry::Vacant(v) => {
-                v.insert(kept.len());
-                kept.push(c);
-            }
-        }
-    }
-
-    // Pass 2: pairwise subsumption.  Earlier disjuncts win ties; a dropped
-    // disjunct never gets to drop others (its subsumer — a superset — keeps
-    // doing that job).
+    // Pairwise subsumption.  Earlier disjuncts win ties; a dropped disjunct
+    // never gets to drop others (its subsumer — a superset — keeps doing
+    // that job).
     let mut alive = vec![true; kept.len()];
     for i in 0..kept.len() {
         if !alive[i] {
@@ -85,25 +62,45 @@ pub(crate) fn coalesce(conjuncts: Vec<Conjunct>) -> Vec<Conjunct> {
     let mut alive_iter = alive.iter();
     kept.retain(|_| *alive_iter.next().expect("alive mask length"));
 
-    note_conjuncts_subsumed((before - kept.len()) as u64);
+    note_conjuncts_subsumed((deduped - kept.len()) as u64);
     kept
 }
 
 /// Structural dedup only (no subsumption): the cheap always-on pass used at
-/// relation construction time.
+/// relation construction time, and the first pass of [`coalesce`].  The
+/// hash absorbs constraint permutation, duplication, gcd scaling and
+/// existential renaming, so presentation variants of one disjunct meet in
+/// one bucket; a conjunct is dropped only when its content equals that of
+/// the first conjunct kept in its bucket ([`same_canonical_form`]).
 pub(crate) fn dedup(conjuncts: Vec<Conjunct>) -> Vec<Conjunct> {
     if conjuncts.len() <= 1 {
         return conjuncts;
     }
     let before = conjuncts.len();
-    let mut seen: HashMap<u64, ()> = HashMap::with_capacity(conjuncts.len());
+    // The first kept conjunct of each hash.
+    let mut seen: HashMap<u64, usize> = HashMap::with_capacity(conjuncts.len());
     let mut kept: Vec<Conjunct> = Vec::with_capacity(conjuncts.len());
     for c in conjuncts {
-        if let Entry::Vacant(v) = seen.entry(c.structural_hash()) {
-            v.insert(());
-            kept.push(c);
+        match seen.entry(c.structural_hash()) {
+            Entry::Occupied(e) => {
+                // A conjunct whose hash collides with the kept one's stays.
+                if !same_canonical_form(&kept[*e.get()], &c) {
+                    kept.push(c);
+                }
+            }
+            Entry::Vacant(v) => {
+                v.insert(kept.len());
+                kept.push(c);
+            }
         }
     }
     note_conjuncts_subsumed((before - kept.len()) as u64);
     kept
+}
+
+/// Whether two conjuncts of one relation are the same disjunct: equal as
+/// written, or with equal canonical forms (existentials and constraints).
+fn same_canonical_form(a: &Conjunct, b: &Conjunct) -> bool {
+    a == b
+        || (a.n_exists() == b.n_exists() && a.canonical_constraints() == b.canonical_constraints())
 }

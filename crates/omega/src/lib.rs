@@ -94,7 +94,11 @@
 //!   verdict degraded by arithmetic overflow is never memoised.  Debug
 //!   builds store the canonical constraint system next to each verdict and
 //!   compare it on every hit: a 64-bit hash collision is a miss, whose
-//!   recomputed verdict replaces the entry.  Release builds trust the hash.
+//!   recomputed verdict replaces the entry.  Release builds trust the hash,
+//!   so a collision there answers with the other conjunct's verdict: the
+//!   memo is the one structure of this crate where a hash decides identity
+//!   (DNF dedup, by contrast, keys its buckets by hash and compares
+//!   canonical constraints on every hit, in every build).
 //!
 //! All allocation-heavy inner loops (Fourier–Motzkin shadows, equality
 //! elimination, existential elimination) operate on [`LinExpr`]s that store

@@ -597,7 +597,8 @@ impl Relation {
     /// conjunct-level canonical form absorbs (constraint permutation,
     /// duplication, gcd scaling, equality sign).  Two relations with the
     /// same hash are equal up to those presentation choices — and up to
-    /// 64-bit collisions, which the checker's debug builds cross-check.
+    /// 64-bit collisions, so a hash hit that must mean identity is
+    /// confirmed by [`same_canonical_form`](Relation::same_canonical_form).
     ///
     /// The value is computed once and cached (`O(1)` on every later call);
     /// clones carry an already-computed hash with them.  Unlike the old
@@ -652,9 +653,17 @@ impl Relation {
         None
     }
 
-    /// A canonical textual rendering of the structural form — a debugging
-    /// aid (collision cross-checks, log output), **not** the tabling key;
-    /// the checker keys its table on [`structural_hash`](Relation::structural_hash).
+    /// Whether the two relations have one canonical form: `==`, or else
+    /// equal [`canonical_key`](Relation::canonical_key)s.  This is what
+    /// confirms that two relations with one
+    /// [`structural_hash`](Relation::structural_hash) are one relation.
+    pub fn same_canonical_form(&self, other: &Relation) -> bool {
+        self == other || self.canonical_key() == other.canonical_key()
+    }
+
+    /// A canonical textual rendering of the structural form — what
+    /// [`same_canonical_form`](Relation::same_canonical_form) compares, and
+    /// a log aid; **not** the tabling key.
     ///
     /// Two relations with the same canonical key are equal (the converse
     /// does not hold).

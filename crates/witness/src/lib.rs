@@ -40,26 +40,14 @@ use arrayeq_lang::interp::{flat_offset, standard_inputs, Interpreter, Memory};
 use arrayeq_omega::Set;
 use std::collections::BTreeMap;
 
-/// Tuning knobs for witness extraction.
-#[derive(Debug, Clone)]
-pub struct WitnessOptions {
-    /// Maximum number of distinct points sampled from one failing domain.
-    pub max_points: usize,
-    /// Seeds of the deterministic input fills replayed per point.
-    pub input_fills: Vec<u64>,
-    /// Produce at most this many witnesses (at most one per output array).
-    pub max_witnesses: usize,
-}
+/// Distinct points sampled from one failing domain, at most.
+const MAX_POINTS: usize = 16;
 
-impl Default for WitnessOptions {
-    fn default() -> Self {
-        WitnessOptions {
-            max_points: 16,
-            input_fills: vec![1, 2, 3],
-            max_witnesses: 4,
-        }
-    }
-}
+/// Seeds of the deterministic input fills replayed per point.
+const INPUT_FILLS: [u64; 3] = [1, 2, 3];
+
+/// Confirmed witnesses produced, at most (at most one per output array).
+const MAX_WITNESSES: usize = 4;
 
 /// Extracts witnesses for an existing `NotEquivalent` report.
 ///
@@ -67,7 +55,8 @@ impl Default for WitnessOptions {
 /// diagnostics (grouped by output array); outputs whose diagnostics carry no
 /// domain fall back to the full set of elements the original program
 /// defines.  For each output, points and input fills are tried until the
-/// replay confirms a divergence; if none does within the budget, an
+/// replay confirms a divergence; if none does within the budget (16
+/// points per domain, fills 1 to 3, at most 4 confirmed witnesses), an
 /// *unconfirmed* witness (sampled point, equal values) is still reported.
 ///
 /// # Errors
@@ -77,7 +66,6 @@ pub fn extract_witnesses(
     original: &Program,
     transformed: &Program,
     report: &Report,
-    wopts: &WitnessOptions,
 ) -> Result<Vec<Witness>> {
     let g1 = extract(original)?;
     let g2 = extract(transformed)?;
@@ -114,19 +102,19 @@ pub fn extract_witnesses(
     for (output, domain) in candidates {
         // Only confirmed witnesses consume the budget: an output whose
         // replays all came back equal must not starve later outputs.
-        if witnesses.iter().filter(|w| w.confirmed).count() >= wopts.max_witnesses {
+        if witnesses.iter().filter(|w| w.confirmed).count() >= MAX_WITNESSES {
             break;
         }
         if witnesses.iter().any(|w| w.output == output && w.confirmed) {
             continue; // this output already has a confirmed counterexample
         }
-        let points = enumerate_points(&domain, wopts.max_points);
+        let points = enumerate_points(&domain, MAX_POINTS);
         if points.is_empty() {
             continue;
         }
         let mut replays = 0usize;
         let mut fallback: Option<Witness> = None;
-        'search: for &seed in &wopts.input_fills {
+        'search: for seed in INPUT_FILLS {
             let Some((mem_a, mem_b)) = run_pair(seed) else {
                 continue;
             };
@@ -224,8 +212,7 @@ mod tests {
         let (g1, g2) = (lower(original, &opts)?, lower(transformed, &opts)?);
         let mut report = check(&g1, &g2, &opts, &CheckContext::default())?;
         if report.verdict == Verdict::NotEquivalent {
-            report.witnesses =
-                extract_witnesses(original, transformed, &report, &WitnessOptions::default())?;
+            report.witnesses = extract_witnesses(original, transformed, &report)?;
         }
         Ok(report)
     }

@@ -14,7 +14,7 @@
 use arrayeq_core::{check, lower, CheckContext, CheckOptions, Report, Result, Verdict};
 use arrayeq_lang::ast::Program;
 use arrayeq_transform::mutate::fault_corpus;
-use arrayeq_witness::{extract_witnesses, WitnessOptions};
+use arrayeq_witness::extract_witnesses;
 
 /// Checks the pair one-shot and extracts witnesses for a `NotEquivalent`
 /// verdict.
@@ -23,8 +23,7 @@ fn check_with_witnesses(original: &Program, transformed: &Program) -> Result<Rep
     let (g1, g2) = (lower(original, &opts)?, lower(transformed, &opts)?);
     let mut report = check(&g1, &g2, &opts, &CheckContext::default())?;
     if report.verdict == Verdict::NotEquivalent {
-        report.witnesses =
-            extract_witnesses(original, transformed, &report, &WitnessOptions::default())?;
+        report.witnesses = extract_witnesses(original, transformed, &report)?;
     }
     Ok(report)
 }
