@@ -2,6 +2,7 @@
 
 use crate::context::{BudgetExhausted, CheckContext};
 use crate::diagnostics::{Diagnostic, DiagnosticKind};
+use crate::look_through::LookThroughs;
 use crate::normalize::{self, TermArena};
 use crate::operators::OperatorProperties;
 use crate::proofs::{ProofCache, ProofKey, Provenance, QueryProofs};
@@ -265,6 +266,9 @@ pub(crate) struct Checker<'x> {
     /// Hash-consed flattened terms plus the matched-pair memo (the
     /// normalization subsystem's state; see [`crate::normalize`]).
     pub(crate) arena: TermArena,
+    /// The look-through steps this worker computed (see
+    /// [`crate::look_through`]).
+    pub(crate) look_throughs: LookThroughs<'x>,
     /// Coinduction for recurrences: array pairs currently being proven, with
     /// the element-pair relation assumed equal.
     in_progress: BTreeMap<(String, String), Relation>,
@@ -411,6 +415,7 @@ impl<'x> Checker<'x> {
             diagnostics: Vec::new(),
             speculating: 0,
             arena: TermArena::default(),
+            look_throughs: LookThroughs::default(),
             in_progress: BTreeMap::new(),
             assumption_uses: 0,
             work: 0,
@@ -637,15 +642,6 @@ impl Checker<'_> {
         self.exhausted = true;
         self.shared_budget.trip(reason);
         false
-    }
-
-    /// Looks through an access node: `map` composed with the node's
-    /// dependency `mapping`, simplified.  Counted as one composition and
-    /// timed by one `compose` span.
-    pub(crate) fn compose(&mut self, map: &Relation, mapping: &Relation) -> Result<Relation> {
-        self.stats.compositions += 1;
-        let _span = arrayeq_trace::span("compose");
-        Ok(map.compose(mapping)?.simplified(true))
     }
 
     /// The core synchronized traversal: checks that the sub-computations at
@@ -938,10 +934,10 @@ impl Checker<'_> {
             let pairs = map_a.inverse().compose(&map_b)?;
             self.in_progress.insert(k.clone(), pairs);
         }
-        let defs: Vec<_> = self.a.definitions(va).to_vec();
+        let a = self.a;
         let mut ok = true;
-        for def in &defs {
-            let sub_a = map_a.restrict_range(&def.elements)?.simplified(true);
+        for def in a.definitions(va) {
+            let sub_a = self.restrict_to(&map_a, &def.elements)?;
             if sub_a.is_empty() {
                 continue;
             }
@@ -979,10 +975,10 @@ impl Checker<'_> {
         trail_a: &Trail,
         trail_b: &Trail,
     ) -> Result<bool> {
-        let defs: Vec<_> = self.b.definitions(vb).to_vec();
+        let b = self.b;
         let mut ok = true;
-        for def in &defs {
-            let sub_b = map_b.restrict_range(&def.elements)?.simplified(true);
+        for def in b.definitions(vb) {
+            let sub_b = self.restrict_to(&map_b, &def.elements)?;
             if sub_b.is_empty() {
                 continue;
             }

@@ -59,6 +59,7 @@
 mod checker;
 mod context;
 mod diagnostics;
+mod look_through;
 mod normalize;
 mod operators;
 mod parallel;

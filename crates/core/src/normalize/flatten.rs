@@ -307,7 +307,7 @@ impl<'x> Checker<'x> {
                 // mapping reaches (non-chain definition roots land in the
                 // opaque-operand arm above).
                 for def in g.definitions(&v) {
-                    let sub = map.restrict_range(&def.elements)?.simplified(true);
+                    let sub = self.restrict_to(&map, &def.elements)?;
                     if sub.is_empty() {
                         continue;
                     }
@@ -543,7 +543,7 @@ impl<'x> Checker<'x> {
         if !g.is_input(array) && !g.is_recurrent(array) {
             let mut live: Option<(&Definition, Relation)> = None;
             for def in g.definitions(array) {
-                let sub = map.restrict_range(&def.elements)?.simplified(true);
+                let sub = self.restrict_to(&map, &def.elements)?;
                 if sub.is_empty() {
                     continue;
                 }

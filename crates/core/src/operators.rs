@@ -211,8 +211,8 @@ impl OperatorProperties {
     ///
     /// `-`, `/` and unary negation report [`OperatorClass::NONE`]: the
     /// normalizer handles `-`/negation by *inverse folding* into the `+`
-    /// chain (see [`crate::normalize`]) rather than through a class of
-    /// their own.
+    /// chain (see the crate's private `normalize` module) rather than
+    /// through a class of their own.
     pub fn class_of(&self, kind: &OperatorKind) -> OperatorClass {
         match kind {
             OperatorKind::Add => self.add,

@@ -35,7 +35,11 @@ impl fmt::Display for Verdict {
 pub struct CheckStats {
     /// Pairs of corresponding paths whose output-input mappings were compared.
     pub paths_compared: u64,
-    /// Relation compositions performed (intermediate-variable reductions).
+    /// Look-through compositions requested (intermediate-variable
+    /// reductions), memo hits included.  A worker computes each distinct
+    /// composition once and answers repeats from its memo; the `compose`
+    /// trace span and the `composition` metric count only the computed
+    /// ones, so the memo's hits are this count minus those.
     pub compositions: u64,
     /// Relation equality checks performed.
     pub mapping_equalities: u64,

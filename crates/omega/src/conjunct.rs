@@ -6,9 +6,12 @@ use crate::feasible::{find_model, is_feasible, Feasibility, ModelOutcome};
 use crate::hash::{combine_unordered, structural_hash_of, StructuralHasher};
 use crate::linexpr::{gcd, LinExpr};
 use crate::space::{Space, VarKind};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Upper bound on the conjunct-level feasibility memo; when reached the memo
 /// is cleared wholesale (an epoch eviction — cheap, and the working set of a
@@ -63,21 +66,72 @@ thread_local! {
 /// Columns of every constraint are laid out as
 /// `[input dims | output dims | parameters | existentials]` followed by the
 /// constant term; see [`Space`] for the global part.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct Conjunct {
     space: Space,
     n_exists: usize,
     constraints: Vec<Constraint>,
+    /// Whether [`Conjunct::simplify`] left the constraints in canonical
+    /// form and nothing has changed them since; `simplify` then returns at
+    /// once.
+    simplified: bool,
+    /// Lazily computed [`Conjunct::structural_hash`], carried by clones.
+    hash_cache: OnceLock<u64>,
+}
+
+// `simplified` and `hash_cache` are derived from the other fields: equality,
+// hashing and the debug rendering see only the semantic fields, as they do
+// for `Relation`'s hash cache.
+impl PartialEq for Conjunct {
+    fn eq(&self, other: &Self) -> bool {
+        self.space == other.space
+            && self.n_exists == other.n_exists
+            && self.constraints == other.constraints
+    }
+}
+
+impl Eq for Conjunct {}
+
+impl Hash for Conjunct {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.space.hash(state);
+        self.n_exists.hash(state);
+        self.constraints.hash(state);
+    }
+}
+
+impl fmt::Debug for Conjunct {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Conjunct")
+            .field("space", &self.space)
+            .field("n_exists", &self.n_exists)
+            .field("constraints", &self.constraints)
+            .finish()
+    }
 }
 
 impl Conjunct {
-    /// The universe conjunct (no constraints) over `space`.
-    pub fn universe(space: Space) -> Self {
+    /// A conjunct with no cached facts.
+    fn new(space: Space, n_exists: usize, constraints: Vec<Constraint>) -> Conjunct {
         Conjunct {
             space,
-            n_exists: 0,
-            constraints: Vec::new(),
+            n_exists,
+            constraints,
+            simplified: false,
+            hash_cache: OnceLock::new(),
         }
+    }
+
+    /// The universe conjunct (no constraints) over `space`.
+    pub fn universe(space: Space) -> Self {
+        Conjunct::new(space, 0, Vec::new())
+    }
+
+    /// Forgets the cached facts; every method that changes the constraints
+    /// or the existentials calls it.
+    fn invalidate(&mut self) {
+        self.simplified = false;
+        self.hash_cache.take();
     }
 
     /// The space this conjunct is defined over.
@@ -126,12 +180,14 @@ impl Conjunct {
             self.n_vars(),
             "constraint has wrong number of columns"
         );
+        self.invalidate();
         self.constraints.push(c);
     }
 
     /// Adds `count` existential variables and returns the column index of the
     /// first new one.  Existing constraints are padded with zero columns.
     pub fn add_exists(&mut self, count: usize) -> usize {
+        self.invalidate();
         let first = self.n_vars();
         self.n_exists += count;
         for c in &mut self.constraints {
@@ -274,8 +330,9 @@ impl Conjunct {
     }
 
     /// The canonical constraint list: existential columns renamed into their
-    /// canonical order (see [`Conjunct::canonical_exists_order`]), every
-    /// constraint normalised (gcd-reduced, sign-canonicalised),
+    /// canonical order (sorted by a signature of the constraints each
+    /// appears in), every constraint normalised (gcd-reduced,
+    /// sign-canonicalised),
     /// trivially-true constraints dropped, sorted and deduplicated.  Two
     /// conjuncts whose constraint lists are permutations, duplications,
     /// gcd-scalings *or existential renamings* of each other share one
@@ -404,14 +461,30 @@ impl Conjunct {
     ///
     /// Invariant under constraint permutation, duplication, gcd scaling
     /// (everything [`Constraint::normalized`] folds away) *and* renaming of
-    /// the existential columns (see [`Conjunct::canonical_exists_order`]);
+    /// the existential columns (the canonical order of
+    /// [`canonical_constraints`](Conjunct::canonical_constraints));
     /// sensitive to the space arities, the number of existentials and every
     /// surviving canonical constraint.  Equal conjuncts — and conjuncts that
     /// differ only by those cosmetic presentation choices — hash
     /// identically; the converse holds up to 64-bit collisions, which DNF
     /// dedup and the debug-build feasibility memo confirm by
     /// [`canonical_constraints`](Conjunct::canonical_constraints).
+    ///
+    /// Computed once and cached; clones carry the cached value, and every
+    /// method that changes the constraints or the existentials drops it.
     pub fn structural_hash(&self) -> u64 {
+        let hash = *self
+            .hash_cache
+            .get_or_init(|| self.compute_structural_hash());
+        debug_assert_eq!(
+            hash,
+            self.compute_structural_hash(),
+            "a cached structural hash outlived a change of its conjunct"
+        );
+        hash
+    }
+
+    fn compute_structural_hash(&self) -> u64 {
         // With zero or one existential there is nothing to rename, so the
         // cheap per-constraint path (no remapping clone) is exact.
         let per_constraint: Vec<u64> = if self.n_exists >= 2 {
@@ -444,6 +517,7 @@ impl Conjunct {
             "intersect: incompatible spaces"
         );
         let mut result = self.clone();
+        // Drops the cached facts, which the pushes below would outdate.
         let offset = result.add_exists(other.n_exists);
         let n_new = result.n_vars();
         // Map other's columns into result's columns.
@@ -486,11 +560,7 @@ impl Conjunct {
             .iter()
             .map(|c| c.remapped(&map, self.n_vars()))
             .collect();
-        Conjunct {
-            space: new_space,
-            n_exists: self.n_exists,
-            constraints,
-        }
+        Conjunct::new(new_space, self.n_exists, constraints)
     }
 
     /// Projects the conjunct onto its input dims (for a relation: the domain;
@@ -519,11 +589,7 @@ impl Conjunct {
             .iter()
             .map(|c| c.remapped(&map, self.n_vars()))
             .collect();
-        let mut out = Conjunct {
-            space: new_space,
-            n_exists: n_out + self.n_exists,
-            constraints,
-        };
+        let mut out = Conjunct::new(new_space, n_out + self.n_exists, constraints);
         out.simplify();
         out
     }
@@ -546,7 +612,15 @@ impl Conjunct {
     /// Returns `false` when a constraint is *syntactically* recognised as
     /// unsatisfiable (e.g. `0 ≥ 1`); the conjunct may still be empty even when
     /// `true` is returned — use [`Conjunct::is_feasible`] for the decision.
+    ///
+    /// A conjunct that returned `true` is marked simplified, and a second
+    /// call returns `true` at once, until a method that changes the
+    /// constraints or the existentials clears the mark.
     pub fn simplify(&mut self) -> bool {
+        if self.is_simplified() {
+            return true;
+        }
+        self.invalidate();
         loop {
             let mut changed = false;
 
@@ -589,9 +663,46 @@ impl Conjunct {
             changed |= self.drop_dominated_inequalities();
 
             if !changed {
+                debug_assert!(
+                    self.is_canonical(),
+                    "simplify ended in a non-canonical form"
+                );
+                self.simplified = true;
                 return true;
             }
         }
+    }
+
+    /// Whether [`Conjunct::simplify`] left this conjunct in canonical form
+    /// and nothing has changed it since; debug builds check the form on
+    /// every call.
+    fn is_simplified(&self) -> bool {
+        debug_assert!(
+            !self.simplified || self.is_canonical(),
+            "a conjunct marked simplified is not in canonical form"
+        );
+        self.simplified
+    }
+
+    /// The form [`Conjunct::simplify`] leaves the constraints in: each
+    /// equals its normalised form, none is trivially true, and the list is
+    /// strictly ascending.
+    fn is_canonical(&self) -> bool {
+        self.constraints
+            .iter()
+            .all(|c| *c == c.normalized() && c.trivial() != Some(true))
+            && self.constraints.windows(2).all(|w| w[0] < w[1])
+    }
+
+    /// This conjunct simplified: borrowed when [`Conjunct::simplify`]
+    /// already left it so, a simplified clone otherwise, and `None` when
+    /// simplification finds it syntactically empty.
+    pub(crate) fn simplified(&self) -> Option<Cow<'_, Conjunct>> {
+        if self.is_simplified() {
+            return Some(Cow::Borrowed(self));
+        }
+        let mut c = self.clone();
+        c.simplify().then_some(Cow::Owned(c))
     }
 
     /// Drops inequalities implied by a sibling constraint over the same
@@ -745,6 +856,7 @@ impl Conjunct {
                 !(probe.simplify() && probe.is_feasible())
             });
             if implied {
+                self.invalidate();
                 self.constraints.remove(i);
             } else {
                 i += 1;
@@ -1044,18 +1156,16 @@ impl Conjunct {
         n_exists: usize,
         constraints: Vec<Constraint>,
     ) -> Conjunct {
-        let c = Conjunct {
-            space,
-            n_exists,
-            constraints,
-        };
+        let c = Conjunct::new(space, n_exists, constraints);
         for cons in &c.constraints {
             assert_eq!(cons.n_vars(), c.n_vars());
         }
         c
     }
 
-    /// Replaces the space (for renaming dims); arities must match.
+    /// Replaces the space (for renaming dims); arities must match.  The
+    /// constraints stay, and so do the cached facts: neither the canonical
+    /// form nor the structural hash depends on dimension names.
     pub(crate) fn with_space(mut self, space: Space) -> Conjunct {
         assert_eq!(space.n_in(), self.space.n_in());
         assert_eq!(space.n_out(), self.space.n_out());
@@ -1441,5 +1551,136 @@ mod tests {
         assert!(c.contains(&[-1, 0]));
         assert!(!c.contains(&[11, 0]));
         assert!(!c.contains(&[-2, 0]));
+    }
+
+    /// `a·x + b·y + k ≥ 0` over `c`'s columns.
+    fn geq(c: &Conjunct, a: i64, b: i64, k: i64) -> Constraint {
+        let mut e = c.zero_expr();
+        e.set_coeff(c.col(VarKind::In, 0), a);
+        e.set_coeff(c.col(VarKind::Out, 0), b);
+        e.set_constant(k);
+        Constraint::geq(e)
+    }
+
+    /// `{ [x] -> [y] : a·x + b·y + k ≥ 0 for each row }`, simplified, with
+    /// its structural hash computed and cached.
+    fn cached(rows: &[(i64, i64, i64)]) -> Conjunct {
+        let mut c = Conjunct::universe(space_1_1());
+        for &(a, b, k) in rows {
+            c.add(geq(&c, a, b, k));
+        }
+        assert!(c.simplify());
+        assert!(c.simplified);
+        c.structural_hash();
+        c
+    }
+
+    /// Asserts that a mutated conjunct keeps no stale cached fact: its hash
+    /// is that of a conjunct built fresh from the same constraints, and
+    /// `simplify` runs again, to what simplifying the fresh one gives.
+    fn assert_caches_follow(mut c: Conjunct, what: &str) {
+        let mut fresh = Conjunct::from_parts(c.space.clone(), c.n_exists, c.constraints.clone());
+        assert_eq!(c.structural_hash(), fresh.structural_hash(), "{what}: hash");
+        assert!(!c.simplified, "{what}: still marked simplified");
+        assert!(c.simplify() && fresh.simplify(), "{what}");
+        assert_eq!(
+            (c.n_exists, &c.constraints),
+            (fresh.n_exists, &fresh.constraints),
+            "{what}: simplify did not run again"
+        );
+    }
+
+    #[test]
+    fn add_clears_the_cached_facts() {
+        let mut c = cached(&[(1, 0, 0)]); // x >= 0
+        let h = c.structural_hash();
+        c.add(geq(&c, 0, 2, -4)); // 2y - 4 >= 0, which simplify halves
+        assert_ne!(c.structural_hash(), h);
+        assert_caches_follow(c, "add");
+    }
+
+    #[test]
+    fn add_exists_clears_the_cached_facts() {
+        let mut c = cached(&[(1, 0, 0)]);
+        let h = c.structural_hash();
+        c.add_exists(1); // an unused existential, which simplify drops
+        assert_ne!(c.structural_hash(), h);
+        assert_caches_follow(c, "add_exists");
+    }
+
+    #[test]
+    fn an_intersection_starts_without_cached_facts() {
+        let a = cached(&[(1, 0, 0)]);
+        // Quantifier-free on both sides: no existential is added.
+        let both = a.intersect(&cached(&[(-2, 0, 9)])); // x <= 4, once halved
+        assert_ne!(both.structural_hash(), a.structural_hash());
+        assert_caches_follow(both, "intersect");
+    }
+
+    #[test]
+    fn drop_redundant_clears_the_cached_facts() {
+        // x >= 0, y >= 0 and the implied x + y >= 0, which simplify keeps.
+        let mut c = cached(&[(1, 0, 0), (0, 1, 0), (1, 1, 0)]);
+        assert_eq!(c.constraints.len(), 3);
+        let h = c.structural_hash();
+        c.drop_redundant();
+        assert_eq!(c.constraints.len(), 2);
+        assert_ne!(c.structural_hash(), h);
+        assert_caches_follow(c, "drop_redundant");
+    }
+
+    #[test]
+    fn gist_against_clears_the_cached_facts() {
+        let mut c = cached(&[(1, 0, 0), (1, 1, 0)]); // x >= 0, x + y >= 0
+        let h = c.structural_hash();
+        c.gist_against(&cached(&[(0, 1, 0)])); // y >= 0 implies the second
+        assert_eq!(c.constraints.len(), 1);
+        assert_ne!(c.structural_hash(), h);
+        assert_caches_follow(c, "gist_against");
+    }
+
+    #[test]
+    fn add_conjunct_leaves_no_stale_relation_hash() {
+        let first = cached(&[(1, 0, 0)]);
+        let mut r = crate::Relation::raw(space_1_1(), vec![first.clone()]);
+        let h = r.structural_hash();
+        // Not simplified: `simplified` must run simplify on it.
+        let mut second = Conjunct::universe(space_1_1());
+        second.add(geq(&second, -2, 0, -4)); // -2x - 4 >= 0
+        r.add_conjunct(second.clone());
+        assert_ne!(r.structural_hash(), h);
+        let fresh =
+            |c: &Conjunct| Conjunct::from_parts(c.space.clone(), c.n_exists, c.constraints.clone());
+        let rebuilt = crate::Relation::raw(space_1_1(), vec![fresh(&first), fresh(&second)]);
+        assert_eq!(r.structural_hash(), rebuilt.structural_hash());
+        let simplified = r.simplified(true);
+        assert_eq!(simplified, rebuilt.simplified(true));
+        assert!(simplified
+            .conjuncts()
+            .iter()
+            .all(|c| c.simplified && c.is_canonical()));
+    }
+
+    #[test]
+    fn cached_hashes_of_a_colliding_pair_keep_both_conjuncts() {
+        // Two conjuncts whose 64-bit structural hashes collide: dedup must
+        // tell them apart by content, whatever hashes they cache, and so
+        // must anything keyed by those hashes.
+        let a = crate::Relation::parse("{ [k] -> [e] : e = k + 1 and 0 <= k < 16 }").unwrap();
+        let b =
+            crate::Relation::parse("{ [k] -> [e] : e = 4k - 408709946564336430 and 0 <= k < 16 }")
+                .unwrap();
+        let (ca, cb) = (&a.conjuncts()[0], &b.conjuncts()[0]);
+        assert!(ca.simplified && cb.simplified);
+        assert_eq!(
+            ca.structural_hash(),
+            cb.structural_hash(),
+            "no longer a collision"
+        );
+        let u = a.union(&b).unwrap().simplified(true);
+        assert_eq!(u.conjuncts().len(), 2, "{u}");
+        assert!(!u.is_empty());
+        assert!(u.contains(&[0], &[1], &[]));
+        assert!(u.contains(&[0], &[-408709946564336430], &[]));
     }
 }

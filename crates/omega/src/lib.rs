@@ -65,7 +65,7 @@
 //!
 //! The equivalence checker spends essentially all of its time in chains of
 //! these operations, and the same sub-relations keep re-appearing along
-//! different traversal paths.  Three mechanisms make the repeats cheap:
+//! different traversal paths.  Four mechanisms make the repeats cheap:
 //!
 //! * **Canonical structural form.**  [`Constraint::normalized`] gcd-reduces
 //!   every constraint, integer-tightens inequalities, reduces congruences
@@ -78,11 +78,24 @@
 //! * **Structural hashing.**  [`Conjunct::structural_hash`] and
 //!   [`Relation::structural_hash`] digest the canonical form into a stable,
 //!   deterministic 64-bit value (an FxHash-style polynomial — see the
-//!   `StructuralHasher` used internally).  The relation-level hash is
-//!   computed lazily, cached in the relation and carried along by clones, so
+//!   `StructuralHasher` used internally).  Both hashes are computed lazily,
+//!   cached in the conjunct or relation and carried along by clones, so
 //!   after the first computation a tabling key costs two integer loads where
 //!   the previous string key re-ran a full feasibility pass and a `format!`
-//!   per conjunct on every lookup.
+//!   per conjunct on every lookup, and the feasibility memo, DNF dedup and
+//!   the relation hash digest each conjunct once.
+//!
+//! * **Simplified conjuncts stay simplified.**  [`Conjunct::simplify`]
+//!   marks the conjunct it brought to canonical form (every constraint
+//!   normalised, none trivially true, the list strictly ascending), and a
+//!   second call returns at once; [`Relation::simplified`] and
+//!   [`Relation::is_empty`] test such conjuncts in place instead of
+//!   cloning and re-simplifying them.  Every method that changes a
+//!   conjunct's constraints or existentials drops both the mark and the
+//!   cached hash, and equality and `Hash` ignore both, as they ignore the
+//!   relation's cached hash.  Debug builds check the canonical form
+//!   wherever the mark is read and a cached hash against a fresh one
+//!   wherever it is used.
 //!
 //! * **Feasibility memo.**  [`Conjunct::is_feasible`] memoises Omega-test
 //!   verdicts in one map per thread, keyed by structural hash, so the

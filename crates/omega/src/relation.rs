@@ -161,18 +161,18 @@ impl Relation {
     /// semantically empty and coalesces the survivors (structural dedup plus
     /// conjunct subsumption — see [`Conjunct::subsumes`]).  `deep`
     /// additionally runs the exact emptiness test per conjunct (more
-    /// expensive, smaller result).
+    /// expensive, smaller result).  A conjunct that is already simplified
+    /// is tested in place and cloned only when it survives.
     pub fn simplified(&self, deep: bool) -> Relation {
         let mut out = Vec::with_capacity(self.conjuncts.len());
         for c in &self.conjuncts {
-            let mut c = c.clone();
-            if !c.simplify() {
+            let Some(c) = c.simplified() else {
                 continue;
-            }
+            };
             if deep && !c.is_feasible() {
                 continue;
             }
-            out.push(c);
+            out.push(c.into_owned());
         }
         Relation::raw(self.space.clone(), crate::dnf::coalesce(out))
     }
@@ -212,13 +212,9 @@ impl Relation {
     /// Whether the relation is empty (no integer points for any parameter
     /// values).
     pub fn is_empty(&self) -> bool {
-        self.conjuncts.iter().all(|c| {
-            let mut c = c.clone();
-            if !c.simplify() {
-                return true;
-            }
-            !c.is_feasible()
-        })
+        self.conjuncts
+            .iter()
+            .all(|c| c.simplified().is_none_or(|c| !c.is_feasible()))
     }
 
     /// Union of two relations over compatible spaces.
@@ -420,17 +416,16 @@ impl Relation {
         // negation stays within the constraint language.
         let mut subtrahend = Vec::new();
         for c in &other.conjuncts {
-            let mut c = c.clone();
-            if !c.simplify() {
+            let Some(c) = c.simplified() else {
                 continue; // empty disjunct removes nothing
-            }
+            };
             if !c.is_feasible() {
                 continue;
             }
             if !c.is_quantifier_free() {
                 return Err(OmegaError::InexactElimination { op: "subtract" });
             }
-            subtrahend.push(c.with_space(self.space.clone()));
+            subtrahend.push(c.into_owned().with_space(self.space.clone()));
         }
         // Already coalesced by `simplified`, and every round below coalesces
         // its output, so the result needs no final pass.
@@ -634,10 +629,9 @@ impl Relation {
     /// in the point.
     pub fn sample_point(&self) -> Option<SamplePoint> {
         for c in &self.conjuncts {
-            let mut c = c.clone();
-            if !c.simplify() {
+            let Some(c) = c.simplified() else {
                 continue;
-            }
+            };
             if let Some(point) = c.sample_point() {
                 let n_in = self.space.n_in();
                 let n_out = self.space.n_out();

@@ -3,13 +3,16 @@
 //! store-backed run renders exactly as a storeless one, a warm store
 //! discharges sub-proofs, the store files hold proof keys (`eq` lines)
 //! only, the fingerprints that stamp every store and baseline on disk do
-//! not move, each engine records exactly its own requests, and its metrics
-//! count the same events as its trace.
+//! not move, each engine records exactly its own requests, its metrics
+//! count the same events as its trace, and a worker computes each distinct
+//! look-through composition once.
 
 use arrayeq::core::CheckOptions;
 use arrayeq::engine::{options_fingerprint, Verifier, VerifyRequest};
 use arrayeq::lang::corpus::{FIG1_A, FIG1_C};
+use arrayeq::transform::generator::{generate_kernel, GeneratorConfig};
 use arrayeq::transform::mutate::fault_corpus;
+use arrayeq::transform::random_pipeline;
 use arrayeq_trace::{Collector, Phase, Value};
 use std::collections::BTreeSet;
 use std::fs;
@@ -265,5 +268,80 @@ fn metrics_and_spans_count_the_same_events() {
                 "{name} jobs {jobs}: spawned workers record into the engine's trace"
             );
         }
+    }
+}
+
+#[test]
+fn a_worker_composes_each_distinct_look_through_once() {
+    // An L17 pair built as perfbench's `deep` builds its pairs: a kernel at
+    // N = 256 and the fixed 34-step pipeline with seed 12.
+    let original = generate_kernel(&GeneratorConfig {
+        n: 256,
+        layers: 17,
+        seed: 11,
+        ..Default::default()
+    });
+    let (transformed, _) = random_pipeline(&original, 34, 12);
+    let request = VerifyRequest::programs(original, transformed);
+    let mut runs = Vec::new();
+    for jobs in [1, 2] {
+        for traced in [false, true] {
+            let trace = Arc::new(Collector::new());
+            let mut builder = Verifier::builder().jobs(jobs).metrics(true);
+            if traced {
+                builder = builder.trace_sink(trace.clone());
+            }
+            let verifier = builder.build();
+            let report = verifier.verify(&request).unwrap().report;
+            let snapshot = verifier.metrics_snapshot().expect("metrics on");
+            let computed = snapshot
+                .metrics
+                .iter()
+                .find(|m| m.name == "composition")
+                .expect("a composition histogram")
+                .count;
+            let run = format!("jobs {jobs}, traced {traced}");
+            if traced {
+                let closes = trace
+                    .events()
+                    .iter()
+                    .filter(|ev| ev.name == "compose" && ev.phase == Phase::Close)
+                    .count() as u64;
+                assert_eq!(
+                    computed, closes,
+                    "{run}: histogram against `compose` closes"
+                );
+            }
+            assert!(computed > 0, "{run}");
+            assert!(
+                computed < report.stats.compositions,
+                "{run}: {computed} compositions computed of {} requested",
+                report.stats.compositions
+            );
+            if jobs == 1 {
+                // One worker sees every request, so each composition it
+                // repeats is a hit: the pair repeats more than half of them.
+                assert!(
+                    2 * computed <= report.stats.compositions,
+                    "{run}: {computed} compositions computed of {} requested",
+                    report.stats.compositions
+                );
+            }
+            runs.push((run, report));
+        }
+    }
+    let (first, report) = &runs[0];
+    assert!(report.is_equivalent(), "{first}: {:?}", report.verdict);
+    for (run, other) in &runs[1..] {
+        assert_eq!(other.verdict, report.verdict, "{run} against {first}");
+        assert_eq!(
+            other.render_stable(),
+            report.render_stable(),
+            "{run} against {first}"
+        );
+        assert_eq!(
+            other.stats.compositions, report.stats.compositions,
+            "{run} against {first}"
+        );
     }
 }
