@@ -43,25 +43,6 @@ pub struct AddgDiff {
     pub clean_outputs: Vec<String>,
 }
 
-impl AddgDiff {
-    /// Total number of arrays seen across both graphs.
-    pub fn total(&self) -> usize {
-        self.clean.len() + self.dirty.len()
-    }
-
-    /// One-line cone statistics for logs and bench rows.
-    pub fn stats_line(&self) -> String {
-        format!(
-            "arrays: {} total, {} dirty, cone {} ({} of {} outputs dirty)",
-            self.total(),
-            self.dirty.len(),
-            self.cone.len(),
-            self.dirty_outputs.len(),
-            self.dirty_outputs.len() + self.clean_outputs.len(),
-        )
-    }
-}
-
 /// Diffs two versions of a program by content fingerprint.
 ///
 /// `old` and `new` are the pre-edit and post-edit graphs of the *same side*
@@ -201,6 +182,5 @@ s4:     D[k] = t2[k] + A[k];
         assert!(d.cone.iter().any(|a| a == "t2"));
         assert!(d.cone.iter().any(|a| a == "D"));
         assert!(!d.cone.iter().any(|a| a == "t1"));
-        assert!(d.stats_line().contains("1 of 2 outputs dirty"));
     }
 }

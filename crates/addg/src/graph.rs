@@ -329,8 +329,10 @@ impl Addg {
     /// one array, and every array that reads itself.  These are exactly the
     /// arrays on a cycle of the array-level dependence graph, self-loops
     /// included.  The paper handles them with the transitive closure of the
-    /// cycle's total dependence mapping.  Computed once, by the same Tarjan
-    /// pass as the components, when the graph is extracted.
+    /// cycle's total dependence mapping; this checker discharges them
+    /// coinductively instead, assuming an obligation on a cycle while it is
+    /// being proven.  Computed once, by the same Tarjan pass as the
+    /// components, when the graph is extracted.
     pub fn recurrence_arrays(&self) -> &BTreeSet<String> {
         &self.recurrent
     }

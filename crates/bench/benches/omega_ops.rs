@@ -9,17 +9,13 @@ fn bench(c: &mut Criterion) {
     let m2 =
         Relation::parse("{ [x] -> [y] : exists k : x = 2k - 2 and y = k - 1 and 1 <= k <= 1024 }")
             .unwrap();
-    let shift = Relation::parse("{ [i] -> [i+1] : 0 <= i < 1024 }").unwrap();
     g.bench_function("compose", |b| b.iter(|| m1.compose(&m2).unwrap()));
     g.bench_function("is_equal", |b| b.iter(|| m1.is_equal(&m1).unwrap()));
     g.bench_function("subtract", |b| b.iter(|| m1.subtract(&m2).unwrap()));
-    g.bench_function("transitive_closure", |b| {
-        b.iter(|| shift.transitive_closure().unwrap())
-    });
     g.finish();
 
-    // The two tabling-key constructions the checker can use: cached
-    // structural hashes (default) vs the legacy canonical-string rendering.
+    // The tabling key, a relation's structural hash, cold and cached, and
+    // the feasibility memo behind deep simplification.
     let mut g = c.benchmark_group("tabling_keys");
     g.sample_size(20);
     g.bench_function("structural_hash_cold", |b| {
@@ -36,9 +32,6 @@ fn bench(c: &mut Criterion) {
         let r = m2.clone();
         r.structural_hash();
         b.iter(|| black_box(r.structural_hash()))
-    });
-    g.bench_function("canonical_key_string", |b| {
-        b.iter(|| black_box(m2.canonical_key()))
     });
     g.bench_function("simplified_deep_memoised", |b| {
         // Repeated deep simplification of an identical relation is the shape

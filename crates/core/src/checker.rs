@@ -515,8 +515,8 @@ pub(crate) fn check_output_domains(a: &Addg, b: &Addg, output: &str) -> Result<O
     }
     // The failing elements are exactly the symmetric difference of the two
     // defined-element sets.
-    // `minimized` additionally gists each surviving conjunct against its
-    // siblings' canonical forms, so the rendered failing domain is minimal.
+    // `minimized` additionally drops from each surviving conjunct the
+    // constraints its others imply, so the rendered failing domain is minimal.
     let failing = ea.subtract(&eb)?.union(&eb.subtract(&ea)?)?.minimized();
     Ok(OutputDomains::Mismatch(Box::new(Diagnostic {
         kind: DiagnosticKind::OutputDomainMismatch,
@@ -540,21 +540,16 @@ pub(crate) fn check_output_domains(a: &Addg, b: &Addg, output: &str) -> Result<O
 }
 
 /// Classifies a pipeline error that means the solver *cannot answer*: the
-/// obligation needed an Omega operation outside the exactly decidable
-/// fragment (inexact existential elimination, out-of-fragment closure).
-/// Such an error is a property of the input's constraint systems — huge
-/// coefficients the big-int fallback let through the front end — not a
-/// malformed query, so callers downgrade the affected output to a typed
-/// inconclusive instead of failing the whole pipeline.
+/// obligation needed an existential variable eliminated exactly, outside
+/// the exactly decidable fragment.  Such an error is a property of the
+/// input's constraint systems — huge coefficients the big-int fallback let
+/// through the front end — not a malformed query, so callers downgrade the
+/// affected output to a typed inconclusive instead of failing the whole
+/// pipeline.
 pub(crate) fn unsupported_fragment(e: &CoreError) -> Option<BudgetExhausted> {
     match e {
         CoreError::Omega(arrayeq_omega::OmegaError::InexactElimination { op }) => {
             Some(BudgetExhausted::UnsupportedFragment { op })
-        }
-        CoreError::Omega(arrayeq_omega::OmegaError::UnsupportedClosure { .. }) => {
-            Some(BudgetExhausted::UnsupportedFragment {
-                op: "transitive closure",
-            })
         }
         _ => None,
     }

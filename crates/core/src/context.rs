@@ -71,9 +71,9 @@ pub enum BudgetExhausted {
         events: u64,
     },
     /// An obligation needed an Omega operation outside the exactly decidable
-    /// fragment (the solver could not eliminate existential variables
-    /// exactly, or a transitive closure left the uniform fragment).  The
-    /// obligation is neither proven nor refuted, so the verdict is withheld.
+    /// fragment: the solver could not eliminate existential variables
+    /// exactly.  The obligation is neither proven nor refuted, so the
+    /// verdict is withheld.
     UnsupportedFragment {
         /// The Omega operation that left the decidable fragment.
         op: &'static str,

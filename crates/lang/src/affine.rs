@@ -55,23 +55,24 @@ impl Affine {
         Affine { coeffs, konst: 0 }
     }
 
-    /// `self + k·other`.
+    /// `self + k·other`, wrapping in `i64` as the program's arithmetic does.
     pub fn add_scaled(&mut self, other: &Affine, k: i64) {
         for (n, &c) in &other.coeffs {
-            *self.coeffs.entry(n.clone()).or_insert(0) += k * c;
+            let slot = self.coeffs.entry(n.clone()).or_insert(0);
+            *slot = slot.wrapping_add(k.wrapping_mul(c));
         }
-        self.konst += k * other.konst;
+        self.konst = self.konst.wrapping_add(k.wrapping_mul(other.konst));
     }
 
-    /// `k·self`.
+    /// `k·self`, wrapping in `i64` as the program's arithmetic does.
     pub fn scale(&self, k: i64) -> Affine {
         Affine {
             coeffs: self
                 .coeffs
                 .iter()
-                .map(|(n, &c)| (n.clone(), c * k))
+                .map(|(n, &c)| (n.clone(), c.wrapping_mul(k)))
                 .collect(),
-            konst: self.konst * k,
+            konst: self.konst.wrapping_mul(k),
         }
     }
 
@@ -80,13 +81,12 @@ impl Affine {
         self.coeffs.values().all(|&c| c == 0)
     }
 
-    /// Evaluates the expression for concrete iterator values.
+    /// Evaluates the expression for concrete iterator values, wrapping in
+    /// `i64` as the program's arithmetic does.
     pub fn eval(&self, env: &BTreeMap<String, i64>) -> i64 {
-        self.coeffs
-            .iter()
-            .map(|(n, c)| c * env.get(n).copied().unwrap_or(0))
-            .sum::<i64>()
-            + self.konst
+        self.coeffs.iter().fold(self.konst, |acc, (n, c)| {
+            acc.wrapping_add(c.wrapping_mul(env.get(n).copied().unwrap_or(0)))
+        })
     }
 
     /// Lowers the expression into a [`LinExpr`] over a conjunct whose input
@@ -176,7 +176,7 @@ pub fn affine_of_expr(
                 }
                 BinOp::Div => {
                     if la.is_constant() && ra.is_constant() && ra.konst != 0 {
-                        Ok(Affine::constant(la.konst / ra.konst))
+                        Ok(Affine::constant(la.konst.wrapping_div(ra.konst)))
                     } else {
                         Err(not_affine())
                     }
@@ -866,12 +866,9 @@ impl StatementInfo<'_> {
             }
             self.add_param_bounds(&mut c);
             for (d, a) in indices.iter().enumerate() {
-                // out_d - a(iters) = 0
-                let mut e = a
-                    .to_linexpr(&c, &self.iters, &params, VarKind::In)
-                    .scale(-1);
-                let col = c.col(VarKind::Out, d);
-                e.set_coeff(col, 1);
+                // a(iters) - out_d = 0
+                let mut e = a.to_linexpr(&c, &self.iters, &params, VarKind::In);
+                e.set_coeff(c.col(VarKind::Out, d), -1);
                 c.add(Constraint::eq(e));
             }
             c.simplify();

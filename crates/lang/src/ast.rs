@@ -21,19 +21,6 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    /// The operator comparing the same operands in the opposite order
-    /// (e.g. `<` becomes `>`).
-    pub fn flipped(self) -> CmpOp {
-        match self {
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
-            CmpOp::Eq => CmpOp::Eq,
-            CmpOp::Ne => CmpOp::Ne,
-        }
-    }
-
     /// The logical negation (e.g. `<` becomes `>=`).
     pub fn negated(self) -> CmpOp {
         match self {
@@ -624,7 +611,6 @@ mod tests {
     #[test]
     fn cmp_op_helpers() {
         assert_eq!(CmpOp::Lt.negated(), CmpOp::Ge);
-        assert_eq!(CmpOp::Le.flipped(), CmpOp::Ge);
         assert!(CmpOp::Le.eval(3, 3));
         assert!(!CmpOp::Lt.eval(3, 3));
         assert!(CmpOp::Ne.eval(1, 2));

@@ -188,7 +188,7 @@ v1:     Y[i] = ((A[4*i] * X[0] + A[4*i+1] * X[1]) + A[4*i+2] * X[2])
 "#;
 
 /// A first-order recurrence (prefix-style IIR filter) — exercises the cyclic
-/// ADDG / transitive-closure path of the method.
+/// ADDG, which the checker discharges coinductively.
 pub const KERNEL_RECURRENCE: &str = r#"
 /* first-order recurrence: running sum */
 #define N 128

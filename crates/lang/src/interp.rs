@@ -234,7 +234,11 @@ impl<'p> Interpreter<'p> {
                         message: format!("local array `{}` has non-positive size {v}", d.name),
                     });
                 }
-                size *= v as usize;
+                size = size
+                    .checked_mul(v as usize)
+                    .ok_or_else(|| LangError::Runtime {
+                        message: format!("size of local array `{}` overflows", d.name),
+                    })?;
             }
             arrays.insert(d.name.clone(), vec![Self::UNINIT; size]);
         }
@@ -244,13 +248,6 @@ impl<'p> Interpreter<'p> {
             scalars: BTreeMap::new(),
             defines: &self.program.defines,
             stats: ExecStats::default(),
-            decl_dims: self
-                .program
-                .decls
-                .iter()
-                .filter(|d| !d.dims.is_empty())
-                .map(|d| (d.name.clone(), d.dims.len()))
-                .collect(),
         };
         state.exec_block(&self.program.body)?;
         Ok((
@@ -281,7 +278,6 @@ struct State<'p> {
     arrays: BTreeMap<String, Vec<i64>>,
     scalars: BTreeMap<String, i64>,
     defines: &'p BTreeMap<String, i64>,
-    decl_dims: BTreeMap<String, usize>,
     stats: ExecStats,
 }
 
@@ -359,24 +355,23 @@ impl State<'_> {
     }
 
     fn flat_index_inner(&mut self, r: &ArrayRef) -> Result<usize> {
-        if r.indices.is_empty() {
-            return Ok(0);
-        }
-        if r.indices.len() == 1 {
-            let v = self.eval(&r.indices[0])?;
+        if let [idx] = r.indices.as_slice() {
+            let v = self.eval(idx)?;
             return usize::try_from(v).map_err(|_| LangError::Runtime {
                 message: format!("negative index {v} into `{}`", r.array),
             });
         }
         // Row-major for declared multi-dimensional locals.
-        let _dims = self.decl_dims.get(&r.array).copied().unwrap_or(1);
-        let mut offset: i64 = 0;
-        for idx in &r.indices {
-            let v = self.eval(idx)?;
-            offset = offset * MD_ROW_PITCH + v; // fixed row pitch for md arrays
-        }
-        usize::try_from(offset).map_err(|_| LangError::Runtime {
-            message: format!("negative flattened index into `{}`", r.array),
+        let point = r
+            .indices
+            .iter()
+            .map(|idx| self.eval(idx))
+            .collect::<Result<Vec<_>>>()?;
+        flat_offset(&point).ok_or_else(|| LangError::Runtime {
+            message: format!(
+                "flattened index into `{}` is negative or overflows",
+                r.array
+            ),
         })
     }
 
@@ -394,7 +389,7 @@ impl State<'_> {
                     })
                 }
             }
-            Expr::Neg(inner) => Ok(-self.eval(inner)?),
+            Expr::Neg(inner) => Ok(self.eval(inner)?.wrapping_neg()),
             Expr::Access(r) => {
                 let offset = self.flat_index(r)?;
                 let arr = self
@@ -426,7 +421,7 @@ impl State<'_> {
                                 message: "division by zero".into(),
                             })
                         } else {
-                            Ok(lv / rv)
+                            Ok(lv.wrapping_div(rv))
                         }
                     }
                 }
@@ -589,6 +584,24 @@ s1:     C[k] = absd(A[k], A[k + 1]) + 1;
                 assert_ne!(a.arrays[name], b.arrays[name]);
             }
         }
+    }
+
+    #[test]
+    fn overflowing_indices_and_sizes_are_runtime_errors() {
+        let run = |decl: &str, index: &str| {
+            let src = format!(
+                "void f(int A[], int C[]) {{ int k, {decl}; for (k = 0; k < 4; k++) \
+                 s1: t[{index}][k] = A[k]; for (k = 0; k < 4; k++) s2: C[k] = t[0][k]; }}"
+            );
+            let p = parse_program(&src).unwrap();
+            match Interpreter::new(&p).run(&standard_inputs(&p, 1)) {
+                Err(LangError::Runtime { message }) => message,
+                other => panic!("{decl}, t[{index}]: {other:?}"),
+            }
+        };
+        // 2^53 rows of 1024 elements: the flattened index passes i64::MAX.
+        assert!(run("t[4][4]", "9007199254740992").contains("overflows"));
+        assert!(run("t[4294967296][4294967296]", "0").contains("overflows"));
     }
 
     #[test]

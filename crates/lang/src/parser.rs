@@ -588,24 +588,25 @@ fn step_from_assignment(var: &str, e: &Expr) -> Option<i64> {
     }
 }
 
-/// Evaluates an expression that uses only literals and `#define` constants.
+/// Evaluates an expression that uses only literals and `#define` constants,
+/// wrapping in `i64` as the program's arithmetic does.
 pub fn eval_const(e: &Expr, defines: &BTreeMap<String, i64>) -> Option<i64> {
     match e {
         Expr::Const(v) => Some(*v),
         Expr::Var(n) => defines.get(n).copied(),
-        Expr::Neg(e) => eval_const(e, defines).map(|v| -v),
+        Expr::Neg(e) => eval_const(e, defines).map(i64::wrapping_neg),
         Expr::Bin(op, l, r) => {
             let l = eval_const(l, defines)?;
             let r = eval_const(r, defines)?;
             match op {
-                BinOp::Add => Some(l + r),
-                BinOp::Sub => Some(l - r),
-                BinOp::Mul => Some(l * r),
+                BinOp::Add => Some(l.wrapping_add(r)),
+                BinOp::Sub => Some(l.wrapping_sub(r)),
+                BinOp::Mul => Some(l.wrapping_mul(r)),
                 BinOp::Div => {
                     if r == 0 {
                         None
                     } else {
-                        Some(l / r)
+                        Some(l.wrapping_div(r))
                     }
                 }
             }
@@ -743,6 +744,7 @@ s1:     C[k] = clip(A[k] * 3, 255) + A[k] / 2;
         let src = r#"
 #define N 8
 #define M 2*N
+#define W (0 - 9223372036854775807 - 1) / (0 - 1)
 void f(int A[], int C[]) {
     int k;
     for (k = 0; k < M; k++)
@@ -751,6 +753,8 @@ s1:     C[k] = A[k] + 1;
 "#;
         let p = parse_program(src).unwrap();
         assert_eq!(p.define("M"), Some(16));
+        // Wraps in i64, as the program's arithmetic does.
+        assert_eq!(p.define("W"), Some(i64::MIN));
     }
 
     #[test]

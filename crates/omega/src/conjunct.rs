@@ -457,6 +457,19 @@ impl Conjunct {
         Some(order)
     }
 
+    /// Whether the two conjuncts have one canonical form: equal space
+    /// arities, equally many existentials and equal
+    /// [`canonical_constraints`](Conjunct::canonical_constraints) — what
+    /// [`structural_hash`](Conjunct::structural_hash) digests.  This is
+    /// what confirms that two conjuncts with one structural hash are one
+    /// conjunct.
+    pub(crate) fn same_canonical_form(&self, other: &Conjunct) -> bool {
+        self == other
+            || (self.space.arities() == other.space.arities()
+                && self.n_exists == other.n_exists
+                && self.canonical_constraints() == other.canonical_constraints())
+    }
+
     /// A stable 64-bit hash of the canonical structural form.
     ///
     /// Invariant under constraint permutation, duplication, gcd scaling
@@ -801,39 +814,19 @@ impl Conjunct {
             return;
         }
         solver_events(|| {
-            self.drop_implied(&[], 2);
+            self.drop_implied();
             crate::events::withdraw_degraded();
         });
     }
 
-    /// Gist of this conjunct against a context conjunct: removes constraints
-    /// implied by the *conjunction* of the remaining constraints and the
-    /// context, so that `gist ∧ context == self ∧ context`.  Both conjuncts
-    /// must be quantifier-free over compatible spaces (a no-op otherwise).
-    /// Like [`Conjunct::drop_redundant`], the probes' degraded answers are
-    /// withdrawn — an incomplete gist is cosmetic, never a soundness issue.
-    pub(crate) fn gist_against(&mut self, context: &Conjunct) {
-        if self.n_exists != 0
-            || context.n_exists != 0
-            || !self.space.is_compatible(context.space())
-            || self.constraints.is_empty()
-        {
-            return;
-        }
-        solver_events(|| {
-            self.drop_implied(&context.constraints, 1);
-            crate::events::withdraw_degraded();
-        });
-    }
-
-    /// Removes, one at a time and while at least `min_len` constraints
-    /// remain, every constraint implied by the remaining ones together with
-    /// `context` (it is implied iff every negation piece of it is infeasible
-    /// against them).  Congruences with large moduli are skipped: their
-    /// negation fans out into `m − 1` pieces.
-    fn drop_implied(&mut self, context: &[Constraint], min_len: usize) {
+    /// Removes, one at a time and while at least two constraints remain,
+    /// every constraint implied by the remaining ones (it is implied iff
+    /// every negation piece of it is infeasible against them).  Congruences
+    /// with large moduli are skipped: their negation fans out into `m − 1`
+    /// pieces.
+    fn drop_implied(&mut self) {
         let mut i = 0;
-        while i < self.constraints.len() && self.constraints.len() >= min_len {
+        while i < self.constraints.len() && self.constraints.len() >= 2 {
             let c = &self.constraints[i];
             if c.kind() == ConstraintKind::Mod && c.modulus() > 16 {
                 i += 1;
@@ -845,7 +838,6 @@ impl Conjunct {
                 .enumerate()
                 .filter(|&(j, _)| j != i)
                 .map(|(_, c)| c.clone())
-                .chain(context.iter().cloned())
                 .collect();
             let implied = self.constraints[i].negated().into_iter().all(|neg| {
                 let mut probe = Conjunct::from_parts(
@@ -1167,63 +1159,9 @@ impl Conjunct {
     /// constraints stay, and so do the cached facts: neither the canonical
     /// form nor the structural hash depends on dimension names.
     pub(crate) fn with_space(mut self, space: Space) -> Conjunct {
-        assert_eq!(space.n_in(), self.space.n_in());
-        assert_eq!(space.n_out(), self.space.n_out());
-        assert_eq!(space.n_param(), self.space.n_param());
+        assert_eq!(space.arities(), self.space.arities());
         self.space = space;
         self
-    }
-
-    /// If, for output dimension `d`, the constraints force
-    /// `out_d = Σ aᵢ·in_i + Σ bⱼ·param_j + c`, returns that affine expression
-    /// over `[in dims | param dims]` columns plus constant.  Used by the
-    /// transitive-closure code to recognise uniform (translation) relations.
-    pub fn out_dim_as_affine_of_inputs(&self, d: usize) -> Option<(Vec<i64>, Vec<i64>, i64)> {
-        let n_in = self.space.n_in();
-        let n_out = self.space.n_out();
-        let n_param = self.space.n_param();
-        let out_col = self.col(VarKind::Out, d);
-        for c in &self.constraints {
-            if c.kind() != ConstraintKind::Eq {
-                continue;
-            }
-            let a = c.expr().coeff(out_col);
-            if a.unsigned_abs() != 1 {
-                continue;
-            }
-            // Check no other output dim or existential appears.
-            let mut ok = true;
-            for other in 0..n_out {
-                if other != d && c.expr().coeff(self.col(VarKind::Out, other)) != 0 {
-                    ok = false;
-                    break;
-                }
-            }
-            for e in 0..self.n_exists {
-                if c.expr().coeff(self.col(VarKind::Exists, e)) != 0 {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
-                continue;
-            }
-            // a*out + f = 0  =>  out = -f/a = -a*f (a = ±1).  checked_mul:
-            // an i64::MIN coefficient cannot be negated, so the dimension is
-            // conservatively not recognised as affine.
-            let neg = |v: i64| v.checked_mul(-a);
-            let mut ins = Vec::with_capacity(n_in);
-            for i in 0..n_in {
-                ins.push(neg(c.expr().coeff(self.col(VarKind::In, i)))?);
-            }
-            let mut pars = Vec::with_capacity(n_param);
-            for p in 0..n_param {
-                pars.push(neg(c.expr().coeff(self.col(VarKind::Param, p)))?);
-            }
-            let konst = neg(c.expr().constant())?;
-            return Some((ins, pars, konst));
-        }
-        None
     }
 }
 
@@ -1437,21 +1375,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_out_dim_recognition() {
-        // y = x + 3
-        let mut c = Conjunct::universe(space_1_1());
-        let mut eq = c.zero_expr();
-        eq.set_coeff(1, 1);
-        eq.set_coeff(0, -1);
-        eq.set_constant(-3);
-        c.add(Constraint::eq(eq));
-        let (ins, pars, k) = c.out_dim_as_affine_of_inputs(0).expect("affine");
-        assert_eq!(ins, vec![1]);
-        assert!(pars.is_empty());
-        assert_eq!(k, 3);
-    }
-
-    #[test]
     fn infeasible_is_detected() {
         let mut c = Conjunct::universe(space_1_1());
         let mut lo = c.zero_expr();
@@ -1630,38 +1553,6 @@ mod tests {
     }
 
     #[test]
-    fn gist_against_clears_the_cached_facts() {
-        let mut c = cached(&[(1, 0, 0), (1, 1, 0)]); // x >= 0, x + y >= 0
-        let h = c.structural_hash();
-        c.gist_against(&cached(&[(0, 1, 0)])); // y >= 0 implies the second
-        assert_eq!(c.constraints.len(), 1);
-        assert_ne!(c.structural_hash(), h);
-        assert_caches_follow(c, "gist_against");
-    }
-
-    #[test]
-    fn add_conjunct_leaves_no_stale_relation_hash() {
-        let first = cached(&[(1, 0, 0)]);
-        let mut r = crate::Relation::raw(space_1_1(), vec![first.clone()]);
-        let h = r.structural_hash();
-        // Not simplified: `simplified` must run simplify on it.
-        let mut second = Conjunct::universe(space_1_1());
-        second.add(geq(&second, -2, 0, -4)); // -2x - 4 >= 0
-        r.add_conjunct(second.clone());
-        assert_ne!(r.structural_hash(), h);
-        let fresh =
-            |c: &Conjunct| Conjunct::from_parts(c.space.clone(), c.n_exists, c.constraints.clone());
-        let rebuilt = crate::Relation::raw(space_1_1(), vec![fresh(&first), fresh(&second)]);
-        assert_eq!(r.structural_hash(), rebuilt.structural_hash());
-        let simplified = r.simplified(true);
-        assert_eq!(simplified, rebuilt.simplified(true));
-        assert!(simplified
-            .conjuncts()
-            .iter()
-            .all(|c| c.simplified && c.is_canonical()));
-    }
-
-    #[test]
     fn cached_hashes_of_a_colliding_pair_keep_both_conjuncts() {
         // Two conjuncts whose 64-bit structural hashes collide: dedup must
         // tell them apart by content, whatever hashes they cache, and so
@@ -1682,5 +1573,50 @@ mod tests {
         assert!(!u.is_empty());
         assert!(u.contains(&[0], &[1], &[]));
         assert!(u.contains(&[0], &[-408709946564336430], &[]));
+    }
+
+    #[test]
+    fn one_canonical_form_sees_through_presentation_only() {
+        let parse = |s: &str| crate::Relation::parse(s).unwrap();
+        let relation = |c: &Conjunct| crate::Relation::from_conjuncts(space_1_1(), vec![c.clone()]);
+        let agree = |a: &Conjunct, b: &Conjunct| {
+            assert_ne!(a, b, "presentations differ");
+            assert_eq!(a.structural_hash(), b.structural_hash());
+            assert!(a.same_canonical_form(b));
+            assert!(relation(a).same_canonical_form(&relation(b)));
+        };
+        // Existential renaming.
+        agree(&two_exists_conjunct(false), &two_exists_conjunct(true));
+        // Constraint order, as written (nothing simplified).
+        let written = |rows: &[(i64, i64, i64)]| {
+            let mut c = Conjunct::universe(space_1_1());
+            for &(a, b, k) in rows {
+                c.add(geq(&c, a, b, k));
+            }
+            c
+        };
+        agree(
+            &written(&[(1, 0, 0), (0, 2, -4), (1, 1, -3)]),
+            &written(&[(1, 1, -3), (0, 1, -2), (1, 0, 0)]),
+        );
+        // Conjunct order.
+        let lo = parse("{ [i] -> [i] : 0 <= i < 5 }");
+        let hi = parse("{ [i] -> [i] : 10 <= i < 15 }");
+        let (lo_hi, hi_lo) = (lo.union(&hi).unwrap(), hi.union(&lo).unwrap());
+        assert_ne!(lo_hi, hi_lo);
+        assert_eq!(lo_hi.structural_hash(), hi_lo.structural_hash());
+        assert!(lo_hi.same_canonical_form(&hi_lo));
+        // A colliding pair has one hash and two forms.
+        let a = parse("{ [k] -> [e] : e = k + 1 and 0 <= k < 16 }");
+        let b = parse("{ [k] -> [e] : e = 4k - 408709946564336430 and 0 <= k < 16 }");
+        assert_eq!(a.structural_hash(), b.structural_hash());
+        assert!(!a.same_canonical_form(&b));
+        assert!(!a.conjuncts()[0].same_canonical_form(&b.conjuncts()[0]));
+        // One constraint system over two splits of the same three columns.
+        let two_in = parse("{ [a, b] -> [c] : a + b - c = 0 and 0 <= a < 4 }");
+        let two_out = parse("{ [a] -> [b, c] : a + b - c = 0 and 0 <= a < 4 }");
+        assert_ne!(two_in.structural_hash(), two_out.structural_hash());
+        assert!(!two_in.same_canonical_form(&two_out));
+        assert!(!two_in.conjuncts()[0].same_canonical_form(&two_out.conjuncts()[0]));
     }
 }

@@ -71,7 +71,7 @@ pub(crate) fn coalesce(conjuncts: Vec<Conjunct>) -> Vec<Conjunct> {
 /// hash absorbs constraint permutation, duplication, gcd scaling and
 /// existential renaming, so presentation variants of one disjunct meet in
 /// one bucket; a conjunct is dropped only when its content equals that of
-/// the first conjunct kept in its bucket ([`same_canonical_form`]).
+/// the first conjunct kept in its bucket ([`Conjunct::same_canonical_form`]).
 pub(crate) fn dedup(conjuncts: Vec<Conjunct>) -> Vec<Conjunct> {
     if conjuncts.len() <= 1 {
         return conjuncts;
@@ -84,7 +84,7 @@ pub(crate) fn dedup(conjuncts: Vec<Conjunct>) -> Vec<Conjunct> {
         match seen.entry(c.structural_hash()) {
             Entry::Occupied(e) => {
                 // A conjunct whose hash collides with the kept one's stays.
-                if !same_canonical_form(&kept[*e.get()], &c) {
+                if !kept[*e.get()].same_canonical_form(&c) {
                     kept.push(c);
                 }
             }
@@ -96,11 +96,4 @@ pub(crate) fn dedup(conjuncts: Vec<Conjunct>) -> Vec<Conjunct> {
     }
     note_conjuncts_subsumed((before - kept.len()) as u64);
     kept
-}
-
-/// Whether two conjuncts of one relation are the same disjunct: equal as
-/// written, or with equal canonical forms (existentials and constraints).
-fn same_canonical_form(a: &Conjunct, b: &Conjunct) -> bool {
-    a == b
-        || (a.n_exists() == b.n_exists() && a.canonical_constraints() == b.canonical_constraints())
 }

@@ -126,8 +126,8 @@ pub(crate) fn note_bigint_fallback() {
 }
 
 /// Withdraws the degradation of the current scope, whose degraded answers
-/// fed only a cosmetic result (a redundant constraint kept, a gist left
-/// incomplete) that no verdict rests on.
+/// fed only a cosmetic result (a redundant constraint kept) that no verdict
+/// rests on.
 pub(crate) fn withdraw_degraded() {
     update(|e| e.degraded = false);
 }

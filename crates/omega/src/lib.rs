@@ -13,10 +13,11 @@
 //! ```
 //!
 //! and needs the following operations on them: natural join (composition),
-//! inverse, domain/range, intersection, union, emptiness, subset/equality
-//! tests and transitive closure (for recurrences).  This crate provides all
-//! of them, exactly, for the class of relations the restricted program class
-//! of the paper generates.
+//! inverse, domain/range, intersection, union, emptiness and subset/equality
+//! tests.  This crate provides all of them, exactly, for the class of
+//! relations the restricted program class of the paper generates.  No
+//! transitive closure is needed: the checker discharges recurrences
+//! coinductively, by assuming an obligation while it is being proven.
 //!
 //! ## Data model
 //!
@@ -28,7 +29,8 @@
 //!   local existentially-quantified variables (used for strides and for the
 //!   intermediate tuple introduced by composition).
 //! * [`Relation`] — a finite union of conjuncts over one space; the workhorse
-//!   type.  [`Set`] is a relation with no output dims.
+//!   type, which cannot change once built.  [`Set`] is a relation with no
+//!   output dims.
 //!
 //! ## Decision procedure
 //!
@@ -167,7 +169,7 @@ pub use events::inject_arith_overflow;
 pub use events::{solver_events, SolverEvents};
 pub use hash::{structural_hash_of, StructuralHasher};
 pub use linexpr::LinExpr;
-pub use relation::{DomKind, MapBuilder, Relation, SamplePoint};
+pub use relation::{Relation, SamplePoint};
 pub use set::Set;
 pub use space::{Space, VarKind};
 
@@ -202,17 +204,6 @@ pub enum OmegaError {
         /// Description of the operation that needed the elimination.
         op: &'static str,
     },
-    /// Transitive closure was requested for a relation outside the supported
-    /// (uniform / translation) fragment.
-    UnsupportedClosure {
-        /// Rendering of the offending relation.
-        relation: String,
-    },
-    /// An arithmetic overflow occurred while manipulating coefficients.
-    Overflow {
-        /// Description of the operation during which the overflow happened.
-        op: &'static str,
-    },
 }
 
 impl fmt::Display for OmegaError {
@@ -227,10 +218,6 @@ impl fmt::Display for OmegaError {
             OmegaError::InexactElimination { op } => {
                 write!(f, "cannot exactly eliminate existential variables in {op}")
             }
-            OmegaError::UnsupportedClosure { relation } => {
-                write!(f, "transitive closure unsupported for relation {relation}")
-            }
-            OmegaError::Overflow { op } => write!(f, "coefficient overflow in {op}"),
         }
     }
 }

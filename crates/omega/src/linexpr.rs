@@ -265,24 +265,6 @@ impl LinExpr {
             + self.constant
     }
 
-    /// Evaluates the first `prefix.len()` columns only, returning the partial
-    /// sum `Σ_{i < prefix.len()} aᵢ·prefixᵢ + c`.  Used to residualise an
-    /// expression onto its trailing (existential) columns without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prefix.len() > self.n_vars()`.
-    pub fn eval_prefix(&self, prefix: &[i64]) -> i64 {
-        assert!(prefix.len() <= self.n_vars(), "prefix too long");
-        self.coeffs
-            .as_slice()
-            .iter()
-            .zip(prefix)
-            .map(|(a, v)| a * v)
-            .sum::<i64>()
-            + self.constant
-    }
-
     /// Greatest common divisor of the variable coefficients (0 if all zero).
     pub fn coeff_gcd(&self) -> i64 {
         self.coeffs.as_slice().iter().fold(0i64, |g, &c| gcd(g, c))
@@ -473,7 +455,10 @@ impl LinExpr {
         Ok(acc)
     }
 
-    /// Overflow-checked [`eval_prefix`](LinExpr::eval_prefix).
+    /// Evaluates the first `prefix.len()` columns only, returning the partial
+    /// sum `Σ_{i < prefix.len()} aᵢ·prefixᵢ + c`, or [`ArithOverflow`] when
+    /// it does not fit `i64`.  Used to residualise an expression onto its
+    /// trailing (existential) columns without allocating.
     ///
     /// # Panics
     ///

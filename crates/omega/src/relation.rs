@@ -3,7 +3,6 @@
 use crate::conjunct::Conjunct;
 use crate::constraint::Constraint;
 use crate::hash::combine_unordered;
-use crate::linexpr::LinExpr;
 use crate::set::Set;
 use crate::space::{Space, VarKind};
 use crate::{OmegaError, Result};
@@ -27,19 +26,20 @@ use std::sync::OnceLock;
 /// [`union`](Relation::union), [`intersect`](Relation::intersect),
 /// [`domain`](Relation::domain) / [`range`](Relation::range),
 /// [`subtract`](Relation::subtract), [`is_subset`](Relation::is_subset),
-/// [`is_equal`](Relation::is_equal), [`is_empty`](Relation::is_empty),
-/// [`is_function`](Relation::is_function) and
-/// [`transitive_closure`](Relation::transitive_closure).
+/// [`is_equal`](Relation::is_equal) and [`is_empty`](Relation::is_empty).
+/// No closure is needed: the checker discharges recurrences coinductively.
+///
+/// A `Relation` cannot change once built; every operation returns a new
+/// one.
 #[derive(Debug, Clone)]
 pub struct Relation {
     space: Space,
     conjuncts: Vec<Conjunct>,
     /// Lazily-computed [`structural_hash`](Relation::structural_hash).
     ///
-    /// Relations are immutable after construction except for
-    /// [`add_conjunct`](Relation::add_conjunct), which resets this cell, so
-    /// the hash is computed at most once per relation.  Cloning carries an
-    /// already-computed hash along.
+    /// A relation cannot change once built, so the hash is computed at
+    /// most once per relation.  Cloning carries an already-computed hash
+    /// along.
     hash_cache: OnceLock<u64>,
 }
 
@@ -148,13 +148,6 @@ impl Relation {
     /// The conjuncts (disjuncts of the union) of this relation.
     pub fn conjuncts(&self) -> &[Conjunct] {
         &self.conjuncts
-    }
-
-    /// Adds one conjunct to the union.
-    pub fn add_conjunct(&mut self, c: Conjunct) {
-        assert!(self.space.is_compatible(c.space()));
-        self.conjuncts.push(c);
-        self.hash_cache = OnceLock::new();
     }
 
     /// Simplifies every conjunct, drops the ones that are syntactically or
@@ -392,16 +385,6 @@ impl Relation {
         self.intersect(&embedded)
     }
 
-    /// The image of a set under the relation: `{ y : ∃x ∈ s. (x, y) ∈ self }`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OmegaError::SpaceMismatch`] if `s` is not over the relation's
-    /// input space.
-    pub fn apply(&self, s: &Set) -> Result<Set> {
-        Ok(self.restrict_domain(s)?.range())
-    }
-
     /// Set difference `self \ other`.
     ///
     /// # Errors
@@ -476,113 +459,6 @@ impl Relation {
         Ok(self.is_subset(other)? && other.is_subset(self)?)
     }
 
-    /// Whether the relation is a (partial) function: every input tuple maps to
-    /// at most one output tuple.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of the underlying subset check.
-    pub fn is_function(&self) -> Result<bool> {
-        // (x, y1) ∈ R ∧ (x, y2) ∈ R  ⇒  y1 = y2
-        // is equivalent to  R⁻¹ ∘ R ⊆ Id  over the output space.
-        let pairs = self.inverse().compose(self)?;
-        let id_space = Space::relation(
-            self.space.out_vars(),
-            self.space.out_vars(),
-            self.space.params(),
-        );
-        pairs.is_subset(&Relation::identity(id_space))
-    }
-
-    /// Positive transitive closure `R⁺` for *uniform* (translation) relations,
-    /// i.e. relations whose single conjunct forces `out = in + d` for a
-    /// constant vector `d`.  Returns the closure and whether it is exact.
-    ///
-    /// The closure is
-    /// `{ x → y : ∃k ≥ 1 . y = x + k·d ∧ x ∈ dom R ∧ y ∈ ran R }`,
-    /// which is exact when consecutive intermediate points cannot escape the
-    /// domain (guaranteed for `|dᵢ| ≤ 1`, the common case for the recurrences
-    /// of signal-processing kernels); otherwise it is an over-approximation,
-    /// which is the safe direction for the def-use checks that consume it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OmegaError::UnsupportedClosure`] when the relation is not a
-    /// single uniform conjunct.
-    pub fn transitive_closure(&self) -> Result<(Relation, bool)> {
-        if self.space.n_in() != self.space.n_out() {
-            return Err(OmegaError::UnsupportedClosure {
-                relation: format!("{self}"),
-            });
-        }
-        let simplified = self.simplified(true);
-        if simplified.conjuncts.len() != 1 {
-            return Err(OmegaError::UnsupportedClosure {
-                relation: format!("{self}"),
-            });
-        }
-        let c = &simplified.conjuncts[0];
-        let d = self.space.n_in();
-        let mut offsets = Vec::with_capacity(d);
-        for i in 0..d {
-            match c.out_dim_as_affine_of_inputs(i) {
-                Some((ins, pars, k))
-                    if pars.iter().all(|&p| p == 0)
-                        && ins.iter().enumerate().all(
-                            |(j, &a)| {
-                                if j == i {
-                                    a == 1
-                                } else {
-                                    a == 0
-                                }
-                            },
-                        ) =>
-                {
-                    offsets.push(k);
-                }
-                _ => {
-                    return Err(OmegaError::UnsupportedClosure {
-                        relation: format!("{self}"),
-                    })
-                }
-            }
-        }
-
-        let dom = simplified.domain();
-        let ran = simplified.range();
-        let mut closure = Conjunct::universe(self.space.clone());
-        let k_col = closure.add_exists(1);
-        // out_i = in_i + k * d_i  for every dim, and k >= 1.
-        for (i, &di) in offsets.iter().enumerate() {
-            let mut e = closure.zero_expr();
-            e.set_coeff(closure.col(VarKind::Out, i), 1);
-            e.set_coeff(closure.col(VarKind::In, i), -1);
-            e.set_coeff(k_col, -di);
-            closure.add(Constraint::eq(e));
-        }
-        let mut kge1 = closure.zero_expr();
-        kge1.set_coeff(k_col, 1);
-        kge1.set_constant(-1);
-        closure.add(Constraint::geq(kge1));
-
-        let base = Relation::raw(self.space.clone(), vec![closure]);
-        let restricted = base.restrict_domain(&dom)?.restrict_range(&ran)?;
-        let exact = offsets.iter().all(|&k| k.unsigned_abs() <= 1);
-        Ok((restricted.simplified(true), exact))
-    }
-
-    /// Reflexive-transitive closure `R*` restricted to the given universe set
-    /// (identity on `universe` united with `R⁺`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of [`Relation::transitive_closure`].
-    pub fn reflexive_transitive_closure(&self, universe: &Set) -> Result<(Relation, bool)> {
-        let (plus, exact) = self.transitive_closure()?;
-        let id = Relation::identity_on(universe);
-        Ok((plus.union(&id)?, exact))
-    }
-
     /// A stable 64-bit hash of the relation's canonical structural form —
     /// the tabling key of the checker.
     ///
@@ -596,9 +472,7 @@ impl Relation {
     /// confirmed by [`same_canonical_form`](Relation::same_canonical_form).
     ///
     /// The value is computed once and cached (`O(1)` on every later call);
-    /// clones carry an already-computed hash with them.  Unlike the old
-    /// string-keyed `canonical_key`, no feasibility pass and no textual
-    /// rendering is involved.
+    /// clones carry an already-computed hash with them.
     pub fn structural_hash(&self) -> u64 {
         *self.hash_cache.get_or_init(|| {
             let conjunct_hashes: Vec<u64> = self
@@ -647,29 +521,28 @@ impl Relation {
         None
     }
 
-    /// Whether the two relations have one canonical form: `==`, or else
-    /// equal [`canonical_key`](Relation::canonical_key)s.  This is what
-    /// confirms that two relations with one
-    /// [`structural_hash`](Relation::structural_hash) are one relation.
+    /// Whether the two relations have one canonical form: equal space
+    /// arities and equal sets of conjunct forms, each the conjunct's
+    /// existential count and
+    /// [`canonical_constraints`](Conjunct::canonical_constraints) — what
+    /// [`structural_hash`](Relation::structural_hash) digests.  This is what
+    /// confirms that two relations with one structural hash are one
+    /// relation.
     pub fn same_canonical_form(&self, other: &Relation) -> bool {
-        self == other || self.canonical_key() == other.canonical_key()
-    }
-
-    /// A canonical textual rendering of the structural form — what
-    /// [`same_canonical_form`](Relation::same_canonical_form) compares, and
-    /// a log aid; **not** the tabling key.
-    ///
-    /// Two relations with the same canonical key are equal (the converse
-    /// does not hold).
-    pub fn canonical_key(&self) -> String {
-        let mut parts: Vec<String> = self
-            .conjuncts
-            .iter()
-            .map(|c| format!("E{}:{:?}", c.n_exists(), c.canonical_constraints()))
-            .collect();
-        parts.sort();
-        parts.dedup();
-        parts.join(" | ")
+        if self == other {
+            return true;
+        }
+        let forms = |r: &Relation| {
+            let mut forms: Vec<(usize, Vec<Constraint>)> = r
+                .conjuncts
+                .iter()
+                .map(|c| (c.n_exists(), c.canonical_constraints()))
+                .collect();
+            forms.sort_unstable();
+            forms.dedup();
+            forms
+        };
+        self.space.arities() == other.space.arities() && forms(self) == forms(other)
     }
 }
 
@@ -684,120 +557,6 @@ pub struct SamplePoint {
     pub output: Vec<i64>,
     /// Values chosen for the symbolic parameters.
     pub params: Vec<i64>,
-}
-
-/// Builder-style helpers used heavily by the ADDG extractor: construct the
-/// relation `{ [w₁..w_n] -> [r₁..r_m] : w = W(iters), r = R(iters), iters ∈ D }`
-/// from affine index maps over a common iteration vector.
-#[derive(Debug, Clone)]
-pub struct MapBuilder {
-    /// Names of the iteration variables (become existentials).
-    pub iter_names: Vec<String>,
-    /// Names of the symbolic parameters.
-    pub param_names: Vec<String>,
-    /// Constraints over `[iters | params]` columns + constant describing the
-    /// iteration domain.
-    pub domain: Vec<(Vec<i64>, Vec<i64>, i64, DomKind)>,
-    /// Write index expressions: coefficients over iters, over params, const.
-    pub write: Vec<(Vec<i64>, Vec<i64>, i64)>,
-    /// Read index expressions: coefficients over iters, over params, const.
-    pub read: Vec<(Vec<i64>, Vec<i64>, i64)>,
-}
-
-/// Kind of a domain constraint row in [`MapBuilder::domain`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DomKind {
-    /// expression `= 0`
-    Eq,
-    /// expression `≥ 0`
-    Geq,
-    /// expression `≡ 0 (mod m)`; the modulus rides in the constant slot of a
-    /// separate field, see [`MapBuilder::add_domain_mod`].
-    Mod(i64),
-}
-
-impl MapBuilder {
-    /// Creates a builder with the given iteration-variable and parameter
-    /// names and no constraints.
-    pub fn new(iter_names: &[String], param_names: &[String]) -> Self {
-        MapBuilder {
-            iter_names: iter_names.to_vec(),
-            param_names: param_names.to_vec(),
-            domain: Vec::new(),
-            write: Vec::new(),
-            read: Vec::new(),
-        }
-    }
-
-    /// Adds a domain constraint `Σ aᵢ·iterᵢ + Σ bⱼ·paramⱼ + c (op) 0`.
-    pub fn add_domain(&mut self, iters: Vec<i64>, params: Vec<i64>, c: i64, kind: DomKind) {
-        self.domain.push((iters, params, c, kind));
-    }
-
-    /// Adds a congruence domain constraint (e.g. a loop stride).
-    pub fn add_domain_mod(&mut self, iters: Vec<i64>, params: Vec<i64>, c: i64, modulus: i64) {
-        self.domain.push((iters, params, c, DomKind::Mod(modulus)));
-    }
-
-    /// Adds one dimension of the write (defined-array) index expression.
-    pub fn add_write_dim(&mut self, iters: Vec<i64>, params: Vec<i64>, c: i64) {
-        self.write.push((iters, params, c));
-    }
-
-    /// Adds one dimension of the read (operand-array) index expression.
-    pub fn add_read_dim(&mut self, iters: Vec<i64>, params: Vec<i64>, c: i64) {
-        self.read.push((iters, params, c));
-    }
-
-    /// Builds the dependency mapping
-    /// `{ [w] -> [r] : w = W(i), r = R(i), i ∈ D }` where the iteration vector
-    /// `i` is existentially quantified.
-    pub fn build(&self) -> Relation {
-        let n_it = self.iter_names.len();
-        let n_w = self.write.len();
-        let n_r = self.read.len();
-        let w_names: Vec<String> = (0..n_w).map(|i| format!("w{i}")).collect();
-        let r_names: Vec<String> = (0..n_r).map(|i| format!("r{i}")).collect();
-        let space = Space::relation(&w_names, &r_names, &self.param_names);
-        let mut c = Conjunct::universe(space.clone());
-        let it_base = c.add_exists(n_it);
-        let n_vars = c.n_vars();
-
-        let make = |iters: &[i64], params: &[i64], konst: i64, extra: Option<(usize, i64)>| {
-            let mut e = LinExpr::zero(n_vars);
-            for (j, &a) in iters.iter().enumerate() {
-                e.set_coeff(it_base + j, a);
-            }
-            for (p, &b) in params.iter().enumerate() {
-                e.set_coeff(space.col(VarKind::Param, p, n_it), b);
-            }
-            e.set_constant(konst);
-            if let Some((col, coef)) = extra {
-                e.set_coeff(col, coef);
-            }
-            e
-        };
-
-        for (d, (iters, params, konst)) in self.write.iter().enumerate() {
-            // w_d = expr(iters)  =>  expr - w_d = 0
-            let col = space.col(VarKind::In, d, n_it);
-            c.add(Constraint::eq(make(iters, params, *konst, Some((col, -1)))));
-        }
-        for (d, (iters, params, konst)) in self.read.iter().enumerate() {
-            let col = space.col(VarKind::Out, d, n_it);
-            c.add(Constraint::eq(make(iters, params, *konst, Some((col, -1)))));
-        }
-        for (iters, params, konst, kind) in &self.domain {
-            let e = make(iters, params, *konst, None);
-            match kind {
-                DomKind::Eq => c.add(Constraint::eq(e)),
-                DomKind::Geq => c.add(Constraint::geq(e)),
-                DomKind::Mod(m) => c.add(Constraint::congruent(e, *m)),
-            }
-        }
-        c.simplify();
-        Relation::from_conjuncts(space, vec![c])
-    }
 }
 
 #[cfg(test)]
@@ -908,14 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn is_function_detects_functional_relations() {
-        assert!(rel("{ [i] -> [2i] : 0 <= i < 10 }").is_function().unwrap());
-        assert!(!rel("{ [i] -> [j] : 0 <= i < 10 and 0 <= j < 2 }")
-            .is_function()
-            .unwrap());
-    }
-
-    #[test]
     fn empty_relation_behaviour() {
         let e = rel("{ [i] -> [i] : i > 5 and i < 3 }");
         assert!(e.is_empty());
@@ -923,67 +674,6 @@ mod tests {
         assert!(e.is_subset(&u).unwrap());
         assert!(!u.is_subset(&e).unwrap());
         assert!(Relation::empty(Space::relation(&["i"], &["j"], &[])).is_empty());
-    }
-
-    #[test]
-    fn transitive_closure_of_shift() {
-        let r = rel("{ [i] -> [i+1] : 0 <= i < 10 }");
-        let (plus, exact) = r.transitive_closure().unwrap();
-        assert!(exact);
-        assert!(plus.contains(&[0], &[1], &[]));
-        assert!(plus.contains(&[0], &[10], &[]));
-        assert!(plus.contains(&[3], &[7], &[]));
-        assert!(!plus.contains(&[3], &[3], &[]));
-        assert!(!plus.contains(&[3], &[2], &[]));
-        assert!(!plus.contains(&[0], &[11], &[]));
-    }
-
-    #[test]
-    fn closure_rejects_non_uniform() {
-        let r = rel("{ [i] -> [2i] : 0 <= i < 10 }");
-        assert!(matches!(
-            r.transitive_closure(),
-            Err(OmegaError::UnsupportedClosure { .. })
-        ));
-    }
-
-    #[test]
-    fn reflexive_closure_includes_identity() {
-        let r = rel("{ [i] -> [i+1] : 0 <= i < 10 }");
-        let universe = Set::parse("{ [i] : 0 <= i <= 10 }").unwrap();
-        let (star, _) = r.reflexive_transitive_closure(&universe).unwrap();
-        assert!(star.contains(&[4], &[4], &[]));
-        assert!(star.contains(&[4], &[9], &[]));
-    }
-
-    #[test]
-    fn map_builder_constructs_dependency_mapping() {
-        // Statement s2 of Fig. 1(a):  buf[2k-2] = A[2k-2] + A[k-1], 1<=k<=1024
-        // Mapping to the SECOND operand A (index k-1):
-        let mut b = MapBuilder::new(&["k".into()], &[]);
-        b.add_domain(vec![1], vec![], -1, DomKind::Geq); // k - 1 >= 0
-        b.add_domain(vec![-1], vec![], 1024, DomKind::Geq); // 1024 - k >= 0
-        b.add_write_dim(vec![2], vec![], -2); // 2k - 2
-        b.add_read_dim(vec![1], vec![], -1); // k - 1
-        let m = b.build();
-        let expected =
-            rel("{ [x] -> [y] : exists k : x = 2k - 2 and y = k - 1 and 1 <= k <= 1024 }");
-        assert!(m.is_equal(&expected).unwrap());
-        assert!(m.contains(&[0], &[0], &[]));
-        assert!(m.contains(&[2], &[1], &[]));
-        assert!(!m.contains(&[1], &[0], &[]));
-    }
-
-    #[test]
-    fn canonical_key_is_stable_under_conjunct_order() {
-        let a = rel("{ [i] -> [i] : 0 <= i < 5 }")
-            .union(&rel("{ [i] -> [i] : 10 <= i < 15 }"))
-            .unwrap();
-        let b = rel("{ [i] -> [i] : 10 <= i < 15 }")
-            .union(&rel("{ [i] -> [i] : 0 <= i < 5 }"))
-            .unwrap();
-        assert_eq!(a.canonical_key(), b.canonical_key());
-        assert_eq!(a.structural_hash(), b.structural_hash());
     }
 
     #[test]
@@ -1000,17 +690,11 @@ mod tests {
     }
 
     #[test]
-    fn structural_hash_is_cached_and_reset_on_mutation() {
+    fn structural_hash_is_cached_and_carried_by_clones() {
         let a = rel("{ [i] -> [i] : 0 <= i < 5 }");
         let h1 = a.structural_hash();
         assert_eq!(a.structural_hash(), h1);
-        // A clone carries the computed hash along.
         assert_eq!(a.clone().structural_hash(), h1);
-        // Mutation invalidates the cache.
-        let mut grown = a.clone();
-        let extra = rel("{ [i] -> [i] : 10 <= i < 15 }");
-        grown.add_conjunct(extra.conjuncts()[0].clone());
-        assert_ne!(grown.structural_hash(), h1);
     }
 
     #[test]
@@ -1083,13 +767,13 @@ mod tests {
     }
 
     #[test]
-    fn restrict_and_apply() {
+    fn restrict_domain_keeps_the_pairs_of_the_set() {
         let r = rel("{ [i] -> [2i] : 0 <= i < 100 }");
         let s = Set::parse("{ [i] : 3 <= i <= 5 }").unwrap();
-        let img = r.apply(&s).unwrap();
-        assert!(img.contains(&[6], &[]));
-        assert!(img.contains(&[10], &[]));
-        assert!(!img.contains(&[12], &[]));
-        assert!(!img.contains(&[7], &[]));
+        let restricted = r.restrict_domain(&s).unwrap();
+        assert!(restricted.contains(&[3], &[6], &[]));
+        assert!(restricted.contains(&[5], &[10], &[]));
+        assert!(!restricted.contains(&[6], &[12], &[]));
+        assert!(!restricted.contains(&[3], &[7], &[]));
     }
 }

@@ -165,39 +165,6 @@ impl Set {
         }
     }
 
-    /// Gist-style simplification: drops from `self` every constraint implied
-    /// by `context` (together with the conjunct's remaining constraints),
-    /// so that `self.gist(c) ∧ c == self ∧ c`.  Failing-domain reports use
-    /// this to show only what the context does *not* already imply.
-    ///
-    /// The reduction runs per conjunct against a single quantifier-free
-    /// context conjunct; a disjunctive or quantified context falls back to
-    /// [`Set::simplified`] (still sound, just no gisting).
-    ///
-    /// # Errors
-    ///
-    /// Returns a space-mismatch error if the spaces are incompatible.
-    pub fn gist(&self, context: &Set) -> Result<Set> {
-        self.space().check_compatible(context.space(), "gist")?;
-        let ctx = context.inner.simplified(true);
-        let [ctx_conjunct] = ctx.conjuncts() else {
-            return Ok(self.simplified());
-        };
-        if !ctx_conjunct.is_quantifier_free() {
-            return Ok(self.simplified());
-        }
-        let ctx_conjunct = ctx_conjunct.clone().with_space(self.space().clone());
-        let mut out = Vec::with_capacity(self.conjuncts().len());
-        for c in self.inner.simplified(true).conjuncts() {
-            let mut c = c.clone();
-            c.gist_against(&ctx_conjunct);
-            out.push(c);
-        }
-        Ok(Set {
-            inner: Relation::from_conjuncts(self.space().clone(), out),
-        })
-    }
-
     /// Returns a concrete member of the set as `(point, params)`, or `None`
     /// when the set is empty (see [`Relation::sample_point`]).
     pub fn sample_point(&self) -> Option<(Vec<i64>, Vec<i64>)> {

@@ -78,16 +78,6 @@ impl Space {
         Space::relation(vars, &[], params)
     }
 
-    /// Creates an anonymous relation space of the given arities; dimension
-    /// names are synthesised (`i0, i1, ... / o0, o1, ...`).
-    pub fn anonymous(n_in: usize, n_out: usize) -> Self {
-        Space::from_names(
-            (0..n_in).map(|i| format!("i{i}")).collect(),
-            (0..n_out).map(|i| format!("o{i}")).collect(),
-            Vec::new(),
-        )
-    }
-
     /// Number of input-tuple dimensions.
     pub fn n_in(&self) -> usize {
         self.names.in_vars.len()
@@ -101,6 +91,12 @@ impl Space {
     /// Number of symbolic parameters.
     pub fn n_param(&self) -> usize {
         self.names.params.len()
+    }
+
+    /// `(n_in, n_out, n_param)`: what a canonical form compares of a space,
+    /// as the structural hashes salt with it.
+    pub(crate) fn arities(&self) -> (usize, usize, usize) {
+        (self.n_in(), self.n_out(), self.n_param())
     }
 
     /// Names of the input-tuple dimensions.
@@ -282,12 +278,5 @@ mod tests {
     fn out_of_range_column_panics() {
         let s = Space::relation(&["i"], &["k"], &["N"]);
         s.col(VarKind::In, 1, 0);
-    }
-
-    #[test]
-    fn anonymous_space_names() {
-        let s = Space::anonymous(2, 1);
-        assert_eq!(s.in_vars(), &["i0".to_string(), "i1".to_string()]);
-        assert_eq!(s.out_vars(), &["o0".to_string()]);
     }
 }

@@ -1,12 +1,12 @@
 //! Property tests of the DNF constraint-set engine.
 //!
 //! Contract under test: *simplification is invisible*.  Coalescing subsumed
-//! disjuncts, dropping redundant constraints (`minimized`) and gisting
-//! against a context may change how a set is represented, but never what it
-//! denotes.  Denotation is checked two ways: per-point membership over an
-//! exhaustive box, and feasibility cross-checked against the big-integer
-//! reference oracle ([`arrayeq_omega::reference`]), where neither overflow
-//! nor any of the production fast paths exist.
+//! disjuncts and dropping redundant constraints (`minimized`) may change how
+//! a set is represented, but never what it denotes.  Denotation is checked
+//! two ways: per-point membership over an exhaustive box, and feasibility
+//! cross-checked against the big-integer reference oracle
+//! ([`arrayeq_omega::reference`]), where neither overflow nor any of the
+//! production fast paths exist.
 
 use arrayeq_omega::reference::reference_is_feasible;
 use arrayeq_omega::{solver_events, Conjunct, Constraint, LinExpr, Relation, Set, Space};
@@ -74,21 +74,6 @@ impl Gen {
                         )
                     })
                     .collect()
-            })
-            .collect()
-    }
-
-    /// A single quantifier-free conjunct (no congruences) usable as a gist
-    /// context.
-    fn context(&mut self) -> Vec<ConstraintDesc> {
-        (0..self.in_range(1, 3))
-            .map(|_| {
-                (
-                    self.in_range(-3, 3),
-                    self.in_range(-3, 3),
-                    self.in_range(-5, 5),
-                    self.in_range(0, 1) as u8,
-                )
             })
             .collect()
     }
@@ -178,23 +163,6 @@ proptest! {
                 ),
             }
         }
-    }
-
-    /// The gist contract: `gist(s, ctx) ∧ ctx == s ∧ ctx`.  The gisted set
-    /// may be much smaller, but conjoined back with its context it must
-    /// denote exactly the original intersection.
-    #[test]
-    fn gist_preserves_the_intersection_with_its_context(seed in 0u64..u64::MAX) {
-        let mut gen = Gen(seed);
-        let set = build_set(&gen.dnf());
-        let ctx = build_set(&[gen.context()]);
-        let gisted = set.gist(&ctx).unwrap();
-        let lhs = gisted.intersect(&ctx).unwrap();
-        let rhs = set.intersect(&ctx).unwrap();
-        prop_assert!(
-            lhs.is_equal(&rhs).unwrap(),
-            "gist ∧ ctx differs from set ∧ ctx\n  set: {set:?}\n  ctx: {ctx:?}\n  gist: {gisted:?}"
-        );
     }
 }
 

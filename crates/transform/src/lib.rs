@@ -1,6 +1,6 @@
 //! # arrayeq-transform
 //!
-//! Source-to-source transformations, error injection and workload generation
+//! Source-to-source transformations, fault injection and workload generation
 //! for exercising the equivalence checker.
 //!
 //! The paper's designers apply global loop transformations, expression
@@ -11,13 +11,12 @@
 //! * **correct-by-construction transformations** ([`loops`], [`dataflow`],
 //!   [`algebraic`]) that produce transformed variants which *must* check as
 //!   equivalent,
-//! * **error injectors** ([`errors`]) that plant the typical index /
-//!   operand / operator bugs the diagnostics of Section 6.1 are meant to
-//!   localise,
-//! * a **fault-injection harness** ([`mutate`]) that enumerates off-by-one
-//!   bounds, swapped non-commutative operands, wrong coefficients and
-//!   dropped statements over the whole corpus, curated into
-//!   ground-truth-inequivalent pairs for the witness engine's self-test, and
+//! * one **fault injector** ([`mutate`]) that plants the typical index /
+//!   operand / operator slips the diagnostics of Section 6.1 are meant to
+//!   localise, and enumerates off-by-one bounds, swapped non-commutative
+//!   operands, wrong coefficients and dropped statements over the whole
+//!   corpus, curated into ground-truth-inequivalent pairs for the witness
+//!   engine's self-test, and
 //! * **synthetic kernel generators** ([`generator`]) whose ADDG size, loop
 //!   depth and loop bounds can be swept for the scaling experiments of
 //!   Section 6.2.
@@ -27,7 +26,6 @@
 
 pub mod algebraic;
 pub mod dataflow;
-pub mod errors;
 pub mod generator;
 pub mod loops;
 pub mod mutate;

@@ -1,11 +1,15 @@
-//! Fault injection at corpus scale: a mutation generator producing
-//! *known-inequivalent* program pairs.
+//! Fault injection: the one injector of the typical slips a designer makes
+//! while applying transformations by hand, and a mutation generator that
+//! turns them into *known-inequivalent* program pairs.
 //!
-//! [`errors`](crate::errors) plants one hand-chosen bug at one location; this
-//! module instead *enumerates* the classic transformation slips over a whole
+//! [`apply_mutation`] plants one [`Mutation`] at one location.  Three kinds
+//! are *directed* — [`Mutation::IndexOffset`], [`Mutation::IndexScale`] and
+//! [`Mutation::WrongOperator`] carry a hand-chosen offset, factor or target
+//! and are only ever planted on request, to exercise the diagnostics of
+//! Section 6.1.  [`enumerate_mutations`] lists every other kind over a whole
 //! program — off-by-one loop bounds, swapped non-commutative operands, wrong
-//! index coefficients, dropped statements — and curates the results into a
-//! [`fault_corpus`]: pairs that stay inside the program class, pass the
+//! index coefficients, dropped statements — and [`fault_corpus`] curates
+//! the results into pairs that stay inside the program class, pass the
 //! def-use pre-check (so the equivalence checker proper must find the bug)
 //! and are *ground-truth inequivalent*, established independently of the
 //! checker by executing both programs on deterministic input fills.
@@ -84,6 +88,30 @@ pub enum Mutation {
         /// Label of the statement to mutate.
         label: String,
     },
+    /// Add `delta` to the first index of the labelled statement's first
+    /// read (an off-by-`delta` index, like `buf[k]` for `buf[2*k]` in
+    /// Fig. 1(d)).  Directed: never enumerated.
+    IndexOffset {
+        /// Label of the statement to mutate.
+        label: String,
+        /// The offset added to the index.
+        delta: i64,
+    },
+    /// Multiply the first index of the labelled statement's first read by
+    /// `factor`.  Directed: never enumerated.
+    IndexScale {
+        /// Label of the statement to mutate.
+        label: String,
+        /// The factor the index is multiplied by.
+        factor: i64,
+    },
+    /// Replace the top-level operator of the labelled statement's
+    /// right-hand side (`+` by `-`, `-` and `*` by `+`, `/` by `*`).
+    /// Directed: never enumerated.
+    WrongOperator {
+        /// Label of the statement to mutate.
+        label: String,
+    },
 }
 
 impl fmt::Display for Mutation {
@@ -97,6 +125,9 @@ impl fmt::Display for Mutation {
             Mutation::DropStatement { label } => write!(f, "drop-statement@{label}"),
             Mutation::BreakDistribution { label } => write!(f, "break-distribution@{label}"),
             Mutation::DropIdentityOperand { label } => write!(f, "drop-identity@{label}"),
+            Mutation::IndexOffset { label, delta } => write!(f, "index-offset{delta:+}@{label}"),
+            Mutation::IndexScale { label, factor } => write!(f, "index-scale*{factor}@{label}"),
+            Mutation::WrongOperator { label } => write!(f, "wrong-operator@{label}"),
         }
     }
 }
@@ -143,6 +174,25 @@ pub fn apply_mutation(p: &Program, m: &Mutation) -> TransformResult<Program> {
         Mutation::DropIdentityOperand { label } => mutate_stmt(&mut out.body, label, &mut |a| {
             drop_identity_and_perturb(&mut a.rhs)
         }),
+        Mutation::IndexOffset { label, delta } => mutate_stmt(&mut out.body, label, &mut |a| {
+            offset_first_read(&mut a.rhs, *delta)
+        }),
+        Mutation::IndexScale { label, factor } => mutate_stmt(&mut out.body, label, &mut |a| {
+            first_read_index(&mut a.rhs)
+                .map(|i| *i = Expr::mul(Expr::Const(*factor), i.clone()))
+                .is_some()
+        }),
+        Mutation::WrongOperator { label } => mutate_stmt(&mut out.body, label, &mut |a| {
+            let Expr::Bin(op, _, _) = &mut a.rhs else {
+                return false;
+            };
+            *op = match op {
+                BinOp::Add => BinOp::Sub,
+                BinOp::Sub | BinOp::Mul => BinOp::Add,
+                BinOp::Div => BinOp::Mul,
+            };
+            true
+        }),
         Mutation::DropStatement { label } => {
             let Some(target) = p.statement(label) else {
                 return Err(TransformError::NoSuchLocation {
@@ -178,7 +228,8 @@ pub fn apply_mutation(p: &Program, m: &Mutation) -> TransformResult<Program> {
 }
 
 /// Enumerates every mutation that structurally applies to `p`, with the
-/// mutated program.
+/// mutated program.  The directed kinds ([`Mutation::IndexOffset`],
+/// [`Mutation::IndexScale`], [`Mutation::WrongOperator`]) are not listed.
 pub fn enumerate_mutations(p: &Program) -> Vec<(Mutation, Program)> {
     let mut candidates = Vec::new();
     let n_loops = count_loops(&p.body);
@@ -542,7 +593,7 @@ fn drop_identity_and_perturb(e: &mut Expr) -> bool {
             _ => None,
         };
         if let Some(mut kept) = replacement {
-            if perturb_first_read(&mut kept) {
+            if offset_first_read(&mut kept, 1) {
                 *e = kept;
                 return true;
             }
@@ -558,26 +609,168 @@ fn drop_identity_and_perturb(e: &mut Expr) -> bool {
     try_drop(e)
 }
 
-/// Bumps the first array read's first index by one.
-fn perturb_first_read(e: &mut Expr) -> bool {
+/// The first index of the first array read that has one, in the order the
+/// expression is written.
+fn first_read_index(e: &mut Expr) -> Option<&mut Expr> {
     match e {
-        Expr::Access(a) => match a.indices.first_mut() {
-            Some(first) => {
-                *first = Expr::add(first.clone(), Expr::Const(1));
-                true
-            }
-            None => false,
-        },
-        Expr::Bin(_, l, r) => perturb_first_read(l) || perturb_first_read(r),
-        Expr::Neg(inner) => perturb_first_read(inner),
-        Expr::Call(_, args) => args.iter_mut().any(perturb_first_read),
-        Expr::Const(_) | Expr::Var(_) => false,
+        Expr::Access(a) => a.indices.first_mut(),
+        Expr::Bin(_, l, r) => first_read_index(l).or_else(|| first_read_index(r)),
+        Expr::Neg(inner) => first_read_index(inner),
+        Expr::Call(_, args) => args.iter_mut().find_map(first_read_index),
+        Expr::Const(_) | Expr::Var(_) => None,
     }
+}
+
+/// Adds `delta` to the first array read's first index.
+fn offset_first_read(e: &mut Expr, delta: i64) -> bool {
+    first_read_index(e)
+        .map(|i| *i = Expr::add(i.clone(), Expr::Const(delta)))
+        .is_some()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::check_programs;
+    use arrayeq_core::CheckOptions;
+    use arrayeq_lang::corpus::KERNEL_SAD_TREE;
+
+    /// A planted bug counts as detected when either the def-use pre-check of
+    /// Fig. 6 rejects the transformed program (the read is no longer covered
+    /// by a write) or the equivalence check itself reports inequivalence.
+    fn not_equiv(a: &Program, b: &Program) -> Option<arrayeq_core::Report> {
+        match check_programs(a, b, &CheckOptions::default()) {
+            Ok(r) => {
+                assert!(!r.is_equivalent(), "bug was not detected: {}", r.summary());
+                Some(r)
+            }
+            Err(arrayeq_core::CoreError::Lang(arrayeq_lang::LangError::DefUse { .. })) => None,
+            Err(other) => panic!("unexpected pipeline error: {other}"),
+        }
+    }
+
+    #[test]
+    fn index_offset_is_detected_and_diagnosed() {
+        let p = parse_program(&with_size(FIG1_A, 64)).unwrap();
+        let offset = |label: &str, delta| {
+            let m = Mutation::IndexOffset {
+                label: label.into(),
+                delta,
+            };
+            apply_mutation(&p, &m).unwrap()
+        };
+        // Offsetting the `buf[2*k]` read of s2 keeps every read covered, so
+        // the bug must be found by the equivalence check proper.
+        let r = not_equiv(&p, &offset("s2", 2)).expect("caught by the checker, not def-use");
+        assert!(r
+            .diagnostics
+            .iter()
+            .any(|d| d.transformed_statements.iter().any(|s| s == "s2")));
+        // Offsetting the `tmp[k]` read of s3 instead breaks def-use coverage,
+        // which the Fig. 6 pre-check reports.
+        assert!(not_equiv(&p, &offset("s3", 1)).is_none());
+    }
+
+    #[test]
+    fn index_scale_and_wrong_operator_are_detected() {
+        let p = parse_program(&with_size(FIG1_A, 64)).unwrap();
+        let scale = Mutation::IndexScale {
+            label: "s1".into(),
+            factor: 3,
+        };
+        not_equiv(&p, &apply_mutation(&p, &scale).unwrap());
+        let wrong_op = Mutation::WrongOperator { label: "s2".into() };
+        not_equiv(&p, &apply_mutation(&p, &wrong_op).unwrap());
+    }
+
+    #[test]
+    fn swapping_arguments_of_a_noncommutative_call_is_detected() {
+        let p = parse_program(KERNEL_SAD_TREE).unwrap();
+        let m = Mutation::SwapCallArguments { label: "m1".into() };
+        // `absd` is uninterpreted (not declared commutative), so swapping its
+        // arguments must be flagged.
+        not_equiv(&p, &apply_mutation(&p, &m).unwrap());
+    }
+
+    #[test]
+    fn enumeration_plants_no_directed_kind_and_the_corpus_keeps_its_cases() {
+        let directed = |m: &Mutation| {
+            matches!(
+                m,
+                Mutation::IndexOffset { .. }
+                    | Mutation::IndexScale { .. }
+                    | Mutation::WrongOperator { .. }
+            )
+        };
+        // Each directed kind applies to Fig. 1(a), and none is enumerated.
+        let p = parse_program(&with_size(FIG1_A, 16)).unwrap();
+        for m in [
+            Mutation::IndexOffset {
+                label: "s2".into(),
+                delta: 2,
+            },
+            Mutation::IndexScale {
+                label: "s1".into(),
+                factor: 2,
+            },
+            Mutation::WrongOperator { label: "s2".into() },
+        ] {
+            assert!(apply_mutation(&p, &m).is_ok(), "{m}");
+        }
+        assert!(!enumerate_mutations(&p).iter().any(|(m, _)| directed(m)));
+        let corpus = fault_corpus();
+        assert!(!corpus.iter().any(|c| directed(&c.mutation)));
+        let names: Vec<&str> = corpus.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, FAULT_CORPUS_NAMES);
+    }
+
+    /// The names of the fault corpus, in order: `arrayeq corpus mutant:i`
+    /// prints case `i`.
+    const FAULT_CORPUS_NAMES: [&str; 43] = [
+        "fig1a-off-by-one-bound@L2",
+        "fig1a-off-by-one-start@L2",
+        "fig1a-wrong-coefficient@s1",
+        "fig1b-off-by-one-bound@L1",
+        "fig1b-off-by-one-start@L1",
+        "fig1b-wrong-coefficient@t1",
+        "fig1b-wrong-coefficient@t2",
+        "fig1b-drop-statement@t3",
+        "fig1b-wrong-coefficient@t4",
+        "fig1b-drop-statement@t4",
+        "downsample-off-by-one-bound@L1",
+        "downsample-off-by-one-start@L1",
+        "downsample-wrong-coefficient@d1",
+        "lifting-off-by-one-bound@L1",
+        "lifting-off-by-one-start@L1",
+        "lifting-swap-operands@l1",
+        "lifting-wrong-coefficient@l1",
+        "lifting-wrong-coefficient@l2",
+        "sad_tree-off-by-one-bound@L1",
+        "sad_tree-off-by-one-start@L1",
+        "sad_tree-swap-call-args@m1",
+        "sad_tree-wrong-coefficient@m1",
+        "sad_tree-swap-call-args@m2",
+        "sad_tree-wrong-coefficient@m2",
+        "matvec-off-by-one-bound@L0",
+        "matvec-off-by-one-start@L0",
+        "matvec-wrong-coefficient@v1",
+        "recurrence-off-by-one-bound@L0",
+        "recurrence-drop-identity@r0",
+        "recurrence-drop-statement@r1",
+        "factored-off-by-one-bound@L0",
+        "factored-off-by-one-start@L0",
+        "factored-wrong-coefficient@f1",
+        "factored-break-distribution@f1",
+        "factored-drop-identity@f1",
+        "subshuffle-off-by-one-bound@L1",
+        "subshuffle-off-by-one-start@L1",
+        "subshuffle-swap-operands@q1",
+        "subshuffle-wrong-coefficient@q1",
+        "identfold-off-by-one-bound@L0",
+        "identfold-off-by-one-start@L0",
+        "identfold-wrong-coefficient@i1",
+        "identfold-drop-identity@i1",
+    ];
 
     #[test]
     fn corpus_is_nonempty_and_covers_every_mutation_kind() {
@@ -715,6 +908,10 @@ void f(int A[], int C[]) { int k; for (k=0;k<N;k++) s1: C[k] = 7 + 0; }",
         ));
         assert!(matches!(
             apply_mutation(&p, &Mutation::SwapOperands { label: "zz".into() }),
+            Err(TransformError::NoSuchLocation { .. })
+        ));
+        assert!(matches!(
+            apply_mutation(&p, &Mutation::WrongOperator { label: "zz".into() }),
             Err(TransformError::NoSuchLocation { .. })
         ));
     }

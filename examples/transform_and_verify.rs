@@ -10,7 +10,7 @@ use arrayeq::engine::{Verifier, VerifyRequest};
 use arrayeq::lang::corpus::{with_size, FIG1_A};
 use arrayeq::lang::parser::parse_program;
 use arrayeq::lang::pretty::program_to_string;
-use arrayeq::transform::errors::{inject, Bug};
+use arrayeq::transform::mutate::{apply_mutation, Mutation};
 use arrayeq::transform::random_pipeline;
 
 fn main() {
@@ -52,8 +52,12 @@ fn main() {
     // Now the designer slips: an off-by-two in the buf index of s2.  The
     // same session rejects it — with a concrete counterexample attached,
     // because the engine was built with witnesses enabled.
-    let broken = inject(&transformed, "s2", Bug::IndexOffset(2))
-        .or_else(|_| inject(&transformed, "s2_hi", Bug::IndexOffset(2)))
+    let off_by_two = |label: &str| Mutation::IndexOffset {
+        label: label.into(),
+        delta: 2,
+    };
+    let broken = apply_mutation(&transformed, &off_by_two("s2"))
+        .or_else(|_| apply_mutation(&transformed, &off_by_two("s2_hi")))
         .expect("statement s2 still exists in some form");
     let outcome = verifier
         .verify(&VerifyRequest::programs(original, broken))

@@ -4,10 +4,11 @@
 //! discharges sub-proofs, the store files hold proof keys (`eq` lines)
 //! only, the fingerprints that stamp every store and baseline on disk do
 //! not move, each engine records exactly its own requests, its metrics
-//! count the same events as its trace, and a worker computes each distinct
-//! look-through composition once.
+//! count the same events as its trace, a worker computes each distinct
+//! look-through composition once, and program arithmetic at the `i64`
+//! limits ends in a verdict, never a panic.
 
-use arrayeq::core::CheckOptions;
+use arrayeq::core::{BudgetExhausted, CheckOptions, Verdict};
 use arrayeq::engine::{options_fingerprint, Verifier, VerifyRequest};
 use arrayeq::lang::corpus::{FIG1_A, FIG1_C};
 use arrayeq::transform::generator::{generate_kernel, GeneratorConfig};
@@ -344,4 +345,50 @@ fn a_worker_composes_each_distinct_look_through_once() {
             "{run} against {first}"
         );
     }
+}
+
+/// One loop over N = 16 writing `C[k] = rhs`, reading `read` and `D`.
+fn one_statement(read: &str, rhs: &str) -> String {
+    format!(
+        "#define N 16\nfoo(int {read}[], int D[], int C[])\n{{\n    int k;\n    \
+         for(k=0; k<N; k++)\ns1:  C[k] = {rhs};\n}}\n"
+    )
+}
+
+#[test]
+fn arithmetic_at_the_i64_limits_answers_alike_in_every_build() {
+    let verifier = Verifier::builder().jobs(1).witnesses(true).build();
+    let verify = |read: &str, original: &str, transformed: &str| {
+        let request = VerifyRequest::source(
+            one_statement(read, original),
+            one_statement(read, transformed),
+        );
+        verifier.verify(&request).unwrap().report
+    };
+    // `i64::MIN / -1` and `-i64::MIN` wrap to `i64::MIN`, so the added term
+    // changes every element, and the replay confirms it.
+    for wrapped in [
+        "(0 - 9223372036854775807 - 1) / (0 - 1)",
+        "-(0 - 9223372036854775807 - 1)",
+    ] {
+        let report = verify("A", "A[k] + D[k]", &format!("A[k] + D[k] + {wrapped}"));
+        assert_eq!(report.verdict, Verdict::NotEquivalent, "{wrapped}");
+        assert!(
+            report.witnesses.iter().any(|w| w.confirmed),
+            "{wrapped}: {}",
+            report.summary()
+        );
+    }
+    // `2^62 * 2` wraps to `i64::MIN` in the index, which overflows the
+    // solver's checked arithmetic: a typed inconclusive.
+    let report = verify("B", "B[k+1] + D[k]", "B[4611686018427387904*2*k+1] + D[k]");
+    assert_eq!(report.verdict, Verdict::Inconclusive);
+    assert!(
+        matches!(
+            report.budget_exhausted,
+            Some(BudgetExhausted::ArithOverflow { .. })
+        ),
+        "{:?}",
+        report.budget_exhausted
+    );
 }

@@ -4,8 +4,8 @@
 
 use arrayeq::engine::{Verifier, VerifyRequest};
 use arrayeq::lang::interp::Interpreter;
-use arrayeq::transform::errors::{inject, Bug};
 use arrayeq::transform::generator::{generate_kernel, inputs_for, GeneratorConfig};
+use arrayeq::transform::mutate::{apply_mutation, Mutation};
 use arrayeq::transform::random_pipeline;
 
 #[test]
@@ -51,17 +51,23 @@ fn injected_bugs_are_never_reported_equivalent() {
     };
     let original = generate_kernel(&cfg);
     let (transformed, _) = random_pipeline(&original, 4, 77);
-    for bug in [Bug::IndexScale(2), Bug::WrongOperator] {
-        // Inject into the first statement of the transformed program.
-        let label = transformed.statements().next().unwrap().label.clone();
-        let Ok(broken) = inject(&transformed, &label, bug) else {
+    // Inject into the first statement of the transformed program.
+    let label = transformed.statements().next().unwrap().label.clone();
+    for bug in [
+        Mutation::IndexScale {
+            label: label.clone(),
+            factor: 2,
+        },
+        Mutation::WrongOperator { label },
+    ] {
+        let Ok(broken) = apply_mutation(&transformed, &bug) else {
             continue;
         };
         let request = VerifyRequest::programs(original.clone(), broken);
         match Verifier::new().verify(&request).map(|o| o.report) {
             Ok(report) => assert!(
                 !report.is_equivalent(),
-                "bug {bug:?} must not check as equivalent"
+                "bug {bug} must not check as equivalent"
             ),
             // A def-use rejection is also a (correct) detection.
             Err(arrayeq::core::CoreError::Lang(arrayeq::lang::LangError::DefUse { .. })) => {}

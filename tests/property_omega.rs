@@ -69,18 +69,6 @@ proptest! {
         prop_assert!(!r.is_equal(&smaller).unwrap());
         prop_assert!(!r.is_subset(&smaller).unwrap());
     }
-
-    /// The transitive closure of a unit shift contains exactly the pairs
-    /// reachable in one or more steps.
-    #[test]
-    fn closure_of_unit_shift_is_reachability(hi in 2i64..20, from in 0i64..20, to in 0i64..21) {
-        prop_assume!(from < hi);
-        let r = affine_relation(1, 1, 0, hi);
-        let (closure, exact) = r.transitive_closure().unwrap();
-        prop_assert!(exact);
-        let reachable = to > from && to <= hi;
-        prop_assert_eq!(closure.contains(&[from], &[to], &[]), reachable);
-    }
 }
 
 /// Builds `{ [i] -> [o] : a·i + b − o = 0  ∧  i − lo ≥ 0  ∧  hi − 1 − i ≥ 0 }`
@@ -117,7 +105,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Permuting the conjuncts of a union does not change the structural
-    /// hash (and equal hashes come with equal canonical keys).
+    /// hash (and equal hashes come with one canonical form).
     #[test]
     fn structural_hash_ignores_conjunct_order(
         a1 in 1i64..4, b1 in -3i64..4, a2 in 1i64..4, b2 in -3i64..4, hi in 1i64..16,
@@ -127,7 +115,7 @@ proptest! {
         let u12 = r1.union(&r2).unwrap();
         let u21 = r2.union(&r1).unwrap();
         prop_assert_eq!(u12.structural_hash(), u21.structural_hash());
-        prop_assert_eq!(u12.canonical_key(), u21.canonical_key());
+        prop_assert!(u12.same_canonical_form(&u21));
         // Duplicating a disjunct is also invisible.
         let u121 = u12.union(&r1).unwrap();
         prop_assert_eq!(u121.structural_hash(), u12.structural_hash());
@@ -151,7 +139,7 @@ proptest! {
             vec![noisy_conjunct(a, b, lo, hi, [s0, s1, s2], rot)],
         );
         prop_assert_eq!(clean.structural_hash(), noisy.structural_hash());
-        prop_assert_eq!(clean.canonical_key(), noisy.canonical_key());
+        prop_assert!(clean.same_canonical_form(&noisy));
         // A shifted upper bound must be visible to the hash.
         let different = Relation::from_conjuncts(
             space,
