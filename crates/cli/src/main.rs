@@ -804,9 +804,9 @@ fn run_corpus(args: &[String]) -> i32 {
     }
 }
 
-/// Prints the mutant (or its unmutated original) at `index` of the
-/// fault-injection corpus, pretty-printed back to source.
-fn print_mutant(index: &str, original_side: bool) -> i32 {
+/// Prints the mutant (or, when `original`, its unmutated original) at
+/// `index` of the fault-injection corpus, pretty-printed back to source.
+fn print_mutant(index: &str, original: bool) -> i32 {
     let Ok(index) = index.parse::<usize>() else {
         return usage_error("mutant index must be an integer");
     };
@@ -817,7 +817,7 @@ fn print_mutant(index: &str, original_side: bool) -> i32 {
             corpus.len()
         ));
     };
-    let program = if original_side {
+    let program = if original {
         &case.original
     } else {
         &case.mutant

@@ -71,7 +71,7 @@ pub use context::{BudgetExhausted, CancelToken, CheckContext};
 pub use diagnostics::{Diagnostic, DiagnosticKind};
 pub use operators::{OperatorClass, OperatorProperties};
 #[doc(hidden)]
-pub use parallel::{inject_arith_overflow_once, inject_worker_panic_on_task};
+pub use parallel::inject_worker_panic_on_task;
 pub use proofs::{ProofCache, ProofKey};
 pub use report::{CheckStats, Report, Verdict, Witness};
 

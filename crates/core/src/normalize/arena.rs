@@ -1,6 +1,8 @@
 //! The hash-consed term arena.
 //!
-//! Flattened terms ([`FlatTerm`]) intern into dense integer [`TermId`]s.
+//! The matcher makes one arena per region piece ([`super::matching`]), and
+//! the flattened terms ([`FlatTerm`]) of both sides restricted to that
+//! piece intern into dense integer [`TermId`]s.
 //! The interning key is *rename-invariant* and *cross-graph comparable*: a
 //! term is identified by its integer coefficient plus the sorted multiset of
 //! its factors' `(content fingerprint, mapping structural hash)` pairs —
@@ -13,16 +15,10 @@
 //! live — so the matcher's hot path degrades from "re-walk both ADDG
 //! chains and compare relations" to one `u32` comparison.
 //!
-//! On top of interning the arena carries the **match memo**: the outcome of
-//! every speculative term-pair equivalence check, keyed by the two term
-//! ids.  Matching the same pair again — the common case across region
-//! pieces of one chain and across repeated chains — is a table lookup.
-//! Entries are only recorded for assumption-free proofs (the checker's
-//! no-tabling-under-recurrence-assumption guard applies here unchanged).
-//!
 //! The 64-bit key only picks the bucket.  Each key keeps the content of
 //! the term first interned under it — its coefficient and its factors'
-//! `(position fingerprint, mapping)` pairs — and a hit must match it, the
+//! `(position fingerprint, mapping)` pairs, the mappings borrowed from the
+//! piece's terms, which outlive the arena — and a hit must match it, the
 //! mappings by [`Relation::same_canonical_form`].  A term whose
 //! content differs is a 64-bit collision: it gets a fresh id and counts in
 //! [`CheckStats::hash_collisions`].  Position fingerprints are compared as
@@ -39,24 +35,22 @@ use std::collections::HashMap;
 /// factor mappings equal by content, at positions with equal fingerprints.
 pub(crate) type TermId = u32;
 
-/// Hash-consing arena for flattened terms plus the matched-pair memo.
+/// Hash-consing arena for the flattened terms `'t` of one region piece.
 #[derive(Debug, Default)]
-pub(crate) struct TermArena {
+pub(crate) struct TermArena<'t> {
     /// Term fingerprint ([`arrayeq_addg::term_fingerprint`]) → the id and
     /// content of the first term interned under it.
-    ids: HashMap<u64, (TermId, Interned)>,
+    ids: HashMap<u64, (TermId, Interned<'t>)>,
     /// Ids handed out so far.
     next: TermId,
-    /// Outcomes of assumption-free term-pair equivalence checks.
-    match_memo: HashMap<(TermId, TermId), bool>,
 }
 
 /// The content of an interned term: its coefficient and its factors'
 /// `(position fingerprint, mapping)` pairs in factor-key order.
 #[derive(Debug)]
-struct Interned(i64, Vec<(u64, Relation)>);
+struct Interned<'t>(i64, Vec<(u64, &'t Relation)>);
 
-impl TermArena {
+impl<'t> TermArena<'t> {
     /// Interns a term by its rename-invariant content key, returning the
     /// existing id when an identical term was interned before.
     ///
@@ -67,13 +61,13 @@ impl TermArena {
     /// cross-graph comparable).
     pub(crate) fn intern(
         &mut self,
-        term: &FlatTerm,
+        term: &'t FlatTerm,
         factor_keys: Vec<(u64, u64)>,
         stats: &mut CheckStats,
     ) -> TermId {
         stats.arena_interns += 1;
         let key = term_fingerprint(term.coeff, &factor_keys);
-        let mut factors: Vec<(u64, u64, &Relation)> = factor_keys
+        let mut factors: Vec<(u64, u64, &'t Relation)> = factor_keys
             .into_iter()
             .zip(&term.factors)
             .map(|((fp, mh), f)| (fp, mh, &f.map))
@@ -96,22 +90,12 @@ impl TermArena {
                 stats.hash_collisions += 1;
             }
             Entry::Vacant(v) => {
-                let known = factors.iter().map(|&(fp, _, m)| (fp, m.clone())).collect();
+                let known = factors.iter().map(|&(fp, _, m)| (fp, m)).collect();
                 v.insert((id, Interned(term.coeff, known)));
             }
         }
         self.next += 1;
         id
-    }
-
-    /// The memoised outcome of matching this id pair, if recorded.
-    pub(crate) fn lookup_match(&self, a: TermId, b: TermId) -> Option<bool> {
-        self.match_memo.get(&(a, b)).copied()
-    }
-
-    /// Records the outcome of an assumption-free term-pair check.
-    pub(crate) fn record_match(&mut self, a: TermId, b: TermId, matched: bool) {
-        self.match_memo.insert((a, b), matched);
     }
 }
 
@@ -127,11 +111,10 @@ mod tests {
     /// a canonical placeholder relation per distinct key keeps the content
     /// consistent with the key.
     fn term(coeff: i64, keys: &[(u64, u64)]) -> FlatTerm {
-        use super::super::flatten::Factor;
-        use crate::checker::{Pos, Trail};
+        use crate::checker::{Half, Pos, Trail};
         let factors = keys
             .iter()
-            .map(|&(fp, mh)| Factor {
+            .map(|&(fp, mh)| Half {
                 pos: Pos::Node(fp as usize),
                 // One distinct, trivially-parsable relation per map hash so
                 // equal keys always carry equal canonical forms.
@@ -193,20 +176,6 @@ mod tests {
             let id2 = arena.intern(&rev, vec![(b_fp, b_mh), (a_fp, a_mh)], &mut stats);
             prop_assert_eq!(id1, id2);
             prop_assert_eq!(stats.hash_collisions, 0);
-        }
-
-        /// The match memo is a function of the id pair: recorded verdicts
-        /// come back verbatim, unrecorded pairs miss.
-        #[test]
-        fn match_memo_round_trips(a in 0u64..8, b in 0u64..8, verdict in 0u64..2) {
-            let (a, b) = (a as TermId, b as TermId);
-            let mut arena = TermArena::default();
-            prop_assert_eq!(arena.lookup_match(a, b), None);
-            arena.record_match(a, b, verdict == 1);
-            prop_assert_eq!(arena.lookup_match(a, b), Some(verdict == 1));
-            if a != b {
-                prop_assert_eq!(arena.lookup_match(b, a), None);
-            }
         }
     }
 

@@ -13,21 +13,10 @@
 //! Trails are shared, not copied: a look-through step extends its parent's
 //! trail by one link, and the terms of one chain share their common prefix.
 
-use crate::checker::{Checker, Pos, Trail};
+use crate::checker::{Checker, Half, Pos, Side, Trail};
 use crate::Result;
 use arrayeq_addg::{Definition, Node, NodeId, OperatorKind};
 use arrayeq_omega::{Relation, Set};
-
-/// One non-constant factor of a flattened term: a traversal position with
-/// its accumulated output-current mapping and the statement trail that led
-/// there (for diagnostics; shared with the term's and its siblings' trails,
-/// so cloning a factor copies no statement).
-#[derive(Debug, Clone)]
-pub(crate) struct Factor {
-    pub pos: Pos,
-    pub map: Relation,
-    pub trail: Trail,
-}
 
 /// One flattened term: `coeff · Π factors` over `domain`.
 ///
@@ -38,6 +27,8 @@ pub(crate) struct Factor {
 ///   the constant factors folded into `coeff` (`2·a·b` → `coeff 2`,
 ///   factors `{a, b}`).
 ///
+/// Each factor is a [`Half`]: a traversal position with its accumulated
+/// output-current mapping and the statement trail that led there.
 /// `domain` is the part of the output space on which the term is present —
 /// region splitting partitions the output domain so every term is fully
 /// present or fully absent on each piece.
@@ -47,7 +38,7 @@ pub(crate) struct Factor {
 #[derive(Debug, Clone)]
 pub(crate) struct FlatTerm {
     pub coeff: i64,
-    pub factors: Vec<Factor>,
+    pub factors: Vec<Half>,
     pub domain: Set,
     /// Statement trail at the term's emission point (diagnostics).
     pub trail: Trail,
@@ -65,24 +56,29 @@ impl FlatTerm {
     }
 
     /// A term of one opaque factor with coefficient `coeff`.
-    fn single(coeff: i64, pos: Pos, map: Relation, trail: &Trail) -> FlatTerm {
-        let domain = map.domain();
+    fn single(coeff: i64, factor: Half) -> FlatTerm {
         FlatTerm {
             coeff,
-            factors: vec![Factor {
-                pos,
-                map,
-                trail: trail.clone(),
-            }],
-            domain,
-            trail: trail.clone(),
+            domain: factor.map.domain(),
+            trail: factor.trail.clone(),
+            factors: vec![factor],
         }
     }
 }
 
+/// The running decomposition of one product inside a `+` chain.
+struct Product {
+    /// The folded constant factors, times the chain's sign.
+    coeff: i64,
+    /// The opaque factors.
+    factors: Vec<Half>,
+    /// The first additive operand, kept for one-level distribution.
+    distribute: Option<Half>,
+}
+
 /// The domain of a term: the intersection of its factors' mapping domains
 /// (the base domain when there are no factors).
-fn term_domain(base: Set, factors: &[Factor]) -> Result<Set> {
+fn term_domain(base: Set, factors: &[Half]) -> Result<Set> {
     match factors {
         [] => Ok(base),
         [only] => Ok(only.map.domain()),
@@ -121,7 +117,7 @@ fn const_eval(g: &arrayeq_addg::Addg, n: NodeId) -> Option<i64> {
 }
 
 impl<'x> Checker<'x> {
-    /// Flattens the chain of `family` rooted at `pos` into `out`.
+    /// Flattens the chain of `family` rooted at `h`, on `side`, into `out`.
     ///
     /// `sign` is the additive sign accumulated through inverse folding
     /// (always `1` outside the `+` family); `root` marks the chain's root
@@ -132,18 +128,15 @@ impl<'x> Checker<'x> {
     /// Returns `false` when a budget tripped mid-flatten (the caller's
     /// verdict is already inconclusive then).
     ///
-    /// Every `map` that reaches here is either a deep `simplified(true)`
+    /// Every mapping that reaches here is either a deep `simplified(true)`
     /// result, whose conjuncts are all feasible, or one the traversal has
     /// already tested for emptiness, so an empty conjunct list is the whole
     /// emptiness test.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn flatten_family(
         &mut self,
-        original_side: bool,
+        side: Side,
         family: &OperatorKind,
-        pos: Pos,
-        map: Relation,
-        trail: &Trail,
+        h: Half,
         sign: i64,
         root: bool,
         out: &mut Vec<FlatTerm>,
@@ -151,177 +144,129 @@ impl<'x> Checker<'x> {
         if !self.budget() {
             return Ok(false);
         }
-        debug_assert_eq!(map.is_empty(), map.conjuncts().is_empty());
-        if map.conjuncts().is_empty() {
+        debug_assert_eq!(h.map.is_empty(), h.map.conjuncts().is_empty());
+        if h.map.conjuncts().is_empty() {
             return Ok(true);
         }
-        let g = if original_side { self.a } else { self.b };
+        // Access: compose through the dependency mapping and continue at
+        // the array position (the paper's look-through).
+        if let Some(next) = self.enter_access(side, &h)? {
+            self.flatten_family(side, family, next, sign, false, out)?;
+            return Ok(true);
+        }
+        let g = self.graph(side);
+        let n = match &h.pos {
+            Pos::Node(n) => *n,
+            Pos::Array(v) if g.is_input(v) || g.is_recurrent(v) => {
+                out.push(FlatTerm::single(sign, h));
+                return Ok(true);
+            }
+            // Look through the intermediate variable: continue flattening
+            // into each definition whose elements the mapping reaches
+            // (non-chain definition roots land in the opaque-operand arm
+            // below).
+            Pos::Array(v) => {
+                for def in g.definitions(v) {
+                    let sub = self.restrict_to(&h.map, &def.elements)?;
+                    if sub.is_empty() {
+                        continue;
+                    }
+                    let def_half = Half {
+                        pos: Pos::Node(def.root),
+                        map: sub,
+                        trail: h.trail.with(&def.statement),
+                    };
+                    self.flatten_family(side, family, def_half, sign, false, out)?;
+                }
+                return Ok(true);
+            }
+        };
         let class = self.opts.operators.class_of(family);
         let add = self.opts.operators.class_of(&OperatorKind::Add);
         let mul = self.opts.operators.class_of(&OperatorKind::Mul);
         let additive = matches!(family, OperatorKind::Add);
-        match pos {
-            Pos::Node(n) => match g.node(n) {
-                // The chain's own operator: expand the operand level.  The
-                // root always expands (that is what entering the algebraic
-                // path means); deeper same-operator nodes flatten through
-                // only under associativity.
-                Node::Operator {
-                    kind,
-                    operands,
-                    statement,
-                } if kind == family && (class.associative || root) => {
-                    let trail = trail.with(statement);
-                    for &child in operands {
-                        self.flatten_family(
-                            original_side,
-                            family,
-                            Pos::Node(child),
-                            map.clone(),
-                            &trail,
-                            sign,
-                            false,
-                            out,
-                        )?;
-                    }
-                    Ok(true)
+        match g.node(n) {
+            // The chain's own operator: expand the operand level.  The root
+            // always expands (that is what entering the algebraic path
+            // means); deeper same-operator nodes flatten through only under
+            // associativity.
+            Node::Operator {
+                kind,
+                operands,
+                statement,
+            } if kind == family && (class.associative || root) => {
+                let h = h.with(statement);
+                for &child in operands {
+                    self.flatten_family(side, family, h.at(Pos::Node(child)), sign, false, out)?;
                 }
-                // Inverse folding: `a - b` is `a + (-1)·b`, `-a` is `(-1)·a`.
-                Node::Operator {
-                    kind: OperatorKind::Sub,
-                    operands,
-                    statement,
-                } if additive && add.is_ac() => {
-                    let trail = trail.with(statement);
-                    self.flatten_family(
-                        original_side,
-                        family,
-                        Pos::Node(operands[0]),
-                        map.clone(),
-                        &trail,
-                        sign,
-                        false,
-                        out,
-                    )?;
-                    self.flatten_family(
-                        original_side,
-                        family,
-                        Pos::Node(operands[1]),
-                        map,
-                        &trail,
-                        sign.wrapping_neg(),
-                        false,
-                        out,
-                    )?;
-                    Ok(true)
+                Ok(true)
+            }
+            // Inverse folding: `a - b` is `a + (-1)·b`, `-a` is `(-1)·a`.
+            Node::Operator {
+                kind: OperatorKind::Sub,
+                operands,
+                statement,
+            } if additive && add.is_ac() => {
+                let h = h.with(statement);
+                let left = h.at(Pos::Node(operands[0]));
+                self.flatten_family(side, family, left, sign, false, out)?;
+                let right = Half {
+                    pos: Pos::Node(operands[1]),
+                    ..h
+                };
+                self.flatten_family(side, family, right, sign.wrapping_neg(), false, out)?;
+                Ok(true)
+            }
+            Node::Operator {
+                kind: OperatorKind::Neg,
+                operands,
+                statement,
+            } if additive && add.is_ac() => {
+                let inner = Half {
+                    pos: Pos::Node(operands[0]),
+                    ..h.with(statement)
+                };
+                self.flatten_family(side, family, inner, sign.wrapping_neg(), false, out)
+            }
+            // A product inside a `+` chain: decompose into factors with
+            // folded constant coefficient, distributing one level over
+            // an additive operand when one is present.
+            Node::Operator {
+                kind: OperatorKind::Mul,
+                ..
+            } if additive && add.is_ac() && mul.is_ac() => {
+                self.flatten_product_term(side, n, h.map, &h.trail, sign, out)
+            }
+            // Negation inside a `*` chain is a constant `-1` factor.
+            Node::Operator {
+                kind: OperatorKind::Neg,
+                operands,
+                statement,
+            } if matches!(family, OperatorKind::Mul) && mul.is_ac() => {
+                out.push(FlatTerm::constant(-1, h.map.domain(), &h.trail));
+                let inner = Half {
+                    pos: Pos::Node(operands[0]),
+                    ..h.with(statement)
+                };
+                self.flatten_family(side, family, inner, sign, false, out)
+            }
+            // Constants fold into the chain (identity operands fold to the
+            // neutral contribution and vanish; see the matcher's per-piece
+            // constant comparison).
+            Node::Const { value, .. } if additive && add.is_ac() => {
+                let c = sign.wrapping_mul(*value);
+                if c != 0 {
+                    out.push(FlatTerm::constant(c, h.map.domain(), &h.trail));
                 }
-                Node::Operator {
-                    kind: OperatorKind::Neg,
-                    operands,
-                    statement,
-                } if additive && add.is_ac() => self.flatten_family(
-                    original_side,
-                    family,
-                    Pos::Node(operands[0]),
-                    map,
-                    &trail.with(statement),
-                    sign.wrapping_neg(),
-                    false,
-                    out,
-                ),
-                // A product inside a `+` chain: decompose into factors with
-                // folded constant coefficient, distributing one level over
-                // an additive operand when one is present.
-                Node::Operator {
-                    kind: OperatorKind::Mul,
-                    ..
-                } if additive && add.is_ac() && mul.is_ac() => {
-                    self.flatten_product_term(original_side, n, map, trail, sign, out)
-                }
-                // Negation inside a `*` chain is a constant `-1` factor.
-                Node::Operator {
-                    kind: OperatorKind::Neg,
-                    operands,
-                    statement,
-                } if matches!(family, OperatorKind::Mul) && mul.is_ac() => {
-                    out.push(FlatTerm::constant(-1, map.domain(), trail));
-                    self.flatten_family(
-                        original_side,
-                        family,
-                        Pos::Node(operands[0]),
-                        map,
-                        &trail.with(statement),
-                        sign,
-                        false,
-                        out,
-                    )
-                }
-                // Constants fold into the chain (identity operands fold to
-                // the neutral contribution and vanish; see the matcher's
-                // per-piece constant comparison).
-                Node::Const { value, .. } if additive && add.is_ac() => {
-                    let c = sign.wrapping_mul(*value);
-                    if c != 0 {
-                        out.push(FlatTerm::constant(c, map.domain(), trail));
-                    }
-                    Ok(true)
-                }
-                Node::Const { value, .. } if matches!(family, OperatorKind::Mul) && mul.is_ac() => {
-                    out.push(FlatTerm::constant(*value, map.domain(), trail));
-                    Ok(true)
-                }
-                // Access: compose through the dependency mapping and
-                // continue at the array position (the paper's look-through).
-                Node::Access {
-                    array,
-                    mapping,
-                    statement,
-                    ..
-                } => {
-                    let new_map = self.compose(&map, mapping)?;
-                    self.flatten_family(
-                        original_side,
-                        family,
-                        Pos::Array(array.clone()),
-                        new_map,
-                        &trail.with(statement),
-                        sign,
-                        false,
-                        out,
-                    )?;
-                    Ok(true)
-                }
-                // Any other node is an opaque operand of the chain.
-                _ => {
-                    out.push(FlatTerm::single(sign, Pos::Node(n), map, trail));
-                    Ok(true)
-                }
-            },
-            Pos::Array(v) => {
-                if g.is_input(&v) || g.is_recurrent(&v) {
-                    out.push(FlatTerm::single(sign, Pos::Array(v), map, trail));
-                    return Ok(true);
-                }
-                // Look through the intermediate variable: continue
-                // flattening into each definition whose elements the
-                // mapping reaches (non-chain definition roots land in the
-                // opaque-operand arm above).
-                for def in g.definitions(&v) {
-                    let sub = self.restrict_to(&map, &def.elements)?;
-                    if sub.is_empty() {
-                        continue;
-                    }
-                    self.flatten_family(
-                        original_side,
-                        family,
-                        Pos::Node(def.root),
-                        sub,
-                        &trail.with(&def.statement),
-                        sign,
-                        false,
-                        out,
-                    )?;
-                }
+                Ok(true)
+            }
+            Node::Const { value, .. } if matches!(family, OperatorKind::Mul) && mul.is_ac() => {
+                out.push(FlatTerm::constant(*value, h.map.domain(), &h.trail));
+                Ok(true)
+            }
+            // Any other node is an opaque operand of the chain.
+            _ => {
+                out.push(FlatTerm::single(sign, h));
                 Ok(true)
             }
         }
@@ -331,42 +276,32 @@ impl<'x> Checker<'x> {
     /// when distributing, several) product terms.
     fn flatten_product_term(
         &mut self,
-        original_side: bool,
+        side: Side,
         n: NodeId,
         map: Relation,
         trail: &Trail,
         sign: i64,
         out: &mut Vec<FlatTerm>,
     ) -> Result<bool> {
-        let mut coeff = sign;
-        let mut factors = Vec::new();
-        let mut distribute = None;
-        if !self.flatten_product(
-            original_side,
-            n,
-            &map,
-            trail,
-            &mut coeff,
-            &mut factors,
-            &mut distribute,
-        )? {
+        let mut product = Product {
+            coeff: sign,
+            factors: Vec::new(),
+            distribute: None,
+        };
+        if !self.flatten_product(side, n, &map, trail, &mut product)? {
             return Ok(false);
         }
+        let Product {
+            coeff,
+            factors,
+            distribute,
+        } = product;
         match distribute {
             // One-level distribution: `m · (u ± v ± …)` contributes one
             // term `m·u`, `±m·v`, … per additive operand of the chain.
-            Some((add_node, add_map, add_trail)) => {
+            Some(sum) => {
                 let mut inner = Vec::new();
-                self.flatten_family(
-                    original_side,
-                    &OperatorKind::Add,
-                    Pos::Node(add_node),
-                    add_map,
-                    &add_trail,
-                    1,
-                    true,
-                    &mut inner,
-                )?;
+                self.flatten_family(side, &OperatorKind::Add, sum, 1, true, &mut inner)?;
                 for t in inner {
                     let c = t.coeff.wrapping_mul(coeff);
                     if c == 0 {
@@ -404,29 +339,32 @@ impl<'x> Checker<'x> {
         }
     }
 
-    /// Collects the factor multiset of a product: constant factors fold
-    /// into `coeff`, negation flips its sign, the *first* additive operand
-    /// is remembered for one-level distribution, and everything else —
-    /// including a second additive operand — stays an opaque factor.
-    /// `Access` operands compose through their dependency mapping and look
-    /// through *single-definition* intermediates (multi-definition arrays
-    /// stay opaque factors: their piecewise structure belongs to the
-    /// recursive traversal, not the product decomposition).
-    #[allow(clippy::too_many_arguments)]
+    /// Collects the factor multiset of a product into `acc`: constant
+    /// factors fold into its coefficient, negation flips its sign, the
+    /// *first* additive operand is remembered for one-level distribution,
+    /// and everything else — including a second additive operand — stays
+    /// an opaque factor.  `Access` operands compose through their
+    /// dependency mapping and look through *single-definition*
+    /// intermediates (multi-definition arrays stay opaque factors: their
+    /// piecewise structure belongs to the recursive traversal, not the
+    /// product decomposition).
     fn flatten_product(
         &mut self,
-        original_side: bool,
+        side: Side,
         n: NodeId,
         map: &Relation,
         trail: &Trail,
-        coeff: &mut i64,
-        factors: &mut Vec<Factor>,
-        distribute: &mut Option<(NodeId, Relation, Trail)>,
+        acc: &mut Product,
     ) -> Result<bool> {
         if !self.budget() {
             return Ok(false);
         }
-        let g = if original_side { self.a } else { self.b };
+        let g = self.graph(side);
+        let here = || Half {
+            pos: Pos::Node(n),
+            map: map.clone(),
+            trail: trail.clone(),
+        };
         match g.node(n) {
             Node::Operator {
                 kind: OperatorKind::Mul,
@@ -435,15 +373,7 @@ impl<'x> Checker<'x> {
             } => {
                 let trail = trail.with(statement);
                 for &child in operands {
-                    if !self.flatten_product(
-                        original_side,
-                        child,
-                        map,
-                        &trail,
-                        coeff,
-                        factors,
-                        distribute,
-                    )? {
+                    if !self.flatten_product(side, child, map, &trail, acc)? {
                         return Ok(false);
                     }
                 }
@@ -454,16 +384,8 @@ impl<'x> Checker<'x> {
                 operands,
                 statement,
             } => {
-                *coeff = coeff.wrapping_neg();
-                self.flatten_product(
-                    original_side,
-                    operands[0],
-                    map,
-                    &trail.with(statement),
-                    coeff,
-                    factors,
-                    distribute,
-                )
+                acc.coeff = acc.coeff.wrapping_neg();
+                self.flatten_product(side, operands[0], map, &trail.with(statement), acc)
             }
             Node::Operator {
                 kind: OperatorKind::Add | OperatorKind::Sub,
@@ -474,22 +396,16 @@ impl<'x> Checker<'x> {
                 // into `2·x + 1·x`, which like-term-free matching cannot
                 // reconcile with the other side's folded form.
                 if let Some(c) = const_eval(g, n) {
-                    *coeff = coeff.wrapping_mul(c);
-                    return Ok(true);
+                    acc.coeff = acc.coeff.wrapping_mul(c);
+                } else if acc.distribute.is_none() {
+                    acc.distribute = Some(here());
+                } else {
+                    acc.factors.push(here());
                 }
-                if distribute.is_none() {
-                    *distribute = Some((n, map.clone(), trail.clone()));
-                    return Ok(true);
-                }
-                factors.push(Factor {
-                    pos: Pos::Node(n),
-                    map: map.clone(),
-                    trail: trail.clone(),
-                });
                 Ok(true)
             }
             Node::Const { value, .. } => {
-                *coeff = coeff.wrapping_mul(*value);
+                acc.coeff = acc.coeff.wrapping_mul(*value);
                 Ok(true)
             }
             Node::Access {
@@ -499,22 +415,10 @@ impl<'x> Checker<'x> {
                 ..
             } => {
                 let m = self.compose(map, mapping)?;
-                self.product_enter_array(
-                    original_side,
-                    array,
-                    m,
-                    trail.with(statement),
-                    coeff,
-                    factors,
-                    distribute,
-                )
+                self.product_enter_array(side, array, m, trail.with(statement), acc)
             }
             _ => {
-                factors.push(Factor {
-                    pos: Pos::Node(n),
-                    map: map.clone(),
-                    trail: trail.clone(),
-                });
+                acc.factors.push(here());
                 Ok(true)
             }
         }
@@ -528,18 +432,15 @@ impl<'x> Checker<'x> {
     /// several live definitions the factor stays opaque — its piecewise
     /// structure belongs to the recursive traversal, not the product
     /// decomposition.
-    #[allow(clippy::too_many_arguments)]
     fn product_enter_array(
         &mut self,
-        original_side: bool,
+        side: Side,
         array: &str,
         map: Relation,
         trail: Trail,
-        coeff: &mut i64,
-        factors: &mut Vec<Factor>,
-        distribute: &mut Option<(NodeId, Relation, Trail)>,
+        acc: &mut Product,
     ) -> Result<bool> {
-        let g = if original_side { self.a } else { self.b };
+        let g = self.graph(side);
         if !g.is_input(array) && !g.is_recurrent(array) {
             let mut live: Option<(&Definition, Relation)> = None;
             for def in g.definitions(array) {
@@ -557,17 +458,15 @@ impl<'x> Checker<'x> {
             }
             if let Some((def, sub)) = live {
                 return self.flatten_product(
-                    original_side,
+                    side,
                     def.root,
                     &sub,
                     &trail.with(&def.statement),
-                    coeff,
-                    factors,
-                    distribute,
+                    acc,
                 );
             }
         }
-        factors.push(Factor {
+        acc.factors.push(Half {
             pos: Pos::Array(array.to_owned()),
             map,
             trail,

@@ -18,9 +18,10 @@
 //!    found through one index per piece from arena id to term indices,
 //!    which pairs by one integer comparison.  A term without a twin tries
 //!    every unused term in index order.  An associative-only chain tries
-//!    only the next unused term.  A candidate pair is decided by arena id,
-//!    then through the match memo, and only then by a speculative
-//!    recursive equivalence check per factor pair.
+//!    only the next unused term.  A candidate pair is decided by arena id
+//!    (one arena per piece), and otherwise by a speculative recursive
+//!    equivalence check per factor pair; no outcome is kept for a later
+//!    piece or chain.
 //!    Speculation builds no diagnostics ([`Checker::diagnose`]): a failed
 //!    candidate only means the next candidate's turn, so whatever it found
 //!    is never reported.
@@ -29,12 +30,12 @@
 //! the flattened terms ([`crate::checker::Trail`]); a trail is listed out
 //! only when a diagnostic is built.
 
-use super::arena::TermId;
+use super::arena::{TermArena, TermId};
 use super::flatten::FlatTerm;
-use crate::checker::{Checker, Pos, Trail};
+use crate::checker::{Checker, Half, Side, Trail};
 use crate::diagnostics::{Diagnostic, DiagnosticKind};
 use crate::Result;
-use arrayeq_addg::{describe_node, OperatorKind};
+use arrayeq_addg::OperatorKind;
 use arrayeq_omega::{Relation, Set};
 use std::collections::HashMap;
 
@@ -114,7 +115,7 @@ fn restrict_terms(terms: &[FlatTerm], piece: &Set) -> Result<Vec<FlatTerm>> {
             let Some(map) = map else {
                 continue 'terms;
             };
-            factors.push(super::flatten::Factor {
+            factors.push(Half {
                 pos: f.pos.clone(),
                 map,
                 trail: f.trail.clone(),
@@ -135,26 +136,22 @@ impl<'x> Checker<'x> {
     /// the resolved family, split the output domain into regions with a
     /// fixed term structure, and match terms within each region.  Entered
     /// from `check_nodes` (operator/operator and operator/constant pairs)
-    /// and from the leaf-versus-operator traversal arms.
-    #[allow(clippy::too_many_arguments)]
+    /// and from the array-against-node traversal step.
     pub(crate) fn check_algebraic(
         &mut self,
         family: &OperatorKind,
-        pos_a: Pos,
-        map_a: Relation,
-        pos_b: Pos,
-        map_b: Relation,
-        trail_a: &Trail,
-        trail_b: &Trail,
+        a: Half,
+        b: Half,
     ) -> Result<bool> {
         self.stats.flattenings += 1;
-        let full = map_a.domain();
+        let full = a.map.domain();
+        let (trail_a, trail_b) = (a.trail.clone(), b.trail.clone());
         let mut terms_a = Vec::new();
         let mut terms_b = Vec::new();
         {
             let _span = arrayeq_trace::span("flatten");
-            self.flatten_family(true, family, pos_a, map_a, trail_a, 1, true, &mut terms_a)?;
-            self.flatten_family(false, family, pos_b, map_b, trail_b, 1, true, &mut terms_b)?;
+            self.flatten_family(Side::Original, family, a, 1, true, &mut terms_a)?;
+            self.flatten_family(Side::Transformed, family, b, 1, true, &mut terms_b)?;
         }
         self.stats.terms_flattened += (terms_a.len() + terms_b.len()) as u64;
         arrayeq_trace::event_with("flattened", || {
@@ -167,7 +164,7 @@ impl<'x> Checker<'x> {
         let pieces = split_pieces(&full, &terms_a, &terms_b)?;
         let mut ok = true;
         for piece in &pieces {
-            ok &= self.match_piece(family, &terms_a, &terms_b, piece, trail_a, trail_b)?;
+            ok &= self.match_piece(family, &terms_a, &terms_b, piece, &trail_a, &trail_b)?;
             if !self.budget() {
                 return Ok(false);
             }
@@ -275,10 +272,17 @@ impl<'x> Checker<'x> {
             return Ok(false);
         }
 
-        // Hash-cons both sides' terms: id equality is the fast matching
-        // path, and (id, id) pairs key the match memo.
-        let ids_a: Vec<TermId> = terms_a.iter().map(|t| self.intern_term(true, t)).collect();
-        let ids_b: Vec<TermId> = terms_b.iter().map(|t| self.intern_term(false, t)).collect();
+        // Hash-cons both sides' terms in one arena for the piece: id
+        // equality is the fast matching path.
+        let mut arena = TermArena::default();
+        let ids_a: Vec<TermId> = terms_a
+            .iter()
+            .map(|t| self.intern_term(&mut arena, Side::Original, t))
+            .collect();
+        let ids_b: Vec<TermId> = terms_b
+            .iter()
+            .map(|t| self.intern_term(&mut arena, Side::Transformed, t))
+            .collect();
 
         let factor_comm = self.opts.operators.class_of(&OperatorKind::Mul).commutative;
         let mut used = vec![false; terms_b.len()];
@@ -323,14 +327,14 @@ impl<'x> Checker<'x> {
             if !matched {
                 all_ok = false;
                 self.diagnose(|this| {
-                    let (name, mapping) = this.describe_term(true, ta);
+                    let (name, mapping) = this.describe_term(Side::Original, ta);
                     // The closest unmatched candidate on the other side,
                     // for the diagnostic.
                     let other = terms_b
                         .iter()
                         .zip(&used)
                         .find(|(_, &u)| !u)
-                        .map(|(t, _)| this.describe_term(false, t));
+                        .map(|(t, _)| this.describe_term(Side::Transformed, t));
                     Ok(Diagnostic {
                         kind: DiagnosticKind::MappingMismatch,
                         output_array: None,
@@ -361,9 +365,9 @@ impl<'x> Checker<'x> {
 
     /// Whether two flattened terms are equivalent (the matching criterion):
     /// equal coefficients and a factor-for-factor equivalence of their
-    /// products.  Fast paths: identical arena ids, then the match memo.
-    /// The fallback checks factor pairs *speculatively*: a failed candidate
-    /// is simply the next one's turn, so the checks run with
+    /// products.  Terms with one arena id match by construction; any other
+    /// pair checks its factor pairs *speculatively*: a failed candidate is
+    /// simply the next one's turn, so the checks run with
     /// [`Checker::speculating`] raised and build no diagnostics.
     fn terms_match(
         &mut self,
@@ -378,16 +382,9 @@ impl<'x> Checker<'x> {
             arrayeq_trace::discharge("arena_fast_match");
             return Ok(true);
         }
-        if let Some(cached) = self.arena.lookup_match(ia, ib) {
-            self.stats.term_memo_hits += 1;
-            arrayeq_trace::discharge("match_memo");
-            return Ok(cached);
-        }
         if ta.coeff != tb.coeff || ta.factors.len() != tb.factors.len() {
-            self.arena.record_match(ia, ib, false);
             return Ok(false);
         }
-        let assumption_uses_before = self.assumption_uses;
         let saved = self.diagnostics.len();
         // Lowered again before `?` can leave: the depth is back where it
         // was on every exit path.
@@ -400,13 +397,6 @@ impl<'x> Checker<'x> {
             saved,
             "a speculative check recorded a diagnostic"
         );
-        // A result derived under a coinductive recurrence assumption is
-        // only valid inside that assumption's scope; a result produced
-        // while a budget was winding the traversal down proves nothing.
-        // Everything else memoises.
-        if !self.exhausted && self.assumption_uses == assumption_uses_before {
-            self.arena.record_match(ia, ib, all);
-        }
         Ok(all)
     }
 
@@ -427,15 +417,7 @@ impl<'x> Checker<'x> {
             }
             let mut matched = false;
             for j in candidates {
-                let fb = &tb.factors[j];
-                if self.check(
-                    fa.pos.clone(),
-                    fa.map.clone(),
-                    fb.pos.clone(),
-                    fb.map.clone(),
-                    &fa.trail,
-                    &fb.trail,
-                )? {
+                if self.check(fa.clone(), tb.factors[j].clone())? {
                     used[j] = true;
                     matched = true;
                     break;
@@ -448,39 +430,31 @@ impl<'x> Checker<'x> {
         Ok(true)
     }
 
-    /// Interns one term into the arena by its rename-invariant content key.
-    fn intern_term(&mut self, original_side: bool, t: &FlatTerm) -> TermId {
-        let fps = if original_side {
-            &self.fps.0
-        } else {
-            &self.fps.1
-        };
+    /// Interns one term of `side` into `arena` by its rename-invariant
+    /// content key.
+    fn intern_term<'t>(
+        &mut self,
+        arena: &mut TermArena<'t>,
+        side: Side,
+        t: &'t FlatTerm,
+    ) -> TermId {
+        let fps = self.fingerprints(side);
         let keys: Vec<(u64, u64)> = t
             .factors
             .iter()
-            .map(|f| {
-                let p = match &f.pos {
-                    Pos::Node(n) => fps.node(*n),
-                    Pos::Array(v) => fps.array(v),
-                };
-                (p, f.map.structural_hash())
-            })
+            .map(|f| (f.pos.fingerprint(fps), f.map.structural_hash()))
             .collect();
-        self.arena.intern(t, keys, &mut self.stats)
+        arena.intern(t, keys, &mut self.stats)
     }
 
     /// Renders a term for diagnostics: `(name, mapping)` in the style the
     /// single-operand matcher always used, with multi-factor products
     /// joined by `*` and a leading coefficient when it is not `1`.
-    fn describe_term(&self, original_side: bool, t: &FlatTerm) -> (String, String) {
-        let g = if original_side { self.a } else { self.b };
+    fn describe_term(&self, side: Side, t: &FlatTerm) -> (String, String) {
         let names: Vec<String> = t
             .factors
             .iter()
-            .map(|f| match &f.pos {
-                Pos::Array(v) => v.clone(),
-                Pos::Node(n) => describe_node(g, *n),
-            })
+            .map(|f| self.describe(side, &f.pos))
             .collect();
         let mut name = names.join(" * ");
         if t.coeff != 1 {
@@ -499,7 +473,7 @@ impl<'x> Checker<'x> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::normalize::flatten::Factor;
+    use crate::checker::Pos;
 
     fn set(text: &str) -> Set {
         Set::parse(text).unwrap()
@@ -517,7 +491,7 @@ mod tests {
     fn factor_term(array: &str, map: &Relation) -> FlatTerm {
         FlatTerm {
             coeff: 1,
-            factors: vec![Factor {
+            factors: vec![Half {
                 pos: Pos::Array(array.to_owned()),
                 map: map.clone(),
                 trail: Trail::default(),

@@ -30,19 +30,19 @@
 //!   - *annihilators* — a `* 0` collapses the chain to the constant `0`;
 //!   - one-level *distribution* of `*` over `+` — `a*(b+c)` flattens into
 //!     the two terms `a·b` and `a·c`, matching expanded kernels.
-//! * **[`TermArena`]** ([`arena`]) hash-conses flattened terms into integer
-//!   [`TermId`]s keyed by content fingerprints and mapping structural
-//!   hashes — rename-invariant exactly like the tabling keys — so term
-//!   comparison, dedup across regions and the tabling of matched pairs are
-//!   integer operations instead of re-walks of ADDG chains.
+//! * **[`TermArena`]** ([`arena`]) hash-conses the flattened terms of one
+//!   region piece into integer [`TermId`]s keyed by content fingerprints
+//!   and mapping structural hashes — rename-invariant exactly like the
+//!   tabling keys — so a term and its twin on the other side compare by
+//!   one integer comparison instead of a re-walk of both ADDG chains.  The
+//!   matcher makes one arena per piece and keeps no outcome of a match.
 //! * **[`matching`]** splits the output domain into pieces (unchanged from
 //!   the paper), folds and compares the constant part per piece, applies
 //!   the annihilator short-circuit, and greedily matches the remaining
 //!   terms.  Each term first tries its twin on the other side (same arena
 //!   id: one integer comparison), then the other unused terms in index
-//!   order; a candidate that is no twin goes through the match memo, and
-//!   only then through a speculative recursive equivalence check, which
-//!   builds no diagnostics.
+//!   order; a candidate that is no twin goes through a speculative
+//!   recursive equivalence check, which builds no diagnostics.
 //!
 //! The entry point is [`crate::checker::Checker::check_algebraic`], whose
 //! body lives in [`matching`]; `checker.rs` itself only dispatches here.
@@ -60,12 +60,12 @@
 //! a `+` root, the factored/expanded scenario).
 //!
 //! [`OperatorProperties`]: crate::OperatorProperties
+//! [`TermArena`]: arena::TermArena
+//! [`TermId`]: arena::TermId
 
 pub(crate) mod arena;
 pub(crate) mod flatten;
 pub(crate) mod matching;
-
-pub(crate) use arena::TermArena;
 
 use crate::checker::Method;
 use crate::operators::OperatorProperties;

@@ -16,9 +16,10 @@
 //!    does not serialise the run).  A single worker drains the queue on the
 //!    calling thread without spawning; more run in a scoped pool of at most
 //!    one worker per task, so a one-output run never spawns.  Each worker
-//!    owns a full [`Checker`] — coinductive assumptions, term arena, stats,
-//!    diagnostics buffer — and all workers share the run's one
-//!    [`crate::ProofCache`] (the caller's through [`CheckContext::proofs`],
+//!    owns a full [`Checker`] — coinductive assumptions, look-through
+//!    steps, stats, diagnostics buffer; term arenas live for one region
+//!    piece of a match, not in a worker — and all workers share the run's
+//!    one [`crate::ProofCache`] (the caller's through [`CheckContext::proofs`],
 //!    or one made for the run; rename-invariant keys mean one worker's
 //!    sub-proof discharges another worker's identical obligation mid-run).
 //!    Feasibility verdicts are memoised per thread by `arrayeq-omega`, so
@@ -60,27 +61,6 @@ static PANIC_ON_TASK: AtomicUsize = AtomicUsize::new(usize::MAX);
 #[doc(hidden)]
 pub fn inject_worker_panic_on_task(task_idx: Option<usize>) {
     PANIC_ON_TASK.store(task_idx.unwrap_or(usize::MAX), Ordering::SeqCst);
-}
-
-/// One-shot arming of synthetic solver-overflow injection: the next worker
-/// drain that observes the flag records one overflow event and disarms.
-static INJECT_OVERFLOW: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Arms one synthetic solver-overflow event in the next verification.
-/// Test-only instrumentation for the degradation plumbing (solver events →
-/// typed inconclusive verdict); genuine overflow behaviour is covered by
-/// the omega-level oracle corpus.
-#[doc(hidden)]
-pub fn inject_arith_overflow_once() {
-    INJECT_OVERFLOW.store(true, Ordering::SeqCst);
-}
-
-/// Consumes the overflow injection (if armed) by recording a synthetic
-/// event in the calling thread's solver events.
-fn consume_injected_overflow() {
-    if INJECT_OVERFLOW.swap(false, Ordering::SeqCst) {
-        arrayeq_omega::inject_arith_overflow();
-    }
 }
 
 /// Best-effort rendering of a panic payload for the poisoned obligation's
@@ -155,19 +135,19 @@ pub(crate) fn check_parallel(
     // payload; the merge turns it into a typed
     // [`DiagnosticKind::WorkerPanicked`] inconclusive), and the worker
     // *quarantines* its local state by discarding the whole `Checker` —
-    // term arena, coinductive assumptions, buffered diagnostics could all
-    // be mid-mutation — and continuing on a fresh one.  The *shared* proof
-    // cache needs no rollback: it only ever receives completed sub-proofs
-    // in a single insert, so an unwound task has published either nothing
-    // or a finished entry, never partial state.  The worker thread's
-    // feasibility memo likewise holds only finished verdicts.
+    // look-through steps, coinductive assumptions, buffered diagnostics
+    // could all be mid-mutation — and continuing on a fresh one.  The
+    // *shared* proof cache needs no rollback: it only ever receives
+    // completed sub-proofs in a single insert, so an unwound task has
+    // published either nothing or a finished entry, never partial state.
+    // The worker thread's feasibility memo likewise holds only finished
+    // verdicts.
     let budget = SharedBudget::default();
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<TaskSlot>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
     let drained = Mutex::new((CheckStats::default(), SolverEvents::default()));
     let drain = || {
         let (worker_stats, worker_events) = solver_events(|| {
-            consume_injected_overflow();
             let mut worker = Checker::new(a, b, opts, ctx, fps, proofs, &budget);
             let mut stats = CheckStats::default();
             loop {

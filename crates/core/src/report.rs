@@ -64,17 +64,17 @@ pub struct CheckStats {
     pub matchings: u64,
     /// Flattened terms produced across all flattenings.
     pub terms_flattened: u64,
-    /// Term-arena interning operations (one per restricted term entering a
-    /// match; see `normalize::TermArena`).
+    /// Term-arena interning operations: one per restricted term entering
+    /// a match, into the one arena of its region piece (see
+    /// `normalize::TermArena`).
     pub arena_interns: u64,
     /// Interning operations answered by an already-interned identical term
-    /// (the arena's dedup hits — across regions, chains and sides).
+    /// of the same piece: a term's twin on the other side, or a repeat on
+    /// its own side.
     pub arena_hits: u64,
     /// Term pairs matched by arena-id equality alone (no recursive
     /// equivalence check, no relation algebra — one integer comparison).
     pub fast_term_matches: u64,
-    /// Term pairs answered by the matched-pair memo.
-    pub term_memo_hits: u64,
     /// Tasks of a run at more than one job: one per output whose defined
     /// elements match, that output's root obligation, so never more than
     /// the outputs checked (0 at one job, which runs the same tasks
@@ -149,7 +149,6 @@ impl CheckStats {
         self.arena_interns += other.arena_interns;
         self.arena_hits += other.arena_hits;
         self.fast_term_matches += other.fast_term_matches;
-        self.term_memo_hits += other.term_memo_hits;
         self.parallel_tasks += other.parallel_tasks;
         self.algebraic_piece_tasks += other.algebraic_piece_tasks;
         self.shared_table_lookups += other.shared_table_lookups;
@@ -412,12 +411,11 @@ impl Report {
         }
         if self.stats.arena_interns > 0 {
             out.push_str(&format!(
-                "term arena: {} interns, {} dedup hits ({:.0}%), {} fast matches, {} memo hits\n",
+                "term arena: {} interns, {} dedup hits ({:.0}%), {} fast matches\n",
                 self.stats.arena_interns,
                 self.stats.arena_hits,
                 self.stats.arena_hit_rate() * 100.0,
                 self.stats.fast_term_matches,
-                self.stats.term_memo_hits,
             ));
         }
         if self.stats.conjuncts_subsumed > 0 || self.stats.bigint_fallbacks > 0 {

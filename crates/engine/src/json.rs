@@ -126,7 +126,7 @@ pub fn stats_to_json(s: &CheckStats) -> String {
             "\"table_lookups\":{},\"table_hits\":{},\"table_entries\":{},",
             "\"hash_collisions\":{},\"flattenings\":{},\"matchings\":{},",
             "\"terms_flattened\":{},\"arena_interns\":{},\"arena_hits\":{},",
-            "\"fast_term_matches\":{},\"term_memo_hits\":{},",
+            "\"fast_term_matches\":{},",
             "\"parallel_tasks\":{},\"algebraic_piece_tasks\":{},",
             "\"shared_table_lookups\":{},\"shared_table_hits\":{},",
             "\"shared_table_inserts\":{},\"store_hits\":{},",
@@ -147,7 +147,6 @@ pub fn stats_to_json(s: &CheckStats) -> String {
         s.arena_interns,
         s.arena_hits,
         s.fast_term_matches,
-        s.term_memo_hits,
         s.parallel_tasks,
         s.algebraic_piece_tasks,
         s.shared_table_lookups,
@@ -180,7 +179,6 @@ pub fn stats_from_json(v: &JsonValue) -> Option<CheckStats> {
         arena_interns: g("arena_interns")?,
         arena_hits: g("arena_hits")?,
         fast_term_matches: g("fast_term_matches")?,
-        term_memo_hits: g("term_memo_hits")?,
         parallel_tasks: g("parallel_tasks")?,
         algebraic_piece_tasks: g("algebraic_piece_tasks")?,
         shared_table_lookups: g("shared_table_lookups")?,

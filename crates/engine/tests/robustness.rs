@@ -11,7 +11,8 @@
 //! * Solver arithmetic that would exceed `i64` leaves a degraded answer in
 //!   the run's solver events, reported as
 //!   [`BudgetExhausted::ArithOverflow`]; the verdict is withheld rather than
-//!   silently wrong.
+//!   silently wrong.  A real input overflows here: an index whose
+//!   coefficient wraps to `i64::MIN`, at one job and on spawned workers.
 
 use arrayeq_core::{
     check, inject_worker_panic_on_task, lower, BudgetExhausted, CheckContext, CheckOptions,
@@ -37,9 +38,10 @@ fn check_sources(a: &str, b: &str, opts: &CheckOptions) -> Result<Report> {
     check_programs(&parse_program(a)?, &parse_program(b)?, opts)
 }
 
-/// The panic-injection hook is a process-global one-shot: serialize every
-/// test that arms it so concurrent test threads cannot steal each other's
-/// injection.
+/// The panic-injection hook is a process-global one-shot that fires in
+/// whichever run's worker picks up the armed task index first: serialize
+/// every test that arms it, and every other test here whose runs have
+/// tasks, so a concurrent test thread cannot steal the injection.
 static INJECTION_LOCK: Mutex<()> = Mutex::new(());
 
 /// A wide multi-output kernel pair: six outputs, so six root tasks that a
@@ -225,52 +227,58 @@ fn huge_coefficient_sources_never_yield_a_wrong_verdict() {
     }
 }
 
-#[test]
-fn solver_overflow_withholds_the_verdict_as_typed_inconclusive() {
-    let _guard = INJECTION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (original, transformed) = wide_pair();
-    let opts = CheckOptions::default();
+/// Two outputs reading `B[k+1] + D[k]` (N = 16), against the same program
+/// whose `E` reads `B[4611686018427387904*2*k+1]`: `2^62 * 2` wraps to
+/// `i64::MIN` in the index, so composing `E`'s access mapping overflows the
+/// solver's checked arithmetic.  The coordinator's domain check compares
+/// defined elements only, so at more than one job that composition runs on
+/// a spawned worker.
+fn overflowing_pair() -> (String, String) {
+    let program = |e_read: &str| {
+        format!(
+            "#define N 16\nfoo(int B[], int D[], int A[], int E[])\n{{\n    int k;\n    \
+             for(k=0; k<N; k++)\ns1:  A[k] = B[k+1] + D[k];\n    \
+             for(k=0; k<N; k++)\ns2:  E[k] = {e_read} + D[k];\n}}\n"
+        )
+    };
+    (program("B[k+1]"), program("B[4611686018427387904*2*k+1]"))
+}
 
-    arrayeq_core::inject_arith_overflow_once();
-    let report = check_programs(&original, &transformed, &opts).unwrap();
+/// The run withheld its verdict for one overflow event.
+fn assert_overflow_withholds(report: &Report, jobs: usize) {
     assert_eq!(
         report.verdict,
         Verdict::Inconclusive,
-        "overflow must withhold the verdict: {}",
+        "jobs={jobs}: overflow must withhold the verdict: {}",
         report.summary()
     );
-    match &report.budget_exhausted {
-        Some(BudgetExhausted::ArithOverflow { events }) => {
-            assert!(*events > 0, "the reason counts the overflow events")
-        }
-        other => panic!("expected ArithOverflow reason, got {other:?}"),
-    }
+    assert_eq!(
+        report.budget_exhausted,
+        Some(BudgetExhausted::ArithOverflow { events: 1 }),
+        "jobs={jobs}"
+    );
+}
 
-    // One-shot: the next run is clean again.
-    let healed = check_programs(&original, &transformed, &opts).unwrap();
-    assert_eq!(healed.verdict, Verdict::Equivalent, "{}", healed.summary());
+#[test]
+fn solver_overflow_withholds_the_verdict_as_typed_inconclusive() {
+    let _guard = INJECTION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (original, transformed) = overflowing_pair();
+    let opts = CheckOptions::default();
+    let report = check_sources(&original, &transformed, &opts).unwrap();
+    assert_overflow_withholds(&report, 1);
+
+    // The same thread's next run, on a pair that does not overflow, answers.
+    let next = check_sources(&original, &original, &opts).unwrap();
+    assert_eq!(next.verdict, Verdict::Equivalent, "{}", next.summary());
 }
 
 #[test]
 fn solver_overflow_is_harvested_from_parallel_workers_too() {
     let _guard = INJECTION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (original, transformed) = wide_pair();
+    let (original, transformed) = overflowing_pair();
     for jobs in [2usize, 4] {
-        arrayeq_core::inject_arith_overflow_once();
-        let report = check_programs(
-            &original,
-            &transformed,
-            &CheckOptions::default().with_jobs(jobs),
-        )
-        .unwrap();
-        assert_eq!(report.verdict, Verdict::Inconclusive, "jobs={jobs}");
-        assert!(
-            matches!(
-                report.budget_exhausted,
-                Some(BudgetExhausted::ArithOverflow { .. })
-            ),
-            "jobs={jobs}: {:?}",
-            report.budget_exhausted
-        );
+        let opts = CheckOptions::default().with_jobs(jobs);
+        let report = check_sources(&original, &transformed, &opts).unwrap();
+        assert_overflow_withholds(&report, jobs);
     }
 }

@@ -220,14 +220,6 @@ fn add_component_cmp(
     cb: &ScheduleComponent,
     cmp: Cmp,
 ) -> bool {
-    let expr_of = |conj: &Conjunct, c: &ScheduleComponent, kind: VarKind| {
-        let mut e = conj.zero_expr();
-        match c {
-            ScheduleComponent::Const(v) => e.set_constant(*v),
-            ScheduleComponent::Iter(level) => e.set_coeff(conj.col(kind, *level), 1),
-        }
-        e
-    };
     // Prune constant-vs-constant comparisons without touching the solver.
     if let (ScheduleComponent::Const(x), ScheduleComponent::Const(y)) = (ca, cb) {
         return match cmp {
@@ -235,22 +227,28 @@ fn add_component_cmp(
             Cmp::Lt => x < y,
         };
     }
-    let ea = expr_of(conj, ca, VarKind::In);
-    let eb = expr_of(conj, cb, VarKind::Out);
-    match cmp {
-        Cmp::Eq => {
-            let mut diff = ea;
-            diff.add_scaled_assign(&eb, -1);
-            conj.add(Constraint::eq(diff));
-        }
-        Cmp::Lt => {
-            // ea < eb  ⇔  eb - ea - 1 >= 0
-            let mut diff = eb;
-            diff.add_scaled_assign(&ea, -1);
-            diff.set_constant(diff.constant() - 1);
-            conj.add(Constraint::geq(diff));
+    // `sign·(ea - eb) + offset`, with `ea` over the input columns and `eb`
+    // over the output columns: `ea = eb` as an equality, and `ea < eb` as
+    // `eb - ea - 1 >= 0`.  Each side is one unit coefficient or one
+    // constant, and schedule constants are statement positions, so the
+    // constant difference cannot overflow.
+    let (sign, offset) = match cmp {
+        Cmp::Eq => (1, 0),
+        Cmp::Lt => (-1, -1),
+    };
+    let mut diff = conj.zero_expr();
+    let mut constant = offset;
+    for (c, kind, s) in [(ca, VarKind::In, sign), (cb, VarKind::Out, -sign)] {
+        match c {
+            ScheduleComponent::Const(v) => constant += s * v,
+            ScheduleComponent::Iter(level) => diff.set_coeff(conj.col(kind, *level), s),
         }
     }
+    diff.set_constant(constant);
+    conj.add(match cmp {
+        Cmp::Eq => Constraint::eq(diff),
+        Cmp::Lt => Constraint::geq(diff),
+    });
     true
 }
 

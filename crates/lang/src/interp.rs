@@ -55,6 +55,11 @@ impl Inputs {
 /// [`flat_offset`] and the interpreter's indexing).
 pub const MD_ROW_PITCH: i64 = 1024;
 
+/// The most elements one array of [`standard_inputs`] holds: well above
+/// what the corpus, the kernels and the generated programs get (at most
+/// 278,528, for `conv2d`'s two-dimensional arrays).
+const MAX_STANDARD_ELEMENTS: usize = 1 << 22;
+
 /// The flat element offset the interpreter uses for a (possibly
 /// multi-dimensional) index tuple: `fold(o, i → o·1024 + i)`.  Exposed so
 /// replay tooling can address the same element the program wrote.  Returns
@@ -77,7 +82,10 @@ pub fn flat_offset(point: &[i64]) -> Option<usize> {
 /// Builds a deterministic input environment for an arbitrary program of the
 /// class: every input array is filled with a seed-dependent pseudo-random
 /// pattern and sized generously from the program's `#define` constants;
-/// output parameter arrays get matching sizes.
+/// output parameter arrays get matching sizes.  No array gets more than a
+/// fixed cap of elements: a `#define` too large to size an array within it
+/// is left out, so a program that really indexes that far stops at the
+/// interpreter's typed out-of-bounds error instead of allocating it.
 ///
 /// Different `seed`s give genuinely different fills (a hash mix, not an
 /// affine ramp), so value-level coincidences between two inequivalent
@@ -85,9 +93,20 @@ pub fn flat_offset(point: &[i64]) -> Option<usize> {
 /// replay relies on.
 pub fn standard_inputs(program: &Program, seed: u64) -> Inputs {
     // Span: generous multiple of the largest #define (strides of 2 and small
-    // shifts appear throughout the class).
-    let base = program.defines.values().copied().max().unwrap_or(64).max(1);
-    let span = (4 * base + 16) as usize;
+    // shifts appear throughout the class), over the defines whose span fits
+    // the cap.
+    let span_of = |define: i64| {
+        let span = define.max(1).checked_mul(4)?.checked_add(16)?;
+        usize::try_from(span)
+            .ok()
+            .filter(|&s| s <= MAX_STANDARD_ELEMENTS)
+    };
+    let span = program
+        .defines
+        .values()
+        .filter_map(|&d| span_of(d))
+        .max()
+        .unwrap_or(4 * 64 + 16);
     // Arrays accessed with d indices need pitch^(d-1) * span elements.
     let dims_of = |name: &str| -> usize {
         let mut dims = 1usize;
@@ -104,8 +123,9 @@ pub fn standard_inputs(program: &Program, seed: u64) -> Inputs {
         dims
     };
     let size_for = |name: &str| -> usize {
-        let dims = dims_of(name);
-        span * (MD_ROW_PITCH as usize).pow(dims.saturating_sub(1) as u32)
+        let rows = (MD_ROW_PITCH as usize).checked_pow(dims_of(name).saturating_sub(1) as u32);
+        rows.and_then(|r| r.checked_mul(span))
+            .map_or(MAX_STANDARD_ELEMENTS, |n| n.min(MAX_STANDARD_ELEMENTS))
     };
     let mix = |seed: u64, salt: u64, i: u64| -> i64 {
         let mut h = seed

@@ -1368,7 +1368,7 @@ mod tests {
         e.set_coeff(0, 1);
         e.set_coeff(1, -1);
         c.add(Constraint::geq(e.clone())); // x - y >= 0
-        c.add(Constraint::geq(e.scale(-1))); // y - x >= 0
+        c.add(Constraint::geq(e.try_scale(-1).unwrap())); // y - x >= 0
         c.simplify();
         assert_eq!(c.constraints().len(), 1);
         assert_eq!(c.constraints()[0].kind(), ConstraintKind::Eq);

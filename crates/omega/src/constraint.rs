@@ -262,15 +262,6 @@ impl Constraint {
             modulus: self.modulus,
         }
     }
-
-    /// Substitutes variable `col := value` (see [`LinExpr::substitute`]).
-    pub fn substitute(&self, col: usize, value: &LinExpr) -> Constraint {
-        Constraint {
-            kind: self.kind,
-            expr: self.expr.substitute(col, value),
-            modulus: self.modulus,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -99,15 +99,6 @@ pub(crate) fn note_arith_overflow() {
     });
 }
 
-/// Records one synthetic overflow event on this thread, exactly as a real
-/// checked-arithmetic overflow would.  Fault-injection hook for tests of
-/// the degradation plumbing above the solver; real overflows are covered
-/// by the omega-level oracle corpus.
-#[doc(hidden)]
-pub fn inject_arith_overflow() {
-    note_arith_overflow();
-}
-
 pub(crate) fn note_conjuncts_subsumed(n: u64) {
     if n > 0 {
         update(|e| e.conjuncts_subsumed += n);

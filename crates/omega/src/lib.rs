@@ -118,9 +118,12 @@
 //! All allocation-heavy inner loops (Fourier–Motzkin shadows, equality
 //! elimination, existential elimination) operate on [`LinExpr`]s that store
 //! up to six coefficients inline and are mutated in place via
-//! `add_scaled_assign` / `scale_assign` / `substitute_assign`, so the
-//! typical relation of the paper's program class never touches the heap per
-//! elimination step.
+//! `try_add_scaled_assign` / `try_scale_assign` / `try_substitute_assign`,
+//! so the typical relation of the paper's program class never touches the
+//! heap per elimination step.  Those operations are checked: one that
+//! would overflow `i64` returns [`ArithOverflow`] and changes nothing, and
+//! no public `LinExpr` operation can overflow unchecked, so solver
+//! arithmetic answers alike in debug and release builds.
 //!
 //! ## Quick example
 //!
@@ -164,8 +167,6 @@ pub use arith::ArithOverflow;
 pub use bigint::BigInt;
 pub use conjunct::{feasibility_memo_stats, Conjunct};
 pub use constraint::{Constraint, ConstraintKind};
-#[doc(hidden)]
-pub use events::inject_arith_overflow;
 pub use events::{solver_events, SolverEvents};
 pub use hash::{structural_hash_of, StructuralHasher};
 pub use linexpr::LinExpr;

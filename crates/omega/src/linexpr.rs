@@ -3,7 +3,6 @@
 use crate::arith::{narrow, ArithOverflow};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
-use std::ops::{Add, Mul, Neg, Sub};
 
 /// Number of coefficients stored inline before spilling to the heap.
 ///
@@ -115,11 +114,17 @@ impl Coeffs {
 /// expression; `LinExpr` itself is just the coefficient vector.
 ///
 /// Up to six coefficients are stored inline (no heap allocation); the
-/// in-place operations ([`add_scaled_assign`](LinExpr::add_scaled_assign),
-/// [`scale_assign`](LinExpr::scale_assign),
-/// [`substitute_assign`](LinExpr::substitute_assign), …) let the elimination
-/// loops of the Omega test mutate expressions without the clone-then-rebuild
-/// pattern.
+/// in-place operations ([`try_add_scaled_assign`](LinExpr::try_add_scaled_assign),
+/// [`try_scale_assign`](LinExpr::try_scale_assign),
+/// [`try_substitute_assign`](LinExpr::try_substitute_assign), …) let the
+/// elimination loops of the Omega test mutate expressions without the
+/// clone-then-rebuild pattern.
+///
+/// Every public operation is checked or cannot overflow: the `try_`
+/// family computes in `i128` and returns [`ArithOverflow`] instead of a
+/// result that does not fit `i64`, leaving the expression unmodified, and
+/// every other operation only moves, drops or divides coefficients.  So
+/// solver arithmetic gives one answer in debug and release builds.
 ///
 /// ```
 /// use arrayeq_omega::LinExpr;
@@ -128,7 +133,8 @@ impl Coeffs {
 /// let e = LinExpr::from_coeffs(vec![2, -1], 3);
 /// assert_eq!(e.coeff(0), 2);
 /// assert_eq!(e.constant(), 3);
-/// assert_eq!(e.eval(&[5, 7]), 2 * 5 - 7 + 3);
+/// assert_eq!(e.try_eval(&[5, 7]), Ok(2 * 5 - 7 + 3));
+/// assert!(e.try_scale(i64::MAX).is_err());
 /// ```
 #[derive(Clone)]
 pub struct LinExpr {
@@ -249,22 +255,6 @@ impl LinExpr {
         self.constant == 0 && self.is_constant()
     }
 
-    /// Evaluates the expression for a concrete assignment of the variables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != self.n_vars()`.
-    pub fn eval(&self, values: &[i64]) -> i64 {
-        assert_eq!(values.len(), self.n_vars(), "wrong number of values");
-        self.coeffs
-            .as_slice()
-            .iter()
-            .zip(values)
-            .map(|(a, v)| a * v)
-            .sum::<i64>()
-            + self.constant
-    }
-
     /// Greatest common divisor of the variable coefficients (0 if all zero).
     pub fn coeff_gcd(&self) -> i64 {
         self.coeffs.as_slice().iter().fold(0i64, |g, &c| gcd(g, c))
@@ -274,20 +264,23 @@ impl LinExpr {
     ///
     /// # Panics
     ///
-    /// Panics if any coefficient or the constant is not divisible by `d`.
+    /// Panics if `d <= 0` or any coefficient or the constant is not
+    /// divisible by `d`.
     pub fn exact_div(&self, d: i64) -> LinExpr {
         let mut out = self.clone();
         out.exact_div_assign(d);
         out
     }
 
-    /// In-place version of [`exact_div`](LinExpr::exact_div).
+    /// In-place version of [`exact_div`](LinExpr::exact_div).  A positive
+    /// divisor cannot overflow.
     ///
     /// # Panics
     ///
-    /// Panics if any coefficient or the constant is not divisible by `d`.
+    /// Panics if `d <= 0` or any coefficient or the constant is not
+    /// divisible by `d`.
     pub fn exact_div_assign(&mut self, d: i64) {
-        assert!(d != 0);
+        assert!(d > 0);
         assert!(
             self.coeffs.as_slice().iter().all(|c| c % d == 0) && self.constant % d == 0,
             "exact_div: not divisible"
@@ -311,39 +304,6 @@ impl LinExpr {
             *c /= d;
         }
         self.constant = floor_div(self.constant, d);
-    }
-
-    /// Multiplies the whole expression by a scalar.
-    pub fn scale(&self, k: i64) -> LinExpr {
-        let mut out = self.clone();
-        out.scale_assign(k);
-        out
-    }
-
-    /// In-place version of [`scale`](LinExpr::scale).
-    pub fn scale_assign(&mut self, k: i64) {
-        for c in self.coeffs.as_mut_slice() {
-            *c *= k;
-        }
-        self.constant *= k;
-    }
-
-    /// Adds `k * other` to this expression, in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two expressions have different numbers of variables.
-    pub fn add_scaled_assign(&mut self, other: &LinExpr, k: i64) {
-        assert_eq!(self.n_vars(), other.n_vars());
-        for (a, b) in self
-            .coeffs
-            .as_mut_slice()
-            .iter_mut()
-            .zip(other.coeffs.as_slice())
-        {
-            *a += k * b;
-        }
-        self.constant += k * other.constant;
     }
 
     /// Reduces every coefficient and the constant into `[0, m)`, in place
@@ -386,7 +346,8 @@ impl LinExpr {
 
     /// Returns a copy whose columns are permuted/embedded according to `map`:
     /// new column `map[i]` receives old column `i`'s coefficient.  The new
-    /// expression has `new_len` columns.
+    /// expression has `new_len` columns.  `map` is injective: coefficients
+    /// move and are never summed.
     ///
     /// # Panics
     ///
@@ -397,7 +358,7 @@ impl LinExpr {
         let coeffs = out.coeffs.as_mut_slice();
         for (i, &target) in map.iter().enumerate() {
             assert!(target < new_len, "remap target out of range");
-            coeffs[target] += self.coeffs.as_slice()[i];
+            coeffs[target] = self.coeffs.as_slice()[i];
         }
         out.constant = self.constant;
         out
@@ -424,8 +385,10 @@ impl LinExpr {
         self.coeffs.remove(col);
     }
 
-    /// Overflow-checked [`eval`](LinExpr::eval): the products and the running
-    /// sum are computed in `i128` and the result narrowed back to `i64`.
+    /// Evaluates the expression for a concrete assignment of the variables,
+    /// or [`ArithOverflow`] when the value does not fit `i64`: the products
+    /// and the running sum are computed in `i128` and the result narrowed
+    /// back to `i64`.
     ///
     /// # Panics
     ///
@@ -474,17 +437,18 @@ impl LinExpr {
         narrow(acc)
     }
 
-    /// Overflow-checked [`scale`](LinExpr::scale).
+    /// The whole expression multiplied by `k`, or [`ArithOverflow`] when an
+    /// entry does not fit `i64`.
     pub fn try_scale(&self, k: i64) -> Result<LinExpr, ArithOverflow> {
         let mut out = self.clone();
         out.try_scale_assign(k)?;
         Ok(out)
     }
 
-    /// Overflow-checked [`scale_assign`](LinExpr::scale_assign): every
-    /// product is computed in `i128` and narrowed.  On `Err` the expression
-    /// is left **unmodified** (the checks run before any store), so a failed
-    /// attempt never leaves a half-scaled expression behind.
+    /// In-place version of [`try_scale`](LinExpr::try_scale): every product
+    /// is computed in `i128` and narrowed.  On `Err` the expression is left
+    /// **unmodified** (the checks run before any store), so a failed attempt
+    /// never leaves a half-scaled expression behind.
     pub fn try_scale_assign(&mut self, k: i64) -> Result<(), ArithOverflow> {
         let kw = k as i128;
         for c in self.coeffs.as_slice() {
@@ -498,9 +462,9 @@ impl LinExpr {
         Ok(())
     }
 
-    /// Overflow-checked [`add_scaled_assign`](LinExpr::add_scaled_assign):
-    /// each `aᵢ + k·bᵢ` is computed in `i128` and narrowed.  On `Err` the
-    /// expression is left **unmodified**.
+    /// Adds `k * other` to this expression, in place: each `aᵢ + k·bᵢ` is
+    /// computed in `i128` and narrowed.  On `Err` the expression is left
+    /// **unmodified**.
     ///
     /// # Panics
     ///
@@ -524,7 +488,8 @@ impl LinExpr {
         Ok(())
     }
 
-    /// Overflow-checked [`substitute_assign`](LinExpr::substitute_assign).
+    /// Substitutes variable `col` with the expression `value` (which must not
+    /// itself use `col`), in place: rewrites `self` under `x_col := value`.
     /// On `Err` the expression is left **unmodified**.
     ///
     /// # Panics
@@ -541,89 +506,13 @@ impl LinExpr {
         if k == 0 {
             return Ok(());
         }
-        // Validate every resulting entry before storing anything: the `col`
-        // entry becomes 0 first in the real substitution, so its check uses
-        // 0 + k·value[col] = 0 and is trivially fine; all other entries are
-        // aᵢ + k·bᵢ.
-        let kw = k as i128;
-        for (i, (a, b)) in self
-            .coeffs
-            .as_slice()
-            .iter()
-            .zip(value.coeffs.as_slice())
-            .enumerate()
-        {
-            let base = if i == col { 0 } else { *a as i128 };
-            narrow(base + kw * *b as i128)?;
-        }
-        narrow(self.constant as i128 + kw * value.constant as i128)?;
+        // `value` does not use `col`, so the column ends at 0 + k·0.
         self.coeffs.as_mut_slice()[col] = 0;
-        self.add_scaled_assign(value, k);
-        Ok(())
-    }
-
-    /// Substitutes variable `col` with the expression `value` (which must not
-    /// itself use `col`); i.e. rewrites `self` under `x_col := value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` uses column `col` or sizes differ.
-    pub fn substitute(&self, col: usize, value: &LinExpr) -> LinExpr {
-        let mut result = self.clone();
-        result.substitute_assign(col, value);
-        result
-    }
-
-    /// In-place version of [`substitute`](LinExpr::substitute).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` uses column `col` or sizes differ.
-    pub fn substitute_assign(&mut self, col: usize, value: &LinExpr) {
-        assert_eq!(self.n_vars(), value.n_vars());
-        assert_eq!(value.coeff(col), 0, "substitution value uses the variable");
-        let k = self.coeffs.as_slice()[col];
-        if k == 0 {
-            return;
+        let added = self.try_add_scaled_assign(value, k);
+        if added.is_err() {
+            self.coeffs.as_mut_slice()[col] = k;
         }
-        self.coeffs.as_mut_slice()[col] = 0;
-        self.add_scaled_assign(value, k);
-    }
-}
-
-impl Add for LinExpr {
-    type Output = LinExpr;
-    fn add(self, rhs: LinExpr) -> LinExpr {
-        let mut out = self;
-        out.add_scaled_assign(&rhs, 1);
-        out
-    }
-}
-
-impl Sub for LinExpr {
-    type Output = LinExpr;
-    fn sub(self, rhs: LinExpr) -> LinExpr {
-        let mut out = self;
-        out.add_scaled_assign(&rhs, -1);
-        out
-    }
-}
-
-impl Neg for LinExpr {
-    type Output = LinExpr;
-    fn neg(self) -> LinExpr {
-        let mut out = self;
-        out.scale_assign(-1);
-        out
-    }
-}
-
-impl Mul<i64> for LinExpr {
-    type Output = LinExpr;
-    fn mul(self, rhs: i64) -> LinExpr {
-        let mut out = self;
-        out.scale_assign(rhs);
-        out
+        added
     }
 }
 
@@ -670,29 +559,13 @@ mod tests {
     fn construction_and_eval() {
         let e = LinExpr::from_coeffs(vec![2, -1, 0], 3);
         assert_eq!(e.n_vars(), 3);
-        assert_eq!(e.eval(&[1, 2, 100]), 3); // 2·1 − 1·2 + 3
+        assert_eq!(e.try_eval(&[1, 2, 100]), Ok(3)); // 2·1 − 1·2 + 3
         assert!(!e.is_constant());
         assert!(LinExpr::constant_expr(3, 5).is_constant());
         assert!(LinExpr::zero(2).is_zero());
-        assert_eq!(LinExpr::var(3, 1).eval(&[9, 7, 5]), 7);
-    }
-
-    #[test]
-    fn arithmetic_ops() {
-        let a = LinExpr::from_coeffs(vec![1, 2], 3);
-        let b = LinExpr::from_coeffs(vec![4, -1], 1);
-        assert_eq!((a.clone() + b.clone()).coeffs(), &[5, 1]);
-        assert_eq!((a.clone() - b.clone()).constant(), 2);
-        assert_eq!((-a.clone()).coeff(0), -1);
-        assert_eq!((a.clone() * 3).coeff(1), 6);
-        let mut c = a.clone();
-        c.add_scaled_assign(&b, 2);
-        assert_eq!(c.coeffs(), &[9, 0]);
-        assert_eq!(c.constant(), 5);
-        let mut d = a.clone();
-        d.add_scaled_assign(&b, -1);
-        assert_eq!(d.coeffs(), &[-3, 3]);
-        assert_eq!(d.constant(), 2);
+        assert_eq!(LinExpr::var(3, 1).try_eval(&[9, 7, 5]), Ok(7));
+        assert_eq!(e.try_eval(&[i64::MAX, 0, 0]), Err(ArithOverflow));
+        assert_eq!(e.try_scale(3).unwrap().coeffs(), &[6, -3, 0]);
     }
 
     #[test]
@@ -732,11 +605,17 @@ mod tests {
     #[test]
     fn substitution() {
         // e = 3x + y + 1, substitute x := 2y - 1  =>  3(2y-1) + y + 1 = 7y - 2
-        let e = LinExpr::from_coeffs(vec![3, 1], 1);
+        let mut s = LinExpr::from_coeffs(vec![3, 1], 1);
         let v = LinExpr::from_coeffs(vec![0, 2], -1);
-        let s = e.substitute(0, &v);
+        s.try_substitute_assign(0, &v).unwrap();
         assert_eq!(s.coeffs(), &[0, 7]);
         assert_eq!(s.constant(), -2);
+        // An overflowing substitution leaves the expression as it was.
+        let before = LinExpr::from_coeffs(vec![3, 1], 1);
+        let mut e = before.clone();
+        let huge = LinExpr::from_coeffs(vec![0, i64::MAX], 0);
+        assert_eq!(e.try_substitute_assign(0, &huge), Err(ArithOverflow));
+        assert_eq!(e, before);
     }
 
     #[test]

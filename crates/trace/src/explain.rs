@@ -160,7 +160,6 @@ fn bump_mechanism(list: &mut Vec<(&'static str, u64)>, raw: &str) {
         "baseline" => "baseline",
         "coinduction" => "coinduction assumption",
         "arena_fast_match" => "arena fast-match",
-        "match_memo" => "match memo",
         _ => "other",
     };
     bump(list, label);

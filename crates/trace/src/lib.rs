@@ -488,7 +488,7 @@ pub fn event_with(name: &'static str, fields: impl FnOnce() -> Vec<Field>) {
 /// Emits a discharge-provenance event: `mechanism` names which facility
 /// answered the current sub-proof. The checker's mechanisms are
 /// `"local_table"`, `"shared_table"`, `"store"`, `"baseline"`,
-/// `"coinduction"`, `"arena_fast_match"`, and `"match_memo"`.
+/// `"coinduction"` and `"arena_fast_match"`.
 #[inline]
 pub fn discharge(mechanism: &'static str) {
     event_with("discharge", || vec![s("mechanism", mechanism)]);

@@ -379,6 +379,21 @@ fn arithmetic_at_the_i64_limits_answers_alike_in_every_build() {
             report.summary()
         );
     }
+    // An unused `#define` too large to size a replay input is left out of
+    // the sizes, so the replay still confirms the witness, and neither build
+    // panics.
+    for big in ["6917529027641081856", "4611686018427387904"] {
+        let source =
+            |rhs: &str| one_statement("A", rhs).replacen('\n', &format!("\n#define M {big}\n"), 1);
+        let request = VerifyRequest::source(source("A[k] + D[k]"), source("A[k] - D[k]"));
+        let report = verifier.verify(&request).unwrap().report;
+        assert_eq!(report.verdict, Verdict::NotEquivalent, "{big}");
+        assert!(
+            report.witnesses.iter().any(|w| w.confirmed),
+            "{big}: {}",
+            report.summary()
+        );
+    }
     // `2^62 * 2` wraps to `i64::MIN` in the index, which overflows the
     // solver's checked arithmetic: a typed inconclusive.
     let report = verify("B", "B[k+1] + D[k]", "B[4611686018427387904*2*k+1] + D[k]");

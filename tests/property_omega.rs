@@ -89,9 +89,9 @@ fn noisy_conjunct(a: i64, b: i64, lo: i64, hi: i64, scales: [i64; 3], rotate: us
     hi_e.set_coeff(0, -1);
     hi_e.set_constant(hi - 1);
     let mut cs = vec![
-        Constraint::eq(eq.scale(scales[0])),
-        Constraint::geq(lo_e.scale(scales[1].abs())),
-        Constraint::geq(hi_e.scale(scales[2].abs())),
+        Constraint::eq(eq.try_scale(scales[0]).unwrap()),
+        Constraint::geq(lo_e.try_scale(scales[1].abs()).unwrap()),
+        Constraint::geq(hi_e.try_scale(scales[2].abs()).unwrap()),
     ];
     let n = cs.len();
     cs.rotate_left(rotate % n);
@@ -160,7 +160,7 @@ proptest! {
         let mut pos = Conjunct::universe(space.clone());
         pos.add(Constraint::eq(eq.clone()));
         let mut neg = Conjunct::universe(space.clone());
-        neg.add(Constraint::eq(eq.scale(-1)));
+        neg.add(Constraint::eq(eq.try_scale(-1).unwrap()));
         let rp = Relation::from_conjuncts(space.clone(), vec![pos]);
         let rn = Relation::from_conjuncts(space, vec![neg]);
         prop_assert_eq!(rp.structural_hash(), rn.structural_hash());
